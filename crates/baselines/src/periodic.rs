@@ -138,13 +138,16 @@ pub fn run_periodic_job(
     let checkpoints_written = Arc::new(Mutex::new(0u64));
     let max_generations = injector.pending_count() as u32 + 2;
     let mut finish_times = vec![SimTime::ZERO; n];
+    // Resolved once per (re)start: the plan the ranks restore from is
+    // also what the wasted-work accounting below measures against.
+    let mut resume = checkpoint::assemble(&store, job, &layout).ok();
     loop {
         let setup = JobSetup::build(layout, cost.clone(), cfg.ranks_per_node);
         let world = setup.world.clone();
         let clock = setup.clock.clone();
         let per_rank = setup.per_rank.clone();
-        let resume = checkpoint::assemble(&store, job, &layout).ok();
         let gen_results = {
+            let resume = resume.clone();
             let cfg = cfg.clone();
             let cost = cost.clone();
             let injector = injector.clone();
@@ -165,12 +168,19 @@ pub fn run_periodic_job(
                 exec.set_observer(monitor.observer());
                 let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], injector.clone())?;
                 let mut resumed_from = 0u64;
-                if resume.is_some() {
-                    let (state, meta, _rstats) = jitckpt::restore::load_for_rank_parallel(
+                let coord = layout.coord(rank);
+                if let Some(choice) = resume
+                    .as_ref()
+                    .and_then(|plan| plan.get(&(coord.stage, coord.part)))
+                {
+                    let (state, meta, _rstats) = jitckpt::restore::read_checkpoint_parallel(
                         store.as_ref(),
                         job,
-                        &layout,
-                        rank,
+                        choice.kind,
+                        choice.iteration,
+                        coord.stage,
+                        coord.part,
+                        choice.dp,
                         &jitckpt::restore::RestoreConfig::default(),
                     )?;
                     let t_restore = cost.process_restart
@@ -183,7 +193,6 @@ pub fn run_periodic_job(
                     tr.restore(&state)?;
                     resumed_from = state.iteration;
                 }
-                let coord = layout.coord(rank);
                 let mut losses: Vec<(u64, f32)> = Vec::new();
                 let mut failure: Option<SimError> = None;
                 let mut reached = resumed_from;
@@ -251,9 +260,11 @@ pub fn run_periodic_job(
         restarts += 1;
         // Wasted work: everything since the checkpoint the next
         // generation will resume from gets re-executed.
-        let resume_at = checkpoint::assemble(&store, job, &layout)
-            .map(|plan| plan.values().next().map(|c| c.iteration).unwrap_or(0))
-            .unwrap_or(0);
+        resume = checkpoint::assemble(&store, job, &layout).ok();
+        let resume_at = resume
+            .as_ref()
+            .and_then(|plan| plan.values().next())
+            .map_or(0, |c| c.iteration);
         wasted_iterations += max_reached.saturating_sub(resume_at);
         if restarts > max_generations {
             return Err(SimError::Protocol(format!(

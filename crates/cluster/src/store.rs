@@ -125,11 +125,9 @@ impl StorageBackend for SharedStore {
         SharedStore::list_count(self)
     }
 
-    fn read_parallelism(&self) -> usize {
-        // Reads only contend per stripe; the stripe count is the honest
-        // concurrency hint for an in-process map.
-        STRIPES
-    }
+    // `read_parallelism` stays at the trait's serial default: a `get` is
+    // a map lookup and a refcount bump, and a fetch pool measures
+    // 0.53–0.72× serial on it (BENCH_store.json, restore matrix).
 
     fn object_count(&self) -> usize {
         self.len()

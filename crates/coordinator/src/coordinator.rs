@@ -76,7 +76,9 @@ pub struct JobStats {
     pub gc_deleted: AtomicU64,
     /// Restores served through [`JobSession::restore_for_rank`].
     pub restores: AtomicU64,
-    /// Shard `get`s those restores issued (sidecar reads excluded).
+    /// Shard `get`s issued on those restores' behalf (sidecar reads
+    /// excluded): the kept read plus every validation read resolution
+    /// made on the way to it.
     pub restore_shard_reads: AtomicU64,
     /// Payload bytes those restores fetched.
     pub restore_bytes: AtomicU64,
@@ -86,9 +88,11 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Restore read amplification: shard reads per restore. `1.0` per
-    /// shard is the floor; higher means delta chains or churn made the
-    /// job fetch more objects than a single-wave full checkpoint would.
+    /// Restore read amplification: shard reads the store served per
+    /// shard restored. `1.0` is the floor — every restore read exactly
+    /// one generation of its own cell; higher means resolution had to
+    /// validate other cells, or probe past torn, lost or rotted newer
+    /// generations.
     pub fn restore_amplification(&self, shards_per_checkpoint: usize) -> f64 {
         let restores = self.restores.load(Ordering::Relaxed);
         if restores == 0 || shards_per_checkpoint == 0 {
@@ -207,9 +211,10 @@ impl JobSession {
         Ok(())
     }
 
-    /// Restores the resolved checkpoint for `rank` through the parallel
-    /// restore plane, recording read metrics so the coordinator can
-    /// report restore amplification per job
+    /// Resolves and restores the checkpoint for `rank` in one pass
+    /// through the parallel restore plane (the validation read of the
+    /// rank's cell is the restore), recording read metrics so the
+    /// coordinator can report restore amplification per job
     /// ([`JobStats::restore_amplification`]).
     pub fn restore_for_rank(
         &self,

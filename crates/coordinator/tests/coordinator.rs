@@ -9,6 +9,7 @@ use coordinator::{
 };
 use dltrain::TrainState;
 use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
+use simcore::layout::ParallelLayout;
 use simcore::{JobId, RankId, SimResult};
 use simgpu::BufferTag;
 use std::sync::Arc;
@@ -224,6 +225,97 @@ fn gc_pins_delta_bases_until_chain_breaks() -> SimResult<()> {
         checkpoint::read_checkpoint(sess.backend(), sess.job(), CkptKind::Jit, 4, 0, 0, 0)?;
     assert_eq!(got, state(4, 200, 1.0));
     assert!(meta.delta_depth > 0, "head should still be a delta");
+    Ok(())
+}
+
+/// Restore cost is one generation however many are retained, and the
+/// job's amplification reports what the store actually served: exactly
+/// 1.0 on a healthy store, and the rejected replica's shards on top
+/// when resolution has to read past a rotted one.
+#[test]
+fn restore_amplification_counts_every_read_and_is_one_when_healthy() -> SimResult<()> {
+    let store = Arc::new(SimObjectStore::new(ObjectStoreProfile::instant()));
+    let coord = Coordinator::new(store.clone(), CoordinatorConfig::default());
+    let sess = coord.admit(JobSpec {
+        ranks: 2,
+        shards: small_shards(),
+        keep_checkpoints: 4,
+        ..JobSpec::default()
+    });
+    let layout = ParallelLayout::data_parallel(2);
+    // Five delta-chained generations from both replicas: one element
+    // changes per generation, the rest of the state is reused.
+    let mut s = state(0, 400, 1.0);
+    for it in 1..=5 {
+        s.iteration = it;
+        s.buffers[0].2[0] = it as f32;
+        for dp in 0..2 {
+            sess.submit_checkpoint(CkptKind::Periodic, RankId(dp as u32), 0, 0, dp, &s);
+        }
+        sess.drain()?;
+    }
+    sess.gc(CkptKind::Periodic);
+    let prefix = checkpoint::job_prefix(sess.job(), CkptKind::Periodic);
+    let retained = sess
+        .backend()
+        .list(&prefix)
+        .iter()
+        .filter(|p| p.ends_with("/dp0/meta"))
+        .count();
+    assert!(retained >= 4, "{retained} generations retained");
+    let tip = checkpoint::read_meta(sess.backend(), sess.job(), CkptKind::Periodic, 5, 0, 0, 0)?;
+    assert!(tip.delta_depth >= 3, "tip is delta-chained: {tip:?}");
+    let shards = tip.shards.len();
+
+    // What the backend's read counter charges for one `get`.
+    let reads = store.read_count();
+    store.get(&checkpoint::meta_path(
+        sess.job(),
+        CkptKind::Periodic,
+        5,
+        0,
+        0,
+        0,
+    ))?;
+    let per_get = store.read_count() - reads;
+
+    let reads = store.read_count();
+    for rank in 0..2 {
+        let (got, _, stats) = sess.restore_for_rank(&layout, RankId(rank))?;
+        assert_eq!(got, s);
+        assert_eq!(stats.generations_probed, 1);
+        assert_eq!(stats.shard_reads, shards as u64);
+    }
+    assert_eq!(
+        store.read_count() - reads,
+        2 * (shards as u64 + 1) * per_get,
+        "one sidecar + one generation's shards per restore"
+    );
+    assert_eq!(sess.stats().restore_amplification(shards), 1.0);
+
+    // Rot a shard only replica 0's newest generation holds: resolution
+    // reads replica 0, rejects it, and restores from replica 1 — the
+    // same generation, twice the shard reads, and the job stats say so.
+    let own = tip
+        .shards
+        .iter()
+        .find(|m| m.base_iteration.is_none())
+        .expect("the tip wrote the shard that changed");
+    store.corrupt(&checkpoint::shard_path(
+        sess.job(),
+        CkptKind::Periodic,
+        5,
+        0,
+        0,
+        0,
+        own.index,
+    ))?;
+    let (got, _, stats) = sess.restore_for_rank(&layout, RankId(0))?;
+    assert_eq!(got, s);
+    assert_eq!(stats.generations_probed, 1);
+    assert_eq!(stats.shard_reads, 2 * shards as u64);
+    let want = (2 + 2) as f64 / 3.0;
+    assert!((sess.stats().restore_amplification(shards) - want).abs() < 1e-12);
     Ok(())
 }
 

@@ -50,6 +50,8 @@ use simcore::sync::Mutex;
 use simcore::{JobId, RankId, SimError, SimResult};
 use std::collections::BTreeMap;
 
+use crate::restore::{read_counted, RestoreConfig, RestoreStats};
+
 /// Checkpoint flavor (JIT-on-failure or periodic), part of the path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CkptKind {
@@ -884,107 +886,121 @@ pub struct CellChoice {
     pub kind: CkptKind,
 }
 
-fn complete_iterations_for_cell<S: StorageBackend + ?Sized>(
+/// One newest-first resolution of a job's checkpoints ([`resolve`]).
+pub(crate) struct Resolution {
+    /// The chosen checkpoint of every (stage, partition) cell.
+    pub plan: BTreeMap<(usize, usize), CellChoice>,
+    /// The validated read of the cell the caller asked to keep: the
+    /// validation read of that cell *is* its restore.
+    pub kept: Option<(TrainState, CheckpointMeta)>,
+    /// Traffic of every validation read issued; `shards`, `fetchers` and
+    /// `prefetch_depth` describe the kept read.
+    pub stats: RestoreStats,
+}
+
+/// Resolves, for every (stage, partition) cell, the newest checkpoint
+/// iteration available for **all** cells — discarding corrupt or
+/// incomplete files — and which replica to read it from.
+///
+/// Lazy and newest-first: one `list` per kind indexes the job's
+/// sidecars, the iterations with a sidecar for every cell are the
+/// candidates, and they are validated from the newest down, stopping at
+/// the first one valid for every cell. A generation counts for a cell
+/// only if a full read of it succeeds (a torn write must not count);
+/// within an iteration JIT files are tried before periodic ones (either
+/// is valid; JIT files are what failure recovery wrote) and
+/// data-parallel replicas in listing order. Every cell's validity at an
+/// iteration is independent of the others, so this picks exactly what
+/// validating every retained generation and intersecting afterwards
+/// would — but a healthy store is read one generation deep, and older
+/// generations are touched only when a newer one is torn, lost or rotted.
+pub(crate) fn resolve<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
-    kind: CkptKind,
     layout: &ParallelLayout,
-    stage: usize,
-    part: usize,
-) -> BTreeMap<u64, usize> {
-    // iteration → a dp replica with a *valid* checkpoint.
-    let mut out = BTreeMap::new();
-    let prefix = format!("ckpt/{job}/{}/", kind.dir());
-    let cell = format!("s{stage}p{part}");
-    for path in store.list(&prefix) {
-        let Some(rest) = path.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some((iteration, c, dp, leaf)) = parse_rel_path(rest) else {
-            continue;
-        };
-        if leaf != "meta" || c != cell || dp >= layout.dp {
-            continue;
-        }
-        if out.contains_key(&iteration) {
-            continue;
-        }
-        // Validate before accepting: a torn write must not count. The
-        // parallel restore plane fetches the candidate's shards — on a
-        // latency-bound backend, candidate validation is the dominant
-        // assemble cost and overlaps the same way a real restore does.
-        let valid = crate::restore::read_checkpoint_parallel(
-            store,
-            job,
-            kind,
-            iteration,
-            stage,
-            part,
-            dp,
-            &crate::restore::RestoreConfig::default(),
-        )
-        .is_ok();
-        if valid {
-            out.insert(iteration, dp);
+    keep: Option<(usize, usize)>,
+    cfg: &RestoreConfig,
+) -> SimResult<Resolution> {
+    let cells = layout.cells();
+    let cell_names: Vec<String> = cells.iter().map(|(s, p)| format!("s{s}p{p}")).collect();
+    // iteration → per cell, the (kind, dp) sidecars present, in trial order.
+    let mut candidates: BTreeMap<u64, Vec<Vec<(CkptKind, usize)>>> = BTreeMap::new();
+    for kind in [CkptKind::Jit, CkptKind::Periodic] {
+        let prefix = job_prefix(job, kind);
+        for path in store.list(&prefix) {
+            let Some((iteration, cell, dp, leaf)) =
+                path.strip_prefix(&prefix).and_then(parse_rel_path)
+            else {
+                continue;
+            };
+            let Some(idx) = cell_names.iter().position(|name| name == cell) else {
+                continue;
+            };
+            if leaf == "meta" && dp < layout.dp {
+                candidates
+                    .entry(iteration)
+                    .or_insert_with(|| vec![Vec::new(); cells.len()])[idx]
+                    .push((kind, dp));
+            }
         }
     }
-    out
+
+    let mut stats = RestoreStats::default();
+    for (&iteration, per_cell) in candidates.iter().rev() {
+        if per_cell.iter().any(Vec::is_empty) {
+            continue;
+        }
+        stats.generations_probed += 1;
+        let mut kept = None;
+        // Collecting into an `Option` stops at the first cell with no
+        // valid replica: the iteration is out, its other cells go unread.
+        let plan: Option<BTreeMap<_, _>> = cells
+            .iter()
+            .zip(per_cell)
+            .map(|(&(stage, part), replicas)| {
+                replicas.iter().find_map(|&(kind, dp)| {
+                    let (read, traffic) =
+                        read_counted(store, job, kind, iteration, stage, part, dp, cfg);
+                    stats.add_traffic(&traffic);
+                    let read = read.ok()?;
+                    if keep == Some((stage, part)) {
+                        stats.shards = traffic.shards;
+                        stats.fetchers = traffic.fetchers;
+                        stats.prefetch_depth = traffic.prefetch_depth;
+                        kept = Some(read);
+                    }
+                    let choice = CellChoice {
+                        iteration,
+                        dp,
+                        kind,
+                    };
+                    Some(((stage, part), choice))
+                })
+            })
+            .collect();
+        if let Some(plan) = plan {
+            return Ok(Resolution { plan, kept, stats });
+        }
+    }
+    Err(SimError::NoCheckpointAvailable(format!(
+        "no iteration has a complete checkpoint for every cell of {job}"
+    )))
 }
 
 /// Resolves, for every (stage, partition) cell, the newest checkpoint
 /// iteration available for **all** cells — discarding corrupt or
 /// incomplete files — and which replica to read it from. Searches both
 /// JIT and periodic checkpoints and takes the newest (the combined
-/// JIT + PC mode of §6.3).
+/// JIT + PC mode of §6.3). Validation reads the chosen generation in
+/// full: a caller that goes on to restore one rank from it should call
+/// [`crate::restore::load_for_rank_parallel`] instead, which keeps that
+/// read.
 pub fn assemble<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
     layout: &ParallelLayout,
 ) -> SimResult<BTreeMap<(usize, usize), CellChoice>> {
-    let cells = layout.cells();
-    // For each cell, map iteration → (dp, kind), preferring JIT files
-    // (either is valid; JIT files are what failure recovery wrote).
-    let mut per_cell: Vec<BTreeMap<u64, (usize, CkptKind)>> = Vec::with_capacity(cells.len());
-    for &(stage, part) in &cells {
-        let mut m: BTreeMap<u64, (usize, CkptKind)> = BTreeMap::new();
-        for kind in [CkptKind::Jit, CkptKind::Periodic] {
-            for (it, dp) in complete_iterations_for_cell(store, job, kind, layout, stage, part) {
-                m.entry(it).or_insert((dp, kind));
-            }
-        }
-        per_cell.push(m);
-    }
-    // Intersect iteration sets across cells; take the max.
-    let mut common: Option<Vec<u64>> = None;
-    for m in &per_cell {
-        let its: Vec<u64> = m.keys().copied().collect();
-        common = Some(match common {
-            None => its,
-            Some(prev) => prev.into_iter().filter(|i| its.contains(i)).collect(),
-        });
-    }
-    let best = common
-        .unwrap_or_default()
-        .into_iter()
-        .max()
-        .ok_or_else(|| {
-            SimError::NoCheckpointAvailable(format!(
-                "no iteration has a complete checkpoint for every cell of {job}"
-            ))
-        })?;
-    let mut out = BTreeMap::new();
-    for (idx, &(stage, part)) in cells.iter().enumerate() {
-        let (dp, kind) = per_cell[idx][&best];
-        out.insert(
-            (stage, part),
-            CellChoice {
-                iteration: best,
-                dp,
-                kind,
-            },
-        );
-    }
-    Ok(out)
+    resolve(store, job, layout, None, &RestoreConfig::default()).map(|r| r.plan)
 }
 
 /// §3.3's `jit_get_checkpoint_path`: the checkpoint directory a restoring
@@ -1008,27 +1024,6 @@ pub fn jit_get_checkpoint_path<S: StorageBackend + ?Sized>(
         coord.part,
         choice.dp,
     ))
-}
-
-/// Loads the resolved checkpoint for `rank` (validated).
-pub fn load_for_rank<S: StorageBackend + ?Sized>(
-    store: &S,
-    job: JobId,
-    layout: &ParallelLayout,
-    rank: RankId,
-) -> SimResult<(TrainState, CheckpointMeta)> {
-    let coord = layout.coord(rank);
-    let plan = assemble(store, job, layout)?;
-    let choice = plan[&(coord.stage, coord.part)];
-    read_checkpoint(
-        store,
-        job,
-        choice.kind,
-        choice.iteration,
-        coord.stage,
-        coord.part,
-        choice.dp,
-    )
 }
 
 #[cfg(test)]
@@ -1506,5 +1501,284 @@ mod tests {
         assert_eq!(m.delta_depth, 0);
         assert!(m.shards.iter().all(|s| s.base_iteration.is_none()));
         Ok(())
+    }
+    /// The resolution `assemble` used to run, kept as the oracle the lazy
+    /// one is checked against: fully validate **every** retained
+    /// generation of every cell, intersect the valid iteration sets
+    /// afterwards, take the max.
+    fn eager_assemble(
+        store: &SharedStore,
+        job: JobId,
+        layout: &ParallelLayout,
+    ) -> SimResult<BTreeMap<(usize, usize), CellChoice>> {
+        let cells = layout.cells();
+        let mut per_cell: Vec<BTreeMap<u64, (usize, CkptKind)>> = Vec::new();
+        for &(stage, part) in &cells {
+            let cell = format!("s{stage}p{part}");
+            let mut valid: BTreeMap<u64, (usize, CkptKind)> = BTreeMap::new();
+            for kind in [CkptKind::Jit, CkptKind::Periodic] {
+                let prefix = job_prefix(job, kind);
+                let mut of_kind: BTreeMap<u64, usize> = BTreeMap::new();
+                for path in store.list(&prefix) {
+                    let Some((iteration, c, dp, leaf)) =
+                        path.strip_prefix(&prefix).and_then(parse_rel_path)
+                    else {
+                        continue;
+                    };
+                    if leaf != "meta"
+                        || c != cell
+                        || dp >= layout.dp
+                        || of_kind.contains_key(&iteration)
+                    {
+                        continue;
+                    }
+                    if read_checkpoint(store, job, kind, iteration, stage, part, dp).is_ok() {
+                        of_kind.insert(iteration, dp);
+                    }
+                }
+                for (it, dp) in of_kind {
+                    valid.entry(it).or_insert((dp, kind));
+                }
+            }
+            per_cell.push(valid);
+        }
+        let best = per_cell
+            .first()
+            .into_iter()
+            .flat_map(|first| first.keys().copied())
+            .filter(|it| per_cell.iter().all(|m| m.contains_key(it)))
+            .max()
+            .ok_or_else(|| SimError::NoCheckpointAvailable(format!("eager: none for {job}")))?;
+        Ok(cells
+            .iter()
+            .zip(&per_cell)
+            .map(|(&cell, m)| {
+                let (dp, kind) = m[&best];
+                let choice = CellChoice {
+                    iteration: best,
+                    dp,
+                    kind,
+                };
+                (cell, choice)
+            })
+            .collect())
+    }
+
+    /// Writes `gens` delta-chained generations (iterations `1..=gens`) of
+    /// one dp-replicated cell and returns the shard count per generation.
+    fn write_generations(
+        store: &SharedStore,
+        layout: &ParallelLayout,
+        gens: u64,
+    ) -> SimResult<usize> {
+        let mut s = big_state(0, 0.5);
+        for it in 1..=gens {
+            s.iteration = it;
+            s.buffers[1].2[0] = it as f32;
+            for dp in 0..layout.dp {
+                let rank = RankId(dp as u32);
+                write_checkpoint_with(
+                    store,
+                    job(),
+                    CkptKind::Periodic,
+                    rank,
+                    0,
+                    0,
+                    dp,
+                    &s,
+                    &SMALL,
+                )?;
+            }
+        }
+        Ok(read_meta(store, job(), CkptKind::Periodic, gens, 0, 0, 0)?
+            .shards
+            .len())
+    }
+
+    #[test]
+    fn healthy_restore_reads_one_generation() -> SimResult<()> {
+        let store = SharedStore::new();
+        let layout = ParallelLayout::data_parallel(2);
+        let shards = write_generations(&store, &layout, 4)?;
+        let (reads, lists) = (store.read_count(), store.list_count());
+        let (state, meta, stats) = crate::restore::load_for_rank_parallel(
+            &store,
+            job(),
+            &layout,
+            RankId(1),
+            &RestoreConfig::default(),
+        )?;
+        assert_eq!((state.iteration, meta.iteration), (4, 4));
+        assert!(meta.delta_depth > 0, "the tip is delta-chained");
+        assert_eq!(
+            store.read_count() - reads,
+            shards as u64 + 1,
+            "one sidecar + one generation's shards, whatever is retained"
+        );
+        assert_eq!(store.list_count() - lists, 2, "one list per kind");
+        assert_eq!(stats.generations_probed, 1);
+        assert_eq!((stats.shards, stats.shard_reads), (shards, shards as u64));
+        Ok(())
+    }
+
+    #[test]
+    fn torn_newest_generation_falls_back_one_generation() -> SimResult<()> {
+        let store = SharedStore::new();
+        let layout = ParallelLayout::data_parallel(1);
+        let shards = write_generations(&store, &layout, 4)?;
+        // Tear a shard object generation 4 wrote itself (not a delta
+        // reference), so generations 1–3 stay whole.
+        let tip = read_meta(&store, job(), CkptKind::Periodic, 4, 0, 0, 0)?;
+        let own = tip
+            .shards
+            .iter()
+            .find(|m| m.base_iteration.is_none())
+            .ok_or_else(|| SimError::Protocol("tip wrote no shard of its own".into()))?;
+        store.corrupt(shard_path(job(), CkptKind::Periodic, 4, 0, 0, 0, own.index))?;
+        let reads = store.read_count();
+        let (state, _, stats) = crate::restore::load_for_rank_parallel(
+            &store,
+            job(),
+            &layout,
+            RankId(0),
+            &RestoreConfig::default(),
+        )?;
+        assert_eq!(state.iteration, 3, "previous generation");
+        assert_eq!(
+            stats.generations_probed, 2,
+            "exactly two generations touched"
+        );
+        assert_eq!(store.read_count() - reads, 2 * (shards as u64 + 1));
+        assert_eq!(
+            stats.shard_reads,
+            2 * shards as u64,
+            "the rejected generation's shards are charged to the restore"
+        );
+        Ok(())
+    }
+
+    /// What a proptest case does to one written checkpoint.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        LostShard,
+        TornShard,
+        RottedShard,
+        MissingSidecar,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+        /// Lazy newest-first resolution picks exactly what validating
+        /// every generation would — same plan or same error variant —
+        /// across layouts, both kinds, delta chains, and random damage
+        /// per (generation, cell, replica).
+        #[test]
+        fn lazy_assemble_matches_the_eager_oracle(
+            dp in 1usize..4,
+            pp in 1usize..3,
+            tp in 1usize..3,
+            // Per generation: 0 = JIT, 1 = periodic, 2 = both.
+            kinds in proptest::collection::vec(0u8..3, 1..6),
+            // Fraction (in eighths) of (generation, cell, replica)
+            // checkpoints that were never written.
+            absent in 0u64..3,
+            damage in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<proptest::sample::Index>(),
+                    proptest::prelude::any::<proptest::sample::Index>(),
+                    proptest::sample::select(vec![
+                        Damage::LostShard,
+                        Damage::TornShard,
+                        Damage::RottedShard,
+                        Damage::MissingSidecar,
+                    ]),
+                ),
+                0..8,
+            ),
+            salt in proptest::prelude::any::<u64>(),
+        ) {
+            let store = SharedStore::new();
+            let layout = ParallelLayout::three_d(dp, pp, tp);
+            let cfg = ShardConfig { workers: 1, ..SMALL };
+            let mut written = Vec::new();
+            let mut s = big_state(0, 0.5);
+            for (g, which) in kinds.iter().enumerate() {
+                s.iteration = 10 + g as u64;
+                s.buffers[1].2[g] = g as f32 + 1.0; // delta-chained generations
+                for (c, &(stage, part)) in layout.cells().iter().enumerate() {
+                    for d in 0..dp {
+                        // A deterministic hash decides which replicas skipped
+                        // this generation (a rank that never checkpointed).
+                        let h = salt ^ ((g as u64) << 32 | (c as u64) << 16 | d as u64);
+                        if h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 < absent {
+                            continue;
+                        }
+                        for kind in [CkptKind::Jit, CkptKind::Periodic] {
+                            if *which == 2 || (*which == 1) == (kind == CkptKind::Periodic) {
+                                write_checkpoint_with(
+                                    &store, job(), kind, RankId(0), stage, part, d, &s, &cfg,
+                                ).map_err(|e| e.to_string())?;
+                                written.push((kind, s.iteration, stage, part, d));
+                            }
+                        }
+                    }
+                }
+            }
+            for (target, shard, what) in damage {
+                if written.is_empty() {
+                    break;
+                }
+                let (kind, it, stage, part, d) = written[target.index(written.len())];
+                let Ok(meta) = read_meta(&store, job(), kind, it, stage, part, d) else {
+                    continue; // sidecar already removed by an earlier entry
+                };
+                // Damage lands on the physical object, so one hit can
+                // invalidate every generation that references it.
+                let sm = meta.shards[shard.index(meta.shards.len())];
+                let holder = sm.base_iteration.unwrap_or(it);
+                let path = shard_path(job(), kind, holder, stage, part, d, sm.index);
+                match what {
+                    Damage::LostShard => store.delete(&path),
+                    // Already lost to an earlier entry: nothing to rot.
+                    Damage::RottedShard => drop(store.corrupt(&path)),
+                    Damage::TornShard => {
+                        if let Ok(obj) = store.get(&path) {
+                            store
+                                .put(&path, obj.slice(..obj.len() / 2))
+                                .map_err(|e| e.to_string())?;
+                        }
+                    }
+                    Damage::MissingSidecar => {
+                        store.delete(meta_path(job(), kind, it, stage, part, d))
+                    }
+                }
+            }
+
+            match (assemble(&store, job(), &layout), eager_assemble(&store, job(), &layout)) {
+                (Ok(lazy), Ok(eager)) => {
+                    proptest::prop_assert_eq!(&lazy, &eager);
+                    // The state a resolved restore keeps is the chosen
+                    // checkpoint's, bit for bit.
+                    let rank = RankId((salt % layout.world_size() as u64) as u32);
+                    let coord = layout.coord(rank);
+                    let c = lazy[&(coord.stage, coord.part)];
+                    let (kept, _, _) = crate::restore::load_for_rank_parallel(
+                        &store, job(), &layout, rank, &RestoreConfig::default(),
+                    ).map_err(|e| e.to_string())?;
+                    let (want, _) = read_checkpoint(
+                        &store, job(), c.kind, c.iteration, coord.stage, coord.part, c.dp,
+                    ).map_err(|e| e.to_string())?;
+                    proptest::prop_assert_eq!(kept, want);
+                }
+                (Err(lazy), Err(eager)) => proptest::prop_assert_eq!(
+                    std::mem::discriminant(&lazy),
+                    std::mem::discriminant(&eager)
+                ),
+                (lazy, eager) => proptest::prop_assert!(
+                    false,
+                    "lazy and eager disagree: lazy={lazy:?} eager={eager:?}"
+                ),
+            }
+        }
     }
 }

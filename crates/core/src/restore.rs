@@ -14,7 +14,10 @@
 //!   ([`checkpoint::default_shard_workers`]) and additionally capped by
 //!   the backend's [`StorageBackend::read_parallelism`] hint, so a
 //!   transfer-slot-limited [`SimObjectStore`] is never oversubscribed
-//!   (extra fetchers would just park on the slot condvar).
+//!   (extra fetchers would just park on the slot condvar). A hint of 1
+//!   — the in-memory [`SharedStore`](cluster::SharedStore), where a
+//!   pool measures slower than serial — fetches inline on the calling
+//!   thread, no thread spawned.
 //! * **Overlapped verify/decode** — the calling thread consumes shard
 //!   slots strictly in index order, CRC-verifying and appending shard
 //!   `k` while fetchers pull `k+1..`. Assembly order — and therefore the
@@ -30,6 +33,11 @@
 //!   and keeps working while `add_node`/`remove_node`/`repair()`
 //!   rebalance underneath.
 //!
+//! [`load_for_rank_parallel`] is where *which* checkpoint to read is
+//! decided and read in one pass: [`checkpoint::resolve`] validates
+//! candidates newest-first through this plane and the verified read of
+//! the caller's cell is the restore.
+//!
 //! Failure semantics are the serial reader's, by construction: the
 //! per-shard validation and the aggregated blame-every-bad-shard-by-index
 //! error are produced by the same helpers both paths share
@@ -42,7 +50,7 @@ use cluster::StorageBackend;
 use dltrain::TrainState;
 use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex};
-use simcore::{JobId, RankId, SimResult};
+use simcore::{JobId, RankId, SimError, SimResult};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,13 +73,20 @@ impl Default for RestoreConfig {
     }
 }
 
-/// What one parallel restore actually did — the coordinator aggregates
-/// these into per-job restore-amplification reporting.
+/// What one restore actually did — the coordinator aggregates these into
+/// per-job restore-amplification reporting.
+///
+/// `shards`, `fetchers` and `prefetch_depth` describe the checkpoint that
+/// was returned. `shard_reads`, `bytes_fetched`, `fallback_hits` and
+/// `generations_probed` are *traffic*: through
+/// [`load_for_rank_parallel`] they cover every read resolution issued on
+/// the restore's behalf — other cells' validation and generations that
+/// turned out torn — not only the read whose state was kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreStats {
     /// Shards the sidecar listed.
     pub shards: usize,
-    /// Fetcher threads the pool ran with.
+    /// Width the shard fetch ran at (`1`: inline on the calling thread).
     pub fetchers: usize,
     /// Shard `get`s issued (sidecar reads excluded).
     pub shard_reads: u64,
@@ -84,6 +99,19 @@ pub struct RestoreStats {
     /// restore ([`StorageBackend::fallback_reads`] delta) — nonzero
     /// means the restore raced a rebalance and won.
     pub fallback_hits: u64,
+    /// Checkpoint generations (iterations) read from: `1` for a direct
+    /// read and for a healthy resolved restore; each newer generation
+    /// resolution found torn, lost or rotted adds one.
+    pub generations_probed: usize,
+}
+
+impl RestoreStats {
+    /// Adds `other`'s traffic counters to this restore's totals.
+    pub(crate) fn add_traffic(&mut self, other: &RestoreStats) {
+        self.shard_reads += other.shard_reads;
+        self.bytes_fetched += other.bytes_fetched;
+        self.fallback_hits += other.fallback_hits;
+    }
 }
 
 /// Index-addressed hand-off between the fetch pool and the in-order
@@ -96,12 +124,10 @@ struct FanIn {
     arrived: Condvar,
 }
 
-/// Effective fetch-pool width for `n` shards against `store`.
-fn pool_width<S: StorageBackend + ?Sized>(store: &S, n: usize, cfg: &RestoreConfig) -> usize {
-    cfg.fetchers
-        .min(store.read_parallelism().max(1))
-        .min(n.max(1))
-        .max(1)
+/// Effective fetch width for `n` shards against a backend whose
+/// [`StorageBackend::read_parallelism`] is `hint`.
+fn pool_width(hint: usize, n: usize, cfg: &RestoreConfig) -> usize {
+    cfg.fetchers.min(hint).min(n).max(1)
 }
 
 /// Reads and fully validates one checkpoint through the parallel plane.
@@ -110,7 +136,9 @@ fn pool_width<S: StorageBackend + ?Sized>(store: &S, n: usize, cfg: &RestoreConf
 /// metadata, and error text — but shard objects are fetched by a bounded
 /// concurrent pool while the calling thread verifies and assembles in
 /// index order, and a delta chain's base shards are prefetched in the
-/// same wave as the tip's own shards.
+/// same wave as the tip's own shards. When the effective width is 1 (a
+/// backend whose reads gain nothing from concurrency, or a single shard)
+/// the calling thread fetches inline and no thread is spawned.
 #[allow(clippy::too_many_arguments)]
 pub fn read_checkpoint_parallel<S: StorageBackend + ?Sized>(
     store: &S,
@@ -122,9 +150,35 @@ pub fn read_checkpoint_parallel<S: StorageBackend + ?Sized>(
     dp: usize,
     cfg: &RestoreConfig,
 ) -> SimResult<(TrainState, CheckpointMeta, RestoreStats)> {
-    let meta = checkpoint::read_meta(store, job, kind, iteration, stage, part, dp)?;
+    let (res, stats) = read_counted(store, job, kind, iteration, stage, part, dp, cfg);
+    res.map(|(state, meta)| (state, meta, stats))
+}
+
+/// [`read_checkpoint_parallel`] reporting its traffic whether or not the
+/// checkpoint validates: resolution charges a restore for the shards of
+/// a generation it read and had to reject.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn read_counted<S: StorageBackend + ?Sized>(
+    store: &S,
+    job: JobId,
+    kind: CkptKind,
+    iteration: u64,
+    stage: usize,
+    part: usize,
+    dp: usize,
+    cfg: &RestoreConfig,
+) -> (SimResult<(TrainState, CheckpointMeta)>, RestoreStats) {
+    let mut stats = RestoreStats {
+        generations_probed: 1,
+        ..RestoreStats::default()
+    };
     let prefix = checkpoint::checkpoint_prefix(job, kind, iteration, stage, part, dp);
-    checkpoint::precheck_meta(&meta, &prefix)?;
+    let meta = match checkpoint::read_meta(store, job, kind, iteration, stage, part, dp)
+        .and_then(|meta| checkpoint::precheck_meta(&meta, &prefix).map(|()| meta))
+    {
+        Ok(meta) => meta,
+        Err(e) => return (Err(e), stats),
+    };
     let n = meta.shards.len();
 
     // Delta-chain prefetch: references are collapsed at write time, so
@@ -133,92 +187,39 @@ pub fn read_checkpoint_parallel<S: StorageBackend + ?Sized>(
     // entry gets no path; it is blamed without being fetched, exactly as
     // in the serial reader.
     let mut wave: BTreeSet<u64> = BTreeSet::new();
-    let mut holders: Vec<Option<u64>> = Vec::with_capacity(n);
-    let mut paths: Vec<Option<String>> = Vec::with_capacity(n);
-    for (i, sm) in meta.shards.iter().enumerate() {
-        if sm.index as usize == i {
-            let holder = sm.base_iteration.unwrap_or(meta.iteration);
-            wave.insert(holder);
-            holders.push(Some(holder));
-            paths.push(Some(checkpoint::shard_path(
-                job, kind, holder, stage, part, dp, sm.index,
-            )));
-        } else {
-            holders.push(None);
-            paths.push(None);
-        }
-    }
+    let sources: Vec<Option<(u64, String)>> = meta
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(i, sm)| {
+            (sm.index as usize == i).then(|| {
+                let holder = sm.base_iteration.unwrap_or(meta.iteration);
+                wave.insert(holder);
+                let path = checkpoint::shard_path(job, kind, holder, stage, part, dp, sm.index);
+                (holder, path)
+            })
+        })
+        .collect();
 
-    let fetchers = pool_width(store, n, cfg);
+    let fetchers = pool_width(store.read_parallelism(), n, cfg);
     let fallback_before = store.fallback_reads();
-
-    let fan = FanIn {
-        slots: Mutex::new((0..n).map(|_| None).collect()),
-        arrived: Condvar::new(),
-    };
-    let cursor = AtomicUsize::new(0);
-    // One fetcher's claim-fetch-deposit loop. The store `get` runs with
-    // no lock held; the slot lock is taken only to deposit, and the
-    // wake-up is issued while the guard is still held (lost-wakeup rule).
-    let fetch_loop = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let Some(path) = &paths[i] else {
-            continue;
-        };
-        let res = store.get(path);
-        let mut slots = fan.slots.lock();
-        slots[i] = Some(res);
-        fan.arrived.notify_all();
-    };
+    stats.shards = n;
+    stats.fetchers = fetchers;
+    stats.prefetch_depth = wave.len();
 
     let mut bad: Vec<String> = Vec::new();
     let mut stream = BytesMut::with_capacity(meta.payload_len as usize);
-    let mut stats = RestoreStats {
-        shards: n,
-        fetchers,
-        ..RestoreStats::default()
-    };
-
-    std::thread::scope(|scope| {
-        let mut spawned = 0usize;
-        for t in 0..fetchers {
-            let ok = std::thread::Builder::new()
-                .name(format!("restore-fetch-{t}"))
-                .spawn_scoped(scope, fetch_loop)
-                .is_ok();
-            if ok {
-                spawned += 1;
-            }
-        }
-        if spawned == 0 {
-            // Thread spawn refused (resource exhaustion): drain the
-            // cursor inline — fully serial, still correct — rather than
-            // deadlock waiting on slots nobody will fill.
-            fetch_loop();
-        }
-
-        // In-order fan-in: verify + append shard `i` while the pool is
-        // still fetching `i+1..`. Index order makes the reassembled
-        // stream bit-identical to the serial reader's.
+    // In-order fan-in: verify + append shard `i`, fetched by `get(i)`.
+    // Index order makes the reassembled stream bit-identical to the
+    // serial reader's however the fetches were scheduled.
+    let mut fan_in = |get: &mut dyn FnMut(usize, &str) -> SimResult<bytes::Bytes>| {
         for (i, sm) in meta.shards.iter().enumerate() {
-            let Some(holder) = holders[i] else {
+            let Some((holder, path)) = &sources[i] else {
                 bad.push(format!("shard {i}: sidecar index out of order"));
                 continue;
             };
-            let fetched = {
-                let mut slots = fan.slots.lock();
-                loop {
-                    if let Some(res) = slots[i].take() {
-                        break res;
-                    }
-                    fan.arrived.wait(&mut slots);
-                }
-            };
             stats.shard_reads += 1;
-            match checkpoint::verify_shard(i, sm, holder, fetched) {
+            match checkpoint::verify_shard(i, sm, *holder, get(i, path)) {
                 Ok(obj) => {
                     stats.bytes_fetched += obj.len() as u64;
                     stream.put_slice(&obj);
@@ -226,18 +227,76 @@ pub fn read_checkpoint_parallel<S: StorageBackend + ?Sized>(
                 Err(blame) => bad.push(blame),
             }
         }
-    });
+    };
 
-    stats.prefetch_depth = wave.len();
+    if fetchers == 1 {
+        fan_in(&mut |_, path| store.get(path));
+    } else {
+        let fan = FanIn {
+            slots: Mutex::new((0..n).map(|_| None).collect()),
+            arrived: Condvar::new(),
+        };
+        let cursor = AtomicUsize::new(0);
+        // One fetcher's claim-fetch-deposit loop. The store `get` runs
+        // with no lock held; the slot lock is taken only to deposit, and
+        // the wake-up is issued while the guard is still held
+        // (lost-wakeup rule).
+        let fetch_loop = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let Some((_, path)) = &sources[i] else {
+                continue;
+            };
+            let res = store.get(path);
+            let mut slots = fan.slots.lock();
+            slots[i] = Some(res);
+            fan.arrived.notify_all();
+        };
+        std::thread::scope(|scope| {
+            let mut spawned = 0usize;
+            for t in 0..fetchers {
+                let ok = std::thread::Builder::new()
+                    .name(format!("restore-fetch-{t}"))
+                    .spawn_scoped(scope, fetch_loop)
+                    .is_ok();
+                if ok {
+                    spawned += 1;
+                }
+            }
+            if spawned == 0 {
+                // Thread spawn refused (resource exhaustion): drain the
+                // cursor inline — fully serial, still correct — rather
+                // than deadlock waiting on slots nobody will fill.
+                fetch_loop();
+            }
+            // Verify shard `i` while the pool is still fetching `i+1..`.
+            fan_in(&mut |i, _| {
+                let mut slots = fan.slots.lock();
+                loop {
+                    if let Some(res) = slots[i].take() {
+                        break res;
+                    }
+                    fan.arrived.wait(&mut slots);
+                }
+            });
+        });
+    }
+
     stats.fallback_hits = store.fallback_reads().saturating_sub(fallback_before);
-    checkpoint::finish_restore(&prefix, meta, stream, bad).map(|(state, meta)| (state, meta, stats))
+    (
+        checkpoint::finish_restore(&prefix, meta, stream, bad),
+        stats,
+    )
 }
 
-/// Loads the resolved checkpoint for `rank` through the parallel plane:
-/// [`checkpoint::assemble`]'s choice for the rank's cell, fetched
-/// concurrently. The store leg of the recovery fallback chain
-/// ([`crate::stream::restore_with_fallback`]) and the streamed-replica
-/// owner's store read both route through this.
+/// Resolves and loads the checkpoint for `rank` in one pass:
+/// [`checkpoint::resolve`] validates candidates newest-first through
+/// this plane and the verified read of the rank's own cell *is* the
+/// restore — a healthy single-cell restore costs one sidecar plus the
+/// generation's shards. The store leg of the recovery fallback chain
+/// ([`crate::stream::restore_with_fallback`]) routes through this.
 pub fn load_for_rank_parallel<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
@@ -246,18 +305,11 @@ pub fn load_for_rank_parallel<S: StorageBackend + ?Sized>(
     cfg: &RestoreConfig,
 ) -> SimResult<(TrainState, CheckpointMeta, RestoreStats)> {
     let coord = layout.coord(rank);
-    let plan = checkpoint::assemble(store, job, layout)?;
-    let choice = plan[&(coord.stage, coord.part)];
-    read_checkpoint_parallel(
-        store,
-        job,
-        choice.kind,
-        choice.iteration,
-        coord.stage,
-        coord.part,
-        choice.dp,
-        cfg,
-    )
+    let resolved = checkpoint::resolve(store, job, layout, Some((coord.stage, coord.part)), cfg)?;
+    let (state, meta) = resolved.kept.ok_or_else(|| {
+        SimError::Protocol(format!("{rank}'s cell is not part of the job's layout"))
+    })?;
+    Ok((state, meta, resolved.stats))
 }
 
 #[cfg(test)]
@@ -370,14 +422,16 @@ mod tests {
 
     #[test]
     fn pool_width_respects_backend_hint_and_shard_count() {
-        let store = SharedStore::new();
         let cfg = RestoreConfig { fetchers: 12 };
         // Capped by shard count.
-        assert_eq!(pool_width(&store, 2, &cfg), 2);
+        assert_eq!(pool_width(16, 2, &cfg), 2);
         // Capped by the config.
-        assert_eq!(pool_width(&store, 64, &cfg), 12);
+        assert_eq!(pool_width(16, 64, &cfg), 12);
+        // Capped by the backend's hint; the in-process map's is serial.
+        assert_eq!(pool_width(3, 64, &cfg), 3);
+        assert_eq!(SharedStore::new().read_parallelism(), 1);
         // Degenerate inputs still yield a worker.
-        assert_eq!(pool_width(&store, 0, &RestoreConfig { fetchers: 0 }), 1);
+        assert_eq!(pool_width(0, 0, &RestoreConfig { fetchers: 0 }), 1);
     }
 
     #[test]

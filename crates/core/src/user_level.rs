@@ -315,9 +315,11 @@ pub fn run_user_level_job(
                     )?;
                     let mut tr =
                         RankTrainer::new(exec, cfg.clone(), &per_rank[i], injector.clone())?;
-                    // Resume from an assembled checkpoint if one exists,
-                    // paying the fixed restart + read costs (the `r` of
-                    // §5). With stream recovery, only the replica that
+                    // Resume from the checkpoint the launcher resolved
+                    // for this restart, if one exists, paying the fixed
+                    // restart + read costs (the `r` of §5): ranks read
+                    // their cell's choice directly, nobody resolves
+                    // again. With stream recovery, only the replica that
                     // owns the chosen checkpoint reads the store; the
                     // cell's other replicas receive the state as a
                     // pipelined rank-to-rank shard stream and fall back
@@ -331,14 +333,20 @@ pub fn run_user_level_job(
                             part: coord.part,
                         });
                         let gpn = cost.gpu.gpus_per_node();
-                        if !jit.stream_recovery || rank == owner {
-                            let (state, meta, _rstats) = crate::restore::load_for_rank_parallel(
+                        let read_choice = || {
+                            crate::restore::read_checkpoint_parallel(
                                 store.as_ref(),
                                 job,
-                                &layout,
-                                rank,
+                                choice.kind,
+                                choice.iteration,
+                                coord.stage,
+                                coord.part,
+                                choice.dp,
                                 &crate::restore::RestoreConfig::default(),
-                            )?;
+                            )
+                        };
+                        if !jit.stream_recovery || rank == owner {
+                            let (state, meta, _rstats) = read_choice()?;
                             let t_restore = cost.process_restart
                                 + cost.checkpoint_read(
                                     meta.logical_bytes,
@@ -406,14 +414,7 @@ pub fn run_user_level_job(
                                     // Dead or corrupt replica stream:
                                     // §3.3 store round-trip instead,
                                     // through the parallel fetch plane.
-                                    let (state, meta, _rstats) =
-                                        crate::restore::load_for_rank_parallel(
-                                            store.as_ref(),
-                                            job,
-                                            &layout,
-                                            rank,
-                                            &crate::restore::RestoreConfig::default(),
-                                        )?;
+                                    let (state, meta, _rstats) = read_choice()?;
                                     tr.exec.clock().advance(
                                         i,
                                         cost.checkpoint_read(

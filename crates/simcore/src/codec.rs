@@ -158,13 +158,23 @@ pub fn encode_f32_slice(data: &[f32], buf: &mut BytesMut) {
 
 /// Bulk decode counterpart of [`encode_f32_slice`]; also accepts streams
 /// written by the generic `Vec<f32>` [`Decode`] impl (same wire format).
+///
+/// The length is checked against the input before anything is
+/// allocated, the output is sized once, and values are converted in the
+/// same 4 KiB strides as the encoder: extending from an exact-length
+/// block iterator writes straight into the reserved space, with no
+/// per-element capacity check.
 pub fn decode_f32_slice(buf: &mut Bytes) -> SimResult<Vec<f32>> {
     let len = u64::decode(buf)? as usize;
     need(buf, len.saturating_mul(4))?;
     let raw = buf.split_to(len * 4);
     let mut out = Vec::with_capacity(len);
-    for c in raw.chunks_exact(4) {
-        out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+    for block in raw.chunks(4096) {
+        out.extend(
+            block
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
     }
     Ok(out)
 }

@@ -45,4 +45,9 @@ cargo run --release --quiet -p bench --bin store_bench -- 1 2 target/BENCH_store
 grep -q '"restore": \[' target/BENCH_store.smoke.json \
     || { echo 'check.sh: store_bench smoke output lacks the restore section' >&2; exit 1; }
 
+echo '==> incident benchmark smoke (stand-alone package builds against the crates; bit-identity gates)'
+bash benchmark/run.sh --smoke > target/incident_bench.smoke.txt \
+    || { grep -v METRIC target/incident_bench.smoke.txt | tail -n 20 >&2
+         echo 'check.sh: benchmark/run.sh --smoke failed (see target/incident_bench.smoke.txt)' >&2; exit 1; }
+
 echo 'check.sh: all gates passed'

@@ -204,6 +204,108 @@ fn periodic_baseline_wastes_more_work_than_jit() {
 }
 
 #[test]
+fn multi_generation_restore_reads_one_generation_and_falls_back_one() {
+    let _g = serial();
+    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
+    use jitckpt::checkpoint::{self, CkptKind};
+    use jitckpt::restore::{load_for_rank_parallel, RestoreConfig};
+    // A periodic job that checkpoints every 2 of 12 iterations and
+    // restarts once with four generations retained: the runner resolves
+    // once per restart and the job still ends bit-identical.
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let layout = cfg.layout;
+    let iters = 12;
+    let store = Arc::new(SharedStore::new());
+    let out = run_periodic_job(
+        cfg.clone(),
+        CostModel::v100(),
+        FailureInjector::with_specs(vec![FailureSpec::new(
+            9,
+            Phase::Backward,
+            RankId(1),
+            FailureKind::StickyCuda,
+        )]),
+        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+        store.clone(),
+        PeriodicConfig::every(PolicyKind::PcMem, 2),
+        iters,
+    )
+    .unwrap();
+    assert_eq!(out.restarts, 1);
+    assert_eq!(out.wasted_iterations, 1, "resumed from the generation at 8");
+    assert_losses_match(&out.losses, &clean_run(&cfg, iters));
+
+    // The store the job left behind retains six generations. A restore
+    // from it reads exactly the newest: one sidecar plus its shards.
+    let job = simcore::JobId(0);
+    let generations = store
+        .list(checkpoint::job_prefix(job, CkptKind::Periodic))
+        .iter()
+        .filter(|p| p.ends_with("/dp0/meta"))
+        .count();
+    assert_eq!(generations, 6);
+    for rank in 0..2 {
+        let (reads, lists) = (store.read_count(), store.list_count());
+        let (state, meta, stats) = load_for_rank_parallel(
+            &*store,
+            job,
+            &layout,
+            RankId(rank),
+            &RestoreConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(state.iteration, iters);
+        assert_eq!(stats.generations_probed, 1);
+        assert_eq!(store.read_count() - reads, meta.shards.len() as u64 + 1);
+        assert_eq!(store.list_count() - lists, 2, "one list per kind");
+    }
+
+    // Lose the newest generation's sidecars: the next one down is
+    // validated and restored, nothing older is touched.
+    for dp in 0..2 {
+        store.delete(checkpoint::meta_path(
+            job,
+            CkptKind::Periodic,
+            iters,
+            0,
+            0,
+            dp,
+        ));
+    }
+    let reads = store.read_count();
+    let (state, meta, stats) =
+        load_for_rank_parallel(&*store, job, &layout, RankId(0), &RestoreConfig::default())
+            .unwrap();
+    assert_eq!(state.iteration, iters - 2);
+    assert_eq!(
+        stats.generations_probed, 1,
+        "a generation without sidecars is no candidate"
+    );
+    assert_eq!(store.read_count() - reads, meta.shards.len() as u64 + 1);
+
+    // Rot the generation now newest, in both replicas: two generations
+    // are read — the rotted one through both replicas — and no more.
+    for dp in 0..2 {
+        store
+            .corrupt(checkpoint::shard_path(
+                job,
+                CkptKind::Periodic,
+                iters - 2,
+                0,
+                0,
+                dp,
+                0,
+            ))
+            .unwrap();
+    }
+    let (state, _, stats) =
+        load_for_rank_parallel(&*store, job, &layout, RankId(1), &RestoreConfig::default())
+            .unwrap();
+    assert_eq!(state.iteration, iters - 4);
+    assert_eq!(stats.generations_probed, 2);
+}
+
+#[test]
 fn poisson_failure_trace_drives_user_level_recovery() {
     let _g = serial();
     // Randomized (seeded) schedule: convert a Poisson trace into scripted
