@@ -7,14 +7,15 @@
 //! replica-recovery streaming vs the store round-trip it replaces.
 //!
 //! The ring measurement is an honest end-to-end comparison of the two
-//! delivery contracts: the slot rows run the seed's `all_reduce`
-//! (monolithic single-pass reduction, private full-vector clone per
-//! rank), the ring rows run `all_reduce_shared` (chunked cache-blocked
-//! reduction, `Arc` delivery) — exactly the paths the trainer used
-//! before and after the tentpole. On a single-core host the win is copy
-//! elimination and cache blocking, not thread parallelism, which is why
-//! it grows with both world size (more clone-outs avoided) and payload
-//! (more of the reduction runs cache-blocked).
+//! delivery contracts: the slot rows run the monolithic single-pass
+//! reduction and then clone the whole result once per rank (the seed's
+//! private-copy delivery, which the library no longer offers — the
+//! clone is explicit here), the ring rows run the chunked cache-blocked
+//! reduction with `Arc` delivery — exactly the paths the trainer used
+//! before and after the ring engine landed. On a single-core host the
+//! win is copy elimination and cache blocking, not thread parallelism,
+//! which is why it grows with both world size (more clone-outs avoided)
+//! and payload (more of the reduction runs cache-blocked).
 
 use collectives::{CollEngine, CommWorld, Communicator, NullObserver, ReduceOp, RingConfig};
 use dltrain::{JobSetup, ModelConfig, OptimizerKind, RankTrainer, TrainConfig, TrainState};
@@ -292,17 +293,18 @@ fn batch_all_reduce(
                     let gen = base_gen + rep as u64;
                     let rank = RankId(r as u32);
                     let bytes = (elems * 4) as u64;
+                    let out = comm.all_reduce_shared(
+                        rank,
+                        gen,
+                        buf,
+                        ReduceOp::Sum,
+                        bytes,
+                        &NullObserver,
+                    )?;
                     if slot_delivery {
-                        comm.all_reduce(rank, gen, buf, ReduceOp::Sum, bytes, &NullObserver)?;
-                    } else {
-                        comm.all_reduce_shared(
-                            rank,
-                            gen,
-                            buf,
-                            ReduceOp::Sum,
-                            bytes,
-                            &NullObserver,
-                        )?;
+                        // The seed's delivery contract: a private
+                        // full-vector copy per rank.
+                        std::hint::black_box(out.to_vec());
                     }
                 }
                 Ok(())

@@ -402,16 +402,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// The ledger attached for `rank`, if any.
-    pub fn ledger_of(&self, rank: RankId) -> Option<Arc<GradLedger>> {
-        let pos = self.member_pos(rank)?;
-        self.ledgers
-            .lock()
-            .iter()
-            .find(|(p, _)| *p == pos)
-            .map(|(_, l)| l.clone())
-    }
-
     /// The in-network tap: records a completed generation's result into
     /// every attached ledger. Runs on the completion paths *after* the
     /// state guard drops (both tap locks are leaves, never nested);
@@ -1040,24 +1030,10 @@ impl Communicator {
     /// equal-length vector, every rank receives the reduction.
     /// `logical_bytes` drives the cost model (phantom scaling).
     ///
-    /// Delivers a private copy per rank (the seed's slot semantics); the
-    /// hot path uses [`Communicator::all_reduce_shared`] instead.
-    pub fn all_reduce(
-        &self,
-        rank: RankId,
-        gen: u64,
-        data: Vec<f32>,
-        op: ReduceOp,
-        logical_bytes: u64,
-        obs: &dyn CollectiveObserver,
-    ) -> SimResult<Vec<f32>> {
-        let res = self.all_reduce_shared(rank, gen, data, op, logical_bytes, obs)?;
-        Ok((*res).clone())
-    }
-
-    /// All-reduce with zero-copy shared delivery: every rank receives the
-    /// same immutable `Arc` of the reduction instead of a private
-    /// full-vector clone — the ring engine's delivery contract.
+    /// Delivery is shared: every rank receives the same immutable `Arc`
+    /// of the result, never a private full-vector clone. That is the one
+    /// delivery contract of every data collective here (reduce-scatter
+    /// returns this rank's shard, which is its own by definition).
     pub fn all_reduce_shared(
         &self,
         rank: RankId,
@@ -1080,19 +1056,6 @@ impl Communicator {
     }
 
     /// All-gather: concatenation of all contributions in rank order.
-    pub fn all_gather(
-        &self,
-        rank: RankId,
-        gen: u64,
-        data: Vec<f32>,
-        logical_bytes: u64,
-        obs: &dyn CollectiveObserver,
-    ) -> SimResult<Vec<f32>> {
-        let res = self.all_gather_shared(rank, gen, data, logical_bytes, obs)?;
-        Ok((*res).clone())
-    }
-
-    /// All-gather with zero-copy shared delivery.
     pub fn all_gather_shared(
         &self,
         rank: RankId,
@@ -1142,21 +1105,6 @@ impl Communicator {
     }
 
     /// Broadcast from `root`; non-root ranks pass `None`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn broadcast(
-        &self,
-        rank: RankId,
-        gen: u64,
-        root: RankId,
-        data: Option<Vec<f32>>,
-        logical_bytes: u64,
-        obs: &dyn CollectiveObserver,
-    ) -> SimResult<Vec<f32>> {
-        let res = self.broadcast_shared(rank, gen, root, data, logical_bytes, obs)?;
-        Ok((*res).clone())
-    }
-
-    /// Broadcast with zero-copy shared delivery.
     #[allow(clippy::too_many_arguments)]
     pub fn broadcast_shared(
         &self,
@@ -1309,7 +1257,7 @@ mod tests {
         let comm = make_comm(4);
         let c = comm.clone();
         let results = spawn_ranks(4, move |i| {
-            c.all_reduce(
+            c.all_reduce_shared(
                 RankId(i as u32),
                 0,
                 vec![i as f32, 1.0],
@@ -1319,7 +1267,7 @@ mod tests {
             )
         });
         for r in results {
-            assert_eq!(r.unwrap(), vec![6.0, 4.0]);
+            assert_eq!(*r.unwrap(), vec![6.0, 4.0]);
         }
     }
 
@@ -1328,7 +1276,7 @@ mod tests {
         let comm = make_comm(2);
         let c = comm.clone();
         let results = spawn_ranks(2, move |i| {
-            c.all_reduce(
+            c.all_reduce_shared(
                 RankId(i as u32),
                 0,
                 vec![(i * 2) as f32],
@@ -1338,7 +1286,7 @@ mod tests {
             )
         });
         for r in results {
-            assert_eq!(r.unwrap(), vec![1.0]);
+            assert_eq!(*r.unwrap(), vec![1.0]);
         }
     }
 
@@ -1347,10 +1295,10 @@ mod tests {
         let comm = make_comm(3);
         let c = comm.clone();
         let results = spawn_ranks(3, move |i| {
-            c.all_gather(RankId(i as u32), 0, vec![i as f32], 4, &NullObserver)
+            c.all_gather_shared(RankId(i as u32), 0, vec![i as f32], 4, &NullObserver)
         });
         for r in results {
-            assert_eq!(r.unwrap(), vec![0.0, 1.0, 2.0]);
+            assert_eq!(*r.unwrap(), vec![0.0, 1.0, 2.0]);
         }
     }
 
@@ -1385,10 +1333,10 @@ mod tests {
         let c = comm.clone();
         let results = spawn_ranks(3, move |i| {
             let data = if i == 1 { Some(vec![7.0, 8.0]) } else { None };
-            c.broadcast(RankId(i as u32), 0, RankId(1), data, 8, &NullObserver)
+            c.broadcast_shared(RankId(i as u32), 0, RankId(1), data, 8, &NullObserver)
         });
         for r in results {
-            assert_eq!(r.unwrap(), vec![7.0, 8.0]);
+            assert_eq!(*r.unwrap(), vec![7.0, 8.0]);
         }
     }
 
@@ -1399,11 +1347,11 @@ mod tests {
         let comm = make_comm(3);
         let c0 = comm.clone();
         let h0 = thread::spawn(move || {
-            c0.all_reduce(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c0.all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         let c2 = comm.clone();
         let h2 = thread::spawn(move || {
-            c2.all_reduce(RankId(2), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c2.all_reduce_shared(RankId(2), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         assert!(comm.wait_for_parked(2, Duration::from_secs(5)));
         assert!(!h0.is_finished(), "rank 0 must be parked at the barrier");
@@ -1418,7 +1366,7 @@ mod tests {
         let comm = make_comm(2).set_hang_timeout(Some(Duration::from_millis(30)));
         let c = comm.clone();
         let h = thread::spawn(move || {
-            c.all_reduce(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c.all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         let err = h.join().unwrap().unwrap_err();
         assert!(matches!(err, SimError::CollectiveTimeout { rank } if rank == RankId(0)));
@@ -1444,7 +1392,7 @@ mod tests {
             let comm = make_comm(3).set_engine(engine);
             let c0 = comm.clone();
             let h0 = thread::spawn(move || {
-                c0.all_reduce(
+                c0.all_reduce_shared(
                     RankId(0),
                     0,
                     vec![1.0; 16],
@@ -1455,7 +1403,7 @@ mod tests {
             });
             let c2 = comm.clone();
             let h2 = thread::spawn(move || {
-                c2.all_reduce(
+                c2.all_reduce_shared(
                     RankId(2),
                     0,
                     vec![1.0; 16],
@@ -1481,7 +1429,7 @@ mod tests {
                 .set_hang_timeout(Some(Duration::from_millis(30)));
             let c = comm.clone();
             let h = thread::spawn(move || {
-                c.all_reduce(
+                c.all_reduce_shared(
                     RankId(0),
                     0,
                     vec![1.0; 16],
@@ -1505,13 +1453,13 @@ mod tests {
         // Victim gets the NCCL error immediately.
         let c0 = comm.clone();
         let h0 = thread::spawn(move || {
-            c0.all_reduce(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c0.all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         assert_eq!(h0.join().unwrap().unwrap_err(), SimError::NetworkTransient);
         // The peer hangs at the barrier until aborted.
         let c1 = comm.clone();
         let h1 = thread::spawn(move || {
-            c1.all_reduce(RankId(1), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c1.all_reduce_shared(RankId(1), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         assert!(comm.wait_for_parked(1, Duration::from_secs(5)));
         assert!(!h1.is_finished(), "peer must hang");
@@ -1526,7 +1474,7 @@ mod tests {
         // Victim consumes the fault...
         let c0 = comm.clone();
         let h0 = thread::spawn(move || {
-            c0.all_reduce(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c0.all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         assert!(h0.join().unwrap().is_err());
         // ...but peers of that generation are parked; use a fresh comm
@@ -1534,7 +1482,7 @@ mod tests {
         let comm2 = make_comm(2);
         let c = comm2.clone();
         let results = spawn_ranks(2, move |i| {
-            c.all_reduce(
+            c.all_reduce_shared(
                 RankId(i as u32),
                 0,
                 vec![1.0],
@@ -1544,7 +1492,7 @@ mod tests {
             )
         });
         for r in results {
-            assert_eq!(r.unwrap(), vec![2.0]);
+            assert_eq!(*r.unwrap(), vec![2.0]);
         }
     }
 
@@ -1564,7 +1512,7 @@ mod tests {
         );
         let c = comm.clone();
         spawn_ranks(2, move |i| {
-            c.all_reduce(
+            c.all_reduce_shared(
                 RankId(i as u32),
                 0,
                 vec![0.0; 256],
@@ -1590,7 +1538,7 @@ mod tests {
         for round in 0..5 {
             let c = comm.clone();
             let results = spawn_ranks(2, move |i| {
-                c.all_reduce(
+                c.all_reduce_shared(
                     RankId(i as u32),
                     round as u64,
                     vec![(round + i) as f32],
@@ -1600,7 +1548,7 @@ mod tests {
                 )
             });
             for r in results {
-                assert_eq!(r.unwrap(), vec![(2 * round + 1) as f32]);
+                assert_eq!(*r.unwrap(), vec![(2 * round + 1) as f32]);
             }
         }
     }
@@ -1609,7 +1557,7 @@ mod tests {
     fn non_member_rank_is_rejected() {
         let comm = make_comm(2);
         let err = comm
-            .all_reduce(RankId(9), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            .all_reduce_shared(RankId(9), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
             .unwrap_err();
         assert!(matches!(err, SimError::Protocol(_)));
     }
@@ -1719,7 +1667,7 @@ mod tests {
         .set_engine(CollEngine::Hier(ring::RingConfig::uniform(1024, 2)));
         let c = comm.clone();
         spawn_ranks(n, move |i| {
-            c.all_reduce(
+            c.all_reduce_shared(
                 RankId(i as u32),
                 0,
                 vec![1.0; 64],
@@ -1762,7 +1710,7 @@ mod tests {
         assert_eq!(comm.node_assignment(), &[0, 1, 0, 1]);
         let c = comm.clone();
         spawn_ranks(n, move |i| {
-            c.all_reduce(
+            c.all_reduce_shared(
                 RankId(i as u32),
                 0,
                 vec![1.0; 16],

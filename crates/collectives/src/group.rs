@@ -218,12 +218,13 @@ mod tests {
             .unwrap();
         assert_eq!(child.ranks(), &[RankId(3), RankId(1)]);
         let c = child.clone();
-        let h = thread::spawn(move || c.all_gather(RankId(3), 0, vec![3.0], 4, &NullObserver));
+        let h =
+            thread::spawn(move || c.all_gather_shared(RankId(3), 0, vec![3.0], 4, &NullObserver));
         let mine = child
-            .all_gather(RankId(1), 0, vec![1.0], 4, &NullObserver)
+            .all_gather_shared(RankId(1), 0, vec![1.0], 4, &NullObserver)
             .unwrap();
-        assert_eq!(mine, vec![3.0, 1.0]);
-        assert_eq!(h.join().unwrap().unwrap(), vec![3.0, 1.0]);
+        assert_eq!(*mine, vec![3.0, 1.0]);
+        assert_eq!(*h.join().unwrap().unwrap(), vec![3.0, 1.0]);
     }
 
     #[test]
@@ -259,7 +260,7 @@ mod tests {
         // PARENT's abort.
         let ac = a.clone();
         let h = thread::spawn(move || {
-            ac.all_reduce(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            ac.all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         assert!(a.wait_for_parked(1, std::time::Duration::from_secs(5)));
         global.abort();
@@ -284,18 +285,18 @@ mod tests {
         global.inject_transient_fault(RankId(1));
         // The victim's next collective on its child group fails...
         let err = with_victim
-            .all_reduce(RankId(1), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            .all_reduce_shared(RankId(1), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
             .unwrap_err();
         assert_eq!(err, SimError::NetworkTransient);
         // ...while the group not containing the victim is untouched.
         let c = without.clone();
         let h = thread::spawn(move || {
-            c.all_reduce(RankId(2), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            c.all_reduce_shared(RankId(2), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
         });
         let r = without
-            .all_reduce(RankId(3), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            .all_reduce_shared(RankId(3), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
             .unwrap();
-        assert_eq!(r, vec![2.0]);
+        assert_eq!(*r, vec![2.0]);
         h.join().unwrap().unwrap();
     }
 

@@ -59,17 +59,20 @@ fn run_suite_topo(
         let root = RankId((n - 1) as u32);
         let mut out = Vec::new();
         out.push(
-            comm.all_reduce(rank, 0, rows[i].clone(), op, 64, &NullObserver)
-                .unwrap(),
+            comm.all_reduce_shared(rank, 0, rows[i].clone(), op, 64, &NullObserver)
+                .unwrap()
+                .to_vec(),
         );
         out.push(
-            comm.all_gather(rank, 1, rows[i].clone(), 64, &NullObserver)
-                .unwrap(),
+            comm.all_gather_shared(rank, 1, rows[i].clone(), 64, &NullObserver)
+                .unwrap()
+                .to_vec(),
         );
         let payload = (rank == root).then(|| rows[i].clone());
         out.push(
-            comm.broadcast(rank, 2, root, payload, 64, &NullObserver)
-                .unwrap(),
+            comm.broadcast_shared(rank, 2, root, payload, 64, &NullObserver)
+                .unwrap()
+                .to_vec(),
         );
         if rs_len > 0 {
             out.push(
@@ -113,17 +116,20 @@ fn run_suite_ledgers(
         let root = RankId((n - 1) as u32);
         let mut out = Vec::new();
         out.push(
-            comm.all_reduce(rank, 0, rows[i].clone(), op, 64, &NullObserver)
-                .unwrap(),
+            comm.all_reduce_shared(rank, 0, rows[i].clone(), op, 64, &NullObserver)
+                .unwrap()
+                .to_vec(),
         );
         out.push(
-            comm.all_gather(rank, 1, rows[i].clone(), 64, &NullObserver)
-                .unwrap(),
+            comm.all_gather_shared(rank, 1, rows[i].clone(), 64, &NullObserver)
+                .unwrap()
+                .to_vec(),
         );
         let payload = (rank == root).then(|| rows[i].clone());
         out.push(
-            comm.broadcast(rank, 2, root, payload, 64, &NullObserver)
-                .unwrap(),
+            comm.broadcast_shared(rank, 2, root, payload, 64, &NullObserver)
+                .unwrap()
+                .to_vec(),
         );
         if rs_len > 0 {
             out.push(
@@ -240,11 +246,11 @@ proptest! {
         }
         let rows2 = rows.clone();
         let results = run_ranks(n, move |i| {
-            comm.all_reduce(RankId(i as u32), 0, rows2[i].clone(), ReduceOp::Sum, 16, &NullObserver)
+            comm.all_reduce_shared(RankId(i as u32), 0, rows2[i].clone(), ReduceOp::Sum, 16, &NullObserver)
                 .unwrap()
         });
         for r in results {
-            prop_assert_eq!(&r, &expect, "bit-exact rank-ordered sum");
+            prop_assert_eq!(&*r, &expect, "bit-exact rank-ordered sum");
         }
     }
 
@@ -259,11 +265,11 @@ proptest! {
         let stagger = Arc::new(stagger);
         let results = run_ranks(n, move |i| {
             std::thread::sleep(std::time::Duration::from_millis(stagger[i % stagger.len()]));
-            comm.all_gather(RankId(i as u32), 0, vec![i as f32], 4, &NullObserver).unwrap()
+            comm.all_gather_shared(RankId(i as u32), 0, vec![i as f32], 4, &NullObserver).unwrap()
         });
         let expect: Vec<f32> = (0..n).map(|i| i as f32).collect();
         for r in results {
-            prop_assert_eq!(&r, &expect);
+            prop_assert_eq!(&*r, &expect);
         }
     }
 
@@ -309,12 +315,12 @@ proptest! {
         let vals2 = vals.clone();
         let c2 = comm.clone();
         let first = run_ranks(n, move |i| {
-            c2.all_reduce(RankId(i as u32), 0, vec![vals2[i]], ReduceOp::Sum, 4, &NullObserver)
+            c2.all_reduce_shared(RankId(i as u32), 0, vec![vals2[i]], ReduceOp::Sum, 4, &NullObserver)
                 .unwrap()
         });
         // Replay on rank 0 only.
         let replay = comm
-            .all_reduce(RankId(0), 0, vec![vals[0]], ReduceOp::Sum, 4, &NullObserver)
+            .all_reduce_shared(RankId(0), 0, vec![vals[0]], ReduceOp::Sum, 4, &NullObserver)
             .unwrap();
         prop_assert_eq!(&replay, &first[0]);
         prop_assert_eq!(comm.completed_slots(), 1);
@@ -391,7 +397,7 @@ proptest! {
         let lens2 = lens.clone();
         run_ranks(n, move |i| {
             for (g, &len) in lens2.iter().enumerate() {
-                comm.all_reduce(
+                comm.all_reduce_shared(
                     RankId(i as u32), g as u64, vec![i as f32; len],
                     ReduceOp::Sum, 64, &NullObserver,
                 ).unwrap();

@@ -161,11 +161,6 @@ impl CkptTicket {
         }
     }
 
-    /// Non-blocking completion probe.
-    pub fn is_done(&self) -> bool {
-        self.shared.state.lock().done
-    }
-
     /// Iteration this ticket persists.
     pub fn iteration(&self) -> u64 {
         self.iteration

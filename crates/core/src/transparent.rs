@@ -53,7 +53,6 @@ struct RankStatus {
     /// abort while parked behind someone else's failure.
     is_victim: bool,
     position: MinibatchPosition,
-    iteration: u64,
 }
 
 /// The planned recovery mode for a round.
@@ -519,18 +518,11 @@ impl RecoveryHandler for TransparentEngine {
             health: my_health,
             is_victim: i_am_victim,
             position: client.position(),
-            iteration: client.iteration(),
         };
         // Silence this rank's watchdog for the duration of recovery: the
         // recovery collectives (rendezvous, replica sync, replay) run at
         // coordination pace and must not be mistaken for hangs.
         client.set_observer(Arc::new(collectives::NullObserver));
-        if std::env::var("JIT_DEBUG").is_ok() {
-            eprintln!(
-                "[debug] {rank} enters recovery: err={err}, health={:?}, it={}, pos={:?}",
-                status.health, status.iteration, status.position
-            );
-        }
         let (round, plan) = self.rank_enter(rank, status)?;
         let coord = self.layout.coord(rank);
         let i_am_hard = plan.hard_victims.contains(&rank);
@@ -624,9 +616,8 @@ impl RecoveryHandler for TransparentEngine {
                 .iter()
                 .find(|t| {
                     client
-                        .comm_ranks(**t)
-                        .map(|rs| rs == self.layout.dp_group_of(rank))
-                        .unwrap_or(false)
+                        .comm(**t)
+                        .is_ok_and(|c| c.ranks() == self.layout.dp_group_of(rank))
                 })
                 .copied()
                 .ok_or_else(|| {

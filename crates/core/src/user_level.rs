@@ -29,7 +29,6 @@ use dltrain::{JobSetup, RankTrainer, TrainConfig, TrainState};
 use proxy::{DirectExecutor, Executor, Watchdog};
 use simcore::cost::{CostModel, StorageTier};
 use simcore::sync::Mutex;
-use simcore::sync::Mutex as PlMutex;
 use simcore::time::ClockBoard;
 use simcore::{GpuId, JobId, RankId, SimError, SimResult, SimTime};
 use simgpu::Gpu;
@@ -124,7 +123,6 @@ impl JitUserClient {
     /// collective observer on `exec` and spawns the watchdog whose hang
     /// action snapshots GPU state, writes the checkpoint + metadata, acks
     /// the scheduler, and aborts the job's communicators.
-    #[allow(clippy::too_many_arguments)]
     pub fn arm(
         exec: &mut DirectExecutor,
         cfg: &JitUserConfig,
@@ -132,7 +130,6 @@ impl JitUserClient {
         layout: simcore::layout::ParallelLayout,
         store: Arc<SharedStore>,
         scheduler: Arc<Scheduler>,
-        world: Arc<collectives::CommWorld>,
         events: Arc<Mutex<Vec<RecoveryEvent>>>,
     ) -> SimResult<JitUserClient> {
         let rank = exec.rank();
@@ -169,9 +166,7 @@ impl JitUserClient {
             }
             // NOTE: the watchdog does NOT kill the job — §3 step 3 has
             // the *scheduler* kill it only after the checkpoint quorum,
-            // so that every healthy rank gets to save first. The `world`
-            // handle is kept for symmetry with the transparent design.
-            let _ = &world;
+            // so that every healthy rank gets to save first.
         })?;
         exec.set_observer(watchdog.observer());
         Ok(JitUserClient { cell, watchdog })
@@ -271,7 +266,7 @@ pub fn run_user_level_job(
     let layout = cfg.layout;
     let n = layout.world_size();
     let (job, mut assignment) = scheduler.submit(layout)?;
-    let events: Arc<PlMutex<Vec<RecoveryEvent>>> = Arc::new(PlMutex::new(Vec::new()));
+    let events: Arc<Mutex<Vec<RecoveryEvent>>> = Arc::new(Mutex::new(Vec::new()));
     let mut final_losses: Vec<Vec<f32>> = vec![vec![f32::NAN; target_iters as usize]; n];
     let mut restarts = 0u32;
     let max_generations = injector.pending_count() as u32 + 2;
@@ -310,7 +305,6 @@ pub fn run_user_level_job(
                         layout,
                         store.clone(),
                         scheduler2.clone(),
-                        world.clone(),
                         events.clone(),
                     )?;
                     let mut tr =
@@ -445,9 +439,6 @@ pub fn run_user_level_job(
                         match tr.train_step() {
                             Ok(l) => losses.push((it, l.unwrap_or(f32::NAN))),
                             Err(e) => {
-                                if std::env::var("JIT_DEBUG").is_ok() {
-                                    eprintln!("[debug] {rank} failed at it {it}: {e}");
-                                }
                                 failure = Some(e);
                                 failure_seen.store(true, std::sync::atomic::Ordering::Release);
                                 break;

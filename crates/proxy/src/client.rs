@@ -21,10 +21,13 @@
 //! milliseconds (Table 7) — while still re-executing the math for real so
 //! recovered state is bit-identical.
 
-use crate::executor::{CommToken, Executor, PendingOp};
+use crate::executor::{
+    check_comm_health, readable_snapshot, Coll, CommPlane, CommToken, Executor, PendingOp,
+    PersistentSnapshot,
+};
 use crate::oplog::{LoggedColl, LoggedOp, OpLog, OpRing, VirtualMap};
 use crate::server::{encode_batch, ProxyServer, BATCH_SHARD_BYTES};
-use collectives::{CollectiveObserver, CommWorld, Communicator, NullObserver, ReduceOp};
+use collectives::{CollectiveObserver, CommWorld, Communicator, ReduceOp};
 use simcore::failure::FailureKind;
 use simcore::time::ClockBoard;
 use simcore::{RankId, SimError, SimResult, SimTime};
@@ -91,31 +94,21 @@ pub const DEFAULT_BATCH_CAPACITY: usize = 64;
 
 /// The per-rank interception client (Figure 2's "device proxy client").
 pub struct ProxyClient {
-    rank: RankId,
-    clock_idx: usize,
-    clock: Arc<ClockBoard>,
+    plane: CommPlane,
     server: ProxyServer,
-    world: Arc<CommWorld>,
     vmap: VirtualMap,
-    comms: HashMap<CommToken, Arc<Communicator>>,
-    next_token: u64,
     creation_log: Vec<CreationEntry>,
     replay_log: OpLog,
     pending: OpRing,
-    replay_workers: usize,
     op_seq: u64,
     minibatch_start_seq: u64,
     iteration: u64,
-    p2p_seq: u64,
-    minibatch_started: bool,
     position: MinibatchPosition,
     skip_rest: bool,
     replay_mode: bool,
     in_recovery: bool,
     handler: Option<Arc<dyn RecoveryHandler>>,
-    observer: Arc<dyn CollectiveObserver>,
     logged_calls: u64,
-    comm_gens: HashMap<CommToken, u64>,
     rendezvous_gens: HashMap<CommToken, u64>,
     verify_at: Option<u64>,
     verify_every: Option<u64>,
@@ -125,35 +118,22 @@ pub struct ProxyClient {
 impl ProxyClient {
     /// Creates a client for `rank` over a fresh server on `gpu`.
     pub fn new(rank: RankId, clock_idx: usize, gpu: Gpu, world: Arc<CommWorld>) -> Self {
-        let clock = world.clock().clone();
         ProxyClient {
-            rank,
-            clock_idx,
-            clock,
+            plane: CommPlane::new(rank, clock_idx, world),
             server: ProxyServer::new(gpu),
-            world,
             vmap: VirtualMap::new(),
-            comms: HashMap::new(),
-            next_token: 1,
             creation_log: Vec::new(),
             replay_log: OpLog::new(),
             pending: OpRing::with_capacity(DEFAULT_BATCH_CAPACITY),
-            replay_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             op_seq: 0,
             minibatch_start_seq: 0,
             iteration: 0,
-            p2p_seq: 0,
-            minibatch_started: false,
             position: MinibatchPosition::FwdBwd,
             skip_rest: false,
             replay_mode: false,
             in_recovery: false,
             handler: None,
-            observer: Arc::new(NullObserver),
             logged_calls: 0,
-            comm_gens: HashMap::new(),
             rendezvous_gens: HashMap::new(),
             verify_at: Some(5),
             verify_every: None,
@@ -168,7 +148,7 @@ impl ProxyClient {
 
     /// Installs the collective observer (the watchdog's ticket sink).
     pub fn set_observer(&mut self, obs: Arc<dyn CollectiveObserver>) {
-        self.observer = obs;
+        self.plane.observer = obs;
     }
 
     /// Configures replay-log verification: first at iteration `first`,
@@ -194,16 +174,6 @@ impl ProxyClient {
         self.replay_log.len()
     }
 
-    /// Deferred calls currently staged for the next batched round trip.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Current flush-batch capacity of the deferred-call staging ring.
-    pub fn batch_capacity(&self) -> usize {
-        self.pending.capacity()
-    }
-
     /// Ops that would survive minibatch-boundary compaction of the
     /// current replay log (diagnostics / benchmarking).
     pub fn compacted_log_len(&self) -> usize {
@@ -219,18 +189,6 @@ impl ProxyClient {
         Ok(())
     }
 
-    /// Sets the worker count for parallel replay-log decode during
-    /// recovery (defaults to available CPU parallelism).
-    pub fn set_replay_workers(&mut self, workers: usize) {
-        self.replay_workers = workers.max(1);
-    }
-
-    /// Whether the rank was inside the optimizer step (set by the
-    /// framework hooks of §4.2.2).
-    pub fn in_optimizer(&self) -> bool {
-        self.position == MinibatchPosition::Optimizer
-    }
-
     /// Position within the current minibatch (framework hooks §4.2.2).
     pub fn position(&self) -> MinibatchPosition {
         self.position
@@ -238,7 +196,7 @@ impl ProxyClient {
 
     /// The communication world.
     pub fn world(&self) -> &Arc<CommWorld> {
-        &self.world
+        &self.plane.world
     }
 
     /// The server, read-only.
@@ -253,82 +211,47 @@ impl ProxyClient {
 
     /// Registered communicator tokens, sorted.
     pub fn comm_tokens(&self) -> Vec<CommToken> {
-        let mut t: Vec<CommToken> = self.comms.keys().copied().collect();
-        t.sort();
-        t
-    }
-
-    /// Member ranks of a registered communicator.
-    pub fn comm_ranks(&self, token: CommToken) -> SimResult<Vec<RankId>> {
-        Ok(self.comm_arc(token)?.ranks().to_vec())
+        self.plane.tokens()
     }
 
     /// The communicator behind a token.
     pub fn comm(&self, token: CommToken) -> SimResult<Arc<Communicator>> {
-        self.comm_arc(token)
+        self.plane.comm(token)
     }
 
     /// Swaps the communicator behind a token (recovery re-creation: the
     /// token — like a virtual handle — stays stable for the application
     /// and the replay log).
     pub fn replace_comm(&mut self, token: CommToken, comm: Arc<Communicator>) {
-        self.comms.insert(token, comm);
+        self.plane.replace(token, comm);
     }
 
     /// Rendezvous on a registered communicator (recovery's NCCL
     /// bootstrap; charges the comm-init cost, not logged).
     pub fn rendezvous_comm(&mut self, token: CommToken) -> SimResult<()> {
-        let comm = self.comm_arc(token)?;
+        let comm = self.plane.comm(token)?;
         // Rendezvous generations live in their own (high-bit) space: a
         // recovery rendezvous must never occupy the generation that the
         // interrupted data operation will retry with.
         let counter = self.rendezvous_gens.entry(token).or_insert(0);
         let gen = (1u64 << 63) | *counter;
-        comm.rendezvous(self.rank, gen, self.observer.as_ref())?;
+        comm.rendezvous(self.plane.rank, gen, self.plane.observer.as_ref())?;
         *counter += 1;
         Ok(())
     }
 
-    /// Current operation sequence number for a communicator token (only
-    /// advanced on success, so retries and replays line up — see the
-    /// collectives crate docs).
-    fn gen_of(&self, token: CommToken) -> u64 {
-        self.comm_gens.get(&token).copied().unwrap_or(0)
-    }
-
-    fn bump_gen(&mut self, token: CommToken) {
-        *self.comm_gens.entry(token).or_insert(0) += 1;
-    }
-
     /// Advances this rank's virtual clock (recovery-step accounting).
     pub fn charge(&self, t: SimTime) {
-        self.clock.advance(self.clock_idx, t);
+        self.plane.advance(t);
     }
 
     /// Current virtual time of this rank.
     pub fn now(&self) -> SimTime {
-        self.clock.now(self.clock_idx)
-    }
-
-    fn comm_arc(&self, token: CommToken) -> SimResult<Arc<Communicator>> {
-        self.comms
-            .get(&token)
-            .cloned()
-            .ok_or_else(|| SimError::InvalidHandle(format!("comm token {token:?}")))
+        self.plane.clock.now(self.plane.clock_idx)
     }
 
     fn cost_model(&self) -> simcore::cost::CostModel {
         self.server.gpu().cost_model().clone()
-    }
-
-    fn check_comm_health(&self) -> SimResult<()> {
-        let gpu = self.server.gpu();
-        match gpu.health() {
-            // Driver corruption surfaces at network operations even though
-            // plain device calls still appear to succeed (§4.2.1 case 2).
-            GpuHealth::DriverSuspect => Err(SimError::DriverCorrupted(gpu.id)),
-            h => h.check_api(gpu.id),
-        }
     }
 
     /// Executes a virtual-form device call on the server, virtualizing any
@@ -342,7 +265,7 @@ impl ProxyClient {
         } else {
             cost + self.cost_model().effective_log_overhead()
         };
-        self.clock.advance(self.clock_idx, charge);
+        self.charge(charge);
         Ok(match res {
             CallResult::Buffer(b) => CallResult::Buffer(self.vmap.bind_buffer(b)),
             CallResult::Stream(s) => CallResult::Stream(self.vmap.bind_stream(s)),
@@ -386,8 +309,7 @@ impl ProxyClient {
             ));
         }
         self.log_device(vcall, &CallResult::None);
-        self.clock
-            .advance(self.clock_idx, self.cost_model().effective_log_overhead());
+        self.charge(self.cost_model().effective_log_overhead());
         Ok(CallResult::None)
     }
 
@@ -405,7 +327,7 @@ impl ProxyClient {
         let frame = encode_batch(&calls, BATCH_SHARD_BYTES);
         match self.server.exec_batch(&frame) {
             Ok((_, cost)) => {
-                self.clock.advance(self.clock_idx, cost);
+                self.charge(cost);
                 Ok(())
             }
             Err(e) => {
@@ -476,8 +398,7 @@ impl ProxyClient {
         self.op_seq += 1;
         self.replay_log.push(&op);
         self.logged_calls += 1;
-        self.clock
-            .advance(self.clock_idx, self.cost_model().effective_log_overhead());
+        self.charge(self.cost_model().effective_log_overhead());
     }
 
     fn synthesize(&self, vcall: &DeviceCall) -> CallResult {
@@ -500,6 +421,92 @@ impl ProxyClient {
         let outcome = handler.handle(self, &op, &err);
         self.in_recovery = false;
         outcome
+    }
+
+    /// The one interception loop every application-visible operation
+    /// goes through. An ignorable (`skippable`) operation returns `None`
+    /// while the rank is rolled forward past its minibatch (§4.2.2); a
+    /// synchronization point (`flush`) first drains the staged batch,
+    /// whose own recovery may start that roll-forward. Then `attempt`
+    /// runs until it succeeds: each failure goes to the recovery handler,
+    /// which either recovers (retry) or rolls this rank forward (`None`,
+    /// and the rest of the minibatch is ignored). With no handler, or
+    /// inside recovery or replay, the error surfaces unchanged.
+    fn intercept<T>(
+        &mut self,
+        skippable: bool,
+        flush: bool,
+        pending: impl Fn() -> PendingOp,
+        mut attempt: impl FnMut(&mut Self) -> SimResult<T>,
+    ) -> SimResult<Option<T>> {
+        if self.skip_rest && skippable {
+            return Ok(None);
+        }
+        if flush {
+            self.flush_pending()?;
+            if self.skip_rest && skippable {
+                return Ok(None);
+            }
+        }
+        loop {
+            match attempt(self) {
+                Ok(res) => return Ok(Some(res)),
+                Err(e) => match self.dispatch_handler(pending(), e)? {
+                    RecoveryOutcome::Retry => continue,
+                    RecoveryOutcome::SkipToNextMinibatch => {
+                        self.skip_rest = true;
+                        return Ok(None);
+                    }
+                },
+            }
+        }
+    }
+
+    /// A network operation through [`ProxyClient::intercept`]. `build`
+    /// runs once, after the flush, with the current generation of `comm`
+    /// (collectives only), so every retry re-attempts the very same op at
+    /// the same generation. On success the generation advances exactly
+    /// once and the op is logged.
+    fn intercept_network(
+        &mut self,
+        pending: PendingOp,
+        comm: Option<CommToken>,
+        check_health: bool,
+        build: impl Fn(u64) -> LoggedOp,
+    ) -> SimResult<()> {
+        let mut logged = None;
+        let done = self.intercept(
+            true,
+            true,
+            || pending.clone(),
+            |c| {
+                let op = logged.get_or_insert_with(|| build(comm.map_or(0, |t| c.plane.gen_of(t))));
+                if check_health {
+                    check_comm_health(c.server.gpu())?;
+                }
+                c.exec_logged(op)
+            },
+        )?;
+        if let (Some(()), Some(op)) = (done, logged) {
+            if let Some(token) = comm {
+                self.plane.bump_gen(token);
+            }
+            self.log_op(op);
+        }
+        Ok(())
+    }
+
+    fn intercept_collective(
+        &mut self,
+        comm: CommToken,
+        name: &'static str,
+        check_health: bool,
+        build: impl Fn(u64) -> LoggedColl,
+    ) -> SimResult<()> {
+        let pending = PendingOp::Collective { comm, op: name };
+        self.intercept_network(pending, Some(comm), check_health, |gen| {
+            LoggedOp::Collective(build(gen))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -537,6 +544,18 @@ impl ProxyClient {
         self.recreate_persistent_objects()
     }
 
+    /// Rebinds the virtual id handed out for an object to the freshly
+    /// created physical one; false if `res` is not an object handle.
+    fn rebind(&mut self, vid: u64, res: &CallResult) -> bool {
+        match *res {
+            CallResult::Buffer(b) => self.vmap.rebind_buffer(BufferId(vid), b),
+            CallResult::Stream(s) => self.vmap.rebind_stream(simgpu::StreamId(vid), s),
+            CallResult::Event(e) => self.vmap.rebind_event(simgpu::EventId(vid), e),
+            _ => return false,
+        }
+        true
+    }
+
     fn recreate_persistent_objects(&mut self) -> SimResult<()> {
         // Objects alive at minibatch start: created before the boundary
         // and not freed before it. Objects created during the current
@@ -557,15 +576,10 @@ impl ProxyClient {
         let handle_cost = self.cost_model().handle_create;
         for (call, vid) in entries {
             let (res, _) = self.server.exec(&call)?;
-            match res {
-                CallResult::Buffer(b) => self.vmap.rebind_buffer(BufferId(vid), b),
-                CallResult::Stream(s) => self.vmap.rebind_stream(simgpu::StreamId(vid), s),
-                CallResult::Event(e) => self.vmap.rebind_event(simgpu::EventId(vid), e),
-                other => {
-                    return Err(SimError::Protocol(format!(
-                        "creation replay returned {other:?}"
-                    )))
-                }
+            if !self.rebind(vid, &res) {
+                return Err(SimError::Protocol(format!(
+                    "creation replay returned {res:?}"
+                )));
             }
             self.charge(handle_cost);
         }
@@ -574,13 +588,8 @@ impl ProxyClient {
 
     /// Copies persistent state to host memory (before clearing a
     /// driver-corrupted device), charging the PCIe cost.
-    pub fn snapshot_persistent_to_host(&mut self) -> SimResult<crate::PersistentSnapshot> {
-        self.flush_pending()?;
-        let gpu = self.server.gpu();
-        if !gpu.health().memory_readable() {
-            return Err(SimError::CudaSticky(gpu.id));
-        }
-        let (snap, bytes) = gpu.snapshot_persistent();
+    pub fn snapshot_persistent_to_host(&mut self) -> SimResult<PersistentSnapshot> {
+        let (snap, bytes) = self.persistent_snapshot()?;
         self.charge(self.cost_model().memcpy(bytes));
         Ok((snap, bytes))
     }
@@ -610,32 +619,24 @@ impl ProxyClient {
         // (During recovery the ring is already empty — the reset
         // primitives discard it — so this is a no-op there.)
         self.flush_pending()?;
-        let comm = self.comm_arc(token)?;
         let (snap, bytes) = self.server.gpu().snapshot_persistent();
-        let contribution = if self.rank == root {
-            let mut flat = Vec::new();
+        let is_root = self.plane.rank == root;
+        let mut contribution = Vec::new();
+        if is_root {
             for (_, _, data) in &snap {
-                flat.extend_from_slice(data);
+                contribution.extend_from_slice(data);
             }
-            Some(flat)
-        } else {
-            None
-        };
+        }
         // Recovery-time state sync uses its own generation space (like
         // rendezvous): it must not occupy the generation of the data
         // operation being retried.
         let counter = self.rendezvous_gens.entry(token).or_insert(0);
         let gen = (1u64 << 62) | *counter;
-        let flat = comm.broadcast(
-            self.rank,
-            gen,
-            root,
-            contribution,
-            bytes,
-            self.observer.as_ref(),
-        )?;
+        let flat = self
+            .plane
+            .collective(token, gen, Coll::Broadcast(root), contribution, bytes)?;
         *counter += 1;
-        if self.rank != root {
+        if !is_root {
             let mut offset = 0usize;
             let mut restored = Vec::with_capacity(snap.len());
             for (key, tag, data) in &snap {
@@ -672,13 +673,11 @@ impl ProxyClient {
         // Deferred calls are part of the log but not yet of device
         // state; an image must capture a synchronized worker.
         self.flush_pending()?;
-        let mut gens: Vec<(u64, u64)> = self.comm_gens.iter().map(|(t, g)| (t.0, *g)).collect();
-        gens.sort_unstable();
         let mut enc = simcore::codec::Encoder::new(CPU_STATE_SHARD_BYTES);
         enc.write(&self.iteration);
         enc.write(&(self.skip_rest as u8));
         enc.write(&self.replay_log);
-        enc.write(&gens);
+        enc.write(&self.plane.gens());
         Ok(simcore::codec::concat_shards(&enc.finish()))
     }
 
@@ -690,8 +689,7 @@ impl ProxyClient {
         self.iteration = u64::decode(&mut buf)?;
         self.skip_rest = u8::decode(&mut buf)? != 0;
         self.replay_log = OpLog::decode(&mut buf)?;
-        let gens: Vec<(u64, u64)> = Vec::decode(&mut buf)?;
-        self.comm_gens = gens.into_iter().map(|(t, g)| (CommToken(t), g)).collect();
+        self.plane.set_gens(Vec::decode(&mut buf)?);
         Ok(())
     }
 
@@ -708,7 +706,8 @@ impl ProxyClient {
         // regenerates their effects, so the staging ring is discarded.
         self.pending.clear();
         let compacted = self.replay_log.compact();
-        let ops = compacted.decode_parallel(self.replay_workers)?;
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let ops = compacted.decode_parallel(workers)?;
         self.replay_ops(&ops)
     }
 
@@ -738,15 +737,8 @@ impl ProxyClient {
                 let pcall = self.vmap.to_physical(call)?;
                 let (res, _) = self.server.exec(&pcall)?;
                 self.charge(self.cost_model().replay_dispatch);
-                // Rebind the originally handed-out virtual id to the new
-                // physical object.
                 if let Some(vid) = result_vid {
-                    match res {
-                        CallResult::Buffer(b) => self.vmap.rebind_buffer(BufferId(*vid), b),
-                        CallResult::Stream(s) => self.vmap.rebind_stream(simgpu::StreamId(*vid), s),
-                        CallResult::Event(e) => self.vmap.rebind_event(simgpu::EventId(*vid), e),
-                        _ => {}
-                    }
+                    self.rebind(*vid, &res);
                 }
                 Ok(())
             }
@@ -763,163 +755,75 @@ impl ProxyClient {
                 buf,
                 same_node,
             } => {
-                let p = self.vmap.buffer(*buf)?;
-                let b = self.server.gpu().buffer(p)?;
-                let (data, logical) = (b.data.clone(), b.logical_bytes);
-                self.world.send(
-                    self.rank,
-                    self.clock_idx,
-                    *dst,
-                    *tag,
-                    *seq,
-                    data,
-                    logical,
-                    *same_node,
-                )
+                let (data, logical) = self.fetch(self.vmap.buffer(*buf)?)?;
+                self.plane.send(*dst, *tag, *seq, data, logical, *same_node)
             }
             LoggedOp::Recv { src, tag, seq, buf } => {
                 let p = self.vmap.buffer(*buf)?;
-                // Register the blocking recv with the hang watch-list,
-                // like a collective (a dead upstream stage hangs us here).
-                self.p2p_seq += 1;
-                let ticket = collectives::CollectiveTicket {
-                    comm: collectives::CommId(u64::MAX),
-                    generation: self.p2p_seq,
-                    rank: self.rank,
-                    kind: collectives::CollKind::Barrier,
-                    entered_at: std::time::Instant::now(),
-                };
-                self.observer.collective_started(&ticket);
-                let result = self.world.recv(*src, self.rank, self.clock_idx, *tag, *seq);
-                self.observer.collective_finished(&ticket);
-                let data = result?;
+                let data = self.plane.recv(*src, *tag, *seq)?;
                 self.server.gpu_mut().load_buffer(p, &data)
             }
         }
     }
 
+    fn fetch(&self, phys: BufferId) -> SimResult<(Vec<f32>, u64)> {
+        let b = self.server.gpu().buffer(phys)?;
+        Ok((b.data.clone(), b.logical_bytes))
+    }
+
+    /// Runs a logged collective at its logged generation: translate the
+    /// buffers, fetch the contribution, hand it to the plane, load the
+    /// shared result.
     fn exec_collective(&mut self, c: &LoggedColl) -> SimResult<()> {
-        match c {
+        let (comm, gen, coll, src, dst) = match *c {
             LoggedColl::AllReduce { comm, gen, buf, op } => {
-                let p = self.vmap.buffer(*buf)?;
-                let (data, logical) = {
-                    let b = self.server.gpu().buffer(p)?;
-                    (b.data.clone(), b.logical_bytes)
-                };
-                let out = self.comm_arc(*comm)?.all_reduce(
-                    self.rank,
-                    *gen,
-                    data,
-                    *op,
-                    logical,
-                    self.observer.as_ref(),
-                )?;
-                self.server.gpu_mut().load_buffer(p, &out)
+                (comm, gen, Coll::AllReduce(op), buf, buf)
             }
             LoggedColl::AllGather {
                 comm,
                 gen,
                 src,
                 dst,
-            } => {
-                let ps = self.vmap.buffer(*src)?;
-                let pd = self.vmap.buffer(*dst)?;
-                let (data, logical) = {
-                    let b = self.server.gpu().buffer(ps)?;
-                    (b.data.clone(), b.logical_bytes)
-                };
-                let out = self.comm_arc(*comm)?.all_gather(
-                    self.rank,
-                    *gen,
-                    data,
-                    logical,
-                    self.observer.as_ref(),
-                )?;
-                self.server.gpu_mut().load_buffer(pd, &out)
-            }
+            } => (comm, gen, Coll::AllGather, src, dst),
             LoggedColl::ReduceScatter {
                 comm,
                 gen,
                 src,
                 dst,
                 op,
-            } => {
-                let ps = self.vmap.buffer(*src)?;
-                let pd = self.vmap.buffer(*dst)?;
-                let (data, logical) = {
-                    let b = self.server.gpu().buffer(ps)?;
-                    (b.data.clone(), b.logical_bytes)
-                };
-                let out = self.comm_arc(*comm)?.reduce_scatter(
-                    self.rank,
-                    *gen,
-                    data,
-                    *op,
-                    logical,
-                    self.observer.as_ref(),
-                )?;
-                self.server.gpu_mut().load_buffer(pd, &out)
-            }
+            } => (comm, gen, Coll::ReduceScatter(op), src, dst),
             LoggedColl::Broadcast {
                 comm,
                 gen,
                 root,
                 buf,
-            } => {
-                let p = self.vmap.buffer(*buf)?;
-                let (data, logical) = {
-                    let b = self.server.gpu().buffer(p)?;
-                    (b.data.clone(), b.logical_bytes)
-                };
-                let contribution = if self.rank == *root { Some(data) } else { None };
-                let out = self.comm_arc(*comm)?.broadcast(
-                    self.rank,
-                    *gen,
-                    *root,
-                    contribution,
-                    logical,
-                    self.observer.as_ref(),
-                )?;
-                self.server.gpu_mut().load_buffer(p, &out)
-            }
+            } => (comm, gen, Coll::Broadcast(root), buf, buf),
             LoggedColl::Barrier { comm, gen } => {
-                self.comm_arc(*comm)?
-                    .barrier(self.rank, *gen, self.observer.as_ref())
+                return self
+                    .plane
+                    .collective(comm, gen, Coll::Barrier, Vec::new(), 0)
+                    .map(drop);
             }
-        }
+        };
+        let (ps, pd) = (self.vmap.buffer(src)?, self.vmap.buffer(dst)?);
+        let (data, logical) = self.fetch(ps)?;
+        let out = self.plane.collective(comm, gen, coll, data, logical)?;
+        self.server.gpu_mut().load_buffer(pd, &out)
     }
 
     /// Checksums of all live buffers keyed by *virtual* id (stable across
     /// replay, unlike physical ids).
     fn checksum_by_virtual(&self) -> BTreeMap<u64, u64> {
-        let mut out = BTreeMap::new();
         let gpu = self.server.gpu();
-        for pid in gpu.buffer_ids() {
-            // Reverse-map physical→virtual by scanning bindings; the
-            // binding count is small (model-sized, not data-sized).
-            if let Some(vid) = self.reverse_buf(pid) {
-                if let Ok(b) = gpu.buffer(pid) {
-                    out.insert(vid, b.checksum());
-                }
-            }
-        }
-        out
-    }
-
-    fn reverse_buf(&self, phys: BufferId) -> Option<u64> {
-        // VirtualMap has no reverse index; scan. Bounded by live buffers.
-        for vid in self.virtual_buffer_ids() {
-            if let Ok(p) = self.vmap.buffer(BufferId(vid)) {
-                if p == phys {
-                    return Some(vid);
-                }
-            }
-        }
-        None
-    }
-
-    fn virtual_buffer_ids(&self) -> Vec<u64> {
-        self.vmap.buffer_vids()
+        let checksum = |vid: u64| {
+            let b = gpu.buffer(self.vmap.buffer(BufferId(vid)).ok()?).ok()?;
+            Some((vid, b.checksum()))
+        };
+        self.vmap
+            .buffer_vids()
+            .into_iter()
+            .filter_map(checksum)
+            .collect()
     }
 
     /// §4.1 replay-log correctness verification. Called at the end of the
@@ -954,147 +858,55 @@ impl ProxyClient {
 
 impl Executor for ProxyClient {
     fn rank(&self) -> RankId {
-        self.rank
+        self.plane.rank
     }
 
     fn clock_idx(&self) -> usize {
-        self.clock_idx
+        self.plane.clock_idx
     }
 
     fn clock(&self) -> Arc<ClockBoard> {
-        self.clock.clone()
+        self.plane.clock.clone()
     }
 
     fn call(&mut self, vcall: DeviceCall) -> SimResult<CallResult> {
-        if self.skip_rest && !vcall.creates_object() {
-            return Ok(self.synthesize(&vcall));
-        }
-        if Self::is_deferrable(&vcall) {
-            loop {
-                match self.defer(&vcall) {
-                    Ok(res) => return Ok(res),
-                    Err(e) => match self.dispatch_handler(PendingOp::Device(vcall.clone()), e)? {
-                        RecoveryOutcome::Retry => continue,
-                        RecoveryOutcome::SkipToNextMinibatch => {
-                            self.skip_rest = true;
-                            return Ok(self.synthesize(&vcall));
-                        }
-                    },
-                }
-            }
-        }
-        // Every non-deferrable call is a synchronization point: the
-        // staged batch must reach the device first.
-        self.flush_pending()?;
-        if self.skip_rest && !vcall.creates_object() {
-            return Ok(self.synthesize(&vcall));
-        }
-        loop {
-            match self.exec_virtual(&vcall) {
-                Ok(res) => {
-                    self.log_device(&vcall, &res);
-                    return Ok(res);
-                }
-                Err(e) => match self.dispatch_handler(PendingOp::Device(vcall.clone()), e)? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(self.synthesize(&vcall));
-                    }
-                },
-            }
-        }
+        let skippable = !vcall.creates_object();
+        let pending = || PendingOp::Device(vcall.clone());
+        let res = if Self::is_deferrable(&vcall) {
+            // Staged, and logged at submission by `defer` itself.
+            self.intercept(skippable, false, pending, |c| c.defer(&vcall))?
+        } else {
+            // Every non-deferrable call is a synchronization point: the
+            // staged batch must reach the device first.
+            self.intercept(skippable, true, pending, |c| {
+                let res = c.exec_virtual(&vcall)?;
+                c.log_device(&vcall, &res);
+                Ok(res)
+            })?
+        };
+        Ok(res.unwrap_or_else(|| self.synthesize(&vcall)))
     }
 
     fn register_comm(&mut self, comm: Arc<Communicator>) -> CommToken {
-        let token = CommToken(self.next_token);
-        self.next_token += 1;
-        self.comms.insert(token, comm);
-        token
+        self.plane.register(comm)
     }
 
     fn all_reduce(&mut self, comm: CommToken, buf: BufferId, op: ReduceOp) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedColl::AllReduce {
+        self.intercept_collective(comm, "all_reduce", true, |gen| LoggedColl::AllReduce {
             comm,
-            gen: self.gen_of(comm),
+            gen,
             buf,
             op,
-        };
-        loop {
-            let attempt = (|| {
-                self.check_comm_health()?;
-                self.exec_collective(&logged)
-            })();
-            match attempt {
-                Ok(()) => {
-                    self.bump_gen(comm);
-                    self.log_op(LoggedOp::Collective(logged));
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(
-                    PendingOp::Collective {
-                        comm,
-                        op: "all_reduce",
-                    },
-                    e,
-                )? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
-            }
-        }
+        })
     }
 
     fn all_gather_into(&mut self, comm: CommToken, src: BufferId, dst: BufferId) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedColl::AllGather {
+        self.intercept_collective(comm, "all_gather", true, |gen| LoggedColl::AllGather {
             comm,
-            gen: self.gen_of(comm),
+            gen,
             src,
             dst,
-        };
-        loop {
-            let attempt = (|| {
-                self.check_comm_health()?;
-                self.exec_collective(&logged)
-            })();
-            match attempt {
-                Ok(()) => {
-                    self.bump_gen(comm);
-                    self.log_op(LoggedOp::Collective(logged));
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(
-                    PendingOp::Collective {
-                        comm,
-                        op: "all_gather",
-                    },
-                    e,
-                )? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
-            }
-        }
+        })
     }
 
     fn reduce_scatter_into(
@@ -1104,124 +916,31 @@ impl Executor for ProxyClient {
         dst: BufferId,
         op: ReduceOp,
     ) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedColl::ReduceScatter {
-            comm,
-            gen: self.gen_of(comm),
-            src,
-            dst,
-            op,
-        };
-        loop {
-            let attempt = (|| {
-                self.check_comm_health()?;
-                self.exec_collective(&logged)
-            })();
-            match attempt {
-                Ok(()) => {
-                    self.bump_gen(comm);
-                    self.log_op(LoggedOp::Collective(logged));
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(
-                    PendingOp::Collective {
-                        comm,
-                        op: "reduce_scatter",
-                    },
-                    e,
-                )? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
+        self.intercept_collective(comm, "reduce_scatter", true, |gen| {
+            LoggedColl::ReduceScatter {
+                comm,
+                gen,
+                src,
+                dst,
+                op,
             }
-        }
+        })
     }
 
     fn broadcast(&mut self, comm: CommToken, root: RankId, buf: BufferId) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedColl::Broadcast {
+        self.intercept_collective(comm, "broadcast", true, |gen| LoggedColl::Broadcast {
             comm,
-            gen: self.gen_of(comm),
+            gen,
             root,
             buf,
-        };
-        loop {
-            let attempt = (|| {
-                self.check_comm_health()?;
-                self.exec_collective(&logged)
-            })();
-            match attempt {
-                Ok(()) => {
-                    self.bump_gen(comm);
-                    self.log_op(LoggedOp::Collective(logged));
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(
-                    PendingOp::Collective {
-                        comm,
-                        op: "broadcast",
-                    },
-                    e,
-                )? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
-            }
-        }
+        })
     }
 
     fn barrier(&mut self, comm: CommToken) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedColl::Barrier {
+        self.intercept_collective(comm, "barrier", false, |gen| LoggedColl::Barrier {
             comm,
-            gen: self.gen_of(comm),
-        };
-        loop {
-            match self.exec_collective(&logged) {
-                Ok(()) => {
-                    self.bump_gen(comm);
-                    self.log_op(LoggedOp::Collective(logged));
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(
-                    PendingOp::Collective {
-                        comm,
-                        op: "barrier",
-                    },
-                    e,
-                )? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
-            }
-        }
+            gen,
+        })
     }
 
     fn send(
@@ -1232,61 +951,21 @@ impl Executor for ProxyClient {
         buf: BufferId,
         same_node: bool,
     ) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedOp::Send {
-            dst,
-            tag,
-            seq,
-            buf,
-            same_node,
-        };
-        loop {
-            match self.exec_logged(&logged) {
-                Ok(()) => {
-                    self.log_op(logged);
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(PendingOp::P2p { peer: dst, tag }, e)? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
+        self.intercept_network(PendingOp::P2p { peer: dst, tag }, None, false, |_| {
+            LoggedOp::Send {
+                dst,
+                tag,
+                seq,
+                buf,
+                same_node,
             }
-        }
+        })
     }
 
     fn recv_into(&mut self, src: RankId, tag: u64, seq: u64, buf: BufferId) -> SimResult<()> {
-        if self.skip_rest {
-            return Ok(());
-        }
-        self.flush_pending()?;
-        if self.skip_rest {
-            return Ok(());
-        }
-        let logged = LoggedOp::Recv { src, tag, seq, buf };
-        loop {
-            match self.exec_logged(&logged) {
-                Ok(()) => {
-                    self.log_op(logged);
-                    return Ok(());
-                }
-                Err(e) => match self.dispatch_handler(PendingOp::P2p { peer: src, tag }, e)? {
-                    RecoveryOutcome::Retry => continue,
-                    RecoveryOutcome::SkipToNextMinibatch => {
-                        self.skip_rest = true;
-                        return Ok(());
-                    }
-                },
-            }
-        }
+        self.intercept_network(PendingOp::P2p { peer: src, tag }, None, false, |_| {
+            LoggedOp::Recv { src, tag, seq, buf }
+        })
     }
 
     fn begin_minibatch(&mut self, iteration: u64) -> SimResult<()> {
@@ -1295,7 +974,6 @@ impl Executor for ProxyClient {
         // boundary commits frees and clears the log.
         self.flush_pending()?;
         self.iteration = iteration;
-        self.minibatch_started = true;
         self.skip_rest = false;
         self.position = MinibatchPosition::FwdBwd;
         self.server.gpu_mut().commit_frees();
@@ -1334,13 +1012,9 @@ impl Executor for ProxyClient {
         Ok(())
     }
 
-    fn persistent_snapshot(&mut self) -> SimResult<(Vec<(String, BufferTag, Vec<f32>)>, u64)> {
+    fn persistent_snapshot(&mut self) -> SimResult<PersistentSnapshot> {
         self.flush_pending()?;
-        let gpu = self.server.gpu();
-        if !gpu.health().memory_readable() {
-            return Err(SimError::CudaSticky(gpu.id));
-        }
-        Ok(gpu.snapshot_persistent())
+        readable_snapshot(self.server.gpu())
     }
 
     fn restore_persistent(&mut self, snap: &[(String, BufferTag, Vec<f32>)]) -> SimResult<()> {
@@ -1353,8 +1027,7 @@ impl Executor for ProxyClient {
     }
 
     fn inject_transient(&mut self, comm: CommToken) -> SimResult<()> {
-        self.comm_arc(comm)?.inject_transient_fault(self.rank);
-        Ok(())
+        self.plane.inject_transient(comm)
     }
 
     fn health(&self) -> GpuHealth {
@@ -1386,7 +1059,7 @@ mod tests {
         // so it cannot silently regress to the unbatched (or oversized)
         // configurations.
         assert_eq!(DEFAULT_BATCH_CAPACITY, 64);
-        assert_eq!(client().batch_capacity(), DEFAULT_BATCH_CAPACITY);
+        assert_eq!(client().pending.capacity(), DEFAULT_BATCH_CAPACITY);
     }
 
     fn alloc(
@@ -1656,7 +1329,7 @@ mod tests {
         let mut c1 = h1
             .join()
             .map_err(|_| SimError::Protocol("rank 1 panicked".into()))??;
-        let vb = c1.virtual_buffer_ids()[0];
+        let vb = c1.vmap.buffer_vids()[0];
         assert_eq!(download(&mut c1, BufferId(vb))?, vec![9.0; 4]);
         Ok(())
     }
@@ -1762,6 +1435,302 @@ mod verification_tests {
         })?;
         let err = c.pre_optimizer().unwrap_err();
         assert!(matches!(err, SimError::Protocol(_)), "{err}");
+        Ok(())
+    }
+}
+
+/// The interception contract, once, for every network operation: the
+/// seven ops share one loop, so they share one table.
+#[cfg(test)]
+mod intercept_contract {
+    use super::*;
+    use collectives::{CollectiveTicket, CommId};
+    use simcore::cost::CostModel;
+    use simcore::sync::Mutex;
+    use simcore::GpuId;
+    use simgpu::{AllocSite, KernelKind, StreamId};
+
+    const ME: RankId = RankId(0);
+    const TAG: u64 = 7;
+    const SEQ: u64 = 3;
+
+    /// Generations of every real collective attempt (the p2p
+    /// pseudo-tickets excluded), in order.
+    #[derive(Default)]
+    struct Attempts(Mutex<Vec<u64>>);
+
+    impl CollectiveObserver for Attempts {
+        fn collective_started(&self, t: &CollectiveTicket) {
+            if t.comm != CommId(u64::MAX) {
+                self.0.lock().push(t.generation);
+            }
+        }
+        fn collective_finished(&self, _: &CollectiveTicket) {}
+    }
+
+    /// Records what reached it, repairs the network unless told to roll
+    /// forward, and answers with the scripted outcome.
+    struct Scripted {
+        outcome: RecoveryOutcome,
+        token: CommToken,
+        seen: Mutex<Vec<String>>,
+    }
+
+    impl RecoveryHandler for Scripted {
+        fn handle(
+            &self,
+            client: &mut ProxyClient,
+            op: &PendingOp,
+            _err: &SimError,
+        ) -> SimResult<RecoveryOutcome> {
+            self.seen.lock().push(format!("{op:?}"));
+            if self.outcome == RecoveryOutcome::Retry {
+                // A transient fault sticks to its generation on the old
+                // communicator, so recovery swaps in a fresh one; an
+                // aborted world is reset; the peer's message arrives.
+                let world = client.world().clone();
+                world.reset();
+                client.replace_comm(self.token, world.create_comm(vec![ME], vec![0]));
+                post_message(&world)?;
+            }
+            Ok(self.outcome)
+        }
+    }
+
+    fn post_message(world: &CommWorld) -> SimResult<()> {
+        world.send(ME, 0, ME, TAG, SEQ, vec![9.0; 4], 16, true)
+    }
+
+    struct Fixture {
+        c: ProxyClient,
+        token: CommToken,
+        stream: StreamId,
+        a: BufferId,
+        b: BufferId,
+        attempts: Arc<Attempts>,
+    }
+
+    /// A one-rank world (every collective completes on arrival), two
+    /// generations into its communicator, at the start of a minibatch.
+    fn fixture() -> SimResult<Fixture> {
+        let world = CommWorld::new(Arc::new(ClockBoard::new(1)), CostModel::v100(), 8);
+        let gpu = Gpu::new(GpuId(0), CostModel::v100());
+        let mut c = ProxyClient::new(ME, 0, gpu, world.clone());
+        let token = c.register_comm(world.create_comm(vec![ME], vec![0]));
+        let stream = c.call(DeviceCall::StreamCreate)?.stream()?;
+        let mut buf = |path: &str| -> SimResult<BufferId> {
+            let b = c
+                .call(DeviceCall::Malloc {
+                    site: AllocSite::new(path, 4),
+                    elems: 4,
+                    logical_bytes: 16,
+                    tag: BufferTag::Param,
+                })?
+                .buffer()?;
+            let data = vec![1.0, 2.0, 3.0, 4.0];
+            c.call(DeviceCall::Upload { buf: b, data })?;
+            Ok(b)
+        };
+        let (a, b) = (buf("a")?, buf("b")?);
+        c.barrier(token)?;
+        c.barrier(token)?;
+        c.begin_minibatch(0)?;
+        let attempts = Arc::new(Attempts::default());
+        c.set_observer(attempts.clone());
+        Ok(Fixture {
+            c,
+            token,
+            stream,
+            a,
+            b,
+            attempts,
+        })
+    }
+
+    /// An intercepted network operation: its `PendingOp` label, whether
+    /// it is a collective, and how to issue it.
+    type Row = (&'static str, bool, fn(&mut Fixture) -> SimResult<()>);
+
+    const ROWS: [Row; 7] = [
+        ("all_reduce", true, |f| {
+            f.c.all_reduce(f.token, f.a, ReduceOp::Sum)
+        }),
+        ("all_gather", true, |f| {
+            f.c.all_gather_into(f.token, f.a, f.b)
+        }),
+        ("reduce_scatter", true, |f| {
+            f.c.reduce_scatter_into(f.token, f.a, f.b, ReduceOp::Max)
+        }),
+        ("broadcast", true, |f| f.c.broadcast(f.token, ME, f.a)),
+        ("barrier", true, |f| f.c.barrier(f.token)),
+        ("send", false, |f| f.c.send(ME, TAG, SEQ, f.a, true)),
+        ("recv_into", false, |f| f.c.recv_into(ME, TAG, SEQ, f.b)),
+    ];
+
+    impl Fixture {
+        fn script(&mut self, outcome: RecoveryOutcome) -> Arc<Scripted> {
+            let h = Arc::new(Scripted {
+                outcome,
+                token: self.token,
+                seen: Mutex::new(Vec::new()),
+            });
+            self.c.set_handler(h.clone());
+            h
+        }
+
+        fn gen(&self) -> u64 {
+            self.c.plane.gen_of(self.token)
+        }
+
+        /// Stages a launch that the next synchronization point flushes.
+        fn stage_launch(&mut self) -> SimResult<()> {
+            let kernel = KernelKind::Scale {
+                alpha: 2.0,
+                x: self.a,
+            };
+            let stream = self.stream;
+            self.c.call(DeviceCall::Launch { stream, kernel })?;
+            Ok(())
+        }
+
+        /// Makes the next attempt of `row`'s op fail, and says how.
+        fn arm(&mut self, row: &Row) -> SimResult<SimError> {
+            if row.1 {
+                self.c.inject_transient(self.token)?;
+                Ok(SimError::NetworkTransient)
+            } else {
+                self.c.world().abort_all();
+                Ok(SimError::CollectiveAborted)
+            }
+        }
+
+        /// What the handler must be told failed.
+        fn pending(&self, row: &Row) -> String {
+            let comm = self.token;
+            match row {
+                (op, true, _) => format!("{:?}", PendingOp::Collective { comm, op }),
+                _ => format!("{:?}", PendingOp::P2p { peer: ME, tag: TAG }),
+            }
+        }
+
+        /// Nothing was attempted, logged or advanced since `before`.
+        fn untouched(&self, before: (usize, u64), what: &str) {
+            assert_eq!((self.c.replay_log_len(), self.gen()), before, "{what}");
+            assert!(self.attempts.0.lock().is_empty(), "{what}: attempted");
+        }
+    }
+
+    #[test]
+    fn skip_rest_short_circuits_before_the_flush() -> SimResult<()> {
+        for row in &ROWS {
+            let mut f = fixture()?;
+            let handler = f.script(RecoveryOutcome::Retry);
+            f.stage_launch()?; // must stay staged: skipping comes first
+            let (staged, before) = (f.c.pending.len(), (f.c.replay_log_len(), f.gen()));
+            f.c.skip_rest = true;
+            f.arm(row)?;
+            (row.2)(&mut f)?;
+            assert_eq!(f.c.pending.len(), staged, "{}: flushed", row.0);
+            f.untouched(before, row.0);
+            assert!(handler.seen.lock().is_empty(), "{}: dispatched", row.0);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn skip_rest_short_circuits_after_the_flush() -> SimResult<()> {
+        for row in &ROWS {
+            let mut f = fixture()?;
+            // The staged launch fails inside the op's flush; that
+            // recovery rolls the rank forward, so the op itself is never
+            // attempted.
+            let handler = f.script(RecoveryOutcome::SkipToNextMinibatch);
+            f.stage_launch()?;
+            f.c.inject(FailureKind::StickyCuda);
+            let before = (f.c.replay_log_len(), f.gen());
+            (row.2)(&mut f)?;
+            assert!(f.c.skip_rest, "{}", row.0);
+            f.untouched(before, row.0);
+            let seen = handler.seen.lock();
+            assert_eq!(seen.len(), 1, "{}: only the flush dispatches", row.0);
+            assert!(
+                seen[0].starts_with("Device(Launch"),
+                "{}: {}",
+                row.0,
+                seen[0]
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn retry_reattempts_the_same_op_and_success_logs_it_once() -> SimResult<()> {
+        for row in &ROWS {
+            // The fault-free twin: what the op logs, and where it leaves
+            // the generation, when nothing goes wrong.
+            let mut twin = fixture()?;
+            post_message(twin.c.world())?;
+            (row.2)(&mut twin)?;
+
+            let mut f = fixture()?;
+            let handler = f.script(RecoveryOutcome::Retry);
+            let gen = f.gen();
+            f.arm(row)?;
+            (row.2)(&mut f)?;
+            assert_eq!(*handler.seen.lock(), vec![f.pending(row)], "{}", row.0);
+            let (ops, expect) = (f.c.replay_log.ops()?, twin.c.replay_log.ops()?);
+            assert_eq!(expect.len(), 1, "{}: one op logged", row.0);
+            assert_eq!(ops, expect, "{}: logged as if nothing happened", row.0);
+            assert_eq!(f.gen(), gen + row.1 as u64, "{}: bumped once", row.0);
+            if row.1 {
+                assert_eq!(*f.attempts.0.lock(), vec![gen, gen], "{}", row.0);
+                let logged = format!("{:?}", ops[0]);
+                assert!(logged.contains(&format!("gen: {gen}")), "{logged}");
+            }
+            assert!(!f.c.skip_rest, "{}", row.0);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn skip_to_next_minibatch_logs_nothing() -> SimResult<()> {
+        for row in &ROWS {
+            let mut f = fixture()?;
+            let handler = f.script(RecoveryOutcome::SkipToNextMinibatch);
+            let before = (f.c.replay_log_len(), f.gen());
+            f.arm(row)?;
+            (row.2)(&mut f)?;
+            assert_eq!(*handler.seen.lock(), vec![f.pending(row)], "{}", row.0);
+            assert!(f.c.skip_rest, "{}", row.0);
+            assert_eq!((f.c.replay_log_len(), f.gen()), before, "{}", row.0);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn errors_surface_unchanged_when_nothing_may_handle_them() -> SimResult<()> {
+        // No handler installed; a handler installed but recovery already
+        // running; a handler installed but the log being replayed.
+        type Mode = (&'static str, fn(&mut ProxyClient));
+        let modes: [Mode; 3] = [
+            ("no handler", |c| c.handler = None),
+            ("in recovery", |c| c.in_recovery = true),
+            ("replay mode", |c| c.replay_mode = true),
+        ];
+        for row in &ROWS {
+            for (mode, enter) in &modes {
+                let mut f = fixture()?;
+                let handler = f.script(RecoveryOutcome::Retry);
+                enter(&mut f.c);
+                let before = (f.c.replay_log_len(), f.gen());
+                let injected = f.arm(row)?;
+                let surfaced = (row.2)(&mut f).err();
+                assert_eq!(surfaced, Some(injected), "{} ({mode})", row.0);
+                assert_eq!((f.c.replay_log_len(), f.gen()), before, "{}", row.0);
+                assert!(!f.c.skip_rest, "{} ({mode})", row.0);
+                assert!(handler.seen.lock().is_empty(), "{} ({mode})", row.0);
+            }
+        }
         Ok(())
     }
 }

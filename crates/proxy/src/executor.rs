@@ -9,13 +9,16 @@
 //! requires no application change: swapping the executor is a deployment
 //! choice, not a code change.
 
-use collectives::{CollectiveObserver, Communicator, NullObserver, ReduceOp};
+use collectives::{
+    CollKind, CollectiveObserver, CollectiveTicket, CommId, CommWorld, Communicator, NullObserver,
+    ReduceOp,
+};
 use simcore::failure::FailureKind;
 use simcore::sync::Mutex;
 use simcore::time::ClockBoard;
-use simcore::{RankId, SimError, SimResult};
+use simcore::{RankId, SimError, SimResult, SimTime};
 use simgpu::{BufferId, BufferTag, CallResult, DeviceCall, Gpu, GpuHealth};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Token for a registered communicator (virtualized: survives communicator
@@ -150,51 +153,220 @@ pub trait Executor: Send {
     fn iteration(&self) -> u64;
 }
 
+/// Network operations consult device health first: driver corruption
+/// surfaces there even though plain device calls still appear to succeed
+/// (§4.2.1 case 2).
+pub(crate) fn check_comm_health(gpu: &Gpu) -> SimResult<()> {
+    match gpu.health() {
+        GpuHealth::DriverSuspect => Err(SimError::DriverCorrupted(gpu.id)),
+        h => h.check_api(gpu.id),
+    }
+}
+
+/// The persistent state of a device whose memory can still be read —
+/// the payload of a JIT checkpoint.
+pub(crate) fn readable_snapshot(gpu: &Gpu) -> SimResult<PersistentSnapshot> {
+    if !gpu.health().memory_readable() {
+        return Err(SimError::CudaSticky(gpu.id));
+    }
+    Ok(gpu.snapshot_persistent())
+}
+
+/// One of the five collective kinds, without its buffers: what
+/// [`CommPlane::collective`] needs beyond the contribution itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Coll {
+    AllReduce(ReduceOp),
+    AllGather,
+    ReduceScatter(ReduceOp),
+    /// Broadcast from the given root.
+    Broadcast(RankId),
+    Barrier,
+}
+
+/// The communication plane of one rank: everything [`DirectExecutor`]
+/// and [`crate::ProxyClient`] do identically on the network side. It
+/// owns the token table (tokens survive communicator re-creation), the
+/// per-token generation counters, the collective observer, and the
+/// collective / p2p protocol at an explicit generation. The executors
+/// keep only how a buffer is fetched from and loaded onto the device —
+/// and, for the proxy, virtualisation, logging and recovery.
+pub(crate) struct CommPlane {
+    pub(crate) rank: RankId,
+    pub(crate) clock_idx: usize,
+    pub(crate) clock: Arc<ClockBoard>,
+    pub(crate) world: Arc<CommWorld>,
+    pub(crate) observer: Arc<dyn CollectiveObserver>,
+    comms: BTreeMap<CommToken, Arc<Communicator>>,
+    next_token: u64,
+    gens: BTreeMap<CommToken, u64>,
+    p2p_seq: u64,
+}
+
+impl CommPlane {
+    pub(crate) fn new(rank: RankId, clock_idx: usize, world: Arc<CommWorld>) -> Self {
+        CommPlane {
+            rank,
+            clock_idx,
+            clock: world.clock().clone(),
+            world,
+            observer: Arc::new(NullObserver),
+            comms: BTreeMap::new(),
+            next_token: 1,
+            gens: BTreeMap::new(),
+            p2p_seq: 0,
+        }
+    }
+
+    /// Advances this rank's virtual clock.
+    pub(crate) fn advance(&self, t: SimTime) {
+        self.clock.advance(self.clock_idx, t);
+    }
+
+    pub(crate) fn register(&mut self, comm: Arc<Communicator>) -> CommToken {
+        let token = CommToken(self.next_token);
+        self.next_token += 1;
+        self.comms.insert(token, comm);
+        token
+    }
+
+    /// Swaps the communicator behind a token (recovery re-creation).
+    pub(crate) fn replace(&mut self, token: CommToken, comm: Arc<Communicator>) {
+        self.comms.insert(token, comm);
+    }
+
+    /// Registered tokens, sorted.
+    pub(crate) fn tokens(&self) -> Vec<CommToken> {
+        self.comms.keys().copied().collect()
+    }
+
+    pub(crate) fn comm(&self, token: CommToken) -> SimResult<Arc<Communicator>> {
+        self.comms
+            .get(&token)
+            .cloned()
+            .ok_or_else(|| SimError::InvalidHandle(format!("comm token {token:?}")))
+    }
+
+    /// Current operation sequence number for a token. It advances only
+    /// on success ([`CommPlane::bump_gen`]), so a failed or aborted
+    /// attempt is retried — and a logged one replayed — at the same
+    /// generation (idempotent pairing; see the collectives crate docs).
+    pub(crate) fn gen_of(&self, token: CommToken) -> u64 {
+        self.gens.get(&token).copied().unwrap_or(0)
+    }
+
+    pub(crate) fn bump_gen(&mut self, token: CommToken) {
+        *self.gens.entry(token).or_insert(0) += 1;
+    }
+
+    /// The generation counters as sorted `(token, generation)` pairs —
+    /// the part of this plane a CRIU image must carry.
+    pub(crate) fn gens(&self) -> Vec<(u64, u64)> {
+        self.gens.iter().map(|(t, g)| (t.0, *g)).collect()
+    }
+
+    pub(crate) fn set_gens(&mut self, gens: Vec<(u64, u64)>) {
+        self.gens = gens.into_iter().map(|(t, g)| (CommToken(t), g)).collect();
+    }
+
+    /// Runs one collective at generation `gen` and returns the result
+    /// every member shares (this rank's shard for reduce-scatter, empty
+    /// for a barrier). `data` is this rank's contribution; a broadcast
+    /// uses it on the root only and a barrier not at all. The generation
+    /// is the caller's to advance.
+    pub(crate) fn collective(
+        &self,
+        token: CommToken,
+        gen: u64,
+        coll: Coll,
+        data: Vec<f32>,
+        logical: u64,
+    ) -> SimResult<Arc<Vec<f32>>> {
+        let comm = self.comm(token)?;
+        let (rank, obs) = (self.rank, self.observer.as_ref());
+        match coll {
+            Coll::AllReduce(op) => comm.all_reduce_shared(rank, gen, data, op, logical, obs),
+            Coll::AllGather => comm.all_gather_shared(rank, gen, data, logical, obs),
+            Coll::ReduceScatter(op) => comm
+                .reduce_scatter(rank, gen, data, op, logical, obs)
+                .map(Arc::new),
+            Coll::Broadcast(root) => {
+                let contribution = (rank == root).then_some(data);
+                comm.broadcast_shared(rank, gen, root, contribution, logical, obs)
+            }
+            Coll::Barrier => comm.barrier(rank, gen, obs).map(|()| Arc::default()),
+        }
+    }
+
+    pub(crate) fn send(
+        &self,
+        dst: RankId,
+        tag: u64,
+        seq: u64,
+        data: Vec<f32>,
+        logical: u64,
+        same_node: bool,
+    ) -> SimResult<()> {
+        self.world.send(
+            self.rank,
+            self.clock_idx,
+            dst,
+            tag,
+            seq,
+            data,
+            logical,
+            same_node,
+        )
+    }
+
+    /// Blocking receive of `(src, tag, seq)`. A pipeline recv blocks
+    /// exactly like a collective when the peer stage has failed, so it is
+    /// registered with the hang watch-list under a pseudo-ticket.
+    pub(crate) fn recv(&mut self, src: RankId, tag: u64, seq: u64) -> SimResult<Vec<f32>> {
+        self.p2p_seq += 1;
+        let ticket = CollectiveTicket {
+            comm: CommId(u64::MAX),
+            generation: self.p2p_seq,
+            rank: self.rank,
+            kind: CollKind::Barrier,
+            entered_at: std::time::Instant::now(),
+        };
+        self.observer.collective_started(&ticket);
+        let result = self.world.recv(src, self.rank, self.clock_idx, tag, seq);
+        self.observer.collective_finished(&ticket);
+        result
+    }
+
+    pub(crate) fn inject_transient(&self, token: CommToken) -> SimResult<()> {
+        self.comm(token)?.inject_transient_fault(self.rank);
+        Ok(())
+    }
+}
+
 /// Direct executor: no interception, no logging. Failures surface to the
 /// caller ("user code"), which is exactly the failure model the
 /// user-level JIT solution (§3) and the periodic-checkpointing baselines
-/// operate under.
+/// operate under. Every network operation except `barrier` consults
+/// device health first.
 pub struct DirectExecutor {
-    rank: RankId,
-    clock_idx: usize,
-    clock: Arc<ClockBoard>,
+    plane: CommPlane,
     gpu: Arc<Mutex<Gpu>>,
-    world: Arc<collectives::CommWorld>,
-    comms: HashMap<CommToken, Arc<Communicator>>,
-    next_token: u64,
-    observer: Arc<dyn CollectiveObserver>,
     iteration: u64,
-    p2p_seq: u64,
-    comm_gens: HashMap<CommToken, u64>,
 }
 
 impl DirectExecutor {
     /// Creates a direct executor for `rank` over `gpu`.
-    pub fn new(
-        rank: RankId,
-        clock_idx: usize,
-        gpu: Gpu,
-        world: Arc<collectives::CommWorld>,
-    ) -> Self {
-        let clock = world.clock().clone();
+    pub fn new(rank: RankId, clock_idx: usize, gpu: Gpu, world: Arc<CommWorld>) -> Self {
         DirectExecutor {
-            rank,
-            clock_idx,
-            clock,
+            plane: CommPlane::new(rank, clock_idx, world),
             gpu: Arc::new(Mutex::new(gpu)),
-            world,
-            comms: HashMap::new(),
-            next_token: 1,
-            observer: Arc::new(NullObserver),
             iteration: 0,
-            p2p_seq: 0,
-            comm_gens: HashMap::new(),
         }
     }
 
     /// Installs a collective observer (the user-level JIT watch-list hook).
     pub fn set_observer(&mut self, obs: Arc<dyn CollectiveObserver>) {
-        self.observer = obs;
+        self.plane.observer = obs;
     }
 
     /// Shared handle to the device. The user-level JIT watchdog holds a
@@ -211,77 +383,57 @@ impl DirectExecutor {
         f(&mut self.gpu.lock())
     }
 
-    /// The communicator behind a token.
-    pub fn comm(&self, token: CommToken) -> SimResult<Arc<Communicator>> {
-        self.comms
-            .get(&token)
-            .cloned()
-            .ok_or_else(|| SimError::InvalidHandle(format!("comm token {token:?}")))
-    }
-
-    fn fetch(&mut self, buf: BufferId) -> SimResult<(Vec<f32>, u64)> {
+    /// Health check, then the buffer's contents and logical size. The
+    /// device lock is released before the caller blocks on the network.
+    fn fetch(&self, buf: BufferId) -> SimResult<(Vec<f32>, u64)> {
         let gpu = self.gpu.lock();
+        check_comm_health(&gpu)?;
         let b = gpu.buffer(buf)?;
         Ok((b.data.clone(), b.logical_bytes))
     }
 
-    /// Current operation sequence number for a communicator token. The
-    /// counter advances only on success, so a failed or aborted attempt
-    /// is retried at the same generation (idempotent pairing).
-    fn gen_of(&self, token: CommToken) -> u64 {
-        self.comm_gens.get(&token).copied().unwrap_or(0)
-    }
-
-    fn bump_gen(&mut self, token: CommToken) {
-        *self.comm_gens.entry(token).or_insert(0) += 1;
-    }
-
-    fn check_comm_health(&self) -> SimResult<()> {
-        let gpu = self.gpu.lock();
-        match gpu.health() {
-            // Driver corruption surfaces at network operations even though
-            // plain device calls still appear to succeed (§4.2.1 case 2).
-            GpuHealth::DriverSuspect => Err(SimError::DriverCorrupted(gpu.id)),
-            h => h.check_api(gpu.id),
-        }
+    /// A data collective: fetch `src`, run at the token's current
+    /// generation, advance it, load the result into `dst`.
+    fn collective(
+        &mut self,
+        token: CommToken,
+        coll: Coll,
+        src: BufferId,
+        dst: BufferId,
+    ) -> SimResult<()> {
+        let (data, logical) = self.fetch(src)?;
+        let gen = self.plane.gen_of(token);
+        let out = self.plane.collective(token, gen, coll, data, logical)?;
+        self.plane.bump_gen(token);
+        self.gpu.lock().load_buffer(dst, &out)
     }
 }
 
 impl Executor for DirectExecutor {
     fn rank(&self) -> RankId {
-        self.rank
+        self.plane.rank
     }
 
     fn clock_idx(&self) -> usize {
-        self.clock_idx
+        self.plane.clock_idx
     }
 
     fn clock(&self) -> Arc<ClockBoard> {
-        self.clock.clone()
+        self.plane.clock.clone()
     }
 
     fn call(&mut self, call: DeviceCall) -> SimResult<CallResult> {
         let (res, cost) = self.gpu.lock().exec(&call)?;
-        self.clock.advance(self.clock_idx, cost);
+        self.plane.advance(cost);
         Ok(res)
     }
 
     fn register_comm(&mut self, comm: Arc<Communicator>) -> CommToken {
-        let token = CommToken(self.next_token);
-        self.next_token += 1;
-        self.comms.insert(token, comm);
-        token
+        self.plane.register(comm)
     }
 
     fn all_reduce(&mut self, comm: CommToken, buf: BufferId, op: ReduceOp) -> SimResult<()> {
-        self.check_comm_health()?;
-        let (data, logical) = self.fetch(buf)?;
-        let arc = self.comm(comm)?;
-        let gen = self.gen_of(comm);
-        let out =
-            arc.all_reduce_shared(self.rank, gen, data, op, logical, self.observer.as_ref())?;
-        self.bump_gen(comm);
-        self.gpu.lock().load_buffer(buf, &out)
+        self.collective(comm, Coll::AllReduce(op), buf, buf)
     }
 
     fn all_reduce_bucket(
@@ -290,21 +442,19 @@ impl Executor for DirectExecutor {
         bufs: &[BufferId],
         op: ReduceOp,
     ) -> SimResult<()> {
-        if bufs.len() <= 1 {
-            return match bufs.first() {
-                Some(b) => self.all_reduce(comm, *b, op),
-                None => Ok(()),
-            };
+        if bufs.is_empty() {
+            return Ok(());
         }
-        self.check_comm_health()?;
         // Fuse the bucket into one collective: concatenate in caller
         // order, reduce once, scatter the slices back. One generation per
-        // bucket keeps retry idempotent at bucket granularity.
+        // bucket keeps retry idempotent at bucket granularity. (A bucket
+        // of one is exactly `all_reduce`.)
         let mut fused = Vec::new();
         let mut lens = Vec::with_capacity(bufs.len());
         let mut logical = 0u64;
         {
             let gpu = self.gpu.lock();
+            check_comm_health(&gpu)?;
             for buf in bufs {
                 let b = gpu.buffer(*buf)?;
                 lens.push(b.data.len());
@@ -312,11 +462,11 @@ impl Executor for DirectExecutor {
                 fused.extend_from_slice(&b.data);
             }
         }
-        let arc = self.comm(comm)?;
-        let gen = self.gen_of(comm);
-        let out =
-            arc.all_reduce_shared(self.rank, gen, fused, op, logical, self.observer.as_ref())?;
-        self.bump_gen(comm);
+        let gen = self.plane.gen_of(comm);
+        let out = self
+            .plane
+            .collective(comm, gen, Coll::AllReduce(op), fused, logical)?;
+        self.plane.bump_gen(comm);
         let mut gpu = self.gpu.lock();
         let mut off = 0usize;
         for (buf, len) in bufs.iter().zip(lens) {
@@ -327,13 +477,7 @@ impl Executor for DirectExecutor {
     }
 
     fn all_gather_into(&mut self, comm: CommToken, src: BufferId, dst: BufferId) -> SimResult<()> {
-        self.check_comm_health()?;
-        let (data, logical) = self.fetch(src)?;
-        let arc = self.comm(comm)?;
-        let gen = self.gen_of(comm);
-        let out = arc.all_gather_shared(self.rank, gen, data, logical, self.observer.as_ref())?;
-        self.bump_gen(comm);
-        self.gpu.lock().load_buffer(dst, &out)
+        self.collective(comm, Coll::AllGather, src, dst)
     }
 
     fn reduce_scatter_into(
@@ -343,38 +487,18 @@ impl Executor for DirectExecutor {
         dst: BufferId,
         op: ReduceOp,
     ) -> SimResult<()> {
-        self.check_comm_health()?;
-        let (data, logical) = self.fetch(src)?;
-        let arc = self.comm(comm)?;
-        let gen = self.gen_of(comm);
-        let out = arc.reduce_scatter(self.rank, gen, data, op, logical, self.observer.as_ref())?;
-        self.bump_gen(comm);
-        self.gpu.lock().load_buffer(dst, &out)
+        self.collective(comm, Coll::ReduceScatter(op), src, dst)
     }
 
     fn broadcast(&mut self, comm: CommToken, root: RankId, buf: BufferId) -> SimResult<()> {
-        self.check_comm_health()?;
-        let comm_arc = self.comm(comm)?;
-        let (data, logical) = self.fetch(buf)?;
-        let contribution = if self.rank == root { Some(data) } else { None };
-        let gen = self.gen_of(comm);
-        let out = comm_arc.broadcast_shared(
-            self.rank,
-            gen,
-            root,
-            contribution,
-            logical,
-            self.observer.as_ref(),
-        )?;
-        self.bump_gen(comm);
-        self.gpu.lock().load_buffer(buf, &out)
+        self.collective(comm, Coll::Broadcast(root), buf, buf)
     }
 
     fn barrier(&mut self, comm: CommToken) -> SimResult<()> {
-        let arc = self.comm(comm)?;
-        let gen = self.gen_of(comm);
-        arc.barrier(self.rank, gen, self.observer.as_ref())?;
-        self.bump_gen(comm);
+        let gen = self.plane.gen_of(comm);
+        self.plane
+            .collective(comm, gen, Coll::Barrier, Vec::new(), 0)?;
+        self.plane.bump_gen(comm);
         Ok(())
     }
 
@@ -386,36 +510,13 @@ impl Executor for DirectExecutor {
         buf: BufferId,
         same_node: bool,
     ) -> SimResult<()> {
-        self.check_comm_health()?;
         let (data, logical) = self.fetch(buf)?;
-        self.world.send(
-            self.rank,
-            self.clock_idx,
-            dst,
-            tag,
-            seq,
-            data,
-            logical,
-            same_node,
-        )
+        self.plane.send(dst, tag, seq, data, logical, same_node)
     }
 
     fn recv_into(&mut self, src: RankId, tag: u64, seq: u64, buf: BufferId) -> SimResult<()> {
-        self.check_comm_health()?;
-        // A pipeline recv blocks exactly like a collective when the peer
-        // stage has failed; register it with the hang watch-list.
-        self.p2p_seq += 1;
-        let ticket = collectives::CollectiveTicket {
-            comm: collectives::CommId(u64::MAX),
-            generation: self.p2p_seq,
-            rank: self.rank,
-            kind: collectives::CollKind::Barrier,
-            entered_at: std::time::Instant::now(),
-        };
-        self.observer.collective_started(&ticket);
-        let result = self.world.recv(src, self.rank, self.clock_idx, tag, seq);
-        self.observer.collective_finished(&ticket);
-        let data = result?;
+        check_comm_health(&self.gpu.lock())?;
+        let data = self.plane.recv(src, tag, seq)?;
         self.gpu.lock().load_buffer(buf, &data)
     }
 
@@ -433,12 +534,8 @@ impl Executor for DirectExecutor {
         Ok(())
     }
 
-    fn persistent_snapshot(&mut self) -> SimResult<(Vec<(String, BufferTag, Vec<f32>)>, u64)> {
-        let gpu = self.gpu.lock();
-        if !gpu.health().memory_readable() {
-            return Err(SimError::CudaSticky(gpu.id));
-        }
-        Ok(gpu.snapshot_persistent())
+    fn persistent_snapshot(&mut self) -> SimResult<PersistentSnapshot> {
+        readable_snapshot(&self.gpu.lock())
     }
 
     fn restore_persistent(&mut self, snap: &[(String, BufferTag, Vec<f32>)]) -> SimResult<()> {
@@ -450,8 +547,7 @@ impl Executor for DirectExecutor {
     }
 
     fn inject_transient(&mut self, comm: CommToken) -> SimResult<()> {
-        self.comm(comm)?.inject_transient_fault(self.rank);
-        Ok(())
+        self.plane.inject_transient(comm)
     }
 
     fn health(&self) -> GpuHealth {
@@ -466,7 +562,6 @@ impl Executor for DirectExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collectives::CommWorld;
     use simcore::cost::CostModel;
     use simgpu::AllocSite;
     use std::thread;

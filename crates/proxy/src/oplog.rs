@@ -221,16 +221,6 @@ impl VirtualMap {
         self.buf.remove(&virt.0);
     }
 
-    /// Forgets a virtual stream.
-    pub fn unbind_stream(&mut self, virt: StreamId) {
-        self.stream.remove(&virt.0);
-    }
-
-    /// Forgets a virtual event.
-    pub fn unbind_event(&mut self, virt: EventId) {
-        self.event.remove(&virt.0);
-    }
-
     /// Translates a call with virtual ids into one with physical ids.
     pub fn to_physical(&self, call: &DeviceCall) -> SimResult<DeviceCall> {
         use simgpu::KernelKind as K;

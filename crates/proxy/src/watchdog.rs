@@ -136,14 +136,6 @@ fn watch_loop(inner: Arc<Inner>) {
             };
             if hang {
                 inner.fired.store(true, Ordering::Release);
-                if std::env::var("JIT_DEBUG").is_ok() {
-                    let outstanding = inner.outstanding.lock();
-                    eprintln!(
-                        "[watchdog] firing: {} outstanding ops: {:?}",
-                        outstanding.len(),
-                        outstanding.keys().collect::<Vec<_>>()
-                    );
-                }
                 // Take the action out, *then* run it: `if let` extends
                 // the `action` lock's temporary guard across the body, and
                 // the hang action calls into abort paths that take

@@ -418,3 +418,117 @@ proptest! {
         prop_assert_eq!(proxy::decode_batch(&frame).unwrap(), calls);
     }
 }
+
+/// The network program both executors must run identically on a 2-rank
+/// world: each of the five collective kinds once, then a send/recv pair.
+/// `fault_before` arms a one-shot transient network fault on this rank's
+/// communicator just before the collective with that index. Returns the
+/// bits of every buffer the program wrote.
+fn network_program<E: Executor>(
+    e: &mut E,
+    comm: Arc<collectives::Communicator>,
+    fault_before: Option<usize>,
+) -> Vec<Vec<u32>> {
+    use collectives::ReduceOp;
+    let me = e.rank().0;
+    let peer = RankId(1 - me);
+    let token = e.register_comm(comm);
+    let seed = |k: u32| -> Vec<f32> {
+        (0..4)
+            .map(|i| (me * 7 + k * 3 + i) as f32 * 0.37 - 1.1)
+            .collect()
+    };
+    let reduced = alloc(e, "reduced", seed(0), BufferTag::Gradient);
+    let shard = alloc(e, "shard", seed(1)[..2].to_vec(), BufferTag::Activation);
+    let gathered = alloc(e, "gathered", vec![0.0; 4], BufferTag::Activation);
+    let full = alloc(e, "full", seed(2), BufferTag::Gradient);
+    let scattered = alloc(e, "scattered", vec![0.0; 2], BufferTag::Activation);
+    let bcast = alloc(e, "bcast", seed(3), BufferTag::Param);
+    let mail = alloc(e, "mail", seed(4), BufferTag::Activation);
+    e.begin_minibatch(0).unwrap();
+    for step in 0..5 {
+        if fault_before == Some(step) {
+            e.inject_transient(token).unwrap();
+        }
+        match step {
+            0 => e.all_reduce(token, reduced, ReduceOp::Avg),
+            1 => e.all_gather_into(token, shard, gathered),
+            2 => e.reduce_scatter_into(token, full, scattered, ReduceOp::Sum),
+            3 => e.broadcast(token, RankId(1), bcast),
+            _ => e.barrier(token),
+        }
+        .unwrap();
+    }
+    if me == 0 {
+        e.send(peer, 5, 0, mail, true).unwrap();
+    } else {
+        e.recv_into(peer, 5, 0, mail).unwrap();
+    }
+    [reduced, gathered, scattered, bcast, mail]
+        .into_iter()
+        .map(|b| download(e, b).iter().map(|f| f.to_bits()).collect())
+        .collect()
+}
+
+/// Minimal transient-fault recovery for two ranks: abort the broken
+/// communicator (releasing the peer parked in it), switch both ranks to
+/// the spare one, retry.
+struct SwapComm {
+    spare: Arc<collectives::Communicator>,
+}
+
+impl proxy::RecoveryHandler for SwapComm {
+    fn handle(
+        &self,
+        client: &mut ProxyClient,
+        op: &proxy::PendingOp,
+        _err: &simcore::SimError,
+    ) -> simcore::SimResult<proxy::RecoveryOutcome> {
+        let proxy::PendingOp::Collective { comm, .. } = op else {
+            return Err(simcore::SimError::Protocol(format!("unexpected {op:?}")));
+        };
+        client.comm(*comm)?.abort();
+        client.replace_comm(*comm, self.spare.clone());
+        Ok(proxy::RecoveryOutcome::Retry)
+    }
+}
+
+/// Runs `network_program` on both ranks of a fresh 2-rank world, each
+/// rank on its own thread; `fault_before` is armed on rank 0 only.
+fn run_pair(proxied: bool, fault_before: Option<usize>) -> Vec<Vec<Vec<u32>>> {
+    let world = collectives::CommWorld::new(Arc::new(ClockBoard::new(2)), CostModel::v100(), 8);
+    let new_comm = || world.create_comm(vec![RankId(0), RankId(1)], vec![0, 1]);
+    let (comm, spare) = (new_comm(), new_comm());
+    let handles: Vec<_> = (0..2u32)
+        .map(|r| {
+            let (world, comm, spare) = (world.clone(), comm.clone(), spare.clone());
+            std::thread::spawn(move || {
+                let gpu = Gpu::new(GpuId(r), CostModel::v100());
+                let fault = fault_before.filter(|_| r == 0);
+                if proxied {
+                    let mut c = ProxyClient::new(RankId(r), r as usize, gpu, world);
+                    c.set_handler(Arc::new(SwapComm { spare }));
+                    network_program(&mut c, comm, fault)
+                } else {
+                    let mut d = DirectExecutor::new(RankId(r), r as usize, gpu, world);
+                    network_program(&mut d, comm, fault)
+                }
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// Proxied ≡ direct, bit for bit, for every collective kind and a p2p
+/// pair — fault-free, and with one transparent retry at each collective
+/// in turn (the application-visible result must not depend on whether,
+/// or where, the interception layer recovered).
+#[test]
+fn proxied_network_ops_match_direct_bit_for_bit_even_across_a_retry() {
+    let direct = run_pair(false, None);
+    assert_ne!(direct[0], direct[1], "ranks hold different data");
+    assert_eq!(run_pair(true, None), direct, "fault-free");
+    for step in 0..5 {
+        assert_eq!(run_pair(true, Some(step)), direct, "retry at op {step}");
+    }
+}

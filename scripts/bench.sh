@@ -58,9 +58,4 @@ cargo run --release --quiet -p bench --bin recovery_bench -- "${RECOVERY_OUT}"
 echo "==> cargo run --release -p bench --bin store_bench -- 4 6 ${STORE_OUT}"
 cargo run --release --quiet -p bench --bin store_bench -- 4 6 "${STORE_OUT}"
 
-echo "==> criterion micro-benches (ckpt, proxy, coll)"
-cargo bench -p bench --bench ckpt --quiet
-cargo bench -p bench --bench proxy --quiet
-cargo bench -p bench --bench coll --quiet
-
 echo "bench.sh: wrote ${OUT}, ${PROXY_OUT}, ${COLL_OUT}, ${RECOVERY_OUT}, and ${STORE_OUT}"

@@ -16,6 +16,9 @@ cargo test --workspace --quiet
 echo '==> benches compile'
 cargo build --benches --workspace --quiet
 
+echo '==> public-surface ratchet (no crate may exceed its pub-item count in SURFACE.txt)'
+sh scripts/surface.sh --check
+
 echo '==> jitlint'
 cargo run -p lint --quiet
 
