@@ -338,3 +338,62 @@ fn poisson_failure_trace_drives_user_level_recovery() {
     assert_eq!(out.restarts, 2);
     assert_losses_match(&out.losses, &clean);
 }
+
+/// `f32::to_bits` of every rank's loss at every iteration.
+fn loss_bits(losses: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    losses
+        .iter()
+        .map(|rank| rank.iter().map(|l| l.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn golden_loss_fingerprint_is_stable_across_commits() {
+    let _g = serial();
+    // Every other bit-identity test compares a run with its same-binary
+    // twin; this one pins the numeric trajectory itself, so a kernel
+    // rewrite that reorders one floating-point sum fails here. The
+    // literals were recorded before the in-place kernel plane landed; a
+    // change that moves them changes what every recovery must reproduce.
+    let iters = 8;
+    let dp2 = dltrain::TrainConfig::tiny_dp(2);
+    assert_eq!(
+        loss_bits(&clean_run(&dp2, iters)),
+        GOLDEN_DP2,
+        "tiny DP=2 (SGD) trajectory moved"
+    );
+    let mut grid = dltrain::TrainConfig::tiny_dp(1);
+    grid.layout = ParallelLayout::three_d(1, 2, 2);
+    grid.optimizer = dltrain::OptimizerKind::adam(0.01);
+    // Widths that are no multiple of any vector width, so remainder
+    // lanes are on the trajectory too.
+    grid.model = dltrain::ModelConfig {
+        input_dim: 12,
+        hidden: 38,
+        blocks: 2,
+        classes: 5,
+        phantom_scale: 1.0,
+    };
+    assert_eq!(
+        loss_bits(&clean_run(&grid, iters)),
+        GOLDEN_PP2_TP2,
+        "PP=2 x TP=2 (Adam) trajectory moved"
+    );
+}
+
+const GOLDEN_DP2: [[u32; 8]; 2] = [
+    [
+        1066973136, 1070438775, 1067155316, 1070083688, 1067285161, 1070467993, 1066799534,
+        1067246129,
+    ],
+    [
+        1065626888, 1068323223, 1068863445, 1069176680, 1066203902, 1062545999, 1067628266,
+        1065870290,
+    ],
+];
+/// The first pipeline stage computes no loss and reports the canonical NaN.
+const NO_LOSS: [u32; 8] = [0x7fc0_0000; 8];
+const LAST_STAGE: [u32; 8] = [
+    1070059645, 1070345438, 1069610232, 1069011455, 1070274110, 1063431532, 1067505500, 1071055839,
+];
+const GOLDEN_PP2_TP2: [[u32; 8]; 4] = [NO_LOSS, NO_LOSS, LAST_STAGE, LAST_STAGE];
