@@ -178,15 +178,18 @@ impl Gpu {
                 Ok((CallResult::Data(data), t))
             }
             DeviceCall::CopyD2D { src, dst } => {
-                let (data, logical) = {
-                    let s = self.buffer(*src)?;
-                    (s.data.clone(), s.logical_bytes)
-                };
-                let d = self.buffer_mut(*dst)?;
-                if d.data.len() != data.len() {
-                    return Err(SimError::Protocol("d2d size mismatch".into()));
+                let logical = self.buffer(*src)?.logical_bytes;
+                // Source and destination live in one map: borrow them side
+                // by side and copy once. A copy onto itself is already done.
+                if src != dst {
+                    let [Some(s), Some(d)] = self.buffers.get_disjoint_mut([src, dst]) else {
+                        return Err(SimError::InvalidHandle(dst.to_string()));
+                    };
+                    if d.data.len() != s.data.len() {
+                        return Err(SimError::Protocol("d2d size mismatch".into()));
+                    }
+                    d.data.copy_from_slice(&s.data);
                 }
-                d.data.copy_from_slice(&data);
                 Ok((
                     CallResult::None,
                     SimTime::from_secs(logical as f64 / self.cost.nvlink_bw),
@@ -196,57 +199,24 @@ impl Gpu {
                 // Compute the phantom-scaling factor: the max ratio of
                 // logical to actual size over the kernel's buffers.
                 let mut scale = 1.0f64;
-                for b in kernel.buffers() {
-                    let buf = self.buffer(b)?;
+                let (ids, n) = kernel.roles();
+                for b in &ids[..n] {
+                    let buf = self.buffer(*b)?;
                     if !buf.data.is_empty() {
                         let s = buf.logical_bytes as f64 / (4.0 * buf.data.len() as f64);
                         scale = scale.max(s);
                     }
                 }
                 let cost = self.cost.kernel(kernel.flops(scale));
-                // Execute for real.
-                let kernel = kernel.clone();
-                let mut fetch_err: Option<SimError> = None;
-                {
-                    // Split-borrow protocol: clone inputs out, write outputs
-                    // back, via raw access to the buffers map.
-                    let buffers = &mut self.buffers;
-                    let mut fetch = |id: BufferId| -> SimResult<Vec<f32>> {
-                        buffers
-                            .get(&id)
-                            .map(|b| b.data.clone())
-                            .ok_or_else(|| SimError::InvalidHandle(id.to_string()))
-                    };
-                    // First gather all reads, then apply writes, to keep
-                    // the two-closure protocol borrow-safe.
-                    let mut writes: Vec<(BufferId, Vec<f32>)> = Vec::new();
-                    {
-                        let mut store = |id: BufferId, data: Vec<f32>| -> SimResult<()> {
-                            writes.push((id, data));
-                            Ok(())
-                        };
-                        if let Err(e) = kernel.execute(&mut fetch, &mut store) {
-                            fetch_err = Some(e);
-                        }
-                    }
-                    if fetch_err.is_none() {
-                        for (id, data) in writes {
-                            match buffers.get_mut(&id) {
-                                Some(b) => b.data = data,
-                                None => {
-                                    fetch_err = Some(SimError::InvalidHandle(id.to_string()));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = fetch_err {
-                    return Err(e);
-                }
-                let now = self.now;
-                let s = self.stream_mut(*stream)?;
-                s.enqueue(now, cost);
+                // Validate, then mutate: the stream is the last handle the
+                // launch names, and the kernel checks its shapes before its
+                // first store, so an error here leaves memory untouched.
+                let s = self
+                    .streams
+                    .get_mut(stream)
+                    .ok_or_else(|| SimError::InvalidHandle(stream.to_string()))?;
+                kernel.execute(&mut self.buffers)?;
+                s.enqueue(self.now, cost);
                 self.now += cost;
                 Ok((CallResult::None, cost))
             }
@@ -661,6 +631,85 @@ mod tests {
             .unwrap();
         assert!(t > SimTime::ZERO);
         assert_eq!(g.buffer(b).unwrap().data, vec![2.0; 4]);
+    }
+
+    #[test]
+    fn a_refused_launch_leaves_memory_untouched() {
+        use crate::kernel::KernelKind;
+        let mut g = gpu();
+        let s = g
+            .exec(&DeviceCall::StreamCreate)
+            .unwrap()
+            .0
+            .stream()
+            .unwrap();
+        let a = malloc(&mut g, "a", 6, BufferTag::Activation);
+        let b = malloc(&mut g, "b", 6, BufferTag::Param);
+        let out = malloc(&mut g, "out", 4, BufferTag::Activation);
+        for buf in [a, b, out] {
+            g.load_buffer(buf, &vec![1.5; g.buffer(buf).unwrap().data.len()])
+                .unwrap();
+        }
+        let before = g.checksum_all();
+        let matmul = |a, b, out, k| KernelKind::MatMul {
+            a,
+            b,
+            out,
+            m: 2,
+            k,
+            n: 2,
+            trans_a: false,
+            trans_b: false,
+        };
+        // A shape the buffers do not have, a handle that does not exist
+        // (as an input and as the output), a stream that does not exist.
+        let missing = BufferId(u64::MAX);
+        for (stream, kernel) in [
+            (s, matmul(a, b, out, 4)),
+            (s, matmul(a, missing, out, 3)),
+            (s, matmul(a, b, missing, 3)),
+            (StreamId(u64::MAX), matmul(a, b, out, 3)),
+        ] {
+            let res = g.exec(&DeviceCall::Launch { stream, kernel });
+            assert!(
+                matches!(
+                    res,
+                    Err(SimError::Protocol(_)) | Err(SimError::InvalidHandle(_))
+                ),
+                "{res:?}"
+            );
+            assert_eq!(g.checksum_all(), before);
+        }
+        g.exec(&DeviceCall::Launch {
+            stream: s,
+            kernel: matmul(a, b, out, 3),
+        })
+        .unwrap();
+        assert_eq!(g.buffer(out).unwrap().data, vec![6.75; 4]);
+    }
+
+    #[test]
+    fn copy_d2d_copies_once_and_checks_first() {
+        let mut g = gpu();
+        let src = malloc(&mut g, "src", 3, BufferTag::Param);
+        let dst = malloc(&mut g, "dst", 3, BufferTag::Param);
+        let short = malloc(&mut g, "short", 2, BufferTag::Param);
+        g.load_buffer(src, &[1.0, 2.0, 3.0]).unwrap();
+        g.exec(&DeviceCall::CopyD2D { src, dst }).unwrap();
+        assert_eq!(g.buffer(dst).unwrap().data, vec![1.0, 2.0, 3.0]);
+        // Onto itself: nothing to do, and not an error.
+        g.exec(&DeviceCall::CopyD2D { src, dst: src }).unwrap();
+        assert_eq!(g.buffer(src).unwrap().data, vec![1.0, 2.0, 3.0]);
+        let before = g.checksum_all();
+        let mismatch = g.exec(&DeviceCall::CopyD2D { src, dst: short });
+        assert_eq!(
+            mismatch.unwrap_err(),
+            SimError::Protocol("d2d size mismatch".into())
+        );
+        let missing = BufferId(u64::MAX);
+        assert!(g.exec(&DeviceCall::CopyD2D { src: missing, dst }).is_err());
+        assert!(g.exec(&DeviceCall::CopyD2D { src, dst: missing }).is_err());
+        assert_eq!(g.checksum_all(), before);
     }
 
     #[test]

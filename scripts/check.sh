@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo '==> cargo test --workspace'
 cargo test --workspace --quiet
 
+echo '==> bit-identity on the profile that is benchmarked (release codegen vectorises what dev does not)'
+cargo test --release -p simgpu --quiet
+cargo test --release --test cross_crate --quiet golden_loss_fingerprint
+
 echo '==> benches compile'
 cargo build --benches --workspace --quiet
 
