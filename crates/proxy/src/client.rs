@@ -1294,6 +1294,74 @@ mod tests {
         Ok(())
     }
 
+    /// A fixed minibatch touching every logged-op family: object
+    /// creation, uploads, launches on two streams joined by an event
+    /// edge, a copy, a free, a download and one collective.
+    fn golden_program(c: &mut ProxyClient) -> SimResult<()> {
+        let comm = c.world().create_comm(vec![RankId(0)], vec![0]);
+        let token = c.register_comm(comm);
+        let w = alloc(c, "w", vec![1.0, -2.0, 3.0, -4.0], BufferTag::Param)?;
+        c.begin_minibatch(7)?;
+        let s1 = c.call(DeviceCall::StreamCreate)?.stream()?;
+        let s2 = c.call(DeviceCall::StreamCreate)?.stream()?;
+        let e = c.call(DeviceCall::EventCreate)?.event()?;
+        let act = alloc(c, "act", vec![0.5; 4], BufferTag::Activation)?;
+        let out = alloc(c, "out", vec![0.0; 4], BufferTag::Gradient)?;
+        c.call(DeviceCall::Launch {
+            stream: s1,
+            kernel: KernelKind::Axpy {
+                alpha: 1.5,
+                x: w,
+                y: act,
+            },
+        })?;
+        c.call(DeviceCall::EventRecord {
+            stream: s1,
+            event: e,
+        })?;
+        c.call(DeviceCall::StreamWaitEvent {
+            stream: s2,
+            event: e,
+        })?;
+        c.call(DeviceCall::Launch {
+            stream: s2,
+            kernel: KernelKind::MatMul {
+                a: act,
+                b: w,
+                out,
+                m: 2,
+                k: 2,
+                n: 2,
+                trans_a: false,
+                trans_b: true,
+            },
+        })?;
+        c.call(DeviceCall::CopyD2D { src: out, dst: act })?;
+        c.call(DeviceCall::Free { buf: act })?;
+        c.all_reduce(token, out, ReduceOp::Sum)?;
+        assert_eq!(download(c, out)?, vec![7.0, 16.0, 16.0, 37.0]);
+        Ok(())
+    }
+
+    #[test]
+    fn worker_cpu_state_image_is_byte_stable_across_commits() -> SimResult<()> {
+        // The image is what a replacement node restores (§4.3): however
+        // the log is held in memory, these bytes must not move without a
+        // `SCHEMA_VERSION` bump.
+        let mut c = client();
+        golden_program(&mut c)?;
+        let image = c.worker_cpu_state()?;
+        assert_eq!(
+            (
+                c.replay_log_len(),
+                image.len(),
+                simcore::codec::crc64(&image)
+            ),
+            (15, 458, 0x3266_aac1_4fbf_e178)
+        );
+        Ok(())
+    }
+
     #[test]
     fn sync_persistent_from_replica_copies_state() -> SimResult<()> {
         use std::thread;
