@@ -13,7 +13,6 @@
 pub mod ckpt;
 pub mod collbench;
 pub mod montecarlo;
-pub mod proxybench;
 pub mod recovery;
 pub mod storebench;
 

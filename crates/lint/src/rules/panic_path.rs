@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn proxy_wildcard_covers_the_replay_log_hot_path() {
-        // The arena-backed oplog and deferred-submission ring are the
+        // The arena-backed oplog and the deferred-call batch are the
         // recovery path's data plane; a panic there is exactly the
         // failure class this rule exists to ban. Guard against the
         // wildcard entry being narrowed without noticing.

@@ -25,7 +25,7 @@ use crate::executor::{
     check_comm_health, readable_snapshot, Coll, CommPlane, CommToken, Executor, PendingOp,
     PersistentSnapshot,
 };
-use crate::oplog::{LoggedColl, LoggedOp, OpLog, OpRing, VirtualMap};
+use crate::oplog::{LoggedColl, LoggedOp, OpLog, VirtualMap};
 use crate::server::{encode_batch, ProxyServer, BATCH_SHARD_BYTES};
 use collectives::{CollectiveObserver, CommWorld, Communicator, ReduceOp};
 use simcore::failure::FailureKind;
@@ -86,10 +86,11 @@ struct CreationEntry {
 /// that the per-shard frame overhead stays negligible.
 const CPU_STATE_SHARD_BYTES: usize = 256 * 1024;
 
-/// Default capacity of the deferred-call staging ring. The
-/// `BENCH_proxy.json` capacity sweep shows per-op overhead knees at 64
-/// (926 ns at 1, 449 ns at 64) with diminishing returns beyond — larger
-/// rings only add staging memory, so 64 is the default.
+/// Default number of deferred calls staged before a flush. The capacity
+/// sweep recorded in EXPERIMENTS.md ("Flush-capacity sweep") shows per-op
+/// overhead knees at 64 (926 ns at 1, 449 ns at 64) with diminishing
+/// returns beyond — a larger batch only adds staging memory, so 64 is the
+/// default.
 pub const DEFAULT_BATCH_CAPACITY: usize = 64;
 
 /// The per-rank interception client (Figure 2's "device proxy client").
@@ -99,7 +100,11 @@ pub struct ProxyClient {
     vmap: VirtualMap,
     creation_log: Vec<CreationEntry>,
     replay_log: OpLog,
-    pending: OpRing,
+    /// Translated (physical-id) deferred calls awaiting one batched round
+    /// trip to the server; flushed when `batch_capacity` are staged and at
+    /// every synchronization point.
+    pending: Vec<DeviceCall>,
+    batch_capacity: usize,
     op_seq: u64,
     minibatch_start_seq: u64,
     iteration: u64,
@@ -124,7 +129,8 @@ impl ProxyClient {
             vmap: VirtualMap::new(),
             creation_log: Vec::new(),
             replay_log: OpLog::new(),
-            pending: OpRing::with_capacity(DEFAULT_BATCH_CAPACITY),
+            pending: Vec::new(),
+            batch_capacity: DEFAULT_BATCH_CAPACITY,
             op_seq: 0,
             minibatch_start_seq: 0,
             iteration: 0,
@@ -174,10 +180,11 @@ impl ProxyClient {
         self.replay_log.len()
     }
 
-    /// Ops that would survive minibatch-boundary compaction of the
-    /// current replay log (diagnostics / benchmarking).
+    /// Alias of [`ProxyClient::replay_log_len`]: the log is replayed as
+    /// logged, nothing is compacted away. Kept only because the frozen
+    /// `benchmark/` package calls it (its `compacted_kept_ratio` reads 1).
     pub fn compacted_log_len(&self) -> usize {
-        self.replay_log.compact().len()
+        self.replay_log_len()
     }
 
     /// Reconfigures the deferred-call staging capacity (flush batch
@@ -185,7 +192,7 @@ impl ProxyClient {
     /// the unbatched baseline. Flushes anything currently staged first.
     pub fn set_batch_capacity(&mut self, cap: usize) -> SimResult<()> {
         self.flush_pending()?;
-        self.pending = OpRing::with_capacity(cap);
+        self.batch_capacity = cap;
         Ok(())
     }
 
@@ -295,7 +302,7 @@ impl ProxyClient {
     /// totals at every synchronization point match per-call execution.
     fn defer(&mut self, vcall: &DeviceCall) -> SimResult<CallResult> {
         let pcall = self.vmap.to_physical(vcall)?;
-        if self.pending.is_full() {
+        if self.pending.len() >= self.batch_capacity {
             self.flush_pending()?;
             // The flush may have routed a failure to the recovery
             // handler and rolled this rank forward past the minibatch.
@@ -303,11 +310,7 @@ impl ProxyClient {
                 return Ok(CallResult::None);
             }
         }
-        if self.pending.push(pcall).is_err() {
-            return Err(SimError::Protocol(
-                "deferred-call ring rejected a push right after flushing".into(),
-            ));
-        }
+        self.pending.push(pcall);
         self.log_device(vcall, &CallResult::None);
         self.charge(self.cost_model().effective_log_overhead());
         Ok(CallResult::None)
@@ -323,18 +326,15 @@ impl ProxyClient {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let calls = self.pending.drain();
-        let frame = encode_batch(&calls, BATCH_SHARD_BYTES);
+        let frame = encode_batch(&self.pending, BATCH_SHARD_BYTES);
+        let first = self.pending.drain(..).next();
         match self.server.exec_batch(&frame) {
             Ok((_, cost)) => {
                 self.charge(cost);
                 Ok(())
             }
             Err(e) => {
-                let op = match calls.into_iter().next() {
-                    Some(first) => PendingOp::Device(first),
-                    None => PendingOp::Device(DeviceCall::DeviceSync),
-                };
+                let op = PendingOp::Device(first.unwrap_or(DeviceCall::DeviceSync));
                 match self.dispatch_handler(op, e)? {
                     RecoveryOutcome::Retry => Ok(()),
                     RecoveryOutcome::SkipToNextMinibatch => {
@@ -616,8 +616,8 @@ impl ProxyClient {
         root: RankId,
     ) -> SimResult<()> {
         // The root's contribution must reflect every submitted call.
-        // (During recovery the ring is already empty — the reset
-        // primitives discard it — so this is a no-op there.)
+        // (During recovery nothing is staged — the reset primitives
+        // discard it — so this is a no-op there.)
         self.flush_pending()?;
         let (snap, bytes) = self.server.gpu().snapshot_persistent();
         let is_root = self.plane.rank == root;
@@ -675,60 +675,48 @@ impl ProxyClient {
         self.flush_pending()?;
         let mut enc = simcore::codec::Encoder::new(CPU_STATE_SHARD_BYTES);
         enc.write(&self.iteration);
-        enc.write(&(self.skip_rest as u8));
+        enc.write(&self.skip_rest);
         enc.write(&self.replay_log);
         enc.write(&self.plane.gens());
         Ok(simcore::codec::concat_shards(&enc.finish()))
     }
 
     /// Restores the CRIU-relevant CPU state captured by
-    /// [`ProxyClient::worker_cpu_state`].
+    /// [`ProxyClient::worker_cpu_state`]. All or nothing: an image that
+    /// does not decode exactly, to its last byte, leaves the client as it
+    /// was.
     pub fn restore_worker_cpu_state(&mut self, image: &bytes::Bytes) -> SimResult<()> {
         use simcore::codec::Decode;
         let mut buf = simcore::codec::split_shards(image)?;
-        self.iteration = u64::decode(&mut buf)?;
-        self.skip_rest = u8::decode(&mut buf)? != 0;
-        self.replay_log = OpLog::decode(&mut buf)?;
-        self.plane.set_gens(Vec::decode(&mut buf)?);
+        let iteration = u64::decode(&mut buf)?;
+        let skip_rest = bool::decode(&mut buf)?;
+        let replay_log = OpLog::decode(&mut buf)?;
+        let gens = Vec::decode(&mut buf)?;
+        if !buf.is_empty() {
+            return Err(SimError::Codec(format!(
+                "{} trailing bytes after decode",
+                buf.len()
+            )));
+        }
+        self.iteration = iteration;
+        self.skip_rest = skip_rest;
+        self.replay_log = replay_log;
+        self.plane.set_gens(gens);
         Ok(())
     }
 
-    /// Replays the current minibatch's logged operations (device calls at
-    /// dispatch cost, collectives/p2p for real). Returns the number of
-    /// ops replayed.
-    ///
-    /// The log is first **compacted** (superseded ops dropped — see
-    /// [`OpLog::compact`]) and then decoded across per-stream lanes in
-    /// parallel ([`OpLog::decode_parallel`]); execution stays serial in
-    /// log order, which preserves every cross-stream event edge.
+    /// Replays the current minibatch's logged operations, every one of
+    /// them and in log order (device calls at dispatch cost,
+    /// collectives/p2p for real). Returns the number of ops replayed.
     pub fn replay(&mut self) -> SimResult<usize> {
         // Deferred-but-unflushed calls are already in the log; replay
-        // regenerates their effects, so the staging ring is discarded.
-        self.pending.clear();
-        let compacted = self.replay_log.compact();
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let ops = compacted.decode_parallel(workers)?;
-        self.replay_ops(&ops)
-    }
-
-    /// Replays the full, uncompacted log serially (baseline for the
-    /// compaction-equivalence proptests and `proxy_bench`).
-    pub fn replay_full(&mut self) -> SimResult<usize> {
+        // regenerates their effects, so whatever is staged is discarded.
         self.pending.clear();
         let ops = self.replay_log.ops()?;
-        self.replay_ops(&ops)
-    }
-
-    fn replay_ops(&mut self, ops: &[LoggedOp]) -> SimResult<usize> {
         self.replay_mode = true;
-        let result = (|| {
-            for op in ops {
-                self.exec_logged(op)?;
-            }
-            Ok(ops.len())
-        })();
+        let result = ops.iter().try_for_each(|op| self.exec_logged(op));
         self.replay_mode = false;
-        result
+        result.map(|()| ops.len())
     }
 
     fn exec_logged(&mut self, op: &LoggedOp) -> SimResult<()> {
@@ -1055,11 +1043,11 @@ mod tests {
 
     #[test]
     fn default_batch_capacity_is_the_sweep_knee() {
-        // The BENCH_proxy.json capacity sweep knees at 64; pin the default
-        // so it cannot silently regress to the unbatched (or oversized)
-        // configurations.
+        // The recorded capacity sweep (EXPERIMENTS.md) knees at 64; pin
+        // the default so it cannot silently regress to the unbatched (or
+        // oversized) configurations.
         assert_eq!(DEFAULT_BATCH_CAPACITY, 64);
-        assert_eq!(client().pending.capacity(), DEFAULT_BATCH_CAPACITY);
+        assert_eq!(client().batch_capacity, DEFAULT_BATCH_CAPACITY);
     }
 
     fn alloc(
@@ -1359,6 +1347,49 @@ mod tests {
             ),
             (15, 458, 0x3266_aac1_4fbf_e178)
         );
+        Ok(())
+    }
+
+    #[test]
+    fn restoring_a_bad_image_is_refused_and_changes_nothing() -> SimResult<()> {
+        use simcore::codec::{concat_shards, split_shards, Encoder};
+        let mut donor = client();
+        golden_program(&mut donor)?;
+        let image = donor.worker_cpu_state()?;
+        let inner = split_shards(&image)?;
+        // The shard container of every image below checks out; only the
+        // stream inside it is short, long or malformed.
+        let reframe = |inner: &[u8]| {
+            let mut enc = Encoder::new(CPU_STATE_SHARD_BYTES);
+            inner.iter().for_each(|byte| enc.write(byte));
+            concat_shards(&enc.finish())
+        };
+        assert_eq!(reframe(&inner), image);
+
+        let mut c = client();
+        let comm = c.world().create_comm(vec![RankId(0)], vec![0]);
+        let token = c.register_comm(comm);
+        c.begin_minibatch(3)?;
+        c.barrier(token)?;
+        let state =
+            |c: &ProxyClient| (c.iteration, c.skip_rest, c.replay_log_len(), c.plane.gens());
+        let before = state(&c);
+        assert_eq!(before, (3, false, 1, vec![(token.0, 1)]));
+
+        let mut bad: Vec<Vec<u8>> = (0..inner.len()).map(|cut| inner[..cut].to_vec()).collect();
+        bad.push([&inner[..], &[0]].concat());
+        let mut flag = inner.to_vec();
+        flag[8] = 2; // the `skip_rest` byte follows the u64 iteration
+        bad.push(flag);
+        for stream in &bad {
+            let err = c.restore_worker_cpu_state(&reframe(stream));
+            assert!(matches!(err, Err(SimError::Codec(_))), "{err:?}");
+            assert_eq!(state(&c), before, "a refused image must not be applied");
+        }
+
+        c.restore_worker_cpu_state(&image)?;
+        assert_eq!(state(&c), state(&donor));
+        assert_eq!(c.replay_log.ops()?, donor.replay_log.ops()?);
         Ok(())
     }
 

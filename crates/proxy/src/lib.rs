@@ -34,6 +34,6 @@ pub mod watchdog;
 
 pub use client::{MinibatchPosition, ProxyClient, RecoveryHandler, RecoveryOutcome};
 pub use executor::{CommToken, DirectExecutor, Executor, PendingOp, PersistentSnapshot};
-pub use oplog::{LoggedOp, OpLog, OpRing, VirtualMap};
+pub use oplog::{LoggedOp, OpLog, VirtualMap};
 pub use server::{decode_batch, encode_batch, ProxyServer, BATCH_SHARD_BYTES};
 pub use watchdog::Watchdog;

@@ -199,8 +199,7 @@ impl Gpu {
                 // Compute the phantom-scaling factor: the max ratio of
                 // logical to actual size over the kernel's buffers.
                 let mut scale = 1.0f64;
-                let (ids, n) = kernel.roles();
-                for b in &ids[..n] {
+                for b in kernel.clone().operands_mut() {
                     let buf = self.buffer(*b)?;
                     if !buf.data.is_empty() {
                         let s = buf.logical_bytes as f64 / (4.0 * buf.data.len() as f64);

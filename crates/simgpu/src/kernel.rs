@@ -221,6 +221,9 @@ pub enum KernelKind {
     },
 }
 
+/// Most buffer operands any variant names (`LayerNormBwd`).
+const MAX_OPERANDS: usize = 8;
+
 impl KernelKind {
     /// FLOP count for the cost model, computed at logical scale via
     /// `scale`: the ratio of logical elements to actual payload elements
@@ -243,41 +246,38 @@ impl KernelKind {
         raw * scale
     }
 
-    /// All buffers this kernel reads or writes (used by replay validation
-    /// and by tests asserting the log captures complete inputs).
-    pub fn buffers(&self) -> Vec<BufferId> {
-        let (ids, n) = self.roles();
-        ids[..n].to_vec()
-    }
-
-    /// [`KernelKind::buffers`] without the allocation, for the launch
-    /// path: the ids in declaration order and how many of the slots hold
-    /// one.
-    pub(crate) fn roles(&self) -> ([BufferId; 8], usize) {
-        let ids = |named: &[BufferId]| {
-            let mut slots = [BufferId(0); 8];
-            slots[..named.len()].copy_from_slice(named);
-            (slots, named.len())
-        };
-        match *self {
-            KernelKind::MatMul { a, b, out, .. } => ids(&[a, b, out]),
-            KernelKind::BiasAdd { x, bias, .. } => ids(&[x, bias]),
-            KernelKind::BiasGrad { dy, dbias, .. } => ids(&[dy, dbias]),
-            KernelKind::Relu { x, out } => ids(&[x, out]),
-            KernelKind::ReluBwd { x, dy, dx } => ids(&[x, dy, dx]),
+    /// The buffer operands of this launch, in declaration order and by
+    /// mutable reference: the one table of which fields of each variant
+    /// name device memory (dimensions, transposes and hyper-parameters are
+    /// not operands). Handle translation rewrites a launch through it; a
+    /// reader walks a clone, which copies a few words. Allocation-free.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut BufferId> {
+        fn slots<const N: usize>(
+            named: [&mut BufferId; N],
+        ) -> [Option<&mut BufferId>; MAX_OPERANDS] {
+            const { assert!(N <= MAX_OPERANDS) };
+            let mut named = named.into_iter();
+            std::array::from_fn(|_| named.next())
+        }
+        let slots = match self {
+            KernelKind::MatMul { a, b, out, .. } => slots([a, b, out]),
+            KernelKind::BiasAdd { x, bias, .. } => slots([x, bias]),
+            KernelKind::BiasGrad { dy, dbias, .. } => slots([dy, dbias]),
+            KernelKind::Relu { x, out } => slots([x, out]),
+            KernelKind::ReluBwd { x, dy, dx } => slots([x, dy, dx]),
             KernelKind::SoftmaxXentFwd {
                 logits,
                 labels,
                 probs,
                 loss,
                 ..
-            } => ids(&[logits, labels, probs, loss]),
+            } => slots([logits, labels, probs, loss]),
             KernelKind::SoftmaxXentBwd {
                 probs,
                 labels,
                 dlogits,
                 ..
-            } => ids(&[probs, labels, dlogits]),
+            } => slots([probs, labels, dlogits]),
             KernelKind::LayerNormFwd {
                 x,
                 gamma,
@@ -286,7 +286,7 @@ impl KernelKind {
                 mean,
                 rstd,
                 ..
-            } => ids(&[x, gamma, beta, out, mean, rstd]),
+            } => slots([x, gamma, beta, out, mean, rstd]),
             KernelKind::LayerNormBwd {
                 x,
                 gamma,
@@ -297,87 +297,27 @@ impl KernelKind {
                 dgamma,
                 dbeta,
                 ..
-            } => ids(&[x, gamma, dy, mean, rstd, dx, dgamma, dbeta]),
-            KernelKind::Zero { buf } | KernelKind::Fill { buf, .. } => ids(&[buf]),
-            KernelKind::Axpy { x, y, .. } => ids(&[x, y]),
-            KernelKind::Scale { x, .. } => ids(&[x]),
+            } => slots([x, gamma, dy, mean, rstd, dx, dgamma, dbeta]),
+            KernelKind::Zero { buf } | KernelKind::Fill { buf, .. } => slots([buf]),
+            KernelKind::Axpy { x, y, .. } => slots([x, y]),
+            KernelKind::Scale { x, .. } => slots([x]),
             KernelKind::SgdStep {
                 param,
                 grad,
                 momentum,
                 ..
-            } => ids(&[param, grad, momentum]),
+            } => slots([param, grad, momentum]),
             KernelKind::AdamStep {
                 param, grad, m, v, ..
-            } => ids(&[param, grad, m, v]),
-        }
+            } => slots([param, grad, m, v]),
+        };
+        slots.into_iter().flatten()
     }
 
-    /// Buffers whose *contents* influence this kernel's outputs.
-    ///
-    /// `Zero` and `Fill` store over their target without looking at it, so
-    /// the target is not a read: the stored result is independent of what
-    /// the buffer held before. The log compactor relies on this split — an
-    /// op may be dropped only when nothing downstream reads what it wrote.
-    pub fn reads(&self) -> Vec<BufferId> {
-        match *self {
-            KernelKind::MatMul { a, b, .. } => vec![a, b],
-            KernelKind::BiasAdd { x, bias, .. } => vec![x, bias],
-            KernelKind::BiasGrad { dy, .. } => vec![dy],
-            KernelKind::Relu { x, .. } => vec![x],
-            KernelKind::ReluBwd { x, dy, .. } => vec![x, dy],
-            KernelKind::SoftmaxXentFwd { logits, labels, .. } => vec![logits, labels],
-            KernelKind::SoftmaxXentBwd { probs, labels, .. } => vec![probs, labels],
-            KernelKind::LayerNormFwd { x, gamma, beta, .. } => vec![x, gamma, beta],
-            KernelKind::LayerNormBwd {
-                x,
-                gamma,
-                dy,
-                mean,
-                rstd,
-                ..
-            } => vec![x, gamma, dy, mean, rstd],
-            KernelKind::Zero { .. } | KernelKind::Fill { .. } => vec![],
-            KernelKind::Axpy { x, y, .. } => vec![x, y],
-            KernelKind::Scale { x, .. } => vec![x],
-            KernelKind::SgdStep {
-                param,
-                grad,
-                momentum,
-                ..
-            } => vec![param, grad, momentum],
-            KernelKind::AdamStep {
-                param, grad, m, v, ..
-            } => vec![param, grad, m, v],
-        }
-    }
-
-    /// Buffers this kernel stores into. A written buffer whose id is not
-    /// also in [`KernelKind::reads`] is fully determined by the kernel's
-    /// inputs — the compactor treats it as an overwrite.
-    pub fn writes(&self) -> Vec<BufferId> {
-        match *self {
-            KernelKind::MatMul { out, .. } => vec![out],
-            KernelKind::BiasAdd { x, .. } => vec![x],
-            KernelKind::BiasGrad { dbias, .. } => vec![dbias],
-            KernelKind::Relu { out, .. } => vec![out],
-            KernelKind::ReluBwd { dx, .. } => vec![dx],
-            KernelKind::SoftmaxXentFwd { probs, loss, .. } => vec![probs, loss],
-            KernelKind::SoftmaxXentBwd { dlogits, .. } => vec![dlogits],
-            KernelKind::LayerNormFwd {
-                out, mean, rstd, ..
-            } => vec![out, mean, rstd],
-            KernelKind::LayerNormBwd {
-                dx, dgamma, dbeta, ..
-            } => vec![dx, dgamma, dbeta],
-            KernelKind::Zero { buf } | KernelKind::Fill { buf, .. } => vec![buf],
-            KernelKind::Axpy { y, .. } => vec![y],
-            KernelKind::Scale { x, .. } => vec![x],
-            KernelKind::SgdStep {
-                param, momentum, ..
-            } => vec![param, momentum],
-            KernelKind::AdamStep { param, m, v, .. } => vec![param, m, v],
-        }
+    /// All buffers this kernel reads or writes (used by replay validation
+    /// and by tests asserting the log captures complete inputs).
+    pub fn buffers(&self) -> Vec<BufferId> {
+        self.clone().operands_mut().map(|id| *id).collect()
     }
 
     /// Executes the kernel in place on device memory.
@@ -390,9 +330,8 @@ impl KernelKind {
     /// * **No copies.** Inputs are borrowed as slices and outputs are
     ///   written where they live; an output is only reallocated when the
     ///   kernel changes its length.
-    /// * **Full overwrite.** Every element of every buffer in
-    ///   [`KernelKind::writes`] is stored, which is what lets the oplog
-    ///   compactor treat a write as killing what the buffer held before.
+    /// * **Full overwrite.** Every element of every buffer an arm stores
+    ///   into is stored: no output is left partly written.
     /// * **Fixed arithmetic.** The per-element expression and the order of
     ///   every reduction are part of the kernel's definition — a replayed
     ///   minibatch must reproduce the original to the bit, on any build.
@@ -1954,18 +1893,25 @@ mod tests {
     }
 
     #[test]
-    fn reads_writes_partition_buffers() {
+    fn operands_are_every_role_in_declaration_order() {
         let ids: Vec<BufferId> = (1..=8).map(BufferId).collect();
         for kind in 0..KINDS {
-            let k = kernel_of(kind, &ids, (2, 2, 2), (false, false), [0.1, 0.9, 0.99, 0.0]);
+            let mut k = kernel_of(kind, &ids, (2, 2, 2), (false, false), [0.1, 0.9, 0.99, 0.0]);
             let roles = role_lens(kind, (2, 2, 2)).len();
             assert_eq!(k.buffers(), ids[..roles], "roles of {k:?}");
-            let mut union: Vec<BufferId> = k.reads();
-            union.extend(k.writes());
-            union.sort_by_key(|id| id.0);
-            union.dedup();
-            assert_eq!(union, k.buffers(), "reads ∪ writes ≠ buffers for {k:?}");
-            assert!(!k.writes().is_empty(), "every kernel writes: {k:?}");
+            // Writing through the table renames exactly the operands.
+            for id in k.operands_mut() {
+                id.0 += 100;
+            }
+            let renamed: Vec<BufferId> = ids.iter().map(|id| BufferId(id.0 + 100)).collect();
+            let expect = kernel_of(
+                kind,
+                &renamed,
+                (2, 2, 2),
+                (false, false),
+                [0.1, 0.9, 0.99, 0.0],
+            );
+            assert_eq!(k, expect);
         }
     }
 

@@ -5,10 +5,6 @@
 #   BENCH_ckpt.json  — monolithic-vs-sharded checkpoint write/read/
 #                      assemble throughput at a 64 MiB synthetic
 #                      TrainState, plus the delta-mode hit rate.
-#   BENCH_proxy.json — transparent-interception per-op overhead
-#                      (batched vs per-call flushing vs direct), the
-#                      flush-capacity sweep, and replay time with and
-#                      without log compaction.
 #   BENCH_coll.json  — slot-vs-ring all-reduce wall time across world
 #                      and payload sizes, hier-vs-flat simulated time on
 #                      the scale ladder to 2048 ranks, the ring
@@ -38,16 +34,12 @@ cd "$(dirname "$0")/.."
 
 PAYLOAD_MIB="${1:-64}"
 OUT="${2:-BENCH_ckpt.json}"
-PROXY_OUT="${PROXY_OUT:-BENCH_proxy.json}"
 COLL_OUT="${COLL_OUT:-BENCH_coll.json}"
 RECOVERY_OUT="${RECOVERY_OUT:-BENCH_recovery.json}"
 STORE_OUT="${STORE_OUT:-BENCH_store.json}"
 
 echo "==> cargo run --release -p bench --bin ckpt_bench -- ${PAYLOAD_MIB} ${OUT}"
 cargo run --release --quiet -p bench --bin ckpt_bench -- "${PAYLOAD_MIB}" "${OUT}"
-
-echo "==> cargo run --release -p bench --bin proxy_bench -- 20000 12000 ${PROXY_OUT}"
-cargo run --release --quiet -p bench --bin proxy_bench -- 20000 12000 "${PROXY_OUT}"
 
 echo "==> cargo run --release -p bench --bin coll_bench -- 6 64 ${COLL_OUT} 2048"
 cargo run --release --quiet -p bench --bin coll_bench -- 6 64 "${COLL_OUT}" 2048
@@ -58,4 +50,4 @@ cargo run --release --quiet -p bench --bin recovery_bench -- "${RECOVERY_OUT}"
 echo "==> cargo run --release -p bench --bin store_bench -- 4 6 ${STORE_OUT}"
 cargo run --release --quiet -p bench --bin store_bench -- 4 6 "${STORE_OUT}"
 
-echo "bench.sh: wrote ${OUT}, ${PROXY_OUT}, ${COLL_OUT}, ${RECOVERY_OUT}, and ${STORE_OUT}"
+echo "bench.sh: wrote ${OUT}, ${COLL_OUT}, ${RECOVERY_OUT}, and ${STORE_OUT}"

@@ -38,9 +38,6 @@ JIT_LOCK_WITNESS="$PWD/target/lock_witness.txt" \
 echo '==> jitlint --witness (runtime edges vs static lock graph)'
 cargo run -p lint --quiet -- --witness target/lock_witness.txt
 
-echo '==> proxy_bench smoke (tiny sizes, throwaway output)'
-cargo run --release --quiet -p bench --bin proxy_bench -- 500 600 target/BENCH_proxy.smoke.json
-
 echo '==> coll_bench smoke (tiny sizes, hier ladder capped at 64 ranks)'
 cargo run --release --quiet -p bench --bin coll_bench -- 2 1 target/BENCH_coll.smoke.json 64
 

@@ -5,8 +5,9 @@
 # Prints one line per workspace crate: the number of `pub` items under
 # its `src/` (fn, struct, enum, trait, const, type — at any depth, test
 # modules included, so the number is a plain grep anyone can repeat) and
-# the number of non-test source lines (everything before a file's first
-# column-0 `#[cfg(test)]`).
+# the number of non-test source lines (every line outside a column-0
+# `#[cfg(test)]` block, which rustfmt closes with a column-0 `}`, so the
+# count does not depend on where in a file a test module sits).
 #
 #   scripts/surface.sh            print the ledger (commit it as SURFACE.txt)
 #   scripts/surface.sh --check    fail if any crate's pub count exceeds SURFACE.txt
@@ -20,7 +21,7 @@ ledger() {
         # shellcheck disable=SC2086
         pubs="$(cat $files | grep -cE '^[[:space:]]*pub (fn|struct|enum|trait|const|type) ' || true)"
         # shellcheck disable=SC2086
-        lines="$(awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' $files)"
+        lines="$(awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } test && /^}/ { test = 0 } END { print n + 0 }' $files)"
         printf '%-12s pub_items %4d  non_test_lines %6d\n' "$crate" "$pubs" "$lines"
     done
 }
