@@ -80,7 +80,9 @@ pub struct PeriodicConfig {
     pub kind: PolicyKind,
     /// Checkpoint every `every_iters` iterations.
     pub every_iters: u64,
-    /// Hang-detection timeout of the job monitoring plane (real time).
+    /// Hang-detection timeout of the job monitoring plane: charged to the
+    /// parked rank's virtual clock when a hang is detected, and the
+    /// real-time deadline for hangs the collective layer cannot prove.
     pub monitor_timeout: Duration,
     /// Sharded-write tuning (shard size, worker pool, delta mode). Delta
     /// pays off especially here: periodic checkpoints of adjacent
@@ -115,6 +117,24 @@ pub struct PeriodicOutcome {
     pub checkpoints_written: u64,
     /// Per-rank virtual completion time of the final generation.
     pub finish_times: Vec<SimTime>,
+}
+
+/// The job monitoring plane's hang action: kill the job (no checkpoint —
+/// that is the difference from JIT). The rank at clock slot `clock_idx`
+/// sat in the hung collective for `timeout` first; that is charged to its
+/// virtual clock here, once, whether the monitor waited it out in real
+/// time or the collective layer proved the hang at once.
+fn monitor_action(
+    world: Arc<collectives::CommWorld>,
+    clock_idx: usize,
+    timeout: Duration,
+) -> impl FnOnce() + Send {
+    move || {
+        world
+            .clock()
+            .advance(clock_idx, SimTime::from_secs(timeout.as_secs_f64()));
+        world.abort_all();
+    }
 }
 
 /// Classic periodic checkpointing with restart recovery: checkpoints on a
@@ -157,14 +177,15 @@ pub fn run_periodic_job(
             let ckpts = checkpoints_written.clone();
             dltrain::run_ranks(n, move |i| {
                 let rank = RankId(i as u32);
+                // First, so that it drops last: peers learn that this rank
+                // is gone only after its trainer, monitor and device are.
+                let _departure = world.departure_guard(rank);
                 let gpu = Gpu::new(assignment_now[i], cost.clone());
                 let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
-                // The job monitoring plane: on a hang, kill the job (no
-                // checkpoint — that is the difference from JIT).
-                let world_w = world.clone();
-                let monitor = Watchdog::spawn(pcfg.monitor_timeout, move || {
-                    world_w.abort_all();
-                })?;
+                let monitor = Watchdog::spawn(
+                    pcfg.monitor_timeout,
+                    monitor_action(world.clone(), i, pcfg.monitor_timeout),
+                )?;
                 exec.set_observer(monitor.observer());
                 let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], injector.clone())?;
                 let mut resumed_from = 0u64;
@@ -360,6 +381,62 @@ mod tests {
             10,
         )?;
         assert_eq!(out.losses, clean.losses);
+        Ok(())
+    }
+
+    /// A timeout no test could wait out: detection has to come from the
+    /// proof of the hang.
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn proven_hang_restarts_without_waiting_out_the_timeout() -> SimResult<()> {
+        let run = |faults: Vec<FailureSpec>| {
+            run_periodic_job(
+                dltrain::TrainConfig::tiny_dp(2),
+                CostModel::v100(),
+                FailureInjector::with_specs(faults),
+                scheduler(),
+                Arc::new(SharedStore::new()),
+                PeriodicConfig {
+                    monitor_timeout: TIMEOUT,
+                    ..PeriodicConfig::every(PolicyKind::PcMem, 3)
+                },
+                8,
+            )
+        };
+        let started = std::time::Instant::now();
+        let faulty = run(vec![FailureSpec::new(
+            4,
+            Phase::Backward,
+            RankId(0),
+            FailureKind::StickyCuda,
+        )])?;
+        assert!(started.elapsed() < TIMEOUT / 2, "{:?}", started.elapsed());
+        assert_eq!(faulty.restarts, 1);
+        let clean = run(Vec::new())?;
+        assert_eq!(clean.restarts, 0);
+        assert_eq!(faulty.losses, clean.losses);
+        Ok(())
+    }
+
+    #[test]
+    fn proven_hang_charges_the_monitor_timeout_before_the_abort() -> SimResult<()> {
+        let cfg = dltrain::TrainConfig::tiny_dp(2);
+        let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
+        let (world, clock) = (setup.world.clone(), setup.clock.clone());
+        let gpu = Gpu::new(simcore::GpuId(1), CostModel::v100());
+        let mut exec = DirectExecutor::new(RankId(1), 1, gpu, world.clone());
+        let monitor = Watchdog::spawn(TIMEOUT, monitor_action(world.clone(), 1, TIMEOUT))?;
+        exec.set_observer(monitor.observer());
+        let global = exec.register_comm(setup.per_rank[1].global.clone());
+        // Rank 0's thread is gone; rank 1 walks into a barrier with it and
+        // is released by its own monitor.
+        drop(world.departure_guard(RankId(0)));
+        let parked_at = clock.now(1);
+        assert_eq!(exec.barrier(global), Err(SimError::CollectiveAborted));
+        assert!(monitor.fired());
+        let charged = parked_at + SimTime::from_secs(TIMEOUT.as_secs_f64());
+        assert_eq!(clock.now(1), charged);
         Ok(())
     }
 

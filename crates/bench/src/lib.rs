@@ -752,8 +752,10 @@ mod tests {
 // Ablations (DESIGN.md §5): sweeps over the design parameters.
 // ---------------------------------------------------------------------
 
-/// Ablation 1 — watchdog timeout: hang-detection latency is bounded below
-/// by the timeout itself (plus one poll period); shorter timeouts detect
+/// Ablation 1 — watchdog timeout: for a hang nobody can prove (a bare
+/// ticket, as here), detection latency is bounded below by the timeout
+/// itself; the watchdog sleeps until that deadline, so what it adds on
+/// top is a condvar wake-up, not a poll period. Shorter timeouts detect
 /// faster but risk false positives on slow-but-healthy collectives. The
 /// latency column is *measured* with a real armed watchdog.
 pub fn ablation_watchdog() -> Table {

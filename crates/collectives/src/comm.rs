@@ -7,7 +7,10 @@
 //!
 //! * **barrier completion** — no rank returns until every member arrived;
 //! * **hangs** — a member that never arrives parks everyone else on a
-//!   condition variable indefinitely;
+//!   condition variable indefinitely; a parked rank whose generation
+//!   still lacks a member that can no longer arrive (see
+//!   `liveness.rs`) stays parked and reports the hang as proven
+//!   ([`CollectiveObserver::collective_hung`]);
 //! * **abort** — [`Communicator::abort`] (the `ncclCommAbort` equivalent)
 //!   wakes all waiters with [`SimError::CollectiveAborted`]; an aborted
 //!   communicator is dead and must be re-created via rendezvous; aborting
@@ -44,6 +47,7 @@
 //! strict member order, so they are bit-identical (DESIGN.md §11).
 
 use crate::ledger::GradLedger;
+use crate::liveness::Liveness;
 use crate::observer::{CollectiveObserver, CollectiveTicket};
 use crate::ring::{self, CollEngine};
 use crate::world::CommId;
@@ -135,7 +139,6 @@ struct Slot {
     data: SlotData,
     logical_bytes: u64,
     complete: bool,
-    fault_victim: Option<RankId>,
     result: Option<Arc<Vec<f32>>>,
 }
 
@@ -175,7 +178,8 @@ pub struct Communicator {
     /// parking does not thundering-herd every other parked rank awake.
     obs_cv: Condvar,
     aborted: AtomicBool,
-    hang_timeout: Option<Duration>,
+    /// The world's table of ranks that will never contribute again.
+    liveness: Arc<Liveness>,
     engine: CollEngine,
     /// Child groups split off this communicator (`CommWorld::split_comm`).
     /// Weak: a dropped child must not be kept alive — or aborted — by its
@@ -197,7 +201,9 @@ impl Communicator {
     /// Creates a communicator over `ranks`; `clock_idx[i]` is the clock
     /// board slot of `ranks[i]`. Node placement defaults to the
     /// contiguous `ranks_per_node` convention until
-    /// [`Communicator::set_topology`] installs real placement.
+    /// [`Communicator::set_topology`] installs real placement. Built
+    /// outside a [`crate::CommWorld`], it gets a liveness table of its
+    /// own that nobody departs from, so its hangs are never proven.
     pub fn new(
         id: CommId,
         ranks: Vec<RankId>,
@@ -205,6 +211,21 @@ impl Communicator {
         ranks_per_node: usize,
         clock: Arc<ClockBoard>,
         cost: CostModel,
+    ) -> Arc<Self> {
+        let private = Arc::new(Liveness::new(Weak::new()));
+        Self::in_world(id, ranks, clock_idx, ranks_per_node, clock, cost, private)
+    }
+
+    /// [`Communicator::new`] sharing the liveness table of the world that
+    /// creates it.
+    pub(crate) fn in_world(
+        id: CommId,
+        ranks: Vec<RankId>,
+        clock_idx: Vec<usize>,
+        ranks_per_node: usize,
+        clock: Arc<ClockBoard>,
+        cost: CostModel,
+        liveness: Arc<Liveness>,
     ) -> Arc<Self> {
         let node_of = ring::contiguous_node_assignment(&ranks, ranks_per_node);
         let engine = CollEngine::Ring(ring::RingConfig::from_cost(&cost));
@@ -217,12 +238,12 @@ impl Communicator {
             clock,
             cost,
             engine,
-            None,
+            liveness,
         )
     }
 
     /// Full-control constructor: split groups inherit their parent's
-    /// engine, timeout, and per-member topology slice through this.
+    /// engine, liveness table, and per-member topology slice through this.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_parts(
         id: CommId,
@@ -233,7 +254,7 @@ impl Communicator {
         clock: Arc<ClockBoard>,
         cost: CostModel,
         engine: CollEngine,
-        hang_timeout: Option<Duration>,
+        liveness: Arc<Liveness>,
     ) -> Arc<Self> {
         assert_eq!(ranks.len(), clock_idx.len());
         assert_eq!(ranks.len(), node_of.len());
@@ -260,7 +281,7 @@ impl Communicator {
             cv: Condvar::new(),
             obs_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
-            hang_timeout,
+            liveness,
             engine,
             children: Mutex::new(Vec::new()),
             ledgers: Mutex::new(Vec::new()),
@@ -313,21 +334,16 @@ impl Communicator {
         self.ranks_per_node
     }
 
-    pub(crate) fn hang_timeout(&self) -> Option<Duration> {
-        self.hang_timeout
+    pub(crate) fn liveness(&self) -> &Arc<Liveness> {
+        &self.liveness
     }
 
     /// Communicators are shared immutably; configuration changes rebuild
     /// a fresh clone with empty slot state. The child-group list carries
     /// over so parent→child abort/fault propagation survives a rebuild,
     /// and attached gradient ledgers carry over so the in-network tap
-    /// survives engine/topology/timeout changes.
-    fn rebuild(
-        &self,
-        timeout: Option<Duration>,
-        engine: CollEngine,
-        node_of: Vec<usize>,
-    ) -> Arc<Self> {
+    /// survives engine/topology changes.
+    fn rebuild(&self, engine: CollEngine, node_of: Vec<usize>) -> Arc<Self> {
         let fresh = Self::with_parts(
             self.id,
             self.ranks.clone(),
@@ -337,7 +353,7 @@ impl Communicator {
             self.clock.clone(),
             self.cost.clone(),
             engine,
-            timeout,
+            self.liveness.clone(),
         );
         // children strictly before ledgers (both leaf locks, never
         // nested; the grouping keeps the static lock graph acyclic).
@@ -349,18 +365,10 @@ impl Communicator {
         fresh
     }
 
-    /// Sets a real-time hang timeout: a rank blocked longer than this
-    /// returns [`SimError::CollectiveTimeout`] instead of waiting for an
-    /// abort. (The transparent design leaves this unset and relies on the
-    /// proxy watchdog + abort instead.)
-    pub fn set_hang_timeout(self: &Arc<Self>, timeout: Option<Duration>) -> Arc<Self> {
-        self.rebuild(timeout, self.engine, self.node_of.clone())
-    }
-
     /// Selects the data-plane engine (chunked ring by default; the slot
     /// reference is kept for bit-identity checks and benchmarking).
     pub fn set_engine(self: &Arc<Self>, engine: CollEngine) -> Arc<Self> {
-        self.rebuild(self.hang_timeout, engine, self.node_of.clone())
+        self.rebuild(engine, self.node_of.clone())
     }
 
     /// Installs real placement knowledge: `node_of[i]` is the node id of
@@ -373,7 +381,7 @@ impl Communicator {
             self.ranks.len(),
             "one node id per group member"
         );
-        self.rebuild(self.hang_timeout, self.engine, node_of)
+        self.rebuild(self.engine, node_of)
     }
 
     /// The data-plane engine in effect.
@@ -386,7 +394,7 @@ impl Communicator {
     /// `Arc` bump plus shard-range metadata — no extra sends, no copy).
     /// Re-attaching a member replaces its previous ledger. The
     /// attachment survives [`Communicator::set_engine`] /
-    /// [`Communicator::set_topology`] / timeout rebuilds.
+    /// [`Communicator::set_topology`] rebuilds.
     pub fn attach_ledger(&self, rank: RankId, ledger: Arc<GradLedger>) -> SimResult<()> {
         let pos = self.member_pos(rank).ok_or_else(|| {
             SimError::Protocol(format!(
@@ -471,6 +479,16 @@ impl Communicator {
         }
     }
 
+    /// Wakes every rank parked in a collective wait so that it re-checks
+    /// its generation against the liveness table. The notify is ordered
+    /// against the waiters' check the way [`Communicator::abort`]'s is: a
+    /// rank that read the table before the mark holds the state lock
+    /// until it has parked.
+    pub(crate) fn wake_parked(&self) {
+        let _st = self.state.lock();
+        self.cv.notify_all();
+    }
+
     /// Registers a split child for abort/fault propagation.
     pub(crate) fn add_child(&self, child: &Arc<Communicator>) {
         let mut kids = self.children.lock();
@@ -506,13 +524,16 @@ impl Communicator {
         true
     }
 
-    /// Arms a one-shot transient network fault against `victim`: at the
-    /// next collective on this communicator, the victim's NCCL call fails
-    /// with [`SimError::NetworkTransient`] while every other member hangs
-    /// at the barrier — exactly how a single NIC/link fault manifests in
-    /// a real job (§3.1: the victim sees an error, peers see a hang). The
-    /// fault propagates to child groups the victim belongs to: a dead
-    /// link fails every communicator routed over it.
+    /// Arms a one-shot transient network fault against `victim`: the
+    /// victim's own next arrival at a collective still in flight on this
+    /// communicator fails with [`SimError::NetworkTransient`] while every
+    /// other member hangs at the barrier — exactly how a single NIC/link
+    /// fault manifests in a real job (§3.1: the victim sees an error,
+    /// peers see a hang). Which generation that is depends on the victim
+    /// alone, not on whether a peer got there first; a replayed,
+    /// already-complete generation is served from the cache and does not
+    /// consume the fault. The fault propagates to child groups the victim
+    /// belongs to: a dead link fails every communicator routed over it.
     pub fn inject_transient_fault(&self, victim: RankId) {
         {
             let mut st = self.state.lock();
@@ -666,19 +687,7 @@ impl Communicator {
             Some(v) => Contribution::Data(v),
             None => Contribution::Empty,
         };
-        let mut st = self.state.lock();
-        let result = self.run_inner(
-            &mut st,
-            pos,
-            rank,
-            gen,
-            kind,
-            op,
-            root,
-            contrib,
-            logical_bytes,
-        );
-        drop(st);
+        let result = self.run_inner(pos, op, root, contrib, logical_bytes, obs, &ticket);
         obs.collective_finished(&ticket);
         if result.is_ok() {
             // In-network gradient tap (no-op unless ledgers are
@@ -691,59 +700,69 @@ impl Communicator {
     #[allow(clippy::too_many_arguments)]
     fn run_inner(
         &self,
-        st: &mut simcore::sync::MutexGuard<'_, CommState>,
         pos: usize,
-        rank: RankId,
-        gen: u64,
-        kind: CollKind,
         op: Option<ReduceOp>,
         root: Option<RankId>,
         contrib: Contribution<'_>,
         logical_bytes: u64,
+        obs: &dyn CollectiveObserver,
+        ticket: &CollectiveTicket,
     ) -> SimResult<Arc<Vec<f32>>> {
-        let complete = self.arrive(st, pos, rank, gen, kind, op, root, contrib, logical_bytes)?;
+        let (rank, gen, kind) = (ticket.rank, ticket.generation, ticket.kind);
+        let mut st = self.state.lock();
+        let complete = self.arrive(
+            &mut st,
+            pos,
+            rank,
+            gen,
+            kind,
+            op,
+            root,
+            contrib,
+            logical_bytes,
+        )?;
+        // Held from the moment this wait is proven hung until the rank
+        // leaves it, so that ranks waiting on this one are proven in turn.
+        let mut stuck = None;
         if !complete {
-            // Wait for completion, abort, or (optionally) hang timeout.
-            // Completion is checked BEFORE abort: an operation that
-            // finished must report success even if the communicator was
-            // aborted an instant later (otherwise a racing abort makes a
-            // rank believe its already-completed iteration failed, and
-            // ranks enter recovery desynchronized by one iteration).
-            let started = Instant::now();
+            // Wait for completion or abort. Completion is checked BEFORE
+            // abort: an operation that finished must report success even
+            // if the communicator was aborted an instant later (otherwise
+            // a racing abort makes a rank believe its already-completed
+            // iteration failed, and ranks enter recovery desynchronized
+            // by one iteration). Abort in turn wins over a proof of the
+            // hang: a torn-down job has nothing left to detect.
             loop {
-                {
-                    let slot = st.slots.get(&gen).ok_or_else(|| {
-                        SimError::Protocol(format!("slot {gen} vanished on {}", self.id))
-                    })?;
-                    if slot.complete {
-                        break;
-                    }
+                let slot = st.slots.get(&gen).ok_or_else(|| {
+                    SimError::Protocol(format!("slot {gen} vanished on {}", self.id))
+                })?;
+                if slot.complete {
+                    break;
                 }
                 if self.is_aborted() {
                     return Err(SimError::CollectiveAborted);
                 }
-                if let Some(limit) = self.hang_timeout {
-                    if started.elapsed() >= limit {
-                        return Err(SimError::CollectiveTimeout { rank });
-                    }
+                if stuck.is_some() || !self.lacks_gone_member(slot) {
+                    // Purely notify-driven wait: completion, abort, a
+                    // rank going, and prune all notify under the state
+                    // lock, so there is no lost-wakeup window and no poll
+                    // quantum on the hot path.
+                    st.parked += 1;
+                    self.obs_cv.notify_all(); // Wake `wait_for_parked` observers.
+                    self.cv.wait(&mut st);
+                    st.parked -= 1;
+                    continue;
                 }
-                // Purely notify-driven wait: completion, abort, fault
-                // injection, and prune all notify under the state lock, so
-                // there is no lost-wakeup window and no poll quantum on the
-                // hot path. With a hang timeout armed, wait exactly the
-                // remaining budget instead.
-                st.parked += 1;
-                self.obs_cv.notify_all(); // Wake `wait_for_parked` observers.
-                match self.hang_timeout {
-                    None => {
-                        self.cv.wait(st);
-                    }
-                    Some(limit) => {
-                        self.cv
-                            .wait_for(st, limit.saturating_sub(started.elapsed()));
-                    }
-                }
-                st.parked -= 1;
+                // Proven hung. The rank stays in the collective — the
+                // trainer sits in the hung call while the watchdog works
+                // (§3.2) — but says so once, with no lock held: marking
+                // wakes the waiters of other communicators and the
+                // observer takes locks of its own. Then it re-checks,
+                // because the world moved on while the lock was dropped.
+                drop(st);
+                stuck = Some(self.liveness.stuck(rank));
+                obs.collective_hung(ticket);
+                st = self.state.lock();
             }
         }
         // Pick up the result; completed slots stay cached for replay.
@@ -751,6 +770,25 @@ impl Communicator {
         slot.result
             .clone()
             .ok_or_else(|| SimError::Protocol("completed slot without result".into()))
+    }
+
+    /// True when `slot` can never complete: it still lacks the
+    /// contribution of a member that is departed or stuck. One relaxed
+    /// load while nobody is.
+    fn lacks_gone_member(&self, slot: &Slot) -> bool {
+        let n = self.ranks.len();
+        match &slot.data {
+            SlotData::Parked { contribs, .. } => self.liveness.any_gone(
+                (0..n)
+                    .filter(|p| contribs[*p].is_none())
+                    .map(|p| self.ranks[p]),
+            ),
+            SlotData::Streaming { folded, parked, .. } => self.liveness.any_gone(
+                (*folded..n)
+                    .filter(|p| !parked.contains_key(p))
+                    .map(|p| self.ranks[p]),
+            ),
+        }
     }
 
     /// Installs/joins the slot for `gen` and records this member's
@@ -771,12 +809,21 @@ impl Communicator {
         logical_bytes: u64,
     ) -> SimResult<bool> {
         let n = self.ranks.len();
-        // Install or join the slot for this generation. An armed transient
-        // fault is consumed by the slot *creation* (the fault hits the next
-        // collective that starts).
-        if !st.slots.contains_key(&gen) {
-            let fault_victim = st.pending_fault.take();
-            let data = match (self.engine, kind) {
+        // An armed transient fault hits the victim's own next arrival at a
+        // generation still in flight, whoever created its slot: the
+        // victim's NCCL call fails and it never contributes, so the other
+        // members stay parked at the barrier (a hang) until the watchdog
+        // aborts the communicator.
+        if st.pending_fault == Some(rank) && !st.slots.get(&gen).is_some_and(|s| s.complete) {
+            st.pending_fault = None;
+            return Err(SimError::NetworkTransient);
+        }
+        // Install or join the slot for this generation.
+        let slot = st.slots.entry(gen).or_insert_with(|| Slot {
+            kind,
+            op,
+            root,
+            data: match (self.engine, kind) {
                 (
                     CollEngine::Ring(_) | CollEngine::Hier(_),
                     CollKind::AllReduce | CollKind::ReduceScatter,
@@ -789,33 +836,16 @@ impl Communicator {
                     contribs: vec![None; n],
                     arrived: 0,
                 },
-            };
-            st.slots.insert(
-                gen,
-                Slot {
-                    kind,
-                    op,
-                    root,
-                    data,
-                    logical_bytes: 0,
-                    complete: false,
-                    fault_victim,
-                    result: None,
-                },
-            );
-        }
-        let slot = st.slots.get_mut(&gen).expect("slot just inserted");
+            },
+            logical_bytes: 0,
+            complete: false,
+            result: None,
+        });
         if slot.kind != kind || slot.op != op || slot.root != root {
             return Err(SimError::Protocol(format!(
                 "mismatched collective at gen {gen} on {}: {:?} vs {:?}",
                 self.id, slot.kind, kind
             )));
-        }
-        if slot.fault_victim == Some(rank) {
-            // The victim's NCCL call fails; it never contributes, so the
-            // other members stay parked at the barrier (a hang) until the
-            // watchdog aborts the communicator.
-            return Err(SimError::NetworkTransient);
         }
         if slot.complete {
             // Completed between the caller's replay-cache check and the
@@ -1361,17 +1391,6 @@ mod tests {
         assert_eq!(h2.join().unwrap().unwrap_err(), SimError::CollectiveAborted);
     }
 
-    #[test]
-    fn hang_timeout_surfaces_peer_failure() {
-        let comm = make_comm(2).set_hang_timeout(Some(Duration::from_millis(30)));
-        let c = comm.clone();
-        let h = thread::spawn(move || {
-            c.all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
-        });
-        let err = h.join().unwrap().unwrap_err();
-        assert!(matches!(err, SimError::CollectiveTimeout { rank } if rank == RankId(0)));
-    }
-
     /// All three data-plane engines, with ring configs that force
     /// multi-chunk schedules on tiny payloads.
     fn engines() -> [CollEngine; 3] {
@@ -1422,31 +1441,6 @@ mod tests {
     }
 
     #[test]
-    fn hang_timeout_is_engine_invariant() {
-        for engine in engines() {
-            let comm = make_comm(2)
-                .set_engine(engine)
-                .set_hang_timeout(Some(Duration::from_millis(30)));
-            let c = comm.clone();
-            let h = thread::spawn(move || {
-                c.all_reduce_shared(
-                    RankId(0),
-                    0,
-                    vec![1.0; 16],
-                    ReduceOp::Sum,
-                    64,
-                    &NullObserver,
-                )
-            });
-            let err = h.join().unwrap().unwrap_err();
-            assert!(
-                matches!(err, SimError::CollectiveTimeout { rank } if rank == RankId(0)),
-                "unexpected {err:?} under {engine:?}"
-            );
-        }
-    }
-
-    #[test]
     fn transient_fault_errors_victim_and_hangs_peers() {
         let comm = make_comm(2);
         comm.inject_transient_fault(RankId(0));
@@ -1465,6 +1459,82 @@ mod tests {
         assert!(!h1.is_finished(), "peer must hang");
         comm.abort();
         assert_eq!(h1.join().unwrap().unwrap_err(), SimError::CollectiveAborted);
+    }
+
+    #[test]
+    fn transient_fault_hits_the_victims_arrival_even_after_a_peers() {
+        // The interleaving that used to push the fault one generation on:
+        // the peer creates generation 0 and parks, the fault is armed, and
+        // only then does the victim arrive at generation 0.
+        let comm = make_comm(2);
+        let c1 = comm.clone();
+        let h1 = thread::spawn(move || {
+            c1.all_reduce_shared(RankId(1), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+        });
+        assert!(comm.wait_for_parked(1, Duration::from_secs(5)));
+        comm.inject_transient_fault(RankId(0));
+        let err = comm
+            .all_reduce_shared(RankId(0), 0, vec![1.0], ReduceOp::Sum, 4, &NullObserver)
+            .unwrap_err();
+        assert_eq!(err, SimError::NetworkTransient);
+        assert!(comm.wait_for_parked(1, Duration::from_secs(5)));
+        assert!(!h1.is_finished(), "the peer hangs at generation 0");
+        assert_eq!(comm.completed_slots(), 0);
+        assert!(
+            !comm.state.lock().slots.contains_key(&1),
+            "the fault did not move on to generation 1"
+        );
+        comm.abort();
+        assert_eq!(h1.join().unwrap().unwrap_err(), SimError::CollectiveAborted);
+    }
+
+    #[test]
+    fn completion_wins_over_a_simultaneous_departure() {
+        // The root's broadcast completes the generation and the root is
+        // gone by the time the parked rank looks again. A completed parked
+        // slot has given its root's buffer away, so a rank that looked for
+        // missing members first would take the root for one.
+        struct Never;
+        impl CollectiveObserver for Never {
+            fn collective_started(&self, _: &CollectiveTicket) {}
+            fn collective_finished(&self, _: &CollectiveTicket) {}
+            fn collective_hung(&self, t: &CollectiveTicket) {
+                panic!("a completed collective reported hung: {t:?}");
+            }
+        }
+        let world = crate::CommWorld::new(Arc::new(ClockBoard::new(2)), CostModel::v100(), 8);
+        let comm = world.create_comm(vec![RankId(0), RankId(1)], vec![0, 1]);
+        let c0 = comm.clone();
+        let h0 =
+            thread::spawn(move || c0.broadcast_shared(RankId(0), 0, RankId(1), None, 4, &Never));
+        assert!(comm.wait_for_parked(1, Duration::from_secs(5)));
+        let gone = {
+            // Hold rank 0 back (it needs this lock to wake up) until the
+            // generation is complete *and* the root has been marked.
+            let mut st = comm.state.lock();
+            let done = comm
+                .arrive(
+                    &mut st,
+                    1,
+                    RankId(1),
+                    0,
+                    CollKind::Broadcast,
+                    None,
+                    Some(RankId(1)),
+                    Contribution::Data(vec![7.0]),
+                    4,
+                )
+                .unwrap();
+            assert!(done);
+            let guard = world.departure_guard(RankId(1));
+            let gone = thread::spawn(move || drop(guard));
+            while !comm.liveness.any_gone(std::iter::once(RankId(1))) {
+                thread::yield_now();
+            }
+            gone
+        };
+        assert_eq!(*h0.join().unwrap().unwrap(), vec![7.0]);
+        gone.join().unwrap();
     }
 
     #[test]

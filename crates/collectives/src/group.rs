@@ -17,8 +17,8 @@
 //!   split from it, and each child's ring hop classes / hierarchical
 //!   node sizes are derived from its own (possibly non-contiguous)
 //!   placement slice;
-//! * **engine and hang timeout** — a split never changes data-plane
-//!   semantics;
+//! * **engine and liveness table** — a split never changes data-plane
+//!   semantics, and a departed rank is gone from every group it was in;
 //! * **fault surface** — the parent keeps a weak link to each child:
 //!   [`Communicator::abort`] and
 //!   [`Communicator::inject_transient_fault`] propagate parent→child
@@ -124,7 +124,7 @@ impl CommWorld {
                 parent.clock_board().clone(),
                 parent.cost_model().clone(),
                 parent.engine(),
-                parent.hang_timeout(),
+                parent.liveness().clone(),
             );
             self.replace_comm(child.clone());
             parent.add_child(&child);

@@ -13,7 +13,9 @@
 //! This crate reproduces those semantics with real blocking: a rank that
 //! never arrives leaves every peer parked on a condition variable until the
 //! communicator is aborted (the `ncclCommAbort` equivalent) — which is
-//! exactly the hang the watchdog thread detects. Completion advances every
+//! exactly the hang the watchdog thread detects, by timeout in the paper
+//! and, where the simulation can prove that the missing rank is gone, at
+//! once. Completion advances every
 //! participant's virtual clock to `max(arrival) + α–β cost`.
 //!
 //! Modules:
@@ -34,11 +36,15 @@
 //!   rank already holds when a generation completes, and the
 //!   reconstruction of a dead member's result from survivors;
 //! * [`observer`] — the interception hook ([`CollectiveObserver`]) from
-//!   which the user-level watch-list / watchdog of §3.1 is built.
+//!   which the user-level watch-list / watchdog of §3.1 is built;
+//! * `liveness` — the per-world table of ranks that will never contribute
+//!   again, from which a parked rank proves its wait hung instead of
+//!   leaving the watchdog to guess it from elapsed time.
 
 pub mod comm;
 pub mod group;
 pub mod ledger;
+pub(crate) mod liveness;
 pub mod observer;
 pub mod ring;
 pub mod world;

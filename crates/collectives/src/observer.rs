@@ -6,7 +6,12 @@
 //! interception attaches at the collective boundary: before a rank blocks
 //! in a collective it announces a [`CollectiveTicket`]; when the collective
 //! completes it retracts it. A ticket that stays outstanding past the
-//! watchdog timeout *is* a hang.
+//! watchdog timeout *is* a hang — as far as a real rank can tell. The
+//! simulation can sometimes tell more: when the rank a wait needs has
+//! departed, or is itself parked on such a wait, the waiter reports its
+//! ticket *hung* the moment that is known, and the watchdog need not wait
+//! for the clock. Real time remains the backstop for every hang that
+//! cannot be proven.
 
 use crate::comm::CollKind;
 use crate::world::CommId;
@@ -24,8 +29,9 @@ pub struct CollectiveTicket {
     pub rank: RankId,
     /// Operation kind (for diagnostics).
     pub kind: CollKind,
-    /// Real-clock time the rank entered the collective (watchdog deadline
-    /// arithmetic runs on real time: a hang is a *real* hang).
+    /// Real-clock time the rank entered the collective: the watchdog's
+    /// real-time deadline, its backstop for hangs nobody can prove, counts
+    /// from here.
     pub entered_at: Instant,
 }
 
@@ -38,6 +44,11 @@ pub trait CollectiveObserver: Send + Sync {
     fn collective_started(&self, ticket: &CollectiveTicket);
     /// The collective completed (or errored) on this rank.
     fn collective_finished(&self, ticket: &CollectiveTicket);
+    /// The collective can never complete: a rank it still needs is gone.
+    /// Called at most once per ticket, between its start and its finish,
+    /// from the rank's own thread with no collectives lock held; the rank
+    /// stays parked in the collective afterwards.
+    fn collective_hung(&self, _ticket: &CollectiveTicket) {}
 }
 
 /// No-op observer for jobs running without JIT checkpointing.

@@ -10,8 +10,17 @@
 //! Job teardown during recovery calls [`CommWorld::abort_all`], which is
 //! the `ncclCommAbort`-on-everything step that releases every rank parked
 //! in a hung collective.
+//!
+//! The world also owns the table of ranks that will never contribute
+//! again (`liveness.rs`): a runner's rank thread holds a
+//! [`CommWorld::departure_guard`], and from the moment it drops, every
+//! wait that needs that rank — a collective generation it has not
+//! contributed to, a receive it has not sent for — is reported to its
+//! observer as provably hung.
 
-use crate::comm::Communicator;
+use crate::comm::{CollKind, Communicator};
+use crate::liveness::{Departure, Liveness};
+use crate::observer::{CollectiveObserver, CollectiveTicket};
 use bytes::Bytes;
 use simcore::cost::CostModel;
 use simcore::sync::{Condvar, Mutex};
@@ -23,7 +32,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Communicator handle.
+/// Communicator handle. `CommId(u64::MAX)` is the pseudo-communicator a
+/// blocking receive announces itself under (see [`CommWorld::recv`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CommId(pub u64);
 
@@ -67,12 +77,13 @@ pub struct CommWorld {
     mail: Mutex<MailState>,
     mail_cv: Condvar,
     aborted: AtomicBool,
+    liveness: Arc<Liveness>,
 }
 
 impl CommWorld {
     /// Creates a world for a job whose ranks map 1:1 onto `clock` slots.
     pub fn new(clock: Arc<ClockBoard>, cost: CostModel, ranks_per_node: usize) -> Arc<Self> {
-        Arc::new(CommWorld {
+        Arc::new_cyclic(|world| CommWorld {
             clock,
             cost,
             ranks_per_node,
@@ -81,7 +92,35 @@ impl CommWorld {
             mail: Mutex::new(MailState::default()),
             mail_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
+            liveness: Arc::new(Liveness::new(world.clone())),
         })
+    }
+
+    /// A guard for the thread that runs `rank`: dropping it records that
+    /// the rank has departed — its thread has returned and contributes to
+    /// nothing after that — and wakes every parked waiter of this world,
+    /// so that a wait which needs the rank is known to be hung without
+    /// waiting out a timeout. Declare it first in the rank's closure: it
+    /// must drop last, after the rank's trainer, watchdog and device.
+    pub fn departure_guard(&self, rank: RankId) -> impl Drop + Send {
+        Departure {
+            table: self.liveness.clone(),
+            rank,
+        }
+    }
+
+    /// Wakes every rank parked in a collective or a receive of this world
+    /// so that it re-checks its wait against the liveness table. Call with
+    /// no collectives lock held.
+    pub(crate) fn wake_waiters(&self) {
+        // Registry snapshot first, mailbox under its lock last: the
+        // shape, and the reasons, of `abort_all`.
+        let comms: Vec<Arc<Communicator>> = self.comms.lock().values().cloned().collect();
+        for comm in comms {
+            comm.wake_parked();
+        }
+        let _mail = self.mail.lock();
+        self.mail_cv.notify_all();
     }
 
     /// The shared clock board.
@@ -100,13 +139,14 @@ impl CommWorld {
     /// [`Communicator::rendezvous`].
     pub fn create_comm(&self, ranks: Vec<RankId>, clock_idx: Vec<usize>) -> Arc<Communicator> {
         let id = CommId(self.next_comm.fetch_add(1, Ordering::Relaxed));
-        let comm = Communicator::new(
+        let comm = Communicator::in_world(
             id,
             ranks,
             clock_idx,
             self.ranks_per_node,
             self.clock.clone(),
             self.cost.clone(),
+            self.liveness.clone(),
         );
         self.comms.lock().insert(id, comm.clone());
         comm
@@ -147,10 +187,10 @@ impl CommWorld {
     }
 
     /// Re-registers a rebuilt communicator under its id. Configuration
-    /// changes (hang timeout, engine, ring topology) return fresh `Arc`s
-    /// with empty slot state; the registry must point at the instance the
-    /// ranks actually synchronize through, or [`CommWorld::abort_all`]
-    /// would release only the stale original.
+    /// changes (engine, ring topology) return fresh `Arc`s with empty slot
+    /// state; the registry must point at the instance the ranks actually
+    /// synchronize through, or [`CommWorld::abort_all`] would release —
+    /// and a departure would wake — only the stale original.
     pub fn replace_comm(&self, comm: Arc<Communicator>) {
         self.comms.lock().insert(comm.id, comm);
     }
@@ -235,6 +275,12 @@ impl CommWorld {
     /// idempotent: the message is copied, not consumed, so a rolled-back
     /// receiver can replay the receive. Raises the receiver's clock to
     /// the message's availability time.
+    ///
+    /// A pipeline receive blocks exactly like a collective when the peer
+    /// stage has failed, so `obs` sees it like one, under a pseudo-ticket
+    /// on `CommId(u64::MAX)` at generation `seq`: started, finished, and
+    /// — when the sender is gone and left nothing under the key —
+    /// hung, once, while the receiver stays parked until the abort.
     pub fn recv(
         &self,
         src: RankId,
@@ -242,23 +288,67 @@ impl CommWorld {
         dst_clock_idx: usize,
         tag: u64,
         seq: u64,
+        obs: &dyn CollectiveObserver,
     ) -> SimResult<Vec<f32>> {
-        let mut mail = self.mail.lock();
         let key = (src, dst, tag, seq);
-        loop {
-            // Delivery wins over abort (see the collective wait loop).
-            if let Some(msg) = mail.inbox.get(&key) {
-                self.clock.raise_to(dst_clock_idx, msg.available_at);
-                return Ok(msg.data.clone());
+        let (data, available_at) = self.await_mail(key, obs, |mail| {
+            let msg = mail.inbox.get(&key)?;
+            Some((msg.data.clone(), msg.available_at))
+        })?;
+        self.clock.raise_to(dst_clock_idx, available_at);
+        Ok(data)
+    }
+
+    /// The wait of [`CommWorld::recv`] and [`CommWorld::recv_bytes`]:
+    /// parks until `pick` finds the message under `key`.
+    fn await_mail<T>(
+        &self,
+        key: MailKey,
+        obs: &dyn CollectiveObserver,
+        pick: impl Fn(&MailState) -> Option<T>,
+    ) -> SimResult<T> {
+        let (src, dst, _, seq) = key;
+        let ticket = CollectiveTicket {
+            comm: CommId(u64::MAX),
+            generation: seq,
+            rank: dst,
+            kind: CollKind::Barrier,
+            entered_at: Instant::now(),
+        };
+        obs.collective_started(&ticket);
+        let mut mail = self.mail.lock();
+        // As in the collective wait: held while this receive is proven
+        // hung, so that ranks waiting on the receiver are proven in turn.
+        let mut stuck = None;
+        let result = loop {
+            // Delivery wins over abort, abort over a proof of the hang
+            // (see the collective wait loop).
+            if let Some(found) = pick(&mail) {
+                break Ok(found);
             }
             if self.is_aborted() {
-                return Err(SimError::CollectiveAborted);
+                break Err(SimError::CollectiveAborted);
             }
-            mail.waiters += 1;
-            self.mail_cv.notify_all(); // Wake `wait_for_mail_waiters` observers.
-            self.mail_cv.wait_for(&mut mail, Duration::from_millis(2));
-            mail.waiters -= 1;
-        }
+            // jitlint::allow(guard_across_call): the table's lock is a leaf, and reading it under `mail` is what orders this check against the marker's wake-up
+            if stuck.is_some() || !self.liveness.any_gone(std::iter::once(src)) {
+                // Notify-driven: send, abort and a rank going all notify
+                // under `mail`.
+                mail.waiters += 1;
+                self.mail_cv.notify_all(); // Wake `wait_for_mail_waiters` observers.
+                self.mail_cv.wait(&mut mail);
+                mail.waiters -= 1;
+                continue;
+            }
+            // The sender will never send: say so once with no lock held,
+            // stay in the receive, and look again.
+            drop(mail);
+            stuck = Some(self.liveness.stuck(dst));
+            obs.collective_hung(&ticket);
+            mail = self.mail.lock();
+        };
+        drop(mail);
+        obs.collective_finished(&ticket);
+        result
     }
 
     /// Non-blocking send of a CRC-framed byte shard (the pipelined
@@ -297,7 +387,7 @@ impl CommWorld {
 
     /// Blocking receive of a byte shard; idempotent (refcount copy, not
     /// consume). Raises the receiver's clock to the frame's availability
-    /// time. Delivery wins over abort, like [`CommWorld::recv`].
+    /// time. Waits, and reports to `obs`, like [`CommWorld::recv`].
     pub fn recv_bytes(
         &self,
         src: RankId,
@@ -305,22 +395,15 @@ impl CommWorld {
         dst_clock_idx: usize,
         tag: u64,
         seq: u64,
+        obs: &dyn CollectiveObserver,
     ) -> SimResult<Bytes> {
-        let mut mail = self.mail.lock();
         let key = (src, dst, tag, seq);
-        loop {
-            if let Some(msg) = mail.byte_inbox.get(&key) {
-                self.clock.raise_to(dst_clock_idx, msg.available_at);
-                return Ok(msg.frame.clone());
-            }
-            if self.is_aborted() {
-                return Err(SimError::CollectiveAborted);
-            }
-            mail.waiters += 1;
-            self.mail_cv.notify_all(); // Wake `wait_for_mail_waiters` observers.
-            self.mail_cv.wait_for(&mut mail, Duration::from_millis(2));
-            mail.waiters -= 1;
-        }
+        let (frame, available_at) = self.await_mail(key, obs, |mail| {
+            let msg = mail.byte_inbox.get(&key)?;
+            Some((msg.frame.clone(), msg.available_at))
+        })?;
+        self.clock.raise_to(dst_clock_idx, available_at);
+        Ok(frame)
     }
 
     /// Non-blocking probe for a byte shard: `Ok(Some)` if available,
@@ -394,7 +477,9 @@ mod tests {
         clock.raise_to(0, SimTime::from_secs(5.0));
         w.send(RankId(0), 0, RankId(1), 7, 0, vec![1.0, 2.0], 1 << 20, true)
             .unwrap();
-        let got = w.recv(RankId(0), RankId(1), 1, 7, 0).unwrap();
+        let got = w
+            .recv(RankId(0), RankId(1), 1, 7, 0, &NullObserver)
+            .unwrap();
         assert_eq!(got, vec![1.0, 2.0]);
         // Receiver clock raised past sender's send time.
         assert!(clock.now(1).as_secs() > 5.0);
@@ -404,7 +489,7 @@ mod tests {
     fn recv_blocks_until_send() {
         let (w, _) = world(2);
         let w2 = w.clone();
-        let h = thread::spawn(move || w2.recv(RankId(0), RankId(1), 1, 0, 0));
+        let h = thread::spawn(move || w2.recv(RankId(0), RankId(1), 1, 0, 0, &NullObserver));
         assert!(w.wait_for_mail_waiters(1, Duration::from_secs(5)));
         assert!(!h.is_finished());
         w.send(RankId(0), 0, RankId(1), 0, 0, vec![3.0], 4, true)
@@ -419,18 +504,34 @@ mod tests {
             .unwrap();
         w.send(RankId(0), 0, RankId(1), 0, 1, vec![2.0], 4, true)
             .unwrap();
-        assert_eq!(w.recv(RankId(0), RankId(1), 1, 0, 1).unwrap(), vec![2.0]);
-        assert_eq!(w.recv(RankId(0), RankId(1), 1, 0, 0).unwrap(), vec![1.0]);
+        assert_eq!(
+            w.recv(RankId(0), RankId(1), 1, 0, 1, &NullObserver)
+                .unwrap(),
+            vec![2.0]
+        );
+        assert_eq!(
+            w.recv(RankId(0), RankId(1), 1, 0, 0, &NullObserver)
+                .unwrap(),
+            vec![1.0]
+        );
         // Idempotent re-delivery (a rolled-back receiver replays).
-        assert_eq!(w.recv(RankId(0), RankId(1), 1, 0, 0).unwrap(), vec![1.0]);
+        assert_eq!(
+            w.recv(RankId(0), RankId(1), 1, 0, 0, &NullObserver)
+                .unwrap(),
+            vec![1.0]
+        );
         // Replayed send overwrites with identical content, harmlessly.
         w.send(RankId(0), 0, RankId(1), 0, 0, vec![1.0], 4, true)
             .unwrap();
-        assert_eq!(w.recv(RankId(0), RankId(1), 1, 0, 0).unwrap(), vec![1.0]);
+        assert_eq!(
+            w.recv(RankId(0), RankId(1), 1, 0, 0, &NullObserver)
+                .unwrap(),
+            vec![1.0]
+        );
         // GC drops old iterations.
         w.prune_mail_below(1);
         let w2 = w.clone();
-        let h = thread::spawn(move || w2.recv(RankId(0), RankId(1), 1, 0, 0));
+        let h = thread::spawn(move || w2.recv(RankId(0), RankId(1), 1, 0, 0, &NullObserver));
         assert!(w.wait_for_mail_waiters(1, Duration::from_secs(5)));
         assert!(!h.is_finished(), "pruned message is gone");
         w.abort_all();
@@ -444,7 +545,7 @@ mod tests {
         let c = comm.clone();
         let h_coll = thread::spawn(move || c.barrier(RankId(0), 0, &NullObserver));
         let w2 = w.clone();
-        let h_mail = thread::spawn(move || w2.recv(RankId(0), RankId(2), 2, 0, 0));
+        let h_mail = thread::spawn(move || w2.recv(RankId(0), RankId(2), 2, 0, 0, &NullObserver));
         assert!(comm.wait_for_parked(1, Duration::from_secs(5)));
         assert!(w.wait_for_mail_waiters(1, Duration::from_secs(5)));
         assert!(!h_coll.is_finished());

@@ -504,7 +504,9 @@ proptest! {
         // Receive out of order, twice each.
         for (seq, m) in msgs.iter().enumerate().rev() {
             for _ in 0..2 {
-                let got = world.recv(RankId(0), RankId(1), 1, 9, seq as u64).unwrap();
+                let got = world
+                    .recv(RankId(0), RankId(1), 1, 9, seq as u64, &NullObserver)
+                    .unwrap();
                 prop_assert_eq!(got.len(), m.len());
                 for (a, b) in got.iter().zip(m) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());

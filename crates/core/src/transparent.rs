@@ -40,7 +40,7 @@ use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex};
 use simcore::{GpuId, RankId, SimError, SimResult, SimTime};
 use simgpu::{Gpu, GpuHealth};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -106,6 +106,9 @@ struct CoordState {
     arrived: HashMap<RankId, RankStatus>,
     plan: Option<Arc<RoundPlan>>,
     finished: usize,
+    /// `(round, stage, part)` of every cell whose §4.3 buffer files some
+    /// healthy replica has finished writing.
+    hard_written: HashSet<(u64, usize, usize)>,
 }
 
 /// Per-job transparent recovery engine (shared by all rank clients).
@@ -157,6 +160,7 @@ impl TransparentEngine {
                 arrived: HashMap::new(),
                 plan: None,
                 finished: 0,
+                hard_written: HashSet::new(),
             }),
             cv: Condvar::new(),
             arrive_timeout: Duration::from_secs(30),
@@ -189,7 +193,10 @@ impl TransparentEngine {
             world.abort_all();
         })?;
         client.set_observer(wd.observer());
-        self.watchdogs.lock().insert(client.rank(), wd);
+        // The watchdog this one replaces is dropped, and its thread
+        // joined, only once the table's lock is released.
+        let replaced = self.watchdogs.lock().insert(client.rank(), wd);
+        drop(replaced);
         Ok(())
     }
 
@@ -419,6 +426,12 @@ impl TransparentEngine {
             self.store
                 .put(Self::hard_path(round, coord.stage, coord.part, key), framed)?;
         }
+        {
+            // The cell's files are all there: tell a victim waiting for them.
+            let mut st = self.state.lock();
+            st.hard_written.insert((round, coord.stage, coord.part));
+            self.cv.notify_all();
+        }
         client.charge(cost.checkpoint_write(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
         // CRIU checkpoint + restore of the worker CPU process. The image
         // really carries the interception state (replay log, iteration,
@@ -460,26 +473,28 @@ impl TransparentEngine {
         // Read every persistent buffer from a replica's files, matched by
         // the allocation-site storage key (§4.3's naming scheme).
         let (local, bytes) = client.server().gpu().snapshot_persistent();
+        // Replicas write these files concurrently with this rank's
+        // migration; wait (bounded) until one of them says its set is
+        // complete, then read each file once.
+        let no_replica =
+            |path: &str| SimError::NoCheckpointAvailable(format!("no replica wrote {path}"));
+        {
+            let cell = (round, coord.stage, coord.part);
+            let deadline = Instant::now() + self.arrive_timeout;
+            let mut st = self.state.lock();
+            while !st.hard_written.contains(&cell) {
+                let now = Instant::now();
+                if now >= deadline {
+                    let cell_dir = Self::hard_path(round, coord.stage, coord.part, "");
+                    return Err(no_replica(&cell_dir));
+                }
+                self.cv.wait_for(&mut st, deadline - now);
+            }
+        }
         let mut restored = Vec::with_capacity(local.len());
         for (key, tag, data) in local {
             let path = Self::hard_path(round, coord.stage, coord.part, &key);
-            // Replicas write these files concurrently with this rank's
-            // migration; wait (bounded) for them to land.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            let framed = loop {
-                match self.store.get(&path) {
-                    Ok(f) => break f,
-                    Err(_) if Instant::now() < deadline => {
-                        // jitlint::allow(virtual_time): bounded retry — the blob store has no write-notification API
-                        std::thread::sleep(Duration::from_millis(2))
-                    }
-                    Err(_) => {
-                        return Err(SimError::NoCheckpointAvailable(format!(
-                            "no replica wrote {path}"
-                        )))
-                    }
-                }
-            };
+            let framed = self.store.get(&path).map_err(|_| no_replica(&path))?;
             let replica_data: Vec<f32> = simcore::codec::decode_framed(&framed)?;
             if replica_data.len() != data.len() {
                 return Err(SimError::CorruptCheckpoint(format!(

@@ -5,7 +5,12 @@
 //!
 //! 1. the interception layer watches the `cudaEventRecord` /
 //!    `cudaStreamWaitEvent` traffic around collectives (here: collective
-//!    tickets) and a **watchdog thread** detects hangs (§3.1);
+//!    tickets) and a **watchdog thread** detects hangs (§3.1). A real
+//!    rank has to wait a timeout out to call a collective hung; here the
+//!    collective layer proves the hang the moment the failed rank's
+//!    thread has returned, the watchdog fires at once, and the timeout is
+//!    charged to the parked rank's virtual clock — the paper's detection
+//!    cost at no wall-clock cost. Real time is only the backstop;
 //! 2. on a hang, the watchdog calls `save_checkpoint` *from its own
 //!    thread* while the training thread stays parked in the hung
 //!    collective — the simulation analogue of the paper's
@@ -39,7 +44,9 @@ use std::time::Duration;
 /// Configuration of the user-level JIT library.
 #[derive(Debug, Clone)]
 pub struct JitUserConfig {
-    /// Watchdog hang timeout (real time; a hang is a real hang).
+    /// Watchdog hang timeout: what a detected hang costs the parked rank
+    /// in virtual time, and the real-time deadline by which a hang the
+    /// collective layer cannot prove is detected anyway.
     pub watchdog_timeout: Duration,
     /// Storage tier JIT checkpoints are written to.
     pub tier: StorageTier,
@@ -142,9 +149,15 @@ impl JitUserClient {
         let cost = exec.with_gpu(|g| g.cost_model().clone());
         let tier = cfg.tier;
         let shards = cfg.shards;
-        let watchdog = Watchdog::spawn(cfg.watchdog_timeout, move || {
+        let timeout = cfg.watchdog_timeout;
+        let watchdog = Watchdog::spawn(timeout, move || {
             // The hang action — the library's call into the user's
             // save_checkpoint, running while the trainer thread is parked.
+            // The rank sat in the hung collective for the timeout before
+            // anybody looked: charged here, once, however the watchdog
+            // came due (§6.4 leaves it out of the recovery figures, and so
+            // does `RecoveryEvent::checkpoint_time`).
+            clock.advance(clock_idx, SimTime::from_secs(timeout.as_secs_f64()));
             let result = save_checkpoint_from_watchdog(
                 &gpu,
                 &cell_w,
@@ -296,6 +309,10 @@ pub fn run_user_level_job(
                 failure_seen.clone(),
                 move |i| {
                     let rank = RankId(i as u32);
+                    // First, so that it drops last: peers learn that this
+                    // rank is gone only after its trainer, watchdog and
+                    // device memory are.
+                    let _departure = world.departure_guard(rank);
                     let gpu = Gpu::new(assignment_now[i], cost.clone());
                     let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
                     let client = JitUserClient::arm(
@@ -646,6 +663,17 @@ mod tests {
         assert_eq!(gpus[1].id, GpuId(9));
     }
 
+    /// A timeout no test could wait out: detection has to come from the
+    /// proof of the hang.
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    fn patient() -> JitUserConfig {
+        JitUserConfig {
+            watchdog_timeout: TIMEOUT,
+            ..JitUserConfig::default()
+        }
+    }
+
     #[test]
     fn failure_free_job_never_restarts_or_checkpoints() -> SimResult<()> {
         let cfg = dltrain::TrainConfig::tiny_dp(2);
@@ -660,13 +688,115 @@ mod tests {
             FailureInjector::none(),
             scheduler,
             store.clone(),
-            JitUserConfig::default(),
+            patient(),
             5,
         )?;
         assert_eq!(out.restarts, 0);
         assert!(out.events.is_empty());
         assert!(store.is_empty(), "no JIT checkpoints without failures");
         assert!(out.losses[0].iter().all(|l| l.is_finite()));
+        Ok(())
+    }
+
+    /// One injected fault under the 60 s timeout: recovered at once, once,
+    /// and onto the fault-free trajectory bit for bit.
+    fn recovers_without_waiting(cfg: dltrain::TrainConfig, fault: FailureSpec) -> SimResult<()> {
+        let run = |faults: Vec<FailureSpec>| {
+            run_user_level_job(
+                cfg.clone(),
+                CostModel::v100(),
+                FailureInjector::with_specs(faults),
+                Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+                Arc::new(SharedStore::new()),
+                patient(),
+                6,
+            )
+        };
+        let started = std::time::Instant::now();
+        let faulty = run(vec![fault])?;
+        assert!(started.elapsed() < TIMEOUT / 2, "{:?}", started.elapsed());
+        assert_eq!(faulty.restarts, 1);
+        let clean = run(Vec::new())?;
+        assert_eq!(clean.restarts, 0);
+        let bits = |out: &UserLevelOutcome| -> Vec<Vec<u32>> {
+            let row = |r: &Vec<f32>| r.iter().map(|l| l.to_bits()).collect();
+            out.losses.iter().map(row).collect()
+        };
+        assert_eq!(bits(&faulty), bits(&clean));
+        Ok(())
+    }
+
+    #[test]
+    fn proven_hang_recovers_without_waiting_out_the_timeout() -> SimResult<()> {
+        recovers_without_waiting(
+            dltrain::TrainConfig::tiny_dp(2),
+            FailureSpec::new(3, Phase::Backward, RankId(0), FailureKind::StickyCuda),
+        )
+    }
+
+    #[test]
+    fn proof_reaches_the_stage_behind_a_stuck_replica() -> SimResult<()> {
+        // 2 replicas × 2 stages, a stage-0 rank dies: its replica is
+        // proven hung on the dead rank, and the two stage-1 ranks only
+        // through ranks that are themselves stuck.
+        let mut cfg = dltrain::TrainConfig::tiny_dp(1);
+        cfg.layout = simcore::layout::ParallelLayout::three_d(2, 2, 1);
+        recovers_without_waiting(
+            cfg,
+            FailureSpec::new(3, Phase::Forward, RankId(0), FailureKind::GpuHardware),
+        )
+    }
+
+    #[test]
+    fn proven_hang_charges_the_timeout_then_the_checkpoint_write() -> SimResult<()> {
+        let cfg = dltrain::TrainConfig::tiny_dp(2);
+        let cost = CostModel::v100();
+        let setup = JobSetup::build(cfg.layout, cost.clone(), cfg.ranks_per_node);
+        let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 1)));
+        let (job, assignment) = scheduler.submit(cfg.layout)?;
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let gpu = Gpu::new(assignment[1], cost.clone());
+        let mut exec = DirectExecutor::new(RankId(1), 1, gpu, setup.world.clone());
+        let client = JitUserClient::arm(
+            &mut exec,
+            &patient(),
+            job,
+            cfg.layout,
+            Arc::new(SharedStore::new()),
+            scheduler.clone(),
+            events.clone(),
+        )?;
+        let tr = RankTrainer::new(exec, cfg, &setup.per_rank[1], FailureInjector::none())?;
+        // Rank 0's thread is gone; rank 1 walks into a barrier with it.
+        drop(setup.world.departure_guard(RankId(0)));
+        let parked_at = setup.clock.now(1);
+        let token = tr.tokens().global;
+        let rank1 = std::thread::spawn(move || {
+            let mut tr = tr;
+            tr.exec.barrier(token)
+        });
+        let deadline = std::time::Instant::now() + TIMEOUT / 2;
+        while scheduler.checkpoint_quorum(job)?.is_none() {
+            assert!(std::time::Instant::now() < deadline, "no checkpoint ack");
+            std::thread::yield_now();
+        }
+        assert!(client.fired());
+        let events = events.lock().clone();
+        assert_eq!(events.len(), 1);
+        let write = events[0].checkpoint_time;
+        assert!(
+            write > SimTime::ZERO,
+            "the write cost alone, and not nothing"
+        );
+        assert!(write < SimTime::from_secs(TIMEOUT.as_secs_f64()));
+        // The parked trainer's clock moves by the watchdog's charges only.
+        let charged = parked_at + SimTime::from_secs(TIMEOUT.as_secs_f64()) + write;
+        assert_eq!(setup.clock.now(1), charged);
+        setup.world.abort_all();
+        let released = rank1
+            .join()
+            .map_err(|_| SimError::Protocol("rank thread panicked".into()))?;
+        assert_eq!(released, Err(SimError::CollectiveAborted));
         Ok(())
     }
 

@@ -9,10 +9,7 @@
 //! requires no application change: swapping the executor is a deployment
 //! choice, not a code change.
 
-use collectives::{
-    CollKind, CollectiveObserver, CollectiveTicket, CommId, CommWorld, Communicator, NullObserver,
-    ReduceOp,
-};
+use collectives::{CollectiveObserver, CommWorld, Communicator, NullObserver, ReduceOp};
 use simcore::failure::FailureKind;
 use simcore::sync::Mutex;
 use simcore::time::ClockBoard;
@@ -200,7 +197,6 @@ pub(crate) struct CommPlane {
     comms: BTreeMap<CommToken, Arc<Communicator>>,
     next_token: u64,
     gens: BTreeMap<CommToken, u64>,
-    p2p_seq: u64,
 }
 
 impl CommPlane {
@@ -214,7 +210,6 @@ impl CommPlane {
             comms: BTreeMap::new(),
             next_token: 1,
             gens: BTreeMap::new(),
-            p2p_seq: 0,
         }
     }
 
@@ -320,21 +315,12 @@ impl CommPlane {
     }
 
     /// Blocking receive of `(src, tag, seq)`. A pipeline recv blocks
-    /// exactly like a collective when the peer stage has failed, so it is
-    /// registered with the hang watch-list under a pseudo-ticket.
-    pub(crate) fn recv(&mut self, src: RankId, tag: u64, seq: u64) -> SimResult<Vec<f32>> {
-        self.p2p_seq += 1;
-        let ticket = CollectiveTicket {
-            comm: CommId(u64::MAX),
-            generation: self.p2p_seq,
-            rank: self.rank,
-            kind: CollKind::Barrier,
-            entered_at: std::time::Instant::now(),
-        };
-        self.observer.collective_started(&ticket);
-        let result = self.world.recv(src, self.rank, self.clock_idx, tag, seq);
-        self.observer.collective_finished(&ticket);
-        result
+    /// exactly like a collective when the peer stage has failed, so the
+    /// world announces it to the hang watch-list like one.
+    pub(crate) fn recv(&self, src: RankId, tag: u64, seq: u64) -> SimResult<Vec<f32>> {
+        let obs = self.observer.as_ref();
+        self.world
+            .recv(src, self.rank, self.clock_idx, tag, seq, obs)
     }
 
     pub(crate) fn inject_transient(&self, token: CommToken) -> SimResult<()> {

@@ -1,19 +1,32 @@
-//! Real-time hang detection.
+//! Hang detection.
 //!
 //! A failure on one rank manifests on every *other* rank as a collective
 //! that never completes (§3.1). The watchdog is a dedicated thread that
-//! tracks outstanding blocking operations and, when one exceeds the
-//! timeout, fires a one-shot hang action — in user-level mode that action
-//! checkpoints GPU state and notifies the scheduler; in transparent mode
-//! it aborts the communicators so the blocked ranks surface into the
-//! recovery handler.
+//! tracks outstanding blocking operations and, when one is due, fires a
+//! one-shot hang action — in user-level mode that action checkpoints GPU
+//! state and notifies the scheduler; in transparent mode it aborts the
+//! communicators so the blocked ranks surface into the recovery handler.
 //!
-//! The timeout runs on *real* time because a hang is a real hang: the
-//! blocked thread's virtual clock is frozen.
+//! An operation is due when its real-time deadline has passed, or sooner
+//! when the collective layer reports it hung: a real rank cannot know
+//! that its peer is dead and has to wait the timeout out, but the
+//! simulation sometimes can ([`CollectiveObserver::collective_hung`]),
+//! and then waiting proves nothing more. The action's owner charges the
+//! timeout to the parked rank's virtual clock instead, so the paper's
+//! detection cost is kept and costs no wall time. The real-time deadline
+//! stays what it is in the paper, the backstop for every hang nobody can
+//! prove: custom operations ([`Watchdog::begin_op`]), communicators built
+//! outside a world, and jobs whose ranks never announce their departure.
+//! It runs on *real* time because a blocked thread's virtual clock is
+//! frozen.
+//!
+//! The thread sleeps on a condition variable until the earliest deadline
+//! and is woken early only by a hang report or by `Drop`; entering and
+//! leaving a collective never notify it.
 
 use crate::executor::CommToken;
 use collectives::{CollectiveObserver, CollectiveTicket};
-use simcore::sync::Mutex;
+use simcore::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,13 +40,31 @@ pub(crate) enum OpKey {
     Custom(u64),
 }
 
+impl OpKey {
+    fn of(t: &CollectiveTicket) -> Self {
+        OpKey::Collective {
+            comm: t.comm.0,
+            gen: t.generation,
+        }
+    }
+}
+
+#[derive(Default)]
+struct Watch {
+    /// Outstanding operations and the instant each becomes due: its
+    /// start plus the timeout, or the moment it was reported hung.
+    due: HashMap<OpKey, Instant>,
+    next_custom: u64,
+    stop: bool,
+}
+
 struct Inner {
-    outstanding: Mutex<HashMap<OpKey, Instant>>,
+    watch: Mutex<Watch>,
+    /// Wakes the thread before its deadline: a hang report, or `Drop`.
+    cv: Condvar,
     timeout: Duration,
     fired: AtomicBool,
-    stop: AtomicBool,
     action: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    next_custom: Mutex<u64>,
 }
 
 /// A watchdog thread monitoring one rank's blocking operations.
@@ -52,12 +83,11 @@ impl Watchdog {
         action: impl FnOnce() + Send + 'static,
     ) -> simcore::SimResult<Self> {
         let inner = Arc::new(Inner {
-            outstanding: Mutex::new(HashMap::new()),
+            watch: Mutex::new(Watch::default()),
+            cv: Condvar::new(),
             timeout,
             fired: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
             action: Mutex::new(Some(Box::new(action))),
-            next_custom: Mutex::new(0),
         });
         let thread_inner = inner.clone();
         let handle = std::thread::Builder::new()
@@ -83,22 +113,18 @@ impl Watchdog {
     /// Registers a custom blocking operation (e.g. a p2p recv); returns a
     /// token to pass to [`Watchdog::end_op`].
     pub fn begin_op(&self) -> u64 {
-        let id = {
-            let mut n = self.inner.next_custom.lock();
-            let id = *n;
-            *n += 1;
-            id
-        };
-        self.inner
-            .outstanding
-            .lock()
-            .insert(OpKey::Custom(id), Instant::now());
+        let mut watch = self.inner.watch.lock();
+        let id = watch.next_custom;
+        watch.next_custom += 1;
+        watch
+            .due
+            .insert(OpKey::Custom(id), Instant::now() + self.inner.timeout);
         id
     }
 
     /// Retires a custom blocking operation.
     pub fn end_op(&self, id: u64) {
-        self.inner.outstanding.lock().remove(&OpKey::Custom(id));
+        self.inner.watch.lock().due.remove(&OpKey::Custom(id));
     }
 
     /// True once the hang action has fired.
@@ -109,13 +135,17 @@ impl Watchdog {
     /// Clears outstanding state after recovery (the action stays consumed;
     /// arm a new watchdog per recovery epoch if re-detection is needed).
     pub fn clear(&self) {
-        self.inner.outstanding.lock().clear();
+        self.inner.watch.lock().due.clear();
     }
 }
 
 impl Drop for Watchdog {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
+        {
+            let mut watch = self.inner.watch.lock();
+            watch.stop = true;
+            self.inner.cv.notify_all();
+        }
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -123,31 +153,40 @@ impl Drop for Watchdog {
 }
 
 fn watch_loop(inner: Arc<Inner>) {
+    let mut watch = inner.watch.lock();
     loop {
-        if inner.stop.load(Ordering::Acquire) {
+        if watch.stop {
             return;
         }
-        if !inner.fired.load(Ordering::Acquire) {
-            let hang = {
-                let outstanding = inner.outstanding.lock();
-                outstanding
-                    .values()
-                    .any(|since| since.elapsed() > inner.timeout)
-            };
-            if hang {
-                inner.fired.store(true, Ordering::Release);
-                // Take the action out, *then* run it: `if let` extends
-                // the `action` lock's temporary guard across the body, and
-                // the hang action calls into abort paths that take
-                // communicator/world locks of their own.
-                let action = inner.action.lock().take();
-                if let Some(action) = action {
-                    action();
-                }
-            }
+        let now = Instant::now();
+        // With nothing outstanding, one timeout from now: nothing that
+        // starts later can be due sooner (short of a hang report, which
+        // notifies).
+        let earliest = watch.due.values().min().copied();
+        let wake_at = earliest.unwrap_or(now + inner.timeout);
+        if wake_at <= now {
+            break;
         }
-        // jitlint::allow(virtual_time): the watchdog scans real-time hang deadlines by design (§3.1); 2ms bounds detection latency
-        std::thread::sleep(Duration::from_millis(2));
+        inner.cv.wait_for(&mut watch, wake_at - now);
+    }
+    drop(watch);
+    fire(&inner);
+    // One-shot: nothing left to watch for but `Drop`.
+    let mut watch = inner.watch.lock();
+    while !watch.stop {
+        inner.cv.wait(&mut watch);
+    }
+}
+
+/// Runs the one-shot hang action. No watchdog lock is held: the action
+/// calls into abort paths that take communicator/world locks of their own.
+fn fire(inner: &Inner) {
+    inner.fired.store(true, Ordering::Release);
+    // Take the action out, *then* run it: `if let` would extend the
+    // `action` lock's temporary guard across the body.
+    let action = inner.action.lock().take();
+    if let Some(action) = action {
+        action();
     }
 }
 
@@ -158,20 +197,22 @@ pub struct WatchdogObserver {
 
 impl CollectiveObserver for WatchdogObserver {
     fn collective_started(&self, t: &CollectiveTicket) {
-        self.inner.outstanding.lock().insert(
-            OpKey::Collective {
-                comm: t.comm.0,
-                gen: t.generation,
-            },
-            t.entered_at,
-        );
+        let due = t.entered_at + self.inner.timeout;
+        self.inner.watch.lock().due.insert(OpKey::of(t), due);
     }
 
     fn collective_finished(&self, t: &CollectiveTicket) {
-        self.inner.outstanding.lock().remove(&OpKey::Collective {
-            comm: t.comm.0,
-            gen: t.generation,
-        });
+        self.inner.watch.lock().due.remove(&OpKey::of(t));
+    }
+
+    fn collective_hung(&self, t: &CollectiveTicket) {
+        let mut watch = self.inner.watch.lock();
+        // Only an operation still outstanding: a report that lost the race
+        // with its own finish is about nothing.
+        if let Some(due) = watch.due.get_mut(&OpKey::of(t)) {
+            *due = Instant::now();
+            self.inner.cv.notify_all();
+        }
     }
 }
 
@@ -229,6 +270,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         assert!(wd.fired());
         assert_eq!(count.load(Ordering::SeqCst), 1, "action fires exactly once");
+        Ok(())
+    }
+
+    #[test]
+    fn proven_hang_fires_without_waiting_for_the_timeout() -> simcore::SimResult<()> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let wd = Watchdog::spawn(Duration::from_secs(3600), move || {
+            let _ = tx.send(());
+        })?;
+        let obs = wd.observer();
+        obs.collective_started(&ticket(0));
+        obs.collective_hung(&ticket(0));
+        rx.recv_timeout(Duration::from_secs(5))
+            .map_err(|_| simcore::SimError::Protocol("a reported hang never fired".into()))?;
+        assert!(wd.fired());
+        Ok(())
+    }
+
+    #[test]
+    fn stale_hang_report_is_ignored_and_drop_does_not_wait() -> simcore::SimResult<()> {
+        let wd = Watchdog::spawn(Duration::from_secs(3600), || {})?;
+        let obs = wd.observer();
+        // A report that lost the race with its op's finish, and one for an
+        // op this watchdog never saw: neither leaves anything due.
+        obs.collective_started(&ticket(0));
+        obs.collective_finished(&ticket(0));
+        obs.collective_hung(&ticket(0));
+        obs.collective_hung(&ticket(1));
+        assert!(wd.inner.watch.lock().due.is_empty());
+        assert!(!wd.fired());
+        // The thread is an hour from its next look; `Drop` wakes it.
+        let dropped = Instant::now();
+        drop(wd);
+        assert!(dropped.elapsed() < Duration::from_secs(60));
         Ok(())
     }
 

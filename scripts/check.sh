@@ -20,8 +20,11 @@ cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 echo '==> benches compile'
 cargo build --benches --workspace --quiet
 
-echo '==> public-surface ratchet (no crate may exceed its pub-item count in SURFACE.txt)'
+echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
 sh scripts/surface.sh --check
+# Same idea for real clocks: a new wall-clock wait on a fault path needs a diff to this number, not just a comment.
+[ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 4 ] \
+    || { echo 'check.sh: more than 4 jitlint::allow(virtual_time) sites outside crates/lint' >&2; exit 1; }
 
 echo '==> jitlint'
 cargo run -p lint --quiet
