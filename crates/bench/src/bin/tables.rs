@@ -1,53 +1,28 @@
-//! Regenerates the paper's evaluation tables and figures.
+//! Regenerates `tables_output.txt`: the paper's evaluation tables and
+//! figures plus this repo's deterministic sections.
 //!
 //! ```text
-//! tables            # everything
-//! tables 3          # only Table 3
-//! tables scaling    # the §6.5 scaling figure
-//! tables dollars    # the §5.1 dollar-cost estimates
+//! tables            # every section, in file order
+//! tables 3 hier     # only the named sections
 //! ```
-
-use bench::{
-    dollar_table, scaling_figure, table1, table2, table3, table4, table5, table6, table7, table8,
-};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // With no arguments, regenerate the paper's tables/figures (the
-    // ablations are opt-in); otherwise run exactly the named sections.
-    let want = |key: &str| {
-        if args.is_empty() {
-            !key.starts_with("ablation")
-        } else {
-            args.iter().any(|a| a == key)
-        }
-    };
-    let mut printed = false;
-    type Section = (&'static str, fn() -> bench::Table);
-    let sections: Vec<Section> = vec![
-        ("1", table1),
-        ("2", table2),
-        ("3", table3),
-        ("4", table4),
-        ("5", table5),
-        ("6", table6),
-        ("7", table7),
-        ("8", table8),
-        ("scaling", scaling_figure),
-        ("dollars", dollar_table),
-        ("ablation-watchdog", bench::ablation_watchdog),
-        ("ablation-logging", bench::ablation_logging),
-        ("ablation-recovery", bench::ablation_recovery_paths),
-    ];
-    for (key, f) in sections {
-        if want(key) {
-            eprintln!("[tables] generating table {key}...");
-            println!("{}", f().render());
-            printed = true;
-        }
-    }
-    if !printed {
-        eprintln!("usage: tables [1-8|scaling|dollars|ablation-watchdog|ablation-logging|ablation-recovery]...");
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !bench::SECTIONS.iter().any(|(key, _)| key == a))
+    {
+        let keys: Vec<&str> = bench::SECTIONS.iter().map(|(key, _)| *key).collect();
+        eprintln!(
+            "tables: no section {unknown:?}\nusage: tables [{}]...",
+            keys.join("|")
+        );
         std::process::exit(2);
+    }
+    for (key, section) in bench::SECTIONS {
+        if args.is_empty() || args.iter().any(|a| a == key) {
+            eprintln!("[tables] generating {key}...");
+            println!("{}", section().render());
+        }
     }
 }

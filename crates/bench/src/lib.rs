@@ -9,12 +9,15 @@
 //! numbers therefore differ from the authors' testbed; the shapes —
 //! who wins, by what factor, where recovery time goes — are the
 //! reproduction targets (see EXPERIMENTS.md).
+//!
+//! Everything here is deterministic — virtual time, closed form or seeded
+//! Monte Carlo — and is a section of the one `tables` bin ([`SECTIONS`]),
+//! pinned byte for byte by the committed `tables_output.txt`. Wall-clock
+//! measurements live in `benchmark/`.
 
-pub mod ckpt;
-pub mod collbench;
+pub mod coll;
 pub mod montecarlo;
 pub mod recovery;
-pub mod storebench;
 
 use baselines::{blocking_overhead, PolicyKind};
 use cluster::{FailureInjector, SharedStore};
@@ -75,6 +78,39 @@ impl Table {
     }
 }
 
+/// One section of `tables_output.txt`: the `tables` argument that selects
+/// it and the function that generates it.
+pub type Section = (&'static str, fn() -> Table);
+
+/// Every section in file order: the one list the `tables` bin prints and
+/// the golden test renders.
+pub const SECTIONS: &[Section] = &[
+    ("1", table1),
+    ("2", table2),
+    ("3", table3),
+    ("4", table4),
+    ("5", table5),
+    ("6", table6),
+    ("7", table7),
+    ("8", table8),
+    ("scaling", scaling_figure),
+    ("dollars", dollar_table),
+    ("ablation-logging", ablation_logging),
+    ("ablation-recovery", ablation_recovery_paths),
+    ("montecarlo", montecarlo::validation_table),
+    ("hier", coll::hier_ladder),
+    ("bucketing", coll::bucket_overlap),
+    ("in-network", recovery::in_network_demo),
+    ("policies", recovery::policy_head_to_head),
+];
+
+/// A sub-heading row spanning a table of `columns` columns.
+fn divider(label: &str, columns: usize) -> Vec<String> {
+    let mut row = vec![format!("— {label} —")];
+    row.resize(columns, String::new());
+    row
+}
+
 fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
@@ -89,18 +125,21 @@ fn pct(v: f64) -> String {
 
 /// The OPT-175B failure rate used throughout the paper's analysis:
 /// 2 failures/day over 992 GPUs, per GPU per second.
-pub fn paper_failure_rate() -> f64 {
+fn paper_failure_rate() -> f64 {
     2.0 / 992.0 / 86_400.0
 }
 
 /// Functional measurement: failure-free run, returning per-iteration
 /// minibatch time (virtual seconds) and the transparent-logging
 /// steady-state overhead per minibatch.
-pub fn measure_minibatch(w: &Workload, gen: GpuGeneration, iters: u64) -> (f64, f64) {
-    let cfg = w.train_config(7);
-    let cost = CostModel::for_gpu(gen);
+fn measure_minibatch(w: &Workload, gen: GpuGeneration, iters: u64) -> (f64, f64) {
+    minibatch_under(w, CostModel::for_gpu(gen), iters)
+}
+
+/// [`measure_minibatch`] under an explicit cost model.
+fn minibatch_under(w: &Workload, cost: CostModel, iters: u64) -> (f64, f64) {
     let out = run_transparent_job_with(
-        cfg,
+        w.train_config(7),
         cost.clone(),
         FailureInjector::none(),
         Arc::new(SharedStore::new()),
@@ -242,19 +281,19 @@ pub fn table3() -> Table {
 
 /// Raw measurements behind Table 4 for one workload.
 #[derive(Debug, Clone, Copy)]
-pub struct UserLevelNumbers {
+struct UserLevelNumbers {
     /// JIT checkpoint time (s).
-    pub checkpoint: f64,
+    checkpoint: f64,
     /// Restore + re-init time (s).
-    pub restore: f64,
+    restore: f64,
     /// Total JIT recovery (s).
-    pub recovery: f64,
+    recovery: f64,
     /// Minibatch time (s).
-    pub minibatch: f64,
+    minibatch: f64,
 }
 
 /// Functional user-level recovery measurement for one workload.
-pub fn measure_user_level(w: &Workload) -> UserLevelNumbers {
+fn measure_user_level(w: &Workload) -> UserLevelNumbers {
     let cost = CostModel::for_gpu(w.gpu);
     let cfg = w.train_config(11);
     let victim = RankId((w.gpus() - 1) as u32);
@@ -341,7 +380,7 @@ pub fn table4() -> Table {
 
 /// A Table 5/6/7 workload row configuration: (label, GPU generation,
 /// layout, extra framework comms).
-pub fn transparent_rows(gen: GpuGeneration) -> Vec<(&'static str, Workload, usize)> {
+fn transparent_rows(gen: GpuGeneration) -> Vec<(&'static str, Workload, usize)> {
     let mk = |name: &str, dp: usize| {
         let mut w = by_name(name).expect("catalog");
         w.layout = ParallelLayout::data_parallel(dp);
@@ -370,7 +409,7 @@ pub fn transparent_rows(gen: GpuGeneration) -> Vec<(&'static str, Workload, usiz
 }
 
 /// Functional transparent recovery run for one row; returns the outcome.
-pub fn transparent_recovery_run(
+fn transparent_recovery_run(
     w: &Workload,
     extra_comms: usize,
     kind: FailureKind,
@@ -391,20 +430,19 @@ pub fn transparent_recovery_run(
     .expect("transparent run")
 }
 
+/// The Table 5/6 testbed a GPU generation stands for.
+fn testbed(gen: GpuGeneration) -> &'static str {
+    match gen {
+        GpuGeneration::V100_32G => "8x V100 32GB",
+        GpuGeneration::A100_80G => "4x A100 80GB",
+    }
+}
+
 /// Table 5: transparent transient-error recovery times.
 pub fn table5() -> Table {
     let mut rows = Vec::new();
     for gen in [GpuGeneration::V100_32G, GpuGeneration::A100_80G] {
-        let section = match gen {
-            GpuGeneration::V100_32G => "8x V100 32GB",
-            GpuGeneration::A100_80G => "4x A100 80GB",
-        };
-        rows.push(vec![
-            format!("— {section} —"),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
+        rows.push(divider(testbed(gen), 4));
         let gen_rows = match gen {
             GpuGeneration::V100_32G => transparent_rows(gen),
             GpuGeneration::A100_80G => transparent_rows(gen)
@@ -444,16 +482,7 @@ pub fn table5() -> Table {
 pub fn table6() -> Table {
     let mut rows = Vec::new();
     for gen in [GpuGeneration::V100_32G, GpuGeneration::A100_80G] {
-        let section = match gen {
-            GpuGeneration::V100_32G => "8x V100 32GB",
-            GpuGeneration::A100_80G => "4x A100 80GB",
-        };
-        rows.push(vec![
-            format!("— {section} —"),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
+        rows.push(divider(testbed(gen), 4));
         let gen_rows = transparent_rows(gen);
         for (label, w, extras) in gen_rows {
             if label == "GPT2-S-3D" && gen == GpuGeneration::A100_80G {
@@ -493,7 +522,12 @@ pub fn table6() -> Table {
 }
 
 /// Table 7: per-step breakdown of transparent transient recovery on one
-/// (healthy) rank worker, 8× V100.
+/// rank worker, 8× V100: the rank the fault hit. After a transient error
+/// every rank runs the same steps at the same cost, except that it
+/// replays as many calls as it had logged when it was interrupted. The
+/// victim's log is cut at the fault, in program order; a healthy rank's
+/// is cut wherever the victim's abort reached its thread, so only the
+/// victim's replay time is a function of the code.
 pub fn table7() -> Table {
     let step_names = [
         "Delete communicators and GPU handles",
@@ -506,24 +540,18 @@ pub fn table7() -> Table {
     for (label, w, extras) in transparent_rows(GpuGeneration::V100_32G) {
         let out =
             transparent_recovery_run(&w, extras, FailureKind::TransientNetwork, Phase::AllReduce);
-        // A healthy rank's report (the paper measures one rank worker).
         let report = out
             .reports
             .iter()
-            .find(|r| !r.was_victim)
-            .or_else(|| out.reports.first())
-            .expect("reports recorded");
-        let mut times = Vec::new();
-        for name in &step_names {
-            let t = report
-                .steps
-                .iter()
-                .filter(|s| s.name.contains(name.split(' ').next().unwrap_or("")))
-                .find(|s| s.name == *name)
-                .map(|s| s.time.as_secs())
-                .unwrap_or(0.0);
-            times.push(t);
-        }
+            .find(|r| r.was_victim)
+            .expect("the victim reported");
+        let times = step_names
+            .iter()
+            .map(|name| {
+                let step = report.steps.iter().find(|s| s.name == *name);
+                step.map_or(0.0, |s| s.time.as_secs())
+            })
+            .collect();
         columns.push((label.to_string(), times));
     }
     let mut rows = Vec::new();
@@ -549,15 +577,7 @@ pub fn table8() -> Table {
     let f_day = 2.0 / 992.0;
     let ns = [4usize, 1024, 8192];
     let mut rows = Vec::new();
-    rows.push(vec![
-        "— Periodic Checkpointing —".into(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
+    rows.push(divider("Periodic Checkpointing", 7));
     let workload_numbers: Vec<(&str, UserLevelNumbers)> =
         ["BERT-L-PT", "BERT-B-FT", "GPT2-S", "GPT2-8B"]
             .iter()
@@ -577,15 +597,7 @@ pub fn table8() -> Table {
         }
         rows.push(row);
     }
-    rows.push(vec![
-        "— User-level JIT —".into(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
+    rows.push(divider("User-level JIT", 7));
     for (name, n) in &workload_numbers {
         let mut row = vec![name.to_string()];
         for &gpus in &ns {
@@ -596,15 +608,7 @@ pub fn table8() -> Table {
         }
         rows.push(row);
     }
-    rows.push(vec![
-        "— Transparent JIT (transient) —".into(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-        String::new(),
-    ]);
+    rows.push(divider("Transparent JIT (transient)", 7));
     for name in ["BERT-B-FT", "GPT2-S"] {
         let w = by_name(name).expect("catalog");
         let (mb, log_oh) = measure_minibatch(&w, GpuGeneration::V100_32G, 3);
@@ -696,13 +700,28 @@ pub fn dollar_table() -> Table {
 mod tests {
     use super::*;
 
+    /// Renders every section the way the `tables` bin prints it and
+    /// compares with the committed file, so a change that moves a
+    /// reproduced number has to regenerate the file in the same commit.
     #[test]
-    fn static_tables_render() {
-        for t in [table1(), table2(), dollar_table()] {
-            let s = t.render();
-            assert!(s.contains(&t.title));
-            assert!(!t.rows.is_empty());
+    fn tables_output_matches_committed_file() {
+        let committed = include_str!("../../../tables_output.txt");
+        let rendered: String = SECTIONS
+            .iter()
+            .map(|(_, section)| section().render() + "\n")
+            .collect();
+        let (mut ours, mut theirs) = (rendered.lines(), committed.lines());
+        for line in 1.. {
+            match (ours.next(), theirs.next()) {
+                (None, None) => break,
+                (a, b) if a == b => {}
+                (a, b) => panic!(
+                    "tables_output.txt differs at line {line}:\n  committed: {b:?}\n  rendered:  {a:?}\n\
+                     regenerate with: cargo run --release -p bench --bin tables > tables_output.txt"
+                ),
+            }
         }
+        assert_eq!(rendered, committed, "same lines, different line endings");
     }
 
     #[test]
@@ -752,57 +771,7 @@ mod tests {
 // Ablations (DESIGN.md §5): sweeps over the design parameters.
 // ---------------------------------------------------------------------
 
-/// Ablation 1 — watchdog timeout: for a hang nobody can prove (a bare
-/// ticket, as here), detection latency is bounded below by the timeout
-/// itself; the watchdog sleeps until that deadline, so what it adds on
-/// top is a condvar wake-up, not a poll period. Shorter timeouts detect
-/// faster but risk false positives on slow-but-healthy collectives. The
-/// latency column is *measured* with a real armed watchdog.
-pub fn ablation_watchdog() -> Table {
-    use collectives::CollectiveObserver;
-    use proxy::Watchdog;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
-    let mut rows = Vec::new();
-    for timeout_ms in [10u64, 50, 100, 400, 1000] {
-        let fired = Arc::new(AtomicBool::new(false));
-        let f = fired.clone();
-        let wd = Watchdog::spawn(Duration::from_millis(timeout_ms), move || {
-            f.store(true, Ordering::SeqCst);
-        })
-        .expect("spawn watchdog");
-        let obs = wd.observer();
-        let start = Instant::now();
-        obs.collective_started(&collectives::CollectiveTicket {
-            comm: collectives::CommId(0),
-            generation: 0,
-            rank: RankId(0),
-            kind: collectives::CollKind::AllReduce,
-            entered_at: start,
-        });
-        while !fired.load(Ordering::SeqCst) {
-            // jitlint::allow(virtual_time): this ablation measures *real-time* hang-detection latency; the 200µs poll bounds measurement error
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let latency = start.elapsed().as_secs_f64() * 1e3;
-        rows.push(vec![
-            format!("{timeout_ms} ms"),
-            format!("{latency:.1} ms"),
-            format!("{:.1} ms", latency - timeout_ms as f64),
-        ]);
-    }
-    Table {
-        title: "Ablation: watchdog timeout vs measured hang-detection latency".into(),
-        header: vec![
-            "Timeout".into(),
-            "Detection latency".into(),
-            "Poll overhead".into(),
-        ],
-        rows,
-    }
-}
-
-/// Ablation 2 — asynchronous replay logging: steady-state overhead as a
+/// Ablation — asynchronous replay logging: steady-state overhead as a
 /// function of the fraction of per-call logging cost NOT hidden by the
 /// device proxy's async execution (§4.1 claims "nearly zero"; 1.0 models
 /// a fully synchronous logger).
@@ -810,26 +779,9 @@ pub fn ablation_logging() -> Table {
     let w = by_name("GPT2-S").expect("catalog");
     let mut rows = Vec::new();
     for residual in [0.0f64, 0.05, 0.25, 1.0] {
-        let cfg = w.train_config(7);
         let mut cost = CostModel::for_gpu(w.gpu);
         cost.log_async_residual = residual;
-        let out = run_transparent_job_with(
-            cfg,
-            cost.clone(),
-            FailureInjector::none(),
-            Arc::new(SharedStore::new()),
-            3,
-            0,
-        )
-        .expect("clean run");
-        let total = out
-            .finish_times
-            .iter()
-            .fold(simcore::SimTime::ZERO, |a, b| a.max(*b))
-            .as_secs();
-        let mb = total / 3.0;
-        let logged = out.logged_calls.iter().copied().max().unwrap_or(0) as f64 / 3.0;
-        let overhead = logged * cost.effective_log_overhead().as_secs();
+        let (mb, overhead) = minibatch_under(&w, cost, 3);
         rows.push(vec![
             format!("{residual:.2}"),
             f3(mb),
@@ -849,7 +801,7 @@ pub fn ablation_logging() -> Table {
     }
 }
 
-/// Ablation 3 — recovery strategy per failure class: per-rank recovery
+/// Ablation — recovery strategy per failure class: per-rank recovery
 /// time of the victim under each §4.2/§4.3 path on the same workload
 /// (driver corruption's host round-trip vs sticky's replica copy vs hard
 /// migration vs pure transient reset).
@@ -913,18 +865,6 @@ pub fn ablation_recovery_paths() -> Table {
 #[cfg(test)]
 mod ablation_tests {
     use super::*;
-
-    #[test]
-    fn watchdog_latency_tracks_timeout() {
-        let t = ablation_watchdog();
-        assert_eq!(t.rows.len(), 5);
-        // Latency strictly exceeds the timeout, by less than ~60 ms of
-        // polling slack.
-        for row in &t.rows {
-            let slack: f64 = row[2].trim_end_matches(" ms").parse().unwrap();
-            assert!((0.0..60.0).contains(&slack), "{row:?}");
-        }
-    }
 
     #[test]
     fn logging_overhead_scales_with_residual() {

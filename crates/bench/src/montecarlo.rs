@@ -7,11 +7,21 @@
 //! that the paper's model — not merely our implementation of it — is
 //! internally consistent.
 
+use crate::Table;
 use jitckpt::analysis::{
     optimal_frequency, wasted_fraction, wasted_rate_jit_transparent, wasted_rate_jit_user,
     wasted_rate_periodic_optimal, JobParams,
 };
 use simcore::rng::DetRng;
+
+/// Paper-flavoured job parameters (BERT-L-PT, Table 4: o = 7.1 s,
+/// r = 11.2 s, m = 0.4 s, f = 2/day per 992 GPUs) at `n` GPUs.
+pub(crate) fn bert_l_pt_params(n: usize) -> JobParams {
+    JobParams::new(7.1, 2.0 / 992.0, 11.2, n, 0.4)
+}
+
+/// Horizon of the table sections: 90 days of useful training, in seconds.
+pub(crate) const NINETY_DAYS: f64 = 90.0 * 86_400.0;
 
 /// Checkpointing policy simulated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,14 +202,47 @@ pub fn predicted_fraction(p: &JobParams, policy: Policy) -> f64 {
     wasted_fraction(w)
 }
 
+/// Monte-Carlo vs closed-form wasted fractions per policy at 64 / 1024 /
+/// 8192 GPUs: 8 replications of 90 days each.
+pub fn validation_table() -> Table {
+    let mut rows = Vec::new();
+    for n in [64usize, 1024, 8192] {
+        let p = bert_l_pt_params(n);
+        for (name, policy) in [
+            ("periodic @ c*", Policy::PeriodicOptimal),
+            ("user-level JIT", Policy::JitUser),
+            ("transparent JIT", Policy::JitTransparent),
+        ] {
+            let (mean, _sd) = replicate(&p, policy, NINETY_DAYS, 8);
+            let pred = predicted_fraction(&p, policy);
+            rows.push(vec![
+                n.to_string(),
+                name.to_string(),
+                format!("{:.4}%", mean * 100.0),
+                format!("{:.4}%", pred * 100.0),
+                format!("{:.1}%", (mean - pred).abs() / pred.max(1e-12) * 100.0),
+            ]);
+        }
+    }
+    Table {
+        title:
+            "Monte-Carlo vs closed-form wasted fractions, eq. 1, 5-8 (BERT-L-PT params, 90 days)"
+                .into(),
+        header: vec![
+            "N".into(),
+            "Policy".into(),
+            "Simulated".into(),
+            "Predicted".into(),
+            "Rel. diff".into(),
+        ],
+        rows,
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::bert_l_pt_params as params;
     use super::*;
-
-    fn params(n: usize) -> JobParams {
-        // BERT-L-PT-like (Table 4 measurements).
-        JobParams::new(7.1, 2.0 / 992.0, 11.2, n, 0.4)
-    }
 
     #[test]
     fn simulation_matches_closed_form_periodic_optimal() {

@@ -1,301 +1,56 @@
-//! In-network recovery benchmark harness (`BENCH_recovery.json`):
+//! The fourth recovery scheme, in-network gradient replication
+//! (DESIGN.md §12), end to end and in virtual time:
 //!
-//! 1. **Steady-state tap overhead** — the offered (thread-free) driver
-//!    runs back-to-back ring all-reduces with and without a
-//!    [`GradLedger`] attached to every member, at world sizes up to 256.
-//!    The tap adds *zero* virtual time by construction (it is an `Arc`
-//!    refcount bump after the generation finalizes, never on the
-//!    data-plane critical path), so the honest cost story is: simulated
-//!    overhead identically 0, wall-clock overhead of the bump + ledger
-//!    bookkeeping reported as measured.
-//! 2. **Recovery-scheme head-to-head** — predicted (§5 closed forms) and
-//!    Monte-Carlo wasted fractions for periodic-optimal, user-level JIT,
-//!    transparent JIT, and in-network replication, at world ∈ {8, 64,
-//!    256}, with the in-network reconstruction tail taken from the
-//!    measured demo below rather than guessed.
-//! 3. **End-to-end demo** — a data-parallel job trains with ledgers
-//!    attached, one rank "dies", survivors stream their retained shard
-//!    slices, and the replacement replays the reduced history to a
-//!    bit-identical state — counting checkpoint-store reads (zero) and
-//!    the virtual-time cost against the streamed-replica and store
-//!    restore paths.
+//! 1. **Demo** — a data-parallel job trains with ledgers attached, one
+//!    rank "dies", survivors stream their retained shard slices, and the
+//!    replacement replays the reduced history to a bit-identical state —
+//!    counting checkpoint-store reads (zero) and the virtual-time cost
+//!    against the streamed-replica and store restore paths.
+//! 2. **Head-to-head** — predicted (§5 closed forms) and Monte-Carlo
+//!    wasted fractions for periodic-optimal, user-level JIT, transparent
+//!    JIT and in-network replication at 8 / 64 / 256 GPUs, with the
+//!    in-network reconstruction tail taken from the demo, not guessed.
+//!
+//! The steady-state cost of the ledger tap is wall-clock and is
+//! `benchmark/`'s `collectives.ledger.tap_wall_frac`.
 
-use crate::montecarlo::{predicted_fraction, replicate, Policy};
+use crate::montecarlo::{bert_l_pt_params, predicted_fraction, replicate, Policy, NINETY_DAYS};
+use crate::Table;
 use cluster::{FailureInjector, SharedStore};
-use collectives::{CollEngine, CommWorld, GradLedger, LedgerConfig, ReduceOp, RingConfig};
+use collectives::{CommWorld, GradLedger, LedgerConfig};
 use dltrain::trainer::DEFAULT_BUCKET_BYTES;
 use dltrain::{JobSetup, RankTrainer, TrainConfig, TrainState};
-use jitckpt::analysis::JobParams;
-use jitckpt::checkpoint::{self, CkptKind};
+use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
 use jitckpt::stream;
 use proxy::DirectExecutor;
 use simcore::cost::{CostModel, StorageTier};
-use simcore::sync::Mutex;
 use simcore::time::ClockBoard;
-use simcore::{pool, GpuId, JobId, RankId, SimError, SimResult};
+use simcore::{GpuId, JobId, RankId, SimResult};
 use simgpu::Gpu;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One steady-state tap measurement point.
-#[derive(Debug, Clone, Copy)]
-pub struct TapPoint {
-    /// Group size (simulated ranks, offered driver — no rank threads).
-    pub world: usize,
-    /// Payload bytes per all-reduce.
-    pub payload_bytes: usize,
-    /// Timed passes.
-    pub passes: usize,
-    /// Simulated seconds per all-reduce, no ledgers attached.
-    pub sim_off_s: f64,
-    /// Simulated seconds per all-reduce, a ledger on every member.
-    pub sim_on_s: f64,
-    /// Wall-clock milliseconds per pass, no ledgers.
-    pub wall_off_ms: f64,
-    /// Wall-clock milliseconds per pass, ledgers on.
-    pub wall_on_ms: f64,
-    /// Peak accounted ledger bytes on one member during the run.
-    pub ledger_peak_bytes: usize,
-}
+/// Data-parallel degree and iterations of the demo job.
+const DEMO_DP: usize = 4;
+const DEMO_ITERS: u64 = 4;
 
-impl TapPoint {
-    /// Simulated-time overhead fraction of the tap (0 by construction;
-    /// reported measured, not assumed).
-    pub fn sim_overhead_frac(&self) -> f64 {
-        if self.sim_off_s == 0.0 {
-            return 0.0;
-        }
-        (self.sim_on_s - self.sim_off_s) / self.sim_off_s
-    }
-}
-
-/// One recovery-scheme comparison row.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyRow {
-    /// Scheme label.
-    pub name: &'static str,
-    /// §5 closed-form wasted fraction.
-    pub predicted_wf: f64,
-    /// Monte-Carlo mean wasted fraction.
-    pub simulated_wf: f64,
-    /// Monte-Carlo sample standard deviation.
-    pub sd: f64,
-}
-
-/// Head-to-head at one world size.
-#[derive(Debug, Clone)]
-pub struct PolicyPoint {
-    /// GPU count.
-    pub world: usize,
-    /// Rows in scheme order.
-    pub rows: Vec<PolicyRow>,
-}
-
-/// End-to-end ledger-recovery demo result.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryDemo {
-    /// Data-parallel degree of the demo job.
-    pub world: usize,
-    /// Iterations trained (and replayed).
-    pub iters: u64,
+/// What the demo measured.
+struct RecoveryDemo {
     /// Logical bytes of the recovered state.
-    pub state_bytes: u64,
+    state_bytes: u64,
     /// Checkpoint-store reads during the in-network recovery.
-    pub store_reads: u64,
+    store_reads: u64,
     /// Whether the replayed state matched the lost rank's bit for bit.
-    pub bitwise_identical: bool,
+    bitwise_identical: bool,
     /// Virtual seconds of the in-network path: slice receive + apply +
     /// deterministic optimizer replay on the replacement.
-    pub in_network_s: f64,
-    /// Virtual seconds for the PR 5 streamed-replica restore of the
-    /// same state (one store read by the owner, excluded here — pure
-    /// stream receive cost).
-    pub streamed_s: f64,
-    /// Virtual seconds for the §3.3 store round-trip (write + read
-    /// through the disk tier).
-    pub store_s: f64,
-}
-
-/// Full report (`BENCH_recovery.json`).
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// Steady-state tap matrix.
-    pub tap: Vec<TapPoint>,
-    /// Per-world policy comparison.
-    pub policies: Vec<PolicyPoint>,
-    /// End-to-end demo.
-    pub demo: RecoveryDemo,
-}
-
-impl RecoveryReport {
-    /// Maximum simulated-time tap overhead across worlds ≥ 64 — the
-    /// acceptance metric (≤ 0.02 of the collective's own time, and in
-    /// fact identically 0).
-    pub fn max_sim_overhead_at_scale(&self) -> f64 {
-        self.tap
-            .iter()
-            .filter(|p| p.world >= 64)
-            .map(TapPoint::sim_overhead_frac)
-            .fold(0.0, f64::max)
-    }
-
-    /// Renders the report as the `BENCH_recovery.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"recovery\",\n");
-        out.push_str("  \"tap\": [\n");
-        for (i, p) in self.tap.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"world\": {}, \"payload_bytes\": {}, \"passes\": {}, \
-                 \"sim_off_s\": {:.6}, \"sim_on_s\": {:.6}, \"sim_overhead_frac\": {:.6}, \
-                 \"wall_off_ms\": {:.3}, \"wall_on_ms\": {:.3}, \"ledger_peak_bytes\": {}}}{}\n",
-                p.world,
-                p.payload_bytes,
-                p.passes,
-                p.sim_off_s,
-                p.sim_on_s,
-                p.sim_overhead_frac(),
-                p.wall_off_ms,
-                p.wall_on_ms,
-                p.ledger_peak_bytes,
-                if i + 1 < self.tap.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"max_sim_overhead_at_scale\": {:.6},\n",
-            self.max_sim_overhead_at_scale()
-        ));
-        out.push_str("  \"policies\": [\n");
-        for (i, pt) in self.policies.iter().enumerate() {
-            out.push_str(&format!("    {{\"world\": {}, \"rows\": [\n", pt.world));
-            for (j, r) in pt.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"name\": \"{}\", \"predicted_wf\": {:.6}, \
-                     \"simulated_wf\": {:.6}, \"sd\": {:.6}}}{}\n",
-                    r.name,
-                    r.predicted_wf,
-                    r.simulated_wf,
-                    r.sd,
-                    if j + 1 < pt.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.policies.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"demo\": {{\"world\": {}, \"iters\": {}, \"state_bytes\": {}, \
-             \"store_reads\": {}, \"bitwise_identical\": {}, \"in_network_s\": {:.4}, \
-             \"streamed_s\": {:.4}, \"store_s\": {:.4}}}\n",
-            self.demo.world,
-            self.demo.iters,
-            self.demo.state_bytes,
-            self.demo.store_reads,
-            self.demo.bitwise_identical,
-            self.demo.in_network_s,
-            self.demo.streamed_s,
-            self.demo.store_s,
-        ));
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Input-pattern arena size for the offered driver (rank `r` contributes
-/// pattern `r mod 8` — no per-rank buffer or thread at any world size).
-const ARENA_PATTERNS: usize = 8;
-
-/// Drives `passes` offered ring all-reduces over `n` simulated ranks,
-/// optionally with a bounded ledger attached to every member (epoch
-/// advanced once per pass, as the trainer does per minibatch). Returns
-/// (sim seconds per op, median wall seconds per pass, peak accounted
-/// ledger bytes).
-fn offered_tap_run(
-    n: usize,
-    elems: usize,
-    passes: usize,
-    tap: bool,
-) -> SimResult<(f64, f64, usize)> {
-    let passes = passes.max(1);
-    let clock = Arc::new(ClockBoard::new(n));
-    let world = CommWorld::new(clock.clone(), CostModel::v100(), 8);
-    let ranks: Vec<RankId> = (0..n).map(|i| RankId(i as u32)).collect();
-    let idxs: Vec<usize> = (0..n).collect();
-    let comm = world
-        .create_comm(ranks, idxs)
-        .set_engine(CollEngine::Ring(RingConfig::from_cost(&CostModel::v100())));
-    let ledgers: Vec<Arc<GradLedger>> = if tap {
-        (0..n)
-            .map(|i| {
-                let l = GradLedger::new(LedgerConfig::default());
-                comm.attach_ledger(RankId(i as u32), l.clone()).unwrap();
-                l
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let k = ARENA_PATTERNS.min(n);
-    let arena: Vec<Mutex<Vec<f32>>> = (0..k).map(|_| Mutex::new(vec![0.0; elems])).collect();
-    pool::fan_out(k, k, "bench-fill", |p| {
-        let mut buf = arena[p].lock();
-        for (i, v) in buf.iter_mut().enumerate() {
-            *v = ((i + p) % 251) as f32 * 0.5;
-        }
-    });
-    let arena: Vec<Vec<f32>> = arena.into_iter().map(Mutex::into_inner).collect();
-    let bytes = (elems * 4) as u64;
-    let drive = |gen: u64| -> SimResult<()> {
-        for l in &ledgers {
-            l.begin_epoch(gen);
-        }
-        for r in 0..n {
-            comm.offer_reduce(RankId(r as u32), gen, &arena[r % k], ReduceOp::Sum, bytes)?;
-        }
-        comm.try_result(gen)?
-            .ok_or_else(|| SimError::Protocol("offered all-reduce did not complete".into()))?;
-        Ok(())
-    };
-    drive(0)?; // warm-up
-    let sim0 = clock.now(0);
-    let mut walls = Vec::with_capacity(passes);
-    let mut peak = 0usize;
-    for gen in 1..=passes as u64 {
-        comm.prune_below(gen);
-        let start = Instant::now();
-        drive(gen)?;
-        walls.push(start.elapsed());
-        peak = peak.max(ledgers.iter().map(|l| l.pinned_bytes()).max().unwrap_or(0));
-    }
-    walls.sort();
-    let wall = walls[walls.len() / 2].as_secs_f64();
-    let sim_per_op = (clock.now(0) - sim0).as_secs() / passes as f64;
-    Ok((sim_per_op, wall, peak))
-}
-
-/// Measures the steady-state tap matrix at the given world sizes.
-pub fn measure_tap(worlds: &[usize], payload: usize, passes: usize) -> SimResult<Vec<TapPoint>> {
-    let elems = payload / 4;
-    let mut out = Vec::new();
-    for &world in worlds {
-        let (sim_off, wall_off, _) = offered_tap_run(world, elems, passes, false)?;
-        let (sim_on, wall_on, peak) = offered_tap_run(world, elems, passes, true)?;
-        out.push(TapPoint {
-            world,
-            payload_bytes: payload,
-            passes,
-            sim_off_s: sim_off,
-            sim_on_s: sim_on,
-            wall_off_ms: wall_off * 1e3,
-            wall_on_ms: wall_on * 1e3,
-            ledger_peak_bytes: peak,
-        });
-    }
-    Ok(out)
+    in_network_s: f64,
+    /// Virtual seconds for the streamed-replica restore of the same state
+    /// (pure stream receive cost).
+    streamed_s: f64,
+    /// Virtual seconds for the §3.3 store round-trip (write + read through
+    /// the disk tier).
+    store_s: f64,
 }
 
 fn state_bits(s: &TrainState) -> Vec<(String, Vec<u32>)> {
@@ -305,9 +60,10 @@ fn state_bits(s: &TrainState) -> Vec<(String, Vec<u32>)> {
         .collect()
 }
 
-/// Runs the end-to-end in-network recovery demo at data-parallel degree
-/// `dp` for `iters` iterations, killing rank 0.
-pub fn run_recovery_demo(dp: usize, iters: u64) -> SimResult<RecoveryDemo> {
+/// Trains `DEMO_DP` ranks for `DEMO_ITERS` iterations, kills rank 0 and
+/// rebuilds it from the survivors' ledgers.
+fn run_recovery_demo() -> SimResult<RecoveryDemo> {
+    let (dp, iters) = (DEMO_DP, DEMO_ITERS);
     let cfg = TrainConfig::tiny_dp(dp);
     let cost = CostModel::v100();
     // Train with unbounded ledgers so the whole history is replayable.
@@ -333,7 +89,7 @@ pub fn run_recovery_demo(dp: usize, iters: u64) -> SimResult<RecoveryDemo> {
     // A checkpoint sits in the store, as in production; the demo must
     // never read it.
     let store = Arc::new(SharedStore::new());
-    checkpoint::write_checkpoint(
+    checkpoint::write_checkpoint_with(
         &store,
         JobId(0),
         CkptKind::Jit,
@@ -342,6 +98,7 @@ pub fn run_recovery_demo(dp: usize, iters: u64) -> SimResult<RecoveryDemo> {
         0,
         failed,
         truth,
+        &ShardConfig::default(),
     )?;
 
     // Survivors stream slices over a fresh recovery plane.
@@ -398,8 +155,6 @@ pub fn run_recovery_demo(dp: usize, iters: u64) -> SimResult<RecoveryDemo> {
     .as_secs();
 
     Ok(RecoveryDemo {
-        world: dp,
-        iters,
         state_bytes: truth.logical_bytes,
         store_reads: store.read_count(),
         bitwise_identical: state_bits(&got) == state_bits(truth)
@@ -411,147 +166,65 @@ pub fn run_recovery_demo(dp: usize, iters: u64) -> SimResult<RecoveryDemo> {
     })
 }
 
-/// Paper-flavored job parameters (BERT-L-PT measurements, Table 4) at
-/// the given GPU count.
-fn policy_params(n: usize) -> JobParams {
-    JobParams::new(7.1, 2.0 / 992.0, 11.2, n, 0.4)
-}
-
-/// Runs the recovery-scheme head-to-head at each world size, using the
-/// measured in-network reconstruction tail.
-pub fn measure_policies(
-    worlds: &[usize],
-    reconstruct_s: f64,
-    horizon_days: f64,
-    reps: u64,
-) -> Vec<PolicyPoint> {
-    let horizon = horizon_days * 86_400.0;
-    let schemes: Vec<(&'static str, Policy)> = vec![
-        ("periodic-optimal", Policy::PeriodicOptimal),
-        ("jit-user", Policy::JitUser),
-        ("jit-transparent", Policy::JitTransparent),
-        (
-            "in-network",
-            Policy::InNetwork {
-                reconstruct: reconstruct_s,
-            },
+/// The in-network recovery demo: one row, virtual seconds.
+pub fn in_network_demo() -> Table {
+    let d = run_recovery_demo().expect("in-network demo");
+    Table {
+        title: format!(
+            "In-network gradient replication: rank 0 of DP={DEMO_DP} rebuilt from peers' ledgers after {DEMO_ITERS} iterations (seconds, virtual)"
         ),
-    ];
-    worlds
-        .iter()
-        .map(|&world| {
-            let p = policy_params(world);
-            let rows = schemes
-                .iter()
-                .map(|&(name, policy)| {
-                    let (mean, sd) = replicate(&p, policy, horizon, reps);
-                    PolicyRow {
-                        name,
-                        predicted_wf: predicted_fraction(&p, policy),
-                        simulated_wf: mean,
-                        sd,
-                    }
-                })
-                .collect();
-            PolicyPoint { world, rows }
-        })
-        .collect()
-}
-
-/// Benchmark configuration; `Default` is the shipped
-/// `BENCH_recovery.json` matrix, tests shrink it.
-#[derive(Debug, Clone)]
-pub struct RecoveryBenchConfig {
-    /// World sizes for the steady-state tap matrix.
-    pub tap_worlds: Vec<usize>,
-    /// Payload bytes per all-reduce in the tap matrix.
-    pub tap_payload: usize,
-    /// Timed passes per tap point.
-    pub tap_passes: usize,
-    /// World sizes for the policy head-to-head.
-    pub policy_worlds: Vec<usize>,
-    /// Monte-Carlo horizon (days of useful time).
-    pub horizon_days: f64,
-    /// Monte-Carlo replications per policy point.
-    pub reps: u64,
-    /// Data-parallel degree of the end-to-end demo.
-    pub demo_dp: usize,
-    /// Iterations of the end-to-end demo.
-    pub demo_iters: u64,
-}
-
-impl Default for RecoveryBenchConfig {
-    fn default() -> Self {
-        RecoveryBenchConfig {
-            tap_worlds: vec![8, 64, 256],
-            tap_payload: 1 << 20,
-            tap_passes: 5,
-            policy_worlds: vec![8, 64, 256],
-            horizon_days: 90.0,
-            reps: 6,
-            demo_dp: 4,
-            demo_iters: 4,
-        }
+        header: vec![
+            "state_bytes".into(),
+            "store_reads".into(),
+            "bitwise_identical".into(),
+            "in_network_s".into(),
+            "streamed_s".into(),
+            "store_s".into(),
+        ],
+        rows: vec![vec![
+            d.state_bytes.to_string(),
+            d.store_reads.to_string(),
+            d.bitwise_identical.to_string(),
+            format!("{:.4}", d.in_network_s),
+            format!("{:.4}", d.streamed_s),
+            format!("{:.4}", d.store_s),
+        ]],
     }
 }
 
-/// Runs the full recovery benchmark.
-pub fn run_recovery_bench(cfg: &RecoveryBenchConfig) -> SimResult<RecoveryReport> {
-    let tap = measure_tap(&cfg.tap_worlds, cfg.tap_payload, cfg.tap_passes)?;
-    let demo = run_recovery_demo(cfg.demo_dp, cfg.demo_iters)?;
-    let policies = measure_policies(
-        &cfg.policy_worlds,
-        demo.in_network_s,
-        cfg.horizon_days,
-        cfg.reps,
-    );
-    Ok(RecoveryReport {
-        tap,
-        policies,
-        demo,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn report_shape_holds_on_tiny_run() -> SimResult<()> {
-        let cfg = RecoveryBenchConfig {
-            tap_worlds: vec![4],
-            tap_payload: 64 << 10,
-            tap_passes: 2,
-            policy_worlds: vec![64],
-            horizon_days: 10.0,
-            reps: 2,
-            demo_dp: 2,
-            demo_iters: 2,
-        };
-        let report = run_recovery_bench(&cfg)?;
-        assert_eq!(report.tap.len(), 1);
-        assert_eq!(
-            report.tap[0].sim_on_s, report.tap[0].sim_off_s,
-            "the tap must add zero virtual time: {:?}",
-            report.tap[0]
-        );
-        assert!(report.tap[0].ledger_peak_bytes > 0, "ledger must retain");
-        let demo = &report.demo;
-        assert!(demo.bitwise_identical, "replayed state must match");
-        assert_eq!(demo.store_reads, 0, "no checkpoint-store reads");
-        assert!(demo.in_network_s > 0.0 && demo.store_s > demo.streamed_s);
-        assert_eq!(report.policies.len(), 1);
-        assert_eq!(report.policies[0].rows.len(), 4);
-        let rows = &report.policies[0].rows;
-        let by = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
-        assert!(
-            by("in-network").predicted_wf <= by("jit-user").predicted_wf,
-            "in-network must not predict worse than user-level JIT"
-        );
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"recovery\""), "{json}");
-        assert!(json.contains("max_sim_overhead_at_scale"), "{json}");
-        assert!(json.contains("\"demo\""), "{json}");
-        Ok(())
+/// The four recovery schemes head to head: §5 closed form vs Monte-Carlo
+/// wasted fraction (6 replications of 90 days) at 8 / 64 / 256 GPUs.
+pub fn policy_head_to_head() -> Table {
+    let reconstruct = run_recovery_demo().expect("in-network demo").in_network_s;
+    let schemes = [
+        ("periodic-optimal", Policy::PeriodicOptimal),
+        ("jit-user", Policy::JitUser),
+        ("jit-transparent", Policy::JitTransparent),
+        ("in-network", Policy::InNetwork { reconstruct }),
+    ];
+    let mut rows = Vec::new();
+    for world in [8usize, 64, 256] {
+        let p = bert_l_pt_params(world);
+        for (name, policy) in schemes {
+            let (mean, sd) = replicate(&p, policy, NINETY_DAYS, 6);
+            rows.push(vec![
+                world.to_string(),
+                name.to_string(),
+                format!("{:.6}", predicted_fraction(&p, policy)),
+                format!("{mean:.6}"),
+                format!("{sd:.6}"),
+            ]);
+        }
+    }
+    Table {
+        title: "Recovery schemes head to head: wasted fraction, closed form vs Monte-Carlo (BERT-L-PT params, 90 days)".into(),
+        header: vec![
+            "GPUs".into(),
+            "Scheme".into(),
+            "Predicted".into(),
+            "Simulated".into(),
+            "sd".into(),
+        ],
+        rows,
     }
 }

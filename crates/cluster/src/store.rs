@@ -127,7 +127,7 @@ impl StorageBackend for SharedStore {
 
     // `read_parallelism` stays at the trait's serial default: a `get` is
     // a map lookup and a refcount bump, and a fetch pool measures
-    // 0.53–0.72× serial on it (BENCH_store.json, restore matrix).
+    // 0.53–0.72× serial on it (PR 10's restore matrix, EXPERIMENTS.md).
 
     fn object_count(&self) -> usize {
         self.len()

@@ -127,16 +127,6 @@ impl Cluster {
         }
     }
 
-    /// Marks an entire node failed.
-    pub fn mark_node_failed(&mut self, node: NodeId) {
-        if let Some(n) = self.nodes.iter_mut().find(|n| n.id == node) {
-            n.healthy = false;
-            for g in n.gpus.clone() {
-                self.gpu_health.insert(g, false);
-            }
-        }
-    }
-
     /// True if a GPU is healthy.
     pub fn gpu_healthy(&self, gpu: GpuId) -> bool {
         self.gpu_health.get(&gpu).copied().unwrap_or(false)
@@ -230,14 +220,5 @@ mod tests {
         let got = c.allocate(7, &HashSet::new()).unwrap();
         assert!(!got.contains(&GpuId(3)));
         assert!(c.allocate(8, &HashSet::new()).is_err());
-    }
-
-    #[test]
-    fn node_failure_kills_all_its_gpus() {
-        let mut c = Cluster::new(GpuGeneration::A100_80G, 2);
-        c.mark_node_failed(NodeId(0));
-        assert_eq!(c.healthy_gpus(), 4);
-        let got = c.allocate(4, &HashSet::new()).unwrap();
-        assert!(got.iter().all(|g| c.node_of(*g).unwrap() == NodeId(1)));
     }
 }

@@ -1718,6 +1718,46 @@ mod tests {
     }
 
     #[test]
+    fn attached_ledgers_add_no_virtual_time() {
+        // The in-network tap is a refcount bump after the generation
+        // finalizes, never a step of the schedule: the same all-reduce
+        // advances the clocks by the same amount with a ledger on every
+        // member, and every ledger retains its shard of the result.
+        let run = |tap: bool| {
+            let n = 4;
+            let clock = Arc::new(ClockBoard::new(n));
+            let ranks: Vec<RankId> = (0..n).map(|i| RankId(i as u32)).collect();
+            let comm = Communicator::new(
+                CommId(0),
+                ranks.clone(),
+                (0..n).collect(),
+                8,
+                clock.clone(),
+                CostModel::v100(),
+            );
+            let mut ledgers = Vec::new();
+            if tap {
+                for r in &ranks {
+                    let l = GradLedger::new(crate::LedgerConfig::default());
+                    comm.attach_ledger(*r, l.clone()).unwrap();
+                    ledgers.push(l);
+                }
+            }
+            for r in &ranks {
+                comm.offer_reduce(*r, 0, &[1.0; 64], ReduceOp::Sum, 1 << 20)
+                    .unwrap();
+            }
+            assert!(comm.try_result(0).unwrap().is_some());
+            (clock.now(0), ledgers)
+        };
+        let (untapped, _) = run(false);
+        let (tapped, ledgers) = run(true);
+        assert!(untapped > simcore::SimTime::ZERO);
+        assert_eq!(tapped, untapped);
+        assert!(ledgers.iter().all(|l| l.pinned_bytes() > 0));
+    }
+
+    #[test]
     fn hier_engine_charges_two_level_cost() {
         // 16 ranks over 2 nodes of 8: the hier schedule must advance the
         // clocks by exactly hier_all_reduce(bytes, [8, 8]) — cheaper than

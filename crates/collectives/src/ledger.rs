@@ -150,11 +150,6 @@ impl GradLedger {
         }
     }
 
-    /// Current iteration epoch.
-    pub fn current_epoch(&self) -> u64 {
-        self.inner.lock().epoch
-    }
-
     /// Records a completed generation (called by the tapped
     /// communicator's data plane). Idempotent per generation — replays
     /// and multi-member delivery record once. The `Arc` bump is the

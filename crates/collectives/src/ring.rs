@@ -98,8 +98,8 @@ impl RingConfig {
     /// which a ring step is latency- rather than bandwidth-bound), rounded
     /// to a power of two and clamped to a cache-friendly range. For the
     /// V100 model this yields 512 KiB NVLink / 256 KiB NIC chunks; the
-    /// wall-clock sensitivity is measured by the `chunk_sweep` section of
-    /// `BENCH_coll.json`.
+    /// wall-clock sensitivity was measured once, by the chunk-size sweep
+    /// kept in EXPERIMENTS.md ("Hierarchical collectives at scale").
     pub fn from_cost(cost: &CostModel) -> Self {
         RingConfig {
             nvlink_chunk_bytes: chunk_from_bdp(cost.nvlink_bw * cost.nvlink_latency.as_secs()),

@@ -70,8 +70,6 @@ pub struct CoordinatorConfig {
 pub struct JobStats {
     /// Checkpoints submitted through the write-behind path.
     pub submitted: AtomicU64,
-    /// Checkpoints written through the blocking path.
-    pub blocking_writes: AtomicU64,
     /// Objects deleted by retention GC.
     pub gc_deleted: AtomicU64,
     /// Restores served through [`JobSession::restore_for_rank`].
@@ -177,38 +175,6 @@ impl JobSession {
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.tickets.lock().push(ticket.clone());
         ticket
-    }
-
-    /// The pre-pipeline path: every shard put blocks the caller
-    /// (benchmark baseline, and the right tool for the final checkpoint
-    /// before an intentional shutdown).
-    pub fn write_checkpoint_blocking(
-        &self,
-        kind: CkptKind,
-        rank: RankId,
-        stage: usize,
-        part: usize,
-        dp: usize,
-        state: &TrainState,
-    ) -> SimResult<()> {
-        self.stats.blocking_writes.fetch_add(1, Ordering::Relaxed);
-        let cfg = self.spec.shards.auto_sized_for(state);
-        let plan = ShardPlan::stage_cached(
-            &self.backend,
-            self.job,
-            kind,
-            rank,
-            stage,
-            part,
-            dp,
-            state,
-            &cfg,
-            Some(&self.meta_cache),
-        );
-        checkpoint::write_plan(&self.backend, &plan, cfg.workers)?;
-        self.meta_cache
-            .record(self.job, kind, stage, part, dp, state.iteration);
-        Ok(())
     }
 
     /// Resolves and restores the checkpoint for `rank` in one pass

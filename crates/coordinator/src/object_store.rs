@@ -186,7 +186,8 @@ impl SimObjectStore {
             // jitlint::allow(virtual_time): the simulated object store
             // models an *external* service the sim clock does not govern;
             // real thread sleeps are what make uploader-pool overlap and
-            // backpressure measurable in wall time by store_bench.
+            // backpressure measurable in wall time (`benchmark/`'s
+            // `coordinator_objstore` workload).
             std::thread::sleep(Duration::from_nanos(scaled));
         }
     }

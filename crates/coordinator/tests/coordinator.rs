@@ -228,6 +228,54 @@ fn gc_pins_delta_bases_until_chain_breaks() -> SimResult<()> {
     Ok(())
 }
 
+/// The session's newest-iteration memo replaces the delta writer's
+/// keyspace walk: the bare writer lists the job prefix once per
+/// checkpoint to find its base, a session only until it has written one,
+/// and both produce the same delta chain.
+#[test]
+fn session_meta_cache_saves_the_delta_writers_list_scans() -> SimResult<()> {
+    let writes = 6u64;
+
+    let bare = SharedStore::new();
+    for it in 1..=writes {
+        checkpoint::write_checkpoint_with(
+            &bare,
+            JobId(0),
+            CkptKind::Jit,
+            RankId(0),
+            0,
+            0,
+            0,
+            &state(it, 200, 1.0),
+            &small_shards(),
+        )?;
+    }
+
+    let store = Arc::new(SharedStore::new());
+    let coord = Coordinator::new(store.clone(), CoordinatorConfig::default());
+    let sess = coord.admit(JobSpec {
+        shards: small_shards(),
+        keep_checkpoints: writes as usize + 1,
+        ..JobSpec::default()
+    });
+    for it in 1..=writes {
+        sess.submit_checkpoint(CkptKind::Jit, RankId(0), 0, 0, 0, &state(it, 200, 1.0))
+            .wait()?;
+    }
+
+    assert_eq!(bare.list_count(), writes, "one scan per bare write");
+    assert_eq!(store.list_count(), 1, "one scan seeds the memo");
+    let depth = |s: &SharedStore, job| {
+        checkpoint::read_meta(s, job, CkptKind::Jit, writes, 0, 0, 0).map(|m| m.delta_depth)
+    };
+    assert_eq!(depth(&store, sess.job())?, depth(&bare, JobId(0))?);
+    assert!(
+        depth(&bare, JobId(0))? > 0,
+        "the chain must be a real delta"
+    );
+    Ok(())
+}
+
 /// Restore cost is one generation however many are retained, and the
 /// job's amplification reports what the store actually served: exactly
 /// 1.0 on a healthy store, and the rejected replica's shards on top

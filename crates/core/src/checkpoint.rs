@@ -341,32 +341,6 @@ fn parse_rel_path(rest: &str) -> Option<(u64, &str, usize, &str)> {
     Some((iteration, cell, dp, leaf))
 }
 
-/// Writes a rank's checkpoint with default sharding. Kept as the
-/// one-call entry point for callers that don't tune the pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn write_checkpoint<S: StorageBackend + ?Sized>(
-    store: &S,
-    job: JobId,
-    kind: CkptKind,
-    rank: RankId,
-    stage: usize,
-    part: usize,
-    dp: usize,
-    state: &TrainState,
-) -> SimResult<()> {
-    write_checkpoint_with(
-        store,
-        job,
-        kind,
-        rank,
-        stage,
-        part,
-        dp,
-        state,
-        &ShardConfig::default(),
-    )
-}
-
 /// The staged write of one rank-cell checkpoint: the encoded logical
 /// stream, its zero-copy shard slices, and the resolved delta base.
 /// Both persistence paths are built on it — the blocking worker-pool
@@ -594,10 +568,8 @@ pub fn write_checkpoint_with<S: StorageBackend + ?Sized>(
 }
 
 /// Persists an already-staged [`ShardPlan`]: shard objects first (fanned
-/// out across a bounded worker pool), then the metadata sidecar. Split
-/// out of [`write_checkpoint_with`] so callers that stage through a
-/// [`MetaCache`] (the coordinator's blocking path) share the pool body.
-pub fn write_plan<S: StorageBackend + ?Sized>(
+/// out across a bounded worker pool), then the metadata sidecar.
+fn write_plan<S: StorageBackend + ?Sized>(
     store: &S,
     plan: &ShardPlan,
     workers: usize,
@@ -1090,7 +1062,17 @@ mod tests {
     fn write_read_round_trip() -> SimResult<()> {
         let store = SharedStore::new();
         let s = state(7, 1.5);
-        write_checkpoint(&store, job(), CkptKind::Jit, RankId(0), 0, 0, 0, &s)?;
+        write_checkpoint_with(
+            &store,
+            job(),
+            CkptKind::Jit,
+            RankId(0),
+            0,
+            0,
+            0,
+            &s,
+            &ShardConfig::default(),
+        )?;
         let (back, meta) = read_checkpoint(&store, job(), CkptKind::Jit, 7, 0, 0, 0)?;
         assert_eq!(back, s);
         assert_eq!(meta.iteration, 7);
@@ -1261,7 +1243,7 @@ mod tests {
         let store = SharedStore::new();
         let layout = ParallelLayout::data_parallel(2);
         // Replica 0 writes a good checkpoint at it 5.
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1270,11 +1252,12 @@ mod tests {
             0,
             0,
             &state(5, 1.0),
+            &ShardConfig::default(),
         )?;
         // Replica 1 dies mid-write at it 6: payload truncated, then (to
         // be adversarial) the metadata still lands.
         store.fail_next_write(0.5);
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1283,6 +1266,7 @@ mod tests {
             0,
             1,
             &state(6, 2.0),
+            &ShardConfig::default(),
         )?;
         // Assembly must fall back to iteration 5 from replica 0.
         let plan = assemble(&store, job(), &layout)?;
@@ -1295,7 +1279,7 @@ mod tests {
     #[test]
     fn corrupted_payload_is_rejected() -> SimResult<()> {
         let store = SharedStore::new();
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1304,6 +1288,7 @@ mod tests {
             0,
             0,
             &state(5, 1.0),
+            &ShardConfig::default(),
         )?;
         store.corrupt(shard_path(job(), CkptKind::Jit, 5, 0, 0, 0, 0))?;
         let err = read_checkpoint(&store, job(), CkptKind::Jit, 5, 0, 0, 0).unwrap_err();
@@ -1315,7 +1300,7 @@ mod tests {
     fn missing_meta_means_incomplete() -> SimResult<()> {
         let store = SharedStore::new();
         let layout = ParallelLayout::data_parallel(1);
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1324,6 +1309,7 @@ mod tests {
             0,
             0,
             &state(5, 1.0),
+            &ShardConfig::default(),
         )?;
         store.delete(meta_path(job(), CkptKind::Jit, 5, 0, 0, 0));
         assert!(assemble(&store, job(), &layout).is_err());
@@ -1338,7 +1324,7 @@ mod tests {
         let store = SharedStore::new();
         let layout = ParallelLayout::three_d(2, 2, 1);
         // Stage 0 has it 10 and 11; stage 1 only it 10.
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1347,8 +1333,9 @@ mod tests {
             0,
             0,
             &state(10, 1.0),
+            &ShardConfig::default(),
         )?;
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1357,8 +1344,9 @@ mod tests {
             0,
             0,
             &state(11, 1.1),
+            &ShardConfig::default(),
         )?;
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1367,12 +1355,13 @@ mod tests {
             0,
             0,
             &state(10, 2.0),
+            &ShardConfig::default(),
         )?;
         let plan = assemble(&store, job(), &layout)?;
         assert_eq!(plan[&(0, 0)].iteration, 10);
         assert_eq!(plan[&(1, 0)].iteration, 10);
         // Once stage 1 also has 11, assembly moves forward.
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1381,6 +1370,7 @@ mod tests {
             0,
             1,
             &state(11, 2.1),
+            &ShardConfig::default(),
         )?;
         let plan = assemble(&store, job(), &layout)?;
         assert_eq!(plan[&(0, 0)].iteration, 11);
@@ -1394,7 +1384,7 @@ mod tests {
         let store = SharedStore::new();
         let layout = ParallelLayout::three_d(2, 2, 1);
         for (stage, part) in layout.cells() {
-            write_checkpoint(
+            write_checkpoint_with(
                 &store,
                 job(),
                 CkptKind::Jit,
@@ -1403,6 +1393,7 @@ mod tests {
                 part,
                 0,
                 &state(3, 1.0),
+                &ShardConfig::default(),
             )?;
         }
         // Rank 3 in a 2dp×2pp layout: dp=1, stage=1.
@@ -1416,7 +1407,7 @@ mod tests {
     fn combined_mode_prefers_newest_of_either_kind() -> SimResult<()> {
         let store = SharedStore::new();
         let layout = ParallelLayout::data_parallel(1);
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Periodic,
@@ -1425,8 +1416,9 @@ mod tests {
             0,
             0,
             &state(20, 1.0),
+            &ShardConfig::default(),
         )?;
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Jit,
@@ -1435,12 +1427,13 @@ mod tests {
             0,
             0,
             &state(25, 2.0),
+            &ShardConfig::default(),
         )?;
         let plan = assemble(&store, job(), &layout)?;
         assert_eq!(plan[&(0, 0)].iteration, 25);
         assert_eq!(plan[&(0, 0)].kind, CkptKind::Jit);
         // A newer periodic checkpoint wins in turn.
-        write_checkpoint(
+        write_checkpoint_with(
             &store,
             job(),
             CkptKind::Periodic,
@@ -1449,6 +1442,7 @@ mod tests {
             0,
             0,
             &state(30, 3.0),
+            &ShardConfig::default(),
         )?;
         let plan = assemble(&store, job(), &layout)?;
         assert_eq!(plan[&(0, 0)].kind, CkptKind::Periodic);

@@ -622,14 +622,6 @@ fn apply_ring_topology(setup: &mut JobSetup, scheduler: &Scheduler, assignment: 
     }
 }
 
-/// Allocates simulated GPUs for an assignment (helper for harnesses).
-pub fn gpus_for(assignment: &[GpuId], cost: &CostModel) -> Vec<Gpu> {
-    assignment
-        .iter()
-        .map(|g| Gpu::new(*g, cost.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,15 +644,6 @@ mod tests {
         let cfg = JitUserConfig::default();
         assert_eq!(cfg.tier, StorageTier::Disk);
         assert!(cfg.watchdog_timeout.as_millis() >= 100);
-    }
-
-    #[test]
-    fn gpus_for_builds_devices_with_assignment_ids() {
-        let cost = CostModel::v100();
-        let gpus = gpus_for(&[GpuId(3), GpuId(9)], &cost);
-        assert_eq!(gpus.len(), 2);
-        assert_eq!(gpus[0].id, GpuId(3));
-        assert_eq!(gpus[1].id, GpuId(9));
     }
 
     /// A timeout no test could wait out: detection has to come from the

@@ -7,7 +7,7 @@ use cluster::{FailureInjector, SharedStore};
 use collectives::{CommWorld, GradLedger, LedgerConfig};
 use dltrain::trainer::DEFAULT_BUCKET_BYTES;
 use dltrain::{JobSetup, RankTrainer, TrainConfig, TrainState};
-use jitckpt::checkpoint::{self, CkptKind};
+use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
 use jitckpt::stream::{
     self, recv_ledger_history, restore_with_fallback, send_ledger_slices, RecoverySource,
 };
@@ -96,7 +96,7 @@ fn in_network_recovery_touches_no_checkpoint_store_object() {
     // A checkpoint exists in the store (as it would in production) so
     // the zero-reads assertion is meaningful, not vacuous.
     let store = Arc::new(SharedStore::new());
-    checkpoint::write_checkpoint(
+    checkpoint::write_checkpoint_with(
         &store,
         JobId(0),
         CkptKind::Periodic,
@@ -105,6 +105,7 @@ fn in_network_recovery_touches_no_checkpoint_store_object() {
         0,
         failed,
         &truth,
+        &ShardConfig::default(),
     )
     .unwrap();
     assert_eq!(store.read_count(), 0);
@@ -181,7 +182,7 @@ fn adjacent_pair_failure_falls_back_to_streamed_replica_then_store() {
     let srcs: Vec<RankId> = survivors.iter().map(|&s| RankId(s as u32)).collect();
 
     let store = Arc::new(SharedStore::new());
-    checkpoint::write_checkpoint(
+    checkpoint::write_checkpoint_with(
         &store,
         JobId(0),
         CkptKind::Jit,
@@ -190,6 +191,7 @@ fn adjacent_pair_failure_falls_back_to_streamed_replica_then_store() {
         0,
         2,
         &ran[2].0,
+        &ShardConfig::default(),
     )
     .unwrap();
 

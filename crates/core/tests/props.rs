@@ -8,7 +8,7 @@ use jitckpt::analysis::{
     optimal_frequency, wasted_fraction, wasted_rate_jit_transparent, wasted_rate_jit_user,
     wasted_rate_periodic, wasted_rate_periodic_optimal, JobParams,
 };
-use jitckpt::checkpoint::{self, CkptKind};
+use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
 use jitckpt::transparent::run_transparent_job;
 use proptest::prelude::*;
 use simcore::cost::CostModel;
@@ -80,7 +80,7 @@ proptest! {
             buffers: vec![("w".into(), BufferTag::Param, data)],
             logical_bytes: 64,
         };
-        checkpoint::write_checkpoint(&store, JobId(0), CkptKind::Jit, RankId(0), 0, 0, 0, &state)
+        checkpoint::write_checkpoint_with(&store, JobId(0), CkptKind::Jit, RankId(0), 0, 0, 0, &state, &ShardConfig::default())
             .unwrap();
         // Small states fit in one shard at the default shard size; flip a
         // bit anywhere in that shard object.
@@ -117,8 +117,9 @@ proptest! {
         };
         for (stage, its) in iters_per_cell.iter().enumerate() {
             for it in its {
-                checkpoint::write_checkpoint(
+                checkpoint::write_checkpoint_with(
                     &store, JobId(0), CkptKind::Jit, RankId(stage as u32), stage, 0, 0, &state(*it),
+                    &ShardConfig::default(),
                 ).unwrap();
             }
         }

@@ -476,7 +476,7 @@ fn catastrophic_failure_falls_back_to_periodic_checkpoint() {
     // catastrophic failure takes out EVERY data-parallel replica at once
     // (no JIT checkpoint possible), the job must restart from the last
     // periodic checkpoint instead of from scratch.
-    use jitckpt::checkpoint::{self, CkptKind};
+    use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
     let cfg = dltrain::TrainConfig::tiny_dp(2);
     let iters = 8;
     let clean = baseline_losses(&cfg, iters);
@@ -498,7 +498,7 @@ fn catastrophic_failure_falls_back_to_periodic_checkpoint() {
                 RankTrainer::new(exec, cfg2.clone(), &per_rank[i], FailureInjector::none())?;
             tr.train(3)?;
             let state = tr.state_snapshot()?;
-            checkpoint::write_checkpoint(
+            checkpoint::write_checkpoint_with(
                 &store2,
                 simcore::JobId(0),
                 CkptKind::Periodic,
@@ -507,6 +507,7 @@ fn catastrophic_failure_falls_back_to_periodic_checkpoint() {
                 0,
                 i,
                 &state,
+                &ShardConfig::default(),
             )?;
             Ok::<_, simcore::SimError>(())
         });

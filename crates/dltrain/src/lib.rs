@@ -35,4 +35,4 @@ pub use data::DataLoader;
 pub use model::{Block, Head, ModelConfig};
 pub use optim::{OptimizerKind, RankOptimizer};
 pub use setup::{build_comms, JobComms, JobSetup};
-pub use trainer::{run_ranks, RankTokens, RankTrainer, TrainConfig, TrainHooks, TrainState};
+pub use trainer::{run_ranks, RankTokens, RankTrainer, TrainConfig, TrainState};

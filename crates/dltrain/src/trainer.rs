@@ -96,11 +96,6 @@ pub struct RankTokens {
     pub pp: Option<CommToken>,
 }
 
-/// Hook points reserved for policy layers (periodic checkpointing
-/// baselines drive the trainer externally instead).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrainHooks;
-
 /// One FSDP-sharded parameter: the rank's persistent flat shard plus the
 /// full-tensor dimensions needed to materialize it each minibatch.
 #[derive(Debug, Clone)]
@@ -437,11 +432,6 @@ impl<E: Executor> RankTrainer<E> {
         comm.attach_ledger(self.exec.rank(), ledger.clone())?;
         self.ledger = Some(ledger.clone());
         Ok(ledger)
-    }
-
-    /// This rank's attached gradient ledger, if any.
-    pub fn grad_ledger(&self) -> Option<Arc<GradLedger>> {
-        self.ledger.clone()
     }
 
     /// Per-parameter payload lengths in registration order (forward

@@ -24,7 +24,6 @@
 //! and is woken early only by a hang report or by `Drop`; entering and
 //! leaving a collective never notify it.
 
-use crate::executor::CommToken;
 use collectives::{CollectiveObserver, CollectiveTicket};
 use simcore::sync::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -215,11 +214,6 @@ impl CollectiveObserver for WatchdogObserver {
         }
     }
 }
-
-/// Convenience: the set of communicator tokens a recovery handler must
-/// rebuild, paired with the watchdog that was watching them. (Used by the
-/// transparent recovery engine; defined here to keep proxy self-contained.)
-pub type WatchedComms = Vec<CommToken>;
 
 #[cfg(test)]
 mod tests {

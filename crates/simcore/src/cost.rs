@@ -392,11 +392,6 @@ impl CostModel {
     pub fn effective_log_overhead(&self) -> SimTime {
         SimTime::from_secs(self.api_log_overhead.as_secs() * self.log_async_residual)
     }
-
-    /// Rendezvous time to (re)create `n_comms` communicators.
-    pub fn comm_init_time(&self, n_comms: usize) -> SimTime {
-        SimTime::from_secs(self.comm_init.as_secs() * n_comms as f64)
-    }
 }
 
 impl Default for CostModel {
@@ -512,14 +507,6 @@ mod tests {
         let cm = CostModel::v100();
         assert_eq!(cm.all_reduce(1 << 30, 1, 8), cm.coll_latency);
         assert_eq!(cm.all_gather(1 << 30, 1, 8), cm.coll_latency);
-    }
-
-    #[test]
-    fn comm_init_dominates_transient_recovery_shape() {
-        // Table 7: recreating NCCL communicators is ~1 s per communicator.
-        let cm = CostModel::v100();
-        let t = cm.comm_init_time(8).as_secs();
-        assert!((7.0..10.0).contains(&t));
     }
 
     #[test]

@@ -150,19 +150,9 @@ impl FailureRate {
         }
     }
 
-    /// The OPT-175B observed rate: 2 failures/day over 992 GPUs.
-    pub fn opt175b() -> Self {
-        Self::per_gpu_per_day(2.0 / 992.0)
-    }
-
     /// Job-level failure rate for `n` GPUs (failures per second).
     pub fn job_rate(&self, n: usize) -> f64 {
         self.per_gpu_per_sec * n as f64
-    }
-
-    /// Mean time between job failures for `n` GPUs.
-    pub fn job_mtbf(&self, n: usize) -> SimTime {
-        SimTime::from_secs(1.0 / self.job_rate(n))
     }
 }
 
@@ -243,19 +233,6 @@ mod tests {
         assert!(!Phase::AllReduce.recovers_to_next_iteration());
         assert!(Phase::OptimizerStep.recovers_to_next_iteration());
         assert!(Phase::BetweenIterations.recovers_to_next_iteration());
-    }
-
-    #[test]
-    fn opt175b_rate_matches_two_per_day() {
-        let r = FailureRate::opt175b();
-        let per_day = r.job_rate(992) * 86_400.0;
-        assert!((per_day - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn job_mtbf_shrinks_with_n() {
-        let r = FailureRate::per_gpu_per_day(1e-3);
-        assert!(r.job_mtbf(1000) < r.job_mtbf(100));
     }
 
     #[test]

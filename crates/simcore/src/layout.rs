@@ -102,21 +102,6 @@ impl ParallelLayout {
             .collect()
     }
 
-    /// Pipeline group containing `rank` (same dp replica & partition),
-    /// ordered by stage.
-    pub fn pp_group_of(&self, rank: RankId) -> Vec<RankId> {
-        let c = self.coord(rank);
-        (0..self.pp)
-            .map(|stage| {
-                self.rank_at(GridCoord {
-                    dp: c.dp,
-                    stage,
-                    part: c.part,
-                })
-            })
-            .collect()
-    }
-
     /// All (stage, partition) cells — the quorum domain for §3.3.
     pub fn cells(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.pp * self.tp);
@@ -171,7 +156,6 @@ mod tests {
             vec![RankId(0), RankId(1), RankId(2), RankId(3)]
         );
         assert_eq!(l.tp_group_of(RankId(2)), vec![RankId(2)]);
-        assert_eq!(l.pp_group_of(RankId(2)), vec![RankId(2)]);
     }
 
     #[test]

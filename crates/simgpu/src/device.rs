@@ -113,11 +113,6 @@ impl Gpu {
         self.used_logical
     }
 
-    /// Memory capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// Number of live buffers.
     pub fn buffer_count(&self) -> usize {
         self.buffers.len()
@@ -405,15 +400,6 @@ impl Gpu {
             }
         }
         (out, bytes)
-    }
-
-    /// Total logical bytes of persistent state (checkpoint size).
-    pub fn persistent_bytes(&self) -> u64 {
-        self.buffers
-            .values()
-            .filter(|b| b.tag.is_persistent())
-            .map(|b| b.logical_bytes)
-            .sum()
     }
 
     /// Restores persistent buffers from a snapshot by storage key.

@@ -17,14 +17,11 @@ echo '==> bit-identity on the profile that is benchmarked (release codegen vecto
 cargo test --release -p simgpu --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 
-echo '==> benches compile'
-cargo build --benches --workspace --quiet
-
 echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
 sh scripts/surface.sh --check
 # Same idea for real clocks: a new wall-clock wait on a fault path needs a diff to this number, not just a comment.
-[ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 4 ] \
-    || { echo 'check.sh: more than 4 jitlint::allow(virtual_time) sites outside crates/lint' >&2; exit 1; }
+[ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 3 ] \
+    || { echo 'check.sh: more than 3 jitlint::allow(virtual_time) sites outside crates/lint' >&2; exit 1; }
 
 echo '==> jitlint'
 cargo run -p lint --quiet
@@ -40,17 +37,6 @@ JIT_LOCK_WITNESS="$PWD/target/lock_witness.txt" \
 
 echo '==> jitlint --witness (runtime edges vs static lock graph)'
 cargo run -p lint --quiet -- --witness target/lock_witness.txt
-
-echo '==> coll_bench smoke (tiny sizes, hier ladder capped at 64 ranks)'
-cargo run --release --quiet -p bench --bin coll_bench -- 2 1 target/BENCH_coll.smoke.json 64
-
-echo '==> recovery_bench smoke (full matrix is sub-second, throwaway output)'
-cargo run --release --quiet -p bench --bin recovery_bench -- target/BENCH_recovery.smoke.json
-
-echo '==> store_bench smoke (1 MiB payload, 2 generations, incl. restore matrix, throwaway output)'
-cargo run --release --quiet -p bench --bin store_bench -- 1 2 target/BENCH_store.smoke.json
-grep -q '"restore": \[' target/BENCH_store.smoke.json \
-    || { echo 'check.sh: store_bench smoke output lacks the restore section' >&2; exit 1; }
 
 echo '==> incident benchmark smoke (stand-alone package builds against the crates; bit-identity gates)'
 bash benchmark/run.sh --smoke > target/incident_bench.smoke.txt \

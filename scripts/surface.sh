@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Public-surface and size ledger (ROADMAP item 3 acceptance: "the public
-# item count per crate is recorded before and after, and it goes down").
+# Public-surface and size ledger (the ROADMAP's "Finish the plane
+# collapse" acceptance: "the public item count per crate is recorded
+# before and after, and it goes down").
 #
 # Prints one line per workspace crate: the number of `pub` items under
 # its `src/` (fn, struct, enum, trait, const, type — at any depth, test
