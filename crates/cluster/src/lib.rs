@@ -5,21 +5,17 @@
 //! checkpoint and notify the scheduler; the scheduler waits for at least
 //! one data-parallel replica of *each* pipeline stage and tensor-parallel
 //! partition to acknowledge, kills the job, and reschedules it on a node
-//! set that excludes the failed GPUs; CRIU snapshots let worker CPU state
-//! migrate without re-initialization. This crate provides that substrate:
+//! set that excludes the failed GPUs. This crate provides that substrate:
 //!
 //! * [`topology`] — node/GPU inventory with health tracking and
 //!   exclusion-aware allocation;
 //! * [`store`] — the shared checkpoint store (blob/NFS equivalent) with
 //!   corruption and incomplete-write simulation;
-//! * [`criu`] — CRIU-style serialization of worker CPU state with cost
-//!   accounting;
 //! * [`injector`] — scripted, phase-precise failure injection plus Poisson
 //!   traces;
 //! * [`scheduler`] — job lifecycle: allocation, failure notifications,
 //!   per-stage/partition checkpoint quorum, and rescheduling.
 
-pub mod criu;
 pub mod injector;
 pub mod scheduler;
 pub mod store;

@@ -22,7 +22,8 @@
 //!   proxy's interception layer: errors never reach the framework;
 //!   recovery resets GPU state to minibatch start (in place, via proxy
 //!   restart, from a replica, or by migrating to a fresh GPU under a
-//!   CRIU-preserved worker) and replays the logged device APIs.
+//!   CRIU-preserved worker) and replays the logged device APIs, as a
+//!   pure `decide` function plans from what every rank reported.
 //!
 //! Plus:
 //!
@@ -43,6 +44,7 @@
 
 pub mod analysis;
 pub mod checkpoint;
+mod decide;
 pub mod pipeline;
 pub mod restore;
 pub mod stream;

@@ -5,65 +5,29 @@
 //! fails, the failing rank enters the engine; the engine aborts the
 //! communication world so every peer parked in a hung collective surfaces
 //! too (the per-rank watchdogs do the same for hangs the engine hasn't
-//! seen yet). Once **all** ranks have arrived, the last arrival plans the
-//! round:
-//!
-//! * **Minibatch replay** (§4.2.1) — failure before the optimizer
-//!   mutated state. Every rank resets to minibatch start — in place if
-//!   its GPU is clean (case 1), via host round-trip + proxy restart if
-//!   the driver is suspect (case 2), via proxy restart + replica copy if
-//!   the context is poisoned (case 3) — then all ranks replay their
-//!   logged device APIs (replayed collectives rendezvous across ranks)
-//!   and retry the failed operation.
-//! * **Roll forward** (§4.2.2) — failure inside the optimizer step.
-//!   Healthy ranks have already advanced to minibatch *i+1* (they are
-//!   parked at its first collective); the victim copies parameter and
-//!   optimizer state *of the start of i+1* from a replica and skips the
-//!   rest of its optimizer-step device calls. No replay is needed.
-//! * **Hard error** (§4.3) — the victim's GPU is dead. Healthy ranks JIT
-//!   checkpoint their GPU state through the §4.3 allocation-site naming
-//!   scheme; every worker takes a CRIU checkpoint of its CPU state; the
-//!   victim migrates to a replacement GPU and reads the buffer files its
-//!   replicas wrote; then recovery proceeds as minibatch replay.
-//!
-//! Every step's duration is charged to the rank's virtual clock and
-//! recorded in a [`RecoveryReport`] — the raw data behind Tables 5–7.
+//! seen yet). Once **all** ranks have arrived, the last arrival decides
+//! the round with [`crate::decide`] — minibatch replay (§4.2.1), roll
+//! forward (§4.2.2) or migration (§4.3) — and every rank executes its
+//! share of the plan. Every step's duration is charged to the rank's
+//! virtual clock and recorded in a [`RecoveryReport`] — the raw data
+//! behind Tables 5–7.
 
+use crate::decide::{decide, Action, RankStatus, RecoveryPlan};
 use cluster::SharedStore;
 use dltrain::{build_comms, JobComms};
 use proxy::{
-    CommToken, Executor, MinibatchPosition, PendingOp, ProxyClient, RecoveryHandler,
-    RecoveryOutcome, Watchdog,
+    CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome, Watchdog,
 };
 use simcore::cost::StorageTier;
 use simcore::layout::ParallelLayout;
-use simcore::sync::{Condvar, Mutex};
+use simcore::sync::{Condvar, Mutex, MutexGuard};
 use simcore::{GpuId, RankId, SimError, SimResult, SimTime};
 use simgpu::{Gpu, GpuHealth};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What one rank reported on entering a recovery round.
-#[derive(Debug, Clone, Copy)]
-struct RankStatus {
-    health: GpuHealth,
-    /// The rank's own fault was the trigger (device error or transient
-    /// network fault on its NCCL call) — as opposed to surfacing via an
-    /// abort while parked behind someone else's failure.
-    is_victim: bool,
-    position: MinibatchPosition,
-}
-
-/// The planned recovery mode for a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// §4.2.1: reset all ranks to minibatch start and replay.
-    MinibatchReplay,
-    /// §4.2.2: victim rolls forward to the next minibatch; healthy ranks
-    /// simply retry.
-    RollForward,
-}
+pub use crate::decide::RecoveryMode;
 
 /// One step of a recovery, with its virtual duration (Table 7 rows).
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +36,18 @@ pub struct RecoveryStep {
     pub name: String,
     /// Virtual duration.
     pub time: SimTime,
+}
+
+fn step(name: &str, time: SimTime) -> RecoveryStep {
+    RecoveryStep {
+        name: name.into(),
+        time,
+    }
+}
+
+/// Virtual time `client` spent since `t0`.
+fn since(client: &ProxyClient, t0: SimTime) -> SimTime {
+    client.now().saturating_sub(t0)
 }
 
 /// Timing report for one rank's recovery (Tables 5–7).
@@ -91,20 +67,25 @@ pub struct RecoveryReport {
     pub total: SimTime,
 }
 
+/// Generous real-time hang threshold: on an oversubscribed host a healthy
+/// collective can easily stall for hundreds of milliseconds, and the paper
+/// excludes detection latency from its recovery measurements anyway (§6.4).
+const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(1500);
+
 struct RoundPlan {
-    mode: RecoveryMode,
-    /// Per-cell replica-copy roots: (stage, part) → broadcast root rank.
-    cell_sync: HashMap<(usize, usize), RankId>,
+    decision: RecoveryPlan,
     /// Fresh communicator bundles (per rank).
     new_comms: Vec<JobComms>,
-    /// Ranks whose GPU is hard-failed.
-    hard_victims: Vec<RankId>,
 }
 
 struct CoordState {
+    /// Rounds completed so far.
     round: u64,
-    arrived: HashMap<RankId, RankStatus>,
-    plan: Option<Arc<RoundPlan>>,
+    /// Keyed by rank, so a full quorum lists statuses in rank order.
+    arrived: BTreeMap<RankId, RankStatus>,
+    /// The round's verdict once the last rank arrived: the plan, or why
+    /// there is none. Every rank of the round reads the same one.
+    plan: Option<SimResult<Arc<RoundPlan>>>,
     finished: usize,
     /// `(round, stage, part)` of every cell whose §4.3 buffer files some
     /// healthy replica has finished writing.
@@ -118,7 +99,6 @@ pub struct TransparentEngine {
     state: Mutex<CoordState>,
     cv: Condvar,
     arrive_timeout: Duration,
-    watchdog_timeout: Duration,
     watchdogs: Mutex<HashMap<RankId, Watchdog>>,
     reports: Mutex<Vec<RecoveryReport>>,
     /// Store used for the §4.3 hard-error buffer files.
@@ -129,7 +109,6 @@ pub struct TransparentEngine {
     /// Framework extra process groups per rank (must match the job
     /// setup's `extra_comms` so recovery rebuilds the same set).
     extra_comms: usize,
-    rounds_run: Mutex<u64>,
 }
 
 impl TransparentEngine {
@@ -157,24 +136,18 @@ impl TransparentEngine {
             world,
             state: Mutex::new(CoordState {
                 round: 0,
-                arrived: HashMap::new(),
+                arrived: BTreeMap::new(),
                 plan: None,
                 finished: 0,
                 hard_written: HashSet::new(),
             }),
             cv: Condvar::new(),
             arrive_timeout: Duration::from_secs(30),
-            // Generous real-time hang threshold: on an oversubscribed
-            // host a healthy collective can easily stall for hundreds of
-            // milliseconds, and the paper excludes detection latency from
-            // its recovery measurements anyway (§6.4).
-            watchdog_timeout: Duration::from_millis(1500),
             watchdogs: Mutex::new(HashMap::new()),
             reports: Mutex::new(Vec::new()),
             store,
             gpu_allocator: Mutex::new(Box::new(gpu_allocator)),
             extra_comms,
-            rounds_run: Mutex::new(0),
         })
     }
 
@@ -187,7 +160,7 @@ impl TransparentEngine {
 
     fn arm_watchdog(&self, client: &mut ProxyClient) -> SimResult<()> {
         let world = self.world.clone();
-        let wd = Watchdog::spawn(self.watchdog_timeout, move || {
+        let wd = Watchdog::spawn(WATCHDOG_TIMEOUT, move || {
             // A hang means some peer failed: abort everything so all
             // parked ranks surface into the recovery engine.
             world.abort_all();
@@ -202,7 +175,7 @@ impl TransparentEngine {
 
     /// Recovery rounds completed so far.
     pub fn rounds(&self) -> u64 {
-        *self.rounds_run.lock()
+        self.state.lock().round
     }
 
     /// All per-rank recovery reports recorded so far.
@@ -217,8 +190,8 @@ impl TransparentEngine {
     }
 
     /// Rank-enter protocol: register status, make sure everyone else will
-    /// surface, wait for the full quorum, and have the last arrival plan
-    /// the round.
+    /// surface, wait for the full quorum, and have the last arrival decide
+    /// the round. A round [`decide`] rejects fails on every rank at once.
     fn rank_enter(&self, rank: RankId, status: RankStatus) -> SimResult<(u64, Arc<RoundPlan>)> {
         // Ensure every peer surfaces (idempotent with watchdog aborts).
         self.world.abort_all();
@@ -227,119 +200,67 @@ impl TransparentEngine {
         let round = st.round;
         st.arrived.insert(rank, status);
         if st.arrived.len() == n {
-            // Last arrival: plan the round.
-            let plan = self.plan_round(&st.arrived)?;
-            st.plan = Some(Arc::new(plan));
+            let statuses: Vec<RankStatus> = st.arrived.values().copied().collect();
+            st.plan = Some(decide(&self.layout, &statuses).map(|d| Arc::new(self.plan_round(d))));
             self.cv.notify_all();
-        } else {
-            let deadline = Instant::now() + self.arrive_timeout;
-            while st.plan.is_none() {
-                if Instant::now() > deadline {
-                    return Err(SimError::Protocol(format!(
-                        "recovery quorum timeout: {}/{} ranks arrived in round {round}",
-                        st.arrived.len(),
-                        n
-                    )));
-                }
-                self.cv.wait_for(&mut st, Duration::from_millis(2));
-            }
         }
-        let plan = st.plan.clone().ok_or_else(|| {
-            SimError::Protocol(format!("recovery round {round} has no plan after quorum"))
-        })?;
-        Ok((round, plan))
+        self.wait_until(&mut st, |s| s.plan.is_some());
+        match &st.plan {
+            Some(verdict) => verdict.clone().map(|plan| (round, plan)),
+            None => Err(SimError::Protocol(format!(
+                "recovery quorum timeout: {}/{n} ranks arrived in round {round}",
+                st.arrived.len()
+            ))),
+        }
     }
 
     /// Marks a rank done with the round; the last one resets round state.
-    fn rank_finish(&self, _rank: RankId) {
+    /// The others wait for that, so a rank cannot race ahead and trip a
+    /// new round against stragglers of this one.
+    fn rank_finish(&self) -> SimResult<()> {
         let n = self.layout.world_size();
         let mut st = self.state.lock();
+        let round = st.round;
         st.finished += 1;
         if st.finished == n {
             st.round += 1;
             st.arrived.clear();
             st.plan = None;
             st.finished = 0;
-            *self.rounds_run.lock() += 1;
             self.cv.notify_all();
-        } else {
-            // Wait for the round to fully close before returning, so a
-            // rank cannot race ahead and trip a new round against
-            // stragglers of this one.
-            let round_now = st.round;
-            let deadline = Instant::now() + self.arrive_timeout;
-            while st.round == round_now {
-                if Instant::now() > deadline {
-                    return;
-                }
-                self.cv.wait_for(&mut st, Duration::from_millis(2));
-            }
         }
+        if !self.wait_until(&mut st, |s| s.round != round) {
+            return Err(SimError::Protocol(format!(
+                "recovery round {round} never closed: {}/{n} ranks finished",
+                st.finished
+            )));
+        }
+        Ok(())
     }
 
-    fn plan_round(&self, arrived: &HashMap<RankId, RankStatus>) -> SimResult<RoundPlan> {
-        // Victims: ranks whose device is not healthy.
-        let mut hard_victims = Vec::new();
-        let mut soft_victims = Vec::new();
-        let mut victim_past_optimizer = false;
-        for (r, s) in arrived {
-            match s.health {
-                GpuHealth::Healthy => {}
-                GpuHealth::HardwareFailed => hard_victims.push(*r),
-                GpuHealth::DriverSuspect | GpuHealth::Sticky => soft_victims.push(*r),
+    /// Waits on the engine's condvar until `done` holds of the round
+    /// state; false if `arrive_timeout` passes first.
+    fn wait_until(
+        &self,
+        st: &mut MutexGuard<'_, CoordState>,
+        done: impl Fn(&CoordState) -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + self.arrive_timeout;
+        while !done(st) {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
             }
-            if s.is_victim && s.position != MinibatchPosition::FwdBwd {
-                victim_past_optimizer = true;
-            }
+            self.cv.wait_for(st, deadline - now);
         }
-        // Roll forward exactly when the victim's fault struck at or past
-        // the optimizer step (§4.2.2): its replicas' state is already the
-        // start of the *next* minibatch. Iteration numbers are NOT used —
-        // pipeline stages legitimately sit at different iterations.
-        let mode = if victim_past_optimizer {
-            RecoveryMode::RollForward
-        } else {
-            RecoveryMode::MinibatchReplay
-        };
-        // Cells that need a replica copy: those containing a victim whose
-        // memory is gone (sticky/hard). The root is the lowest healthy
-        // replica in the cell. In roll-forward mode, every victim needs a
-        // replica copy regardless of memory readability (its state is
-        // torn mid-update).
-        let mut cell_sync: HashMap<(usize, usize), RankId> = HashMap::new();
-        let needs_copy = |r: &RankId| {
-            let s = &arrived[r];
-            match mode {
-                RecoveryMode::RollForward => true,
-                RecoveryMode::MinibatchReplay => !s.health.memory_readable(),
-            }
-        };
-        // Hard victims restore from the §4.3 buffer files instead of a
-        // broadcast, so only soft victims drive cell syncs.
-        for victim in soft_victims.iter() {
-            if !needs_copy(victim) {
-                continue;
-            }
-            let coord = self.layout.coord(*victim);
-            let cell = (coord.stage, coord.part);
-            let root = self
-                .layout
-                .dp_group_of(*victim)
-                .into_iter()
-                .find(|r| r != victim && arrived[r].health == GpuHealth::Healthy)
-                .ok_or_else(|| {
-                    SimError::NoCheckpointAvailable(format!(
-                        "no healthy data-parallel replica for {victim} (dp = {})",
-                        self.layout.dp
-                    ))
-                })?;
-            cell_sync.insert(cell, root);
-        }
-        // Rebuild the communication layer on a clean world, including
-        // the framework's extra process groups. Recreated communicators
-        // adopt their predecessors' completed-slot caches so replayed
-        // operations are served without re-participation (the old arcs
-        // are swapped in per-rank during rebind).
+        true
+    }
+
+    /// The round's side effects: rebuild the communication layer, extra
+    /// process groups included, on a clean world. Each rank's rebind makes
+    /// the new communicators adopt their predecessors' completed-slot
+    /// caches, so replayed operations need no re-participation.
+    fn plan_round(&self, decision: RecoveryPlan) -> RoundPlan {
         self.world.reset();
         let mut new_comms = build_comms(&self.layout, &self.world);
         let n = self.layout.world_size();
@@ -351,12 +272,10 @@ impl TransparentEngine {
                 bundle.extras.push(c.clone());
             }
         }
-        Ok(RoundPlan {
-            mode,
-            cell_sync,
+        RoundPlan {
+            decision,
             new_comms,
-            hard_victims,
-        })
+        }
     }
 
     /// Swaps the client's registered communicators for the freshly built
@@ -411,12 +330,7 @@ impl TransparentEngine {
     /// The hard-error path for a *healthy* rank: write every persistent
     /// buffer to the shared store under the cross-rank-stable key, and
     /// take a CRIU checkpoint of the worker CPU state (§4.3).
-    fn hard_healthy_side(
-        &self,
-        client: &mut ProxyClient,
-        round: u64,
-        steps: &mut Vec<RecoveryStep>,
-    ) -> SimResult<()> {
+    fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<RecoveryStep> {
         let coord = self.layout.coord(client.rank());
         let t0 = client.now();
         let (snap, bytes) = client.snapshot_persistent_to_host()?;
@@ -441,25 +355,16 @@ impl TransparentEngine {
         let criu_bytes = 2 << 30;
         client.charge(cost.criu(criu_bytes));
         client.restore_worker_cpu_state(&image)?;
-        client.charge(cost.criu(criu_bytes)); // restore on the new node
-                                              // Read the GPU state back on the restored side.
+        // Restore on the new node, then read the GPU state back there.
+        client.charge(cost.criu(criu_bytes));
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
-        steps.push(RecoveryStep {
-            name: "JIT checkpoint + CRIU + restore".into(),
-            time: client.now().saturating_sub(t0),
-        });
-        Ok(())
+        Ok(step("JIT checkpoint + CRIU + restore", since(client, t0)))
     }
 
     /// The hard-error path for the *victim*: migrate to a replacement GPU
     /// under the CRIU-preserved worker, re-create persistent objects, and
     /// fill them from the buffer files the replicas wrote.
-    fn hard_victim_side(
-        &self,
-        client: &mut ProxyClient,
-        round: u64,
-        steps: &mut Vec<RecoveryStep>,
-    ) -> SimResult<()> {
+    fn hard_victim_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<RecoveryStep> {
         let coord = self.layout.coord(client.rank());
         let t0 = client.now();
         let new_gpu = (self.gpu_allocator.lock())(client.rank());
@@ -478,18 +383,10 @@ impl TransparentEngine {
         // complete, then read each file once.
         let no_replica =
             |path: &str| SimError::NoCheckpointAvailable(format!("no replica wrote {path}"));
-        {
-            let cell = (round, coord.stage, coord.part);
-            let deadline = Instant::now() + self.arrive_timeout;
-            let mut st = self.state.lock();
-            while !st.hard_written.contains(&cell) {
-                let now = Instant::now();
-                if now >= deadline {
-                    let cell_dir = Self::hard_path(round, coord.stage, coord.part, "");
-                    return Err(no_replica(&cell_dir));
-                }
-                self.cv.wait_for(&mut st, deadline - now);
-            }
+        let cell = (round, coord.stage, coord.part);
+        let dir = Self::hard_path(round, coord.stage, coord.part, "");
+        if !self.wait_until(&mut self.state.lock(), |s| s.hard_written.contains(&cell)) {
+            return Err(no_replica(&dir));
         }
         let mut restored = Vec::with_capacity(local.len());
         for (key, tag, data) in local {
@@ -505,16 +402,11 @@ impl TransparentEngine {
             }
             restored.push((key, tag, replica_data));
         }
-        client
-            .server_mut()
-            .gpu_mut()
-            .restore_persistent(&restored)?;
+        let gpu = client.server_mut().gpu_mut();
+        gpu.restore_persistent(&restored)?;
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
-        steps.push(RecoveryStep {
-            name: "migrate + CRIU restore + read replica buffers".into(),
-            time: client.now().saturating_sub(t0),
-        });
-        Ok(())
+        let name = "migrate + CRIU restore + read replica buffers";
+        Ok(step(name, since(client, t0)))
     }
 }
 
@@ -526,12 +418,10 @@ impl RecoveryHandler for TransparentEngine {
         err: &SimError,
     ) -> SimResult<RecoveryOutcome> {
         let rank = client.rank();
-        let my_health = client.health();
-        let i_am_victim =
-            my_health != GpuHealth::Healthy || matches!(err, SimError::NetworkTransient);
+        let health = client.health();
         let status = RankStatus {
-            health: my_health,
-            is_victim: i_am_victim,
+            health,
+            is_victim: health != GpuHealth::Healthy || matches!(err, SimError::NetworkTransient),
             position: client.position(),
         };
         // Silence this rank's watchdog for the duration of recovery: the
@@ -539,73 +429,28 @@ impl RecoveryHandler for TransparentEngine {
         // coordination pace and must not be mistaken for hangs.
         client.set_observer(Arc::new(collectives::NullObserver));
         let (round, plan) = self.rank_enter(rank, status)?;
-        let coord = self.layout.coord(rank);
-        let i_am_hard = plan.hard_victims.contains(&rank);
-        let recovery_start = client.now();
+        let mine = &plan.decision.ranks[rank.index()];
+        let mut actions = mine.actions.iter().copied().peekable();
         let mut steps: Vec<RecoveryStep> = Vec::new();
 
         // Step 1: delete communicators and GPU handles.
         let t0 = client.now();
         let cost = client.server().gpu().cost_model().clone();
         client.charge(cost.comm_teardown);
-        steps.push(RecoveryStep {
-            name: "Delete communicators and GPU handles".into(),
-            time: client.now().saturating_sub(t0),
-        });
+        steps.push(step(
+            "Delete communicators and GPU handles",
+            since(client, t0),
+        ));
 
         // Step 2 (ordering): per-rank state reset BEFORE the collective
         // rendezvous, so every rank arrives at the rendezvous ready.
         let t0 = client.now();
-        match plan.mode {
-            RecoveryMode::MinibatchReplay => match my_health {
-                GpuHealth::Healthy => {
-                    client.reset_in_place()?;
-                    client.charge(SimTime::from_millis(1.0));
-                }
-                GpuHealth::DriverSuspect => {
-                    let (snap, bytes) = client.snapshot_persistent_to_host()?;
-                    client.reset_with_restart()?;
-                    client.restore_persistent_from_host(&snap, bytes)?;
-                }
-                GpuHealth::Sticky => {
-                    client.reset_with_restart()?;
-                    // Contents come from the replica sync below.
-                }
-                GpuHealth::HardwareFailed => {
-                    self.hard_healthy_side_or_victim(client, round, i_am_hard, &mut steps)?;
-                }
-            },
-            RecoveryMode::RollForward => {
-                if i_am_victim {
-                    match my_health {
-                        GpuHealth::HardwareFailed => {
-                            self.hard_healthy_side_or_victim(client, round, true, &mut steps)?;
-                        }
-                        GpuHealth::Sticky | GpuHealth::DriverSuspect => {
-                            client.reset_with_restart()?;
-                        }
-                        GpuHealth::Healthy => {
-                            client.reset_in_place()?;
-                        }
-                    }
-                }
-                // Healthy non-victims keep their in-flight minibatch state.
-            }
+        while let Some(action) =
+            actions.next_if(|a| !matches!(a, Action::CopyFromReplica { .. } | Action::Replay))
+        {
+            self.execute(client, round, action, &[], &mut steps)?;
         }
-        // Healthy ranks in a hard round contribute their buffer files +
-        // CRIU images (all workers migrate together to the new node set).
-        if !plan.hard_victims.is_empty() && !i_am_hard {
-            self.hard_healthy_side(client, round, &mut steps)?;
-            if plan.mode == RecoveryMode::MinibatchReplay && my_health == GpuHealth::Healthy {
-                // Their GPU state was re-read after migration; reset to
-                // minibatch start for the replay below.
-                client.reset_in_place()?;
-            }
-        }
-        steps.push(RecoveryStep {
-            name: "Reset GPU buffers".into(),
-            time: client.now().saturating_sub(t0),
-        });
+        steps.push(step("Reset GPU buffers", since(client, t0)));
 
         // Step 3: recreate communicators (rendezvous per group — the
         // dominant cost, Table 7). The step is reported at its intrinsic
@@ -618,99 +463,96 @@ impl RecoveryHandler for TransparentEngine {
             client.rendezvous_comm(*token)?;
         }
         let comm_init = client.server().gpu().cost_model().comm_init;
-        steps.push(RecoveryStep {
-            name: "Recreate NCCL communicators".into(),
-            time: SimTime::from_secs(comm_init.as_secs() * tokens.len() as f64),
-        });
+        steps.push(step(
+            "Recreate NCCL communicators",
+            SimTime::from_secs(comm_init.as_secs() * tokens.len() as f64),
+        ));
 
         // Step 4: replica state sync for cells that lost state.
-        if let Some(root) = plan.cell_sync.get(&(coord.stage, coord.part)) {
-            let t0 = client.now();
-            // Use the data-parallel communicator for the copy.
-            let dp_token = tokens
-                .iter()
-                .find(|t| {
-                    client
-                        .comm(**t)
-                        .is_ok_and(|c| c.ranks() == self.layout.dp_group_of(rank))
-                })
-                .copied()
-                .ok_or_else(|| {
-                    SimError::Protocol("no data-parallel communicator for replica sync".into())
-                })?;
-            client.sync_persistent_from_replica(dp_token, *root)?;
-            steps.push(RecoveryStep {
-                name: "Copy state from replica".into(),
-                time: client.now().saturating_sub(t0),
-            });
+        while let Some(action) = actions.next_if(|a| matches!(a, Action::CopyFromReplica { .. })) {
+            self.execute(client, round, action, &tokens, &mut steps)?;
         }
 
         // Step 5: recreate GPU handles happened inside reset_with_restart;
         // charge a nominal entry for the in-place case to keep reports
         // uniform.
-        steps.push(RecoveryStep {
-            name: "Recreate GPU handles".into(),
-            time: SimTime::from_millis(5.0),
-        });
+        steps.push(step("Recreate GPU handles", SimTime::from_millis(5.0)));
         client.charge(SimTime::from_millis(5.0));
 
-        // Step 6: replay the minibatch device APIs.
-        let outcome = match plan.mode {
-            RecoveryMode::MinibatchReplay => {
-                let t0 = client.now();
-                client.replay()?;
-                steps.push(RecoveryStep {
-                    name: "Replay minibatch APIs".into(),
-                    time: client.now().saturating_sub(t0),
-                });
-                RecoveryOutcome::Retry
-            }
-            RecoveryMode::RollForward => {
-                steps.push(RecoveryStep {
-                    name: "Replay minibatch APIs".into(),
-                    time: SimTime::ZERO,
-                });
-                if i_am_victim {
-                    RecoveryOutcome::SkipToNextMinibatch
-                } else {
-                    RecoveryOutcome::Retry
-                }
-            }
-        };
+        // Step 6: replay the minibatch device APIs (a roll-forward round
+        // reports the step at zero).
+        if !mine.actions.contains(&Action::Replay) {
+            steps.push(step("Replay minibatch APIs", SimTime::ZERO));
+        }
+        for action in actions {
+            self.execute(client, round, action, &tokens, &mut steps)?;
+        }
 
         // Per-rank recovery time = this rank's own work (Σ steps), the
-        // paper's Table 5/6 metric; `recovery_start` brackets are kept on
-        // the virtual clock for job-level wall time.
-        let _ = recovery_start;
+        // paper's Table 5/6 metric.
         let total = steps.iter().fold(SimTime::ZERO, |acc, s| acc + s.time);
         self.reports.lock().push(RecoveryReport {
             rank,
-            mode: plan.mode,
-            was_victim: i_am_victim,
-            hard: !plan.hard_victims.is_empty(),
+            mode: plan.decision.mode,
+            was_victim: status.is_victim,
+            hard: plan.decision.hard,
             steps,
             total,
         });
         // Re-arm this rank's watchdog for the next failure.
         self.arm_watchdog(client)?;
-        self.rank_finish(rank);
-        Ok(outcome)
+        self.rank_finish()?;
+        Ok(mine.outcome)
     }
 }
 
 impl TransparentEngine {
-    fn hard_healthy_side_or_victim(
+    /// Runs one action of this rank's plan. `tokens` are the rebuilt
+    /// communicators (empty before the rendezvous).
+    fn execute(
         &self,
         client: &mut ProxyClient,
         round: u64,
-        is_victim: bool,
+        action: Action,
+        tokens: &[CommToken],
         steps: &mut Vec<RecoveryStep>,
     ) -> SimResult<()> {
-        if is_victim {
-            self.hard_victim_side(client, round, steps)
-        } else {
-            self.hard_healthy_side(client, round, steps)
+        match action {
+            Action::ResetInPlace { charged } => {
+                client.reset_in_place()?;
+                if charged {
+                    client.charge(SimTime::from_millis(1.0));
+                }
+            }
+            Action::HostRoundTrip => {
+                let (snap, bytes) = client.snapshot_persistent_to_host()?;
+                client.reset_with_restart()?;
+                client.restore_persistent_from_host(&snap, bytes)?;
+            }
+            Action::Restart => client.reset_with_restart()?,
+            Action::Migrate => steps.push(self.hard_victim_side(client, round)?),
+            Action::WriteHardFiles => steps.push(self.hard_healthy_side(client, round)?),
+            Action::CopyFromReplica { root } => {
+                let t0 = client.now();
+                // Use the data-parallel communicator for the copy.
+                let dp_group = self.layout.dp_group_of(client.rank());
+                let dp_token = tokens
+                    .iter()
+                    .find(|t| client.comm(**t).is_ok_and(|c| c.ranks() == dp_group))
+                    .copied()
+                    .ok_or_else(|| {
+                        SimError::Protocol("no data-parallel communicator for replica sync".into())
+                    })?;
+                client.sync_persistent_from_replica(dp_token, root)?;
+                steps.push(step("Copy state from replica", since(client, t0)));
+            }
+            Action::Replay => {
+                let t0 = client.now();
+                client.replay()?;
+                steps.push(step("Replay minibatch APIs", since(client, t0)));
+            }
         }
+        Ok(())
     }
 
     /// Helper used by harnesses that allocate replacement GPUs from a
@@ -834,12 +676,25 @@ mod tests {
     }
 
     #[test]
-    fn recovery_mode_labels() {
-        assert_ne!(RecoveryMode::MinibatchReplay, RecoveryMode::RollForward);
-        let s = RecoveryStep {
-            name: "Recreate NCCL communicators".into(),
-            time: SimTime::from_secs(1.0),
-        };
-        assert!(format!("{s:?}").contains("Recreate"));
+    fn a_rank_left_alone_in_a_round_gets_a_protocol_error() -> SimResult<()> {
+        let layout = ParallelLayout::data_parallel(2);
+        let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
+        let mut engine = TransparentEngine::new(
+            layout,
+            world,
+            Arc::new(SharedStore::new()),
+            TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
+        );
+        Arc::get_mut(&mut engine)
+            .ok_or_else(|| SimError::Protocol("engine is shared".into()))?
+            .arrive_timeout = Duration::from_millis(20);
+        // Rank 0 finishes round 0; rank 1 never does.
+        assert_eq!(
+            engine.rank_finish(),
+            Err(SimError::Protocol(
+                "recovery round 0 never closed: 1/2 ranks finished".into()
+            ))
+        );
+        Ok(())
     }
 }

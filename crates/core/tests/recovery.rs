@@ -9,9 +9,10 @@ use jitckpt::user_level::{run_user_level_job, JitUserConfig};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
-use simcore::RankId;
+use simcore::{RankId, SimError};
 use std::sync::Arc;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Recovery tests spawn many rank + watchdog threads with real-time hang
 /// timeouts; serialize them so host load cannot cause false hang
@@ -430,6 +431,44 @@ fn no_replica_means_no_transparent_recovery() {
         5,
     );
     assert!(res.is_err(), "recovery without replicas must not succeed");
+}
+
+#[test]
+fn hard_error_without_a_healthy_replica_fails_at_once() {
+    let _guard = serial();
+    // Nobody is left to write the §4.3 buffer files a migrated victim
+    // would read: at dp = 1, and at 2D-2P-2T with both replicas of cell
+    // (stage 0, part 1) hard-failed. Both fail before the minibatch's
+    // first collective, so they fail in the same round. The round is
+    // refused when it is decided, on every rank, instead of after the
+    // victim waits out the arrival timeout for files that never come.
+    let mut grid = dltrain::TrainConfig::tiny_dp(1);
+    grid.layout = ParallelLayout::three_d(2, 2, 2);
+    let cases = [
+        (dltrain::TrainConfig::tiny_dp(1), vec![RankId(0)]),
+        (grid, vec![RankId(1), RankId(5)]),
+    ];
+    for (cfg, victims) in cases {
+        let label = cfg.layout.label();
+        let specs = victims
+            .into_iter()
+            .map(|r| FailureSpec::new(2, Phase::Forward, r, FailureKind::GpuHardware))
+            .collect();
+        let t0 = Instant::now();
+        let res = run_transparent_job(
+            cfg,
+            CostModel::v100(),
+            FailureInjector::with_specs(specs),
+            Arc::new(SharedStore::new()),
+            5,
+        );
+        let took = t0.elapsed();
+        assert!(
+            matches!(res, Err(SimError::NoCheckpointAvailable(_))),
+            "{label}: {res:?}"
+        );
+        assert!(took < Duration::from_secs(1), "{label}: took {took:?}");
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@ use crate::source::{contains_word, FileKind, SourceFile};
 pub const RULE: &str = "checkpoint_schema";
 
 /// Module names (in any crate) that persist state across failures.
-pub const PERSISTENCE_MODULES: &[&str] = &["checkpoint", "oplog", "criu", "store"];
+pub const PERSISTENCE_MODULES: &[&str] = &["checkpoint", "oplog", "store"];
 
 /// Scans one file. Library code only: test fixtures don't outlive the
 /// process that wrote them.

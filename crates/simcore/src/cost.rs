@@ -415,6 +415,13 @@ mod tests {
     }
 
     #[test]
+    fn criu_cost_is_a_base_plus_the_image_size_over_bandwidth() {
+        let cm = CostModel::v100();
+        assert!(cm.criu(1 << 30) > cm.criu_base);
+        assert!(cm.criu(8 << 30) > cm.criu(1 << 20));
+    }
+
+    #[test]
     fn all_reduce_scales_with_ranks_and_bytes() {
         let cm = CostModel::v100();
         let small = cm.all_reduce(1 << 20, 8, 8);

@@ -39,19 +39,6 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    /// Whether recovery needs a replacement GPU.
-    pub fn needs_migration(self) -> bool {
-        matches!(self, FailureKind::GpuHardware | FailureKind::NodeFailure)
-    }
-
-    /// Whether the failed GPU's memory remains readable during recovery.
-    pub fn gpu_state_accessible(self) -> bool {
-        matches!(
-            self,
-            FailureKind::TransientNetwork | FailureKind::DriverCorruption
-        )
-    }
-
     /// All kinds, for exhaustive sweeps in tests and benches.
     pub fn all() -> [FailureKind; 5] {
         [
@@ -86,13 +73,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// True when healthy replicas have already applied the optimizer update
-    /// for this iteration by the time they detect the hang, so recovery
-    /// resumes at `i + 1` rather than `i`.
-    pub fn recovers_to_next_iteration(self) -> bool {
-        matches!(self, Phase::OptimizerStep | Phase::BetweenIterations)
-    }
-
     /// All phases, for exhaustive sweeps.
     pub fn all() -> [Phase; 5] {
         [
@@ -217,23 +197,6 @@ pub fn poisson_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_classification() {
-        assert!(FailureKind::GpuHardware.needs_migration());
-        assert!(FailureKind::NodeFailure.needs_migration());
-        assert!(!FailureKind::StickyCuda.needs_migration());
-        assert!(FailureKind::TransientNetwork.gpu_state_accessible());
-        assert!(!FailureKind::StickyCuda.gpu_state_accessible());
-    }
-
-    #[test]
-    fn phase_recovery_direction() {
-        assert!(!Phase::Forward.recovers_to_next_iteration());
-        assert!(!Phase::AllReduce.recovers_to_next_iteration());
-        assert!(Phase::OptimizerStep.recovers_to_next_iteration());
-        assert!(Phase::BetweenIterations.recovers_to_next_iteration());
-    }
 
     #[test]
     fn poisson_trace_is_deterministic_and_sorted() {

@@ -14,7 +14,6 @@
 //! * **Hardware failure** — permanent; the device can never be used again
 //!   and the rank must migrate.
 
-use crate::buffer::BufferTag;
 use simcore::failure::FailureKind;
 use simcore::{GpuId, SimError, SimResult};
 
@@ -79,35 +78,6 @@ impl GpuHealth {
     }
 }
 
-/// Which persistent state survives a given recovery strategy, used by the
-/// recovery planner to decide whether replica copies are needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateSource {
-    /// Parameters/optimizer state retained in device memory (cheapest).
-    RetainedInGpu,
-    /// Copied to host before reset, then copied back.
-    HostRoundTrip,
-    /// Fetched from a healthy data-parallel replica.
-    Replica,
-}
-
-/// Chooses where recovery gets the persistent state for a GPU in the given
-/// health state, per the three-way case analysis of §4.2.1.
-pub fn state_source_for(health: GpuHealth) -> StateSource {
-    match health {
-        GpuHealth::Healthy => StateSource::RetainedInGpu,
-        GpuHealth::DriverSuspect => StateSource::HostRoundTrip,
-        GpuHealth::Sticky | GpuHealth::HardwareFailed => StateSource::Replica,
-    }
-}
-
-/// Returns true if a buffer with `tag` must be preserved across a
-/// reset-to-minibatch-start (everything else is freed and regenerated by
-/// replay).
-pub fn survives_reset(tag: BufferTag) -> bool {
-    tag.is_persistent()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,32 +130,5 @@ mod tests {
         assert!(h.check_api(GpuId(2)).is_err());
         assert!(!h.memory_readable());
         assert!(!h.reset_recovers());
-    }
-
-    #[test]
-    fn state_source_matches_paper_cases() {
-        assert_eq!(
-            state_source_for(GpuHealth::Healthy),
-            StateSource::RetainedInGpu
-        );
-        assert_eq!(
-            state_source_for(GpuHealth::DriverSuspect),
-            StateSource::HostRoundTrip
-        );
-        assert_eq!(state_source_for(GpuHealth::Sticky), StateSource::Replica);
-        assert_eq!(
-            state_source_for(GpuHealth::HardwareFailed),
-            StateSource::Replica
-        );
-    }
-
-    #[test]
-    fn only_persistent_tags_survive_reset() {
-        assert!(survives_reset(BufferTag::Param));
-        assert!(survives_reset(BufferTag::OptimState));
-        assert!(!survives_reset(BufferTag::Activation));
-        assert!(!survives_reset(BufferTag::Gradient));
-        assert!(!survives_reset(BufferTag::Input));
-        assert!(!survives_reset(BufferTag::Workspace));
     }
 }

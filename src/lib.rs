@@ -12,7 +12,7 @@
 //! * [`proxy`] — the device-proxy interception layer;
 //! * [`collectives`] — the NCCL-substitute collective layer;
 //! * [`simgpu`] — the simulated GPU device;
-//! * [`cluster`] — scheduler, shared store, CRIU, failure injection;
+//! * [`cluster`] — scheduler, shared store, failure injection;
 //! * [`baselines`] — periodic checkpointing baselines;
 //! * [`simcore`] — virtual time, cost models, codec.
 
