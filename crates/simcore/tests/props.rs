@@ -97,14 +97,24 @@ proptest! {
 
     #[test]
     fn crc64_table_driven_equals_bitwise_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
+        data in proptest::collection::vec(any::<u8>(), 0..65_600),
+        offset in 0usize..64,
+        cut in any::<proptest::sample::Index>(),
     ) {
-        // The slice-by-8 implementation must be bit-identical to the
-        // seed's bit-at-a-time form on arbitrary inputs and lengths
-        // (including lengths straddling the 8-byte fold boundary).
+        // The table-driven kernel must be bit-identical to the bit-at-a-time
+        // form on arbitrary inputs and lengths: short inputs, the 8- and
+        // 16-byte folds, every residue of the lane split and its tail (up
+        // to a 64 KiB frame), and sub-slices starting at odd offsets.
+        let whole = &data[..];
         prop_assert_eq!(
-            simcore::codec::crc64(&data),
-            simcore::codec::crc64_bitwise(&data)
+            simcore::codec::crc64(whole),
+            simcore::codec::crc64_bitwise(whole)
+        );
+        let from = offset.min(whole.len());
+        let sub = &whole[from..from + cut.index(whole.len() - from + 1)];
+        prop_assert_eq!(
+            simcore::codec::crc64(sub),
+            simcore::codec::crc64_bitwise(sub)
         );
     }
 
