@@ -915,6 +915,10 @@ impl simcore::codec::Encode for TrainState {
             simcore::codec::encode_f32_slice(data, buf);
         }
     }
+
+    fn size_hint(&self) -> usize {
+        self.encoded_len()
+    }
 }
 
 impl simcore::codec::Decode for TrainState {
