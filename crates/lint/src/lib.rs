@@ -12,7 +12,8 @@
 //!   is cycle-free;
 //! * [`rules::virtual_time`] — no wall-clock sleeps outside the sim
 //!   clock;
-//! * [`rules::schema`] — persisted types declare a schema version.
+//! * [`rules::schema`] — persisted types declare a schema version;
+//! * [`rules::lib_print`] — no `println!`-family macro in library code.
 //!
 //! The analyzer is deliberately std-only (no syn/proc-macro2): it scans
 //! comment/string-masked source with brace-depth tracking, which is

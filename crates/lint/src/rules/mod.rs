@@ -13,12 +13,14 @@
 //! | `condvar_wait_loop` | every condvar wait re-checks its predicate in a loop | §3.1 rendezvous |
 //! | `notify_under_lock` | every notify holds the predicate's mutex (PR-5 bug class) | §3.1 rendezvous |
 //! | `blocking_under_lock` | nothing blocks while holding an unrelated mutex | §3.1 hang detection |
+//! | `lib_print` | library code reports through records, never stdout/stderr | — |
 //!
 //! Plus two meta checks: `allow_syntax` (malformed suppressions) and
 //! `unused_allow` (suppressions whose rule no longer fires).
 
 pub mod body;
 pub mod concurrency;
+pub mod lib_print;
 pub mod lock_order;
 pub mod panic_path;
 pub mod schema;
@@ -33,6 +35,7 @@ pub(crate) fn run_file_rules(files: &[SourceFile], findings: &mut Vec<Finding>) 
         panic_path::check(file, findings);
         virtual_time::check(file, findings);
         schema::check(file, findings);
+        lib_print::check(file, findings);
         for (line, msg) in &file.malformed_allows {
             findings.push(Finding {
                 rule: "allow_syntax".into(),

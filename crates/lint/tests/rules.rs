@@ -66,6 +66,29 @@ fn virtual_time_catches_sleeps_outside_sim_clock() {
 }
 
 #[test]
+fn lib_print_catches_every_print_macro_in_library_code() {
+    let findings = fixture("lib_print");
+    let lines = rule_lines(&findings, "lib_print", "restore.rs");
+    // println!, eprintln!, print!, eprint!, dbg!, std::println!.
+    assert_eq!(lines, vec![4, 5, 6, 7, 8, 9], "found: {findings:#?}");
+    assert!(
+        findings[0].message.contains("println!"),
+        "{}",
+        findings[0].message
+    );
+    assert_eq!(findings.len(), 6, "no other rules fire: {findings:#?}");
+}
+
+#[test]
+fn lib_print_is_silent_on_bins_tests_examples_and_text() {
+    // Bins (`src/main.rs`, `src/bin/`), `#[cfg(test)]` modules,
+    // integration tests, examples, comments, string literals, `writeln!`
+    // into a `String`, a `printer` identifier and a justified allow.
+    let findings = fixture("lib_print_clean");
+    assert!(findings.is_empty(), "nothing may fire: {findings:#?}");
+}
+
+#[test]
 fn schema_requires_version_markers_on_persisted_types() {
     let findings = fixture("schema");
     let lines = rule_lines(&findings, "checkpoint_schema", "oplog.rs");

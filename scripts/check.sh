@@ -15,6 +15,8 @@ cargo test --workspace --quiet
 
 echo '==> bit-identity on the profile that is benchmarked (release codegen vectorises what dev does not)'
 cargo test --release -p simgpu --quiet
+cargo test --release -p simcore --quiet
+cargo test --release -p jitckpt --test codec_golden --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 
 echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
