@@ -13,7 +13,7 @@
 //! | `condvar_wait_loop` | every condvar wait re-checks its predicate in a loop | §3.1 rendezvous |
 //! | `notify_under_lock` | every notify holds the predicate's mutex (PR-5 bug class) | §3.1 rendezvous |
 //! | `blocking_under_lock` | nothing blocks while holding an unrelated mutex | §3.1 hang detection |
-//! | `lib_print` | library code reports through records, never stdout/stderr | — |
+//! | `lib_print` | library code reports through records, never stdout/stderr | §6 measurements |
 //!
 //! Plus two meta checks: `allow_syntax` (malformed suppressions) and
 //! `unused_allow` (suppressions whose rule no longer fires).
