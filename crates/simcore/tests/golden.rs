@@ -5,7 +5,7 @@
 //! codec. A faster kernel or a leaner encoder must leave every number
 //! below unchanged; a change to one of them is a wire-format change.
 
-use simcore::codec::{crc64, crc64_bitwise, encode_framed};
+use simcore::codec::{crc64, crc64_bitwise, encode_framed, f32_checksum};
 use simcore::rng::DetRng;
 
 fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
@@ -51,6 +51,64 @@ fn crc64_of_seeded_prefixes_is_pinned() {
     // The pins are the bitwise oracle's values too.
     for &(len, want) in CRC64_OF_PREFIX.iter().filter(|(len, _)| *len <= 65_536) {
         assert_eq!(crc64_bitwise(&data[..len]), want, "oracle, len {len}");
+    }
+}
+
+/// Seeded `f32`s with every awkward bit pattern in the mix: −0.0, quiet
+/// and signalling NaNs with payloads of either sign, and subnormals,
+/// between arbitrary bit patterns.
+fn seeded_special_f32s(seed: u64, n: usize) -> Vec<f32> {
+    let mut rng = DetRng::new(seed);
+    (0..n)
+        .map(|_| {
+            let r = rng.next_u64();
+            let (pick, bits, sign) = (r % 8, (r >> 32) as u32, (r >> 8) as u32 & 0x8000_0000);
+            f32::from_bits(match pick {
+                0 => 0x8000_0000,
+                1 => sign | 0x7fc0_0000 | (bits & 0x003f_ffff),
+                2 => sign | 0x7f80_0001 | (bits & 0x003f_ffff),
+                3 => sign | (bits & 0x007f_ffff),
+                _ => bits,
+            })
+        })
+        .collect()
+}
+
+/// `(elements, f32_checksum)` of prefixes of one seeded buffer: empty,
+/// single values, around the crc64 lane threshold (384 elements =
+/// 1536 bytes), around 64 KiB, and a MiB of elements.
+const F32_CHECKSUM_OF_PREFIX: &[(usize, u64)] = &[
+    (0, 0x0000000000000000),
+    (1, 0x24033db8d153d1e2),
+    (3, 0x6d75c7a24fbbd097),
+    (383, 0xce655dc341ca2970),
+    (384, 0x79e31aa21b3685b7),
+    (16_383, 0xff28b081a2e041c0),
+    (16_384, 0xe853219cbf59ee6d),
+    (16_385, 0xb1285aeea49af2e6),
+    (1 << 20, 0x6a61cb7b3588d4d2),
+];
+
+#[test]
+fn f32_checksum_of_special_values_is_pinned() {
+    let data = seeded_special_f32s(0x0F32_C0DE, 1 << 20);
+    let bits = |v: f32| v.to_bits();
+    assert!(data.iter().any(|v| bits(*v) == 0x8000_0000), "−0.0");
+    assert!(
+        data.iter()
+            .any(|v| v.is_nan() && bits(*v) & 0x0040_0000 == 0),
+        "sNaN"
+    );
+    assert!(data.iter().any(|v| v.is_subnormal()), "subnormal");
+    let got: Vec<(usize, u64)> = [0, 1, 3, 383, 384, 16_383, 16_384, 16_385, 1 << 20]
+        .into_iter()
+        .map(|n| (n, f32_checksum(&data[..n])))
+        .collect();
+    assert_eq!(got, F32_CHECKSUM_OF_PREFIX);
+    // The checksum is the crc64 of the little-endian bit patterns.
+    for &(n, want) in &got[..6] {
+        let raw: Vec<u8> = data[..n].iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(crc64_bitwise(&raw), want, "oracle, {n} elements");
     }
 }
 
