@@ -382,7 +382,7 @@ impl Encode for LedgerSlice {
         self.members.encode(buf);
         self.total_len.encode(buf);
         self.start.encode(buf);
-        codec::encode_f32_slice(&self.data, buf);
+        self.data.encode(buf);
     }
 }
 
@@ -395,7 +395,7 @@ impl Decode for LedgerSlice {
             members: u64::decode(buf)?,
             total_len: u64::decode(buf)?,
             start: u64::decode(buf)?,
-            data: codec::decode_f32_slice(buf)?,
+            data: Vec::decode(buf)?,
         })
     }
 }

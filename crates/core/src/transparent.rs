@@ -13,13 +13,12 @@
 //! behind Tables 5–7.
 
 use crate::decide::{decide, Action, RankStatus, RecoveryPlan};
-use bytes::{Bytes, BytesMut};
 use cluster::SharedStore;
 use dltrain::{build_comms, JobComms};
 use proxy::{
     CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome, Watchdog,
 };
-use simcore::codec::{self, Decode, Encode};
+use simcore::codec;
 use simcore::cost::StorageTier;
 use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex, MutexGuard};
@@ -50,28 +49,6 @@ fn step(name: &str, time: SimTime) -> RecoveryStep {
 /// Virtual time `client` spent since `t0`.
 fn since(client: &ProxyClient, t0: SimTime) -> SimTime {
     client.now().saturating_sub(t0)
-}
-
-/// One persistent buffer as a §4.3 buffer file. The bytes are the
-/// `Vec<f32>` wire format (`encode_framed(&vec)` writes the same message),
-/// produced and parsed by the bulk `f32` codec instead of one call per
-/// element.
-struct BufferFile(Vec<f32>);
-
-impl Encode for BufferFile {
-    fn encode(&self, buf: &mut BytesMut) {
-        codec::encode_f32_slice(&self.0, buf);
-    }
-
-    fn size_hint(&self) -> usize {
-        codec::f32_slice_encoded_len(&self.0)
-    }
-}
-
-impl Decode for BufferFile {
-    fn decode(buf: &mut Bytes) -> SimResult<Self> {
-        codec::decode_f32_slice(buf).map(BufferFile)
-    }
 }
 
 /// Timing report for one rank's recovery (Tables 5–7).
@@ -360,7 +337,7 @@ impl TransparentEngine {
         let (snap, bytes) = client.snapshot_persistent_to_host()?;
         let cost = client.server().gpu().cost_model().clone();
         for (key, _tag, data) in snap {
-            let framed = codec::encode_framed(&BufferFile(data));
+            let framed = codec::encode_framed(&data);
             self.store.put(
                 Self::hard_path(round, coord.stage, coord.part, &key),
                 framed,
@@ -418,7 +395,7 @@ impl TransparentEngine {
         for (key, tag, data) in local {
             let path = Self::hard_path(round, coord.stage, coord.part, &key);
             let framed = self.store.get(&path).map_err(|_| no_replica(&path))?;
-            let BufferFile(replica_data) = codec::decode_framed(&framed)?;
+            let replica_data: Vec<f32> = codec::decode_framed(&framed)?;
             if replica_data.len() != data.len() {
                 return Err(SimError::CorruptCheckpoint(format!(
                     "{path}: length {} vs local layout {}",
@@ -690,16 +667,6 @@ mod tests {
         assert_ne!(a, b, "different partitions never collide");
         assert_ne!(a, c, "different rounds never collide");
         assert!(a.contains("s1p2"));
-    }
-
-    #[test]
-    fn buffer_files_keep_the_vec_f32_wire_format() -> SimResult<()> {
-        let data: Vec<f32> = (0..3000).map(|i| (i as f32).sin() * 1e3).collect();
-        let framed = codec::encode_framed(&BufferFile(data.clone()));
-        assert_eq!(framed, codec::encode_framed(&data));
-        let BufferFile(back) = codec::decode_framed(&framed)?;
-        assert_eq!(back, data);
-        Ok(())
     }
 
     #[test]

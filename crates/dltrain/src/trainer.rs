@@ -22,6 +22,7 @@ use crate::setup::JobComms;
 use cluster::FailureInjector;
 use collectives::{Communicator, GradLedger, LedgerConfig, ReduceOp};
 use proxy::{CommToken, Executor};
+use simcore::codec::{Decode, Encode};
 use simcore::failure::{FailureKind, Phase};
 use simcore::layout::{GridCoord, ParallelLayout};
 use simcore::{RankId, SimError, SimResult};
@@ -900,7 +901,7 @@ pub struct TrainState {
     pub logical_bytes: u64,
 }
 
-impl simcore::codec::Encode for TrainState {
+impl Encode for TrainState {
     fn encode(&self, buf: &mut bytes::BytesMut) {
         self.iteration.encode(buf);
         self.opt_t.encode(buf);
@@ -909,10 +910,7 @@ impl simcore::codec::Encode for TrainState {
         for (key, tag, data) in &self.buffers {
             key.encode(buf);
             tag.encode(buf);
-            // Buffer payloads dominate the stream; the bulk path emits
-            // the same bytes as `data.encode(buf)` without per-element
-            // call overhead.
-            simcore::codec::encode_f32_slice(data, buf);
+            data.encode(buf);
         }
     }
 
@@ -921,7 +919,7 @@ impl simcore::codec::Encode for TrainState {
     }
 }
 
-impl simcore::codec::Decode for TrainState {
+impl Decode for TrainState {
     fn decode(buf: &mut bytes::Bytes) -> SimResult<Self> {
         let iteration = u64::decode(buf)?;
         let opt_t = u32::decode(buf)?;
@@ -931,7 +929,7 @@ impl simcore::codec::Decode for TrainState {
         for _ in 0..n {
             let key = String::decode(buf)?;
             let tag = BufferTag::decode(buf)?;
-            let data = simcore::codec::decode_f32_slice(buf)?;
+            let data = Vec::<f32>::decode(buf)?;
             buffers.push((key, tag, data));
         }
         Ok(TrainState {
@@ -958,7 +956,7 @@ impl TrainState {
         for (key, _tag, data) in &self.buffers {
             n += 8 + key.len(); // length-prefixed key
             n += 1; // BufferTag discriminant byte
-            n += simcore::codec::f32_slice_encoded_len(data);
+            n += data.size_hint();
         }
         n
     }

@@ -1119,6 +1119,35 @@ mod tests {
     }
 
     #[test]
+    fn proxied_upload_past_one_frame_lands_bit_for_bit_and_replays() -> SimResult<()> {
+        let mut c = client();
+        c.begin_minibatch(0)?;
+        // 80 000 bytes: more than one 64 KiB batch shard. NaN payloads,
+        // −0.0 and subnormals must survive the batch and the replay log.
+        let data: Vec<f32> = (0..20_000u32)
+            .map(|i| {
+                f32::from_bits(match i % 5 {
+                    0 => 0x7fc0_0000 | i,
+                    1 => 0xff80_0001 | (i << 3),
+                    2 => 0x8000_0000,
+                    3 => i,
+                    _ => i.wrapping_mul(0x9E37_79B9),
+                })
+            })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        // The upload is deferred; the download flushes it through
+        // `encode_batch` → `ProxyServer::exec_batch`.
+        let b = alloc(&mut c, "act", data.clone(), BufferTag::Activation)?;
+        assert_eq!(bits(&download(&mut c, b)?), bits(&data));
+        c.reset_in_place()?;
+        assert_eq!(c.server().gpu().buffer_count(), 0, "the reset dropped it");
+        c.replay()?;
+        assert_eq!(bits(&download(&mut c, b)?), bits(&data));
+        Ok(())
+    }
+
+    #[test]
     fn verify_replay_log_passes_on_faithful_log() -> SimResult<()> {
         let mut c = client();
         let s = c.call(DeviceCall::StreamCreate)?.stream()?;

@@ -37,13 +37,20 @@ pub fn encode_batch(calls: &[DeviceCall], shard_payload: usize) -> Bytes {
 }
 
 /// Decodes a batched device-call frame produced by [`encode_batch`],
-/// verifying per-shard CRCs.
+/// verifying per-shard CRCs. The count must cover the whole payload: a
+/// call past it would otherwise be dropped without a word.
 pub fn decode_batch(frame: &Bytes) -> SimResult<Vec<DeviceCall>> {
     let mut payload = split_shards(frame)?;
     let n = u64::decode(&mut payload)? as usize;
     let mut calls = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         calls.push(DeviceCall::decode(&mut payload)?);
+    }
+    if !payload.is_empty() {
+        return Err(SimError::Codec(format!(
+            "{} trailing bytes after decode",
+            payload.len()
+        )));
     }
     Ok(calls)
 }
@@ -276,6 +283,20 @@ mod batch_tests {
         assert!(s
             .exec_batch(&encode_batch(&calls, BATCH_SHARD_BYTES))
             .is_err());
+    }
+
+    #[test]
+    fn batch_whose_count_understates_its_calls_is_rejected() {
+        // CRC-valid shards whose count says one call but which carry two.
+        let mut enc = Encoder::new(BATCH_SHARD_BYTES);
+        enc.write(&1u64);
+        enc.write(&DeviceCall::Free { buf: BufferId(1) });
+        enc.write(&DeviceCall::Free { buf: BufferId(2) });
+        let frame = concat_shards(&enc.finish());
+        assert_eq!(
+            decode_batch(&frame),
+            Err(SimError::Codec("9 trailing bytes after decode".into()))
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!
 //! The [`Encode`]/[`Decode`] traits are implemented for the primitive
 //! types, `String`, `Vec<T>`, `Option<T>`, and tuples; higher layers
-//! compose them for their state structs.
+//! compose them for their state structs. A `Vec<T>` carries its items
+//! through [`Encode::encode_seq`] / [`Decode::decode_seq`], so every
+//! `Vec<f32>` — tensor payloads, uploads, buffer files — takes the one
+//! block conversion `f32` overrides them with, whoever encodes it.
 
 use crate::error::{SimError, SimResult};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -20,12 +23,25 @@ pub trait Encode {
     /// Appends the encoded representation of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
-    /// The number of bytes [`Encode::encode`] appends, for values large
-    /// enough that [`encode_framed`] and [`Encoder::write`] should size
-    /// their buffer once; the default, 0, lets a small value grow the
-    /// buffer as it goes.
+    /// The number of bytes [`Encode::encode`] appends, or a lower bound
+    /// on it, so that [`encode_framed`] and [`Encoder::write`] can size
+    /// their buffer once; the default, 0, lets a value grow the buffer as
+    /// it goes.
     fn size_hint(&self) -> usize {
         0
+    }
+
+    /// Appends `items` one after another: the body of a `Vec<Self>` after
+    /// its length prefix. The default encodes item by item; a type whose
+    /// sequences convert faster as a block (`f32`) overrides it, and every
+    /// `Vec` of that type then takes the block path.
+    fn encode_seq(items: &[Self], buf: &mut BytesMut)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
     }
 }
 
@@ -33,6 +49,17 @@ pub trait Encode {
 pub trait Decode: Sized {
     /// Reads a value from the front of `buf`, consuming its bytes.
     fn decode(buf: &mut Bytes) -> SimResult<Self>;
+
+    /// Reads `len` items from the front of `buf`: the body of a
+    /// `Vec<Self>` after its length prefix, the inverse of
+    /// [`Encode::encode_seq`]. The default decodes item by item.
+    fn decode_seq(len: usize, buf: &mut Bytes) -> SimResult<Vec<Self>> {
+        let mut out = Vec::with_capacity(len.min(1 << 20));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
 }
 
 fn need(buf: &Bytes, n: usize) -> SimResult<()> {
@@ -60,6 +87,10 @@ macro_rules! codec_num {
             fn encode(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
             }
+
+            fn size_hint(&self) -> usize {
+                $size
+            }
         }
         impl Decode for $t {
             fn decode(buf: &mut Bytes) -> SimResult<Self> {
@@ -75,8 +106,68 @@ codec_num!(u16, put_u16_le, get_u16_le, 2);
 codec_num!(u32, put_u32_le, get_u32_le, 4);
 codec_num!(u64, put_u64_le, get_u64_le, 8);
 codec_num!(i64, put_i64_le, get_i64_le, 8);
-codec_num!(f32, put_f32_le, get_f32_le, 4);
 codec_num!(f64, put_f64_le, get_f64_le, 8);
+
+/// Elements per block of the `f32` block conversion: 4 KiB of wire bytes,
+/// a stack scratch that stays in L1.
+const F32_BLOCK: usize = 1024;
+
+/// Writes the little-endian bytes of `values` into `out`, which holds
+/// exactly four bytes per value. A plain loop over fixed-size pieces, which
+/// the compiler turns into a vectorized byte shuffle.
+fn f32s_to_le(values: &[f32], out: &mut [u8]) {
+    for (dst, v) in out.chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+impl Encode for f32 {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_f32_le(*self);
+    }
+
+    fn size_hint(&self) -> usize {
+        4
+    }
+
+    /// The same bytes as one `put_f32_le` per item, without the per-item
+    /// bounds check and 4-byte append: values are converted through a
+    /// stack block and appended 4 KiB at a time into space reserved once.
+    fn encode_seq(items: &[f32], buf: &mut BytesMut) {
+        buf.reserve(items.len() * 4);
+        let mut scratch = [0u8; F32_BLOCK * 4];
+        for chunk in items.chunks(F32_BLOCK) {
+            let raw = &mut scratch[..chunk.len() * 4];
+            f32s_to_le(chunk, raw);
+            buf.put_slice(raw);
+        }
+    }
+}
+
+impl Decode for f32 {
+    fn decode(buf: &mut Bytes) -> SimResult<Self> {
+        need(buf, 4)?;
+        Ok(buf.get_f32_le())
+    }
+
+    /// The length is checked against the input before anything is
+    /// allocated, the output is sized once, and values are converted in
+    /// 4 KiB blocks: extending from an exact-length block iterator writes
+    /// straight into the reserved space, with no per-item capacity check.
+    fn decode_seq(len: usize, buf: &mut Bytes) -> SimResult<Vec<f32>> {
+        need(buf, len.saturating_mul(4))?;
+        let raw = buf.split_to(len * 4);
+        let mut out = Vec::with_capacity(len);
+        for block in raw.chunks(F32_BLOCK * 4) {
+            out.extend(
+                block
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
+        }
+        Ok(out)
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, buf: &mut BytesMut) {
@@ -124,12 +215,16 @@ impl Decode for String {
     }
 }
 
+/// A `u64` length, then the items through [`Encode::encode_seq`]: a
+/// `Vec<f32>` takes the block conversion, whoever encodes it.
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u64).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_seq(self, buf);
+    }
+
+    fn size_hint(&self) -> usize {
+        8 + self.iter().map(T::size_hint).sum::<usize>()
     }
 }
 
@@ -143,62 +238,8 @@ impl<T: Decode> Decode for Vec<T> {
                 buf.remaining()
             )));
         }
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_seq(len, buf)
     }
-}
-
-/// Bulk encode of an `f32` slice, wire-compatible with the generic
-/// `Vec<f32>` [`Encode`] impl (`u64` length prefix, then each value LE).
-///
-/// The generic path costs one `put_f32_le` call — a bounds check and a
-/// 4-byte `extend_from_slice` — per element; for a multi-hundred-MiB
-/// training state that per-element overhead dominates checkpoint encode
-/// time. Here values are staged through a stack scratch block and
-/// appended in 4 KiB strides, which the compiler turns into a vectorized
-/// byte shuffle plus a plain memcpy.
-pub fn encode_f32_slice(data: &[f32], buf: &mut BytesMut) {
-    (data.len() as u64).encode(buf);
-    buf.reserve(data.len() * 4);
-    let mut scratch = [0u8; 4096];
-    for chunk in data.chunks(1024) {
-        let raw = &mut scratch[..chunk.len() * 4];
-        for (i, v) in chunk.iter().enumerate() {
-            raw[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
-        }
-        buf.put_slice(raw);
-    }
-}
-
-/// Bulk decode counterpart of [`encode_f32_slice`]; also accepts streams
-/// written by the generic `Vec<f32>` [`Decode`] impl (same wire format).
-///
-/// The length is checked against the input before anything is
-/// allocated, the output is sized once, and values are converted in the
-/// same 4 KiB strides as the encoder: extending from an exact-length
-/// block iterator writes straight into the reserved space, with no
-/// per-element capacity check.
-pub fn decode_f32_slice(buf: &mut Bytes) -> SimResult<Vec<f32>> {
-    let len = u64::decode(buf)? as usize;
-    need(buf, len.saturating_mul(4))?;
-    let raw = buf.split_to(len * 4);
-    let mut out = Vec::with_capacity(len);
-    for block in raw.chunks(4096) {
-        out.extend(
-            block
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-    }
-    Ok(out)
-}
-
-/// Number of bytes [`encode_f32_slice`] will append for `data`.
-pub fn f32_slice_encoded_len(data: &[f32]) -> usize {
-    8 + data.len() * 4
 }
 
 impl<T: Encode> Encode for Option<T> {
@@ -410,15 +451,22 @@ fn chain(mut crc: u64, data: &[u8]) -> u64 {
 /// a full pass of this function over the state, so it sits squarely on
 /// the §5 critical path.
 pub fn crc64(data: &[u8]) -> u64 {
+    !crc64_update(!0, data)
+}
+
+/// Runs the register `crc` over `data` — the body of [`crc64`], which
+/// starts from `!0` and inverts the result; a caller that feeds its input
+/// in pieces carries the register from one piece to the next.
+fn crc64_update(crc: u64, data: &[u8]) -> u64 {
     let lane = data.len() / (LANES * 16) * 16;
     if lane < MIN_LANE {
-        return !chain(!0, data);
+        return chain(crc, data);
     }
     let t = &CRC64_TABLES;
     let (blocks, _) = data.as_chunks::<16>();
     let (a, rest) = blocks.split_at(lane / 16);
     let (b, c) = rest.split_at(lane / 16);
-    let (mut ra, mut rb, mut rc) = (!0, 0, 0);
+    let (mut ra, mut rb, mut rc) = (crc, 0, 0);
     for ((x, y), z) in a.iter().zip(b).zip(c) {
         ra = step16(t, ra, x);
         rb = step16(t, rb, y);
@@ -426,7 +474,7 @@ pub fn crc64(data: &[u8]) -> u64 {
     }
     let shift = x_pow_8n(lane);
     let crc = gf2_mulmod(gf2_mulmod(ra, shift) ^ rb, shift) ^ rc;
-    !chain(crc, &data[LANES * lane..])
+    chain(crc, &data[LANES * lane..])
 }
 
 /// Reference bit-at-a-time CRC-64: the seed implementation, kept as the
@@ -446,14 +494,24 @@ pub fn crc64_bitwise(data: &[u8]) -> u64 {
     !crc
 }
 
+/// Elements per block of [`f32_checksum`]: 64 KiB of bytes, long enough
+/// that the three-lane kernel's combine is a few percent of a block.
+const CHECKSUM_BLOCK: usize = 16 * 1024;
+
 /// Checksum for a float buffer: stable across runs because it hashes the
-/// exact bit patterns (used to compare GPU buffers before/after replay).
+/// exact bit patterns (used to compare GPU buffers before/after replay,
+/// §4.1). It equals `crc64` of the buffer's little-endian bytes; those are
+/// converted a block at a time into a stack scratch and the CRC register
+/// is carried across blocks, so nothing is allocated.
 pub fn f32_checksum(data: &[f32]) -> u64 {
-    let mut bytes = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    let mut scratch = [0u8; CHECKSUM_BLOCK * 4];
+    let mut crc = !0;
+    for chunk in data.chunks(CHECKSUM_BLOCK) {
+        let raw = &mut scratch[..chunk.len() * 4];
+        f32s_to_le(chunk, raw);
+        crc = crc64_update(crc, raw);
     }
-    crc64(&bytes)
+    !crc
 }
 
 /// Magic prefix of one framed shard produced by [`Encoder`].
@@ -727,32 +785,116 @@ mod tests {
         }
     }
 
+    /// The per-item `f32` codec, kept as the oracle of the block one: one
+    /// `put_f32_le` / `get_f32_le` per value, through the trait's default
+    /// sequence loops.
+    #[derive(Debug, Clone, Copy)]
+    struct PerItem(f32);
+
+    impl Encode for PerItem {
+        fn encode(&self, buf: &mut BytesMut) {
+            buf.put_f32_le(self.0);
+        }
+    }
+
+    impl Decode for PerItem {
+        fn decode(buf: &mut Bytes) -> SimResult<Self> {
+            need(buf, 4)?;
+            Ok(PerItem(buf.get_f32_le()))
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    fn encoded<T: Encode>(value: &T) -> Bytes {
+        let mut buf = BytesMut::new();
+        value.encode(&mut buf);
+        buf.freeze()
+    }
+
     #[test]
-    fn bulk_f32_matches_generic_vec_encoding() {
+    fn f32_vec_codec_matches_the_per_item_oracle_around_block_edges() {
         for n in [0usize, 1, 3, 1023, 1024, 1025, 2500] {
             let data: Vec<f32> = (0..n).map(|i| i as f32 * 0.5 - 3.0).collect();
-            let mut generic = BytesMut::new();
-            data.encode(&mut generic);
-            let mut bulk = BytesMut::new();
-            encode_f32_slice(&data, &mut bulk);
-            assert_eq!(&generic[..], &bulk[..], "n {n}");
-            assert_eq!(bulk.len(), f32_slice_encoded_len(&data));
-            let mut cursor = bulk.freeze();
-            let back = decode_f32_slice(&mut cursor).unwrap();
+            let oracle: Vec<PerItem> = data.iter().copied().map(PerItem).collect();
+            let wire = encoded(&data);
+            assert_eq!(wire, encoded(&oracle), "n {n}");
+            assert_eq!(wire.len(), data.size_hint());
+            let back = Vec::<f32>::decode(&mut wire.clone()).unwrap();
             assert_eq!(back, data);
-            let mut cursor2 = generic.freeze();
-            let back2: Vec<f32> = Vec::decode(&mut cursor2).unwrap();
-            assert_eq!(back2, data);
+            let back: Vec<PerItem> = Vec::decode(&mut wire.clone()).unwrap();
+            assert_eq!(back.iter().map(|p| p.0).collect::<Vec<_>>(), data);
         }
     }
 
     #[test]
-    fn bulk_f32_decode_rejects_truncation() {
-        let mut buf = BytesMut::new();
-        encode_f32_slice(&[1.0, 2.0, 3.0], &mut buf);
-        let framed = buf.freeze();
-        let mut cut = framed.slice(..framed.len() - 2);
-        assert!(decode_f32_slice(&mut cut).is_err());
+    fn f32_vec_decode_rejects_truncation() {
+        let wire = encoded(&vec![1.0f32, 2.0, 3.0]);
+        let mut cut = wire.slice(..wire.len() - 2);
+        assert!(matches!(
+            Vec::<f32>::decode(&mut cut),
+            Err(SimError::Codec(_))
+        ));
+    }
+
+    proptest::proptest! {
+        /// `Vec<f32>` is encoded byte for byte as the per-item oracle
+        /// encodes it, decodes every bit pattern back (NaN payloads
+        /// included, which `==` on floats cannot see), consumes exactly
+        /// its own bytes, and a cut anywhere inside it is a codec error in
+        /// both.
+        #[test]
+        fn f32_vec_codec_is_the_per_item_oracle_bit_for_bit(
+            raw in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..3000),
+            nan_payload in proptest::prelude::any::<u32>(),
+            cut in proptest::prelude::any::<proptest::sample::Index>(),
+        ) {
+            let mut data: Vec<f32> = raw.iter().map(|b| f32::from_bits(*b)).collect();
+            // Always at least one NaN, of either sign, quiet or signalling.
+            data.push(f32::from_bits(0x7f80_0001 | (nan_payload & 0x807f_ffff)));
+            let oracle: Vec<PerItem> = data.iter().copied().map(PerItem).collect();
+            let mut wire = BytesMut::new();
+            data.encode(&mut wire);
+            let body = wire.len();
+            wire.extend_from_slice(b"tail");
+            let wire = wire.freeze();
+            proptest::prop_assert_eq!(&wire[..body], &encoded(&oracle)[..]);
+            proptest::prop_assert_eq!(body, data.size_hint());
+
+            let (mut a, mut b) = (wire.clone(), wire.clone());
+            let block = Vec::<f32>::decode(&mut a).unwrap();
+            let per_item: Vec<PerItem> = Vec::decode(&mut b).unwrap();
+            proptest::prop_assert_eq!(bits(&block), bits(&data));
+            proptest::prop_assert_eq!(bits(&per_item.iter().map(|p| p.0).collect::<Vec<_>>()), bits(&data));
+            proptest::prop_assert_eq!(&a[..], &b"tail"[..]);
+            proptest::prop_assert_eq!(&b[..], &b"tail"[..]);
+
+            let at = cut.index(body);
+            let (mut a, mut b) = (wire.slice(..at), wire.slice(..at));
+            proptest::prop_assert!(matches!(Vec::<f32>::decode(&mut a), Err(SimError::Codec(_))));
+            proptest::prop_assert!(matches!(Vec::<PerItem>::decode(&mut b), Err(SimError::Codec(_))));
+        }
+    }
+
+    #[test]
+    fn f32_checksum_is_crc64_of_the_le_bytes_across_blocks() {
+        let data: Vec<f32> = (0..CHECKSUM_BLOCK * 2 + 3)
+            .map(|i| f32::from_bits((i as u32).wrapping_mul(0x9E37_79B9)))
+            .collect();
+        for n in [
+            0,
+            1,
+            383,
+            384,
+            CHECKSUM_BLOCK,
+            CHECKSUM_BLOCK + 1,
+            data.len(),
+        ] {
+            let raw: Vec<u8> = data[..n].iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(f32_checksum(&data[..n]), crc64_bitwise(&raw), "n {n}");
+        }
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //! clock monotonicity, and layout bijectivity.
 
 use proptest::prelude::*;
-use simcore::codec::{
-    decode_f32_slice, decode_framed, encode_f32_slice, encode_framed, f32_checksum, Decode,
-};
+use simcore::codec::{decode_framed, encode_framed, f32_checksum};
 use simcore::layout::ParallelLayout;
 use simcore::rng::DetRng;
 use simcore::time::{ClockBoard, SimTime};
-use simcore::{RankId, SimError};
+use simcore::RankId;
 
 proptest! {
     #[test]
@@ -21,39 +19,6 @@ proptest! {
         for (a, b) in data.iter().zip(&back) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    /// The bulk `f32` decoder is wire-identical to the generic `Vec<f32>`
-    /// one: same values bit for bit (NaN payloads included, which `==`
-    /// on floats cannot see), same bytes consumed, and a truncated input
-    /// is an error in both, wherever the cut falls.
-    #[test]
-    fn bulk_f32_decode_is_wire_identical_to_generic(
-        bits in proptest::collection::vec(any::<u32>(), 0..3000),
-        nan_payload in any::<u32>(),
-        cut in any::<proptest::sample::Index>(),
-    ) {
-        let mut data: Vec<f32> = bits.iter().map(|b| f32::from_bits(*b)).collect();
-        // Always at least one NaN, of either sign, with an arbitrary payload.
-        data.push(f32::from_bits(0x7f80_0001 | (nan_payload & 0x807f_ffff)));
-        let mut wire = bytes::BytesMut::new();
-        encode_f32_slice(&data, &mut wire);
-        wire.extend_from_slice(b"tail");
-        let wire = wire.freeze();
-
-        let (mut a, mut b) = (wire.clone(), wire.clone());
-        let bulk = decode_f32_slice(&mut a).unwrap();
-        let generic = Vec::<f32>::decode(&mut b).unwrap();
-        let as_bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-        prop_assert_eq!(as_bits(&bulk), as_bits(&data));
-        prop_assert_eq!(as_bits(&bulk), as_bits(&generic));
-        prop_assert_eq!(&a[..], &b"tail"[..]);
-        prop_assert_eq!(&b[..], &b"tail"[..]);
-
-        let body = wire.len() - 4;
-        let (mut a, mut b) = (wire.slice(..cut.index(body)), wire.slice(..cut.index(body)));
-        prop_assert!(matches!(decode_f32_slice(&mut a), Err(SimError::Codec(_))));
-        prop_assert!(matches!(Vec::<f32>::decode(&mut b), Err(SimError::Codec(_))));
     }
 
     #[test]

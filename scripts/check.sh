@@ -16,6 +16,7 @@ cargo test --workspace --quiet
 echo '==> bit-identity on the profile that is benchmarked (release codegen vectorises what dev does not)'
 cargo test --release -p simgpu --quiet
 cargo test --release -p simcore --quiet
+cargo test --release -p proxy --quiet
 cargo test --release -p jitckpt --test codec_golden --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 
