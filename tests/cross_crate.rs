@@ -3,12 +3,16 @@
 //! cluster substrate — exercising properties no single crate can test.
 
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
+use collectives::{
+    CollEngine, CollKind, CommWorld, Communicator, NullObserver, ReduceOp, RingConfig, SplitKey,
+};
 use jit_checkpoint_repro::*;
 use jitckpt::transparent::run_transparent_job;
 use jitckpt::user_level::{run_user_level_job, JitUserConfig};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
+use simcore::time::ClockBoard;
 use simcore::RankId;
 use std::sync::{Arc, Mutex};
 
@@ -338,6 +342,298 @@ fn poisson_failure_trace_drives_user_level_recovery() {
     assert_eq!(out.restarts, 2);
     assert_losses_match(&out.losses, &clean);
 }
+
+/// Issues one collective of `kind` for `rank` on `comm` and returns the
+/// rank's view of the result (empty for the kinds that carry no data).
+/// The last member is the broadcast root.
+fn issue(
+    comm: &Communicator,
+    rank: RankId,
+    gen: u64,
+    kind: CollKind,
+    op: ReduceOp,
+    data: Vec<f32>,
+    bytes: u64,
+) -> Vec<f32> {
+    let root = *comm.ranks().last().expect("non-empty group");
+    let obs = &NullObserver;
+    match kind {
+        CollKind::AllReduce => comm
+            .all_reduce_shared(rank, gen, data, op, bytes, obs)
+            .map(|r| r.to_vec()),
+        CollKind::AllGather => comm
+            .all_gather_shared(rank, gen, data, bytes, obs)
+            .map(|r| r.to_vec()),
+        CollKind::ReduceScatter => comm.reduce_scatter(rank, gen, data, op, bytes, obs),
+        CollKind::Broadcast => comm
+            .broadcast_shared(rank, gen, root, (rank == root).then_some(data), bytes, obs)
+            .map(|r| r.to_vec()),
+        CollKind::Barrier => comm.barrier(rank, gen, obs).map(|()| Vec::new()),
+        CollKind::Rendezvous => comm.rendezvous(rank, gen, obs).map(|()| Vec::new()),
+    }
+    .unwrap()
+}
+
+/// Runs `ops` in order on `comm`, one thread per member, each member
+/// contributing `payload(member, op index)`; returns every member's
+/// results in op order.
+fn run_members(
+    comm: &Arc<Communicator>,
+    ops: Arc<Vec<(CollKind, ReduceOp, u64)>>,
+    payload: fn(usize, usize) -> Vec<f32>,
+    after_each: impl Fn(usize) + Send + Sync + 'static,
+) -> Vec<Vec<Vec<f32>>> {
+    let after_each = Arc::new(after_each);
+    let handles: Vec<_> = (0..comm.size())
+        .map(|m| {
+            let (comm, ops, after_each) = (comm.clone(), ops.clone(), after_each.clone());
+            std::thread::spawn(move || {
+                let rank = comm.ranks()[m];
+                let mut out = Vec::new();
+                for (i, &(kind, op, bytes)) in ops.iter().enumerate() {
+                    out.push(issue(&comm, rank, i as u64, kind, op, payload(m, i), bytes));
+                    if m == 0 {
+                        after_each(i);
+                    }
+                }
+                out
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+const DATA_KINDS: [CollKind; 4] = [
+    CollKind::AllReduce,
+    CollKind::AllGather,
+    CollKind::ReduceScatter,
+    CollKind::Broadcast,
+];
+
+/// Member 0's clock after each op, by `to_bits`: every data kind at each
+/// logical size (0, 4 KiB + 3, 4 MiB), then a barrier and a rendezvous,
+/// on a fresh world of `n` ranks placed `ranks_per_node` to a node unless
+/// `node_of` says otherwise. A split child (the first half of the ranks)
+/// makes the rendezvous bootstrap it too. The barrier every completion
+/// charges must leave all members' clocks equal.
+fn clock_trace(
+    engine: CollEngine,
+    n: usize,
+    ranks_per_node: usize,
+    node_of: Option<Vec<usize>>,
+    split_child: bool,
+) -> Vec<u64> {
+    let clock = Arc::new(ClockBoard::new(n));
+    let world = CommWorld::new(clock.clone(), CostModel::v100(), ranks_per_node);
+    let mut comm = world
+        .create_comm((0..n).map(RankId::from).collect(), (0..n).collect())
+        .set_engine(engine);
+    if let Some(node_of) = node_of {
+        comm = comm.set_topology(node_of);
+    }
+    world.replace_comm(comm.clone());
+    let keys: Vec<SplitKey> = (0..n)
+        .map(|m| {
+            if m < n / 2 {
+                SplitKey::new(0, m)
+            } else {
+                SplitKey::none()
+            }
+        })
+        .collect();
+    let _child = split_child.then(|| world.split_comm(&comm, &keys).unwrap());
+    let mut ops: Vec<(CollKind, ReduceOp, u64)> = Vec::new();
+    for bytes in [0, 4096 + 3, 4 << 20] {
+        ops.extend(DATA_KINDS.map(|k| (k, ReduceOp::Sum, bytes)));
+    }
+    ops.push((CollKind::Barrier, ReduceOp::Sum, 0));
+    ops.push((CollKind::Rendezvous, ReduceOp::Sum, 0));
+    let trace = Arc::new(Mutex::new(Vec::new()));
+    let t = trace.clone();
+    run_members(
+        &comm,
+        Arc::new(ops),
+        |_, _| vec![1.0; 64],
+        move |_| {
+            let now: Vec<u64> = (0..n).map(|i| clock.now(i).as_secs().to_bits()).collect();
+            assert!(now.iter().all(|b| *b == now[0]), "members' clocks differ");
+            t.lock().unwrap().push(now[0]);
+        },
+    );
+    Arc::try_unwrap(trace).unwrap().into_inner().unwrap()
+}
+
+/// NaN-free inputs that a reordered fold would change: signed zeros,
+/// subnormals, a ±1e30 pair that cancels, and at most one infinity per
+/// index (the five members' residues below are distinct).
+fn special(member: usize, i: usize) -> f32 {
+    match (i * 7 + member * 3) % 10 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::from_bits(1),
+        3 => -f32::from_bits(0x007f_ffff),
+        4 => 1e30,
+        5 => -1e30,
+        6 if i.is_multiple_of(2) => f32::INFINITY,
+        6 => f32::NEG_INFINITY,
+        7 => 1.0 + i as f32 * 1e-7,
+        8 => -3.5,
+        _ => 0.1 * member as f32,
+    }
+}
+
+/// The V100 fold chunk (`RingConfig::from_cost`), in elements.
+const CHUNK_ELEMS: usize = 512 * 1024 / 4;
+const RESULT_LENS: [usize; 5] = [0, 1, 7, CHUNK_ELEMS - 1, CHUNK_ELEMS + 1];
+/// Per length: all-reduce Sum, Avg and Max, all-gather, reduce-scatter
+/// (Sum, every member's shard in member order) and broadcast.
+const RESULT_OPS: [(CollKind, ReduceOp); 6] = [
+    (CollKind::AllReduce, ReduceOp::Sum),
+    (CollKind::AllReduce, ReduceOp::Avg),
+    (CollKind::AllReduce, ReduceOp::Max),
+    (CollKind::AllGather, ReduceOp::Sum),
+    (CollKind::ReduceScatter, ReduceOp::Sum),
+    (CollKind::Broadcast, ReduceOp::Sum),
+];
+
+/// `f32_checksum` of each data kind's result over five members, per
+/// `RESULT_LENS` × `RESULT_OPS`.
+fn result_crcs(engine: CollEngine, node_of: Vec<usize>) -> Vec<u64> {
+    const N: usize = 5;
+    let world = CommWorld::new(Arc::new(ClockBoard::new(N)), CostModel::v100(), 8);
+    let comm = world
+        .create_comm((0..N).map(RankId::from).collect(), (0..N).collect())
+        .set_engine(engine)
+        .set_topology(node_of);
+    let ops: Vec<(CollKind, ReduceOp, u64)> = RESULT_LENS
+        .iter()
+        .flat_map(|_| RESULT_OPS.map(|(k, op)| (k, op, 64)))
+        .collect();
+    let payload = |m: usize, i: usize| {
+        let len = RESULT_LENS[i / RESULT_OPS.len()];
+        let len = match RESULT_OPS[i % RESULT_OPS.len()].0 {
+            CollKind::ReduceScatter => len - len % N,
+            _ => len,
+        };
+        (0..len).map(|e| special(m, e)).collect()
+    };
+    let outs = run_members(&comm, Arc::new(ops), payload, |_| {});
+    (0..outs[0].len())
+        .map(|i| {
+            if RESULT_OPS[i % RESULT_OPS.len()].0 == CollKind::ReduceScatter {
+                let whole: Vec<f32> = outs.iter().flat_map(|o| o[i].clone()).collect();
+                return simcore::codec::f32_checksum(&whole);
+            }
+            let crcs: Vec<u64> = outs
+                .iter()
+                .map(|o| simcore::codec::f32_checksum(&o[i]))
+                .collect();
+            assert!(crcs.iter().all(|c| *c == crcs[0]), "members disagree");
+            crcs[0]
+        })
+        .collect()
+}
+
+#[test]
+fn collective_schedules_and_results_are_pinned() {
+    let _g = serial();
+    // Virtual time is the cost schedule alone: Ring and Hier at four
+    // placements, every kind, three logical sizes.
+    let cfg = RingConfig::from_cost(&CostModel::v100());
+    let scattered = || Some(vec![0, 1, 0, 1]);
+    let contiguous = || Some(vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    let mut clocks = Vec::new();
+    for engine in [CollEngine::Ring(cfg), CollEngine::Hier(cfg)] {
+        clocks.push(clock_trace(engine, 4, 8, None, false));
+        clocks.push(clock_trace(engine, 8, 8, contiguous(), false));
+        clocks.push(clock_trace(engine, 4, 8, scattered(), false));
+        clocks.push(clock_trace(engine, 16, 8, None, true));
+    }
+    assert_eq!(clocks, GOLDEN_CLOCKS, "a collective's simulated cost moved");
+    // The result bits do not depend on the schedule or the placement.
+    let ring = result_crcs(CollEngine::Ring(cfg), vec![0; 5]);
+    assert_eq!(ring, GOLDEN_RESULTS, "a collective's result bits moved");
+    let hier = result_crcs(CollEngine::Hier(cfg), vec![0, 1, 0, 1, 0]);
+    assert_eq!(hier, GOLDEN_RESULTS, "the hierarchical schedule moved bits");
+}
+
+/// Member 0's clock bits after each op of `clock_trace`: all-reduce,
+/// all-gather, reduce-scatter and broadcast at 0 B, then at 4 KiB + 3,
+/// then at 4 MiB, then a barrier and a rendezvous.
+#[rustfmt::skip]
+const GOLDEN_CLOCKS: [[u64; 14]; 8] = [
+    // Ring, one node x 4
+    [
+        0x3f092a737110e454, 0x3f12dfd694ccab3f, 0x3f192a737110e454, 0x3f1f75104d551d69,
+        0x3f2606bb48466297, 0x3f292cd4d9144c88, 0x3f2c52ee69e23679, 0x3f2f7907fab0206a,
+        0x3f360dc4dd3a73df, 0x3f3936654d2ba5b4, 0x3f3c5f05bd1cd789, 0x3f3f87a62d0e095e,
+        0x3f4262e9c7a371cd, 0x3ff0024c5d38f46e,
+    ],
+    // Ring, contiguous 2 x 4
+    [
+        0x3f42599ed7c6fbd3, 0x3f4b866e43aa79bc, 0x3f52599ed7c6fbd3, 0x3f56f0068db8bac8,
+        0x3f600f9f1385e0ac, 0x3f625b6cf9daa250, 0x3f64a73ae02f63f4, 0x3f66f308c6842598,
+        0x3f702c723ae43947, 0x3f7285e926b54c84, 0x3f74df6012865fc1, 0x3f7738d6fe5772fe,
+        0x3f77b6ab3f8cc774, 0x3ff017b6ab3f8cc7,
+    ],
+    // Ring, scattered [0, 1, 0, 1]
+    [
+        0x3f2f75104d551d6a, 0x3f3797cc39ffd610, 0x3f3f75104d551d6a, 0x3f43a92a30553262,
+        0x3f4b8a8e918e3f6c, 0x3f4f7b40c22ac5f1, 0x3f51b5f97963a63b, 0x3f53ae5291b1e97e,
+        0x3f5fdc048fea12e3, 0x3f62f96ec78313cb, 0x3f6604db47111e24, 0x3f691047c69f287d,
+        0x3f69b80d72e643c5, 0x3ff00cdc06b97322,
+    ],
+    // Ring, 16 ranks on 2 nodes with a split child
+    [
+        0x3f53a92a30553262, 0x3f5d7dbf487fcb93, 0x3f63a92a30553262, 0x3f689374bc6a7efa,
+        0x3f7134a9f67622f9, 0x3f73aa21c29694b7, 0x3f761f998eb70675, 0x3f7895115ad77833,
+        0x3f80098871ac7f4a, 0x3f81e90853cce0e2, 0x3f83c88835ed427a, 0x3f85a808180da412,
+        0x3f85fbeaee3131b6, 0x400015fbeaee3132,
+    ],
+    // Hier, one node x 4
+    [
+        0x3f092a737110e454, 0x3f12dfd694ccab3f, 0x3f192a737110e454, 0x3f1f75104d551d69,
+        0x3f2606bb48466297, 0x3f292cd4d9144c88, 0x3f2c52ee69e23679, 0x3f2f7907fab0206a,
+        0x3f360dc4dd3a73df, 0x3f3936654d2ba5b4, 0x3f3c5f05bd1cd789, 0x3f3f87a62d0e095e,
+        0x3f4262e9c7a371cd, 0x3ff0024c5d38f46e,
+    ],
+    // Hier, contiguous 2 x 4
+    [
+        0x3f20c6f7a0b5ed8e, 0x3f292a737110e455, 0x3f30c6f7a0b5ed8e, 0x3f34f8b588e368f2,
+        0x3f3d627ce3c48a0a, 0x3f40cbb0489a8d4b, 0x3f42e6221f52d591, 0x3f450093f60b1dd7,
+        0x3f52e38583eab78a, 0x3f571523485d4bda, 0x3f5b46c10ccfe02a, 0x3f5f785ed142747a,
+        0x3f60b7d7eb0be328, 0x3ff0085bebf585f2,
+    ],
+    // Hier, scattered [0, 1, 0, 1]
+    [
+        0x3f192a737110e454, 0x3f22dfd694ccab3f, 0x3f292a737110e454, 0x3f2f75104d551d69,
+        0x3f360b2cd73bada4, 0x3f39337f2f843d1c, 0x3f3c5bd187cccc94, 0x3f3f8423e0155c0c,
+        0x3f4ef4c674d43f3b, 0x3f5347105b9c83eb, 0x3f5713bd7ccee838, 0x3f5ae06a9e014c85,
+        0x3f5c2ff5f68f8314, 0x3ff0070bfd7da3e1,
+    ],
+    // Hier, 16 ranks on 2 nodes with a split child
+    [
+        0x3f292a737110e454, 0x3f32dfd694ccab3f, 0x3f392a737110e454, 0x3f3f75104d551d69,
+        0x3f46085bb5c02e10, 0x3f492f457d4afdbe, 0x3f4c562f44d5cd6c, 0x3f4f7d190c609d1a,
+        0x3f59500c4dde2e50, 0x3f5e18cc31b51e32, 0x3f6170c60ac6070a, 0x3f63d525fcb17efb,
+        0x3f6524b1553fb58a, 0x400005492c554fed,
+    ],
+];
+/// `result_crcs`: the six data kinds of `RESULT_OPS` per length of
+/// `RESULT_LENS`.
+#[rustfmt::skip]
+const GOLDEN_RESULTS: [u64; 30] = [
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0e70d0a45648f3cf, 0x0e70d0a45648f3cf, 0x0e70d0a45648f3cf,
+    0xde96b3b508f8007d, 0x0000000000000000, 0x37659481a0843244,
+    0x38e766884f931da7, 0x7656e30fd946d46a, 0xc1fbda3afcf0ec8e,
+    0x435624d7f1bc6991, 0x898457508f21f46b, 0xf46b7b88f35aa427,
+    0x459a9b781cec8bd1, 0xedc7b036390021e1, 0xc7abe6b17f2d0ba8,
+    0x827b8e7f948475f5, 0xa4db7977077f0eb6, 0x8493c9886603e702,
+    0xc47c0a704d53fee3, 0x970cfae833bf9551, 0xf916278f85e9f7bd,
+    0xd4f69727cced13f4, 0xa4db7977077f0eb6, 0x559988de60b33a8e,
+];
 
 /// `f32::to_bits` of every rank's loss at every iteration.
 fn loss_bits(losses: &[Vec<f32>]) -> Vec<Vec<u32>> {
