@@ -106,20 +106,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Classifies each hop of the ring `gpus[i] → gpus[(i+1) mod n]` as
-    /// intra-node (`true`) or inter-node (`false`) from the real
-    /// placement — the link classes the chunked ring cost model consumes.
-    /// A singleton (or empty) ring has no hops.
-    pub fn ring_hop_classes(&self, gpus: &[GpuId]) -> Vec<bool> {
-        let n = gpus.len();
-        if n <= 1 {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|i| self.same_node(gpus[i], gpus[(i + 1) % n]))
-            .collect()
-    }
-
     /// Marks a GPU failed (hard error).
     pub fn mark_gpu_failed(&mut self, gpu: GpuId) {
         if let Some(h) = self.gpu_health.get_mut(&gpu) {
@@ -197,19 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_hops_reflect_placement() {
+    fn node_assignment_reflects_placement() {
         let c = Cluster::new(GpuGeneration::V100_32G, 2);
-        // A ring across both nodes crosses the boundary exactly twice.
+        // Sixteen GPUs across both nodes, eight on each.
         let gpus: Vec<GpuId> = (0..16).map(GpuId).collect();
-        let hops = c.ring_hop_classes(&gpus);
-        assert_eq!(hops.len(), 16);
-        assert_eq!(hops.iter().filter(|h| !**h).count(), 2);
-        // A whole-node ring rides NVLink only.
-        assert!(c.ring_hop_classes(&gpus[..8]).iter().all(|h| *h));
-        // Data-parallel pairs placed on different nodes are all-NIC.
-        let dp = [GpuId(0), GpuId(8)];
-        assert!(c.ring_hop_classes(&dp).iter().all(|h| !*h));
-        assert!(c.ring_hop_classes(&gpus[..1]).is_empty());
+        let nodes = c.node_assignment(&gpus).unwrap();
+        assert_eq!(nodes, [[0; 8], [1; 8]].concat());
+        // Data-parallel pairs placed on different nodes.
+        assert_eq!(c.node_assignment(&[GpuId(0), GpuId(8)]).unwrap(), [0, 1]);
+        assert!(c.node_assignment(&[GpuId(16)]).is_err());
     }
 
     #[test]

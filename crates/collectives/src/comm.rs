@@ -1,8 +1,9 @@
-//! Communicators and collective operations.
+//! Communicators: the rendezvous of matched collective operations.
 //!
 //! A [`Communicator`] is the NCCL-communicator equivalent: a fixed group of
-//! ranks that issue matching collective calls in the same order. The
-//! implementation gives the operations their real distributed-systems
+//! ranks that issue matching collective calls in the same order. This
+//! file is the rendezvous — the slot table, arrival, parking and
+//! completion — and gives the operations their real distributed-systems
 //! semantics:
 //!
 //! * **barrier completion** — no rank returns until every member arrived;
@@ -19,6 +20,11 @@
 //!   order, so results are bit-stable across runs (required for the
 //!   paper's exact-loss-match validation).
 //!
+//! How the bytes of a generation are folded is the data plane's
+//! (`plane.rs`); how much simulated time its completion charges is the
+//! cost schedule's (`schedule.rs`). Nothing here depends on which
+//! schedule is in effect.
+//!
 //! Operations are **generation-addressed and idempotent**: the caller (the
 //! interception layer) supplies each operation's sequence number `gen`,
 //! contributions overwrite identically on re-arrival, and completed slots
@@ -30,35 +36,21 @@
 //! generation and pairs with peers' retries. A re-created communicator
 //! adopts its predecessor's completed-slot cache
 //! ([`Communicator::adopt_completed_from`]).
-//!
-//! ## Slot storage: parked vs streaming
-//!
-//! The reference [`CollEngine::Slot`] engine (and the gather/broadcast/
-//! barrier kinds under every engine) *parks* each contribution in a
-//! member-position-indexed table and reduces once, when the last member
-//! arrives. Reductions under the ring and hierarchical engines instead
-//! *stream*: contributions are folded into a single accumulator eagerly,
-//! in member order, the moment their turn comes — out-of-order arrivals
-//! park only until the member-order prefix reaches them. Peak memory per
-//! in-flight reduction drops from `n` buffers to one accumulator plus the
-//! out-of-order window, which is what lets a 2048-rank world run without
-//! holding 2048 parked 4 MiB buffers (or 2048 OS threads — see
-//! [`Communicator::offer_reduce`]). Both paths accumulate elementwise in
-//! strict member order, so they are bit-identical (DESIGN.md §11).
 
 use crate::ledger::GradLedger;
 use crate::liveness::Liveness;
 use crate::observer::{CollectiveObserver, CollectiveTicket};
-use crate::ring::{self, CollEngine};
+use crate::plane::{Contribution, SlotData};
+use crate::schedule::{self, CollEngine, Schedule};
 use crate::world::CommId;
 use simcore::cost::CostModel;
 use simcore::sync::{Condvar, Mutex};
 use simcore::time::ClockBoard;
 use simcore::{RankId, SimError, SimResult};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Reduction operator for all-reduce / reduce-scatter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,49 +78,6 @@ pub enum CollKind {
     Barrier,
     /// Communicator-initialization rendezvous (costed as NCCL bootstrap).
     Rendezvous,
-}
-
-/// How a rank hands its buffer to a collective.
-enum Contribution<'a> {
-    /// Owned buffer (the blocking API) — moved into the slot, or consumed
-    /// as the streaming accumulator without a copy.
-    Data(Vec<f32>),
-    /// Caller-owned slice (the non-blocking offer API) — folded in place
-    /// when its member-order turn has come, copied only if it must park.
-    Borrowed(&'a [f32]),
-    /// No payload (barrier, rendezvous, non-root broadcast).
-    Empty,
-}
-
-impl Contribution<'_> {
-    fn into_parked(self) -> Option<Vec<f32>> {
-        match self {
-            Contribution::Data(v) => Some(v),
-            Contribution::Borrowed(s) => Some(s.to_vec()),
-            Contribution::Empty => None,
-        }
-    }
-}
-
-/// Per-generation contribution storage, indexed by **member position**
-/// (position in the communicator's `ranks` list — the canonical reduction
-/// order, which for split groups need not be sorted-RankId order).
-#[derive(Clone)]
-enum SlotData {
-    /// Every contribution held until the last arrival (outer `None` = not
-    /// arrived; inner `None` = an arrival without payload).
-    Parked {
-        contribs: Vec<Option<Option<Vec<f32>>>>,
-        arrived: usize,
-    },
-    /// Eager member-order fold: `acc` holds ranks `0..folded` already
-    /// reduced; out-of-order arrivals park in `parked` (keyed by member
-    /// position) until the fold front reaches them.
-    Streaming {
-        acc: Vec<f32>,
-        folded: usize,
-        parked: BTreeMap<usize, Vec<f32>>,
-    },
 }
 
 #[derive(Clone)]
@@ -159,19 +108,11 @@ pub struct Communicator {
     member_of: HashMap<RankId, usize>,
     /// Clock-board slot of each member, by member position.
     clock_idx: Vec<usize>,
-    ranks_per_node: usize,
-    /// Node id of each member, by member position — real placement from
+    /// Cost schedule and node placement — real placement from
     /// `cluster::topology` via [`Communicator::set_topology`], or the
-    /// contiguous fallback. Drives hop classes and the hierarchical
-    /// schedule.
-    node_of: Vec<usize>,
-    /// Ring hops crossing a node boundary (derived from `node_of`).
-    inter_hops: usize,
-    /// Members per node in first-appearance order (derived from
-    /// `node_of`) — the hierarchical cost model's input.
-    node_sizes: Vec<usize>,
+    /// contiguous fallback.
+    schedule: Schedule,
     clock: Arc<ClockBoard>,
-    cost: CostModel,
     state: Mutex<CommState>,
     cv: Condvar,
     /// Separate condvar for `wait_for_parked` observers, so a rank
@@ -180,12 +121,11 @@ pub struct Communicator {
     aborted: AtomicBool,
     /// The world's table of ranks that will never contribute again.
     liveness: Arc<Liveness>,
-    engine: CollEngine,
     /// Child groups split off this communicator (`CommWorld::split_comm`).
     /// Weak: a dropped child must not be kept alive — or aborted — by its
     /// parent. This lock is a leaf: nothing else is acquired while it is
-    /// held except inside `coll_cost` (state → children, one direction
-    /// only; no path acquires state while holding children).
+    /// held except inside the rendezvous cost (state → children, one
+    /// direction only; no path acquires state while holding children).
     children: Mutex<Vec<Weak<Communicator>>>,
     /// Per-member in-network gradient ledgers (`(member position,
     /// ledger)`), attached via [`Communicator::attach_ledger`]. Same
@@ -198,26 +138,11 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// Creates a communicator over `ranks`; `clock_idx[i]` is the clock
-    /// board slot of `ranks[i]`. Node placement defaults to the
-    /// contiguous `ranks_per_node` convention until
-    /// [`Communicator::set_topology`] installs real placement. Built
-    /// outside a [`crate::CommWorld`], it gets a liveness table of its
-    /// own that nobody departs from, so its hangs are never proven.
-    pub fn new(
-        id: CommId,
-        ranks: Vec<RankId>,
-        clock_idx: Vec<usize>,
-        ranks_per_node: usize,
-        clock: Arc<ClockBoard>,
-        cost: CostModel,
-    ) -> Arc<Self> {
-        let private = Arc::new(Liveness::new(Weak::new()));
-        Self::in_world(id, ranks, clock_idx, ranks_per_node, clock, cost, private)
-    }
-
-    /// [`Communicator::new`] sharing the liveness table of the world that
-    /// creates it.
+    /// Creates a communicator over `ranks` sharing the liveness table of
+    /// the world that creates it; `clock_idx[i]` is the clock board slot
+    /// of `ranks[i]`. It charges the ring schedule over the contiguous
+    /// `ranks_per_node` placement until [`Communicator::set_engine`] /
+    /// [`Communicator::set_topology`] say otherwise.
     pub(crate) fn in_world(
         id: CommId,
         ranks: Vec<RankId>,
@@ -227,66 +152,62 @@ impl Communicator {
         cost: CostModel,
         liveness: Arc<Liveness>,
     ) -> Arc<Self> {
-        let node_of = ring::contiguous_node_assignment(&ranks, ranks_per_node);
-        let engine = CollEngine::Ring(ring::RingConfig::from_cost(&cost));
-        Self::with_parts(
-            id,
-            ranks,
-            clock_idx,
-            node_of,
-            ranks_per_node,
-            clock,
-            cost,
-            engine,
-            liveness,
-        )
+        let node_of = schedule::contiguous_node_assignment(&ranks, ranks_per_node);
+        let schedule = Schedule::ring(cost, node_of);
+        Self::with_parts(id, ranks, clock_idx, clock, schedule, liveness)
     }
 
-    /// Full-control constructor: split groups inherit their parent's
-    /// engine, liveness table, and per-member topology slice through this.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_parts(
+    fn with_parts(
         id: CommId,
         ranks: Vec<RankId>,
         clock_idx: Vec<usize>,
-        node_of: Vec<usize>,
-        ranks_per_node: usize,
         clock: Arc<ClockBoard>,
-        cost: CostModel,
-        engine: CollEngine,
+        schedule: Schedule,
         liveness: Arc<Liveness>,
     ) -> Arc<Self> {
         assert_eq!(ranks.len(), clock_idx.len());
-        assert_eq!(ranks.len(), node_of.len());
+        assert_eq!(ranks.len(), schedule.node_of.len());
         let member_of: HashMap<RankId, usize> =
             ranks.iter().enumerate().map(|(i, r)| (*r, i)).collect();
         assert_eq!(member_of.len(), ranks.len(), "duplicate member rank");
-        let inter_hops = ring::hop_classes_from_nodes(&node_of)
-            .iter()
-            .filter(|same| !**same)
-            .count();
-        let node_sizes = ring::node_group_sizes(&node_of);
         Arc::new(Communicator {
             id,
             ranks,
             member_of,
             clock_idx,
-            ranks_per_node,
-            node_of,
-            inter_hops,
-            node_sizes,
+            schedule,
             clock,
-            cost,
             state: Mutex::new(CommState::default()),
             cv: Condvar::new(),
             obs_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
             liveness,
-            engine,
             children: Mutex::new(Vec::new()),
             ledgers: Mutex::new(Vec::new()),
             has_ledgers: AtomicBool::new(false),
         })
+    }
+
+    /// A child group of the members at positions `members`, in that
+    /// order (`CommWorld::split_comm`). Member `i` keeps its clock slot
+    /// and node; the child keeps this communicator's schedule and
+    /// liveness table, and is linked for abort and fault propagation.
+    pub(crate) fn split_child(&self, id: CommId, members: &[usize]) -> Arc<Self> {
+        let slice = |of: &[usize]| members.iter().map(|p| of[*p]).collect();
+        let child = Self::with_parts(
+            id,
+            members.iter().map(|p| self.ranks[*p]).collect(),
+            slice(&self.clock_idx),
+            self.clock.clone(),
+            self.schedule.placed(slice(&self.schedule.node_of)),
+            self.liveness.clone(),
+        );
+        {
+            let mut kids = self.children.lock();
+            kids.retain(|w| w.upgrade().is_some());
+            kids.push(Arc::downgrade(&child));
+        }
+        child
     }
 
     /// Member ranks, in member (reduction) order.
@@ -311,31 +232,7 @@ impl Communicator {
 
     /// Node assignment per member position.
     pub fn node_assignment(&self) -> &[usize] {
-        &self.node_of
-    }
-
-    pub(crate) fn clock_index_of_member(&self, pos: usize) -> usize {
-        self.clock_idx[pos]
-    }
-
-    pub(crate) fn node_of_member(&self, pos: usize) -> usize {
-        self.node_of[pos]
-    }
-
-    pub(crate) fn clock_board(&self) -> &Arc<ClockBoard> {
-        &self.clock
-    }
-
-    pub(crate) fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    pub(crate) fn ranks_per_node(&self) -> usize {
-        self.ranks_per_node
-    }
-
-    pub(crate) fn liveness(&self) -> &Arc<Liveness> {
-        &self.liveness
+        &self.schedule.node_of
     }
 
     /// Communicators are shared immutably; configuration changes rebuild
@@ -343,16 +240,13 @@ impl Communicator {
     /// over so parent→child abort/fault propagation survives a rebuild,
     /// and attached gradient ledgers carry over so the in-network tap
     /// survives engine/topology changes.
-    fn rebuild(&self, engine: CollEngine, node_of: Vec<usize>) -> Arc<Self> {
+    fn rebuild(&self, schedule: Schedule) -> Arc<Self> {
         let fresh = Self::with_parts(
             self.id,
             self.ranks.clone(),
             self.clock_idx.clone(),
-            node_of,
-            self.ranks_per_node,
             self.clock.clone(),
-            self.cost.clone(),
-            engine,
+            schedule,
             self.liveness.clone(),
         );
         // children strictly before ledgers (both leaf locks, never
@@ -365,28 +259,23 @@ impl Communicator {
         fresh
     }
 
-    /// Selects the data-plane engine (chunked ring by default; the slot
-    /// reference is kept for bit-identity checks and benchmarking).
+    /// Selects the cost schedule (the chunked ring by default). The data
+    /// plane, and so every result bit, is the same under either.
     pub fn set_engine(self: &Arc<Self>, engine: CollEngine) -> Arc<Self> {
-        self.rebuild(engine, self.node_of.clone())
+        self.rebuild(self.schedule.with_engine(engine))
     }
 
     /// Installs real placement knowledge: `node_of[i]` is the node id of
     /// member `i` (`Cluster::node_assignment`). Replaces the contiguous
-    /// `ranks_per_node` fallback; hop classes, inter-hop counts, and the
-    /// hierarchical node sizes are all re-derived from it.
+    /// `ranks_per_node` fallback; the schedule's inter-node hop count and
+    /// per-node group sizes are re-derived from it.
     pub fn set_topology(self: &Arc<Self>, node_of: Vec<usize>) -> Arc<Self> {
         assert_eq!(
             node_of.len(),
             self.ranks.len(),
             "one node id per group member"
         );
-        self.rebuild(self.engine, node_of)
-    }
-
-    /// The data-plane engine in effect.
-    pub fn engine(&self) -> CollEngine {
-        self.engine
+        self.rebuild(self.schedule.placed(node_of))
     }
 
     /// Attaches `rank`'s in-network gradient ledger: every data-carrying
@@ -489,39 +378,13 @@ impl Communicator {
         self.cv.notify_all();
     }
 
-    /// Registers a split child for abort/fault propagation.
-    pub(crate) fn add_child(&self, child: &Arc<Communicator>) {
-        let mut kids = self.children.lock();
-        kids.retain(|w| w.upgrade().is_some());
-        kids.push(Arc::downgrade(child));
-    }
-
     /// Live (still-referenced) child groups split off this communicator.
-    pub fn live_children(&self) -> usize {
+    pub(crate) fn live_children(&self) -> usize {
         self.children
             .lock()
             .iter()
             .filter(|w| w.upgrade().is_some())
             .count()
-    }
-
-    /// Blocks until at least `n` member threads are parked inside a
-    /// collective wait, or `timeout` elapses (returns `false` on
-    /// timeout). This is the §3.1 hang signature made observable:
-    /// harnesses and tests wait on the same condvar the parked ranks
-    /// use instead of sleeping an arbitrary wall-clock interval and
-    /// hoping the ranks have arrived.
-    pub fn wait_for_parked(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        while st.parked < n {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.obs_cv.wait_for(&mut st, deadline - now);
-        }
-        true
     }
 
     /// Arms a one-shot transient network fault against `victim`: the
@@ -551,35 +414,6 @@ impl Communicator {
             if child.contains(victim) {
                 child.inject_transient_fault(victim);
             }
-        }
-    }
-
-    fn coll_cost(&self, kind: CollKind, bytes: u64) -> simcore::SimTime {
-        let n = self.ranks.len();
-        match kind {
-            CollKind::AllReduce => match self.engine {
-                CollEngine::Slot => self.cost.all_reduce(bytes, n, self.ranks_per_node),
-                CollEngine::Ring(_) => self.cost.ring_all_reduce(bytes, n, self.inter_hops),
-                CollEngine::Hier(_) => self.cost.hier_all_reduce(bytes, &self.node_sizes),
-            },
-            CollKind::AllGather | CollKind::ReduceScatter | CollKind::Broadcast => {
-                match self.engine {
-                    CollEngine::Slot => self.cost.all_gather(bytes, n, self.ranks_per_node),
-                    CollEngine::Ring(_) => self.cost.ring_all_gather(bytes, n, self.inter_hops),
-                    CollEngine::Hier(_) => self.cost.hier_all_gather(bytes, &self.node_sizes),
-                }
-            }
-            CollKind::Barrier => simcore::SimTime::from_secs(
-                self.cost.coll_latency.as_secs() * (n as f64).log2().ceil().max(1.0),
-            ),
-            // One parent rendezvous bootstraps every live child group in
-            // the same barrier: split comms share the parent's bootstrap
-            // ring instead of each paying a fresh condvar park + init
-            // round, so the simulated cost scales with the group count
-            // while the rank threads park exactly once.
-            CollKind::Rendezvous => simcore::SimTime::from_secs(
-                self.cost.comm_init.as_secs() * (1.0 + self.live_children() as f64),
-            ),
         }
     }
 
@@ -615,18 +449,6 @@ impl Communicator {
         // whose (incomplete) slot was just pruned reports the protocol
         // error instead of sleeping forever.
         self.cv.notify_all();
-    }
-
-    /// Chunk granularity and worker bound for the streaming fold, per the
-    /// engine and this group's slowest hop class.
-    fn stream_plan(&self) -> (usize, usize) {
-        match self.engine {
-            CollEngine::Ring(cfg) => (cfg.chunk_elems(self.inter_hops > 0), cfg.workers),
-            // The hierarchical data plane is blocked at NVLink granularity:
-            // the intra-node phases carry 2·(m−1)/m of the volume.
-            CollEngine::Hier(cfg) => (cfg.chunk_elems(false), cfg.workers),
-            CollEngine::Slot => (usize::MAX, 1),
-        }
     }
 
     /// Core matched-collective protocol. Returns the operation result for
@@ -776,19 +598,11 @@ impl Communicator {
     /// contribution of a member that is departed or stuck. One relaxed
     /// load while nobody is.
     fn lacks_gone_member(&self, slot: &Slot) -> bool {
-        let n = self.ranks.len();
-        match &slot.data {
-            SlotData::Parked { contribs, .. } => self.liveness.any_gone(
-                (0..n)
-                    .filter(|p| contribs[*p].is_none())
-                    .map(|p| self.ranks[p]),
-            ),
-            SlotData::Streaming { folded, parked, .. } => self.liveness.any_gone(
-                (*folded..n)
-                    .filter(|p| !parked.contains_key(p))
-                    .map(|p| self.ranks[p]),
-            ),
-        }
+        self.liveness.any_gone(
+            (0..self.ranks.len())
+                .filter(|p| !slot.data.has_arrived(*p))
+                .map(|p| self.ranks[p]),
+        )
     }
 
     /// Installs/joins the slot for `gen` and records this member's
@@ -823,20 +637,7 @@ impl Communicator {
             kind,
             op,
             root,
-            data: match (self.engine, kind) {
-                (
-                    CollEngine::Ring(_) | CollEngine::Hier(_),
-                    CollKind::AllReduce | CollKind::ReduceScatter,
-                ) => SlotData::Streaming {
-                    acc: Vec::new(),
-                    folded: 0,
-                    parked: BTreeMap::new(),
-                },
-                _ => SlotData::Parked {
-                    contribs: vec![None; n],
-                    arrived: 0,
-                },
-            },
+            data: SlotData::new(kind, n),
             logical_bytes: 0,
             complete: false,
             result: None,
@@ -853,71 +654,12 @@ impl Communicator {
             return Ok(true);
         }
         slot.logical_bytes = slot.logical_bytes.max(logical_bytes);
-        match &mut slot.data {
-            SlotData::Parked { contribs, arrived } => {
-                if contribs[pos].is_none() {
-                    *arrived += 1;
-                }
-                // Re-arrivals overwrite identically (idempotent replay).
-                contribs[pos] = Some(contrib.into_parked());
-                if *arrived < n {
-                    return Ok(false);
-                }
-            }
-            SlotData::Streaming {
-                acc,
-                folded,
-                parked,
-            } => {
-                let (chunk_elems, workers) = self.stream_plan();
-                let op = op.ok_or_else(|| {
-                    SimError::Protocol("streaming collective without reduce op".into())
-                })?;
-                if pos < *folded {
-                    // Already folded into the accumulator: a replayed
-                    // re-contribution is identical by the idempotency
-                    // contract, so there is nothing to redo.
-                } else if pos == *folded {
-                    match contrib {
-                        // The member-order first buffer *becomes* the
-                        // accumulator — no zero-fill, no seed memcpy.
-                        Contribution::Data(v) if *folded == 0 => *acc = v,
-                        Contribution::Borrowed(s) if *folded == 0 => *acc = s.to_vec(),
-                        Contribution::Data(ref v) => {
-                            ring::accumulate_into(acc, &[v.as_slice()], op, chunk_elems, workers)?
-                        }
-                        Contribution::Borrowed(s) => {
-                            ring::accumulate_into(acc, &[s], op, chunk_elems, workers)?
-                        }
-                        Contribution::Empty => {
-                            return Err(SimError::Protocol("missing contribution".into()))
-                        }
-                    }
-                    *folded += 1;
-                    // Drain the contiguous run of parked successors in one
-                    // chunk-parallel fold (4-wide peer streams, same
-                    // member-order association as one-at-a-time folds).
-                    let mut run: Vec<Vec<f32>> = Vec::new();
-                    while let Some(v) = parked.remove(&(*folded + run.len())) {
-                        run.push(v);
-                    }
-                    if !run.is_empty() {
-                        let slices: Vec<&[f32]> = run.iter().map(|v| v.as_slice()).collect();
-                        ring::accumulate_into(acc, &slices, op, chunk_elems, workers)?;
-                        *folded += run.len();
-                    }
-                } else {
-                    let v = contrib
-                        .into_parked()
-                        .ok_or_else(|| SimError::Protocol("missing contribution".into()))?;
-                    // Out-of-order: park an owned copy until the fold
-                    // front reaches this member position.
-                    parked.insert(pos, v);
-                }
-                if *folded < n {
-                    return Ok(false);
-                }
-            }
+        let fold = &self.schedule.fold;
+        let all_in = slot
+            .data
+            .contribute(pos, contrib, op, n, fold.chunk_elems(), fold.workers)?;
+        if !all_in {
+            return Ok(false);
         }
         // Last arrival: finalize deterministically and advance every
         // member's clock past the barrier.
@@ -925,43 +667,23 @@ impl Communicator {
         Ok(true)
     }
 
-    /// Completes a slot whose every member has arrived: materializes the
-    /// result, charges the engine's simulated cost as a clock barrier,
-    /// and wakes the waiters.
+    /// Completes a slot whose every member has arrived: takes the data
+    /// plane's result, charges the schedule's simulated cost as a clock
+    /// barrier, and wakes the waiters.
     fn finalize(
         &self,
         st: &mut simcore::sync::MutexGuard<'_, CommState>,
         gen: u64,
         kind: CollKind,
     ) -> SimResult<()> {
-        let n = self.ranks.len();
         let slot = st.slots.get_mut(&gen).expect("finalizing slot");
-        let op = slot.op;
-        let root = slot.root;
-        let result = match &mut slot.data {
-            SlotData::Streaming { acc, .. } => {
-                let mut out = std::mem::take(acc);
-                if op == Some(ReduceOp::Avg) {
-                    // Scaled exactly once, after all n folds — the point
-                    // where eager streaming and the monolithic reference
-                    // meet bit-for-bit.
-                    ring::scale_in_place(&mut out, n);
-                }
-                if kind == CollKind::ReduceScatter && out.len() % n != 0 {
-                    return Err(SimError::Protocol(format!(
-                        "reduce-scatter length {} not divisible by {n}",
-                        out.len()
-                    )));
-                }
-                out
-            }
-            SlotData::Parked { contribs, .. } => {
-                finalize_parked(kind, op, root.and_then(|r| self.member_pos(r)), contribs, n)?
-            }
-        };
+        let root_pos = slot.root.and_then(|r| self.member_pos(r));
+        let result = slot.data.take_result(kind, slot.op, root_pos)?;
         slot.result = Some(Arc::new(result));
         slot.complete = true;
-        let cost = self.coll_cost(kind, slot.logical_bytes);
+        let cost = self
+            .schedule
+            .coll_cost(kind, slot.logical_bytes, || self.live_children());
         self.clock.barrier_sync(&self.clock_idx, cost);
         self.cv.notify_all();
         Ok(())
@@ -1178,82 +900,49 @@ impl Communicator {
     }
 }
 
-/// Completes a parked slot: the member-order monolithic reference
-/// reduction (the `Slot` engine, and gather/broadcast/barrier under every
-/// engine). `root_pos` is the broadcast root's member position.
-fn finalize_parked(
-    kind: CollKind,
-    op: Option<ReduceOp>,
-    root_pos: Option<usize>,
-    contribs: &mut [Option<Option<Vec<f32>>>],
-    n: usize,
-) -> SimResult<Vec<f32>> {
-    match kind {
-        CollKind::AllReduce | CollKind::ReduceScatter => {
-            let op = op.expect("reduce op present");
-            // The member-order first buffer is taken by value and becomes
-            // the accumulator; nothing reads parked contributions after
-            // completion (replay serves the cached result).
-            let mut acc = contribs
-                .first_mut()
-                .and_then(|c| c.take())
-                .flatten()
-                .ok_or_else(|| SimError::Protocol("reduce without contribution".into()))?;
-            let len = acc.len();
-            for c in &contribs[1..] {
-                let d = c
-                    .as_ref()
-                    .and_then(|d| d.as_ref())
-                    .ok_or_else(|| SimError::Protocol("missing contribution".into()))?;
-                if d.len() != len {
-                    return Err(SimError::Protocol(format!(
-                        "ragged collective: {} vs {}",
-                        d.len(),
-                        len
-                    )));
-                }
-                for (a, b) in acc.iter_mut().zip(d) {
-                    match op {
-                        ReduceOp::Sum | ReduceOp::Avg => *a += b,
-                        ReduceOp::Max => *a = a.max(*b),
-                    }
-                }
-            }
-            if op == ReduceOp::Avg {
-                ring::scale_in_place(&mut acc, n);
-            }
-            if kind == CollKind::ReduceScatter && len % n != 0 {
-                return Err(SimError::Protocol(format!(
-                    "reduce-scatter length {len} not divisible by {n}"
-                )));
-            }
-            Ok(acc)
-        }
-        CollKind::AllGather => {
-            let mut refs: Vec<&[f32]> = Vec::with_capacity(n);
-            for c in contribs.iter() {
-                refs.push(
-                    c.as_ref()
-                        .and_then(|d| d.as_deref())
-                        .ok_or_else(|| SimError::Protocol("missing contribution".into()))?,
-                );
-            }
-            Ok(ring::gather_chunked(&refs))
-        }
-        CollKind::Broadcast => root_pos
-            .and_then(|p| contribs.get_mut(p))
-            .and_then(|c| c.take())
-            .flatten()
-            .ok_or_else(|| SimError::Protocol("broadcast root contributed no data".into())),
-        CollKind::Barrier | CollKind::Rendezvous => Ok(Vec::new()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::NullObserver;
+    use crate::RingConfig;
     use std::thread;
+    use std::time::Duration;
+
+    impl Communicator {
+        /// Creates a communicator over `ranks` outside any [`crate::CommWorld`]:
+        /// its liveness table is its own and nobody departs from it, so its
+        /// hangs are never proven.
+        fn new(
+            id: CommId,
+            ranks: Vec<RankId>,
+            clock_idx: Vec<usize>,
+            ranks_per_node: usize,
+            clock: Arc<ClockBoard>,
+            cost: CostModel,
+        ) -> Arc<Self> {
+            let private = Arc::new(Liveness::new(Weak::new()));
+            Self::in_world(id, ranks, clock_idx, ranks_per_node, clock, cost, private)
+        }
+
+        /// Blocks until at least `n` member threads are parked inside a
+        /// collective wait, or `timeout` elapses (returns `false` on
+        /// timeout). This is the §3.1 hang signature made observable:
+        /// harnesses and tests wait on the same condvar the parked ranks
+        /// use instead of sleeping an arbitrary wall-clock interval and
+        /// hoping the ranks have arrived.
+        pub(crate) fn wait_for_parked(&self, n: usize, timeout: Duration) -> bool {
+            let deadline = Instant::now() + timeout;
+            let mut st = self.state.lock();
+            while st.parked < n {
+                let now = Instant::now();
+                if now >= deadline {
+                    return false;
+                }
+                self.obs_cv.wait_for(&mut st, deadline - now);
+            }
+            true
+        }
+    }
 
     fn make_comm(n: usize) -> Arc<Communicator> {
         let clock = Arc::new(ClockBoard::new(n));
@@ -1391,22 +1080,22 @@ mod tests {
         assert_eq!(h2.join().unwrap().unwrap_err(), SimError::CollectiveAborted);
     }
 
-    /// All three data-plane engines, with ring configs that force
-    /// multi-chunk schedules on tiny payloads.
-    fn engines() -> [CollEngine; 3] {
-        [
-            CollEngine::Slot,
-            CollEngine::Ring(ring::RingConfig::uniform(8, 2)),
-            CollEngine::Hier(ring::RingConfig::uniform(8, 2)),
-        ]
+    /// Both cost schedules, with a fold chunk that cuts tiny payloads
+    /// into many chunks.
+    fn engines() -> [CollEngine; 2] {
+        let fold = RingConfig {
+            chunk_bytes: 8,
+            workers: 2,
+        };
+        [CollEngine::Ring(fold), CollEngine::Hier(fold)]
     }
 
     #[test]
     fn hang_and_abort_observables_are_engine_invariant() {
-        // The ring/hier engines replace only the data plane; a rank
-        // failing mid-step must leave peers with exactly the slot
-        // protocol's §3.1 observables — parked at the barrier, then
-        // released by abort with CollectiveAborted.
+        // A schedule only prices the collective; a rank failing mid-step
+        // must leave peers with the rendezvous's §3.1 observables under
+        // either — parked at the barrier, then released by abort with
+        // CollectiveAborted.
         for engine in engines() {
             let comm = make_comm(3).set_engine(engine);
             let c0 = comm.clone();
@@ -1774,7 +1463,10 @@ mod tests {
             clock.clone(),
             cost.clone(),
         )
-        .set_engine(CollEngine::Hier(ring::RingConfig::uniform(1024, 2)));
+        .set_engine(CollEngine::Hier(RingConfig {
+            chunk_bytes: 1024,
+            workers: 2,
+        }));
         let c = comm.clone();
         spawn_ranks(n, move |i| {
             c.all_reduce_shared(
@@ -1815,7 +1507,10 @@ mod tests {
             clock.clone(),
             cost.clone(),
         )
-        .set_engine(CollEngine::Hier(ring::RingConfig::uniform(1024, 2)))
+        .set_engine(CollEngine::Hier(RingConfig {
+            chunk_bytes: 1024,
+            workers: 2,
+        }))
         .set_topology(vec![0, 1, 0, 1]);
         assert_eq!(comm.node_assignment(), &[0, 1, 0, 1]);
         let c = comm.clone();

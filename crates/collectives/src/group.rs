@@ -17,8 +17,9 @@
 //!   split from it, and each child's ring hop classes / hierarchical
 //!   node sizes are derived from its own (possibly non-contiguous)
 //!   placement slice;
-//! * **engine and liveness table** — a split never changes data-plane
-//!   semantics, and a departed rank is gone from every group it was in;
+//! * **cost schedule and liveness table** — a child charges its parent's
+//!   engine over its own placement slice, and a departed rank is gone
+//!   from every group it was in;
 //! * **fault surface** — the parent keeps a weak link to each child:
 //!   [`Communicator::abort`] and
 //!   [`Communicator::inject_transient_fault`] propagate parent→child
@@ -29,13 +30,13 @@
 //! the parent once, and the parent's `Rendezvous` barrier charges
 //! `comm_init × (1 + live children)` — one condvar park per rank total,
 //! instead of one park per rank per group (see
-//! `Communicator::coll_cost`). This is the NCCL `commSplit` shape too:
+//! `Schedule::coll_cost`). This is the NCCL `commSplit` shape too:
 //! splitting reuses the parent's bootstrap ring rather than rerunning
 //! the full rendezvous per child.
 
 use crate::comm::Communicator;
 use crate::world::CommWorld;
-use simcore::{RankId, SimError, SimResult};
+use simcore::{SimError, SimResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -109,25 +110,8 @@ impl CommWorld {
         let mut child_of_color: BTreeMap<i64, Arc<Communicator>> = BTreeMap::new();
         for (color, mut members) in groups {
             members.sort_by_key(|pos| (keys[*pos].key, *pos));
-            let ranks: Vec<RankId> = members.iter().map(|p| parent.ranks()[*p]).collect();
-            let clock_idx: Vec<usize> = members
-                .iter()
-                .map(|p| parent.clock_index_of_member(*p))
-                .collect();
-            let node_of: Vec<usize> = members.iter().map(|p| parent.node_of_member(*p)).collect();
-            let child = Communicator::with_parts(
-                self.alloc_comm_id(),
-                ranks,
-                clock_idx,
-                node_of,
-                parent.ranks_per_node(),
-                parent.clock_board().clone(),
-                parent.cost_model().clone(),
-                parent.engine(),
-                parent.liveness().clone(),
-            );
+            let child = parent.split_child(self.alloc_comm_id(), &members);
             self.replace_comm(child.clone());
-            parent.add_child(&child);
             child_of_color.insert(color, child);
         }
         Ok(keys
@@ -144,6 +128,7 @@ mod tests {
     use crate::ReduceOp;
     use simcore::cost::CostModel;
     use simcore::time::ClockBoard;
+    use simcore::RankId;
     use std::thread;
 
     fn make_world(n: usize) -> (Arc<CommWorld>, Arc<Communicator>) {

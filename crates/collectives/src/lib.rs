@@ -15,19 +15,23 @@
 //! communicator is aborted (the `ncclCommAbort` equivalent) — which is
 //! exactly the hang the watchdog thread detects, by timeout in the paper
 //! and, where the simulation can prove that the missing rank is gone, at
-//! once. Completion advances every
-//! participant's virtual clock to `max(arrival) + α–β cost`.
+//! once. Completion advances every participant's virtual clock to
+//! `max(arrival) + cost`, the cost being the communicator's schedule's.
 //!
 //! Modules:
 //!
-//! * [`comm`] — communicators, the collective operations, and p2p
-//!   send/recv for pipeline parallelism;
+//! * [`comm`] — communicators and the rendezvous of their collective
+//!   operations: the slot table, arrival, parking and completion, abort,
+//!   transient faults, the liveness proof, and the replay cache;
+//! * `plane` — the one data plane: member-order streaming folds for
+//!   reductions, chunked across a bounded worker pool, and the assembly of
+//!   every other kind's result;
+//! * `schedule` — the cost schedules ([`CollEngine`]: flat ring or
+//!   two-level hierarchy over the group's node placement), which decide
+//!   only how much simulated time a collective costs;
 //! * [`world`] — the process-wide registry ([`CommWorld`]) with communicator
-//!   lifecycle (create / abort / recreate-with-rendezvous) and fault
-//!   injection;
-//! * [`ring`] — the chunked ring and hierarchical data-plane engines
-//!   (zero-copy chunk slices, parallel per-chunk reduction, ring-hop link
-//!   classes, two-level intra/inter-node schedules);
+//!   lifecycle (create / abort / recreate-with-rendezvous), fault
+//!   injection, and p2p send/recv for pipeline parallelism;
 //! * [`group`] — NCCL-style `commSplit` process groups over a parent
 //!   communicator (color/key remapping, parent→child abort and fault
 //!   propagation);
@@ -46,12 +50,13 @@ pub mod group;
 pub mod ledger;
 pub(crate) mod liveness;
 pub mod observer;
-pub mod ring;
+pub(crate) mod plane;
+pub(crate) mod schedule;
 pub mod world;
 
 pub use comm::{CollKind, Communicator, ReduceOp};
 pub use group::SplitKey;
 pub use ledger::{GradLedger, LedgerConfig};
 pub use observer::{CollectiveObserver, CollectiveTicket, NullObserver};
-pub use ring::{CollEngine, RingConfig};
+pub use schedule::{CollEngine, RingConfig};
 pub use world::{CommId, CommWorld};

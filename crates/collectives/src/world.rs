@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Communicator handle. `CommId(u64::MAX)` is the pseudo-communicator a
 /// blocking receive announces itself under (see [`CommWorld::recv`]).
@@ -407,24 +407,6 @@ impl CommWorld {
         }
         Ok(None)
     }
-
-    /// Blocks until at least `n` threads are parked in
-    /// [`CommWorld::recv`], or `timeout` elapses (returns `false` on
-    /// timeout). Mirror of [`Communicator::wait_for_parked`] for the p2p
-    /// mailboxes: harnesses assert "the receiver is blocked" by waiting
-    /// on the mailbox condvar rather than sleeping a guessed interval.
-    pub fn wait_for_mail_waiters(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut mail = self.mail.lock();
-        while mail.waiters < n {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.mail_cv.wait_for(&mut mail, deadline - now);
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -432,6 +414,27 @@ mod tests {
     use super::*;
     use crate::observer::NullObserver;
     use std::thread;
+    use std::time::Duration;
+
+    impl CommWorld {
+        /// Blocks until at least `n` threads are parked in
+        /// [`CommWorld::recv`], or `timeout` elapses (returns `false` on
+        /// timeout). Mirror of [`Communicator::wait_for_parked`] for the p2p
+        /// mailboxes: harnesses assert "the receiver is blocked" by waiting
+        /// on the mailbox condvar rather than sleeping a guessed interval.
+        pub(crate) fn wait_for_mail_waiters(&self, n: usize, timeout: Duration) -> bool {
+            let deadline = Instant::now() + timeout;
+            let mut mail = self.mail.lock();
+            while mail.waiters < n {
+                let now = Instant::now();
+                if now >= deadline {
+                    return false;
+                }
+                self.mail_cv.wait_for(&mut mail, deadline - now);
+            }
+            true
+        }
+    }
 
     fn world(n: usize) -> (Arc<CommWorld>, Arc<ClockBoard>) {
         let clock = Arc::new(ClockBoard::new(n));

@@ -29,8 +29,8 @@ fn run_ranks<T: Send + 'static>(
 
 /// Runs the full collective suite (all-reduce, all-gather, broadcast,
 /// and — when the payload divides evenly — reduce-scatter) on a fresh
-/// world under the given data-plane engine, returning each rank's
-/// outputs in operation order.
+/// world under the given cost schedule, returning each rank's outputs in
+/// operation order.
 fn run_suite(rows: Arc<Vec<Vec<f32>>>, op: ReduceOp, engine: CollEngine) -> Vec<Vec<Vec<f32>>> {
     run_suite_topo(rows, op, engine, None)
 }
@@ -142,13 +142,56 @@ fn run_suite_ledgers(
     (outs, ledgers)
 }
 
+/// Result bits for comparison: non-NaN values by `to_bits`, every NaN as
+/// one class.
 fn to_bits(results: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<u32>>> {
     results
         .iter()
         .map(|ops| {
             ops.iter()
-                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .map(|v| {
+                    v.iter()
+                        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                        .collect()
+                })
                 .collect()
+        })
+        .collect()
+}
+
+/// The bit-identity oracle: what `run_suite` must return, computed
+/// sequentially — one unchunked member-order fold per reduction, `Avg`
+/// scaled once at the end.
+fn sequential_suite(rows: &[Vec<f32>], op: ReduceOp) -> Vec<Vec<Vec<f32>>> {
+    let n = rows.len();
+    let rs_len = (rows[0].len() / n) * n;
+    let reduce = |len: usize| {
+        let mut acc = rows[0][..len].to_vec();
+        for row in &rows[1..] {
+            for (a, b) in acc.iter_mut().zip(&row[..len]) {
+                match op {
+                    ReduceOp::Sum | ReduceOp::Avg => *a += b,
+                    ReduceOp::Max => *a = a.max(*b),
+                }
+            }
+        }
+        if op == ReduceOp::Avg {
+            let inv = 1.0 / n as f32;
+            for a in &mut acc {
+                *a *= inv;
+            }
+        }
+        acc
+    };
+    let (all_reduce, gathered, scattered) = (reduce(rows[0].len()), rows.concat(), reduce(rs_len));
+    (0..n)
+        .map(|i| {
+            let mut out = vec![all_reduce.clone(), gathered.clone(), rows[n - 1].clone()];
+            if rs_len > 0 {
+                let shard = rs_len / n;
+                out.push(scattered[i * shard..(i + 1) * shard].to_vec());
+            }
+            out
         })
         .collect()
 }
@@ -157,7 +200,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn ring_engine_is_bit_identical_to_slot_reference(
+    fn ring_engine_is_bit_identical_to_the_sequential_oracle(
         rows in (1usize..97).prop_flat_map(|len| proptest::collection::vec(
             proptest::collection::vec(-100.0f32..100.0, len),
             2..6,
@@ -169,17 +212,16 @@ proptest! {
         op in prop::sample::select(vec![ReduceOp::Sum, ReduceOp::Avg, ReduceOp::Max]),
         workers in 1usize..4,
     ) {
-        let rows = Arc::new(rows);
-        let slot = run_suite(rows.clone(), op, CollEngine::Slot);
+        let oracle = sequential_suite(&rows, op);
         let ring = run_suite(
-            rows,
+            Arc::new(rows),
             op,
-            CollEngine::Ring(RingConfig::uniform(chunk_bytes, workers)),
+            CollEngine::Ring(RingConfig { chunk_bytes, workers }),
         );
         prop_assert_eq!(
-            to_bits(&slot),
+            to_bits(&oracle),
             to_bits(&ring),
-            "chunked ring output must be bit-identical to the slot reference"
+            "chunked ring output must be bit-identical to the sequential oracle"
         );
     }
 
@@ -200,23 +242,23 @@ proptest! {
         op in prop::sample::select(vec![ReduceOp::Sum, ReduceOp::Avg, ReduceOp::Max]),
         workers in 1usize..4,
     ) {
+        let oracle = sequential_suite(&rows, op);
         let rows = Arc::new(rows);
-        let slot = run_suite(rows.clone(), op, CollEngine::Slot);
         let hier = run_suite_topo(
             rows.clone(),
             op,
-            CollEngine::Hier(RingConfig::uniform(chunk_bytes, workers)),
+            CollEngine::Hier(RingConfig { chunk_bytes, workers }),
             Some(node_of.clone()),
         );
         prop_assert_eq!(
-            to_bits(&slot),
+            to_bits(&oracle),
             to_bits(&hier),
-            "hier output must be bit-identical to the slot reference"
+            "hier output must be bit-identical to the sequential oracle"
         );
         let ring = run_suite_topo(
             rows,
             op,
-            CollEngine::Ring(RingConfig::uniform(chunk_bytes.max(7), workers)),
+            CollEngine::Ring(RingConfig { chunk_bytes: chunk_bytes.max(7), workers }),
             Some(node_of),
         );
         prop_assert_eq!(
@@ -328,12 +370,12 @@ proptest! {
 
     #[test]
     fn ledger_reconstructs_lost_member_across_kinds_engines_and_placements(
-        // Random world size, payloads, placement, engine, chunking, and
-        // victim: after the suite completes, any single member's output
-        // for EVERY collective kind must be rebuildable bitwise from the
-        // survivors' ledgers alone. Random chunk sizes put shard
-        // boundaries mid-chunk; random node maps exercise the hier
-        // schedule's tap points.
+        // Random world size, payloads, placement, chunking and victim,
+        // under both schedules: after the suite completes, any single
+        // member's output for EVERY collective kind must be rebuildable
+        // bitwise from the survivors' ledgers alone. Random chunk sizes
+        // put shard boundaries mid-chunk; random node maps exercise the
+        // hier schedule's tap points.
         (rows, node_of, failed) in (2usize..7).prop_flat_map(|n| (
             (1usize..97).prop_flat_map(move |len| proptest::collection::vec(
                 proptest::collection::vec(-100.0f32..100.0, len),
@@ -342,36 +384,33 @@ proptest! {
             proptest::collection::vec(0usize..3, n),
             0..n,
         )),
-        engine_pick in 0usize..3,
         chunk_bytes in 1usize..600,
         op in prop::sample::select(vec![ReduceOp::Sum, ReduceOp::Avg, ReduceOp::Max]),
     ) {
-        let engine = match engine_pick {
-            0 => CollEngine::Slot,
-            1 => CollEngine::Ring(RingConfig::uniform(chunk_bytes, 2)),
-            _ => CollEngine::Hier(RingConfig::uniform(chunk_bytes, 2)),
-        };
+        let fold = RingConfig { chunk_bytes, workers: 2 };
         let rows = Arc::new(rows);
-        let (outs, ledgers) = run_suite_ledgers(
-            rows.clone(),
-            op,
-            engine,
-            Some(node_of),
-            LedgerConfig::unbounded(),
-        );
-        let mut survivors: Vec<Option<Arc<GradLedger>>> =
-            ledgers.into_iter().map(Some).collect();
-        survivors[failed] = None;
-        // One generation per collective kind, in suite order.
-        for (gen, want) in outs[failed].iter().enumerate() {
-            let got = reconstruct_member_output(gen as u64, failed, &survivors);
-            let got = got.expect("single member loss is always covered");
-            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(
-                got_bits, want_bits,
-                "gen {} of member {} must reconstruct bitwise", gen, failed
+        for engine in [CollEngine::Ring(fold), CollEngine::Hier(fold)] {
+            let (outs, ledgers) = run_suite_ledgers(
+                rows.clone(),
+                op,
+                engine,
+                Some(node_of.clone()),
+                LedgerConfig::unbounded(),
             );
+            let mut survivors: Vec<Option<Arc<GradLedger>>> =
+                ledgers.into_iter().map(Some).collect();
+            survivors[failed] = None;
+            // One generation per collective kind, in suite order.
+            for (gen, want) in outs[failed].iter().enumerate() {
+                let got = reconstruct_member_output(gen as u64, failed, &survivors);
+                let got = got.expect("single member loss is always covered");
+                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(
+                    got_bits, want_bits,
+                    "gen {} of member {} must reconstruct bitwise ({:?})", gen, failed, engine
+                );
+            }
         }
     }
 

@@ -617,7 +617,7 @@ pub fn run_transparent_job_with(
     use dltrain::{JobSetup, RankTrainer};
     let layout = cfg.layout;
     let n = layout.world_size();
-    let setup = JobSetup::build_with_extras(layout, cost.clone(), cfg.ranks_per_node, extra_comms);
+    let setup = JobSetup::build_with(layout, cost.clone(), cfg.ranks_per_node, extra_comms, None);
     let world = setup.world.clone();
     let per_rank = setup.per_rank.clone();
     let engine = TransparentEngine::with_extra_comms(

@@ -29,7 +29,6 @@ use crate::checkpoint::{self, CkptKind};
 use crate::stream;
 use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
-use collectives::{CommId, Communicator};
 use dltrain::{JobSetup, RankTrainer, TrainConfig, TrainState};
 use proxy::{DirectExecutor, Executor, Watchdog};
 use simcore::cost::{CostModel, StorageTier};
@@ -284,8 +283,7 @@ pub fn run_user_level_job(
     let mut restarts = 0u32;
     let max_generations = injector.pending_count() as u32 + 2;
     loop {
-        let mut setup = JobSetup::build(layout, cost.clone(), cfg.ranks_per_node);
-        apply_ring_topology(&mut setup, &scheduler, &assignment);
+        let setup = placed_setup(&cfg, &cost, &scheduler, &assignment)?;
         let world = setup.world.clone();
         let per_rank = setup.per_rank.clone();
         let resume = checkpoint::assemble(&store, job, &layout).ok();
@@ -606,59 +604,26 @@ where
         .collect()
 }
 
-/// Rewires every communicator's cost topology with the real node
-/// assignment of the job's current GPU placement (the scheduler's
-/// cluster view), replacing the contiguous-placement default — a
-/// data-parallel group whose replicas land on different nodes pays NIC
+/// The job's communicators over its current GPU placement (the
+/// scheduler's cluster view) rather than the contiguous-placement default:
+/// a data-parallel group whose replicas land on different nodes pays NIC
 /// ring hops even when its rank indices are adjacent, and the
-/// hierarchical engine's per-node group sizes follow the actual
-/// placement rather than the `ranks_per_node` heuristic. Each logical
-/// communicator is rebuilt once (bundles share the rebuilt `Arc`) and
-/// re-registered so [`collectives::CommWorld::abort_all`] reaches the
-/// instance the ranks actually synchronize through.
-fn apply_ring_topology(setup: &mut JobSetup, scheduler: &Scheduler, assignment: &[GpuId]) {
-    let mut rebuilt: std::collections::HashMap<CommId, Arc<Communicator>> =
-        std::collections::HashMap::new();
-    let world = setup.world.clone();
-    let mut remap = |c: &Arc<Communicator>| -> Arc<Communicator> {
-        rebuilt
-            .entry(c.id)
-            .or_insert_with(|| {
-                let gpus: Vec<GpuId> = c
-                    .ranks()
-                    .iter()
-                    .filter_map(|r| assignment.get(r.index()).copied())
-                    .collect();
-                if gpus.len() != c.ranks().len() {
-                    // Assignment shorter than the world (harness misuse):
-                    // keep the contiguous-placement default.
-                    return c.clone();
-                }
-                let node_of = scheduler.with_cluster(|cl| cl.node_assignment(&gpus));
-                let Ok(node_of) = node_of else {
-                    // A GPU the cluster no longer tracks (harness misuse):
-                    // keep the contiguous-placement default.
-                    return c.clone();
-                };
-                let fresh = c.set_topology(node_of);
-                world.replace_comm(fresh.clone());
-                fresh
-            })
-            .clone()
-    };
-    for bundle in &mut setup.per_rank {
-        bundle.global = remap(&bundle.global);
-        bundle.extras = bundle.extras.iter().map(&mut remap).collect();
-        if let Some(dp) = bundle.dp.take() {
-            bundle.dp = Some(remap(&dp));
-        }
-        if let Some(tp) = bundle.tp.take() {
-            bundle.tp = Some(remap(&tp));
-        }
-        if let Some(pp) = bundle.pp.take() {
-            bundle.pp = Some(remap(&pp));
-        }
-    }
+/// hierarchical schedule's per-node group sizes follow the actual
+/// placement.
+fn placed_setup(
+    cfg: &TrainConfig,
+    cost: &CostModel,
+    scheduler: &Scheduler,
+    assignment: &[GpuId],
+) -> SimResult<JobSetup> {
+    let node_of = scheduler.with_cluster(|cl| cl.node_assignment(assignment))?;
+    Ok(JobSetup::build_with(
+        cfg.layout,
+        cost.clone(),
+        cfg.ranks_per_node,
+        0,
+        Some(node_of),
+    ))
 }
 
 #[cfg(test)]
@@ -667,6 +632,36 @@ mod tests {
     use cluster::Cluster;
     use simcore::cost::GpuGeneration;
     use simcore::failure::{FailureKind, FailureSpec, Phase};
+
+    #[test]
+    fn placed_groups_stay_children_of_the_world_comm() -> SimResult<()> {
+        // 2D-2P-2T: the real placement must leave the 12 dp, tp and pp
+        // groups split off the world communicator, so that one world
+        // rendezvous bootstraps all of them and the world's abort reaches
+        // each.
+        let mut cfg = TrainConfig::tiny_dp(1);
+        cfg.layout = simcore::layout::ParallelLayout::three_d(2, 2, 2);
+        let scheduler = Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2));
+        let (_, assignment) = scheduler.submit(cfg.layout)?;
+        let cost = CostModel::v100();
+        let setup = placed_setup(&cfg, &cost, &scheduler, &assignment)?;
+        let global = setup.per_rank[0].global.clone();
+        let g = global.clone();
+        dltrain::run_ranks(8, move |r| {
+            g.rendezvous(RankId::from(r), 0, &collectives::NullObserver)
+        })
+        .into_iter()
+        .collect::<SimResult<Vec<()>>>()?;
+        let world_and_groups = cost.comm_init.as_secs() * 13.0;
+        assert_eq!(setup.clock.now(0).as_secs(), world_and_groups);
+        global.abort();
+        for bundle in &setup.per_rank {
+            for group in [&bundle.dp, &bundle.tp, &bundle.pp] {
+                assert!(group.as_ref().is_some_and(|g| g.is_aborted()));
+            }
+        }
+        Ok(())
+    }
 
     #[test]
     fn iteration_cell_is_a_simple_register() {

@@ -60,23 +60,35 @@ pub struct JobSetup {
 impl JobSetup {
     /// Builds the communicator structure for `layout`.
     pub fn build(layout: ParallelLayout, cost: CostModel, ranks_per_node: usize) -> JobSetup {
-        Self::build_with_extras(layout, cost, ranks_per_node, 0)
+        Self::build_with(layout, cost, ranks_per_node, 0, None)
     }
 
     /// Builds the communicator structure with `extras` additional
-    /// framework process groups per rank (spanning the world group).
-    pub fn build_with_extras(
+    /// framework process groups per rank (spanning the world group), on
+    /// the GPU placement `node_of` when one is known: `node_of[r]` is the
+    /// node of rank `r` (`Cluster::node_assignment`), in place of the
+    /// contiguous `ranks_per_node` default the cost schedules assume.
+    pub fn build_with(
         layout: ParallelLayout,
         cost: CostModel,
         ranks_per_node: usize,
         extras: usize,
+        node_of: Option<Vec<usize>>,
     ) -> JobSetup {
         let n = layout.world_size();
         let clock = Arc::new(ClockBoard::new(n));
         let world = CommWorld::new(clock.clone(), cost, ranks_per_node);
-        let mut per_rank = build_comms(&layout, &world);
         let all: Vec<RankId> = (0..n).map(RankId::from).collect();
         let idx: Vec<usize> = (0..n).collect();
+        let mut global = world.create_comm(all.clone(), idx.clone());
+        if let Some(node_of) = node_of {
+            // Placed before any group is split off it: every group then
+            // inherits its slice of the placement and stays the world's
+            // child, so the world's abort, fault and rendezvous reach it.
+            global = global.set_topology(node_of);
+            world.replace_comm(global.clone());
+        }
+        let mut per_rank = split_groups(&layout, &world, global);
         for _ in 0..extras {
             let c = world.create_comm(all.clone(), idx.clone());
             for bundle in &mut per_rank {
@@ -110,16 +122,23 @@ impl JobSetup {
 /// (Re)builds all communicators for `layout` on `world` and returns the
 /// per-rank bundles. Also used by the recovery engine when rebuilding the
 /// communication layer after `CommWorld::reset`.
-///
-/// Every group is an NCCL-style split of the world communicator: the
-/// color names the group (which cell/slice it is), the key is the rank's
-/// coordinate along the split axis, so member order inside each group is
-/// the grid's canonical order.
 pub fn build_comms(layout: &ParallelLayout, world: &Arc<CommWorld>) -> Vec<JobComms> {
     let n = layout.world_size();
-    let all: Vec<RankId> = (0..n).map(RankId::from).collect();
-    let idx: Vec<usize> = (0..n).collect();
-    let global = world.create_comm(all, idx);
+    let global = world.create_comm((0..n).map(RankId::from).collect(), (0..n).collect());
+    split_groups(layout, world, global)
+}
+
+/// The per-rank bundles of `layout` around the world communicator
+/// `global`. Every group is an NCCL-style split of it: the color names
+/// the group (which cell/slice it is), the key is the rank's coordinate
+/// along the split axis, so member order inside each group is the grid's
+/// canonical order.
+fn split_groups(
+    layout: &ParallelLayout,
+    world: &Arc<CommWorld>,
+    global: Arc<Communicator>,
+) -> Vec<JobComms> {
+    let n = layout.world_size();
     let coords: Vec<GridCoord> = (0..n).map(|r| layout.coord(RankId::from(r))).collect();
     let split = |to_key: &dyn Fn(&GridCoord) -> (usize, usize)| {
         let keys: Vec<SplitKey> = coords

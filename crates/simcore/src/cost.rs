@@ -86,8 +86,8 @@ pub struct CostModel {
     pub tmpfs_bw: f64,
     /// Per-node remote blob store bandwidth (shared by ranks).
     pub remote_bw: f64,
-    /// Base latency per collective operation (the α in α–β); also the
-    /// per-hop latency of an inter-node (NIC) ring step.
+    /// Per-hop latency of an inter-node (NIC) ring step; also the base
+    /// latency of a barrier step and of a single-rank collective.
     pub coll_latency: SimTime,
     /// Per-hop latency of an intra-node (NVLink) ring step.
     pub nvlink_latency: SimTime,
@@ -195,43 +195,6 @@ impl CostModel {
         SimTime::from_micros(8.0) + SimTime::from_secs(bytes as f64 / self.pcie_bw)
     }
 
-    /// Bandwidth of the bottleneck link for a collective spanning
-    /// `n_ranks` with `ranks_per_node` ranks per node.
-    fn coll_bottleneck_bw(&self, n_ranks: usize, ranks_per_node: usize) -> f64 {
-        if n_ranks <= ranks_per_node {
-            self.nvlink_bw
-        } else {
-            self.nic_bw
-        }
-    }
-
-    /// Ring all-reduce cost for `bytes` over `n_ranks`.
-    ///
-    /// Uses the standard 2·(n−1)/n volume factor plus a log-scaled latency
-    /// term. Degenerates to zero transfer for a single rank.
-    pub fn all_reduce(&self, bytes: u64, n_ranks: usize, ranks_per_node: usize) -> SimTime {
-        if n_ranks <= 1 {
-            return self.coll_latency;
-        }
-        let n = n_ranks as f64;
-        let bw = self.coll_bottleneck_bw(n_ranks, ranks_per_node);
-        let transfer = 2.0 * (n - 1.0) / n * bytes as f64 / bw;
-        let alpha = self.coll_latency.as_secs() * (n.log2().ceil().max(1.0));
-        SimTime::from_secs(transfer + alpha)
-    }
-
-    /// All-gather / reduce-scatter cost (half the all-reduce volume).
-    pub fn all_gather(&self, bytes: u64, n_ranks: usize, ranks_per_node: usize) -> SimTime {
-        if n_ranks <= 1 {
-            return self.coll_latency;
-        }
-        let n = n_ranks as f64;
-        let bw = self.coll_bottleneck_bw(n_ranks, ranks_per_node);
-        let transfer = (n - 1.0) / n * bytes as f64 / bw;
-        let alpha = self.coll_latency.as_secs() * (n.log2().ceil().max(1.0));
-        SimTime::from_secs(transfer + alpha)
-    }
-
     /// Duration of one synchronous step of a chunked ring schedule moving
     /// one `seg_bytes` segment per rank. Every rank sends simultaneously,
     /// so the step takes as long as its slowest hop: an inter-node (NIC)
@@ -249,12 +212,11 @@ impl CostModel {
     /// over `n_ranks`, where `inter_hops` of the ring's hops cross a node
     /// boundary (0 means the whole ring rides NVLink).
     ///
-    /// Unlike the flat [`CostModel::all_reduce`] charge, the latency term
-    /// reflects the actual 2·(n−1) ring steps, each gated by the slowest
-    /// link class present in the ring — so a ring spanning nodes pays
-    /// linear-in-n NIC hop latencies, while an intra-node ring pays much
-    /// cheaper NVLink hops. The bandwidth term is the usual 2·(n−1)/n
-    /// volume through the bottleneck link.
+    /// The latency term reflects the actual 2·(n−1) ring steps, each
+    /// gated by the slowest link class present in the ring — so a ring
+    /// spanning nodes pays linear-in-n NIC hop latencies, while an
+    /// intra-node ring pays much cheaper NVLink hops. The bandwidth term
+    /// is the usual 2·(n−1)/n volume through the bottleneck link.
     pub fn ring_all_reduce(&self, bytes: u64, n_ranks: usize, inter_hops: usize) -> SimTime {
         if n_ranks <= 1 {
             return self.coll_latency;
@@ -422,34 +384,26 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_scales_with_ranks_and_bytes() {
-        let cm = CostModel::v100();
-        let small = cm.all_reduce(1 << 20, 8, 8);
-        let large = cm.all_reduce(1 << 30, 8, 8);
-        assert!(large > small);
-        let intra = cm.all_reduce(1 << 30, 8, 8);
-        let inter = cm.all_reduce(1 << 30, 16, 8);
-        assert!(inter > intra, "crossing nodes must be slower");
-    }
-
-    #[test]
     fn ring_cost_tracks_link_classes() {
         let cm = CostModel::v100();
         // An all-NVLink ring is cheaper than one crossing nodes.
         let intra = cm.ring_all_reduce(1 << 30, 8, 0);
         let inter = cm.ring_all_reduce(1 << 30, 8, 2);
         assert!(intra < inter, "NIC hops must dominate the ring step");
-        // Hop latency scales linearly with ring length, unlike the flat
-        // log-scaled charge.
+        // Hop latency scales linearly with ring length.
         let lat_small = cm.ring_all_reduce(0, 4, 1).as_secs();
         let lat_big = cm.ring_all_reduce(0, 16, 1).as_secs();
         assert!((lat_big / lat_small - 5.0).abs() < 1e-9, "2(n-1) steps");
         // At large payloads the ring converges to the classic 2(n-1)/n
-        // volume through the bottleneck link (the flat model's bw term).
-        let flat = cm.all_reduce(1 << 30, 16, 8).as_secs();
+        // volume through the bottleneck link.
+        let volume = 2.0 * 15.0 / 16.0 * (1u64 << 30) as f64 / cm.nic_bw;
         let ring = cm.ring_all_reduce(1 << 30, 16, 2).as_secs();
-        assert!((ring / flat - 1.0).abs() < 0.05, "ring {ring} flat {flat}");
-        // Single rank degenerates like the flat model.
+        assert!(
+            (ring / volume - 1.0).abs() < 0.05,
+            "ring {ring} volume {volume}"
+        );
+        assert!(cm.ring_all_reduce(1 << 20, 16, 2) < cm.ring_all_reduce(1 << 30, 16, 2));
+        // A single rank pays one collective latency.
         assert_eq!(cm.ring_all_reduce(1 << 30, 1, 0), cm.coll_latency);
         // All-gather is n-1 steps, half the all-reduce schedule.
         let ag = cm.ring_all_gather(1 << 30, 8, 1).as_secs();
@@ -495,7 +449,7 @@ mod tests {
             cm.hier_all_reduce(1 << 20, &[1, 1, 1, 1]),
             cm.ring_all_reduce(1 << 20, 4, 4)
         );
-        // Single rank degenerates like the flat model.
+        // A single rank pays one collective latency.
         assert_eq!(cm.hier_all_reduce(1 << 30, &[1]), cm.coll_latency);
         assert_eq!(cm.hier_all_gather(1 << 30, &[1]), cm.coll_latency);
     }
@@ -507,13 +461,6 @@ mod tests {
         let ar = cm.hier_all_reduce(1 << 24, &sizes).as_secs();
         let ag = cm.hier_all_gather(1 << 24, &sizes).as_secs();
         assert!((ar / ag - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_rank_collective_is_latency_only() {
-        let cm = CostModel::v100();
-        assert_eq!(cm.all_reduce(1 << 30, 1, 8), cm.coll_latency);
-        assert_eq!(cm.all_gather(1 << 30, 1, 8), cm.coll_latency);
     }
 
     #[test]
