@@ -693,3 +693,118 @@ const LAST_STAGE: [u32; 8] = [
     1070059645, 1070345438, 1069610232, 1069011455, 1070274110, 1063431532, 1067505500, 1071055839,
 ];
 const GOLDEN_PP2_TP2: [[u32; 8]; 4] = [NO_LOSS, NO_LOSS, LAST_STAGE, LAST_STAGE];
+
+/// One sticky CUDA error and one hardware failure, on opposite ranks and
+/// one iteration past a periodic checkpoint each.
+fn restart_faults() -> Arc<FailureInjector> {
+    FailureInjector::with_specs(vec![
+        FailureSpec::new(3, Phase::Backward, RankId(1), FailureKind::StickyCuda),
+        FailureSpec::new(7, Phase::Forward, RankId(0), FailureKind::GpuHardware),
+    ])
+}
+
+/// What a user-level job leaves behind: restarts, its recovery events as
+/// sorted `(rank, iteration, checkpoint_time bits, restore_time bits)`,
+/// and the store's read and object counts.
+type UserPin = (u32, Vec<(u32, u64, u64, u64)>, u64, usize);
+
+fn bits(t: simcore::SimTime) -> u64 {
+    t.as_secs().to_bits()
+}
+
+fn user_level_pin(jit: JitUserConfig) -> UserPin {
+    let store = Arc::new(SharedStore::new());
+    let out = run_user_level_job(
+        dltrain::TrainConfig::tiny_dp(2),
+        CostModel::v100(),
+        restart_faults(),
+        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+        store.clone(),
+        jit,
+        8,
+    )
+    .unwrap();
+    assert_eq!(loss_bits(&out.losses), GOLDEN_DP2, "recovery moved a loss");
+    let mut events: Vec<_> = out
+        .events
+        .iter()
+        .map(|e| {
+            let at = (e.rank.0, e.iteration);
+            (at.0, at.1, bits(e.checkpoint_time), bits(e.restore_time))
+        })
+        .collect();
+    events.sort_unstable();
+    (out.restarts, events, store.read_count(), store.len())
+}
+
+#[test]
+fn restart_runners_are_pinned() {
+    let _g = serial();
+    // The user-level runner over each of its restore legs, and the
+    // periodic baseline, through the same two faults: what every
+    // restarted rank was charged, what it read, and what it trained.
+    // Hangs here are proven, never waited out; a watchdog deadline past
+    // the stream patience keeps the owner, parked in its first
+    // collective while a receiver falls back, from firing in real time.
+    let jit = JitUserConfig {
+        watchdog_timeout: std::time::Duration::from_secs(30),
+        ..JitUserConfig::default()
+    };
+    let streamed = user_level_pin(jit.clone());
+    let store_only = user_level_pin(JitUserConfig {
+        stream_recovery: false,
+        ..jit.clone()
+    });
+    // The replica dies after the preamble: the receiver falls back.
+    let truncated = user_level_pin(JitUserConfig {
+        stream_truncate: Some(1),
+        ..jit
+    });
+    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
+    let store = Arc::new(SharedStore::new());
+    let pc = run_periodic_job(
+        dltrain::TrainConfig::tiny_dp(2),
+        CostModel::v100(),
+        restart_faults(),
+        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+        store.clone(),
+        PeriodicConfig::every(PolicyKind::PcMem, 2),
+        8,
+    )
+    .unwrap();
+    assert_eq!(loss_bits(&pc.losses), GOLDEN_DP2, "recovery moved a loss");
+    let periodic = (
+        pc.restarts,
+        pc.wasted_iterations,
+        pc.checkpoints_written,
+        pc.finish_times.into_iter().map(bits).collect::<Vec<_>>(),
+        store.read_count(),
+        store.len(),
+    );
+
+    // Virtual seconds, by `to_bits`: the JIT write, and the restores —
+    // restart + store read (the owner, or every rank without streaming),
+    // restart + stream (the other replica), restart + the preamble + a
+    // store read (the other replica when the stream dies).
+    const WRITE: u64 = 0x3fec_ccda_6696_39ec;
+    const READ: u64 = 0x4014_0001_b339_2da4;
+    const STREAM: u64 = 0x4014_000e_d1f4_6832;
+    const FELL_BACK: u64 = 0x4014_000d_e2d2_f04c;
+    // Sticky at 3 on rank 1 (rank 0 writes and owns), hardware at 7 on
+    // rank 0 (rank 1 writes and owns).
+    let events = |receiver: u64| {
+        vec![
+            (0, 3, 0, READ),
+            (0, 3, WRITE, 0),
+            (0, 7, 0, receiver),
+            (1, 3, 0, receiver),
+            (1, 7, 0, READ),
+            (1, 7, WRITE, 0),
+        ]
+    };
+    assert_eq!(streamed, (2, events(STREAM), 8, 4), "streamed replica");
+    assert_eq!(store_only, (2, events(READ), 12, 4), "store only");
+    assert_eq!(truncated, (2, events(FELL_BACK), 12, 4), "dead replica");
+    let finish = vec![0x4017_9c44_3a6b_0bf2; 2];
+    assert_eq!(periodic, (2, 2, 8, finish, 18, 16), "periodic");
+}
