@@ -18,10 +18,11 @@
 //! mode work: recovery simply takes the newest complete checkpoint of
 //! either kind.
 //!
-//! [`run_periodic_job`] is the classic restart-recovery launcher: on
-//! failure the monitoring plane kills the job, and every rank restarts
-//! from the last periodic checkpoint, re-executing (wasting) all
-//! iterations since — the cost JIT checkpointing eliminates.
+//! [`run_periodic_job`] is classic restart recovery, on the same restart
+//! launcher as user-level JIT ([`jitckpt::launcher`]): on failure the
+//! monitoring plane kills the job, and every rank restarts from the last
+//! periodic checkpoint, re-executing (wasting) all iterations since — the
+//! cost JIT checkpointing eliminates.
 
 pub mod periodic;
 

@@ -1,13 +1,17 @@
-//! Periodic checkpointing policies and the restart-recovery launcher.
+//! Periodic checkpointing policies and the periodic job, which runs on
+//! the restart launcher ([`jitckpt::launcher`]).
 
+use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
-use dltrain::{JobSetup, RankTrainer, TrainConfig};
+use collectives::CommWorld;
+use dltrain::{RankTrainer, TrainConfig};
 use jitckpt::checkpoint::{self, CkptKind};
-use proxy::{DirectExecutor, Executor, Watchdog};
+use jitckpt::launcher::run_restart_job;
+use jitckpt::JitUserConfig;
+use proxy::{DirectExecutor, Executor};
 use simcore::cost::{CostModel, StorageTier};
-use simcore::sync::Mutex;
-use simcore::{RankId, SimError, SimResult, SimTime};
-use simgpu::Gpu;
+use simcore::{SimError, SimResult, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -125,21 +129,25 @@ pub struct PeriodicOutcome {
 /// virtual clock here, once, whether the monitor waited it out in real
 /// time or the collective layer proved the hang at once.
 fn monitor_action(
-    world: Arc<collectives::CommWorld>,
+    world: Arc<CommWorld>,
     clock_idx: usize,
     timeout: Duration,
-) -> impl FnOnce() + Send {
+) -> impl FnOnce() -> Option<(CheckpointAck, SimTime)> + Send {
     move || {
         world
             .clock()
             .advance(clock_idx, SimTime::from_secs(timeout.as_secs_f64()));
         world.abort_all();
+        None
     }
 }
 
 /// Classic periodic checkpointing with restart recovery: checkpoints on a
 /// schedule; on failure the monitor kills the job and every rank restarts
 /// from the newest complete checkpoint, re-executing everything since.
+/// Runs on the restart launcher, with the monitor's kill as the hang
+/// action and the scheduled write as the step hook; every rank restores
+/// from the store. A zero interval is refused before the job is submitted.
 pub fn run_periodic_job(
     cfg: TrainConfig,
     cost: CostModel,
@@ -149,158 +157,78 @@ pub fn run_periodic_job(
     pcfg: PeriodicConfig,
     target_iters: u64,
 ) -> SimResult<PeriodicOutcome> {
-    let layout = cfg.layout;
-    let n = layout.world_size();
-    let (job, mut assignment) = scheduler.submit(layout)?;
-    let mut final_losses: Vec<Vec<f32>> = vec![vec![f32::NAN; target_iters as usize]; n];
-    let mut restarts = 0u32;
-    let mut wasted_iterations = 0u64;
-    let checkpoints_written = Arc::new(Mutex::new(0u64));
-    let max_generations = injector.pending_count() as u32 + 2;
-    let mut finish_times = vec![SimTime::ZERO; n];
-    // Resolved once per (re)start: the plan the ranks restore from is
-    // also what the wasted-work accounting below measures against.
-    let mut resume = checkpoint::assemble(&store, job, &layout).ok();
-    loop {
-        let setup = JobSetup::build(layout, cost.clone(), cfg.ranks_per_node);
-        let world = setup.world.clone();
-        let clock = setup.clock.clone();
-        let per_rank = setup.per_rank.clone();
-        let gen_results = {
-            let resume = resume.clone();
-            let cfg = cfg.clone();
-            let cost = cost.clone();
-            let injector = injector.clone();
-            let store = store.clone();
-            let pcfg = pcfg.clone();
-            let assignment_now = assignment.clone();
-            let ckpts = checkpoints_written.clone();
-            dltrain::run_ranks(n, move |i| {
-                let rank = RankId(i as u32);
-                // First, so that it drops last: peers learn that this rank
-                // is gone only after its trainer, monitor and device are.
-                let _departure = world.departure_guard(rank);
-                let gpu = Gpu::new(assignment_now[i], cost.clone());
-                let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
-                let monitor = Watchdog::spawn(
-                    pcfg.monitor_timeout,
-                    monitor_action(world.clone(), i, pcfg.monitor_timeout),
-                )?;
-                exec.set_observer(monitor.observer());
-                let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], injector.clone())?;
-                let mut resumed_from = 0u64;
-                let coord = layout.coord(rank);
-                if let Some(choice) = resume
-                    .as_ref()
-                    .and_then(|plan| plan.get(&(coord.stage, coord.part)))
-                {
-                    let (state, meta, _rstats) = jitckpt::restore::read_checkpoint_parallel(
-                        store.as_ref(),
-                        job,
-                        choice.kind,
-                        choice.iteration,
-                        coord.stage,
-                        coord.part,
-                        choice.dp,
-                        &jitckpt::restore::RestoreConfig::default(),
-                    )?;
-                    let t_restore = cost.process_restart
-                        + cost.checkpoint_read(
-                            meta.logical_bytes,
-                            StorageTier::Disk,
-                            cfg.ranks_per_node,
-                        );
-                    tr.exec.clock().advance(i, t_restore);
-                    tr.restore(&state)?;
-                    resumed_from = state.iteration;
-                }
-                let mut losses: Vec<(u64, f32)> = Vec::new();
-                let mut failure: Option<SimError> = None;
-                let mut reached = resumed_from;
-                for it in resumed_from..target_iters {
-                    match tr.train_step() {
-                        Ok(l) => {
-                            losses.push((it, l.unwrap_or(f32::NAN)));
-                            reached = it + 1;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                    // Periodic checkpoint at the schedule boundary.
-                    if (it + 1) % pcfg.every_iters == 0 {
-                        let state = tr.state_snapshot()?;
-                        let t = blocking_overhead(
-                            pcfg.kind,
-                            state.logical_bytes,
-                            &cost,
-                            cfg.ranks_per_node,
-                        );
-                        tr.exec.clock().advance(i, t);
-                        checkpoint::write_checkpoint_with(
-                            &store,
-                            job,
-                            CkptKind::Periodic,
-                            rank,
-                            coord.stage,
-                            coord.part,
-                            coord.dp,
-                            &state,
-                            // Auto-size the pool for this state's shard
-                            // count (same policy as the JIT writer).
-                            &pcfg.shards.auto_sized_for(&state),
-                        )?;
-                        *ckpts.lock() += 1;
-                    }
-                }
-                Ok::<_, SimError>((losses, failure, assignment_now[i], resumed_from, reached))
-            })
-        };
-        let mut any_failure = false;
-        let mut min_resumed = u64::MAX;
-        let mut max_reached = 0u64;
-        for (i, res) in gen_results.into_iter().enumerate() {
-            let (losses, failure, gpu_id, resumed_from, reached) = res?;
-            for (it, l) in losses {
-                final_losses[i][it as usize] = l;
-            }
-            min_resumed = min_resumed.min(resumed_from);
-            max_reached = max_reached.max(reached);
-            finish_times[i] = clock.now(i);
-            if let Some(err) = failure {
-                any_failure = true;
-                if err.is_hard() {
-                    scheduler.report_gpu_failure(job, gpu_id)?;
-                }
-            }
-        }
-        if !any_failure {
-            break;
-        }
-        restarts += 1;
-        // Wasted work: everything since the checkpoint the next
-        // generation will resume from gets re-executed.
-        resume = checkpoint::assemble(&store, job, &layout).ok();
-        let resume_at = resume
-            .as_ref()
-            .and_then(|plan| plan.values().next())
-            .map_or(0, |c| c.iteration);
-        wasted_iterations += max_reached.saturating_sub(resume_at);
-        if restarts > max_generations {
-            return Err(SimError::Protocol(format!(
-                "periodic job did not converge after {restarts} restarts"
-            )));
-        }
-        assignment = scheduler.reschedule(job)?;
+    let PeriodicConfig {
+        kind,
+        every_iters,
+        monitor_timeout,
+        shards,
+    } = pcfg;
+    if every_iters == 0 {
+        return Err(SimError::Protocol(
+            "PeriodicConfig::every_iters must be at least 1".into(),
+        ));
     }
-    let checkpoints_total = *checkpoints_written.lock();
+    let lib = JitUserConfig {
+        watchdog_timeout: monitor_timeout,
+        tier: StorageTier::Disk,
+        shards,
+        stream_recovery: false,
+        ..JitUserConfig::default()
+    };
+    let written = Arc::new(AtomicU64::new(0));
+    let (layout, rpn) = (cfg.layout, cfg.ranks_per_node);
+    let (counts, writes_to, charges) = (written.clone(), store.clone(), cost.clone());
+    let arm = move |job, world: &Arc<CommWorld>, exec: &DirectExecutor| {
+        let (rank, i) = (exec.rank(), exec.clock_idx());
+        let coord = layout.coord(rank);
+        let (store, cost, written) = (writes_to.clone(), charges.clone(), counts.clone());
+        let mut at_start = true;
+        let write_on_schedule = move |tr: &mut RankTrainer<DirectExecutor>| {
+            // A generation starts at iteration 0 or at the checkpoint it
+            // resumed from: nothing to write there.
+            if std::mem::take(&mut at_start) || !tr.iteration().is_multiple_of(every_iters) {
+                return Ok(());
+            }
+            let state = tr.state_snapshot()?;
+            let t = blocking_overhead(kind, state.logical_bytes, &cost, rpn);
+            tr.exec.clock().advance(i, t);
+            checkpoint::write_checkpoint_with(
+                &store,
+                job,
+                CkptKind::Periodic,
+                rank,
+                coord.stage,
+                coord.part,
+                coord.dp,
+                &state,
+                // Auto-size the pool for this state's shard count (same
+                // policy as the JIT writer).
+                &shards.auto_sized_for(&state),
+            )?;
+            written.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+        (
+            monitor_action(world.clone(), i, monitor_timeout),
+            write_on_schedule,
+        )
+    };
+    let out = run_restart_job(
+        cfg,
+        cost,
+        injector,
+        scheduler,
+        store,
+        lib,
+        target_iters,
+        arm,
+    )?;
     Ok(PeriodicOutcome {
-        losses: final_losses,
-        restarts,
-        wasted_iterations,
-        checkpoints_written: checkpoints_total,
-        finish_times,
+        losses: out.losses,
+        restarts: out.restarts,
+        wasted_iterations: out.wasted_iterations,
+        checkpoints_written: written.load(Ordering::Relaxed),
+        finish_times: out.finish_times,
     })
 }
 
@@ -308,8 +236,12 @@ pub fn run_periodic_job(
 mod tests {
     use super::*;
     use cluster::Cluster;
+    use dltrain::JobSetup;
+    use proxy::Watchdog;
     use simcore::cost::GpuGeneration;
     use simcore::failure::{FailureKind, FailureSpec, Phase};
+    use simcore::{GpuId, RankId};
+    use simgpu::Gpu;
 
     fn scheduler() -> Arc<Scheduler> {
         Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)))
@@ -424,9 +356,12 @@ mod tests {
         let cfg = dltrain::TrainConfig::tiny_dp(2);
         let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
         let (world, clock) = (setup.world.clone(), setup.clock.clone());
-        let gpu = Gpu::new(simcore::GpuId(1), CostModel::v100());
+        let gpu = Gpu::new(GpuId(1), CostModel::v100());
         let mut exec = DirectExecutor::new(RankId(1), 1, gpu, world.clone());
-        let monitor = Watchdog::spawn(TIMEOUT, monitor_action(world.clone(), 1, TIMEOUT))?;
+        let kill = monitor_action(world.clone(), 1, TIMEOUT);
+        let monitor = Watchdog::spawn(TIMEOUT, move || {
+            kill();
+        })?;
         exec.set_observer(monitor.observer());
         let global = exec.register_comm(setup.per_rank[1].global.clone());
         // Rank 0's thread is gone; rank 1 walks into a barrier with it and
@@ -441,25 +376,59 @@ mod tests {
     }
 
     #[test]
-    fn failure_before_first_checkpoint_restarts_from_scratch() -> SimResult<()> {
+    fn zero_interval_is_refused_before_the_job_is_submitted() -> SimResult<()> {
         let cfg = dltrain::TrainConfig::tiny_dp(2);
-        let injector = FailureInjector::with_specs(vec![FailureSpec::new(
-            1,
-            Phase::Forward,
-            RankId(0),
-            FailureKind::GpuHardware,
-        )]);
-        let out = run_periodic_job(
-            cfg,
+        let scheduler = scheduler();
+        let err = run_periodic_job(
+            cfg.clone(),
             CostModel::v100(),
-            injector,
-            scheduler(),
+            FailureInjector::none(),
+            scheduler.clone(),
             Arc::new(SharedStore::new()),
-            PeriodicConfig::every(PolicyKind::PcDisk, 5),
-            6,
-        )?;
-        assert_eq!(out.restarts, 1);
-        assert!(out.losses[0].iter().all(|l| l.is_finite()));
+            PeriodicConfig::every(PolicyKind::PcMem, 0),
+            4,
+        )
+        .err();
+        assert!(
+            matches!(&err, Some(SimError::Protocol(m)) if m.contains("every_iters")),
+            "{err:?}"
+        );
+        // Nothing was submitted: the next job is still the first.
+        assert_eq!(scheduler.submit(cfg.layout)?.0, simcore::JobId(0));
+        Ok(())
+    }
+
+    #[test]
+    fn restarted_generation_is_charged_its_placement() -> SimResult<()> {
+        // Eight ranks fill node 0 of two. A hardware failure on rank 3
+        // takes GPU 3, and first-fit places the restarted job on GPUs 0–2,
+        // 4–7 and 8: one rank on node 1, so every data-parallel ring
+        // crosses nodes. No checkpoint precedes the failure, so the
+        // restarted generation is a fresh run on that placement and must
+        // cost what a fault-free job placed there does.
+        let cfg = dltrain::TrainConfig::tiny_dp(8);
+        let run = |cluster: Cluster, faults: Vec<FailureSpec>| {
+            run_periodic_job(
+                cfg.clone(),
+                CostModel::v100(),
+                FailureInjector::with_specs(faults),
+                Arc::new(Scheduler::new(cluster)),
+                Arc::new(SharedStore::new()),
+                PeriodicConfig::every(PolicyKind::PcMem, 100),
+                3,
+            )
+        };
+        let two_nodes = || Cluster::new(GpuGeneration::V100_32G, 2);
+        let fault = FailureSpec::new(1, Phase::Forward, RankId(3), FailureKind::GpuHardware);
+        let restarted = run(two_nodes(), vec![fault])?;
+        assert_eq!(restarted.restarts, 1);
+        let mut without_gpu_3 = two_nodes();
+        without_gpu_3.mark_gpu_failed(GpuId(3));
+        let placed = run(without_gpu_3, Vec::new())?;
+        let on_one_node = run(two_nodes(), Vec::new())?;
+        assert!(placed.finish_times[0] > on_one_node.finish_times[0]);
+        assert_eq!(restarted.finish_times, placed.finish_times);
+        assert_eq!(restarted.losses, on_one_node.losses);
         Ok(())
     }
 }

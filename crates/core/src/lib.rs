@@ -27,6 +27,8 @@
 //!
 //! Plus:
 //!
+//! * [`launcher`] — the restart launcher the user-level runner and the
+//!   periodic baseline share: one generation loop, one restore step;
 //! * [`checkpoint`] — the shared checkpoint format/naming/assembly
 //!   protocol (§3.2–§3.3), also used by the periodic baselines;
 //! * [`pipeline`] — write-behind checkpoint persistence: bounded-queue
@@ -45,6 +47,7 @@
 pub mod analysis;
 pub mod checkpoint;
 mod decide;
+pub mod launcher;
 pub mod pipeline;
 pub mod restore;
 pub mod stream;
@@ -56,5 +59,5 @@ pub use checkpoint::{jit_get_checkpoint_path, CkptKind};
 pub use pipeline::{CkptTicket, JobGate, WriteBehind, WriteBehindConfig};
 pub use restore::{load_for_rank_parallel, read_checkpoint_parallel, RestoreConfig, RestoreStats};
 pub use transparent::{RecoveryReport, TransparentEngine};
-pub use user_level::{JitUserClient, JitUserConfig};
+pub use user_level::JitUserConfig;
 pub use workloads::{catalog, Workload};

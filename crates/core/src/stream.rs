@@ -137,8 +137,10 @@ pub fn send_state_truncated(
     )
 }
 
+/// [`send_state`] when `keep_frames` is `None`, else
+/// [`send_state_truncated`].
 #[allow(clippy::too_many_arguments)]
-fn send_state_frames(
+pub(crate) fn send_state_frames(
     world: &CommWorld,
     cost: &CostModel,
     src: RankId,

@@ -17,30 +17,31 @@
 //!    release-the-GIL + new-CUDA-stream dance (§3.2);
 //! 3. the checkpoint goes to a rank-dependent path with a metadata
 //!    completion marker, the scheduler is acked, and the job is torn down;
-//! 4. on restart, each rank loads the checkpoint of *any* data-parallel
-//!    replica of its cell via [`crate::checkpoint::jit_get_checkpoint_path`]
-//!    (§3.3).
+//! 4. on restart, each rank restores the checkpoint of *any* data-parallel
+//!    replica of its cell (§3.3, [`crate::checkpoint::jit_get_checkpoint_path`]),
+//!    streamed from the replica that wrote it or read from the store.
 //!
-//! [`run_user_level_job`] is the full launcher loop (submit → train →
-//! fail → JIT checkpoint → quorum → reschedule → restore → continue)
-//! used by tests, examples, and the Table 4 bench.
+//! [`run_user_level_job`] is that loop (submit → train → fail → JIT
+//! checkpoint → quorum → reschedule → restore → continue), used by tests,
+//! examples, and the Table 4 bench: the restart launcher
+//! ([`crate::launcher`]) with the JIT hang action and step hook.
 
 use crate::checkpoint::{self, CkptKind};
-use crate::stream;
+use crate::launcher::run_restart_job;
 use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
-use dltrain::{JobSetup, RankTrainer, TrainConfig, TrainState};
-use proxy::{DirectExecutor, Executor, Watchdog};
+use dltrain::{RankTrainer, TrainConfig, TrainState};
+use proxy::{DirectExecutor, Executor};
 use simcore::cost::{CostModel, StorageTier};
-use simcore::sync::{Condvar, Mutex};
-use simcore::time::ClockBoard;
-use simcore::{GpuId, JobId, RankId, SimError, SimResult, SimTime};
-use simgpu::Gpu;
+use simcore::layout::{GridCoord, ParallelLayout};
+use simcore::{JobId, RankId, SimResult, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of the user-level JIT library.
+/// Configuration of the user-level JIT library: its watchdog, checkpoint
+/// writes and restore legs. The periodic baseline runs the restart
+/// launcher under one too, with streaming off.
 #[derive(Debug, Clone)]
 pub struct JitUserConfig {
     /// Watchdog hang timeout: what a detected hang costs the parked rank
@@ -61,8 +62,8 @@ pub struct JitUserConfig {
     pub stream_patience: Duration,
     /// Fault injection: when set, the streaming replica "dies" after
     /// emitting this many frames of each recovery stream (see
-    /// [`stream::send_state_truncated`]) — receivers must time out and
-    /// fall back to the store. `None` = healthy sender.
+    /// [`crate::stream::send_state_truncated`]) — receivers must time out
+    /// and fall back to the store. `None` = healthy sender.
     pub stream_truncate: Option<usize>,
 }
 
@@ -92,24 +93,24 @@ pub struct RecoveryEvent {
     pub iteration: u64,
 }
 
-/// Shared cell the trainer thread updates at each minibatch start so the
-/// watchdog knows which iteration a checkpoint represents (the library's
-/// equivalent of the user script passing the step counter).
+/// Shared cell the trainer thread updates at each minibatch boundary so
+/// the hang action knows which iteration a checkpoint represents (the
+/// library's equivalent of the user script passing the step counter).
 #[derive(Debug, Default)]
-pub struct IterationCell {
+pub(crate) struct IterationCell {
     it: AtomicU64,
     opt_t: AtomicU64,
 }
 
 impl IterationCell {
-    /// Records the (iteration, optimizer timestep) at minibatch start.
-    pub fn note(&self, iteration: u64, opt_t: u32) {
+    /// Records the (iteration, optimizer timestep) at a minibatch boundary.
+    pub(crate) fn note(&self, iteration: u64, opt_t: u32) {
         self.it.store(iteration, Ordering::Release);
         self.opt_t.store(opt_t as u64, Ordering::Release);
     }
 
     /// Reads the current coordinates.
-    pub fn get(&self) -> (u64, u32) {
+    pub(crate) fn get(&self) -> (u64, u32) {
         (
             self.it.load(Ordering::Acquire),
             self.opt_t.load(Ordering::Acquire) as u32,
@@ -117,138 +118,71 @@ impl IterationCell {
     }
 }
 
-/// The per-rank user-level JIT client: owns the armed watchdog.
-pub struct JitUserClient {
-    /// Iteration cell the training loop must update each minibatch.
-    pub cell: Arc<IterationCell>,
-    watchdog: Watchdog,
-}
-
-impl JitUserClient {
-    /// Arms user-level JIT checkpointing on a rank: installs the
-    /// collective observer on `exec` and spawns the watchdog whose hang
-    /// action snapshots GPU state, writes the checkpoint + metadata, and
-    /// hands the scheduler's acknowledgement to `ack`.
-    pub fn arm(
-        exec: &mut DirectExecutor,
-        cfg: &JitUserConfig,
-        job: JobId,
-        layout: simcore::layout::ParallelLayout,
-        store: Arc<SharedStore>,
-        ack: impl FnOnce(CheckpointAck) + Send + 'static,
-        events: Arc<Mutex<Vec<RecoveryEvent>>>,
-    ) -> SimResult<JitUserClient> {
-        let rank = exec.rank();
-        let clock_idx = exec.clock_idx();
-        let clock = exec.clock();
-        let gpu = exec.shared_gpu();
-        let cell = Arc::new(IterationCell::default());
-        let cell_w = cell.clone();
-        let coord = layout.coord(rank);
-        let cost = exec.with_gpu(|g| g.cost_model().clone());
-        let tier = cfg.tier;
-        let shards = cfg.shards;
-        let timeout = cfg.watchdog_timeout;
-        let watchdog = Watchdog::spawn(timeout, move || {
-            // The hang action — the library's call into the user's
-            // save_checkpoint, running while the trainer thread is parked.
-            // The rank sat in the hung collective for the timeout before
-            // anybody looked: charged here, once, however the watchdog
-            // came due (§6.4 leaves it out of the recovery figures, and so
-            // does `RecoveryEvent::checkpoint_time`).
-            clock.advance(clock_idx, SimTime::from_secs(timeout.as_secs_f64()));
-            let result = save_checkpoint_from_watchdog(
-                &gpu,
-                &cell_w,
-                &store,
-                job,
-                rank,
-                coord.stage,
-                coord.part,
-                coord.dp,
-                &cost,
-                tier,
-                &shards,
-                &clock,
-                clock_idx,
-                &events,
-            );
-            if let Ok(done) = result {
-                ack(done);
-            }
-            // NOTE: the watchdog does NOT kill the job — §3 step 3 has
-            // the *scheduler* kill it only after the checkpoint quorum,
-            // so that every healthy rank gets to save first.
-        })?;
-        exec.set_observer(watchdog.observer());
-        Ok(JitUserClient { cell, watchdog })
-    }
-
-    /// True once the watchdog detected a hang and checkpointed.
-    pub fn fired(&self) -> bool {
-        self.watchdog.fired()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint_from_watchdog(
-    gpu: &Arc<Mutex<Gpu>>,
-    cell: &IterationCell,
-    store: &SharedStore,
+/// The user-level library's hang action for the rank of `exec` — its
+/// call into the user's `save_checkpoint`, running while the trainer
+/// thread is parked. The rank sat in the hung collective for the timeout
+/// before anybody looked: charged first, once, however the watchdog came
+/// due (§6.4 leaves it out of the recovery figures, and so does the write
+/// cost returned beside the scheduler's acknowledgement). A rank whose
+/// memory is unreadable writes nothing; a replica will.
+pub(crate) fn save_checkpoint(
+    exec: &DirectExecutor,
+    cfg: &JitUserConfig,
     job: JobId,
-    rank: RankId,
-    stage: usize,
-    part: usize,
-    dp: usize,
-    cost: &CostModel,
-    tier: StorageTier,
-    shards: &checkpoint::ShardConfig,
-    clock: &ClockBoard,
-    clock_idx: usize,
-    events: &Mutex<Vec<RecoveryEvent>>,
-) -> SimResult<CheckpointAck> {
-    let (buffers, logical_bytes) = {
-        let g = gpu.lock();
-        if !g.health().memory_readable() {
-            // This rank is itself broken; it cannot contribute a
-            // checkpoint (a replica will).
-            return Err(SimError::CudaSticky(g.id));
-        }
-        g.snapshot_persistent()
-    };
-    let (iteration, opt_t) = cell.get();
-    let state = TrainState {
-        iteration,
-        opt_t,
-        buffers,
-        logical_bytes,
-    };
-    let t = cost.checkpoint_write(logical_bytes, tier, cost.gpu.gpus_per_node());
-    clock.advance(clock_idx, t);
-    checkpoint::write_checkpoint_with(
-        store,
-        job,
-        CkptKind::Jit,
-        rank,
-        stage,
-        part,
-        dp,
-        &state,
+    layout: ParallelLayout,
+    store: Arc<SharedStore>,
+    cell: Arc<IterationCell>,
+) -> impl FnOnce() -> Option<(CheckpointAck, SimTime)> + Send + 'static {
+    let (gpu, clock, i, rank) = (
+        exec.shared_gpu(),
+        exec.clock(),
+        exec.clock_idx(),
+        exec.rank(),
+    );
+    let cost = exec.with_gpu(|g| g.cost_model().clone());
+    let GridCoord { dp, stage, part } = layout.coord(rank);
+    let cfg = cfg.clone();
+    move || {
+        clock.advance(i, SimTime::from_secs(cfg.watchdog_timeout.as_secs_f64()));
+        let (buffers, logical_bytes) = {
+            let g = gpu.lock();
+            if !g.health().memory_readable() {
+                return None;
+            }
+            g.snapshot_persistent()
+        };
+        let (iteration, opt_t) = cell.get();
+        let state = TrainState {
+            iteration,
+            opt_t,
+            buffers,
+            logical_bytes,
+        };
+        let t = cost.checkpoint_write(logical_bytes, cfg.tier, cost.gpu.gpus_per_node());
+        clock.advance(i, t);
         // Pool width keyed to the actual shard count of this state.
-        &shards.auto_sized_for(&state),
-    )?;
-    events.lock().push(RecoveryEvent {
-        rank,
-        checkpoint_time: t,
-        restore_time: SimTime::ZERO,
-        iteration,
-    });
-    Ok(CheckpointAck {
-        rank,
-        iteration,
-        stage,
-        part,
-    })
+        let shards = cfg.shards.auto_sized_for(&state);
+        // A write that fails acks nothing: the quorum waits for a replica.
+        checkpoint::write_checkpoint_with(
+            &store,
+            job,
+            CkptKind::Jit,
+            rank,
+            stage,
+            part,
+            dp,
+            &state,
+            &shards,
+        )
+        .ok()?;
+        let ack = CheckpointAck {
+            rank,
+            iteration,
+            stage,
+            part,
+        };
+        Some((ack, t))
+    }
 }
 
 /// Result of a complete user-level job run.
@@ -263,9 +197,9 @@ pub struct UserLevelOutcome {
     pub events: Vec<RecoveryEvent>,
 }
 
-/// The launcher loop for a user-level JIT job: runs `target_iters`
-/// iterations to completion, recovering from every injected failure by
-/// JIT checkpoint → quorum → reschedule → restore.
+/// A user-level JIT job: runs `target_iters` iterations to completion,
+/// recovering from every injected failure by JIT checkpoint → quorum →
+/// reschedule → restore, on the restart launcher.
 pub fn run_user_level_job(
     cfg: TrainConfig,
     cost: CostModel,
@@ -276,392 +210,44 @@ pub fn run_user_level_job(
     target_iters: u64,
 ) -> SimResult<UserLevelOutcome> {
     let layout = cfg.layout;
-    let n = layout.world_size();
-    let (job, mut assignment) = scheduler.submit(layout)?;
-    let events: Arc<Mutex<Vec<RecoveryEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut final_losses: Vec<Vec<f32>> = vec![vec![f32::NAN; target_iters as usize]; n];
-    let mut restarts = 0u32;
-    let max_generations = injector.pending_count() as u32 + 2;
-    loop {
-        let setup = placed_setup(&cfg, &cost, &scheduler, &assignment)?;
-        let world = setup.world.clone();
-        let per_rank = setup.per_rank.clone();
-        let resume = checkpoint::assemble(&store, job, &layout).ok();
-        let monitor = Arc::new(Monitor::default());
-        let gen_results = {
-            let cfg = cfg.clone();
-            let cost = cost.clone();
-            let injector = injector.clone();
-            let scheduler2 = scheduler.clone();
-            let store = store.clone();
-            let events = events.clone();
-            let jit = jit.clone();
-            let assignment_now = assignment.clone();
-            let world = world.clone();
-            let monitor2 = monitor.clone();
-            spawn_and_monitor(n, world.clone(), monitor, move |i| {
-                let rank = RankId(i as u32);
-                // First, so that it drops last: peers learn that this
-                // rank is gone only after its trainer, watchdog and
-                // device memory are.
-                let _departure = world.departure_guard(rank);
-                let gpu = Gpu::new(assignment_now[i], cost.clone());
-                let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
-                let (scheduler, monitor) = (scheduler2.clone(), monitor2.clone());
-                let client = JitUserClient::arm(
-                    &mut exec,
-                    &jit,
-                    job,
-                    layout,
-                    store.clone(),
-                    move |ack| {
-                        let _ = scheduler.ack_checkpoint(job, ack);
-                        let quorum = scheduler.checkpoint_quorum(job).ok().flatten();
-                        monitor.update(|p| p.quorum |= quorum.is_some());
-                    },
-                    events.clone(),
-                )?;
-                let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], injector.clone())?;
-                // Resume from the checkpoint the launcher resolved
-                // for this restart, if one exists, paying the fixed
-                // restart + read costs (the `r` of §5): ranks read
-                // their cell's choice directly, nobody resolves
-                // again. With stream recovery, only the replica that
-                // owns the chosen checkpoint reads the store; the
-                // cell's other replicas receive the state as a
-                // pipelined rank-to-rank shard stream and fall back
-                // to the store if the owner is dead.
-                if let Some(plan) = resume.as_ref() {
-                    let coord = layout.coord(rank);
-                    let choice = plan[&(coord.stage, coord.part)];
-                    let owner = layout.rank_at(simcore::layout::GridCoord {
-                        dp: choice.dp,
-                        stage: coord.stage,
-                        part: coord.part,
-                    });
-                    let gpn = cost.gpu.gpus_per_node();
-                    let read_choice = || {
-                        crate::restore::read_checkpoint_parallel(
-                            store.as_ref(),
-                            job,
-                            choice.kind,
-                            choice.iteration,
-                            coord.stage,
-                            coord.part,
-                            choice.dp,
-                            &crate::restore::RestoreConfig::default(),
-                        )
-                    };
-                    if !jit.stream_recovery || rank == owner {
-                        let (state, meta, _rstats) = read_choice()?;
-                        let t_restore = cost.process_restart
-                            + cost.checkpoint_read(
-                                meta.logical_bytes,
-                                jit.tier,
-                                cfg.ranks_per_node,
-                            );
-                        tr.exec.clock().advance(i, t_restore);
-                        if jit.stream_recovery {
-                            for dp in 0..layout.dp {
-                                if dp == choice.dp {
-                                    continue;
-                                }
-                                let peer = layout.rank_at(simcore::layout::GridCoord {
-                                    dp,
-                                    stage: coord.stage,
-                                    part: coord.part,
-                                });
-                                let sn = assignment_now[i].0 as usize / gpn
-                                    == assignment_now[peer.index()].0 as usize / gpn;
-                                match jit.stream_truncate {
-                                    None => stream::send_state(
-                                        &world,
-                                        &cost,
-                                        rank,
-                                        i,
-                                        peer,
-                                        sn,
-                                        &state,
-                                        jit.shards.shard_bytes,
-                                    )?,
-                                    Some(keep) => stream::send_state_truncated(
-                                        &world,
-                                        &cost,
-                                        rank,
-                                        i,
-                                        peer,
-                                        sn,
-                                        &state,
-                                        jit.shards.shard_bytes,
-                                        keep,
-                                    )?,
-                                };
-                            }
-                        }
-                        tr.restore(&state)?;
-                        events.lock().push(RecoveryEvent {
-                            rank,
-                            checkpoint_time: SimTime::ZERO,
-                            restore_time: t_restore,
-                            iteration: state.iteration,
-                        });
-                    } else {
-                        tr.exec.clock().advance(i, cost.process_restart);
-                        let before = tr.exec.clock().now(i);
-                        let state = match stream::recv_state(
-                            &world,
-                            &cost,
-                            owner,
-                            rank,
-                            i,
-                            jit.stream_patience,
-                        ) {
-                            Ok(state) => state,
-                            Err(_) => {
-                                // Dead or corrupt replica stream:
-                                // §3.3 store round-trip instead,
-                                // through the parallel fetch plane.
-                                let (state, meta, _rstats) = read_choice()?;
-                                tr.exec.clock().advance(
-                                    i,
-                                    cost.checkpoint_read(
-                                        meta.logical_bytes,
-                                        jit.tier,
-                                        cfg.ranks_per_node,
-                                    ),
-                                );
-                                state
-                            }
-                        };
-                        let t_restore = cost.process_restart + (tr.exec.clock().now(i) - before);
-                        tr.restore(&state)?;
-                        events.lock().push(RecoveryEvent {
-                            rank,
-                            checkpoint_time: SimTime::ZERO,
-                            restore_time: t_restore,
-                            iteration: state.iteration,
-                        });
-                    }
-                }
-                let start = tr.iteration();
-                let mut losses: Vec<(u64, f32)> = Vec::new();
-                let mut failure: Option<SimError> = None;
-                for it in start..target_iters {
-                    client.cell.note(tr.iteration(), tr.opt_t());
-                    match tr.train_step() {
-                        Ok(l) => losses.push((it, l.unwrap_or(f32::NAN))),
-                        Err(e) => {
-                            failure = Some(e);
-                            monitor2.update(|p| p.failed = true);
-                            break;
-                        }
-                    }
-                }
-                Ok::<_, SimError>((losses, failure, assignment_now[i]))
-            })
+    let (lib, saves_to) = (jit.clone(), store.clone());
+    let arm = move |job, _: &_, exec: &DirectExecutor| {
+        let cell = Arc::new(IterationCell::default());
+        let save = save_checkpoint(exec, &lib, job, layout, saves_to.clone(), cell.clone());
+        let note = move |tr: &mut RankTrainer<DirectExecutor>| {
+            cell.note(tr.iteration(), tr.opt_t());
+            Ok(())
         };
-        let mut any_failure = false;
-        for (i, res) in gen_results.into_iter().enumerate() {
-            let (losses, failure, gpu_id) = res?;
-            for (it, l) in losses {
-                final_losses[i][it as usize] = l;
-            }
-            if let Some(err) = failure {
-                any_failure = true;
-                if err.is_hard() {
-                    scheduler.report_gpu_failure(job, gpu_id)?;
-                }
-            }
-        }
-        if !any_failure {
-            break;
-        }
-        restarts += 1;
-        if restarts > max_generations {
-            return Err(SimError::Protocol(format!(
-                "job did not converge after {restarts} restarts"
-            )));
-        }
-        assignment = scheduler.reschedule(job)?;
-    }
-    let events = events.lock().clone();
+        (save, note)
+    };
+    let out = run_restart_job(
+        cfg,
+        cost,
+        injector,
+        scheduler,
+        store,
+        jit,
+        target_iters,
+        arm,
+    )?;
     Ok(UserLevelOutcome {
-        losses: final_losses,
-        restarts,
-        events,
+        losses: out.losses,
+        restarts: out.restarts,
+        events: out.events,
     })
-}
-
-/// What the launcher waits on, updated by the rank threads and their
-/// watchdogs; every update wakes it.
-#[derive(Default)]
-struct Monitor {
-    progress: Mutex<Progress>,
-    changed: Condvar,
-}
-
-#[derive(Default)]
-struct Progress {
-    /// Rank threads that have returned (or unwound).
-    exited: usize,
-    /// A rank's training step failed.
-    failed: bool,
-    /// The scheduler's checkpoint quorum is reached (§3, step 3).
-    quorum: bool,
-}
-
-impl Monitor {
-    fn update(&self, f: impl FnOnce(&mut Progress)) {
-        let mut p = self.progress.lock();
-        f(&mut p);
-        self.changed.notify_all();
-    }
-}
-
-/// Records a rank thread's exit when dropped, so a panicking rank is
-/// counted too.
-struct Exit(Arc<Monitor>);
-
-impl Drop for Exit {
-    fn drop(&mut self) {
-        self.0.update(|p| p.exited += 1);
-    }
-}
-
-/// Spawns rank threads and plays the scheduler's monitoring role: once a
-/// rank reports a failure, wait for the checkpoint quorum (§3, step 3 —
-/// at least one data-parallel replica of every pipeline stage and tensor
-/// partition acknowledged) for at most 10 s, then kill the job by
-/// aborting its communicators so parked ranks release, and join everyone
-/// once every rank has exited.
-fn spawn_and_monitor<T, F>(
-    n: usize,
-    world: Arc<collectives::CommWorld>,
-    monitor: Arc<Monitor>,
-    f: F,
-) -> Vec<SimResult<T>>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> SimResult<T> + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    let mut handles = Vec::with_capacity(n);
-    for i in 0..n {
-        let (f, exit) = (f.clone(), Exit(monitor.clone()));
-        let spawned = std::thread::Builder::new()
-            .name(format!("rank{i}"))
-            // `exit` drops after everything `f` owned, the rank's
-            // departure guard included.
-            .spawn(move || {
-                let _exit = exit;
-                f(i)
-            });
-        match spawned {
-            Ok(h) => handles.push(h),
-            Err(e) => {
-                // A partial world can only hang: release any ranks
-                // already parked in collectives, then fail every slot.
-                world.abort_all();
-                for h in handles {
-                    let _ = h.join();
-                }
-                return (0..n)
-                    .map(|_| {
-                        Err(SimError::Protocol(format!(
-                            "failed to spawn rank thread: {e}"
-                        )))
-                    })
-                    .collect();
-            }
-        }
-    }
-    let mut kill_at: Option<std::time::Instant> = None;
-    let mut killed = false;
-    let mut p = monitor.progress.lock();
-    while p.exited < n {
-        if !p.failed || killed {
-            monitor.changed.wait(&mut p);
-            continue;
-        }
-        let now = std::time::Instant::now();
-        let deadline = *kill_at.get_or_insert(now + Duration::from_secs(10));
-        if p.quorum || now >= deadline {
-            drop(p);
-            world.abort_all();
-            killed = true;
-            p = monitor.progress.lock();
-        } else {
-            monitor.changed.wait_for(&mut p, deadline - now);
-        }
-    }
-    drop(p);
-    handles
-        .into_iter()
-        .map(|h| match h.join() {
-            Ok(r) => r,
-            Err(_) => Err(SimError::Protocol("rank thread panicked".into())),
-        })
-        .collect()
-}
-
-/// The job's communicators over its current GPU placement (the
-/// scheduler's cluster view) rather than the contiguous-placement default:
-/// a data-parallel group whose replicas land on different nodes pays NIC
-/// ring hops even when its rank indices are adjacent, and the
-/// hierarchical schedule's per-node group sizes follow the actual
-/// placement.
-fn placed_setup(
-    cfg: &TrainConfig,
-    cost: &CostModel,
-    scheduler: &Scheduler,
-    assignment: &[GpuId],
-) -> SimResult<JobSetup> {
-    let node_of = scheduler.with_cluster(|cl| cl.node_assignment(assignment))?;
-    Ok(JobSetup::build_with(
-        cfg.layout,
-        cost.clone(),
-        cfg.ranks_per_node,
-        0,
-        Some(node_of),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster::Cluster;
+    use dltrain::JobSetup;
+    use proxy::Watchdog;
     use simcore::cost::GpuGeneration;
     use simcore::failure::{FailureKind, FailureSpec, Phase};
-
-    #[test]
-    fn placed_groups_stay_children_of_the_world_comm() -> SimResult<()> {
-        // 2D-2P-2T: the real placement must leave the 12 dp, tp and pp
-        // groups split off the world communicator, so that one world
-        // rendezvous bootstraps all of them and the world's abort reaches
-        // each.
-        let mut cfg = TrainConfig::tiny_dp(1);
-        cfg.layout = simcore::layout::ParallelLayout::three_d(2, 2, 2);
-        let scheduler = Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2));
-        let (_, assignment) = scheduler.submit(cfg.layout)?;
-        let cost = CostModel::v100();
-        let setup = placed_setup(&cfg, &cost, &scheduler, &assignment)?;
-        let global = setup.per_rank[0].global.clone();
-        let g = global.clone();
-        dltrain::run_ranks(8, move |r| {
-            g.rendezvous(RankId::from(r), 0, &collectives::NullObserver)
-        })
-        .into_iter()
-        .collect::<SimResult<Vec<()>>>()?;
-        let world_and_groups = cost.comm_init.as_secs() * 13.0;
-        assert_eq!(setup.clock.now(0).as_secs(), world_and_groups);
-        global.abort();
-        for bundle in &setup.per_rank {
-            for group in [&bundle.dp, &bundle.tp, &bundle.pp] {
-                assert!(group.as_ref().is_some_and(|g| g.is_aborted()));
-            }
-        }
-        Ok(())
-    }
+    use simcore::sync::Mutex;
+    use simcore::SimError;
+    use simgpu::Gpu;
 
     #[test]
     fn iteration_cell_is_a_simple_register() {
@@ -771,21 +357,20 @@ mod tests {
         let setup = JobSetup::build(cfg.layout, cost.clone(), cfg.ranks_per_node);
         let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 1)));
         let (job, assignment) = scheduler.submit(cfg.layout)?;
-        let events = Arc::new(Mutex::new(Vec::new()));
         let gpu = Gpu::new(assignment[1], cost.clone());
         let mut exec = DirectExecutor::new(RankId(1), 1, gpu, setup.world.clone());
-        let acks = scheduler.clone();
-        let client = JitUserClient::arm(
-            &mut exec,
-            &patient(),
-            job,
-            cfg.layout,
-            Arc::new(SharedStore::new()),
-            move |ack| {
+        let store = Arc::new(SharedStore::new());
+        let cell = Arc::default();
+        let save = save_checkpoint(&exec, &patient(), job, cfg.layout, store, cell);
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let (acks, written) = (scheduler.clone(), writes.clone());
+        let watchdog = Watchdog::spawn(TIMEOUT, move || {
+            if let Some((ack, write)) = save() {
+                written.lock().push(write);
                 let _ = acks.ack_checkpoint(job, ack);
-            },
-            events.clone(),
-        )?;
+            }
+        })?;
+        exec.set_observer(watchdog.observer());
         let tr = RankTrainer::new(exec, cfg, &setup.per_rank[1], FailureInjector::none())?;
         // Rank 0's thread is gone; rank 1 walks into a barrier with it.
         drop(setup.world.departure_guard(RankId(0)));
@@ -800,16 +385,16 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "no checkpoint ack");
             std::thread::yield_now();
         }
-        assert!(client.fired());
-        let events = events.lock().clone();
-        assert_eq!(events.len(), 1);
-        let write = events[0].checkpoint_time;
+        assert!(watchdog.fired());
+        let writes = writes.lock().clone();
+        assert_eq!(writes.len(), 1);
+        let write = writes[0];
         assert!(
             write > SimTime::ZERO,
             "the write cost alone, and not nothing"
         );
         assert!(write < SimTime::from_secs(TIMEOUT.as_secs_f64()));
-        // The parked trainer's clock moves by the watchdog's charges only.
+        // The parked trainer's clock moves by the hang action's charges only.
         let charged = parked_at + SimTime::from_secs(TIMEOUT.as_secs_f64()) + write;
         assert_eq!(setup.clock.now(1), charged);
         setup.world.abort_all();

@@ -266,6 +266,33 @@ mod tests {
     }
 
     #[test]
+    fn placed_groups_stay_children_of_the_world_comm() {
+        // 2D-2P-2T spread over two nodes: placing the world must leave the
+        // 12 dp, tp and pp groups split off it, so that one world
+        // rendezvous bootstraps all of them and the world's abort reaches
+        // each.
+        let cost = CostModel::v100();
+        let node_of = (0..8).map(|r| r % 2).collect();
+        let layout = ParallelLayout::three_d(2, 2, 2);
+        let s = JobSetup::build_with(layout, cost.clone(), 8, 0, Some(node_of));
+        let global = s.per_rank[0].global.clone();
+        let g = global.clone();
+        for joined in crate::run_ranks(8, move |r| {
+            g.rendezvous(RankId::from(r), 0, &collectives::NullObserver)
+        }) {
+            joined.unwrap();
+        }
+        let world_and_groups = cost.comm_init.as_secs() * 13.0;
+        assert_eq!(s.clock.now(0).as_secs(), world_and_groups);
+        global.abort();
+        for bundle in &s.per_rank {
+            for group in [&bundle.dp, &bundle.tp, &bundle.pp] {
+                assert!(group.as_ref().is_some_and(|g| g.is_aborted()));
+            }
+        }
+    }
+
+    #[test]
     fn dp_groups_contain_exactly_the_cell_replicas() {
         let layout = ParallelLayout::three_d(2, 2, 1);
         let s = JobSetup::build(layout, CostModel::v100(), 8);

@@ -27,6 +27,7 @@ pub(crate) const RECOVERY_CRITICAL: &[(&str, &str)] = &[
     ("core", "checkpoint"),
     ("core", "stream"),
     ("core", "user_level"),
+    ("core", "launcher"),
     ("core", "transparent"),
     ("proxy", "*"),
     ("cluster", "store"),

@@ -7,7 +7,7 @@
 //! * **masked lines** — the source with comments, string/char literals,
 //!   and doc text blanked out (replaced by spaces), so rule scans never
 //!   false-positive on `"panic!"` inside a string or a comment;
-//! * **test regions** — line ranges belonging to `#[cfg(test)]` modules;
+//! * **test regions** — line ranges belonging to `#[cfg(test)]` items;
 //! * **allow directives** — `// jitlint::allow(rule_a, rule_b): reason`
 //!   comments, resolved to the line of code they suppress;
 //! * **function spans** — `(impl_type, fn_name, body_range)` triples used
@@ -44,7 +44,7 @@ pub struct SourceFile {
     pub(crate) kind: FileKind,
     /// Lines with comments and literals blanked to spaces.
     pub(crate) masked: Vec<String>,
-    /// `in_test[i]` — line `i+1` is inside a `#[cfg(test)]` module.
+    /// `in_test[i]` — line `i+1` is inside a `#[cfg(test)]` item.
     pub(crate) in_test: Vec<bool>,
     /// Resolved allow directives.
     pub(crate) allows: Vec<Allow>,
@@ -137,7 +137,7 @@ impl SourceFile {
         hit
     }
 
-    /// Whether the (1-indexed) line lies in a `#[cfg(test)]` module.
+    /// Whether the (1-indexed) line lies in a `#[cfg(test)]` item.
     pub(crate) fn is_test_line(&self, line: usize) -> bool {
         self.in_test.get(line - 1).copied().unwrap_or(false)
     }
@@ -335,49 +335,54 @@ fn mask_lines(text: &str, line_count: usize) -> (Vec<String>, Vec<String>) {
     (out, comments)
 }
 
-/// Marks line ranges of `#[cfg(test)] mod … { … }` blocks.
+/// Marks the lines of `#[cfg(test)]` items. A module is test code
+/// through its closing brace; so is any other item, or through its `;`
+/// when it has no body (`#[cfg(test)] use …;`). An attribute whose item
+/// ends without either (a field, a variant) ends with its enclosing block.
 fn find_test_regions(masked: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; masked.len()];
     let mut depth: i64 = 0;
-    // (start_depth) of an active test module body; None when outside.
+    // Depth of the active test item's body; None when outside one.
     let mut test_until_depth: Option<i64> = None;
-    // A `#[cfg(test)]` attribute was seen and we await the `mod`'s `{`.
-    let mut pending_attr = false;
-    let mut pending_mod = false;
+    // Depth of a `#[cfg(test)]` attribute whose item has not yet opened a
+    // body or ended, and the `(`/`[` nesting inside that item's header.
+    let mut pending: Option<i64> = None;
+    let mut nest: i64 = 0;
 
     for (idx, line) in masked.iter().enumerate() {
         if test_until_depth.is_none()
+            && pending.is_none()
             && (line.contains("#[cfg(test)]") || line.contains("#[cfg(all(test"))
         {
-            pending_attr = true;
-        }
-        if pending_attr && !pending_mod && contains_word(line, "mod") {
-            pending_mod = true;
+            pending = Some(depth);
+            nest = 0;
         }
         for c in line.chars() {
             match c {
                 '{' => {
                     depth += 1;
-                    if pending_mod && test_until_depth.is_none() {
+                    if pending.take().is_some() {
                         test_until_depth = Some(depth);
-                        pending_attr = false;
-                        pending_mod = false;
                     }
                 }
                 '}' => {
-                    if let Some(d) = test_until_depth {
-                        if depth == d {
-                            test_until_depth = None;
-                            // The closing-brace line itself is still test.
-                            in_test[idx] = true;
-                        }
+                    if test_until_depth == Some(depth) {
+                        test_until_depth = None;
+                        // The closing-brace line itself is still test.
+                        in_test[idx] = true;
+                    }
+                    if pending == Some(depth) {
+                        pending = None;
                     }
                     depth -= 1;
                 }
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest -= 1,
+                ';' if nest == 0 && pending.take().is_some() => in_test[idx] = true,
                 _ => {}
             }
         }
-        if test_until_depth.is_some() || pending_mod || pending_attr {
+        if test_until_depth.is_some() || pending.is_some() {
             in_test[idx] = true;
         }
     }
@@ -664,6 +669,14 @@ mod tests {
         assert!(f.is_test_line(4));
         assert!(f.is_test_line(5));
         assert!(!f.is_test_line(6));
+        // A test-only item other than a module covers its own lines only.
+        let f = sf("#[cfg(test)]\npub(crate) fn parse() {\n    x.unwrap();\n}\nfn after() {}\n#[cfg(test)]\nuse a::b;\nfn last() {}\nmod m {}\n");
+        assert!(f.is_test_line(1));
+        assert!(f.is_test_line(3));
+        assert!(f.is_test_line(4));
+        assert!(!f.is_test_line(5));
+        assert!(f.is_test_line(7));
+        assert!(!f.is_test_line(8));
     }
 
     #[test]

@@ -8,11 +8,12 @@
 
 use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
-use jitckpt::checkpoint::{self, CkptKind};
+use jitckpt::checkpoint;
 use jitckpt::user_level::{run_user_level_job, JitUserConfig};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
-use simcore::{JobId, RankId};
+use simcore::layout::ParallelLayout;
+use simcore::{JobId, RankId, SimTime};
 use std::sync::Arc;
 
 fn main() {
@@ -44,10 +45,25 @@ fn main() {
         out.wasted_iterations
     );
 
-    // Pass 2: the combined mode. Seed the store with an old periodic
-    // checkpoint, then run user-level JIT: when a failure hits, the JIT
-    // checkpoint (newer) wins at restore time.
+    // Pass 2: the combined mode. A low-frequency periodic run seeds the
+    // store: its first 8 iterations, checkpointed at 4 and 8. A fresh
+    // scheduler numbers each run job 0, so the user-level JIT job below
+    // finds those checkpoints, starts from the newest, and when the
+    // failure hits restores from its own JIT checkpoint, the newer kind.
     let store = Arc::new(SharedStore::new());
+    run_periodic_job(
+        cfg.clone(),
+        CostModel::v100(),
+        FailureInjector::none(),
+        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+        store.clone(),
+        PeriodicConfig::every(PolicyKind::PcDaily, 4),
+        8,
+    )
+    .expect("seeding run");
+    println!("JIT after a PC_1/day run of 8 iterations, same failure at iter 10:");
+    let layout = cfg.layout;
+    print_restore_plan("start", &store, &layout);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
     let injector = FailureInjector::with_specs(vec![FailureSpec::new(
         10,
@@ -65,26 +81,26 @@ fn main() {
         iters,
     )
     .expect("combined run");
-    println!("JIT (+ optional PC_1/day for catastrophes): same failure");
+    for e in out.events.iter().filter(|e| e.restore_time > SimTime::ZERO) {
+        println!("  {} restored iteration {}", e.rank, e.iteration);
+    }
+    // JIT writes only on a failure, so the newest checkpoint is still the
+    // one the restart restored.
+    print_restore_plan("restart", &store, &layout);
     println!(
         "  → restarts: {}, redone work: at most one minibatch",
         out.restarts
     );
-    let layout = simcore::layout::ParallelLayout::data_parallel(2);
-    if let Ok(plan) = checkpoint::assemble(&store, JobId(0), &layout) {
-        for ((stage, part), c) in plan {
-            println!(
-                "  cell (stage {stage}, part {part}): restored {:?} checkpoint of iteration {}",
-                c.kind, c.iteration
-            );
-        }
+}
+
+/// Prints the checkpoint each cell restores from at a (re)start: the
+/// newest complete one of either kind.
+fn print_restore_plan(when: &str, store: &SharedStore, layout: &ParallelLayout) {
+    let plan = checkpoint::assemble(store, JobId(0), layout).expect("a complete checkpoint");
+    for ((stage, part), c) in plan {
+        println!(
+            "  {when}: cell (stage {stage}, part {part}) restores the {:?} checkpoint of iteration {}",
+            c.kind, c.iteration
+        );
     }
-    // Demonstrate kind preference: add a newer periodic checkpoint and
-    // re-assemble.
-    println!("\nBoth kinds share paths/format; assembly picks the newest complete");
-    println!(
-        "checkpoint of either kind ({:?} vs {:?}).",
-        CkptKind::Jit,
-        CkptKind::Periodic
-    );
 }

@@ -21,6 +21,7 @@ cargo test --release -p collectives --quiet
 cargo test --release -p jitckpt --test codec_golden --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
+cargo test --release --test cross_crate --quiet restart_runners_are_pinned
 
 echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
 sh scripts/surface.sh --check
