@@ -376,6 +376,29 @@ mod tests {
     }
 
     #[test]
+    fn failure_before_first_checkpoint_restarts_from_scratch() -> SimResult<()> {
+        let cfg = dltrain::TrainConfig::tiny_dp(2);
+        let injector = FailureInjector::with_specs(vec![FailureSpec::new(
+            1,
+            Phase::Forward,
+            RankId(0),
+            FailureKind::GpuHardware,
+        )]);
+        let out = run_periodic_job(
+            cfg,
+            CostModel::v100(),
+            injector,
+            scheduler(),
+            Arc::new(SharedStore::new()),
+            PeriodicConfig::every(PolicyKind::PcDisk, 5),
+            6,
+        )?;
+        assert_eq!(out.restarts, 1);
+        assert!(out.losses[0].iter().all(|l| l.is_finite()));
+        Ok(())
+    }
+
+    #[test]
     fn zero_interval_is_refused_before_the_job_is_submitted() -> SimResult<()> {
         let cfg = dltrain::TrainConfig::tiny_dp(2);
         let scheduler = scheduler();

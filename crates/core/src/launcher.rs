@@ -255,8 +255,8 @@ impl<A> Job<A> {
     }
 
     /// Restores a restarted rank from its cell's choice in `plan`, paying
-    /// the fixed restart cost (the `r` of §5) and then whatever each leg
-    /// it tries costs. The ranks read the driver's choice directly;
+    /// the fixed restart cost (the `r` of §5) and whatever each leg it
+    /// tries costs. The ranks read the driver's choice directly;
     /// nobody resolves again. With stream recovery only the replica that
     /// owns the choice reads the store, and streams the state to the
     /// cell's other replicas once its clock has paid for the read.
@@ -275,11 +275,16 @@ impl<A> Job<A> {
             ..coord
         });
         let clock = tr.exec.clock();
-        let restarted = clock.advance(i, self.cost.process_restart);
+        let restart = self.cost.process_restart;
+        // A replica that waits on the owner's stream pays the restart
+        // first. Every other rank pays it together with its read.
+        let streams = self.lib.stream_recovery && rank != owner;
+        let restarted = streams.then(|| clock.advance(i, restart));
+        let mut read = SimTime::ZERO;
         let (state, _) = stream::restore_with_fallback(
             || Err(SimError::Protocol("no ledger attached".into())),
             || {
-                if !self.lib.stream_recovery || rank == owner {
+                if !streams {
                     return Err(SimError::Protocol("no replica streams to this rank".into()));
                 }
                 let patience = self.lib.stream_patience;
@@ -297,14 +302,22 @@ impl<A> Job<A> {
                     &RestoreConfig::default(),
                 )?;
                 let rpn = self.cfg.ranks_per_node;
-                let read = self
+                read = self
                     .cost
                     .checkpoint_read(meta.logical_bytes, self.lib.tier, rpn);
-                clock.advance(i, read);
                 Ok(state)
             },
         )?;
-        let restore_time = self.cost.process_restart + (clock.now(i) - restarted);
+        // The restore time is what the legs charged: the restart and the
+        // read as one sum, or, after a stream was tried, the restart plus
+        // the clock's advance since it.
+        let restore_time = match restarted {
+            Some(restarted) => restart + (clock.advance(i, read) - restarted),
+            None => {
+                clock.advance(i, restart + read);
+                restart + read
+            }
+        };
         if self.lib.stream_recovery && rank == owner {
             let gpn = self.cost.gpu.gpus_per_node();
             let node = |r: RankId| gen.assignment[r.index()].0 as usize / gpn;

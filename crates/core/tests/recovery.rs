@@ -47,6 +47,156 @@ fn assert_losses_match(a: &[Vec<f32>], b: &[Vec<f32>]) {
 }
 
 #[test]
+fn user_level_recovers_sticky_error_with_exact_losses() {
+    let _guard = serial();
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 10;
+    let clean = baseline_losses(&cfg, iters);
+    let injector = FailureInjector::with_specs(vec![FailureSpec::new(
+        4,
+        Phase::Backward,
+        RankId(1),
+        FailureKind::StickyCuda,
+    )]);
+    let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
+    let store = Arc::new(SharedStore::new());
+    let out = run_user_level_job(
+        cfg,
+        CostModel::v100(),
+        injector,
+        scheduler,
+        store,
+        JitUserConfig::default(),
+        iters,
+    )
+    .unwrap();
+    assert_eq!(out.restarts, 1);
+    assert!(
+        !out.events.is_empty(),
+        "a JIT checkpoint must have happened"
+    );
+    assert_losses_match(&out.losses, &clean);
+}
+
+#[test]
+fn user_level_recovers_hard_gpu_error_and_excludes_the_gpu() {
+    let _guard = serial();
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 8;
+    let clean = baseline_losses(&cfg, iters);
+    let injector = FailureInjector::with_specs(vec![FailureSpec::new(
+        3,
+        Phase::Forward,
+        RankId(0),
+        FailureKind::GpuHardware,
+    )]);
+    let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
+    let store = Arc::new(SharedStore::new());
+    let out = run_user_level_job(
+        cfg,
+        CostModel::v100(),
+        injector,
+        scheduler.clone(),
+        store,
+        JitUserConfig::default(),
+        iters,
+    )
+    .unwrap();
+    assert_eq!(out.restarts, 1);
+    assert_losses_match(&out.losses, &clean);
+}
+
+#[test]
+fn streamed_replica_restore_is_exact_and_reads_the_store_once() {
+    let _guard = serial();
+    // Same sticky failure twice: once with stream recovery (the default)
+    // and once with every rank paying the §3.3 store round-trip. Both
+    // must reproduce the failure-free trajectory exactly, and the
+    // streamed run must touch the store strictly less (one payload read
+    // per cell instead of one per rank).
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 10;
+    let clean = baseline_losses(&cfg, iters);
+    let specs = vec![FailureSpec::new(
+        4,
+        Phase::Backward,
+        RankId(1),
+        FailureKind::StickyCuda,
+    )];
+    let mut reads = Vec::new();
+    for streamed in [true, false] {
+        let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
+        let store = Arc::new(SharedStore::new());
+        let out = run_user_level_job(
+            cfg.clone(),
+            CostModel::v100(),
+            FailureInjector::with_specs(specs.clone()),
+            scheduler,
+            store.clone(),
+            JitUserConfig {
+                stream_recovery: streamed,
+                ..JitUserConfig::default()
+            },
+            iters,
+        )
+        .unwrap();
+        assert_eq!(out.restarts, 1, "streamed={streamed}");
+        assert!(
+            out.events.iter().any(|e| e.restore_time.as_secs() > 0.0),
+            "a restore must have happened (streamed={streamed})"
+        );
+        assert_losses_match(&out.losses, &clean);
+        reads.push(store.read_count());
+    }
+    assert!(
+        reads[0] < reads[1],
+        "streaming must cut store reads: {} streamed vs {} store-only",
+        reads[0],
+        reads[1]
+    );
+}
+
+#[test]
+fn replica_dying_mid_stream_falls_back_to_the_store() {
+    let _guard = serial();
+    // The checkpoint owner starts streaming its state but "dies" after
+    // the preamble frame. The receiving replica must time out, fall back
+    // to the store round-trip, and still land on the exact failure-free
+    // trajectory.
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 10;
+    let clean = baseline_losses(&cfg, iters);
+    let injector = FailureInjector::with_specs(vec![FailureSpec::new(
+        4,
+        Phase::Backward,
+        RankId(1),
+        FailureKind::StickyCuda,
+    )]);
+    let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
+    let store = Arc::new(SharedStore::new());
+    let out = run_user_level_job(
+        cfg,
+        CostModel::v100(),
+        injector,
+        scheduler,
+        store,
+        JitUserConfig {
+            stream_truncate: Some(1),
+            stream_patience: std::time::Duration::from_millis(100),
+            ..JitUserConfig::default()
+        },
+        iters,
+    )
+    .unwrap();
+    assert_eq!(out.restarts, 1);
+    assert!(
+        out.events.iter().any(|e| e.restore_time.as_secs() > 0.0),
+        "the fallback restore must be recorded"
+    );
+    assert_losses_match(&out.losses, &clean);
+}
+
+#[test]
 fn transparent_recovers_transient_network_fault() {
     let _guard = serial();
     let cfg = dltrain::TrainConfig::tiny_dp(2);
