@@ -135,7 +135,7 @@ where
         let results = {
             let (world, monitor) = (gen.setup.world.clone(), gen.monitor.clone());
             let (job, gen) = (job.clone(), gen.clone());
-            spawn_and_monitor(n, world, monitor, move |i| job.run_rank(&gen, i))
+            spawn_and_monitor(n, world, monitor, move |i| job.run_rank(&gen, i))?
         };
         reached = 0;
         let mut any_failure = false;
@@ -276,8 +276,8 @@ impl<A> Job<A> {
         });
         let clock = tr.exec.clock();
         let restart = self.cost.process_restart;
-        // A replica that waits on the owner's stream pays the restart
-        // first. Every other rank pays it together with its read.
+        // A replica that tries the owner's stream pays the restart first;
+        // every other rank adds restart + read to its clock as one sum.
         let streams = self.lib.stream_recovery && rank != owner;
         let restarted = streams.then(|| clock.advance(i, restart));
         let mut read = SimTime::ZERO;
@@ -301,16 +301,11 @@ impl<A> Job<A> {
                     choice.dp,
                     &RestoreConfig::default(),
                 )?;
-                let rpn = self.cfg.ranks_per_node;
-                read = self
-                    .cost
-                    .checkpoint_read(meta.logical_bytes, self.lib.tier, rpn);
+                let (bytes, rpn) = (meta.logical_bytes, self.cfg.ranks_per_node);
+                read = self.cost.checkpoint_read(bytes, self.lib.tier, rpn);
                 Ok(state)
             },
         )?;
-        // The restore time is what the legs charged: the restart and the
-        // read as one sum, or, after a stream was tried, the restart plus
-        // the clock's advance since it.
         let restore_time = match restarted {
             Some(restarted) => restart + (clock.advance(i, read) - restarted),
             None => {
@@ -394,7 +389,7 @@ fn spawn_and_monitor<T, F>(
     world: Arc<CommWorld>,
     monitor: Arc<Monitor>,
     f: F,
-) -> Vec<SimResult<T>>
+) -> SimResult<Vec<SimResult<T>>>
 where
     T: Send + 'static,
     F: Fn(usize) -> SimResult<T> + Send + Sync + 'static,
@@ -415,18 +410,13 @@ where
             Ok(h) => handles.push(h),
             Err(e) => {
                 // A partial world can only hang: release any ranks
-                // already parked in collectives, then fail every slot.
+                // already parked in collectives, then fail the job.
                 world.abort_all();
                 for h in handles {
                     let _ = h.join();
                 }
-                return (0..n)
-                    .map(|_| {
-                        Err(SimError::Protocol(format!(
-                            "failed to spawn rank thread: {e}"
-                        )))
-                    })
-                    .collect();
+                let msg = format!("failed to spawn rank thread: {e}");
+                return Err(SimError::Protocol(msg));
             }
         }
     }
@@ -450,11 +440,11 @@ where
         }
     }
     drop(p);
-    handles
+    Ok(handles
         .into_iter()
         .map(|h| match h.join() {
             Ok(r) => r,
             Err(_) => Err(SimError::Protocol("rank thread panicked".into())),
         })
-        .collect()
+        .collect())
 }
