@@ -27,15 +27,22 @@
 //!
 //! Operations are **generation-addressed and idempotent**: the caller (the
 //! interception layer) supplies each operation's sequence number `gen`,
-//! contributions overwrite identically on re-arrival, and completed slots
-//! stay cached. This is what makes replay-based recovery consistent when
-//! pipeline stages sit in *different* minibatches at failure time: a rank
-//! replaying an already-completed collective is served the cached result
-//! without its peers — who may have legitimately moved on — having to
-//! re-participate, while a retried incomplete collective reuses its
-//! generation and pairs with peers' retries. A re-created communicator
-//! adopts its predecessor's completed-slot cache
+//! contributions overwrite identically on re-arrival, and a completed
+//! slot keeps its result (and only its result) cached. This is what makes
+//! replay-based recovery consistent when pipeline stages sit in
+//! *different* minibatches at failure time: a rank replaying an
+//! already-completed collective is served the cached result without its
+//! peers — who may have legitimately moved on — having to re-participate,
+//! while a retried incomplete collective reuses its generation and pairs
+//! with peers' retries. A re-created communicator adopts its
+//! predecessor's completed-slot cache
 //! ([`Communicator::adopt_completed_from`]).
+//!
+//! The cache holds the live minibatch and no more: at each minibatch
+//! start every member commits the generation it starts from
+//! ([`crate::CommWorld::commit`]), and completed slots below the minimum
+//! of the members' floors are dropped, since no member's replay can ask
+//! for them again.
 
 use crate::ledger::GradLedger;
 use crate::liveness::Liveness;
@@ -80,20 +87,37 @@ pub enum CollKind {
     Rendezvous,
 }
 
-#[derive(Clone)]
 struct Slot {
     kind: CollKind,
     op: Option<ReduceOp>,
     root: Option<RankId>,
-    data: SlotData,
     logical_bytes: u64,
-    complete: bool,
-    result: Option<Arc<Vec<f32>>>,
+    state: SlotState,
 }
 
-#[derive(Default)]
+/// A generation's contributions while it is in flight; once it completes,
+/// its result and nothing else.
+enum SlotState {
+    InFlight(SlotData),
+    Done(Arc<Vec<f32>>),
+}
+
+impl Slot {
+    /// The shared result of a completed generation.
+    fn result(&self) -> Option<&Arc<Vec<f32>>> {
+        match &self.state {
+            SlotState::Done(result) => Some(result),
+            SlotState::InFlight(_) => None,
+        }
+    }
+}
+
 struct CommState {
     slots: HashMap<u64, Slot>,
+    /// Each member's commit floor, by member position: the first
+    /// generation of the minibatch it last began ([`Communicator::commit`]).
+    /// Zero until it commits on this communicator.
+    floors: Vec<u64>,
     pending_fault: Option<RankId>,
     /// Member threads currently parked inside a collective wait.
     parked: usize,
@@ -170,6 +194,12 @@ impl Communicator {
         let member_of: HashMap<RankId, usize> =
             ranks.iter().enumerate().map(|(i, r)| (*r, i)).collect();
         assert_eq!(member_of.len(), ranks.len(), "duplicate member rank");
+        let state = CommState {
+            slots: HashMap::new(),
+            floors: vec![0; ranks.len()],
+            pending_fault: None,
+            parked: 0,
+        };
         Arc::new(Communicator {
             id,
             ranks,
@@ -177,7 +207,7 @@ impl Communicator {
             clock_idx,
             schedule,
             clock,
-            state: Mutex::new(CommState::default()),
+            state: Mutex::new(state),
             cv: Condvar::new(),
             obs_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
@@ -313,12 +343,11 @@ impl Communicator {
             let Some(slot) = st.slots.get(&gen) else {
                 return;
             };
-            if !slot.complete {
+            let Some(result) = slot.result() else {
                 return;
-            }
-            (slot.kind, slot.result.clone())
+            };
+            (slot.kind, result.clone())
         };
-        let Some(result) = result else { return };
         if matches!(kind, CollKind::Barrier | CollKind::Rendezvous) {
             return; // No data plane to tap.
         }
@@ -419,13 +448,17 @@ impl Communicator {
 
     /// Copies the predecessor communicator's completed-slot cache into
     /// this (freshly created) communicator, so replayed operations can be
-    /// served without re-participation after recovery.
+    /// served without re-participation after recovery. A completed slot
+    /// holds only its shared result, so the copy is a refcount bump per
+    /// slot. The members' floors start at zero here: nothing adopted is
+    /// pruned until every member has committed on this communicator.
     pub fn adopt_completed_from(&self, old: &Communicator) {
         let old_state = old.state.lock();
         let mut st = self.state.lock();
         for (gen, slot) in old_state.slots.iter() {
-            if slot.complete {
-                st.slots.insert(*gen, slot.clone());
+            if let Some(result) = slot.result() {
+                let state = SlotState::Done(result.clone());
+                st.slots.insert(*gen, Slot { state, ..*slot });
             }
         }
     }
@@ -436,12 +469,33 @@ impl Communicator {
             .lock()
             .slots
             .values()
-            .filter(|s| s.complete)
+            .filter(|s| s.result().is_some())
             .count()
     }
 
-    /// Drops cached slots with `gen < floor` (memory hygiene on very long
-    /// jobs; recovery never replays past the previous minibatch).
+    /// Member `rank` has begun a minibatch whose first operation on this
+    /// communicator is generation `gen`: no replay of its will ask for a
+    /// generation below that. Completed slots below the minimum floor over
+    /// all members are dropped. The minimum, not this member's floor,
+    /// because a peer one minibatch behind (a lagging pipeline stage, a
+    /// rank rolled back by recovery) must still be served its whole
+    /// current minibatch. A slot in flight is never dropped, and neither
+    /// is one in the recovery generation spaces (`1 << 62` and up), which
+    /// no floor reaches. Called by [`crate::CommWorld::commit`].
+    pub(crate) fn commit(&self, rank: RankId, gen: u64) {
+        let Some(pos) = self.member_pos(rank) else {
+            return;
+        };
+        let mut st = self.state.lock();
+        st.floors[pos] = gen;
+        let floor = st.floors.iter().copied().min().unwrap_or(0);
+        st.slots
+            .retain(|g, slot| *g >= floor || slot.result().is_none());
+    }
+
+    /// Drops cached slots with `gen < floor`, in flight or not, whatever
+    /// the members' floors say (the benchmark's probes prune by hand;
+    /// training prunes through [`Communicator::commit`]).
     pub fn prune_below(&self, floor: u64) {
         let mut st = self.state.lock();
         st.slots.retain(|g, _| *g >= floor);
@@ -476,14 +530,14 @@ impl Communicator {
             // this is a replayed operation.
             let st = self.state.lock();
             if let Some(slot) = st.slots.get(&gen) {
-                if slot.complete {
+                if let Some(result) = slot.result() {
                     if slot.kind != kind || slot.op != op || slot.root != root {
                         return Err(SimError::Protocol(format!(
                             "replayed collective mismatch at gen {gen} on {}",
                             self.id
                         )));
                     }
-                    return Ok(slot.result.clone().expect("completed slot has result"));
+                    return Ok(result.clone());
                 }
             }
         }
@@ -558,13 +612,14 @@ impl Communicator {
                 let slot = st.slots.get(&gen).ok_or_else(|| {
                     SimError::Protocol(format!("slot {gen} vanished on {}", self.id))
                 })?;
-                if slot.complete {
-                    break;
-                }
+                let data = match &slot.state {
+                    SlotState::Done(_) => break,
+                    SlotState::InFlight(data) => data,
+                };
                 if self.is_aborted() {
                     return Err(SimError::CollectiveAborted);
                 }
-                if stuck.is_some() || !self.lacks_gone_member(slot) {
+                if stuck.is_some() || !self.lacks_gone_member(data) {
                     // Purely notify-driven wait: completion, abort, a
                     // rank going, and prune all notify under the state
                     // lock, so there is no lost-wakeup window and no poll
@@ -587,20 +642,23 @@ impl Communicator {
                 st = self.state.lock();
             }
         }
-        // Pick up the result; completed slots stay cached for replay.
-        let slot = st.slots.get(&gen).expect("completed slot");
-        slot.result
-            .clone()
-            .ok_or_else(|| SimError::Protocol("completed slot without result".into()))
+        // Pick up the result. The slot stays cached for replay until every
+        // member has committed past it, and this member has not: it is
+        // still in the generation.
+        st.slots
+            .get(&gen)
+            .and_then(Slot::result)
+            .cloned()
+            .ok_or_else(|| SimError::Protocol(format!("slot {gen} vanished on {}", self.id)))
     }
 
-    /// True when `slot` can never complete: it still lacks the
-    /// contribution of a member that is departed or stuck. One relaxed
-    /// load while nobody is.
-    fn lacks_gone_member(&self, slot: &Slot) -> bool {
+    /// True when a generation in flight with contributions `data` can
+    /// never complete: it still lacks the contribution of a member that is
+    /// departed or stuck. One relaxed load while nobody is.
+    fn lacks_gone_member(&self, data: &SlotData) -> bool {
         self.liveness.any_gone(
             (0..self.ranks.len())
-                .filter(|p| !slot.data.has_arrived(*p))
+                .filter(|p| !data.has_arrived(*p))
                 .map(|p| self.ranks[p]),
         )
     }
@@ -628,7 +686,7 @@ impl Communicator {
         // victim's NCCL call fails and it never contributes, so the other
         // members stay parked at the barrier (a hang) until the watchdog
         // aborts the communicator.
-        if st.pending_fault == Some(rank) && !st.slots.get(&gen).is_some_and(|s| s.complete) {
+        if st.pending_fault == Some(rank) && st.slots.get(&gen).and_then(Slot::result).is_none() {
             st.pending_fault = None;
             return Err(SimError::NetworkTransient);
         }
@@ -637,10 +695,8 @@ impl Communicator {
             kind,
             op,
             root,
-            data: SlotData::new(kind, n),
             logical_bytes: 0,
-            complete: false,
-            result: None,
+            state: SlotState::InFlight(SlotData::new(kind, n)),
         });
         if slot.kind != kind || slot.op != op || slot.root != root {
             return Err(SimError::Protocol(format!(
@@ -648,45 +704,31 @@ impl Communicator {
                 self.id, slot.kind, kind
             )));
         }
-        if slot.complete {
+        let SlotState::InFlight(data) = &mut slot.state else {
             // Completed between the caller's replay-cache check and the
             // state lock: the cached result serves this re-arrival.
             return Ok(true);
-        }
+        };
         slot.logical_bytes = slot.logical_bytes.max(logical_bytes);
         let fold = &self.schedule.fold;
-        let all_in = slot
-            .data
-            .contribute(pos, contrib, op, n, fold.chunk_elems(), fold.workers)?;
+        let all_in = data.contribute(pos, contrib, op, n, fold.chunk_elems(), fold.workers)?;
         if !all_in {
             return Ok(false);
         }
-        // Last arrival: finalize deterministically and advance every
-        // member's clock past the barrier.
-        self.finalize(st, gen, kind)?;
-        Ok(true)
-    }
-
-    /// Completes a slot whose every member has arrived: takes the data
-    /// plane's result, charges the schedule's simulated cost as a clock
-    /// barrier, and wakes the waiters.
-    fn finalize(
-        &self,
-        st: &mut simcore::sync::MutexGuard<'_, CommState>,
-        gen: u64,
-        kind: CollKind,
-    ) -> SimResult<()> {
-        let slot = st.slots.get_mut(&gen).expect("finalizing slot");
-        let root_pos = slot.root.and_then(|r| self.member_pos(r));
-        let result = slot.data.take_result(kind, slot.op, root_pos)?;
-        slot.result = Some(Arc::new(result));
-        slot.complete = true;
+        // Last arrival: take the data plane's result and drop the
+        // contributions with the in-flight state (nothing reads them after
+        // completion, and a rebuilt communicator adopting the slot must
+        // not copy them); then charge the schedule's simulated cost as a
+        // clock barrier and wake the waiters.
+        let root_pos = root.and_then(|r| self.member_pos(r));
+        let result = data.take_result(kind, op, root_pos)?;
+        slot.state = SlotState::Done(Arc::new(result));
         let cost = self
             .schedule
             .coll_cost(kind, slot.logical_bytes, || self.live_children());
         self.clock.barrier_sync(&self.clock_idx, cost);
         self.cv.notify_all();
-        Ok(())
+        Ok(true)
     }
 
     /// Non-blocking contribution to an all-reduce at `gen` on behalf of
@@ -718,7 +760,7 @@ impl Communicator {
         {
             let st = self.state.lock();
             if let Some(slot) = st.slots.get(&gen) {
-                if slot.complete {
+                if slot.result().is_some() {
                     if slot.kind != CollKind::AllReduce
                         || slot.op != Some(op)
                         || slot.root.is_some()
@@ -760,17 +802,8 @@ impl Communicator {
     /// the collective is still in flight; an aborted communicator with an
     /// incomplete slot reports [`SimError::CollectiveAborted`].
     pub fn try_result(&self, gen: u64) -> SimResult<Option<Arc<Vec<f32>>>> {
-        {
-            let st = self.state.lock();
-            if let Some(slot) = st.slots.get(&gen) {
-                if slot.complete {
-                    return slot
-                        .result
-                        .clone()
-                        .map(Some)
-                        .ok_or_else(|| SimError::Protocol("completed slot without result".into()));
-                }
-            }
+        if let Some(result) = self.state.lock().slots.get(&gen).and_then(Slot::result) {
+            return Ok(Some(result.clone()));
         }
         if self.is_aborted() {
             return Err(SimError::CollectiveAborted);
@@ -1444,6 +1477,142 @@ mod tests {
         assert!(untapped > simcore::SimTime::ZERO);
         assert_eq!(tapped, untapped);
         assert!(ledgers.iter().all(|l| l.pinned_bytes() > 0));
+    }
+
+    /// Completes all-reduce generations `gens` on a two-member
+    /// communicator from one thread, each member contributing `gen` and
+    /// `gen + 0.5`.
+    fn complete(comm: &Communicator, gens: std::ops::Range<u64>) {
+        for gen in gens {
+            for (r, v) in [(0u32, gen as f32), (1, gen as f32 + 0.5)] {
+                comm.offer_reduce(RankId(r), gen, &[v, -v], ReduceOp::Sum, 8)
+                    .unwrap();
+            }
+            assert!(comm.try_result(gen).unwrap().is_some());
+        }
+    }
+
+    fn cached_gens(comm: &Communicator) -> Vec<u64> {
+        let mut gens: Vec<u64> = comm.state.lock().slots.keys().copied().collect();
+        gens.sort_unstable();
+        gens
+    }
+
+    #[test]
+    fn commit_floor_drops_completed_slots_below_the_minimum_of_the_members() {
+        let comm = make_comm(2);
+        complete(&comm, 0..6);
+        // One member past generation 4: its peer may still replay from 0.
+        comm.commit(RankId(0), 4);
+        assert_eq!(cached_gens(&comm), (0..6).collect::<Vec<_>>());
+        // Both past generation 3: the minimum floor is 3.
+        comm.commit(RankId(1), 3);
+        assert_eq!(cached_gens(&comm), vec![3, 4, 5]);
+        comm.commit(RankId(1), 6);
+        assert_eq!(cached_gens(&comm), vec![4, 5]);
+        // A non-member's commit changes nothing.
+        comm.commit(RankId(7), 100);
+        assert_eq!(comm.completed_slots(), 2);
+    }
+
+    #[test]
+    fn a_member_a_minibatch_behind_is_still_served_its_results_bit_for_bit() {
+        // Minibatch A is generations 0..2, minibatch B 2..4. Member 0 has
+        // begun the minibatch after B; member 1 was rolled back to B's
+        // start and replays it alone.
+        let comm = make_comm(2);
+        complete(&comm, 0..4);
+        let served: Vec<Arc<Vec<f32>>> = (2..4)
+            .map(|g| comm.try_result(g).unwrap().unwrap())
+            .collect();
+        comm.commit(RankId(0), 4);
+        comm.commit(RankId(1), 2);
+        assert_eq!(cached_gens(&comm), vec![2, 3]);
+        for (gen, want) in (2..4).zip(&served) {
+            let got = comm
+                .all_reduce_shared(
+                    RankId(1),
+                    gen,
+                    vec![0.0; 2],
+                    ReduceOp::Sum,
+                    8,
+                    &NullObserver,
+                )
+                .unwrap();
+            assert!(Arc::ptr_eq(&got, want), "gen {gen} is the cached result");
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let v = gen as f32;
+            assert_eq!(bits(&got), bits(&[v + (v + 0.5), -v + -(v + 0.5)]));
+        }
+    }
+
+    #[test]
+    fn a_slot_in_flight_is_never_pruned() {
+        let comm = make_comm(2);
+        complete(&comm, 0..2);
+        assert!(!comm
+            .offer_reduce(RankId(0), 2, &[1.0], ReduceOp::Sum, 4)
+            .unwrap());
+        comm.commit(RankId(0), 5);
+        comm.commit(RankId(1), 5);
+        assert_eq!(cached_gens(&comm), vec![2], "only the generation in flight");
+        assert_eq!(comm.completed_slots(), 0);
+        assert!(comm
+            .offer_reduce(RankId(1), 2, &[2.0], ReduceOp::Sum, 4)
+            .unwrap());
+        assert_eq!(*comm.try_result(2).unwrap().unwrap(), vec![3.0]);
+    }
+
+    #[test]
+    fn adopted_slots_stay_until_every_member_commits_on_the_adopter() {
+        let old = make_comm(2);
+        complete(&old, 0..4);
+        old.commit(RankId(0), 2);
+        old.commit(RankId(1), 2);
+        let fresh = make_comm(2);
+        fresh.adopt_completed_from(&old);
+        assert_eq!(cached_gens(&fresh), vec![2, 3]);
+        fresh.commit(RankId(0), 4);
+        assert_eq!(
+            cached_gens(&fresh),
+            vec![2, 3],
+            "member 1 has not committed"
+        );
+        fresh.commit(RankId(1), 4);
+        assert!(cached_gens(&fresh).is_empty());
+    }
+
+    #[test]
+    fn a_completed_all_gather_holds_only_its_result() {
+        // The gather's inputs are dead once it completes: the slot keeps
+        // the result alone, and a rebuilt communicator adopting it shares
+        // that result instead of copying any payload.
+        let comm = make_comm(2);
+        {
+            let mut st = comm.state.lock();
+            for pos in 0..2 {
+                let data = Contribution::Data(vec![pos as f32; 3]);
+                let (rank, kind) = (RankId(pos as u32), CollKind::AllGather);
+                comm.arrive(&mut st, pos, rank, 0, kind, None, None, data, 12)
+                    .unwrap();
+            }
+            let slot = &st.slots[&0];
+            assert!(
+                matches!(&slot.state, SlotState::Done(r) if **r == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+            );
+        }
+        let fresh = make_comm(2);
+        fresh.adopt_completed_from(&comm);
+        let (a, b) = (
+            comm.try_result(0).unwrap().unwrap(),
+            fresh.try_result(0).unwrap().unwrap(),
+        );
+        assert!(Arc::ptr_eq(&a, &b), "adoption shares the result");
+        assert_eq!(
+            Arc::strong_count(&a),
+            4,
+            "two slots and the two handles above"
+        );
     }
 
     #[test]

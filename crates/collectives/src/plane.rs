@@ -51,8 +51,9 @@ impl Contribution<'_> {
 
 /// Per-generation contribution storage, indexed by **member position**
 /// (position in the communicator's `ranks` list — the canonical reduction
-/// order, which for split groups need not be sorted-RankId order).
-#[derive(Clone)]
+/// order, which for split groups need not be sorted-RankId order). It
+/// lives only while its generation is in flight: the communicator drops it
+/// once [`SlotData::take_result`] has produced the result.
 pub(crate) enum SlotData {
     /// Every contribution held until the last arrival (outer `None` = not
     /// arrived; inner `None` = an arrival without payload).

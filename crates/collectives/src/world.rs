@@ -58,10 +58,12 @@ struct ByteMessage {
     available_at: SimTime,
 }
 
-#[derive(Default)]
 struct MailState {
     inbox: HashMap<MailKey, Message>,
     byte_inbox: HashMap<MailKey, ByteMessage>,
+    /// Each rank's commit floor, by clock slot: the minibatch iteration
+    /// it last began ([`CommWorld::commit`]). Zero until it commits.
+    floors: Vec<u64>,
     /// Threads currently parked in [`CommWorld::recv`] /
     /// [`CommWorld::recv_bytes`].
     waiters: usize,
@@ -83,13 +85,19 @@ pub struct CommWorld {
 impl CommWorld {
     /// Creates a world for a job whose ranks map 1:1 onto `clock` slots.
     pub fn new(clock: Arc<ClockBoard>, cost: CostModel, ranks_per_node: usize) -> Arc<Self> {
+        let mail = MailState {
+            inbox: HashMap::new(),
+            byte_inbox: HashMap::new(),
+            floors: vec![0; clock.len()],
+            waiters: 0,
+        };
         Arc::new_cyclic(|world| CommWorld {
             clock,
             cost,
             ranks_per_node,
             next_comm: AtomicU64::new(1),
             comms: Mutex::new(HashMap::new()),
-            mail: Mutex::new(MailState::default()),
+            mail: Mutex::new(mail),
             mail_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
             liveness: Arc::new(Liveness::new(world.clone())),
@@ -215,10 +223,45 @@ impl CommWorld {
     /// iteration, and delivery is idempotent (copy, not consume). During
     /// recovery a pipeline stage that rolls back may legitimately replay a
     /// receive whose producing stage has already advanced past that
-    /// iteration — the original message must still be findable.
+    /// iteration — the original message must still be findable. Only
+    /// [`CommWorld::commit`] drops mail.
     pub fn reset(&self) {
         self.comms.lock().clear();
         self.aborted.store(false, Ordering::Release);
+    }
+
+    /// The minibatch commit of one rank: `rank`, on clock slot
+    /// `clock_idx`, has begun minibatch `iteration`, starting each of its
+    /// communicators in `gens` at the paired generation. From here on it
+    /// replays nothing older, so the world keeps only what some rank can
+    /// still read:
+    ///
+    /// * p2p messages whose `seq` (the sender's iteration, which is the
+    ///   receiver's) is below the minimum committed iteration over all of
+    ///   the world's ranks are dropped. A rank that has not committed, or
+    ///   has departed, holds the minimum down, so the world keeps more;
+    /// * each communicator drops the completed slots below the minimum
+    ///   floor over its members ([`Communicator::commit`]'s rule).
+    ///
+    /// Recovery-stream frames (`send_bytes`) are not touched. The mailbox
+    /// lock and each communicator's state lock are taken one after the
+    /// other, never nested.
+    pub fn commit<'a>(
+        &self,
+        rank: RankId,
+        clock_idx: usize,
+        iteration: u64,
+        gens: impl IntoIterator<Item = (&'a Communicator, u64)>,
+    ) {
+        {
+            let mut mail = self.mail.lock();
+            mail.floors[clock_idx] = iteration;
+            let floor = mail.floors.iter().copied().min().unwrap_or(0);
+            mail.inbox.retain(|&(_, _, _, seq), _| seq >= floor);
+        }
+        for (comm, gen) in gens {
+            comm.commit(rank, gen);
+        }
     }
 
     /// Non-blocking (buffered) point-to-point send, used by pipeline
@@ -538,6 +581,90 @@ mod tests {
         w.reset();
         assert!(!w.is_aborted());
         assert_eq!(w.live_comms(), 0);
+    }
+
+    /// One pipeline minibatch at 2D-2P-1T (two replicas of two stages),
+    /// from one thread: every rank commits `it`, each first stage sends
+    /// its activation, each last stage receives it and sends back its
+    /// gradient, and each first stage receives that. Ranks in `frozen`
+    /// neither commit nor send nor receive (they departed).
+    fn pipeline_minibatch(w: &CommWorld, it: u64, frozen: &[u32]) {
+        let layout = simcore::layout::ParallelLayout::three_d(2, 2, 1);
+        let live = |r: RankId| !frozen.contains(&r.0);
+        for r in (0..4).map(RankId).filter(|r| live(*r)) {
+            w.commit(r, r.index(), it, std::iter::empty());
+        }
+        for first in (0..4).map(RankId).filter(|r| layout.coord(*r).stage == 0) {
+            let mut c = layout.coord(first);
+            c.stage = 1;
+            let last = layout.rank_at(c);
+            if !live(first) || !live(last) {
+                continue;
+            }
+            let (f, l) = (first.index(), last.index());
+            w.send(first, f, last, 1, it, vec![it as f32], 4, true)
+                .unwrap();
+            w.recv(first, last, l, 1, it, &NullObserver).unwrap();
+            w.send(last, l, first, 2, it, vec![-(it as f32)], 4, true)
+                .unwrap();
+            w.recv(last, first, f, 2, it, &NullObserver).unwrap();
+        }
+    }
+
+    #[test]
+    fn commit_keeps_only_the_live_minibatch_of_mail() {
+        let (w, _) = world(4);
+        for it in 0..8 {
+            pipeline_minibatch(&w, it, &[]);
+        }
+        // Two columns, an activation and a gradient each: one minibatch.
+        assert_eq!(w.mail.lock().inbox.len(), 4);
+        // A replayed receive of the live minibatch is still served.
+        assert_eq!(
+            w.recv(RankId(0), RankId(1), 1, 1, 7, &NullObserver)
+                .unwrap(),
+            vec![7.0]
+        );
+    }
+
+    #[test]
+    fn a_rank_that_stops_committing_holds_the_mail_floor() {
+        // Rank 3 departs after iteration 2: the world keeps every message
+        // from its last iteration on, including the other column's.
+        let (w, _) = world(4);
+        for it in 0..3 {
+            pipeline_minibatch(&w, it, &[]);
+        }
+        for it in 3..8 {
+            pipeline_minibatch(&w, it, &[3]);
+        }
+        let mut seqs: Vec<u64> = w.mail.lock().inbox.keys().map(|k| k.3).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs, (2..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn commit_leaves_recovery_stream_frames_alone() {
+        let (w, _) = world(2);
+        w.send_bytes(
+            RankId(0),
+            0,
+            RankId(1),
+            9,
+            0,
+            Bytes::from_static(b"frame"),
+            true,
+        )
+        .unwrap();
+        for it in 1..4 {
+            w.commit(RankId(0), 0, it, std::iter::empty());
+            w.commit(RankId(1), 1, it, std::iter::empty());
+        }
+        assert!(w
+            .try_recv_bytes(RankId(0), RankId(1), 1, 9, 0)
+            .unwrap()
+            .is_some());
     }
 
     #[test]

@@ -1198,6 +1198,49 @@ mod tests {
         assert!(matches!(err, SimError::GpuHardware(_)), "{err}");
     }
 
+    /// Completed collective results cached across the job's
+    /// communicators after `iters` iterations of `tiny_dp(2)`, through
+    /// the proxy client or the direct executor.
+    fn cached_results_after(proxied: bool, iters: u64) -> usize {
+        let cfg = TrainConfig::tiny_dp(2);
+        let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
+        let world = setup.world.clone();
+        let per_rank = setup.per_rank.clone();
+        let results = run_ranks(2, move |i| {
+            let (rank, world) = (RankId(i as u32), world.clone());
+            let gpu = Gpu::new(GpuId(i as u32), CostModel::v100());
+            let (cfg, comms, none) = (cfg.clone(), &per_rank[i], FailureInjector::none());
+            if proxied {
+                let exec = proxy::ProxyClient::new(rank, i, gpu, world);
+                RankTrainer::new(exec, cfg, comms, none)?.train(iters)
+            } else {
+                let exec = DirectExecutor::new(rank, i, gpu, world);
+                RankTrainer::new(exec, cfg, comms, none)?.train(iters)
+            }
+        });
+        for r in results {
+            r.unwrap();
+        }
+        let comms = &setup.per_rank[0];
+        let dp = comms.dp.as_ref().expect("dp group");
+        comms.global.completed_slots() + dp.completed_slots()
+    }
+
+    #[test]
+    fn cached_collective_results_do_not_grow_with_the_step_count() {
+        // Each minibatch commit drops the results no replay can read
+        // again, so the cache holds the live minibatch whatever the step.
+        for proxied in [false, true] {
+            let early = cached_results_after(proxied, 3);
+            assert!(early > 0, "the live minibatch stays cached");
+            assert_eq!(
+                cached_results_after(proxied, 12),
+                early,
+                "proxied: {proxied}"
+            );
+        }
+    }
+
     #[test]
     fn minibatch_time_accumulates_on_virtual_clock() {
         let cfg = TrainConfig::tiny_dp(1);

@@ -972,6 +972,7 @@ impl Executor for ProxyClient {
             .retain(|e| e.freed_seq.map(|f| f >= boundary).unwrap_or(true));
         self.replay_log.clear();
         self.minibatch_start_seq = self.op_seq;
+        self.plane.commit(iteration);
         Ok(())
     }
 

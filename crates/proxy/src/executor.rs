@@ -120,8 +120,10 @@ pub trait Executor: Send {
     /// Receives `(src, tag, seq)` into `buf`.
     fn recv_into(&mut self, src: RankId, tag: u64, seq: u64, buf: BufferId) -> SimResult<()>;
 
-    /// Marks the start of minibatch `iteration`: commits deferred frees
-    /// and (under interception) clears the replay log (§4.1).
+    /// Marks the start of minibatch `iteration`: commits deferred frees,
+    /// commits the rank's communicator generations and iteration to the
+    /// world (which drops cached results and mail no replay can read), and
+    /// (under interception) clears the replay log (§4.1).
     fn begin_minibatch(&mut self, iteration: u64) -> SimResult<()>;
 
     /// Pre-optimizer-step hook (§4.2.2's framework callback).
@@ -262,6 +264,17 @@ impl CommPlane {
 
     pub(crate) fn set_gens(&mut self, gens: Vec<(u64, u64)>) {
         self.gens = gens.into_iter().map(|(t, g)| (CommToken(t), g)).collect();
+    }
+
+    /// The minibatch commit (§4.1's log boundary, on the network side):
+    /// this rank begins minibatch `iteration` with every token at its
+    /// current generation, so the world and each communicator may drop
+    /// what no replay of this rank can ask for again
+    /// ([`CommWorld::commit`]).
+    pub(crate) fn commit(&self, iteration: u64) {
+        let gens = self.comms.iter().map(|(t, c)| (&**c, self.gen_of(*t)));
+        self.world
+            .commit(self.rank, self.clock_idx, iteration, gens);
     }
 
     /// Runs one collective at generation `gen` and returns the result
@@ -509,6 +522,7 @@ impl Executor for DirectExecutor {
     fn begin_minibatch(&mut self, iteration: u64) -> SimResult<()> {
         self.iteration = iteration;
         self.gpu.lock().commit_frees();
+        self.plane.commit(iteration);
         Ok(())
     }
 

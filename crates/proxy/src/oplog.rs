@@ -784,10 +784,12 @@ impl OpLog {
         self.arena.len()
     }
 
-    /// Drops all ops (minibatch boundary). The arena allocation is
-    /// reused by the next minibatch.
+    /// Drops all ops (minibatch boundary) and releases the arena: the
+    /// next minibatch grows its own. Keeping the allocation would keep
+    /// the set-up log's capacity (every initial upload) for the life of
+    /// the job, far more than a minibatch's log needs.
     pub fn clear(&mut self) {
-        self.arena.clear();
+        self.arena = BytesMut::new();
         self.len = 0;
     }
 
@@ -904,13 +906,17 @@ mod arena_tests {
     }
 
     #[test]
-    fn clear_resets_but_reuses_arena() {
+    fn clear_releases_the_set_up_arena() {
+        // The set-up log carries every initial upload; the first commit
+        // must not leave its capacity behind for the minibatch logs.
         let mut log = OpLog::new();
-        log.push(&upload(vid(1)));
-        assert!(log.arena_len() > 0);
+        for v in 0..1024 {
+            log.push(&upload(vid(v)));
+        }
+        assert!(log.arena.capacity() > 16 * 1024);
         log.clear();
         assert!(log.is_empty());
-        assert_eq!(log.arena_len(), 0);
+        assert_eq!((log.arena_len(), log.arena.capacity()), (0, 0));
         log.push(&upload(vid(2)));
         assert_eq!(log.len(), 1);
     }

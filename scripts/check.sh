@@ -22,6 +22,13 @@ cargo test --release -p jitckpt --test codec_golden --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
+# The replay cache's consumers: each recovers by replaying collectives (and
+# pipeline receives) from slots carried across a communicator rebuild, so
+# they guard the minibatch commit floor on the profile the benchmark runs.
+cargo test --release --test cross_crate --quiet -- --exact \
+    multiple_sequential_failures_all_recover_transparently \
+    fsdp_hybrid_shard_job_recovers_transparently \
+    pipeline_job_survives_mid_stage_failure
 
 echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
 sh scripts/surface.sh --check
