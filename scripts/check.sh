@@ -22,6 +22,7 @@ cargo test --release -p jitckpt --test codec_golden --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
+cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
 # The replay cache's consumers: each recovers by replaying collectives (and
 # pipeline receives) from slots carried across a communicator rebuild, so
 # they guard the minibatch commit floor on the profile the benchmark runs.

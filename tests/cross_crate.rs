@@ -808,3 +808,63 @@ fn restart_runners_are_pinned() {
     let finish = vec![0x4017_9c44_3a6b_0bf2; 2];
     assert_eq!(periodic, (2, 2, 8, finish, 18, 16), "periodic");
 }
+
+/// The reports of one transparent run on tiny DP = 2, with a fault of
+/// `kind` armed in `phase` of iteration 3 on rank 1. Recovery moves no
+/// loss.
+fn transparent_reports(kind: FailureKind, phase: Phase) -> Vec<jitckpt::RecoveryReport> {
+    let out = run_transparent_job(
+        dltrain::TrainConfig::tiny_dp(2),
+        CostModel::v100(),
+        FailureInjector::with_specs(vec![FailureSpec::new(3, phase, RankId(1), kind)]),
+        Arc::new(SharedStore::new()),
+        8,
+    )
+    .unwrap();
+    assert_eq!(out.rounds, 1, "{kind:?} in {phase:?}");
+    assert_eq!(loss_bits(&out.losses), GOLDEN_DP2, "{kind:?} moved a loss");
+    out.reports
+}
+
+#[test]
+fn transparent_reports_are_pinned() {
+    let _g = serial();
+    // One run per §4 class, with the faults of `decide`'s table. The
+    // victim's recovery follows program order, so its step times and its
+    // total are pinned bit for bit. A healthy rank's replay length depends
+    // on where the abort reached its thread (see `table7`), so it is not.
+    use FailureKind::*;
+    use Phase::*;
+    // Virtual seconds, by `to_bits`: the comm teardown, the rendezvous of
+    // two communicators and the handle step, which every victim runs.
+    const TEARDOWN: u64 = 0x3feb_3333_3333_3333;
+    const RENDEZVOUS: u64 = 0x4000_0000_0000_0000;
+    const HANDLES: u64 = 0x3f74_7ae1_47ae_147b;
+    const COPY: u64 = 0x3ee0_d102_cb20_0000;
+    #[rustfmt::skip]
+    let rows: [(char, FailureKind, Phase, u64, &[u64]); 4] = [
+        ('a', TransientNetwork, AllReduce, 0x4006_d9b1_b79d_908d,
+         &[TEARDOWN, 0x3f50_624d_d2f1_aa00, RENDEZVOUS, HANDLES, 0x3f33_660e_51d0_2000]),
+        ('b', DriverCorruption, Backward, 0x4011_6eca_189d_e718,
+         &[TEARDOWN, 0x3ff8_0bdd_86b1_3768, RENDEZVOUS, HANDLES, 0x3f33_660e_51d4_c000]),
+        ('c', StickyCuda, Backward, 0x4011_6e9c_ccbe_a6c2,
+         &[TEARDOWN, 0x3ff8_0bcb_e61c_ffe0, RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dbd_c000]),
+        ('d', StickyCuda, OptimizerStep, 0x4011_6e7a_325f_eb47,
+         &[TEARDOWN, 0x3ff8_0bcb_e61c_ffe0, RENDEZVOUS, COPY, HANDLES]),
+    ];
+    for (class, kind, phase, total, steps) in rows {
+        let reports = transparent_reports(kind, phase);
+        let victim = reports.iter().find(|r| r.was_victim).unwrap();
+        let times: Vec<u64> = victim
+            .steps
+            .iter()
+            .map(|s| bits(s.time))
+            .filter(|&t| t != 0)
+            .collect();
+        assert_eq!(
+            (bits(victim.total), &times[..]),
+            (total, steps),
+            "class {class}"
+        );
+    }
+}
