@@ -25,7 +25,7 @@ use jitckpt::analysis::{
     self, monthly_failure_cost_dollars, optimal_frequency, wasted_fraction,
     wasted_rate_jit_transparent, wasted_rate_jit_user, wasted_rate_periodic_optimal, JobParams,
 };
-use jitckpt::transparent::{run_transparent_job_with, TransparentOutcome};
+use jitckpt::transparent::{run_transparent_job_with, Action, TransparentOutcome};
 use jitckpt::user_level::{run_user_level_job, JitUserConfig};
 use jitckpt::workloads::{by_name, Workload};
 use simcore::cost::{CostModel, GpuGeneration};
@@ -529,12 +529,12 @@ pub fn table6() -> Table {
 /// is cut wherever the victim's abort reached its thread, so only the
 /// victim's replay time is a function of the code.
 pub fn table7() -> Table {
-    let step_names = [
-        "Delete communicators and GPU handles",
-        "Recreate NCCL communicators",
-        "Reset GPU buffers",
-        "Recreate GPU handles",
-        "Replay minibatch APIs",
+    let steps = [
+        ("Delete communicators and GPU handles", Action::Teardown),
+        ("Recreate NCCL communicators", Action::Rendezvous),
+        ("Reset GPU buffers", Action::ResetInPlace { charged: true }),
+        ("Recreate GPU handles", Action::RecreateHandles),
+        ("Replay minibatch APIs", Action::Replay),
     ];
     let mut columns: Vec<(String, Vec<f64>)> = Vec::new();
     for (label, w, extras) in transparent_rows(GpuGeneration::V100_32G) {
@@ -545,18 +545,18 @@ pub fn table7() -> Table {
             .iter()
             .find(|r| r.was_victim)
             .expect("the victim reported");
-        let times = step_names
+        let times = steps
             .iter()
-            .map(|name| {
-                let step = report.steps.iter().find(|s| s.name == *name);
-                step.map_or(0.0, |s| s.time.as_secs())
+            .map(|(_, action)| {
+                let step = report.steps.iter().find(|(a, _)| a == action);
+                step.map_or(0.0, |(_, t)| t.as_secs())
             })
             .collect();
         columns.push((label.to_string(), times));
     }
     let mut rows = Vec::new();
-    for (i, step) in step_names.iter().enumerate() {
-        let mut row = vec![step.to_string()];
+    for (i, (label, _)) in steps.iter().enumerate() {
+        let mut row = vec![label.to_string()];
         for (_, times) in &columns {
             row.push(format!("{:.4}", times[i]));
         }

@@ -5,8 +5,15 @@
 //! replays or rolls the victim forward — and [`decide`] is that table: from
 //! what every rank reported on entering a round to each rank's ordered
 //! [`Action`] list, or a typed error naming the cell no healthy replica
-//! can restore. No lock, clock, world or store: the transparent engine
-//! runs the plan.
+//! can restore. Every plan is the whole §4 order:
+//!
+//! ```text
+//! Teardown, <reset | host round trip | restart | migrate | write files …>,
+//! Rendezvous, <CopyFromReplica>, RecreateHandles, <Replay>
+//! ```
+//!
+//! No lock, clock, world or store: the transparent engine runs the plan,
+//! one action after the other.
 
 use proxy::{MinibatchPosition, RecoveryOutcome};
 use simcore::layout::ParallelLayout;
@@ -37,7 +44,9 @@ pub enum RecoveryMode {
 
 /// One step of a rank's recovery, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Action {
+pub enum Action {
+    /// Delete the communicators and GPU handles.
+    Teardown,
     /// Reset to minibatch start in place (§4.2.1 case 1); `charged` adds 1 ms.
     ResetInPlace { charged: bool },
     /// Host round trip of the persistent state around a proxy restart (case 2).
@@ -48,8 +57,12 @@ pub(crate) enum Action {
     Migrate,
     /// Write the §4.3 buffer files; charge the worker's CRIU round trip.
     WriteHardFiles,
+    /// Rebuild every communicator: one rendezvous per group.
+    Rendezvous,
     /// Take part in the cell's copy of persistent state from `root`.
     CopyFromReplica { root: RankId },
+    /// Recreate the GPU handles.
+    RecreateHandles,
     /// Replay the minibatch's logged device APIs.
     Replay,
 }
@@ -65,8 +78,6 @@ pub(crate) struct RankPlan {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RecoveryPlan {
     pub(crate) mode: RecoveryMode,
-    /// Some rank is hard-failed (§4.3): every rank's report says so.
-    pub(crate) hard: bool,
     pub(crate) ranks: Vec<RankPlan>,
 }
 
@@ -117,15 +128,18 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
         }
     }
     let rank_plan = |(i, s): (usize, &RankStatus)| {
-        let mut actions = match (mode, s.health) {
+        let mut actions = vec![Teardown];
+        // Each rank resets its own state before the rendezvous, so every
+        // rank arrives there ready.
+        match (mode, s.health) {
             // Healthy non-victims keep their in-flight minibatch state.
-            (RollForward, _) if !s.is_victim => vec![],
-            (_, HardwareFailed) => vec![Migrate],
-            (MinibatchReplay, Healthy) => vec![ResetInPlace { charged: true }],
-            (MinibatchReplay, DriverSuspect) => vec![HostRoundTrip],
-            (_, Sticky | DriverSuspect) => vec![Restart],
-            (RollForward, Healthy) => vec![ResetInPlace { charged: false }],
-        };
+            (RollForward, _) if !s.is_victim => {}
+            (_, HardwareFailed) => actions.push(Migrate),
+            (MinibatchReplay, Healthy) => actions.push(ResetInPlace { charged: true }),
+            (MinibatchReplay, DriverSuspect) => actions.push(HostRoundTrip),
+            (_, Sticky | DriverSuspect) => actions.push(Restart),
+            (RollForward, Healthy) => actions.push(ResetInPlace { charged: false }),
+        }
         // Everyone else in a hard round contributes buffer files and a
         // CRIU image (all workers migrate together), then rewinds the
         // state it re-read after the move for the replay.
@@ -135,10 +149,12 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
                 actions.push(ResetInPlace { charged: false });
             }
         }
+        actions.push(Rendezvous);
         let c = layout.coord(RankId(i as u32));
         if let Some(&root) = cell_sync.get(&(c.stage, c.part)) {
             actions.push(CopyFromReplica { root });
         }
+        actions.push(RecreateHandles);
         if mode == MinibatchReplay {
             actions.push(Replay);
         }
@@ -150,7 +166,7 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
         RankPlan { actions, outcome }
     };
     let ranks = arrived.iter().enumerate().map(rank_plan).collect();
-    Ok(RecoveryPlan { mode, hard, ranks })
+    Ok(RecoveryPlan { mode, ranks })
 }
 
 #[cfg(test)]
@@ -172,6 +188,31 @@ mod tests {
     const RESET: Action = ResetInPlace { charged: true };
     const RESET_AGAIN: Action = ResetInPlace { charged: false };
 
+    /// Where an action may sit in the §4 order: every plan is sorted by it
+    /// and holds each of `Teardown`, `Rendezvous` and `RecreateHandles`
+    /// once.
+    fn order(a: Action) -> usize {
+        match a {
+            Teardown => 0,
+            ResetInPlace { .. } | HostRoundTrip | Restart | Migrate | WriteHardFiles => 1,
+            Rendezvous => 2,
+            CopyFromReplica { .. } => 3,
+            RecreateHandles => 4,
+            Replay => 5,
+        }
+    }
+
+    fn assert_section_4_order(actions: &[Action], row: &str) {
+        let stages: Vec<usize> = actions.iter().map(|&a| order(a)).collect();
+        assert!(stages.is_sorted(), "{row}: {actions:?}");
+        for once in [Teardown, Rendezvous, RecreateHandles] {
+            let n = actions.iter().filter(|&&a| a == once).count();
+            assert_eq!(n, 1, "{row}: {once:?} in {actions:?}");
+        }
+        let replays = actions.iter().filter(|&&a| a == Replay).count();
+        assert!(replays <= 1, "{row}: {actions:?}");
+    }
+
     /// What a round does, by role: the victim, its replica in the same
     /// cell, and every rank of the other cells.
     #[derive(Clone, Copy)]
@@ -189,22 +230,22 @@ mod tests {
     /// §4.2.1 case 1: everyone resets in place and replays.
     const IN_PLACE: Expect = Expect {
         mode: MinibatchReplay,
-        victim: &[RESET, Replay],
+        victim: &[Teardown, RESET, Rendezvous, RecreateHandles, Replay],
         victim_outcome: Retry,
-        replica: &[RESET, Replay],
-        bystander: &[RESET, Replay],
+        replica: &[Teardown, RESET, Rendezvous, RecreateHandles, Replay],
+        bystander: &[Teardown, RESET, Rendezvous, RecreateHandles, Replay],
         without_replica: true,
     };
     /// §4.2.1 case 2: the victim's state survives a host round trip.
     const HOST_ROUND_TRIP: Expect = Expect {
-        victim: &[HostRoundTrip, Replay],
+        victim: &[Teardown, HostRoundTrip, Rendezvous, RecreateHandles, Replay],
         ..IN_PLACE
     };
     /// §4.2.1 case 3: the victim restarts and its cell copies state from
     /// the replica.
     const REPLICA_COPY: Expect = Expect {
-        victim: &[Restart, COPY, Replay],
-        replica: &[RESET, COPY, Replay],
+        victim: &[Teardown, Restart, Rendezvous, COPY, RecreateHandles, Replay],
+        replica: &[Teardown, RESET, Rendezvous, COPY, RecreateHandles, Replay],
         without_replica: false,
         ..IN_PLACE
     };
@@ -212,29 +253,45 @@ mod tests {
     /// ahead; nobody replays.
     const ROLL_FORWARD: Expect = Expect {
         mode: RollForward,
-        victim: &[Restart, COPY],
+        victim: &[Teardown, Restart, Rendezvous, COPY, RecreateHandles],
         victim_outcome: SkipToNextMinibatch,
-        replica: &[COPY],
-        bystander: &[],
+        replica: &[Teardown, Rendezvous, COPY, RecreateHandles],
+        bystander: &[Teardown, Rendezvous, RecreateHandles],
         without_replica: false,
     };
     /// §4.3: the victim migrates and reads the files every other rank
     /// writes, then the round replays.
     const MIGRATE_REPLAY: Expect = Expect {
         mode: MinibatchReplay,
-        victim: &[Migrate, Replay],
+        victim: &[Teardown, Migrate, Rendezvous, RecreateHandles, Replay],
         victim_outcome: Retry,
-        replica: &[RESET, WriteHardFiles, RESET_AGAIN, Replay],
-        bystander: &[RESET, WriteHardFiles, RESET_AGAIN, Replay],
+        replica: &[
+            Teardown,
+            RESET,
+            WriteHardFiles,
+            RESET_AGAIN,
+            Rendezvous,
+            RecreateHandles,
+            Replay,
+        ],
+        bystander: &[
+            Teardown,
+            RESET,
+            WriteHardFiles,
+            RESET_AGAIN,
+            Rendezvous,
+            RecreateHandles,
+            Replay,
+        ],
         without_replica: false,
     };
     /// §4.3 past the optimizer: migrate, then roll forward.
     const MIGRATE_ROLL_FORWARD: Expect = Expect {
         mode: RollForward,
-        victim: &[Migrate],
+        victim: &[Teardown, Migrate, Rendezvous, RecreateHandles],
         victim_outcome: SkipToNextMinibatch,
-        replica: &[WriteHardFiles],
-        bystander: &[WriteHardFiles],
+        replica: &[Teardown, WriteHardFiles, Rendezvous, RecreateHandles],
+        bystander: &[Teardown, WriteHardFiles, Rendezvous, RecreateHandles],
         without_replica: false,
     };
 
@@ -353,9 +410,11 @@ mod tests {
                             .collect();
                         let want = RecoveryPlan {
                             mode: expect.mode,
-                            hard: expect.victim.contains(&Migrate),
                             ranks,
                         };
+                        for plan in &want.ranks {
+                            assert_section_4_order(&plan.actions, &row);
+                        }
                         assert_eq!(got, Ok(want), "{row}");
                     }
                 }

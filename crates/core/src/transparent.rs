@@ -7,12 +7,13 @@
 //! too (the per-rank watchdogs do the same for hangs the engine hasn't
 //! seen yet). Once **all** ranks have arrived, the last arrival decides
 //! the round with [`crate::decide`] — minibatch replay (§4.2.1), roll
-//! forward (§4.2.2) or migration (§4.3) — and every rank executes its
-//! share of the plan. Every step's duration is charged to the rank's
-//! virtual clock and recorded in a [`RecoveryReport`] — the raw data
-//! behind Tables 5–7.
+//! forward (§4.2.2) or migration (§4.3) — and every rank runs its share of
+//! the plan: each [`Action`] in the order `decide` listed it, teardown,
+//! rendezvous and handle recreation included. Each action is charged to
+//! the rank's virtual clock and recorded once in a [`RecoveryReport`] —
+//! the raw data behind Tables 5–7.
 
-use crate::decide::{decide, Action, RankStatus, RecoveryPlan};
+use crate::decide::{decide, RankStatus, RecoveryPlan};
 use cluster::SharedStore;
 use dltrain::{build_comms, JobComms};
 use proxy::{
@@ -28,28 +29,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use crate::decide::RecoveryMode;
-
-/// One step of a recovery, with its virtual duration (Table 7 rows).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryStep {
-    /// Step label (matches the paper's breakdown).
-    pub name: String,
-    /// Virtual duration.
-    pub time: SimTime,
-}
-
-fn step(name: &str, time: SimTime) -> RecoveryStep {
-    RecoveryStep {
-        name: name.into(),
-        time,
-    }
-}
-
-/// Virtual time `client` spent since `t0`.
-fn since(client: &ProxyClient, t0: SimTime) -> SimTime {
-    client.now().saturating_sub(t0)
-}
+pub use crate::decide::{Action, RecoveryMode};
 
 /// Timing report for one rank's recovery (Tables 5–7).
 #[derive(Debug, Clone)]
@@ -60,11 +40,10 @@ pub struct RecoveryReport {
     pub mode: RecoveryMode,
     /// Whether this rank's GPU was the failed one.
     pub was_victim: bool,
-    /// Whether a hard (migration) path ran.
-    pub hard: bool,
-    /// Per-step durations.
-    pub steps: Vec<RecoveryStep>,
-    /// Total recovery time for this rank.
+    /// The actions that ran, in order, each with its virtual duration
+    /// (Table 7 rows).
+    pub steps: Vec<(Action, SimTime)>,
+    /// Total recovery time for this rank: the sum of `steps`.
     pub total: SimTime,
 }
 
@@ -74,6 +53,7 @@ pub struct RecoveryReport {
 const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(1500);
 
 struct RoundPlan {
+    round: u64,
     decision: RecoveryPlan,
     /// Fresh communicator bundles (per rank).
     new_comms: Vec<JobComms>,
@@ -193,7 +173,7 @@ impl TransparentEngine {
     /// Rank-enter protocol: register status, make sure everyone else will
     /// surface, wait for the full quorum, and have the last arrival decide
     /// the round. A round [`decide`] rejects fails on every rank at once.
-    fn rank_enter(&self, rank: RankId, status: RankStatus) -> SimResult<(u64, Arc<RoundPlan>)> {
+    fn rank_enter(&self, rank: RankId, status: RankStatus) -> SimResult<Arc<RoundPlan>> {
         // Ensure every peer surfaces (idempotent with watchdog aborts).
         self.world.abort_all();
         let n = self.layout.world_size();
@@ -202,12 +182,13 @@ impl TransparentEngine {
         st.arrived.insert(rank, status);
         if st.arrived.len() == n {
             let statuses: Vec<RankStatus> = st.arrived.values().copied().collect();
-            st.plan = Some(decide(&self.layout, &statuses).map(|d| Arc::new(self.plan_round(d))));
+            let verdict = decide(&self.layout, &statuses);
+            st.plan = Some(verdict.map(|d| Arc::new(self.plan_round(round, d))));
             self.cv.notify_all();
         }
         self.wait_until(&mut st, |s| s.plan.is_some());
         match &st.plan {
-            Some(verdict) => verdict.clone().map(|plan| (round, plan)),
+            Some(verdict) => verdict.clone(),
             None => Err(SimError::Protocol(format!(
                 "recovery quorum timeout: {}/{n} ranks arrived in round {round}",
                 st.arrived.len()
@@ -261,7 +242,7 @@ impl TransparentEngine {
     /// process groups included, on a clean world. Each rank's rebind makes
     /// the new communicators adopt their predecessors' completed-slot
     /// caches, so replayed operations need no re-participation.
-    fn plan_round(&self, decision: RecoveryPlan) -> RoundPlan {
+    fn plan_round(&self, round: u64, decision: RecoveryPlan) -> RoundPlan {
         self.world.reset();
         let mut new_comms = build_comms(&self.layout, &self.world);
         let n = self.layout.world_size();
@@ -274,6 +255,7 @@ impl TransparentEngine {
             }
         }
         RoundPlan {
+            round,
             decision,
             new_comms,
         }
@@ -331,9 +313,8 @@ impl TransparentEngine {
     /// The hard-error path for a *healthy* rank: write every persistent
     /// buffer to the shared store under the cross-rank-stable key, and
     /// take a CRIU checkpoint of the worker CPU state (§4.3).
-    fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<RecoveryStep> {
+    fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
-        let t0 = client.now();
         let (snap, bytes) = client.snapshot_persistent_to_host()?;
         let cost = client.server().gpu().cost_model().clone();
         for (key, _tag, data) in snap {
@@ -361,15 +342,14 @@ impl TransparentEngine {
         // Restore on the new node, then read the GPU state back there.
         client.charge(cost.criu(criu_bytes));
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
-        Ok(step("JIT checkpoint + CRIU + restore", since(client, t0)))
+        Ok(())
     }
 
     /// The hard-error path for the *victim*: migrate to a replacement GPU
     /// under the CRIU-preserved worker, re-create persistent objects, and
     /// fill them from the buffer files the replicas wrote.
-    fn hard_victim_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<RecoveryStep> {
+    fn hard_victim_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
-        let t0 = client.now();
         let new_gpu = (self.gpu_allocator.lock())(client.rank());
         let cost = new_gpu.cost_model().clone();
         // CRIU image taken before migration, restored on the new node —
@@ -408,8 +388,7 @@ impl TransparentEngine {
         let gpu = client.server_mut().gpu_mut();
         gpu.restore_persistent(&restored)?;
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
-        let name = "migrate + CRIU restore + read replica buffers";
-        Ok(step(name, since(client, t0)))
+        Ok(())
     }
 }
 
@@ -431,74 +410,19 @@ impl RecoveryHandler for TransparentEngine {
         // recovery collectives (rendezvous, replica sync, replay) run at
         // coordination pace and must not be mistaken for hangs.
         client.set_observer(Arc::new(collectives::NullObserver));
-        let (round, plan) = self.rank_enter(rank, status)?;
+        let plan = self.rank_enter(rank, status)?;
         let mine = &plan.decision.ranks[rank.index()];
-        let mut actions = mine.actions.iter().copied().peekable();
-        let mut steps: Vec<RecoveryStep> = Vec::new();
-
-        // Step 1: delete communicators and GPU handles.
-        let t0 = client.now();
-        let cost = client.server().gpu().cost_model().clone();
-        client.charge(cost.comm_teardown);
-        steps.push(step(
-            "Delete communicators and GPU handles",
-            since(client, t0),
-        ));
-
-        // Step 2 (ordering): per-rank state reset BEFORE the collective
-        // rendezvous, so every rank arrives at the rendezvous ready.
-        let t0 = client.now();
-        while let Some(action) =
-            actions.next_if(|a| !matches!(a, Action::CopyFromReplica { .. } | Action::Replay))
-        {
-            self.execute(client, round, action, &[], &mut steps)?;
+        let mut steps = Vec::with_capacity(mine.actions.len());
+        for &action in &mine.actions {
+            steps.push((action, self.execute(client, &plan, action)?));
         }
-        steps.push(step("Reset GPU buffers", since(client, t0)));
-
-        // Step 3: recreate communicators (rendezvous per group — the
-        // dominant cost, Table 7). The step is reported at its intrinsic
-        // cost (bootstrap time × groups); the virtual clock additionally
-        // absorbs barrier waits for straggling peers, which the paper's
-        // per-rank measurements exclude.
-        let bundle = plan.new_comms[rank.index()].clone();
-        let tokens = self.rebind_comms(client, &bundle)?;
-        for token in &tokens {
-            client.rendezvous_comm(*token)?;
-        }
-        let comm_init = client.server().gpu().cost_model().comm_init;
-        steps.push(step(
-            "Recreate NCCL communicators",
-            SimTime::from_secs(comm_init.as_secs() * tokens.len() as f64),
-        ));
-
-        // Step 4: replica state sync for cells that lost state.
-        while let Some(action) = actions.next_if(|a| matches!(a, Action::CopyFromReplica { .. })) {
-            self.execute(client, round, action, &tokens, &mut steps)?;
-        }
-
-        // Step 5: recreate GPU handles happened inside reset_with_restart;
-        // charge a nominal entry for the in-place case to keep reports
-        // uniform.
-        steps.push(step("Recreate GPU handles", SimTime::from_millis(5.0)));
-        client.charge(SimTime::from_millis(5.0));
-
-        // Step 6: replay the minibatch device APIs (a roll-forward round
-        // reports the step at zero).
-        if !mine.actions.contains(&Action::Replay) {
-            steps.push(step("Replay minibatch APIs", SimTime::ZERO));
-        }
-        for action in actions {
-            self.execute(client, round, action, &tokens, &mut steps)?;
-        }
-
         // Per-rank recovery time = this rank's own work (Σ steps), the
         // paper's Table 5/6 metric.
-        let total = steps.iter().fold(SimTime::ZERO, |acc, s| acc + s.time);
+        let total = steps.iter().fold(SimTime::ZERO, |acc, &(_, t)| acc + t);
         self.reports.lock().push(RecoveryReport {
             rank,
             mode: plan.decision.mode,
             was_victim: status.is_victim,
-            hard: plan.decision.hard,
             steps,
             total,
         });
@@ -510,17 +434,21 @@ impl RecoveryHandler for TransparentEngine {
 }
 
 impl TransparentEngine {
-    /// Runs one action of this rank's plan. `tokens` are the rebuilt
-    /// communicators (empty before the rendezvous).
+    /// Runs one action of this rank's plan and returns its virtual
+    /// duration: the clock's advance, except where the rendezvous and the
+    /// handle step report their intrinsic cost.
     fn execute(
         &self,
         client: &mut ProxyClient,
-        round: u64,
+        plan: &RoundPlan,
         action: Action,
-        tokens: &[CommToken],
-        steps: &mut Vec<RecoveryStep>,
-    ) -> SimResult<()> {
+    ) -> SimResult<SimTime> {
+        let t0 = client.now();
         match action {
+            Action::Teardown => {
+                let teardown = client.server().gpu().cost_model().comm_teardown;
+                client.charge(teardown);
+            }
             Action::ResetInPlace { charged } => {
                 client.reset_in_place()?;
                 if charged {
@@ -533,29 +461,50 @@ impl TransparentEngine {
                 client.restore_persistent_from_host(&snap, bytes)?;
             }
             Action::Restart => client.reset_with_restart()?,
-            Action::Migrate => steps.push(self.hard_victim_side(client, round)?),
-            Action::WriteHardFiles => steps.push(self.hard_healthy_side(client, round)?),
+            Action::Migrate => self.hard_victim_side(client, plan.round)?,
+            Action::WriteHardFiles => self.hard_healthy_side(client, plan.round)?,
+            Action::Rendezvous => {
+                // One rendezvous per group — the dominant cost (Table 7).
+                // It is reported at its intrinsic cost (bootstrap time ×
+                // groups); the clock also absorbs barrier waits for
+                // straggling peers, which the paper's per-rank figures
+                // exclude.
+                let bundle = &plan.new_comms[client.rank().index()];
+                let tokens = self.rebind_comms(client, bundle)?;
+                for token in &tokens {
+                    client.rendezvous_comm(*token)?;
+                }
+                let comm_init = client.server().gpu().cost_model().comm_init;
+                return Ok(SimTime::from_secs(
+                    comm_init.as_secs() * tokens.len() as f64,
+                ));
+            }
             Action::CopyFromReplica { root } => {
-                let t0 = client.now();
                 // Use the data-parallel communicator for the copy.
                 let dp_group = self.layout.dp_group_of(client.rank());
-                let dp_token = tokens
-                    .iter()
-                    .find(|t| client.comm(**t).is_ok_and(|c| c.ranks() == dp_group))
-                    .copied()
+                let dp_token = client
+                    .comm_tokens()
+                    .into_iter()
+                    .find(|t| client.comm(*t).is_ok_and(|c| c.ranks() == dp_group))
                     .ok_or_else(|| {
                         SimError::Protocol("no data-parallel communicator for replica sync".into())
                     })?;
                 client.sync_persistent_from_replica(dp_token, root)?;
-                steps.push(step("Copy state from replica", since(client, t0)));
+            }
+            Action::RecreateHandles => {
+                // Handles were recreated inside any restart or migration;
+                // the step charges a nominal 5 ms and reports exactly that,
+                // not the clock's advance, which rounds differently at the
+                // clock's post-rendezvous magnitude.
+                let nominal = SimTime::from_millis(5.0);
+                client.charge(nominal);
+                return Ok(nominal);
             }
             Action::Replay => {
-                let t0 = client.now();
                 client.replay()?;
-                steps.push(step("Replay minibatch APIs", since(client, t0)));
             }
         }
-        Ok(())
+        Ok(client.now().saturating_sub(t0))
     }
 
     /// Helper used by harnesses that allocate replacement GPUs from a

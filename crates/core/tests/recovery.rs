@@ -4,7 +4,7 @@
 //! of Table 1.
 
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
-use jitckpt::transparent::run_transparent_job;
+use jitckpt::transparent::{run_transparent_job, Action};
 use jitckpt::user_level::{run_user_level_job, JitUserConfig};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
@@ -221,7 +221,7 @@ fn transparent_recovers_transient_network_fault() {
     // Every rank filed a report with the Table 7 steps.
     assert_eq!(out.reports.len(), 2);
     for r in &out.reports {
-        assert!(r.steps.iter().any(|s| s.name.contains("Recreate NCCL")));
+        assert!(r.steps.iter().any(|&(a, _)| a == Action::Rendezvous));
     }
 }
 
@@ -253,7 +253,7 @@ fn transparent_recovers_sticky_error_via_replica_copy() {
     assert!(victim
         .steps
         .iter()
-        .any(|s| s.name.contains("Copy state from replica")));
+        .any(|(a, _)| matches!(a, Action::CopyFromReplica { .. })));
 }
 
 #[test]
@@ -329,7 +329,7 @@ fn transparent_recovers_hard_error_by_migration() {
     assert_eq!(out.rounds, 1);
     assert_losses_match(&out.losses, &clean);
     let victim = out.reports.iter().find(|r| r.rank == RankId(1)).unwrap();
-    assert!(victim.hard);
+    assert!(victim.steps.iter().any(|&(a, _)| a == Action::Migrate));
 }
 
 #[test]
@@ -407,7 +407,15 @@ fn transparent_recovers_node_failure_via_migration_of_all_its_ranks() {
     .unwrap();
     assert_eq!(out.rounds, 1);
     assert_losses_match(&out.losses, &clean);
-    let hard = out.reports.iter().filter(|r| r.hard).count();
+    let hard = out
+        .reports
+        .iter()
+        .filter(|r| {
+            r.steps
+                .iter()
+                .any(|&(a, _)| a == Action::Migrate || a == Action::WriteHardFiles)
+        })
+        .count();
     assert_eq!(hard, 4, "every rank participates in the hard round");
 }
 

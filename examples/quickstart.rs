@@ -59,6 +59,10 @@ fn main() {
             r.was_victim,
             r.total.as_secs()
         );
+        for (action, time) in &r.steps {
+            let action = format!("{action:?}");
+            println!("    {action:40} {:>9.3}s", time.as_secs());
+        }
     }
     println!("\nThe training loop never saw an error — that is the point of §4.");
 }

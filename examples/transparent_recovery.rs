@@ -62,8 +62,9 @@ fn main() {
             .find(|r| r.rank == RankId(5))
             .expect("victim report");
         println!("  mode: {:?}, recovery rounds: {}", victim.mode, out.rounds);
-        for s in &victim.steps {
-            println!("    {:45} {:>9.3}s", s.name, s.time.as_secs());
+        for (action, time) in &victim.steps {
+            let action = format!("{action:?}");
+            println!("    {action:45} {:>9.3}s", time.as_secs());
         }
         println!("    {:45} {:>9.3}s (total)", "", victim.total.as_secs());
         let finite = out.losses[2].iter().filter(|l| l.is_finite()).count();

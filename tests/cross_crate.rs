@@ -832,7 +832,10 @@ fn transparent_reports_are_pinned() {
     // One run per §4 class, with the faults of `decide`'s table. The
     // victim's recovery follows program order, so its step times and its
     // total are pinned bit for bit. A healthy rank's replay length depends
-    // on where the abort reached its thread (see `table7`), so it is not.
+    // on where the abort reached its thread (see `table7`), so only the
+    // class (e) healthy rank's work before its replay is pinned: one
+    // buffer-file write, recorded once (EXPERIMENTS.md derives it).
+    use jitckpt::transparent::Action;
     use FailureKind::*;
     use Phase::*;
     // Virtual seconds, by `to_bits`: the comm teardown, the rendezvous of
@@ -841,8 +844,9 @@ fn transparent_reports_are_pinned() {
     const RENDEZVOUS: u64 = 0x4000_0000_0000_0000;
     const HANDLES: u64 = 0x3f74_7ae1_47ae_147b;
     const COPY: u64 = 0x3ee0_d102_cb20_0000;
+    const E_HEALTHY_BEFORE_REPLAY: u64 = 0x4027_7866_feb6_f9f7;
     #[rustfmt::skip]
-    let rows: [(char, FailureKind, Phase, u64, &[u64]); 4] = [
+    let rows: [(char, FailureKind, Phase, u64, &[u64]); 5] = [
         ('a', TransientNetwork, AllReduce, 0x4006_d9b1_b79d_908d,
          &[TEARDOWN, 0x3f50_624d_d2f1_aa00, RENDEZVOUS, HANDLES, 0x3f33_660e_51d0_2000]),
         ('b', DriverCorruption, Backward, 0x4011_6eca_189d_e718,
@@ -851,6 +855,8 @@ fn transparent_reports_are_pinned() {
          &[TEARDOWN, 0x3ff8_0bcb_e61c_ffe0, RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dbd_c000]),
         ('d', StickyCuda, OptimizerStep, 0x4011_6e7a_325f_eb47,
          &[TEARDOWN, 0x3ff8_0bcb_e61c_ffe0, RENDEZVOUS, COPY, HANDLES]),
+        ('e', GpuHardware, Backward, 0x401b_63ee_28b4_76a1,
+         &[TEARDOWN, 0x400f_f08c_df3a_d254, RENDEZVOUS, HANDLES, 0x3f21_4d2f_5dc6_0000]),
     ];
     for (class, kind, phase, total, steps) in rows {
         let reports = transparent_reports(kind, phase);
@@ -858,7 +864,7 @@ fn transparent_reports_are_pinned() {
         let times: Vec<u64> = victim
             .steps
             .iter()
-            .map(|s| bits(s.time))
+            .map(|&(_, t)| bits(t))
             .filter(|&t| t != 0)
             .collect();
         assert_eq!(
@@ -866,5 +872,18 @@ fn transparent_reports_are_pinned() {
             (total, steps),
             "class {class}"
         );
+        if class != 'e' {
+            continue;
+        }
+        for healthy in reports.iter().filter(|r| !r.was_victim) {
+            let Some((&(Action::Replay, replay), work)) = healthy.steps.split_last() else {
+                panic!("class e: {healthy:?} does not end in its replay");
+            };
+            let work = work
+                .iter()
+                .fold(simcore::SimTime::ZERO, |acc, &(_, t)| acc + t);
+            assert_eq!(bits(work), E_HEALTHY_BEFORE_REPLAY, "class e: {healthy:?}");
+            assert_eq!(healthy.total, work + replay, "class e: {healthy:?}");
+        }
     }
 }
