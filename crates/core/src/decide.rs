@@ -259,30 +259,24 @@ mod tests {
         bystander: &[Teardown, Rendezvous, RecreateHandles],
         without_replica: false,
     };
+    /// Every healthy rank of a §4.3 replay round.
+    const WRITE_FILES_REPLAY: &[Action] = &[
+        Teardown,
+        RESET,
+        WriteHardFiles,
+        RESET_AGAIN,
+        Rendezvous,
+        RecreateHandles,
+        Replay,
+    ];
     /// §4.3: the victim migrates and reads the files every other rank
     /// writes, then the round replays.
     const MIGRATE_REPLAY: Expect = Expect {
         mode: MinibatchReplay,
         victim: &[Teardown, Migrate, Rendezvous, RecreateHandles, Replay],
         victim_outcome: Retry,
-        replica: &[
-            Teardown,
-            RESET,
-            WriteHardFiles,
-            RESET_AGAIN,
-            Rendezvous,
-            RecreateHandles,
-            Replay,
-        ],
-        bystander: &[
-            Teardown,
-            RESET,
-            WriteHardFiles,
-            RESET_AGAIN,
-            Rendezvous,
-            RecreateHandles,
-            Replay,
-        ],
+        replica: WRITE_FILES_REPLAY,
+        bystander: WRITE_FILES_REPLAY,
         without_replica: false,
     };
     /// §4.3 past the optimizer: migrate, then roll forward.
