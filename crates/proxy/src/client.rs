@@ -1423,43 +1423,88 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn sync_persistent_from_replica_copies_state() -> SimResult<()> {
-        use std::thread;
-        let clock = Arc::new(ClockBoard::new(2));
-        let world = CommWorld::new(clock, CostModel::v100(), 8);
+    /// A client of `world` holding one `Param` buffer per length in
+    /// `lens`, element `i` of each filled with `fill(i)`.
+    fn replica(
+        rank: u32,
+        world: &Arc<CommWorld>,
+        lens: &[usize],
+        fill: fn(usize) -> f32,
+    ) -> SimResult<ProxyClient> {
+        let gpu = Gpu::new(GpuId(rank), CostModel::v100());
+        let mut c = ProxyClient::new(RankId(rank), rank as usize, gpu, world.clone());
+        for (b, &len) in lens.iter().enumerate() {
+            let data = (0..len).map(fill).collect();
+            alloc(&mut c, &format!("w{b}"), data, BufferTag::Param)?;
+        }
+        c.flush_pending()?;
+        Ok(c)
+    }
+
+    /// Quiet and signalling NaN payloads of both signs, −0.0, subnormals
+    /// and ordinary values, by element index.
+    fn special(i: usize) -> f32 {
+        let i = i as u32;
+        f32::from_bits(match i % 5 {
+            0 => 0x7fc0_0000 | i,
+            1 => 0xff80_0001 | (i << 3),
+            2 => 0x8000_0000,
+            3 => i,
+            _ => i.wrapping_mul(0x9E37_79B9),
+        })
+    }
+
+    /// Rank 1, holding buffers of the `receiver` lengths, syncs from rank
+    /// 0, holding the `root` lengths of `special` values, on a fresh
+    /// two-rank world. Returns the receiver's checksums before the sync,
+    /// the receiver, and what its sync returned.
+    fn sync_into(
+        root: &[usize],
+        receiver: &[usize],
+    ) -> SimResult<(BTreeMap<BufferId, u64>, ProxyClient, SimResult<()>)> {
+        let world = CommWorld::new(Arc::new(ClockBoard::new(2)), CostModel::v100(), 8);
         let comm = world.create_comm(vec![RankId(0), RankId(1)], vec![0, 1]);
-        let mk =
-            |rank: u32, idx: usize, val: f32, world: &Arc<CommWorld>| -> SimResult<ProxyClient> {
-                let mut c = ProxyClient::new(
-                    RankId(rank),
-                    idx,
-                    Gpu::new(GpuId(rank), CostModel::v100()),
-                    world.clone(),
-                );
-                alloc(&mut c, "w", vec![val; 4], BufferTag::Param)?;
-                Ok(c)
-            };
-        let mut c0 = mk(0, 0, 9.0, &world)?;
-        let mut c1 = mk(1, 1, 0.0, &world)?;
-        let t0 = c0.register_comm(comm.clone());
-        let t1 = c1.register_comm(comm.clone());
-        let h0 = thread::spawn(move || -> SimResult<ProxyClient> {
-            c0.sync_persistent_from_replica(t0, RankId(0))?;
-            Ok(c0)
-        });
-        let h1 = thread::spawn(move || -> SimResult<ProxyClient> {
-            c1.sync_persistent_from_replica(t1, RankId(0))?;
-            Ok(c1)
-        });
-        let _c0 = h0
-            .join()
-            .map_err(|_| SimError::Protocol("rank 0 panicked".into()))??;
-        let mut c1 = h1
-            .join()
-            .map_err(|_| SimError::Protocol("rank 1 panicked".into()))??;
-        let vb = c1.vmap.buffer_vids()[0];
-        assert_eq!(download(&mut c1, BufferId(vb))?, vec![9.0; 4]);
+        let c0 = replica(0, &world, root, special)?;
+        let c1 = replica(1, &world, receiver, |_| 1.5)?;
+        let before = c1.server().gpu().checksum_all();
+        let sync = |mut c: ProxyClient| {
+            let comm = comm.clone();
+            std::thread::spawn(move || {
+                let token = c.register_comm(comm);
+                let res = c.sync_persistent_from_replica(token, RankId(0));
+                (c, res)
+            })
+        };
+        let (h0, h1) = (sync(c0), sync(c1));
+        let panicked = |_| SimError::Protocol("a rank panicked".into());
+        h0.join().map_err(panicked)?.1?;
+        let (c1, res) = h1.join().map_err(panicked)?;
+        Ok((before, c1, res))
+    }
+
+    #[test]
+    fn sync_persistent_from_replica_checks_the_layout_then_copies_every_bit() -> SimResult<()> {
+        let root = [3, 5];
+        // A receiver one element short of the root's layout, then one
+        // element long: refused before a byte of it is written.
+        for (receiver, err) in [
+            ([3, 4], "replica state longer than local layout"),
+            ([3, 6], "replica state shorter than local layout"),
+        ] {
+            let (before, c1, res) = sync_into(&root, &receiver)?;
+            assert_eq!(res, Err(SimError::Protocol(err.into())), "{receiver:?}");
+            assert_eq!(c1.server().gpu().checksum_all(), before, "{receiver:?}");
+        }
+        let (_, c1, res) = sync_into(&root, &root)?;
+        res?;
+        let bits = |data: &[f32]| data.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let (got, _) = c1.server().gpu().snapshot_persistent();
+        let got: Vec<Vec<u32>> = got.iter().map(|(_, _, data)| bits(data)).collect();
+        let want: Vec<Vec<u32>> = root
+            .iter()
+            .map(|&n| bits(&(0..n).map(special).collect::<Vec<f32>>()))
+            .collect();
+        assert_eq!(got, want);
         Ok(())
     }
 }

@@ -887,3 +887,69 @@ fn transparent_reports_are_pinned() {
         }
     }
 }
+
+/// Runs `cfg` for `iters` iterations with `faults` armed, and checks that
+/// each fault took one recovery round and that every loss has the bits of
+/// the fault-free twin's.
+fn assert_recovers(
+    cfg: &dltrain::TrainConfig,
+    iters: u64,
+    twin: &[Vec<u32>],
+    faults: &[FailureSpec],
+) {
+    let row = format!("{} {faults:?}", cfg.layout.label());
+    let out = run_transparent_job(
+        cfg.clone(),
+        CostModel::v100(),
+        FailureInjector::with_specs(faults.to_vec()),
+        Arc::new(SharedStore::new()),
+        iters,
+    )
+    .unwrap_or_else(|e| panic!("{row}: {e}"));
+    assert_eq!(out.rounds, faults.len() as u64, "{row}");
+    assert_eq!(loss_bits(&out.losses), twin, "{row}");
+}
+
+#[test]
+fn every_decide_row_recovers_bit_for_bit() {
+    let _g = serial();
+    // `decide`'s table, live: every kind armed in every phase of
+    // iteration 3 on either rank of tiny DP = 2; the five benchmark
+    // classes at 2D-2P-2T on a first, a middle and a last rank; and two
+    // hardware failures in one job, so that a second §4.3 round follows
+    // the first.
+    use FailureKind::*;
+    use Phase::*;
+    let iters = 6;
+    let dp2 = dltrain::TrainConfig::tiny_dp(2);
+    let twin = loss_bits(&clean_run(&dp2, iters));
+    for kind in FailureKind::all() {
+        for phase in Phase::all() {
+            for victim in 0..2 {
+                let fault = FailureSpec::new(3, phase, RankId(victim), kind);
+                assert_recovers(&dp2, iters, &twin, &[fault]);
+            }
+        }
+    }
+    let mut grid = dltrain::TrainConfig::tiny_dp(1);
+    grid.layout = ParallelLayout::three_d(2, 2, 2);
+    let grid_twin = loss_bits(&clean_run(&grid, iters));
+    let classes = [
+        (TransientNetwork, AllReduce),
+        (DriverCorruption, Backward),
+        (StickyCuda, Backward),
+        (StickyCuda, OptimizerStep),
+        (GpuHardware, Backward),
+    ];
+    for (kind, phase) in classes {
+        for victim in [0, 5, 7] {
+            let fault = FailureSpec::new(2, phase, RankId(victim), kind);
+            assert_recovers(&grid, iters, &grid_twin, &[fault]);
+        }
+    }
+    let two_hard = [
+        FailureSpec::new(2, Backward, RankId(0), GpuHardware),
+        FailureSpec::new(4, Backward, RankId(1), GpuHardware),
+    ];
+    assert_recovers(&dp2, iters, &twin, &two_hard);
+}
