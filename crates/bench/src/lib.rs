@@ -522,12 +522,9 @@ pub fn table6() -> Table {
 }
 
 /// Table 7: per-step breakdown of transparent transient recovery on one
-/// rank worker, 8× V100: the rank the fault hit. After a transient error
-/// every rank runs the same steps at the same cost, except that it
-/// replays as many calls as it had logged when it was interrupted. The
-/// victim's log is cut at the fault, in program order; a healthy rank's
-/// is cut wherever the victim's abort reached its thread, so only the
-/// victim's replay time is a function of the code.
+/// rank worker, 8× V100: the rank the fault hit. It is the one rank that
+/// resets and replays, its log cut at the fault in program order; every
+/// other rank keeps its minibatch and retries.
 pub fn table7() -> Table {
     let steps = [
         ("Delete communicators and GPU handles", Action::Teardown),

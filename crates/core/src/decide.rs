@@ -1,8 +1,8 @@
 //! The §4 recovery decision, as one pure function.
 //!
 //! The paper's case analysis is one table — failure class × where in the
-//! minibatch it struck → how each rank resets, and whether the round
-//! replays or rolls the victim forward — and [`decide`] is that table: from
+//! minibatch it struck → how each victim restores its state, and whether
+//! it replays or rolls forward — and [`decide`] is that table: from
 //! what every rank reported on entering a round to each rank's ordered
 //! [`Action`] list, or a typed error naming the cell no healthy replica
 //! can restore. Every plan is the whole §4 order:
@@ -34,7 +34,8 @@ pub(crate) struct RankStatus {
 /// The planned recovery mode for a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryMode {
-    /// §4.2.1: reset all ranks to minibatch start and replay.
+    /// §4.2.1: the victims reset to minibatch start and replay; every
+    /// other rank keeps its minibatch and retries.
     MinibatchReplay,
     /// §4.2.2: the fault struck at or past the optimizer step, so healthy
     /// ranks already hold the start of minibatch *i+1*; the victim copies
@@ -129,11 +130,13 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
     }
     let rank_plan = |(i, s): (usize, &RankStatus)| {
         let mut actions = vec![Teardown];
-        // Each rank resets its own state before the rendezvous, so every
-        // rank arrives there ready.
+        // Each victim restores its own state before the rendezvous, so
+        // every rank arrives there ready. A rank that was only aborted (a
+        // healthy non-victim) keeps its in-flight minibatch in either
+        // mode: a simulated collective delivers to every member or to
+        // none, so nothing it holds is torn (DESIGN.md §5).
         match (mode, s.health) {
-            // Healthy non-victims keep their in-flight minibatch state.
-            (RollForward, _) if !s.is_victim => {}
+            _ if !s.is_victim => {}
             (_, HardwareFailed) => actions.push(Migrate),
             (MinibatchReplay, Healthy) => actions.push(ResetInPlace { charged: true }),
             (MinibatchReplay, DriverSuspect) => actions.push(HostRoundTrip),
@@ -141,13 +144,9 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
             (RollForward, Healthy) => actions.push(ResetInPlace { charged: false }),
         }
         // Everyone else in a hard round contributes buffer files and a
-        // CRIU image (all workers migrate together), then rewinds the
-        // state it re-read after the move for the replay.
+        // CRIU image (all workers migrate together).
         if hard && s.health != HardwareFailed {
             actions.push(WriteHardFiles);
-            if mode == MinibatchReplay && s.health == Healthy {
-                actions.push(ResetInPlace { charged: false });
-            }
         }
         actions.push(Rendezvous);
         let c = layout.coord(RankId(i as u32));
@@ -155,7 +154,9 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
             actions.push(CopyFromReplica { root });
         }
         actions.push(RecreateHandles);
-        if mode == MinibatchReplay {
+        // A victim replays alone; every other rank retries where it was
+        // aborted.
+        if mode == MinibatchReplay && s.is_victim {
             actions.push(Replay);
         }
         let outcome = if mode == RollForward && s.is_victim {
@@ -186,7 +187,6 @@ mod tests {
     const REPLICA: RankId = RankId(u32::MAX);
     const COPY: Action = CopyFromReplica { root: REPLICA };
     const RESET: Action = ResetInPlace { charged: true };
-    const RESET_AGAIN: Action = ResetInPlace { charged: false };
 
     /// Where an action may sit in the §4 order: every plan is sorted by it
     /// and holds each of `Teardown`, `Rendezvous` and `RecreateHandles`
@@ -227,13 +227,21 @@ mod tests {
         without_replica: bool,
     }
 
-    /// §4.2.1 case 1: everyone resets in place and replays.
+    /// A rank the fault did not reach keeps its minibatch and retries.
+    const KEEP: &[Action] = &[Teardown, Rendezvous, RecreateHandles];
+    /// The same rank as the root of its cell's copy.
+    const KEEP_AND_SERVE: &[Action] = &[Teardown, Rendezvous, COPY, RecreateHandles];
+    /// Every healthy rank of a §4.3 round: it writes its buffer files,
+    /// then keeps its minibatch.
+    const WRITE_FILES: &[Action] = &[Teardown, WriteHardFiles, Rendezvous, RecreateHandles];
+
+    /// §4.2.1 case 1: the victim resets in place and replays.
     const IN_PLACE: Expect = Expect {
         mode: MinibatchReplay,
         victim: &[Teardown, RESET, Rendezvous, RecreateHandles, Replay],
         victim_outcome: Retry,
-        replica: &[Teardown, RESET, Rendezvous, RecreateHandles, Replay],
-        bystander: &[Teardown, RESET, Rendezvous, RecreateHandles, Replay],
+        replica: KEEP,
+        bystander: KEEP,
         without_replica: true,
     };
     /// §4.2.1 case 2: the victim's state survives a host round trip.
@@ -245,7 +253,7 @@ mod tests {
     /// the replica.
     const REPLICA_COPY: Expect = Expect {
         victim: &[Teardown, Restart, Rendezvous, COPY, RecreateHandles, Replay],
-        replica: &[Teardown, RESET, Rendezvous, COPY, RecreateHandles, Replay],
+        replica: KEEP_AND_SERVE,
         without_replica: false,
         ..IN_PLACE
     };
@@ -255,28 +263,18 @@ mod tests {
         mode: RollForward,
         victim: &[Teardown, Restart, Rendezvous, COPY, RecreateHandles],
         victim_outcome: SkipToNextMinibatch,
-        replica: &[Teardown, Rendezvous, COPY, RecreateHandles],
-        bystander: &[Teardown, Rendezvous, RecreateHandles],
+        replica: KEEP_AND_SERVE,
+        bystander: KEEP,
         without_replica: false,
     };
-    /// Every healthy rank of a §4.3 replay round.
-    const WRITE_FILES_REPLAY: &[Action] = &[
-        Teardown,
-        RESET,
-        WriteHardFiles,
-        RESET_AGAIN,
-        Rendezvous,
-        RecreateHandles,
-        Replay,
-    ];
-    /// §4.3: the victim migrates and reads the files every other rank
-    /// writes, then the round replays.
+    /// §4.3: the victim migrates, reads the files every other rank
+    /// writes, and replays.
     const MIGRATE_REPLAY: Expect = Expect {
         mode: MinibatchReplay,
         victim: &[Teardown, Migrate, Rendezvous, RecreateHandles, Replay],
         victim_outcome: Retry,
-        replica: WRITE_FILES_REPLAY,
-        bystander: WRITE_FILES_REPLAY,
+        replica: WRITE_FILES,
+        bystander: WRITE_FILES,
         without_replica: false,
     };
     /// §4.3 past the optimizer: migrate, then roll forward.
@@ -284,9 +282,7 @@ mod tests {
         mode: RollForward,
         victim: &[Teardown, Migrate, Rendezvous, RecreateHandles],
         victim_outcome: SkipToNextMinibatch,
-        replica: &[Teardown, WriteHardFiles, Rendezvous, RecreateHandles],
-        bystander: &[Teardown, WriteHardFiles, Rendezvous, RecreateHandles],
-        without_replica: false,
+        ..MIGRATE_REPLAY
     };
 
     /// The §4 table: (benchmark class, kind, phase armed, position the

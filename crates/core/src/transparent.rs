@@ -24,7 +24,7 @@ use simcore::cost::StorageTier;
 use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex, MutexGuard};
 use simcore::{GpuId, RankId, SimError, SimResult, SimTime};
-use simgpu::{Gpu, GpuHealth};
+use simgpu::{BufferId, Gpu, GpuHealth};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ struct CoordState {
     plan: Option<SimResult<Arc<RoundPlan>>>,
     finished: usize,
     /// `(round, stage, part)` of every cell whose §4.3 buffer files some
-    /// healthy replica has finished writing.
+    /// healthy replica has finished writing in the open round.
     hard_written: HashSet<(u64, usize, usize)>,
 }
 
@@ -164,10 +164,15 @@ impl TransparentEngine {
         self.reports.lock().clone()
     }
 
+    /// The directory of a round's §4.3 buffer files.
+    fn hard_dir(round: u64) -> String {
+        format!("hard/r{round}/")
+    }
+
     /// The §4.3 buffer-file path for a (cell, storage key) pair: identical
     /// on every data-parallel replica of the cell.
     fn hard_path(round: u64, stage: usize, part: usize, key: &str) -> String {
-        format!("hard/r{round}/s{stage}p{part}/{key}")
+        format!("{}s{stage}p{part}/{key}", Self::hard_dir(round))
     }
 
     /// Rank-enter protocol: register status, make sure everyone else will
@@ -196,19 +201,22 @@ impl TransparentEngine {
         }
     }
 
-    /// Marks a rank done with the round; the last one resets round state.
-    /// The others wait for that, so a rank cannot race ahead and trip a
-    /// new round against stragglers of this one.
+    /// Marks a rank done with the round; the last one resets round state
+    /// and deletes the round's §4.3 files, which every victim has read by
+    /// then. The others wait for the reset, so a rank cannot race ahead
+    /// and trip a new round against stragglers of this one.
     fn rank_finish(&self) -> SimResult<()> {
         let n = self.layout.world_size();
         let mut st = self.state.lock();
         let round = st.round;
         st.finished += 1;
-        if st.finished == n {
+        let last = st.finished == n;
+        if last {
             st.round += 1;
             st.arrived.clear();
             st.plan = None;
             st.finished = 0;
+            st.hard_written.clear();
             self.cv.notify_all();
         }
         if !self.wait_until(&mut st, |s| s.round != round) {
@@ -216,6 +224,10 @@ impl TransparentEngine {
                 "recovery round {round} never closed: {}/{n} ranks finished",
                 st.finished
             )));
+        }
+        drop(st);
+        if last {
+            self.store.delete_prefix(Self::hard_dir(round));
         }
         Ok(())
     }
@@ -311,19 +323,22 @@ impl TransparentEngine {
     }
 
     /// The hard-error path for a *healthy* rank: write every persistent
-    /// buffer to the shared store under the cross-rank-stable key, and
-    /// take a CRIU checkpoint of the worker CPU state (§4.3).
+    /// buffer to the shared store under the cross-rank-stable key, each
+    /// file encoded straight from its device buffer, and take a CRIU
+    /// checkpoint of the worker CPU state (§4.3).
     fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
-        let (snap, bytes) = client.snapshot_persistent_to_host()?;
-        let cost = client.server().gpu().cost_model().clone();
-        for (key, _tag, data) in snap {
-            let framed = codec::encode_framed(&data);
-            self.store.put(
-                Self::hard_path(round, coord.stage, coord.part, &key),
-                framed,
-            )?;
+        client.flush_pending()?;
+        let gpu = client.server().gpu();
+        let cost = gpu.cost_model().clone();
+        let mut bytes = 0;
+        for b in gpu.persistent() {
+            let path = Self::hard_path(round, coord.stage, coord.part, &b.site.storage_key());
+            self.store.put(path, codec::encode_framed(&b.data))?;
+            bytes += b.logical_bytes;
         }
+        // The device → host copy the files are written from.
+        client.charge(cost.memcpy(bytes));
         {
             // The cell's files are all there: tell a victim waiting for them.
             let mut st = self.state.lock();
@@ -359,8 +374,18 @@ impl TransparentEngine {
         client.restore_worker_cpu_state(&image)?;
         client.charge(cost.criu(2 << 30));
         // Read every persistent buffer from a replica's files, matched by
-        // the allocation-site storage key (§4.3's naming scheme).
-        let (local, bytes) = client.server().gpu().snapshot_persistent();
+        // the allocation-site storage key (§4.3's naming scheme). The
+        // fresh device only names the buffers; its zeros are not copied.
+        let mut bytes = 0;
+        let local: Vec<(BufferId, String, usize)> = client
+            .server()
+            .gpu()
+            .persistent()
+            .map(|b| {
+                bytes += b.logical_bytes;
+                (b.id, b.site.storage_key(), b.data.len())
+            })
+            .collect();
         // Replicas write these files concurrently with this rank's
         // migration; wait (bounded) until one of them says its set is
         // complete, then read each file once.
@@ -371,22 +396,21 @@ impl TransparentEngine {
         if !self.wait_until(&mut self.state.lock(), |s| s.hard_written.contains(&cell)) {
             return Err(no_replica(&dir));
         }
-        let mut restored = Vec::with_capacity(local.len());
-        for (key, tag, data) in local {
+        for (id, key, len) in local {
             let path = Self::hard_path(round, coord.stage, coord.part, &key);
             let framed = self.store.get(&path).map_err(|_| no_replica(&path))?;
             let replica_data: Vec<f32> = codec::decode_framed(&framed)?;
-            if replica_data.len() != data.len() {
+            if replica_data.len() != len {
                 return Err(SimError::CorruptCheckpoint(format!(
-                    "{path}: length {} vs local layout {}",
-                    replica_data.len(),
-                    data.len()
+                    "{path}: length {} vs local layout {len}",
+                    replica_data.len()
                 )));
             }
-            restored.push((key, tag, replica_data));
+            client
+                .server_mut()
+                .gpu_mut()
+                .load_buffer(id, &replica_data)?;
         }
-        let gpu = client.server_mut().gpu_mut();
-        gpu.restore_persistent(&restored)?;
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
         Ok(())
     }
@@ -616,6 +640,37 @@ mod tests {
         assert_ne!(a, b, "different partitions never collide");
         assert_ne!(a, c, "different rounds never collide");
         assert!(a.contains("s1p2"));
+    }
+
+    #[test]
+    fn closing_a_round_deletes_its_files_and_no_other() -> SimResult<()> {
+        let layout = ParallelLayout::data_parallel(2);
+        let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
+        let store = Arc::new(SharedStore::new());
+        let engine = TransparentEngine::new(
+            layout,
+            world,
+            store.clone(),
+            TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
+        );
+        let file = |round| TransparentEngine::hard_path(round, 0, 0, "model.w-abc-s0-n16");
+        for round in 0..2 {
+            store.put(file(round), codec::encode_framed(&vec![1.0f32]))?;
+        }
+        engine.state.lock().hard_written.insert((0, 0, 0));
+        // Both ranks finish round 0.
+        std::thread::scope(|s| {
+            let peer = s.spawn(|| engine.rank_finish());
+            let mine = engine.rank_finish();
+            let peer = peer
+                .join()
+                .map_err(|_| SimError::Protocol("rank 1 panicked".into()))?;
+            mine.and(peer)
+        })?;
+        assert_eq!(store.list("hard/"), vec![file(1)]);
+        assert!(engine.state.lock().hard_written.is_empty());
+        assert_eq!(engine.rounds(), 1);
+        Ok(())
     }
 
     #[test]

@@ -333,6 +333,25 @@ fn transparent_recovers_hard_error_by_migration() {
 }
 
 #[test]
+fn transparent_hard_rounds_leave_the_store_empty() {
+    let _guard = serial();
+    // Two §4.3 rounds: each victim reads its own round's files, once
+    // each, and each round deletes its files when it closes.
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 8;
+    let clean = baseline_losses(&cfg, iters);
+    let store = Arc::new(SharedStore::new());
+    let injector = FailureInjector::with_specs(vec![
+        FailureSpec::new(2, Phase::Backward, RankId(0), FailureKind::GpuHardware),
+        FailureSpec::new(5, Phase::Forward, RankId(1), FailureKind::GpuHardware),
+    ]);
+    let out = run_transparent_job(cfg, CostModel::v100(), injector, store.clone(), iters).unwrap();
+    assert_eq!(out.rounds, 2);
+    assert_losses_match(&out.losses, &clean);
+    assert_eq!((store.len(), store.read_count()), (0, 2 * 22));
+}
+
+#[test]
 fn transparent_3d_job_recovers_with_exact_losses() {
     let _guard = serial();
     let mut cfg = dltrain::TrainConfig::tiny_dp(1);

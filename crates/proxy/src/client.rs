@@ -609,22 +609,30 @@ impl ProxyClient {
     /// communicator (§4.2.1 case 3 / §4.2.2): every member calls this; the
     /// root supplies its state, everyone else overwrites theirs. Relies on
     /// the cross-rank-stable buffer ordering guaranteed by allocation-site
-    /// naming. Not logged.
+    /// naming. Each byte is copied once per side: the root's buffers go
+    /// straight into the broadcast payload, and a receiver checks that its
+    /// layout covers the shared result exactly before it loads each
+    /// buffer's slice in place. Not logged.
     pub fn sync_persistent_from_replica(
         &mut self,
         token: CommToken,
         root: RankId,
     ) -> SimResult<()> {
         // The root's contribution must reflect every submitted call.
-        // (During recovery nothing is staged — the reset primitives
-        // discard it — so this is a no-op there.)
+        // (Recovery enters with nothing staged, so this is a no-op there.)
         self.flush_pending()?;
-        let (snap, bytes) = self.server.gpu().snapshot_persistent();
+        let gpu = self.server.gpu();
+        let (mut elems, mut bytes) = (0, 0);
+        for b in gpu.persistent() {
+            elems += b.data.len();
+            bytes += b.logical_bytes;
+        }
         let is_root = self.plane.rank == root;
         let mut contribution = Vec::new();
         if is_root {
-            for (_, _, data) in &snap {
-                contribution.extend_from_slice(data);
+            contribution.reserve_exact(elems);
+            for b in gpu.persistent() {
+                contribution.extend_from_slice(&b.data);
             }
         }
         // Recovery-time state sync uses its own generation space (like
@@ -636,25 +644,30 @@ impl ProxyClient {
             .plane
             .collective(token, gen, Coll::Broadcast(root), contribution, bytes)?;
         *counter += 1;
-        if !is_root {
-            let mut offset = 0usize;
-            let mut restored = Vec::with_capacity(snap.len());
-            for (key, tag, data) in &snap {
-                let len = data.len();
-                if offset + len > flat.len() {
-                    return Err(SimError::Protocol(
-                        "replica state shorter than local layout".into(),
-                    ));
-                }
-                restored.push((key.clone(), *tag, flat[offset..offset + len].to_vec()));
-                offset += len;
-            }
-            if offset != flat.len() {
-                return Err(SimError::Protocol(
-                    "replica state longer than local layout".into(),
-                ));
-            }
-            self.server.gpu_mut().restore_persistent(&restored)?;
+        if is_root {
+            return Ok(());
+        }
+        if elems > flat.len() {
+            return Err(SimError::Protocol(
+                "replica state shorter than local layout".into(),
+            ));
+        }
+        if elems < flat.len() {
+            return Err(SimError::Protocol(
+                "replica state longer than local layout".into(),
+            ));
+        }
+        let slices: Vec<(BufferId, usize)> = self
+            .server
+            .gpu()
+            .persistent()
+            .map(|b| (b.id, b.data.len()))
+            .collect();
+        let gpu = self.server.gpu_mut();
+        let mut offset = 0;
+        for (id, len) in slices {
+            gpu.load_buffer(id, &flat[offset..offset + len])?;
+            offset += len;
         }
         Ok(())
     }

@@ -23,6 +23,10 @@ cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
 cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
+# Every row of decide's table, live, against the fault-free twin's loss
+# bits. The replica-sync test (validate, then one copy per byte) runs in
+# the `-p proxy` line above.
+cargo test --release --test cross_crate --quiet every_decide_row_recovers_bit_for_bit
 # The replay cache's consumers: each recovers by replaying collectives (and
 # pipeline receives) from slots carried across a communicator rebuild, so
 # they guard the minibatch commit floor on the profile the benchmark runs.
