@@ -20,9 +20,10 @@
 //!   consistent checkpoint from any healthy data-parallel replica.
 //! * [`transparent`] (§4) — a recovery engine plugged into the device
 //!   proxy's interception layer: errors never reach the framework;
-//!   recovery resets GPU state to minibatch start (in place, via proxy
-//!   restart, from a replica, or by migrating to a fresh GPU under a
-//!   CRIU-preserved worker) and replays the logged device APIs, as a
+//!   the rank a fault reached resets its GPU state to minibatch start (in
+//!   place, via proxy restart, from a replica, or by migrating to a fresh
+//!   GPU under a CRIU-preserved worker) and replays the logged device
+//!   APIs, while every other rank keeps its minibatch and retries, as a
 //!   pure `decide` function plans from what every rank reported.
 //!
 //! Plus:
