@@ -362,7 +362,11 @@ impl TransparentEngine {
 
     /// The hard-error path for the *victim*: migrate to a replacement GPU
     /// under the CRIU-preserved worker, re-create persistent objects, and
-    /// fill them from the buffer files the replicas wrote.
+    /// fill them from the buffer files the replicas wrote. Each file is
+    /// read, checked and loaded in turn, so a missing, corrupt or
+    /// mis-sized file fails the round with the fresh device part-restored;
+    /// the interrupted operation then returns that error instead of
+    /// retrying on the device.
     fn hard_victim_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
         let new_gpu = (self.gpu_allocator.lock())(client.rank());

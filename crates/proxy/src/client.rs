@@ -31,6 +31,7 @@ use collectives::{CollectiveObserver, CommWorld, Communicator, ReduceOp};
 use simcore::failure::FailureKind;
 use simcore::time::ClockBoard;
 use simcore::{RankId, SimError, SimResult, SimTime};
+use simgpu::buffer::DeviceBuffer;
 use simgpu::{BufferId, BufferTag, CallResult, DeviceCall, Gpu, GpuHealth};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -621,17 +622,15 @@ impl ProxyClient {
         // The root's contribution must reflect every submitted call.
         // (Recovery enters with nothing staged, so this is a no-op there.)
         self.flush_pending()?;
-        let gpu = self.server.gpu();
-        let (mut elems, mut bytes) = (0, 0);
-        for b in gpu.persistent() {
-            elems += b.data.len();
-            bytes += b.logical_bytes;
-        }
+        let bufs: Vec<&DeviceBuffer> = self.server.gpu().persistent().collect();
+        let bytes = bufs.iter().map(|b| b.logical_bytes).sum();
+        let layout: Vec<(BufferId, usize)> = bufs.iter().map(|b| (b.id, b.data.len())).collect();
+        let elems: usize = layout.iter().map(|&(_, len)| len).sum();
         let is_root = self.plane.rank == root;
         let mut contribution = Vec::new();
         if is_root {
             contribution.reserve_exact(elems);
-            for b in gpu.persistent() {
+            for b in bufs {
                 contribution.extend_from_slice(&b.data);
             }
         }
@@ -657,15 +656,9 @@ impl ProxyClient {
                 "replica state longer than local layout".into(),
             ));
         }
-        let slices: Vec<(BufferId, usize)> = self
-            .server
-            .gpu()
-            .persistent()
-            .map(|b| (b.id, b.data.len()))
-            .collect();
         let gpu = self.server.gpu_mut();
         let mut offset = 0;
-        for (id, len) in slices {
+        for (id, len) in layout {
             gpu.load_buffer(id, &flat[offset..offset + len])?;
             offset += len;
         }

@@ -388,20 +388,23 @@ impl Gpu {
     /// cross-rank-stable storage key. Total logical bytes is also returned
     /// for cost accounting.
     pub fn snapshot_persistent(&self) -> (Vec<(String, BufferTag, Vec<f32>)>, u64) {
+        let mut out: Vec<(String, BufferTag, Vec<f32>)> = Vec::new();
         let mut bytes = 0u64;
-        let out = self
-            .persistent()
-            .map(|b| {
+        let mut ids = self.buffer_ids();
+        ids.sort();
+        for id in ids {
+            let b = &self.buffers[&id];
+            if b.tag.is_persistent() {
+                out.push((b.site.storage_key(), b.tag, b.data.clone()));
                 bytes += b.logical_bytes;
-                (b.site.storage_key(), b.tag, b.data.clone())
-            })
-            .collect();
+            }
+        }
         (out, bytes)
     }
 
     /// Every persistent (param/optimizer) buffer in id order, borrowed:
-    /// what [`Gpu::snapshot_persistent`] copies, for callers that move
-    /// each byte once.
+    /// the buffers [`Gpu::snapshot_persistent`] copies, for callers that
+    /// move each byte once.
     pub fn persistent(&self) -> impl Iterator<Item = &DeviceBuffer> {
         let mut bufs: Vec<&DeviceBuffer> = self
             .buffers
