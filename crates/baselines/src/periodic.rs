@@ -189,22 +189,25 @@ pub fn run_periodic_job(
             if std::mem::take(&mut at_start) || !tr.iteration().is_multiple_of(every_iters) {
                 return Ok(());
             }
-            let state = tr.state_snapshot()?;
-            let t = blocking_overhead(kind, state.logical_bytes, &cost, rpn);
-            tr.exec.clock().advance(i, t);
-            checkpoint::write_checkpoint_with(
-                &store,
-                job,
-                CkptKind::Periodic,
-                rank,
-                coord.stage,
-                coord.part,
-                coord.dp,
-                &state,
-                // Auto-size the pool for this state's shard count (same
-                // policy as the JIT writer).
-                &shards.auto_sized_for(&state),
-            )?;
+            let clock = tr.exec.clock();
+            // Encoded straight from the device.
+            tr.with_state(|state| {
+                let t = blocking_overhead(kind, state.logical_bytes, &cost, rpn);
+                clock.advance(i, t);
+                checkpoint::write_checkpoint_with(
+                    &*store,
+                    job,
+                    CkptKind::Periodic,
+                    rank,
+                    coord.stage,
+                    coord.part,
+                    coord.dp,
+                    state,
+                    // Auto-size the pool for this state's shard count (same
+                    // policy as the JIT writer).
+                    &shards.auto_sized_for(state),
+                )
+            })??;
             written.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };

@@ -48,6 +48,7 @@ use simcore::codec::{decode_framed, encode_framed, Decode, Encode};
 use simcore::layout::ParallelLayout;
 use simcore::sync::Mutex;
 use simcore::{JobId, RankId, SimError, SimResult};
+use simgpu::{decode_state, StateView};
 use std::collections::BTreeMap;
 
 use crate::restore::{read_counted, RestoreConfig, RestoreStats};
@@ -111,14 +112,16 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// This configuration with the worker pool auto-sized for `state`:
+    /// This configuration with the worker pool auto-sized for `state`
+    /// (a host `TrainState` or a device's [`StateView`]):
     /// [`auto_shard_workers`] of the shard count `state` will split into
     /// at this `shard_bytes`. Both checkpoint policies (JIT and the
     /// periodic baselines) route their write sites through this so pool
     /// sizing logic lives in exactly one place.
-    pub fn auto_sized_for(&self, state: &TrainState) -> ShardConfig {
+    pub fn auto_sized_for<'a>(&self, state: impl Into<StateView<'a>>) -> ShardConfig {
+        let len = state.into().size_hint();
         ShardConfig {
-            workers: auto_shard_workers(state.shard_count(self.shard_bytes)),
+            workers: auto_shard_workers(len.div_ceil(self.shard_bytes.max(1)).max(1)),
             ..*self
         }
     }
@@ -377,13 +380,14 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Stages a checkpoint write: encodes the logical stream once,
+    /// Stages a checkpoint write: encodes the logical stream once — from
+    /// a host `TrainState` or straight from a device's [`StateView`] —
     /// slices it at `shard_bytes` boundaries, and resolves the delta
     /// base (enforcing [`ShardConfig::max_delta_chain`] — a base whose
     /// consecutive-delta run is exhausted is discarded, forcing this
     /// write to be full so old directories become collectable).
     #[allow(clippy::too_many_arguments)]
-    pub fn stage<S: StorageBackend + ?Sized>(
+    pub fn stage<'a, S: StorageBackend + ?Sized>(
         store: &S,
         job: JobId,
         kind: CkptKind,
@@ -391,7 +395,7 @@ impl ShardPlan {
         stage: usize,
         part: usize,
         dp: usize,
-        state: &TrainState,
+        state: impl Into<StateView<'a>>,
         cfg: &ShardConfig,
     ) -> ShardPlan {
         Self::stage_cached(store, job, kind, rank, stage, part, dp, state, cfg, None)
@@ -403,7 +407,7 @@ impl ShardPlan {
     /// not yet durable, lost put) fall back to the scan, so behavior is
     /// identical to the uncached path — only the list traffic differs.
     #[allow(clippy::too_many_arguments)]
-    pub fn stage_cached<S: StorageBackend + ?Sized>(
+    pub fn stage_cached<'a, S: StorageBackend + ?Sized>(
         store: &S,
         job: JobId,
         kind: CkptKind,
@@ -411,15 +415,16 @@ impl ShardPlan {
         stage: usize,
         part: usize,
         dp: usize,
-        state: &TrainState,
+        state: impl Into<StateView<'a>>,
         cfg: &ShardConfig,
         cache: Option<&MetaCache>,
     ) -> ShardPlan {
+        let state = state.into();
         let shard_bytes = cfg.shard_bytes.max(1);
         // Encode the logical stream once; shards are zero-copy slices of
         // it. Pre-sizing to the exact encoded length avoids growing a
         // multi-hundred-MiB buffer through a doubling realloc chain.
-        let mut staged = BytesMut::with_capacity(state.encoded_len());
+        let mut staged = BytesMut::with_capacity(state.size_hint());
         state.encode(&mut staged);
         let stream = staged.freeze();
         let n = stream.len().div_ceil(shard_bytes).max(1);
@@ -544,15 +549,16 @@ impl ShardPlan {
     }
 }
 
-/// Writes a rank's checkpoint: shard objects first (fanned out across a
-/// bounded worker pool), then the metadata sidecar — the completion
+/// Writes a rank's checkpoint — of a host `TrainState`, or straight from
+/// a device's [`StateView`] — shard objects first (fanned out across a
+/// bounded worker pool), then the metadata sidecar, the completion
 /// marker. The caller charges the write cost to the rank's clock.
 ///
 /// With `cfg.delta`, shards bit-identical to this cell's most recent
 /// prior checkpoint (same `shard_bytes`, same shard count) are not
 /// re-written; the sidecar records where the bytes already live.
 #[allow(clippy::too_many_arguments)]
-pub fn write_checkpoint_with<S: StorageBackend + ?Sized>(
+pub fn write_checkpoint_with<'a, S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
     kind: CkptKind,
@@ -560,7 +566,7 @@ pub fn write_checkpoint_with<S: StorageBackend + ?Sized>(
     stage: usize,
     part: usize,
     dp: usize,
-    state: &TrainState,
+    state: impl Into<StateView<'a>>,
     cfg: &ShardConfig,
 ) -> SimResult<()> {
     let plan = ShardPlan::stage(store, job, kind, rank, stage, part, dp, state, cfg);
@@ -569,7 +575,7 @@ pub fn write_checkpoint_with<S: StorageBackend + ?Sized>(
 
 /// Persists an already-staged [`ShardPlan`]: shard objects first (fanned
 /// out across a bounded worker pool), then the metadata sidecar.
-fn write_plan<S: StorageBackend + ?Sized>(
+pub(crate) fn write_plan<S: StorageBackend + ?Sized>(
     store: &S,
     plan: &ShardPlan,
     workers: usize,
@@ -721,7 +727,7 @@ impl MetaCache {
 
 /// Reads and fully validates one checkpoint (metadata present, every
 /// shard present with matching length and CRC — resolving delta
-/// references — and the reassembled payload decodes).
+/// references — and the shards decode, in order, as one state).
 ///
 /// Shard failures are collected, not short-circuited: the error names
 /// every bad shard *by index* (`shard 3: checksum mismatch; shard 7:
@@ -740,7 +746,7 @@ pub fn read_checkpoint<S: StorageBackend + ?Sized>(
     let prefix = checkpoint_prefix(job, kind, iteration, stage, part, dp);
     precheck_meta(&meta, &prefix)?;
     let mut bad: Vec<String> = Vec::new();
-    let mut stream = BytesMut::with_capacity(meta.payload_len as usize);
+    let mut shards = Vec::with_capacity(meta.shards.len());
     for (i, sm) in meta.shards.iter().enumerate() {
         if sm.index as usize != i {
             bad.push(format!("shard {i}: sidecar index out of order"));
@@ -749,11 +755,19 @@ pub fn read_checkpoint<S: StorageBackend + ?Sized>(
         let holder = sm.base_iteration.unwrap_or(meta.iteration);
         let path = shard_path(job, kind, holder, stage, part, dp, sm.index);
         match verify_shard(i, sm, holder, store.get(&path)) {
-            Ok(obj) => stream.put_slice(&obj),
+            Ok(obj) => shards.push(obj),
             Err(blame) => bad.push(blame),
         }
     }
-    finish_restore(&prefix, meta, stream, bad)
+    let (shards, meta) = finish_restore(&prefix, meta, shards, bad)?;
+    Ok((host_copy(&shards)?, meta))
+}
+
+/// A host copy of a state held in verified `chunks`: what the `pub`
+/// readers return. The restart launcher decodes the same chunks into the
+/// device instead.
+pub(crate) fn host_copy(chunks: &[Bytes]) -> SimResult<TrainState> {
+    decode_state(chunks, TrainState::default()).map(|(state, ..)| state)
 }
 
 /// Sidecar-level validation shared by the serial and parallel readers:
@@ -805,15 +819,17 @@ pub(crate) fn verify_shard(
     }
 }
 
-/// Final assembly checks shared by both readers: aggregate the per-shard
-/// blame, then verify reassembled length, decode, trailing bytes, and
-/// the sidecar-vs-payload iteration binding.
+/// Final checks shared by both readers: aggregate the per-shard blame,
+/// then verify the verified shards' total length against the sidecar's,
+/// that they decode in order as one state with no trailing bytes, and the
+/// sidecar-vs-payload iteration binding. Returns the shards, still
+/// apart: nothing is reassembled, and the sidecar's length sizes nothing.
 pub(crate) fn finish_restore(
     prefix: &str,
     meta: CheckpointMeta,
-    stream: BytesMut,
+    shards: Vec<Bytes>,
     bad: Vec<String>,
-) -> SimResult<(TrainState, CheckpointMeta)> {
+) -> SimResult<(Vec<Bytes>, CheckpointMeta)> {
     if !bad.is_empty() {
         return Err(SimError::CorruptCheckpoint(format!(
             "{prefix}: {} of {} shards invalid [{}]",
@@ -822,29 +838,28 @@ pub(crate) fn finish_restore(
             bad.join("; ")
         )));
     }
-    if stream.len() as u64 != meta.payload_len {
+    let len: usize = shards.iter().map(Bytes::len).sum();
+    if len as u64 != meta.payload_len {
         return Err(SimError::CorruptCheckpoint(format!(
-            "{prefix}: reassembled {} of {} bytes",
-            stream.len(),
+            "{prefix}: reassembled {len} of {} bytes",
             meta.payload_len
         )));
     }
-    let mut buf = stream.freeze();
-    let state = TrainState::decode(&mut buf)
+    let ((), iteration, end) = decode_state(&shards, ())
         .map_err(|e| SimError::CorruptCheckpoint(format!("{prefix}: {e}")))?;
-    if !buf.is_empty() {
+    if end != len {
         return Err(SimError::CorruptCheckpoint(format!(
             "{prefix}: {} trailing bytes after decode",
-            buf.len()
+            len - end
         )));
     }
-    if state.iteration != meta.iteration {
+    if iteration != meta.iteration {
         return Err(SimError::CorruptCheckpoint(format!(
-            "{prefix}: iteration mismatch ({} vs {})",
-            state.iteration, meta.iteration
+            "{prefix}: iteration mismatch ({iteration} vs {})",
+            meta.iteration
         )));
     }
-    Ok((state, meta))
+    Ok((shards, meta))
 }
 
 /// A resolved checkpoint choice for one cell.
@@ -862,9 +877,9 @@ pub struct CellChoice {
 pub(crate) struct Resolution {
     /// The chosen checkpoint of every (stage, partition) cell.
     pub plan: BTreeMap<(usize, usize), CellChoice>,
-    /// The validated read of the cell the caller asked to keep: the
-    /// validation read of that cell *is* its restore.
-    pub kept: Option<(TrainState, CheckpointMeta)>,
+    /// The validated read of the cell the caller asked to keep, as its
+    /// verified shards: the validation read of that cell *is* its restore.
+    pub kept: Option<(Vec<Bytes>, CheckpointMeta)>,
     /// Traffic of every validation read issued; `shards`, `fetchers` and
     /// `prefetch_depth` describe the kept read.
     pub stats: RestoreStats,

@@ -24,10 +24,13 @@
 //! [`stream::restore_with_fallback`]: the ledger leg has no ledger
 //! attached, the streamed-replica leg serves a replica that does not own
 //! its cell's chosen checkpoint (when `stream_recovery` is on), and the
-//! store leg serves everyone else and every fallback.
+//! store leg serves everyone else and every fallback. A leg yields the
+//! state as verified chunks — the checkpoint's shards or the stream's
+//! frame payloads — and succeeds only if they decode; the winner's
+//! chunks are decoded straight into the rank's device.
 
 use crate::checkpoint::{self, CellChoice};
-use crate::restore::{read_checkpoint_parallel, RestoreConfig};
+use crate::restore::{read_counted, RestoreConfig};
 use crate::stream;
 use crate::user_level::{JitUserConfig, RecoveryEvent};
 use cluster::scheduler::CheckpointAck;
@@ -258,8 +261,9 @@ impl<A> Job<A> {
     /// the fixed restart cost (the `r` of §5) and whatever each leg it
     /// tries costs. The ranks read the driver's choice directly;
     /// nobody resolves again. With stream recovery only the replica that
-    /// owns the choice reads the store, and streams the state to the
-    /// cell's other replicas once its clock has paid for the read.
+    /// owns the choice reads the store, and streams the state from its
+    /// restored device to the cell's other replicas once its clock has
+    /// paid for the read.
     fn restore(
         &self,
         gen: &Generation,
@@ -281,17 +285,17 @@ impl<A> Job<A> {
         let streams = self.lib.stream_recovery && rank != owner;
         let restarted = streams.then(|| clock.advance(i, restart));
         let mut read = SimTime::ZERO;
-        let (state, _) = stream::restore_with_fallback(
+        let (chunks, _) = stream::restore_with_fallback(
             || Err(SimError::Protocol("no ledger attached".into())),
             || {
                 if !streams {
                     return Err(SimError::Protocol("no replica streams to this rank".into()));
                 }
                 let patience = self.lib.stream_patience;
-                stream::recv_state(&gen.setup.world, &self.cost, owner, rank, i, patience)
+                stream::recv_verified(&gen.setup.world, &self.cost, owner, rank, i, patience)
             },
             || {
-                let (state, meta, _) = read_checkpoint_parallel(
+                let (shards, meta) = read_counted(
                     &*self.store,
                     self.id,
                     choice.kind,
@@ -300,10 +304,11 @@ impl<A> Job<A> {
                     coord.part,
                     choice.dp,
                     &RestoreConfig::default(),
-                )?;
+                )
+                .0?;
                 let (bytes, rpn) = (meta.logical_bytes, self.cfg.ranks_per_node);
                 read = self.cost.checkpoint_read(bytes, self.lib.tier, rpn);
-                Ok(state)
+                Ok(shards)
             },
         )?;
         let restore_time = match restarted {
@@ -313,30 +318,34 @@ impl<A> Job<A> {
                 restart + read
             }
         };
+        tr.restore_encoded(&chunks)?;
+        drop(chunks);
         if self.lib.stream_recovery && rank == owner {
             let gpn = self.cost.gpu.gpus_per_node();
             let node = |r: RankId| gen.assignment[r.index()].0 as usize / gpn;
-            for dp in (0..layout.dp).filter(|&dp| dp != choice.dp) {
-                let peer = layout.rank_at(GridCoord { dp, ..coord });
-                stream::send_state_frames(
-                    &gen.setup.world,
-                    &self.cost,
-                    rank,
-                    i,
-                    peer,
-                    node(rank) == node(peer),
-                    &state,
-                    self.lib.shards.shard_bytes,
-                    self.lib.stream_truncate,
-                )?;
-            }
+            tr.with_state(|state| {
+                for dp in (0..layout.dp).filter(|&dp| dp != choice.dp) {
+                    let peer = layout.rank_at(GridCoord { dp, ..coord });
+                    stream::send_state_frames(
+                        &gen.setup.world,
+                        &self.cost,
+                        rank,
+                        i,
+                        peer,
+                        node(rank) == node(peer),
+                        state,
+                        self.lib.shards.shard_bytes,
+                        self.lib.stream_truncate,
+                    )?;
+                }
+                Ok::<_, SimError>(())
+            })??;
         }
-        tr.restore(&state)?;
         self.events.lock().push(RecoveryEvent {
             rank,
             checkpoint_time: SimTime::ZERO,
             restore_time,
-            iteration: state.iteration,
+            iteration: tr.iteration(),
         });
         Ok(())
     }

@@ -18,10 +18,12 @@
 //!   — the in-memory [`SharedStore`](cluster::SharedStore), where a
 //!   pool measures slower than serial — fetches inline on the calling
 //!   thread, no thread spawned.
-//! * **Overlapped verify/decode** — the calling thread consumes shard
-//!   slots strictly in index order, CRC-verifying and appending shard
-//!   `k` while fetchers pull `k+1..`. Assembly order — and therefore the
-//!   reassembled byte stream — is bit-identical to the serial reader's.
+//! * **Overlapped verify** — the calling thread consumes shard slots
+//!   strictly in index order, CRC-verifying shard `k` while fetchers
+//!   pull `k+1..`. The verified shards are kept apart, in index order —
+//!   the serial reader's list — and decoded where the state goes
+//!   (`simgpu::decode_state`): into the restarted rank's device, or into
+//!   a host `TrainState` for the `pub` readers. Nothing reassembles them.
 //! * **Delta-chain prefetch** — `base_iteration` references are
 //!   collapsed transitively at write time, so one sidecar read resolves
 //!   *every* shard's physical holder up front; base and delta shards are
@@ -39,7 +41,7 @@
 //!
 //! [`SimObjectStore`]: ../../coordinator/struct.SimObjectStore.html
 
-use bytes::{BufMut, BytesMut};
+use bytes::Bytes;
 use cluster::StorageBackend;
 use dltrain::TrainState;
 use simcore::layout::ParallelLayout;
@@ -139,12 +141,15 @@ pub fn read_checkpoint_parallel<S: StorageBackend + ?Sized>(
     cfg: &RestoreConfig,
 ) -> SimResult<(TrainState, CheckpointMeta, RestoreStats)> {
     let (res, stats) = read_counted(store, job, kind, iteration, stage, part, dp, cfg);
-    res.map(|(state, meta)| (state, meta, stats))
+    let (shards, meta) = res?;
+    Ok((checkpoint::host_copy(&shards)?, meta, stats))
 }
 
 /// [`read_checkpoint_parallel`] reporting its traffic whether or not the
-/// checkpoint validates: resolution charges a restore for the shards of
-/// a generation it read and had to reject.
+/// checkpoint validates (resolution charges a restore for the shards of
+/// a generation it read and had to reject), and returning the verified
+/// shards themselves: they decode as one state, and a caller decodes
+/// them where the state is going.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn read_counted<S: StorageBackend + ?Sized>(
     store: &S,
@@ -155,7 +160,7 @@ pub(crate) fn read_counted<S: StorageBackend + ?Sized>(
     part: usize,
     dp: usize,
     cfg: &RestoreConfig,
-) -> (SimResult<(TrainState, CheckpointMeta)>, RestoreStats) {
+) -> (SimResult<(Vec<Bytes>, CheckpointMeta)>, RestoreStats) {
     let mut stats = RestoreStats {
         generations_probed: 1,
         ..RestoreStats::default()
@@ -195,10 +200,10 @@ pub(crate) fn read_counted<S: StorageBackend + ?Sized>(
     stats.prefetch_depth = wave.len();
 
     let mut bad: Vec<String> = Vec::new();
-    let mut stream = BytesMut::with_capacity(meta.payload_len as usize);
-    // In-order fan-in: verify + append shard `i`, fetched by `get(i)`.
-    // Index order makes the reassembled stream bit-identical to the
-    // serial reader's however the fetches were scheduled.
+    let mut shards = Vec::with_capacity(n);
+    // In-order fan-in: verify + keep shard `i`, fetched by `get(i)`.
+    // Index order makes the shard list the serial reader's however the
+    // fetches were scheduled.
     let mut fan_in = |get: &mut dyn FnMut(usize, &str) -> SimResult<bytes::Bytes>| {
         for (i, sm) in meta.shards.iter().enumerate() {
             let Some((holder, path)) = &sources[i] else {
@@ -209,7 +214,7 @@ pub(crate) fn read_counted<S: StorageBackend + ?Sized>(
             match checkpoint::verify_shard(i, sm, *holder, get(i, path)) {
                 Ok(obj) => {
                     stats.bytes_fetched += obj.len() as u64;
-                    stream.put_slice(&obj);
+                    shards.push(obj);
                 }
                 Err(blame) => bad.push(blame),
             }
@@ -272,7 +277,7 @@ pub(crate) fn read_counted<S: StorageBackend + ?Sized>(
     }
 
     (
-        checkpoint::finish_restore(&prefix, meta, stream, bad),
+        checkpoint::finish_restore(&prefix, meta, shards, bad),
         stats,
     )
 }
@@ -292,10 +297,10 @@ pub fn load_for_rank_parallel<S: StorageBackend + ?Sized>(
 ) -> SimResult<(TrainState, CheckpointMeta, RestoreStats)> {
     let coord = layout.coord(rank);
     let resolved = checkpoint::resolve(store, job, layout, Some((coord.stage, coord.part)), cfg)?;
-    let (state, meta) = resolved.kept.ok_or_else(|| {
+    let (shards, meta) = resolved.kept.ok_or_else(|| {
         SimError::Protocol(format!("{rank}'s cell is not part of the job's layout"))
     })?;
-    Ok((state, meta, resolved.stats))
+    Ok((checkpoint::host_copy(&shards)?, meta, resolved.stats))
 }
 
 #[cfg(test)]
@@ -417,6 +422,54 @@ mod tests {
         assert_eq!(SharedStore::new().read_parallelism(), 1);
         // Degenerate inputs still yield a worker.
         assert_eq!(pool_width(0, 0, &RestoreConfig { fetchers: 0 }), 1);
+    }
+
+    #[test]
+    fn a_sidecar_length_the_shards_do_not_add_up_to_is_refused() -> SimResult<()> {
+        let store = SharedStore::new();
+        write_checkpoint_with(
+            &store,
+            JobId(0),
+            CkptKind::Jit,
+            RankId(0),
+            0,
+            0,
+            0,
+            &big_state(9, 0.5),
+            &SMALL,
+        )?;
+        let meta = checkpoint::read_meta(&store, JobId(0), CkptKind::Jit, 9, 0, 0, 0)?;
+        let real = meta.payload_len;
+        let path = checkpoint::meta_path(JobId(0), CkptKind::Jit, 9, 0, 0, 0);
+        // The sidecar stays CRC-valid: its shard set, which its own
+        // checksum binds, is untouched.
+        for claim in [real - 1, real + 1, u64::MAX - 7, u64::MAX] {
+            let lie = CheckpointMeta {
+                payload_len: claim,
+                ..meta.clone()
+            };
+            store.put(&path, simcore::codec::encode_framed(&lie))?;
+            let want = format!("reassembled {real} of {claim} bytes");
+            let serial = read_checkpoint(&store, JobId(0), CkptKind::Jit, 9, 0, 0, 0).unwrap_err();
+            let parallel = read_checkpoint_parallel(
+                &store,
+                JobId(0),
+                CkptKind::Jit,
+                9,
+                0,
+                0,
+                0,
+                &RestoreConfig::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(parallel, SimError::CorruptCheckpoint(_)),
+                "{parallel}"
+            );
+            assert!(parallel.to_string().contains(&want), "{parallel}");
+            assert_eq!(serial, parallel);
+        }
+        Ok(())
     }
 
     #[test]

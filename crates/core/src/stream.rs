@@ -7,9 +7,11 @@
 //! slow) storage tier. SWIFT-style replica recovery observes that the
 //! bytes already exist one network hop away — so here only the replica
 //! that owns the chosen checkpoint touches the store, and it then
-//! streams its restored [`TrainState`] directly rank-to-rank as the
-//! same CRC-framed codec shards ([`simcore::codec::Encoder`]) the
-//! checkpoint writer produces.
+//! streams its restored state directly rank-to-rank as the same
+//! CRC-framed codec shards the checkpoint writer produces, each encoded
+//! straight from its device into the frame ([`StateView::frames`]).
+//! The receiver keeps the verified frame payloads apart and decodes them
+//! into its own device; nothing reassembles them.
 //!
 //! The transfer is pipelined in virtual time: the sender's clock pays
 //! the CPU framing cost per shard and the wire charges p2p transfer on
@@ -26,9 +28,10 @@ use bytes::{Bytes, BytesMut};
 use collectives::ledger::{retained_ranges, GradLedger};
 use collectives::{CollKind, CommWorld};
 use dltrain::TrainState;
-use simcore::codec::{self, Decode, Encode, Encoder};
+use simcore::codec::{self, Decode, Encode, SHARD_FRAME_OVERHEAD};
 use simcore::cost::CostModel;
 use simcore::{RankId, SimError, SimResult};
+use simgpu::{decode_state, StateView};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -101,7 +104,7 @@ pub fn send_state(
         src_clock_idx,
         dst,
         same_node,
-        state,
+        &state.into(),
         shard_bytes,
         None,
     )
@@ -131,14 +134,16 @@ pub fn send_state_truncated(
         src_clock_idx,
         dst,
         same_node,
-        state,
+        &state.into(),
         shard_bytes,
         Some(keep_frames),
     )
 }
 
 /// [`send_state`] when `keep_frames` is `None`, else
-/// [`send_state_truncated`].
+/// [`send_state_truncated`], of a host `TrainState` or straight from a
+/// device's [`StateView`]: each frame is encoded when its turn comes, so
+/// the whole encoded state never exists on the sender.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_state_frames(
     world: &CommWorld,
@@ -147,17 +152,16 @@ pub(crate) fn send_state_frames(
     src_clock_idx: usize,
     dst: RankId,
     same_node: bool,
-    state: &TrainState,
+    state: &StateView<'_>,
     shard_bytes: usize,
     keep_frames: Option<usize>,
 ) -> SimResult<StreamHeader> {
-    let mut enc = Encoder::new(shard_bytes.max(1));
-    enc.write(state);
-    let shards = enc.finish();
+    let frames = state.frames(shard_bytes);
+    let n = frames.len();
     let header = StreamHeader {
         iteration: state.iteration,
-        n_shards: shards.len() as u64,
-        total_bytes: shards.iter().map(|s| s.len() as u64).sum(),
+        n_shards: n as u64,
+        total_bytes: (state.size_hint() + n * SHARD_FRAME_OVERHEAD) as u64,
     };
     let limit = keep_frames.unwrap_or(usize::MAX);
     if limit == 0 {
@@ -172,7 +176,7 @@ pub(crate) fn send_state_frames(
         codec::encode_framed(&header),
         same_node,
     )?;
-    for (i, frame) in shards.into_iter().enumerate() {
+    for (i, frame) in frames.enumerate() {
         if i + 1 >= limit {
             break;
         }
@@ -217,11 +221,8 @@ fn recv_frame(
     }
 }
 
-/// Receives a streamed [`TrainState`] from `src`, verifying every
-/// shard's CRC frame and the decoded iteration against the preamble.
-/// `patience` bounds (in real time) how long the receiver waits for any
-/// single frame before declaring the sending replica dead; the caller
-/// falls back to the store-based restore on any error.
+/// Receives a streamed [`TrainState`] from `src` into a host copy:
+/// [`recv_verified`], decoded.
 pub fn recv_state(
     world: &CommWorld,
     cost: &CostModel,
@@ -230,6 +231,27 @@ pub fn recv_state(
     dst_clock_idx: usize,
     patience: Duration,
 ) -> SimResult<TrainState> {
+    let payloads = recv_verified(world, cost, src, dst, dst_clock_idx, patience)?;
+    crate::checkpoint::host_copy(&payloads)
+}
+
+/// Receives a streamed state from `src`, verifying every shard's CRC
+/// frame, the framed total against the preamble's, that the payloads
+/// decode in order as one state with no trailing bytes, and its
+/// iteration against the preamble. Returns the payloads, still apart,
+/// for the caller to decode where the state goes. The preamble's counts
+/// size nothing: a stream that carries other than what it declared is
+/// refused. `patience` bounds (in real time) how long the receiver waits
+/// for any single frame before declaring the sending replica dead; the
+/// caller falls back to the store-based restore on any error.
+pub(crate) fn recv_verified(
+    world: &CommWorld,
+    cost: &CostModel,
+    src: RankId,
+    dst: RankId,
+    dst_clock_idx: usize,
+    patience: Duration,
+) -> SimResult<Vec<Bytes>> {
     let deadline = Instant::now() + patience;
     let preamble = recv_frame(
         world,
@@ -246,7 +268,14 @@ pub fn recv_state(
             "recovery stream from {src}: empty shard set"
         )));
     }
-    let mut payloads = BytesMut::with_capacity(header.total_bytes as usize);
+    let framed_mismatch = |framed: u64| {
+        SimError::Codec(format!(
+            "recovery stream from {src}: received {framed} of {} framed bytes",
+            header.total_bytes
+        ))
+    };
+    let mut payloads = Vec::new();
+    let mut framed = 0u64;
     for i in 0..header.n_shards {
         let mut frame = recv_frame(
             world,
@@ -257,6 +286,10 @@ pub fn recv_state(
             i + 1,
             deadline,
         )?;
+        framed += frame.len() as u64;
+        if framed > header.total_bytes {
+            return Err(framed_mismatch(framed));
+        }
         let (index, payload) = codec::decode_shard(&mut frame)?;
         if index as u64 != i {
             return Err(SimError::Protocol(format!(
@@ -275,24 +308,27 @@ pub fn recv_state(
             dst_clock_idx,
             cost.shard_encode(payload.len() as u64) + cost.memcpy(payload.len() as u64),
         );
-        payloads.extend_from_slice(&payload);
+        payloads.push(payload);
     }
-    let mut logical = payloads.freeze();
-    let state = TrainState::decode(&mut logical)
+    if framed != header.total_bytes {
+        return Err(framed_mismatch(framed));
+    }
+    let len: usize = payloads.iter().map(Bytes::len).sum();
+    let ((), iteration, end) = decode_state(&payloads, ())
         .map_err(|e| SimError::Codec(format!("recovery stream from {src}: {e}")))?;
-    if !logical.is_empty() {
+    if end != len {
         return Err(SimError::Codec(format!(
             "recovery stream from {src}: {} trailing bytes after state decode",
-            logical.len()
+            len - end
         )));
     }
-    if state.iteration != header.iteration {
+    if iteration != header.iteration {
         return Err(SimError::Protocol(format!(
-            "recovery stream from {src}: iteration {} does not match preamble {}",
-            state.iteration, header.iteration
+            "recovery stream from {src}: iteration {iteration} does not match preamble {}",
+            header.iteration
         )));
     }
-    Ok(state)
+    Ok(payloads)
 }
 
 // ---------------------------------------------------------------------------
@@ -638,16 +674,18 @@ pub enum RecoverySource {
 /// its ring successor both dead, eviction past the window), and the
 /// checkpoint store as the always-available floor. Each leg runs only
 /// if the previous one failed; the winning leg is reported alongside
-/// the state so callers can assert (and account) the path taken.
-pub fn restore_with_fallback<A, B, C>(
+/// what it produced — a host `TrainState`, or the restart launcher's
+/// verified state chunks — so callers can assert (and account) the path
+/// taken.
+pub fn restore_with_fallback<T, A, B, C>(
     in_network: A,
     streamed: B,
     store: C,
-) -> SimResult<(TrainState, RecoverySource)>
+) -> SimResult<(T, RecoverySource)>
 where
-    A: FnOnce() -> SimResult<TrainState>,
-    B: FnOnce() -> SimResult<TrainState>,
-    C: FnOnce() -> SimResult<TrainState>,
+    A: FnOnce() -> SimResult<T>,
+    B: FnOnce() -> SimResult<T>,
+    C: FnOnce() -> SimResult<T>,
 {
     if let Ok(state) = in_network() {
         return Ok((state, RecoverySource::InNetwork));
@@ -723,6 +761,51 @@ mod tests {
     }
 
     #[test]
+    fn a_preamble_total_the_frames_do_not_add_up_to_is_refused() -> SimResult<()> {
+        let cost = CostModel::v100();
+        let st = state(1000);
+        let frames: Vec<Bytes> = StateView::from(&st).frames(1000).collect();
+        let real: u64 = frames.iter().map(|f| f.len() as u64).sum();
+        for claim in [real - 1, real + 1, u64::MAX - 7, u64::MAX] {
+            let (w, _) = world(2);
+            let header = StreamHeader {
+                iteration: st.iteration,
+                n_shards: frames.len() as u64,
+                total_bytes: claim,
+            };
+            let preamble = codec::encode_framed(&header);
+            w.send_bytes(
+                RankId(0),
+                0,
+                RankId(1),
+                TAG_STATE_STREAM,
+                SEQ_HEADER,
+                preamble,
+                true,
+            )?;
+            for (i, frame) in frames.iter().enumerate() {
+                let seq = i as u64 + 1;
+                w.send_bytes(
+                    RankId(0),
+                    0,
+                    RankId(1),
+                    TAG_STATE_STREAM,
+                    seq,
+                    frame.clone(),
+                    true,
+                )?;
+            }
+            let patience = Duration::from_secs(5);
+            let err = recv_state(&w, &cost, RankId(0), RankId(1), 1, patience).unwrap_err();
+            assert!(matches!(err, SimError::Codec(_)), "{err}");
+            // One byte short is caught as the last frame lands.
+            let want = format!("received {real} of {claim} framed bytes");
+            assert!(err.to_string().contains(&want), "{err} (want {want})");
+        }
+        Ok(())
+    }
+
+    #[test]
     fn dead_sender_times_out_with_peer_signature() {
         let (w, _) = world(2);
         let cost = CostModel::v100();
@@ -746,9 +829,7 @@ mod tests {
         let st = state(10_000);
         // Replica dies mid-stream: only the preamble and shard 0 ever
         // reach the wire.
-        let mut enc = Encoder::new(1000);
-        enc.write(&st);
-        let shards = enc.finish();
+        let shards: Vec<Bytes> = StateView::from(&st).frames(1000).collect();
         assert!(shards.len() > 2, "expected a multi-shard stream");
         let header = StreamHeader {
             iteration: st.iteration,

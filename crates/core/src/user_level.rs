@@ -26,11 +26,11 @@
 //! examples, and the Table 4 bench: the restart launcher
 //! ([`crate::launcher`]) with the JIT hang action and step hook.
 
-use crate::checkpoint::{self, CkptKind};
+use crate::checkpoint::{self, CkptKind, ShardPlan};
 use crate::launcher::run_restart_job;
 use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
-use dltrain::{RankTrainer, TrainConfig, TrainState};
+use dltrain::{RankTrainer, TrainConfig};
 use proxy::{DirectExecutor, Executor};
 use simcore::cost::{CostModel, StorageTier};
 use simcore::layout::{GridCoord, ParallelLayout};
@@ -123,8 +123,9 @@ impl IterationCell {
 /// thread is parked. The rank sat in the hung collective for the timeout
 /// before anybody looked: charged first, once, however the watchdog came
 /// due (§6.4 leaves it out of the recovery figures, and so does the write
-/// cost returned beside the scheduler's acknowledgement). A rank whose
-/// memory is unreadable writes nothing; a replica will.
+/// cost returned beside the scheduler's acknowledgement). The checkpoint
+/// is encoded straight from the device, under its lock; a rank whose
+/// memory is unreadable writes nothing, and a replica will.
 pub(crate) fn save_checkpoint(
     exec: &DirectExecutor,
     cfg: &JitUserConfig,
@@ -144,37 +145,29 @@ pub(crate) fn save_checkpoint(
     let cfg = cfg.clone();
     move || {
         clock.advance(i, SimTime::from_secs(cfg.watchdog_timeout.as_secs_f64()));
-        let (buffers, logical_bytes) = {
-            let g = gpu.lock();
-            if !g.health().memory_readable() {
-                return None;
-            }
-            g.snapshot_persistent()
-        };
         let (iteration, opt_t) = cell.get();
-        let state = TrainState {
-            iteration,
-            opt_t,
-            buffers,
-            logical_bytes,
+        let (plan, workers) = {
+            let g = gpu.lock();
+            let state = g.state_view(iteration, opt_t).ok()?;
+            // Pool width keyed to the actual shard count of this state.
+            let shards = cfg.shards.auto_sized_for(&state);
+            let plan = ShardPlan::stage(
+                &*store,
+                job,
+                CkptKind::Jit,
+                rank,
+                stage,
+                part,
+                dp,
+                &state,
+                &shards,
+            );
+            (plan, shards.workers)
         };
-        let t = cost.checkpoint_write(logical_bytes, cfg.tier, cost.gpu.gpus_per_node());
+        let t = cost.checkpoint_write(plan.logical_bytes, cfg.tier, cost.gpu.gpus_per_node());
         clock.advance(i, t);
-        // Pool width keyed to the actual shard count of this state.
-        let shards = cfg.shards.auto_sized_for(&state);
         // A write that fails acks nothing: the quorum waits for a replica.
-        checkpoint::write_checkpoint_with(
-            &store,
-            job,
-            CkptKind::Jit,
-            rank,
-            stage,
-            part,
-            dp,
-            &state,
-            &shards,
-        )
-        .ok()?;
+        checkpoint::write_plan(&*store, &plan, workers).ok()?;
         let ack = CheckpointAck {
             rank,
             iteration,

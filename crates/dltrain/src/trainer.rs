@@ -19,6 +19,7 @@ use crate::model::{
 };
 use crate::optim::{OptimizerKind, RankOptimizer};
 use crate::setup::JobComms;
+use bytes::{Buf, Bytes};
 use cluster::FailureInjector;
 use collectives::{Communicator, GradLedger, LedgerConfig, ReduceOp};
 use proxy::{CommToken, Executor};
@@ -26,7 +27,8 @@ use simcore::codec::{Decode, Encode};
 use simcore::failure::{FailureKind, Phase};
 use simcore::layout::{GridCoord, ParallelLayout};
 use simcore::{RankId, SimError, SimResult};
-use simgpu::{BufferId, BufferTag, DeviceCall, StreamId};
+use simgpu::{BufferId, BufferTag, DeviceCall, StateSink, StateView, StreamId};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Per-job training configuration (identical on every rank).
@@ -519,7 +521,7 @@ impl<E: Executor> RankTrainer<E> {
     /// healthy ranks, so stepping the (deterministic) optimizer on them
     /// reproduces the dead rank's post-iteration state bit-for-bit —
     /// with no forward, no backward, and no collectives.
-    pub fn replay_reduced_step(&mut self, fused: &[Vec<f32>]) -> SimResult<()> {
+    fn replay_reduced_step(&mut self, fused: &[Vec<f32>]) -> SimResult<()> {
         let plan = self.reduction_plan();
         if fused.len() != plan.len() {
             return Err(SimError::Protocol(format!(
@@ -866,30 +868,50 @@ impl<E: Executor> RankTrainer<E> {
         Ok(out)
     }
 
-    /// Snapshot of this rank's training state — iteration, optimizer
-    /// timestep, and all persistent device buffers — the payload of a
-    /// (JIT or periodic) checkpoint.
+    /// Runs `f` over this rank's training state — iteration, optimizer
+    /// timestep, and every persistent device buffer, borrowed straight
+    /// from the device: what a (JIT or periodic) checkpoint encodes. A
+    /// device whose memory cannot be read has no state to give.
+    pub fn with_state<R>(&mut self, f: impl FnOnce(&StateView<'_>) -> R) -> SimResult<R> {
+        let (iteration, opt_t) = (self.iteration, self.opt.t);
+        self.exec
+            .with_device(|g| g.state_view(iteration, opt_t).map(|view| f(&view)))?
+    }
+
+    /// A host copy of this rank's training state ([`Self::with_state`]).
     pub fn state_snapshot(&mut self) -> SimResult<TrainState> {
-        let (buffers, logical_bytes) = self.exec.persistent_snapshot()?;
-        Ok(TrainState {
-            iteration: self.iteration,
-            opt_t: self.opt.t,
-            buffers,
-            logical_bytes,
-        })
+        self.with_state(|view| TrainState::from(view))
     }
 
     /// Restores this rank from a snapshot (resume-from-checkpoint path).
+    /// The snapshot must cover every persistent buffer exactly
+    /// ([`simgpu::Gpu::restore_persistent`]); one that does not is
+    /// refused before any buffer is written.
     pub fn restore(&mut self, state: &TrainState) -> SimResult<()> {
-        self.exec.restore_persistent(&state.buffers)?;
+        self.exec
+            .with_device(|g| g.restore_persistent(&state.buffers))??;
         self.iteration = state.iteration;
         self.opt.t = state.opt_t;
         Ok(())
     }
+
+    /// Restores this rank from an encoded state held in `chunks` — the
+    /// verified shards of a checkpoint or the payloads of a recovery
+    /// stream, in order — decoded straight into the device's buffers
+    /// ([`simgpu::Gpu::load_state`]): no host copy of the state is made.
+    pub fn restore_encoded(&mut self, chunks: &[Bytes]) -> SimResult<()> {
+        let (iteration, opt_t) = self.exec.with_device(|g| g.load_state(chunks))??;
+        self.iteration = iteration;
+        self.opt.t = opt_t;
+        Ok(())
+    }
 }
 
-/// A rank's checkpointable training state.
-#[derive(Debug, Clone, PartialEq)]
+/// A rank's checkpointable training state, held on the host. Its codec is
+/// the state codec ([`simgpu::state`]): it encodes through a
+/// [`StateView`] of itself and decodes as a [`StateSink`], so a host copy
+/// and the device it came from encode to the same bytes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainState {
     /// Next iteration to execute.
     pub iteration: u64,
@@ -901,17 +923,36 @@ pub struct TrainState {
     pub logical_bytes: u64,
 }
 
+impl<'a> From<&'a TrainState> for StateView<'a> {
+    fn from(state: &'a TrainState) -> StateView<'a> {
+        StateView {
+            iteration: state.iteration,
+            opt_t: state.opt_t,
+            logical_bytes: state.logical_bytes,
+            buffers: state
+                .buffers
+                .iter()
+                .map(|(key, tag, data)| (Cow::Borrowed(key.as_str()), *tag, &data[..]))
+                .collect(),
+        }
+    }
+}
+
+impl From<&StateView<'_>> for TrainState {
+    /// A host copy of the viewed state.
+    fn from(view: &StateView<'_>) -> TrainState {
+        TrainState {
+            iteration: view.iteration,
+            opt_t: view.opt_t,
+            buffers: view.into(),
+            logical_bytes: view.logical_bytes,
+        }
+    }
+}
+
 impl Encode for TrainState {
     fn encode(&self, buf: &mut bytes::BytesMut) {
-        self.iteration.encode(buf);
-        self.opt_t.encode(buf);
-        self.logical_bytes.encode(buf);
-        (self.buffers.len() as u64).encode(buf);
-        for (key, tag, data) in &self.buffers {
-            key.encode(buf);
-            tag.encode(buf);
-            data.encode(buf);
-        }
+        StateView::from(self).encode(buf);
     }
 
     fn size_hint(&self) -> usize {
@@ -919,25 +960,47 @@ impl Encode for TrainState {
     }
 }
 
+/// Decoding into an empty `TrainState` fills it: the layout sizes each
+/// buffer (a length the bytes present have already backed), and the
+/// payload extends it.
+impl StateSink for TrainState {
+    type Out = TrainState;
+
+    fn layout(
+        &mut self,
+        iteration: u64,
+        opt_t: u32,
+        logical_bytes: u64,
+        buffers: &[(String, BufferTag, usize)],
+    ) -> SimResult<()> {
+        self.iteration = iteration;
+        self.opt_t = opt_t;
+        self.logical_bytes = logical_bytes;
+        self.buffers = buffers
+            .iter()
+            .map(|(key, tag, len)| (key.clone(), *tag, Vec::with_capacity(*len)))
+            .collect();
+        Ok(())
+    }
+
+    fn data(&mut self, i: usize, le: &[u8]) {
+        self.buffers[i].2.extend(
+            le.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+    }
+
+    fn finish(self) -> TrainState {
+        self
+    }
+}
+
 impl Decode for TrainState {
     fn decode(buf: &mut bytes::Bytes) -> SimResult<Self> {
-        let iteration = u64::decode(buf)?;
-        let opt_t = u32::decode(buf)?;
-        let logical_bytes = u64::decode(buf)?;
-        let n = u64::decode(buf)? as usize;
-        let mut buffers = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let key = String::decode(buf)?;
-            let tag = BufferTag::decode(buf)?;
-            let data = Vec::<f32>::decode(buf)?;
-            buffers.push((key, tag, data));
-        }
-        Ok(TrainState {
-            iteration,
-            opt_t,
-            buffers,
-            logical_bytes,
-        })
+        let (state, _, end) =
+            simgpu::decode_state(std::slice::from_ref(buf), TrainState::default())?;
+        buf.advance(end);
+        Ok(state)
     }
 }
 
@@ -952,20 +1015,7 @@ impl TrainState {
     /// the staging buffer once instead of growing it through a realloc
     /// chain while tens of MiB stream in.
     pub fn encoded_len(&self) -> usize {
-        let mut n = 8 + 4 + 8 + 8; // iteration, opt_t, logical_bytes, count
-        for (key, _tag, data) in &self.buffers {
-            n += 8 + key.len(); // length-prefixed key
-            n += 1; // BufferTag discriminant byte
-            n += data.size_hint();
-        }
-        n
-    }
-
-    /// Number of fixed-size shards a checkpoint of this state will
-    /// occupy at `shard_bytes` per shard. Shard-worker auto-sizing keys
-    /// off this so pool width tracks actual parallelism available.
-    pub fn shard_count(&self, shard_bytes: usize) -> usize {
-        self.encoded_len().div_ceil(shard_bytes.max(1)).max(1)
+        StateView::from(self).size_hint()
     }
 }
 

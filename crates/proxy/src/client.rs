@@ -22,8 +22,7 @@
 //! recovered state is bit-identical.
 
 use crate::executor::{
-    check_comm_health, readable_snapshot, Coll, CommPlane, CommToken, Executor, PendingOp,
-    PersistentSnapshot,
+    check_comm_health, Coll, CommPlane, CommToken, Executor, PendingOp, PersistentSnapshot,
 };
 use crate::oplog::{LoggedColl, LoggedOp, OpLog, VirtualMap};
 use crate::server::{encode_batch, ProxyServer, BATCH_SHARD_BYTES};
@@ -590,7 +589,9 @@ impl ProxyClient {
     /// Copies persistent state to host memory (before clearing a
     /// driver-corrupted device), charging the PCIe cost.
     pub fn snapshot_persistent_to_host(&mut self) -> SimResult<PersistentSnapshot> {
-        let (snap, bytes) = self.persistent_snapshot()?;
+        self.flush_pending()?;
+        let view = self.server.gpu().state_view(0, 0)?;
+        let (snap, bytes) = ((&view).into(), view.logical_bytes);
         self.charge(self.cost_model().memcpy(bytes));
         Ok((snap, bytes))
     }
@@ -1007,14 +1008,9 @@ impl Executor for ProxyClient {
         Ok(())
     }
 
-    fn persistent_snapshot(&mut self) -> SimResult<PersistentSnapshot> {
+    fn with_device<R>(&mut self, f: impl FnOnce(&mut Gpu) -> R) -> SimResult<R> {
         self.flush_pending()?;
-        readable_snapshot(self.server.gpu())
-    }
-
-    fn restore_persistent(&mut self, snap: &[(String, BufferTag, Vec<f32>)]) -> SimResult<()> {
-        self.flush_pending()?;
-        self.server.gpu_mut().restore_persistent(snap)
+        Ok(f(self.server.gpu_mut()))
     }
 
     fn inject(&mut self, kind: FailureKind) {
@@ -1504,8 +1500,8 @@ mod tests {
         let (_, c1, res) = sync_into(&root, &root)?;
         res?;
         let bits = |data: &[f32]| data.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-        let (got, _) = c1.server().gpu().snapshot_persistent();
-        let got: Vec<Vec<u32>> = got.iter().map(|(_, _, data)| bits(data)).collect();
+        let view = c1.server().gpu().state_view(0, 0)?;
+        let got: Vec<Vec<u32>> = view.buffers.iter().map(|(_, _, data)| bits(data)).collect();
         let want: Vec<Vec<u32>> = root
             .iter()
             .map(|&n| bits(&(0..n).map(special).collect::<Vec<f32>>()))
@@ -1568,8 +1564,9 @@ mod verification_tests {
         // it. (Like any host access to device memory, the poke requires
         // the submission queue to be drained first.)
         c.flush_pending()?;
-        let phys_ids = c.server().gpu().buffer_ids();
+        let phys_ids = c.server().gpu().checksum_all();
         let phys_act = *phys_ids
+            .keys()
             .last()
             .ok_or_else(|| SimError::Protocol("no physical ids".into()))?;
         c.server_mut()

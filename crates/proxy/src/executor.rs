@@ -132,12 +132,11 @@ pub trait Executor: Send {
     /// Post-optimizer-step hook.
     fn post_optimizer(&mut self) -> SimResult<()>;
 
-    /// Snapshot of persistent (param/optimizer) state with its logical
-    /// byte size — the payload of a JIT checkpoint.
-    fn persistent_snapshot(&mut self) -> SimResult<PersistentSnapshot>;
-
-    /// Restores persistent state from a snapshot (by storage key).
-    fn restore_persistent(&mut self, snap: &[(String, BufferTag, Vec<f32>)]) -> SimResult<()>;
+    /// Runs `f` on this rank's device once every submitted call has
+    /// reached it: where a checkpoint is encoded from
+    /// ([`Gpu::state_view`]) and restored into ([`Gpu::load_state`],
+    /// [`Gpu::restore_persistent`]). Not logged.
+    fn with_device<R>(&mut self, f: impl FnOnce(&mut Gpu) -> R) -> SimResult<R>;
 
     /// Applies an injected fault to this rank's device.
     fn inject(&mut self, kind: FailureKind);
@@ -160,15 +159,6 @@ pub(crate) fn check_comm_health(gpu: &Gpu) -> SimResult<()> {
         GpuHealth::DriverSuspect => Err(SimError::DriverCorrupted(gpu.id)),
         h => h.check_api(gpu.id),
     }
-}
-
-/// The persistent state of a device whose memory can still be read —
-/// the payload of a JIT checkpoint.
-pub(crate) fn readable_snapshot(gpu: &Gpu) -> SimResult<PersistentSnapshot> {
-    if !gpu.health().memory_readable() {
-        return Err(SimError::CudaSticky(gpu.id));
-    }
-    Ok(gpu.snapshot_persistent())
 }
 
 /// One of the five collective kinds, without its buffers: what
@@ -534,12 +524,8 @@ impl Executor for DirectExecutor {
         Ok(())
     }
 
-    fn persistent_snapshot(&mut self) -> SimResult<PersistentSnapshot> {
-        readable_snapshot(&self.gpu.lock())
-    }
-
-    fn restore_persistent(&mut self, snap: &[(String, BufferTag, Vec<f32>)]) -> SimResult<()> {
-        self.gpu.lock().restore_persistent(snap)
+    fn with_device<R>(&mut self, f: impl FnOnce(&mut Gpu) -> R) -> SimResult<R> {
+        Ok(f(&mut self.gpu.lock()))
     }
 
     fn inject(&mut self, kind: FailureKind) {
@@ -667,24 +653,27 @@ mod tests {
     }
 
     #[test]
-    fn persistent_snapshot_excludes_activations() -> SimResult<()> {
+    fn state_view_excludes_activations() -> SimResult<()> {
         let (_, mut execs) = setup(1);
         let e = &mut execs[0];
         alloc(e, "w", vec![1.0; 4], BufferTag::Param)?;
         alloc(e, "act", vec![2.0; 4], BufferTag::Activation)?;
-        let (snap, bytes) = e.persistent_snapshot()?;
-        assert_eq!(snap.len(), 1);
+        let (n, bytes) = e.with_device(|g| {
+            g.state_view(0, 0)
+                .map(|v| (v.buffers.len(), v.logical_bytes))
+        })??;
+        assert_eq!(n, 1);
         assert_eq!(bytes, 16);
         Ok(())
     }
 
     #[test]
-    fn snapshot_fails_when_memory_unreadable() -> SimResult<()> {
+    fn state_view_fails_when_memory_unreadable() -> SimResult<()> {
         let (_, mut execs) = setup(1);
         let e = &mut execs[0];
         alloc(e, "w", vec![1.0; 4], BufferTag::Param)?;
         e.inject(FailureKind::StickyCuda);
-        assert!(e.persistent_snapshot().is_err());
+        assert!(e.with_device(|g| g.state_view(0, 0).is_err())?);
         Ok(())
     }
 }

@@ -513,7 +513,7 @@ pub fn f32_checksum(data: &[f32]) -> u64 {
 }
 
 /// Magic prefix of one framed shard produced by [`Encoder`].
-pub const SHARD_MAGIC: &[u8; 4] = b"JITS";
+const SHARD_MAGIC: &[u8; 4] = b"JITS";
 
 /// Framed-shard overhead: `magic(4) | index(4) | payload_len(8)` header
 /// plus the `crc64(8)` trailer.
@@ -583,12 +583,22 @@ impl Encoder {
 
 /// Frames one shard: `JITS | index | payload_len | payload | crc64`.
 pub fn frame_shard(index: u32, payload: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(payload.len() + SHARD_FRAME_OVERHEAD);
+    frame_shard_with(index, payload.len(), |out| out.put_slice(payload))
+}
+
+/// [`frame_shard`] for a payload that `write` appends straight into the
+/// frame: exactly `len` bytes, which are then checksummed in place, so
+/// the payload never exists outside its frame.
+pub fn frame_shard_with(index: u32, len: usize, write: impl FnOnce(&mut BytesMut)) -> Bytes {
+    const HEADER: usize = 4 + 4 + 8;
+    let mut out = BytesMut::with_capacity(len + SHARD_FRAME_OVERHEAD);
     out.put_slice(SHARD_MAGIC);
     out.put_u32_le(index);
-    out.put_u64_le(payload.len() as u64);
-    out.put_slice(payload);
-    out.put_u64_le(crc64(payload));
+    out.put_u64_le(len as u64);
+    write(&mut out);
+    debug_assert_eq!(out.len() - HEADER, len, "frame_shard_with: payload length");
+    let crc = crc64(&out[HEADER..]);
+    out.put_u64_le(crc);
     out.freeze()
 }
 

@@ -80,7 +80,7 @@ impl BufferTag {
         }
     }
 
-    fn from_u8(v: u8) -> SimResult<Self> {
+    pub(crate) fn from_u8(v: u8) -> SimResult<Self> {
         Ok(match v {
             0 => BufferTag::Param,
             1 => BufferTag::OptimState,

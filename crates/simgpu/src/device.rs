@@ -125,13 +125,6 @@ impl Gpu {
             .ok_or_else(|| SimError::InvalidHandle(format!("{id} (gpu {})", self.id)))
     }
 
-    /// All live buffer ids, sorted for determinism.
-    pub fn buffer_ids(&self) -> Vec<BufferId> {
-        let mut ids: Vec<BufferId> = self.buffers.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
     /// Executes one device API call. Returns the result and the virtual
     /// duration the caller should charge to the rank's clock.
     pub fn exec(&mut self, call: &DeviceCall) -> SimResult<(CallResult, SimTime)> {
@@ -283,7 +276,7 @@ impl Gpu {
         }
     }
 
-    fn buffer_mut(&mut self, id: BufferId) -> SimResult<&mut DeviceBuffer> {
+    pub(crate) fn buffer_mut(&mut self, id: BufferId) -> SimResult<&mut DeviceBuffer> {
         self.buffers
             .get_mut(&id)
             .ok_or_else(|| SimError::InvalidHandle(id.to_string()))
@@ -384,27 +377,8 @@ impl Gpu {
         Ok(())
     }
 
-    /// Snapshot of every persistent (param/optimizer) buffer, keyed by the
-    /// cross-rank-stable storage key. Total logical bytes is also returned
-    /// for cost accounting.
-    pub fn snapshot_persistent(&self) -> (Vec<(String, BufferTag, Vec<f32>)>, u64) {
-        let mut out: Vec<(String, BufferTag, Vec<f32>)> = Vec::new();
-        let mut bytes = 0u64;
-        let mut ids = self.buffer_ids();
-        ids.sort();
-        for id in ids {
-            let b = &self.buffers[&id];
-            if b.tag.is_persistent() {
-                out.push((b.site.storage_key(), b.tag, b.data.clone()));
-                bytes += b.logical_bytes;
-            }
-        }
-        (out, bytes)
-    }
-
     /// Every persistent (param/optimizer) buffer in id order, borrowed:
-    /// the buffers [`Gpu::snapshot_persistent`] copies, for callers that
-    /// move each byte once.
+    /// what [`Gpu::state_view`] encodes from.
     pub fn persistent(&self) -> impl Iterator<Item = &DeviceBuffer> {
         let mut bufs: Vec<&DeviceBuffer> = self
             .buffers
@@ -415,22 +389,21 @@ impl Gpu {
         bufs.into_iter()
     }
 
-    /// Restores persistent buffers from a snapshot by storage key.
-    /// Buffers present on the device but missing from the snapshot are
-    /// left untouched; snapshot entries with no matching buffer error.
+    /// Restores the persistent buffers from a snapshot, by storage key.
+    /// The snapshot must name every persistent buffer once, with its tag
+    /// and length: the whole key set, each tag and each length are
+    /// checked first ([`Gpu::load_state`]'s check), so a refused snapshot
+    /// leaves every buffer as it was.
     pub fn restore_persistent(
         &mut self,
         snapshot: &[(String, BufferTag, Vec<f32>)],
     ) -> SimResult<()> {
-        let by_key: HashMap<String, BufferId> = self
-            .buffers
-            .values()
-            .map(|b| (b.site.storage_key(), b.id))
-            .collect();
-        for (key, _tag, data) in snapshot {
-            let id = by_key.get(key).copied().ok_or_else(|| {
-                SimError::Protocol(format!("no buffer with storage key {key} on {}", self.id))
-            })?;
+        let ids = self.match_layout(
+            snapshot
+                .iter()
+                .map(|(key, tag, data)| (key.as_str(), *tag, data.len())),
+        )?;
+        for (id, (_, _, data)) in ids.into_iter().zip(snapshot) {
             self.load_buffer(id, data)?;
         }
         Ok(())
@@ -442,15 +415,6 @@ impl Gpu {
         self.buffers
             .iter()
             .map(|(id, b)| (*id, b.checksum()))
-            .collect()
-    }
-
-    /// Checksums of persistent buffers only, keyed by storage key.
-    pub fn checksum_persistent(&self) -> BTreeMap<String, u64> {
-        self.buffers
-            .values()
-            .filter(|b| b.tag.is_persistent())
-            .map(|b| (b.site.storage_key(), b.checksum()))
             .collect()
     }
 }
@@ -558,6 +522,15 @@ mod tests {
         assert!(g.buffer(gr).is_err());
     }
 
+    /// A host copy of persistent buffers: key, tag, payload.
+    type Snapshot = Vec<(String, BufferTag, Vec<f32>)>;
+
+    /// A host copy of the device's persistent state, as a checkpoint
+    /// carries it.
+    fn snapshot(g: &Gpu) -> Snapshot {
+        (&g.state_view(0, 0).unwrap()).into()
+    }
+
     #[test]
     fn snapshot_restore_persistent_round_trip() {
         let mut g = gpu();
@@ -567,13 +540,56 @@ mod tests {
             data: vec![1.0, 2.0, 3.0],
         })
         .unwrap();
-        let (snap, bytes) = g.snapshot_persistent();
-        assert_eq!(bytes, 12);
+        assert_eq!(g.state_view(0, 0).unwrap().logical_bytes, 12);
+        let snap = snapshot(&g);
         assert_eq!(snap.len(), 1);
         // Clobber, then restore.
         g.load_buffer(p, &[0.0, 0.0, 0.0]).unwrap();
         g.restore_persistent(&snap).unwrap();
         assert_eq!(g.buffer(p).unwrap().data, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn restore_persistent_checks_the_whole_snapshot_before_it_writes() {
+        let mut g = gpu();
+        let w = malloc(&mut g, "model.w", 3, BufferTag::Param);
+        let m = malloc(&mut g, "adam.m", 2, BufferTag::OptimState);
+        malloc(&mut g, "act", 2, BufferTag::Activation);
+        g.load_buffer(w, &[1.0, 2.0, 3.0]).unwrap();
+        g.load_buffer(m, &[4.0, 5.0]).unwrap();
+        let good = snapshot(&g);
+        let mut bad: Vec<(&str, Snapshot)> = Vec::new();
+        // The first entry is good in every case: a per-buffer loader would
+        // have overwritten it before it met the bad one.
+        let mut changed = good.clone();
+        changed[0].2 = vec![9.0; 3];
+        let mut missing = changed.clone();
+        missing.pop();
+        bad.push(("missing key", missing));
+        let mut extra = changed.clone();
+        extra.push(("model.gone-0-s0-n2".into(), BufferTag::Param, vec![0.0; 2]));
+        bad.push(("extra key", extra));
+        let mut long = changed.clone();
+        long[1].2.push(6.0);
+        bad.push(("wrong length", long));
+        let mut tag = changed.clone();
+        tag[1].1 = BufferTag::Param;
+        bad.push(("wrong tag", tag));
+        let mut twice = changed.clone();
+        twice[1] = twice[0].clone();
+        bad.push(("key twice", twice));
+        let before = g.checksum_all();
+        for (what, snap) in &bad {
+            let err = g.restore_persistent(snap);
+            assert!(matches!(err, Err(SimError::Protocol(_))), "{what}: {err:?}");
+            assert_eq!(
+                g.checksum_all(),
+                before,
+                "{what} wrote before it was refused"
+            );
+        }
+        g.restore_persistent(&changed).unwrap();
+        assert_eq!(g.buffer(w).unwrap().data, vec![9.0; 3]);
     }
 
     #[test]
@@ -587,20 +603,9 @@ mod tests {
             malloc(&mut g, "adam.m", 4, BufferTag::OptimState);
             g
         };
-        let g1 = build();
-        let g2 = build();
-        let k1: Vec<String> = g1
-            .snapshot_persistent()
-            .0
-            .into_iter()
-            .map(|x| x.0)
-            .collect();
-        let k2: Vec<String> = g2
-            .snapshot_persistent()
-            .0
-            .into_iter()
-            .map(|x| x.0)
-            .collect();
+        let keys = |g: &Gpu| -> Vec<String> { snapshot(g).into_iter().map(|x| x.0).collect() };
+        let k1 = keys(&build());
+        let k2 = keys(&build());
         assert_eq!(k1, k2);
         assert_eq!(k1.len(), 3);
         assert_ne!(k1[0], k1[1], "same path must get distinct seq numbers");

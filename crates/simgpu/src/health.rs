@@ -70,7 +70,7 @@ impl GpuHealth {
 
     /// Whether a context reset (proxy-server restart) returns the device
     /// to service.
-    pub fn reset_recovers(self) -> bool {
+    pub(crate) fn reset_recovers(self) -> bool {
         matches!(
             self,
             GpuHealth::Healthy | GpuHealth::DriverSuspect | GpuHealth::Sticky

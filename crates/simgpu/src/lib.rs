@@ -18,6 +18,9 @@
 //! * [`device`] — the [`device::Gpu`] object tying it together, with an
 //!   injectable [`health::GpuHealth`] state machine that reproduces
 //!   transient, sticky, driver-corruption, and hard failure behaviours;
+//! * [`state`] — the checkpoint state codec: one encoder over a borrowed
+//!   [`state::StateView`] of a device or a host copy, one decoder into a
+//!   host copy or straight into a device;
 //! * [`api`] — the serializable [`api::DeviceCall`] surface that the device
 //!   proxy logs and replays.
 
@@ -26,6 +29,7 @@ pub mod buffer;
 pub mod device;
 pub mod health;
 pub mod kernel;
+pub mod state;
 pub mod stream;
 
 pub use api::{CallResult, DeviceCall};
@@ -33,4 +37,5 @@ pub use buffer::{AllocSite, BufferId, BufferTag};
 pub use device::Gpu;
 pub use health::GpuHealth;
 pub use kernel::KernelKind;
+pub use state::{decode_state, StateSink, StateView};
 pub use stream::{EventId, StreamId};

@@ -93,7 +93,7 @@ impl Stream {
     /// Makes this stream wait for `event_time` (the `cudaStreamWaitEvent`
     /// semantic): its timeline cannot progress past work ordered before
     /// the event completes.
-    pub fn wait_event(&mut self, event_time: SimTime) {
+    pub(crate) fn wait_event(&mut self, event_time: SimTime) {
         self.ready_at = self.ready_at.max(event_time);
     }
 }
@@ -119,7 +119,7 @@ impl Event {
     /// True once recorded (the simulated device completes enqueued work
     /// eagerly, so a recorded event has always "fired"; hangs are modelled
     /// at the collective layer where they actually happen).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.recorded_at.is_some()
     }
 }

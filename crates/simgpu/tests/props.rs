@@ -67,14 +67,14 @@ proptest! {
             .enumerate()
             .map(|(i, p)| malloc(&mut g, &format!("p{i}"), p.clone(), BufferTag::Param))
             .collect();
-        let (snap, _) = g.snapshot_persistent();
-        let before = g.checksum_persistent();
+        let snap: Vec<(String, BufferTag, Vec<f32>)> = (&g.state_view(0, 0).unwrap()).into();
+        let before = g.checksum_all();
         // Clobber everything, restore, compare checksums.
         for (b, p) in bufs.iter().zip(&params) {
             g.load_buffer(*b, &vec![0.0; p.len()]).unwrap();
         }
         g.restore_persistent(&snap).unwrap();
-        prop_assert_eq!(g.checksum_persistent(), before);
+        prop_assert_eq!(g.checksum_all(), before);
     }
 
     #[test]

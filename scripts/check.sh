@@ -19,6 +19,12 @@ cargo test --release -p simcore --quiet
 cargo test --release -p proxy --quiet
 cargo test --release -p collectives --quiet
 cargo test --release -p jitckpt --test codec_golden --quiet
+# The state codec: device and host encode to the per-field codec's bytes,
+# and a stream cut anywhere decodes as the whole; the checkpoint bytes a
+# live job's JIT and periodic writes put in the store; the restore plane.
+cargo test --release -p dltrain --test state_codec --quiet
+cargo test --release -p jitckpt --test jit_write_golden --test restore_props --quiet
+cargo test --release -p baselines --test periodic_write_golden --quiet
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
