@@ -5,7 +5,7 @@ use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
 use collectives::CommWorld;
 use dltrain::{RankTrainer, TrainConfig};
-use jitckpt::checkpoint::{self, CkptKind};
+use jitckpt::checkpoint::{self, CkptKind, ShardPlan};
 use jitckpt::launcher::run_restart_job;
 use jitckpt::JitUserConfig;
 use proxy::{DirectExecutor, Executor};
@@ -189,25 +189,23 @@ pub fn run_periodic_job(
             if std::mem::take(&mut at_start) || !tr.iteration().is_multiple_of(every_iters) {
                 return Ok(());
             }
-            let clock = tr.exec.clock();
-            // Encoded straight from the device.
-            tr.with_state(|state| {
-                let t = blocking_overhead(kind, state.logical_bytes, &cost, rpn);
-                clock.advance(i, t);
-                checkpoint::write_checkpoint_with(
-                    &*store,
+            // Encoded straight from the device, written once it is released.
+            let (stage, part, dp) = (coord.stage, coord.part, coord.dp);
+            let plan = tr.with_state(|state| {
+                ShardPlan::encode(
                     job,
                     CkptKind::Periodic,
                     rank,
-                    coord.stage,
-                    coord.part,
-                    coord.dp,
+                    stage,
+                    part,
+                    dp,
                     state,
-                    // Auto-size the pool for this state's shard count (same
-                    // policy as the JIT writer).
-                    &shards.auto_sized_for(state),
+                    shards.shard_bytes,
                 )
-            })??;
+            })?;
+            let t = blocking_overhead(kind, plan.logical_bytes, &cost, rpn);
+            tr.exec.clock().advance(i, t);
+            checkpoint::write_encoded(&*store, plan, &shards)?;
             written.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };

@@ -112,16 +112,14 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// This configuration with the worker pool auto-sized for `state`
-    /// (a host `TrainState` or a device's [`StateView`]):
+    /// This configuration with the worker pool auto-sized for `state`:
     /// [`auto_shard_workers`] of the shard count `state` will split into
-    /// at this `shard_bytes`. Both checkpoint policies (JIT and the
-    /// periodic baselines) route their write sites through this so pool
-    /// sizing logic lives in exactly one place.
-    pub fn auto_sized_for<'a>(&self, state: impl Into<StateView<'a>>) -> ShardConfig {
-        let len = state.into().size_hint();
+    /// at this `shard_bytes`, as [`write_encoded`] sizes the pool of a
+    /// device's JIT or periodic checkpoint.
+    pub fn auto_sized_for(&self, state: &TrainState) -> ShardConfig {
+        let shards = state.encoded_len().div_ceil(self.shard_bytes.max(1));
         ShardConfig {
-            workers: auto_shard_workers(len.div_ceil(self.shard_bytes.max(1)).max(1)),
+            workers: auto_shard_workers(shards),
             ..*self
         }
     }
@@ -380,14 +378,13 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Stages a checkpoint write: encodes the logical stream once — from
-    /// a host `TrainState` or straight from a device's [`StateView`] —
-    /// slices it at `shard_bytes` boundaries, and resolves the delta
+    /// Stages a checkpoint write of a host `TrainState`: encodes the
+    /// logical stream once ([`Self::encode`]) and resolves the delta
     /// base (enforcing [`ShardConfig::max_delta_chain`] — a base whose
     /// consecutive-delta run is exhausted is discarded, forcing this
     /// write to be full so old directories become collectable).
     #[allow(clippy::too_many_arguments)]
-    pub fn stage<'a, S: StorageBackend + ?Sized>(
+    pub fn stage<S: StorageBackend + ?Sized>(
         store: &S,
         job: JobId,
         kind: CkptKind,
@@ -395,7 +392,7 @@ impl ShardPlan {
         stage: usize,
         part: usize,
         dp: usize,
-        state: impl Into<StateView<'a>>,
+        state: &TrainState,
         cfg: &ShardConfig,
     ) -> ShardPlan {
         Self::stage_cached(store, job, kind, rank, stage, part, dp, state, cfg, None)
@@ -407,7 +404,7 @@ impl ShardPlan {
     /// not yet durable, lost put) fall back to the scan, so behavior is
     /// identical to the uncached path — only the list traffic differs.
     #[allow(clippy::too_many_arguments)]
-    pub fn stage_cached<'a, S: StorageBackend + ?Sized>(
+    pub fn stage_cached<S: StorageBackend + ?Sized>(
         store: &S,
         job: JobId,
         kind: CkptKind,
@@ -415,15 +412,36 @@ impl ShardPlan {
         stage: usize,
         part: usize,
         dp: usize,
-        state: impl Into<StateView<'a>>,
+        state: &TrainState,
         cfg: &ShardConfig,
         cache: Option<&MetaCache>,
     ) -> ShardPlan {
-        let state = state.into();
-        let shard_bytes = cfg.shard_bytes.max(1);
-        // Encode the logical stream once; shards are zero-copy slices of
-        // it. Pre-sizing to the exact encoded length avoids growing a
-        // multi-hundred-MiB buffer through a doubling realloc chain.
+        let state = StateView::from(state);
+        let mut plan = Self::encode(job, kind, rank, stage, part, dp, &state, cfg.shard_bytes);
+        plan.resolve_base(store, cfg, cache);
+        plan
+    }
+
+    /// Encodes `state` — a host copy, or a device's state borrowed under
+    /// its lock — into the logical stream, once, and slices it at
+    /// `shard_bytes` boundaries. Touches no store and no lock: the delta
+    /// base is resolved when the plan is written ([`write_encoded`]),
+    /// after the device is released.
+    #[allow(clippy::too_many_arguments)]
+    pub fn encode(
+        job: JobId,
+        kind: CkptKind,
+        rank: RankId,
+        stage: usize,
+        part: usize,
+        dp: usize,
+        state: &StateView<'_>,
+        shard_bytes: usize,
+    ) -> ShardPlan {
+        let shard_bytes = shard_bytes.max(1);
+        // Shards are zero-copy slices of the stream. Pre-sizing to the
+        // exact encoded length avoids growing a multi-hundred-MiB buffer
+        // through a doubling realloc chain.
         let mut staged = BytesMut::with_capacity(state.size_hint());
         state.encode(&mut staged);
         let stream = staged.freeze();
@@ -434,29 +452,6 @@ impl ShardPlan {
             let hi = ((i + 1) * shard_bytes).min(stream.len());
             slices.push(stream.slice(lo..hi));
         }
-
-        // Delta base: this cell+replica's newest prior sidecar with an
-        // identical shard layout. Only the sidecar is consulted — if a
-        // base object later turns out torn or missing, the *read* path
-        // rejects that shard by index and assembly falls back, exactly
-        // as for any other incomplete checkpoint.
-        let base = if cfg.delta && cfg.max_delta_chain > 0 {
-            cache
-                .and_then(|c| c.newest_before(job, kind, state.iteration, stage, part, dp))
-                // A remembered iteration is only a *candidate*: its
-                // sidecar may still be queued behind the write-behind
-                // pipeline or silently lost by the backend. The targeted
-                // read confirms durability; failure falls to the scan.
-                .and_then(|it| read_meta(store, job, kind, it, stage, part, dp).ok())
-                .or_else(|| latest_meta_before(store, job, kind, state.iteration, stage, part, dp))
-                .filter(|m| m.shard_bytes == shard_bytes as u64 && m.shards.len() == n)
-                // Chain cap: extending this base would make the run
-                // `base.delta_depth + 1` long; past the cap, write full.
-                .filter(|m| m.delta_depth < cfg.max_delta_chain)
-        } else {
-            None
-        };
-
         ShardPlan {
             job,
             kind,
@@ -469,12 +464,44 @@ impl ShardPlan {
             shard_bytes,
             stream,
             slices,
-            base,
+            base: None,
         }
     }
 
+    /// Resolves the delta base: this cell+replica's newest prior sidecar
+    /// with an identical shard layout. Only the sidecar is consulted — if
+    /// a base object later turns out torn or missing, the *read* path
+    /// rejects that shard by index and assembly falls back, exactly as
+    /// for any other incomplete checkpoint.
+    fn resolve_base<S: StorageBackend + ?Sized>(
+        &mut self,
+        store: &S,
+        cfg: &ShardConfig,
+        cache: Option<&MetaCache>,
+    ) {
+        if !cfg.delta || cfg.max_delta_chain == 0 {
+            return;
+        }
+        let (job, kind, it) = (self.job, self.kind, self.iteration);
+        let (stage, part, dp) = (self.stage, self.part, self.dp);
+        self.base = cache
+            .and_then(|c| c.newest_before(job, kind, it, stage, part, dp))
+            // A remembered iteration is only a *candidate*: its sidecar
+            // may still be queued behind the write-behind pipeline or
+            // silently lost by the backend. The targeted read confirms
+            // durability; failure falls to the scan.
+            .and_then(|it| read_meta(store, job, kind, it, stage, part, dp).ok())
+            .or_else(|| latest_meta_before(store, job, kind, it, stage, part, dp))
+            .filter(|m| {
+                m.shard_bytes == self.shard_bytes as u64 && m.shards.len() == self.n_shards()
+            })
+            // Chain cap: extending this base would make the run
+            // `base.delta_depth + 1` long; past the cap, write full.
+            .filter(|m| m.delta_depth < cfg.max_delta_chain);
+    }
+
     /// Number of shards in the plan.
-    pub fn n_shards(&self) -> usize {
+    pub(crate) fn n_shards(&self) -> usize {
         self.slices.len()
     }
 
@@ -484,7 +511,7 @@ impl ShardPlan {
     /// CPU-bound half of the pipeline; the returned payload is an
     /// `Arc`-backed slice of the staged stream — handing it to an
     /// uploader costs a refcount bump, not a copy.
-    pub fn resolve_shard(&self, i: usize) -> (ShardMeta, Option<Bytes>) {
+    pub(crate) fn resolve_shard(&self, i: usize) -> (ShardMeta, Option<Bytes>) {
         let payload = &self.slices[i];
         let crc = simcore::codec::crc64(payload);
         let reused = self.base.as_ref().and_then(|b| {
@@ -503,7 +530,7 @@ impl ShardPlan {
     }
 
     /// Store path of shard `i`.
-    pub fn shard_path(&self, i: usize) -> String {
+    pub(crate) fn shard_path(&self, i: usize) -> String {
         shard_path(
             self.job,
             self.kind,
@@ -516,7 +543,7 @@ impl ShardPlan {
     }
 
     /// Store path of the metadata sidecar.
-    pub fn meta_path(&self) -> String {
+    pub(crate) fn meta_path(&self) -> String {
         meta_path(
             self.job,
             self.kind,
@@ -530,7 +557,7 @@ impl ShardPlan {
     /// Builds the completion sidecar from the resolved shard records
     /// (index order). `delta_depth` extends the base's run only if any
     /// shard actually reused it.
-    pub fn finish_meta(&self, shards: Vec<ShardMeta>) -> CheckpointMeta {
+    pub(crate) fn finish_meta(&self, shards: Vec<ShardMeta>) -> CheckpointMeta {
         let any_reused = shards.iter().any(|s| s.base_iteration.is_some());
         CheckpointMeta {
             iteration: self.iteration,
@@ -549,16 +576,16 @@ impl ShardPlan {
     }
 }
 
-/// Writes a rank's checkpoint — of a host `TrainState`, or straight from
-/// a device's [`StateView`] — shard objects first (fanned out across a
-/// bounded worker pool), then the metadata sidecar, the completion
-/// marker. The caller charges the write cost to the rank's clock.
+/// Writes a rank's checkpoint of a host `TrainState`: shard objects
+/// first (fanned out across a bounded worker pool), then the metadata
+/// sidecar — the completion marker. The caller charges the write cost to
+/// the rank's clock.
 ///
 /// With `cfg.delta`, shards bit-identical to this cell's most recent
 /// prior checkpoint (same `shard_bytes`, same shard count) are not
 /// re-written; the sidecar records where the bytes already live.
 #[allow(clippy::too_many_arguments)]
-pub fn write_checkpoint_with<'a, S: StorageBackend + ?Sized>(
+pub fn write_checkpoint_with<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
     kind: CkptKind,
@@ -566,16 +593,31 @@ pub fn write_checkpoint_with<'a, S: StorageBackend + ?Sized>(
     stage: usize,
     part: usize,
     dp: usize,
-    state: impl Into<StateView<'a>>,
+    state: &TrainState,
     cfg: &ShardConfig,
 ) -> SimResult<()> {
     let plan = ShardPlan::stage(store, job, kind, rank, stage, part, dp, state, cfg);
     write_plan(store, &plan, cfg.workers)
 }
 
+/// Writes a checkpoint encoded straight from a device
+/// ([`ShardPlan::encode`], under the device's lock) once the lock is
+/// released: resolves its delta base, then persists it as
+/// [`write_checkpoint_with`] does, on a pool auto-sized for its shard
+/// count. The JIT hang action and the periodic step hook both write this
+/// way, so no host copy of the state is made.
+pub fn write_encoded<S: StorageBackend + ?Sized>(
+    store: &S,
+    mut plan: ShardPlan,
+    cfg: &ShardConfig,
+) -> SimResult<()> {
+    plan.resolve_base(store, cfg, None);
+    write_plan(store, &plan, auto_shard_workers(plan.n_shards()))
+}
+
 /// Persists an already-staged [`ShardPlan`]: shard objects first (fanned
 /// out across a bounded worker pool), then the metadata sidecar.
-pub(crate) fn write_plan<S: StorageBackend + ?Sized>(
+fn write_plan<S: StorageBackend + ?Sized>(
     store: &S,
     plan: &ShardPlan,
     workers: usize,

@@ -323,23 +323,22 @@ impl<A> Job<A> {
         if self.lib.stream_recovery && rank == owner {
             let gpn = self.cost.gpu.gpus_per_node();
             let node = |r: RankId| gen.assignment[r.index()].0 as usize / gpn;
-            tr.with_state(|state| {
-                for dp in (0..layout.dp).filter(|&dp| dp != choice.dp) {
-                    let peer = layout.rank_at(GridCoord { dp, ..coord });
-                    stream::send_state_frames(
-                        &gen.setup.world,
-                        &self.cost,
-                        rank,
-                        i,
-                        peer,
-                        node(rank) == node(peer),
-                        state,
-                        self.lib.shards.shard_bytes,
-                        self.lib.stream_truncate,
-                    )?;
-                }
-                Ok::<_, SimError>(())
-            })??;
+            let shard_bytes = self.lib.shards.shard_bytes;
+            let header = tr.with_state(|state| stream::stream_header(state, shard_bytes))?;
+            for dp in (0..layout.dp).filter(|&dp| dp != choice.dp) {
+                let peer = layout.rank_at(GridCoord { dp, ..coord });
+                stream::send_state_frames(
+                    &gen.setup.world,
+                    &self.cost,
+                    rank,
+                    i,
+                    peer,
+                    node(rank) == node(peer),
+                    header,
+                    |k| tr.with_state(|state| state.frame(k, shard_bytes)),
+                    self.lib.stream_truncate,
+                )?;
+            }
         }
         self.events.lock().push(RecoveryEvent {
             rank,

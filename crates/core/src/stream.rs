@@ -9,7 +9,7 @@
 //! that owns the chosen checkpoint touches the store, and it then
 //! streams its restored state directly rank-to-rank as the same
 //! CRC-framed codec shards the checkpoint writer produces, each encoded
-//! straight from its device into the frame ([`StateView::frames`]).
+//! straight from its device into the frame ([`StateView::frame`]).
 //! The receiver keeps the verified frame payloads apart and decodes them
 //! into its own device; nothing reassembles them.
 //!
@@ -97,6 +97,9 @@ pub fn send_state(
     state: &TrainState,
     shard_bytes: usize,
 ) -> SimResult<StreamHeader> {
+    let view = StateView::from(state);
+    let header = stream_header(&view, shard_bytes);
+    let frame = |i| Ok(view.frame(i, shard_bytes));
     send_state_frames(
         world,
         cost,
@@ -104,8 +107,8 @@ pub fn send_state(
         src_clock_idx,
         dst,
         same_node,
-        &state.into(),
-        shard_bytes,
+        header,
+        frame,
         None,
     )
 }
@@ -127,6 +130,10 @@ pub fn send_state_truncated(
     shard_bytes: usize,
     keep_frames: usize,
 ) -> SimResult<StreamHeader> {
+    let view = StateView::from(state);
+    let header = stream_header(&view, shard_bytes);
+    let frame = |i| Ok(view.frame(i, shard_bytes));
+    let keep = Some(keep_frames);
     send_state_frames(
         world,
         cost,
@@ -134,16 +141,28 @@ pub fn send_state_truncated(
         src_clock_idx,
         dst,
         same_node,
-        &state.into(),
-        shard_bytes,
-        Some(keep_frames),
+        header,
+        frame,
+        keep,
     )
 }
 
+/// The preamble of `state` streamed at `shard_bytes` per frame.
+pub(crate) fn stream_header(state: &StateView<'_>, shard_bytes: usize) -> StreamHeader {
+    let len = state.size_hint();
+    let n = len.div_ceil(shard_bytes.max(1)).max(1);
+    StreamHeader {
+        iteration: state.iteration,
+        n_shards: n as u64,
+        total_bytes: (len + n * SHARD_FRAME_OVERHEAD) as u64,
+    }
+}
+
 /// [`send_state`] when `keep_frames` is `None`, else
-/// [`send_state_truncated`], of a host `TrainState` or straight from a
-/// device's [`StateView`]: each frame is encoded when its turn comes, so
-/// the whole encoded state never exists on the sender.
+/// [`send_state_truncated`], with frame `i` from `frame(i)`
+/// ([`StateView::frame`]): each frame is encoded when its turn comes —
+/// from a host copy, or from a device under its lock, taken per frame —
+/// so the whole encoded state never exists on the sender.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_state_frames(
     world: &CommWorld,
@@ -152,17 +171,10 @@ pub(crate) fn send_state_frames(
     src_clock_idx: usize,
     dst: RankId,
     same_node: bool,
-    state: &StateView<'_>,
-    shard_bytes: usize,
+    header: StreamHeader,
+    mut frame: impl FnMut(usize) -> SimResult<Bytes>,
     keep_frames: Option<usize>,
 ) -> SimResult<StreamHeader> {
-    let frames = state.frames(shard_bytes);
-    let n = frames.len();
-    let header = StreamHeader {
-        iteration: state.iteration,
-        n_shards: n as u64,
-        total_bytes: (state.size_hint() + n * SHARD_FRAME_OVERHEAD) as u64,
-    };
     let limit = keep_frames.unwrap_or(usize::MAX);
     if limit == 0 {
         return Ok(header);
@@ -176,10 +188,11 @@ pub(crate) fn send_state_frames(
         codec::encode_framed(&header),
         same_node,
     )?;
-    for (i, frame) in frames.enumerate() {
+    for i in 0..header.n_shards as usize {
         if i + 1 >= limit {
             break;
         }
+        let frame = frame(i)?;
         world
             .clock()
             .advance(src_clock_idx, cost.shard_encode(frame.len() as u64));
@@ -764,7 +777,10 @@ mod tests {
     fn a_preamble_total_the_frames_do_not_add_up_to_is_refused() -> SimResult<()> {
         let cost = CostModel::v100();
         let st = state(1000);
-        let frames: Vec<Bytes> = StateView::from(&st).frames(1000).collect();
+        let view = StateView::from(&st);
+        let frames: Vec<Bytes> = (0..stream_header(&view, 1000).n_shards as usize)
+            .map(|i| view.frame(i, 1000))
+            .collect();
         let real: u64 = frames.iter().map(|f| f.len() as u64).sum();
         for claim in [real - 1, real + 1, u64::MAX - 7, u64::MAX] {
             let (w, _) = world(2);
@@ -829,7 +845,10 @@ mod tests {
         let st = state(10_000);
         // Replica dies mid-stream: only the preamble and shard 0 ever
         // reach the wire.
-        let shards: Vec<Bytes> = StateView::from(&st).frames(1000).collect();
+        let view = StateView::from(&st);
+        let shards: Vec<Bytes> = (0..stream_header(&view, 1000).n_shards as usize)
+            .map(|i| view.frame(i, 1000))
+            .collect();
         assert!(shards.len() > 2, "expected a multi-shard stream");
         let header = StreamHeader {
             iteration: st.iteration,

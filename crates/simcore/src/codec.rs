@@ -596,7 +596,9 @@ pub fn frame_shard_with(index: u32, len: usize, write: impl FnOnce(&mut BytesMut
     out.put_u32_le(index);
     out.put_u64_le(len as u64);
     write(&mut out);
-    debug_assert_eq!(out.len() - HEADER, len, "frame_shard_with: payload length");
+    // The header already declares `len`: a writer that appended anything
+    // else would store a frame that lies about its payload.
+    assert_eq!(out.len() - HEADER, len, "frame_shard_with: payload length");
     let crc = crc64(&out[HEADER..]);
     out.put_u64_le(crc);
     out.freeze()

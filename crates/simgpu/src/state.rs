@@ -1,8 +1,8 @@
 //! The checkpoint state codec: one encoder and one decoder for a rank's
 //! persistent state, wherever the state lives.
 //!
-//! The wire layout is the one every checkpoint and recovery stream has
-//! always carried, little-endian:
+//! The wire layout of every checkpoint and recovery stream,
+//! little-endian:
 //!
 //! ```text
 //! iteration u64 | opt_t u32 | logical_bytes u64 | n u64 |
@@ -11,9 +11,9 @@
 //!
 //! * **Encoder.** [`StateView`] borrows the state — a host
 //!   `TrainState`'s buffers or a device's, through [`Gpu::state_view`] —
-//!   and its [`Encode`] impl writes the layout above; [`StateView::frames`]
-//!   writes the same bytes straight into CRC-framed shards, one shard at
-//!   a time. Both go through one resumable cursor, so a device and its
+//!   and its [`Encode`] impl writes the layout above; [`StateView::frame`]
+//!   writes one CRC-framed shard of the same bytes straight into its
+//!   frame. Both go through one resumable cursor, so a device and its
 //!   host snapshot encode to the same bytes by construction.
 //! * **Decoder.** [`decode_state`] walks the stream as a list of
 //!   chunks — the verified shards of a checkpoint or the payloads of a
@@ -33,7 +33,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A rank's persistent state, borrowed: what one checkpoint carries.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StateView<'a> {
     /// Next iteration to execute.
     pub iteration: u64,
@@ -43,22 +43,6 @@ pub struct StateView<'a> {
     pub logical_bytes: u64,
     /// Persistent buffers in encoding order: storage key, tag, payload.
     pub buffers: Vec<(Cow<'a, str>, BufferTag, &'a [f32])>,
-}
-
-impl<'a: 'b, 'b> From<&'b StateView<'a>> for StateView<'b> {
-    /// A re-borrow: the same state, with keys borrowed from `view`.
-    fn from(view: &'b StateView<'a>) -> StateView<'b> {
-        StateView {
-            iteration: view.iteration,
-            opt_t: view.opt_t,
-            logical_bytes: view.logical_bytes,
-            buffers: view
-                .buffers
-                .iter()
-                .map(|(key, tag, data)| (Cow::Borrowed(&**key), *tag, *data))
-                .collect(),
-        }
-    }
 }
 
 impl From<&StateView<'_>> for Vec<(String, BufferTag, Vec<f32>)> {
@@ -73,25 +57,27 @@ impl From<&StateView<'_>> for Vec<(String, BufferTag, Vec<f32>)> {
 }
 
 impl StateView<'_> {
-    /// The encoding cut into CRC-framed shards of at most `shard_bytes`
-    /// payload bytes ([`codec::frame_shard`]'s layout), each encoded
-    /// straight into its frame when the iterator reaches it. An empty
-    /// encoding still yields one (empty) frame.
-    pub fn frames(&self, shard_bytes: usize) -> impl ExactSizeIterator<Item = Bytes> + '_ {
+    /// Frame `i` of the encoding cut into CRC-framed shards of at most
+    /// `shard_bytes` payload bytes ([`codec::frame_shard`]'s layout):
+    /// only that shard's bytes are encoded, straight into the frame, so a
+    /// sender holds one frame at a time (and a device's lock only while
+    /// it encodes one). There are `size_hint().div_ceil(shard_bytes)`
+    /// frames, and at least one; past the last, a frame is empty.
+    pub fn frame(&self, i: usize, shard_bytes: usize) -> Bytes {
         let total = self.size_hint();
         let shard = shard_bytes.max(1);
+        let lo = i.saturating_mul(shard).min(total);
+        let len = shard.min(total - lo);
         let mut cursor = Cursor::new(self);
-        (0..total.div_ceil(shard).max(1)).map(move |i| {
-            let len = shard.min(total - i * shard);
-            codec::frame_shard_with(i as u32, len, |out| cursor.fill(out, len))
-        })
+        cursor.advance(None, lo);
+        codec::frame_shard_with(i as u32, len, |out| cursor.advance(Some(out), len))
     }
 }
 
 impl Encode for StateView<'_> {
     fn encode(&self, buf: &mut BytesMut) {
         buf.reserve(self.size_hint());
-        Cursor::new(self).fill(buf, usize::MAX);
+        Cursor::new(self).advance(Some(buf), usize::MAX);
     }
 
     /// Exact: the length of the whole encoding.
@@ -104,9 +90,9 @@ impl Encode for StateView<'_> {
     }
 }
 
-/// A resumable walk over a view's encoding: [`Cursor::fill`] appends the
-/// next bytes, wherever the previous call stopped — in the middle of a
-/// key, a length prefix or an `f32` included.
+/// A resumable walk over a view's encoding: [`Cursor::advance`] writes
+/// or skips the next bytes, wherever the previous call stopped — in the
+/// middle of a key, a length prefix or an `f32` included.
 struct Cursor<'v, 'a> {
     view: &'v StateView<'a>,
     /// The header, then one buffer's key, tag and length prefix.
@@ -141,23 +127,29 @@ impl<'v, 'a> Cursor<'v, 'a> {
         }
     }
 
-    /// Appends the next `n` bytes of the encoding to `out`, or what is
-    /// left of it if that is less.
-    fn fill(&mut self, out: &mut BytesMut, mut n: usize) {
+    /// Moves past the next `n` bytes of the encoding, or what is left of
+    /// it if that is less, appending them to `out` if there is one.
+    fn advance(&mut self, mut out: Option<&mut BytesMut>, mut n: usize) {
         while n > 0 {
             if self.split_at < 4 {
                 let k = (4 - self.split_at).min(n);
-                out.put_slice(&self.split[self.split_at..self.split_at + k]);
+                if let Some(out) = out.as_deref_mut() {
+                    out.put_slice(&self.split[self.split_at..self.split_at + k]);
+                }
                 self.split_at += k;
                 n -= k;
             } else if self.meta_at < self.meta.len() {
                 let k = (self.meta.len() - self.meta_at).min(n);
-                out.put_slice(&self.meta[self.meta_at..self.meta_at + k]);
+                if let Some(out) = out.as_deref_mut() {
+                    out.put_slice(&self.meta[self.meta_at..self.meta_at + k]);
+                }
                 self.meta_at += k;
                 n -= k;
             } else if !self.data.is_empty() {
                 let (now, rest) = self.data.split_at((n / 4).min(self.data.len()));
-                f32::encode_seq(now, out);
+                if let Some(out) = out.as_deref_mut() {
+                    f32::encode_seq(now, out);
+                }
                 n -= 4 * now.len();
                 self.data = rest;
                 if n > 0 && n < 4 {
@@ -249,7 +241,8 @@ impl<'c> Chunks<'c> {
         }
     }
 
-    /// The contiguous decoder's truncation error, word for word.
+    /// The per-field codec's truncation error, word for word, so that a
+    /// split stream fails as the contiguous one does.
     fn need(&self, n: usize) -> SimResult<()> {
         if self.left < n {
             return Err(SimError::Codec(format!(
@@ -301,10 +294,11 @@ impl<'c> Chunks<'c> {
 /// into `sink`; returns what the sink yields, the state's iteration, and
 /// how many bytes the state took (a caller checks for trailing bytes).
 ///
-/// Reads and checks the whole layout first, exactly as the contiguous
-/// decoder would and with its error texts: a truncated field, an invalid
-/// key, an unknown tag, or a length the remaining bytes cannot hold all
-/// fail before the sink sees anything. The sink then sees the layout and
+/// Reads and checks the whole layout first, in the order and with the
+/// error texts of the per-field codec (`u64`, `String`, `BufferTag`,
+/// `Vec<f32>` decoding): a truncated field, an invalid key, an unknown
+/// tag, or a length the remaining bytes cannot hold all fail before the
+/// sink sees anything. The sink then sees the layout and
 /// may refuse it; only then does each buffer's payload follow, piece by
 /// piece, an `f32` split across two chunks reassembled on the way. No
 /// chunk is copied into another, and nothing is allocated from a length
@@ -402,26 +396,26 @@ impl Gpu {
 
     /// Decodes a state from `chunks` (see [`decode_state`]) straight into
     /// this device's persistent buffers, matched by storage key, and
-    /// returns its iteration and optimizer timestep. The whole layout is
-    /// checked against the device first — every key present, each tag
-    /// and length equal, no buffer left out — so a refused state writes
-    /// nothing; trailing bytes after the state are refused too, but only
-    /// once the buffers are written.
+    /// returns its iteration and optimizer timestep. Everything is
+    /// checked before a buffer is written — the stream decodes with no
+    /// trailing bytes, every key is present, each tag and length equal,
+    /// no buffer is left out — so a refused state writes nothing.
     pub fn load_state(&mut self, chunks: &[Bytes]) -> SimResult<(u64, u32)> {
         let total: usize = chunks.iter().map(Bytes::len).sum();
-        let sink = DeviceSink {
-            gpu: self,
-            ids: Vec::new(),
-            filled: Vec::new(),
-            opt_t: 0,
-        };
-        let (opt_t, iteration, end) = decode_state(chunks, sink)?;
+        let ((), _, end) = decode_state(chunks, ())?;
         if end != total {
             return Err(SimError::Codec(format!(
                 "{} trailing bytes after decode",
                 total - end
             )));
         }
+        let sink = DeviceSink {
+            gpu: self,
+            ids: Vec::new(),
+            filled: Vec::new(),
+            opt_t: 0,
+        };
+        let (opt_t, iteration, _) = decode_state(chunks, sink)?;
         Ok((iteration, opt_t))
     }
 
