@@ -809,7 +809,7 @@ pub fn read_checkpoint<S: StorageBackend + ?Sized>(
 /// readers return. The restart launcher decodes the same chunks into the
 /// device instead.
 pub(crate) fn host_copy(chunks: &[Bytes]) -> SimResult<TrainState> {
-    decode_state(chunks, TrainState::default()).map(|(state, ..)| state)
+    decode_state(chunks, TrainState::default()).map(|(state, _)| state)
 }
 
 /// Sidecar-level validation shared by the serial and parallel readers:
@@ -863,7 +863,7 @@ pub(crate) fn verify_shard(
 
 /// Final checks shared by both readers: aggregate the per-shard blame,
 /// then verify the verified shards' total length against the sidecar's,
-/// that they decode in order as one state with no trailing bytes, and the
+/// that they decode in order as one state and nothing more, and the
 /// sidecar-vs-payload iteration binding. Returns the shards, still
 /// apart: nothing is reassembled, and the sidecar's length sizes nothing.
 pub(crate) fn finish_restore(
@@ -887,14 +887,8 @@ pub(crate) fn finish_restore(
             meta.payload_len
         )));
     }
-    let ((), iteration, end) = decode_state(&shards, ())
+    let ((), iteration) = decode_state(&shards, ())
         .map_err(|e| SimError::CorruptCheckpoint(format!("{prefix}: {e}")))?;
-    if end != len {
-        return Err(SimError::CorruptCheckpoint(format!(
-            "{prefix}: {} trailing bytes after decode",
-            len - end
-        )));
-    }
     if iteration != meta.iteration {
         return Err(SimError::CorruptCheckpoint(format!(
             "{prefix}: iteration mismatch ({iteration} vs {})",

@@ -250,8 +250,8 @@ pub fn recv_state(
 
 /// Receives a streamed state from `src`, verifying every shard's CRC
 /// frame, the framed total against the preamble's, that the payloads
-/// decode in order as one state with no trailing bytes, and its
-/// iteration against the preamble. Returns the payloads, still apart,
+/// decode in order as one state and nothing more, and its iteration
+/// against the preamble. Returns the payloads, still apart,
 /// for the caller to decode where the state goes. The preamble's counts
 /// size nothing: a stream that carries other than what it declared is
 /// refused. `patience` bounds (in real time) how long the receiver waits
@@ -326,15 +326,8 @@ pub(crate) fn recv_verified(
     if framed != header.total_bytes {
         return Err(framed_mismatch(framed));
     }
-    let len: usize = payloads.iter().map(Bytes::len).sum();
-    let ((), iteration, end) = decode_state(&payloads, ())
+    let ((), iteration) = decode_state(&payloads, ())
         .map_err(|e| SimError::Codec(format!("recovery stream from {src}: {e}")))?;
-    if end != len {
-        return Err(SimError::Codec(format!(
-            "recovery stream from {src}: {} trailing bytes after state decode",
-            len - end
-        )));
-    }
     if iteration != header.iteration {
         return Err(SimError::Protocol(format!(
             "recovery stream from {src}: iteration {iteration} does not match preamble {}",

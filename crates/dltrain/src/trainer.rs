@@ -983,7 +983,7 @@ impl StateSink for TrainState {
         Ok(())
     }
 
-    fn data(&mut self, i: usize, le: &[u8]) {
+    fn data(&mut self, i: usize, _at: usize, le: &[u8]) {
         self.buffers[i].2.extend(
             le.chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
@@ -995,11 +995,12 @@ impl StateSink for TrainState {
     }
 }
 
+/// A state stream holds one state and nothing after it: `decode` takes
+/// the whole of `buf`.
 impl Decode for TrainState {
     fn decode(buf: &mut bytes::Bytes) -> SimResult<Self> {
-        let (state, _, end) =
-            simgpu::decode_state(std::slice::from_ref(buf), TrainState::default())?;
-        buf.advance(end);
+        let (state, _) = simgpu::decode_state(std::slice::from_ref(buf), TrainState::default())?;
+        buf.advance(buf.len());
         Ok(state)
     }
 }

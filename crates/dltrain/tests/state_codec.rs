@@ -93,7 +93,8 @@ fn oracle_encode(s: &TrainState) -> Vec<u8> {
     out.to_vec()
 }
 
-/// The per-field decoder, for its error texts.
+/// The per-field decoder, for its error texts; like `decode_framed`, it
+/// refuses bytes after the value.
 fn oracle_decode(raw: &[u8]) -> SimResult<TrainState> {
     let mut buf = Bytes::copy_from_slice(raw);
     let iteration = u64::decode(&mut buf)?;
@@ -105,6 +106,12 @@ fn oracle_decode(raw: &[u8]) -> SimResult<TrainState> {
         let key = String::decode(&mut buf)?;
         let tag = BufferTag::decode(&mut buf)?;
         buffers.push((key, tag, Vec::<f32>::decode(&mut buf)?));
+    }
+    if !buf.is_empty() {
+        return Err(simcore::SimError::Codec(format!(
+            "{} trailing bytes after decode",
+            buf.len()
+        )));
     }
     Ok(TrainState {
         iteration,
@@ -154,7 +161,7 @@ fn awkward_cuts(first_key_len: usize) -> [usize; 3] {
 type Decoded = (
     Result<Vec<(String, BufferTag, Vec<u32>)>, String>,
     Result<Vec<(String, BufferTag, Vec<u32>)>, String>,
-    Result<(u64, usize), String>,
+    Result<u64, String>,
 );
 
 fn decode_all(parts: &[Bytes], target: &[Vec<f32>]) -> Decoded {
@@ -175,7 +182,7 @@ fn decode_all(parts: &[Bytes], target: &[Vec<f32>]) -> Decoded {
         }
     };
     let none = decode_state(parts, ())
-        .map(|((), it, end)| (it, end))
+        .map(|((), it)| it)
         .map_err(|e| e.to_string());
     (host, dev, none)
 }
@@ -221,7 +228,7 @@ proptest! {
     fn a_stream_cut_anywhere_decodes_as_the_whole(
         bufs in proptest::collection::vec(proptest::collection::vec(any::<f32>(), 1..40), 1..6),
         cuts in proptest::collection::vec(any::<u16>(), 0..12),
-        corrupt in 0u8..6,
+        corrupt in 0u8..7,
         at in any::<u16>(),
     ) {
         let bufs = with_specials(bufs);
@@ -249,6 +256,8 @@ proptest! {
             5 => {
                 target[0].pop();
             }
+            // Stray bytes after the state.
+            6 => raw.extend(std::iter::repeat_n(0, at as usize % 5 + 1)),
             _ => {}
         }
         let mut cut_at: Vec<usize> = cuts.iter().map(|&c| c as usize % raw.len().max(1)).collect();
@@ -266,7 +275,7 @@ proptest! {
             let want: Vec<_> = bits(&TrainState::from(&view));
             prop_assert_eq!(whole.0, Ok(want.clone()));
             prop_assert_eq!(whole.1, Ok(want));
-            prop_assert_eq!(whole.2, Ok((7, raw.len())));
+            prop_assert_eq!(whole.2, Ok(7));
         }
     }
 }

@@ -19,8 +19,9 @@
 //!   chunks — the verified shards of a checkpoint or the payloads of a
 //!   stream's frames, in order — without concatenating them. It reads
 //!   the whole layout first (every key, tag and length, checked against
-//!   the bytes present), hands it to a [`StateSink`], which may refuse
-//!   it, and only then hands over each buffer's payload. A sink is a
+//!   the bytes present, and no byte left over), hands it to a
+//!   [`StateSink`], which may refuse it, and only then hands over each
+//!   buffer's payload. A sink is a
 //!   host `TrainState`, a device ([`Gpu::load_state`]), or `()`, which
 //!   keeps nothing and only proves that the stream decodes.
 
@@ -191,9 +192,9 @@ pub trait StateSink {
         buffers: &[(String, BufferTag, usize)],
     ) -> SimResult<()>;
 
-    /// The next payload bytes of buffer `i` of the layout, in order, as
-    /// little-endian `f32`s: `le.len()` is a multiple of 4.
-    fn data(&mut self, i: usize, le: &[u8]);
+    /// The next payload bytes of buffer `i` of the layout, from its value
+    /// `at` on, as little-endian `f32`s: `le.len()` is a multiple of 4.
+    fn data(&mut self, i: usize, at: usize, le: &[u8]);
 
     /// What the sink holds once every payload is in.
     fn finish(self) -> Self::Out;
@@ -214,7 +215,7 @@ impl StateSink for () {
         Ok(())
     }
 
-    fn data(&mut self, _: usize, _: &[u8]) {}
+    fn data(&mut self, _: usize, _: usize, _: &[u8]) {}
 
     fn finish(self) {}
 }
@@ -290,23 +291,20 @@ impl<'c> Chunks<'c> {
     }
 }
 
-/// Decodes a state from `chunks`, the pieces of one stream in order,
-/// into `sink`; returns what the sink yields, the state's iteration, and
-/// how many bytes the state took (a caller checks for trailing bytes).
+/// Decodes the state `chunks` hold — the pieces of one stream, in order,
+/// and nothing else — into `sink`; returns what the sink yields and the
+/// state's iteration.
 ///
 /// Reads and checks the whole layout first, in the order and with the
 /// error texts of the per-field codec (`u64`, `String`, `BufferTag`,
 /// `Vec<f32>` decoding): a truncated field, an invalid key, an unknown
-/// tag, or a length the remaining bytes cannot hold all fail before the
-/// sink sees anything. The sink then sees the layout and
-/// may refuse it; only then does each buffer's payload follow, piece by
-/// piece, an `f32` split across two chunks reassembled on the way. No
-/// chunk is copied into another, and nothing is allocated from a length
-/// the bytes present do not back.
-pub fn decode_state<K: StateSink>(
-    chunks: &[Bytes],
-    mut sink: K,
-) -> SimResult<(K::Out, u64, usize)> {
+/// tag, a length the remaining bytes cannot hold, or bytes left over
+/// after the last buffer all fail before the sink sees anything. The
+/// sink then sees the layout and may refuse it; only then does each
+/// buffer's payload follow, piece by piece, an `f32` split across two
+/// chunks joined on the way. No chunk is copied into another, and
+/// nothing is allocated from a length the bytes present do not back.
+pub fn decode_state<K: StateSink>(chunks: &[Bytes], mut sink: K) -> SimResult<(K::Out, u64)> {
     let mut cur = Chunks::new(chunks);
     let iteration = cur.u64()?;
     let opt_t = cur.bytes().map(u32::from_le_bytes)?;
@@ -336,14 +334,20 @@ pub fn decode_state<K: StateSink>(
         cur.pieces(len * 4, |_| {});
         layout.push((key, tag, len));
     }
-    let end = cur.pos;
+    if cur.left > 0 {
+        return Err(SimError::Codec(format!(
+            "{} trailing bytes after decode",
+            cur.left
+        )));
+    }
     sink.layout(iteration, opt_t, logical_bytes, &layout)?;
 
     let mut cur = Chunks::new(chunks);
     for (i, (&start, (_, _, len))) in starts.iter().zip(&layout).enumerate() {
         cur.pieces(start - cur.pos, |_| {});
-        // An `f32` split across two chunks, and how many of its bytes
-        // have arrived.
+        // Values handed over so far, and an `f32` split across two
+        // chunks with how many of its bytes have arrived.
+        let mut at = 0;
         let mut carry = [0u8; 4];
         let mut have = 0;
         cur.pieces(len * 4, |mut p| {
@@ -355,18 +359,20 @@ pub fn decode_state<K: StateSink>(
                 if have < 4 {
                     return;
                 }
-                sink.data(i, &carry);
+                sink.data(i, at, &carry);
+                at += 1;
                 have = 0;
             }
             let whole = p.len() / 4 * 4;
             if whole > 0 {
-                sink.data(i, &p[..whole]);
+                sink.data(i, at, &p[..whole]);
+                at += whole / 4;
             }
             have = p.len() - whole;
             carry[..have].copy_from_slice(&p[whole..]);
         });
     }
-    Ok((sink.finish(), iteration, end))
+    Ok((sink.finish(), iteration))
 }
 
 impl Gpu {
@@ -397,25 +403,16 @@ impl Gpu {
     /// Decodes a state from `chunks` (see [`decode_state`]) straight into
     /// this device's persistent buffers, matched by storage key, and
     /// returns its iteration and optimizer timestep. Everything is
-    /// checked before a buffer is written — the stream decodes with no
-    /// trailing bytes, every key is present, each tag and length equal,
-    /// no buffer is left out — so a refused state writes nothing.
+    /// checked before a buffer is written — the stream decodes, every key
+    /// is present, each tag and length equal, no buffer is left out — so
+    /// a refused state writes nothing.
     pub fn load_state(&mut self, chunks: &[Bytes]) -> SimResult<(u64, u32)> {
-        let total: usize = chunks.iter().map(Bytes::len).sum();
-        let ((), _, end) = decode_state(chunks, ())?;
-        if end != total {
-            return Err(SimError::Codec(format!(
-                "{} trailing bytes after decode",
-                total - end
-            )));
-        }
         let sink = DeviceSink {
             gpu: self,
             ids: Vec::new(),
-            filled: Vec::new(),
             opt_t: 0,
         };
-        let (opt_t, iteration, _) = decode_state(chunks, sink)?;
+        let (opt_t, iteration) = decode_state(chunks, sink)?;
         Ok((iteration, opt_t))
     }
 
@@ -463,10 +460,8 @@ impl Gpu {
 /// buffer's payload is written in place as it arrives.
 struct DeviceSink<'g> {
     gpu: &'g mut Gpu,
-    /// The buffer each layout entry loads into, and how many of its
-    /// values are written.
+    /// The buffer each layout entry loads into.
     ids: Vec<BufferId>,
-    filled: Vec<usize>,
     opt_t: u32,
 }
 
@@ -483,21 +478,18 @@ impl StateSink for DeviceSink<'_> {
         self.ids = self
             .gpu
             .match_layout(buffers.iter().map(|(k, t, n)| (k.as_str(), *t, *n)))?;
-        self.filled = vec![0; self.ids.len()];
         self.opt_t = opt_t;
         Ok(())
     }
 
-    fn data(&mut self, i: usize, le: &[u8]) {
+    fn data(&mut self, i: usize, at: usize, le: &[u8]) {
         // The layout was matched: the buffer exists and has room.
         let Ok(buf) = self.gpu.buffer_mut(self.ids[i]) else {
             return;
         };
-        let at = self.filled[i];
         for (dst, c) in buf.data[at..].iter_mut().zip(le.chunks_exact(4)) {
             *dst = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         }
-        self.filled[i] = at + le.len() / 4;
     }
 
     fn finish(self) -> u32 {
