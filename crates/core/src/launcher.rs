@@ -319,7 +319,6 @@ impl<A> Job<A> {
             }
         };
         tr.restore_encoded(&chunks)?;
-        drop(chunks);
         if self.lib.stream_recovery && rank == owner {
             let gpn = self.cost.gpu.gpus_per_node();
             let node = |r: RankId| gen.assignment[r.index()].0 as usize / gpn;
