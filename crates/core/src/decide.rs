@@ -54,9 +54,9 @@ pub enum Action {
     HostRoundTrip,
     /// Restart the proxy server; a replica refills the state (case 3).
     Restart,
-    /// Migrate to a fresh GPU and read the §4.3 files a healthy replica wrote.
+    /// Migrate to a fresh GPU and load the §4.3 frames a healthy replica wrote.
     Migrate,
-    /// Write the §4.3 buffer files; charge the worker's CRIU round trip.
+    /// Write the §4.3 frames; charge the worker's CRIU round trip.
     WriteHardFiles,
     /// Rebuild every communicator: one rendezvous per group.
     Rendezvous,
@@ -143,7 +143,7 @@ pub(crate) fn decide(layout: &ParallelLayout, arrived: &[RankStatus]) -> SimResu
             (_, Sticky | DriverSuspect) => actions.push(Restart),
             (RollForward, Healthy) => actions.push(ResetInPlace { charged: false }),
         }
-        // Everyone else in a hard round contributes buffer files and a
+        // Everyone else in a hard round contributes its §4.3 frames and a
         // CRIU image (all workers migrate together).
         if hard && s.health != HardwareFailed {
             actions.push(WriteHardFiles);
@@ -231,7 +231,7 @@ mod tests {
     const KEEP: &[Action] = &[Teardown, Rendezvous, RecreateHandles];
     /// The same rank as the root of its cell's copy.
     const KEEP_AND_SERVE: &[Action] = &[Teardown, Rendezvous, COPY, RecreateHandles];
-    /// Every healthy rank of a §4.3 round: it writes its buffer files,
+    /// Every healthy rank of a §4.3 round: it writes its frames,
     /// then keeps its minibatch.
     const WRITE_FILES: &[Action] = &[Teardown, WriteHardFiles, Rendezvous, RecreateHandles];
 

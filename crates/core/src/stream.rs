@@ -21,8 +21,14 @@
 //! framed while shard `k` is in flight and shard `k−1` is being
 //! applied. Any stall, abort, or corruption on the stream degrades
 //! safely: the receiver falls back to the store-based restore path
-//! ([`crate::restore::load_for_rank_parallel`], which fetches shards
-//! through a bounded concurrent pool).
+//! ([`crate::restore::read_counted`], which fetches the cell's verified
+//! shards through a bounded concurrent pool).
+//!
+//! The state stream and the survivors' ledger streams run one frame
+//! protocol: a framed preamble, then CRC-framed shards at sequence
+//! `1..=n`, sent by one loop and received by one loop, each frame checked
+//! by [`open_frame`] — as are the §4.3 frames a healthy replica parks in
+//! the store for a migrated victim (`crate::transparent`).
 
 use bytes::{Bytes, BytesMut};
 use collectives::ledger::{retained_ranges, GradLedger};
@@ -81,11 +87,7 @@ impl Decode for StreamHeader {
 
 /// Streams `state` to `dst` as CRC-framed codec shards: a framed
 /// [`StreamHeader`] preamble, then one [`codec::frame_shard`] frame per
-/// shard. The sender's clock accrues the per-shard framing cost before
-/// each frame enters the wire; `send_bytes` charges the p2p transfer on
-/// top, so downstream frames are timestamped progressively later and
-/// the receiver can overlap applying early shards with the transfer of
-/// late ones.
+/// shard, pipelined as [`send_frames`] charges them.
 #[allow(clippy::too_many_arguments)]
 pub fn send_state(
     world: &CommWorld,
@@ -97,19 +99,18 @@ pub fn send_state(
     state: &TrainState,
     shard_bytes: usize,
 ) -> SimResult<StreamHeader> {
-    let view = StateView::from(state);
-    let header = stream_header(&view, shard_bytes);
-    let frame = |i| Ok(view.frame(i, shard_bytes));
-    send_state_frames(
+    // A sender that never dies keeps every frame.
+    let keep_frames = usize::MAX;
+    send_state_truncated(
         world,
         cost,
         src,
         src_clock_idx,
         dst,
         same_node,
-        header,
-        frame,
-        None,
+        state,
+        shard_bytes,
+        keep_frames,
     )
 }
 
@@ -172,56 +173,79 @@ pub(crate) fn send_state_frames(
     dst: RankId,
     same_node: bool,
     header: StreamHeader,
-    mut frame: impl FnMut(usize) -> SimResult<Bytes>,
+    frame: impl FnMut(usize) -> SimResult<Bytes>,
     keep_frames: Option<usize>,
 ) -> SimResult<StreamHeader> {
-    let limit = keep_frames.unwrap_or(usize::MAX);
-    if limit == 0 {
-        return Ok(header);
-    }
-    world.send_bytes(
-        src,
-        src_clock_idx,
-        dst,
-        TAG_STATE_STREAM,
-        SEQ_HEADER,
-        codec::encode_framed(&header),
-        same_node,
-    )?;
-    for i in 0..header.n_shards as usize {
-        if i + 1 >= limit {
-            break;
-        }
-        let frame = frame(i)?;
-        world
-            .clock()
-            .advance(src_clock_idx, cost.shard_encode(frame.len() as u64));
-        world.send_bytes(
+    // The preamble counts as the first frame kept.
+    if let Some(kept) = keep_frames.unwrap_or(usize::MAX).checked_sub(1) {
+        let frames = (0..header.n_shards as usize).take(kept).map(frame);
+        send_frames(
+            world,
+            cost,
             src,
             src_clock_idx,
             dst,
-            TAG_STATE_STREAM,
-            i as u64 + 1,
-            frame,
             same_node,
+            TAG_STATE_STREAM,
+            &header,
+            frames,
         )?;
     }
     Ok(header)
 }
 
-/// Polls the byte mailbox for one frame until `deadline` (real time).
-/// A missing frame past the deadline is the dead-replica signature and
-/// surfaces as [`SimError::CollectiveTimeout`] naming the sender.
-fn recv_frame(
+/// The send loop of both streams: the framed `preamble` at
+/// [`SEQ_HEADER`], then frame `i` of `frames` at `i + 1`, to `dst` under
+/// `tag`. The sender's clock pays each frame's framing cost before the
+/// frame enters the wire; `send_bytes` charges the p2p transfer on top,
+/// so later frames are timestamped progressively later and the receiver
+/// overlaps applying early frames with the transfer of late ones.
+#[allow(clippy::too_many_arguments)]
+fn send_frames(
     world: &CommWorld,
+    cost: &CostModel,
+    src: RankId,
+    src_clock_idx: usize,
+    dst: RankId,
+    same_node: bool,
+    tag: u64,
+    preamble: &impl Encode,
+    frames: impl Iterator<Item = SimResult<Bytes>>,
+) -> SimResult<()> {
+    let send = |seq, bytes| world.send_bytes(src, src_clock_idx, dst, tag, seq, bytes, same_node);
+    send(SEQ_HEADER, codec::encode_framed(preamble))?;
+    for (i, frame) in frames.enumerate() {
+        let frame = frame?;
+        let charge = cost.shard_encode(frame.len() as u64);
+        world.clock().advance(src_clock_idx, charge);
+        send(i as u64 + 1, frame)?;
+    }
+    Ok(())
+}
+
+/// The receive loop of both streams: the framed preamble from `src` at
+/// [`SEQ_HEADER`], then the `n_frames(&preamble)` frames it announces,
+/// each opened with [`open_frame`] and charged the verify + stage +
+/// host→device upload of its payload. Returns the preamble and the
+/// payloads, still apart; the announced count sizes nothing. Every frame
+/// must arrive within `patience` (real time) of the call: a missing frame
+/// past it is the dead-sender signature and surfaces as
+/// [`SimError::CollectiveTimeout`] naming the sender. `what` names the
+/// stream in errors.
+#[allow(clippy::too_many_arguments)]
+fn recv_frames<H: Decode>(
+    world: &CommWorld,
+    cost: &CostModel,
     src: RankId,
     dst: RankId,
     dst_clock_idx: usize,
     tag: u64,
-    seq: u64,
-    deadline: Instant,
-) -> SimResult<Bytes> {
-    loop {
+    what: &str,
+    patience: Duration,
+    n_frames: impl FnOnce(&H) -> u64,
+) -> SimResult<(H, Vec<Bytes>)> {
+    let deadline = Instant::now() + patience;
+    let recv = |seq| loop {
         if let Some(frame) = world.try_recv_bytes(src, dst, dst_clock_idx, tag, seq)? {
             return Ok(frame);
         }
@@ -231,7 +255,39 @@ fn recv_frame(
         // jitlint::allow(virtual_time): bounded 1ms poll against a real
         // deadline — dead-replica detection has no virtual-time signal.
         std::thread::sleep(Duration::from_millis(1));
+    };
+    let header: H = codec::decode_framed(&recv(SEQ_HEADER)?)?;
+    let from = format!("{what} from {src}");
+    let mut payloads = Vec::new();
+    for slot in 0..n_frames(&header) {
+        let payload = open_frame(&from, recv(slot + 1)?, slot)?;
+        let len = payload.len() as u64;
+        world
+            .clock()
+            .advance(dst_clock_idx, cost.shard_encode(len) + cost.memcpy(len));
+        payloads.push(payload);
     }
+    Ok((header, payloads))
+}
+
+/// Opens frame `slot` of a frame sequence `from` names — a stream's, or
+/// the §4.3 frames parked in the store: its CRC frame
+/// ([`codec::decode_shard`]), then that it is frame `slot`, then that
+/// nothing follows it. Returns the payload.
+pub(crate) fn open_frame(from: &str, mut frame: Bytes, slot: u64) -> SimResult<Bytes> {
+    let (index, payload) = codec::decode_shard(&mut frame)?;
+    if u64::from(index) != slot {
+        return Err(SimError::Protocol(format!(
+            "{from}: frame {index} arrived at slot {slot}"
+        )));
+    }
+    if !frame.is_empty() {
+        return Err(SimError::Codec(format!(
+            "{from}: {} trailing bytes after frame {slot}",
+            frame.len()
+        )));
+    }
+    Ok(payload)
 }
 
 /// Receives a streamed [`TrainState`] from `src` into a host copy:
@@ -248,15 +304,13 @@ pub fn recv_state(
     crate::checkpoint::host_copy(&payloads)
 }
 
-/// Receives a streamed state from `src`, verifying every shard's CRC
-/// frame, the framed total against the preamble's, that the payloads
-/// decode in order as one state and nothing more, and its iteration
-/// against the preamble. Returns the payloads, still apart,
-/// for the caller to decode where the state goes. The preamble's counts
-/// size nothing: a stream that carries other than what it declared is
-/// refused. `patience` bounds (in real time) how long the receiver waits
-/// for any single frame before declaring the sending replica dead; the
-/// caller falls back to the store-based restore on any error.
+/// Receives a streamed state from `src` ([`recv_frames`]), then checks
+/// the framed total against the preamble's, that the payloads decode in
+/// order as one state and nothing more, and its iteration against the
+/// preamble. Returns the payloads, still apart, for the caller to decode
+/// where the state goes. The preamble's counts size nothing: a stream
+/// that carries other than what it declared is refused. The caller falls
+/// back to the store-based restore on any error.
 pub(crate) fn recv_verified(
     world: &CommWorld,
     cost: &CostModel,
@@ -265,66 +319,31 @@ pub(crate) fn recv_verified(
     dst_clock_idx: usize,
     patience: Duration,
 ) -> SimResult<Vec<Bytes>> {
-    let deadline = Instant::now() + patience;
-    let preamble = recv_frame(
+    let (header, payloads) = recv_frames(
         world,
+        cost,
         src,
         dst,
         dst_clock_idx,
         TAG_STATE_STREAM,
-        SEQ_HEADER,
-        deadline,
+        "recovery stream",
+        patience,
+        |h: &StreamHeader| h.n_shards,
     )?;
-    let header: StreamHeader = codec::decode_framed(&preamble)?;
     if header.n_shards == 0 {
         return Err(SimError::Protocol(format!(
             "recovery stream from {src}: empty shard set"
         )));
     }
-    let framed_mismatch = |framed: u64| {
-        SimError::Codec(format!(
+    let framed: usize = payloads
+        .iter()
+        .map(|p| p.len() + SHARD_FRAME_OVERHEAD)
+        .sum();
+    if framed as u64 != header.total_bytes {
+        return Err(SimError::Codec(format!(
             "recovery stream from {src}: received {framed} of {} framed bytes",
             header.total_bytes
-        ))
-    };
-    let mut payloads = Vec::new();
-    let mut framed = 0u64;
-    for i in 0..header.n_shards {
-        let mut frame = recv_frame(
-            world,
-            src,
-            dst,
-            dst_clock_idx,
-            TAG_STATE_STREAM,
-            i + 1,
-            deadline,
-        )?;
-        framed += frame.len() as u64;
-        if framed > header.total_bytes {
-            return Err(framed_mismatch(framed));
-        }
-        let (index, payload) = codec::decode_shard(&mut frame)?;
-        if index as u64 != i {
-            return Err(SimError::Protocol(format!(
-                "recovery stream from {src}: shard {index} arrived at slot {i}"
-            )));
-        }
-        if !frame.is_empty() {
-            return Err(SimError::Codec(format!(
-                "recovery stream from {src}: {} trailing bytes after shard {i}",
-                frame.len()
-            )));
-        }
-        // Applying the shard: the CRC/staging pass plus the host→device
-        // upload of the payload.
-        world.clock().advance(
-            dst_clock_idx,
-            cost.shard_encode(payload.len() as u64) + cost.memcpy(payload.len() as u64),
-        );
-        payloads.push(payload);
-    }
-    if framed != header.total_bytes {
-        return Err(framed_mismatch(framed));
+        )));
     }
     let ((), iteration) = decode_state(&payloads, ())
         .map_err(|e| SimError::Codec(format!("recovery stream from {src}: {e}")))?;
@@ -487,42 +506,30 @@ pub fn send_ledger_slices(
         epoch_lo: epochs.start,
         epoch_hi: epochs.end,
     };
-    world.send_bytes(
+    let frames = slices.iter().enumerate().map(|(i, slice)| {
+        let mut payload = BytesMut::new();
+        slice.encode(&mut payload);
+        Ok(codec::frame_shard(i as u32, &payload))
+    });
+    send_frames(
+        world,
+        cost,
         src,
         src_clock_idx,
         dst,
-        TAG_LEDGER_STREAM,
-        SEQ_HEADER,
-        codec::encode_framed(&header),
         same_node,
+        TAG_LEDGER_STREAM,
+        &header,
+        frames,
     )?;
-    let n = slices.len() as u64;
-    for (i, slice) in slices.into_iter().enumerate() {
-        let mut payload = BytesMut::new();
-        slice.encode(&mut payload);
-        let frame = codec::frame_shard(i as u32, &payload);
-        world
-            .clock()
-            .advance(src_clock_idx, cost.shard_encode(frame.len() as u64));
-        world.send_bytes(
-            src,
-            src_clock_idx,
-            dst,
-            TAG_LEDGER_STREAM,
-            i as u64 + 1,
-            frame,
-            same_node,
-        )?;
-    }
-    Ok(n)
+    Ok(header.n_frames)
 }
 
 struct PendingGen {
-    kind: CollKind,
-    members: u64,
-    total_len: usize,
+    /// Kind, members and result length, which every sender must agree on.
+    meta: (CollKind, u64, u64),
     /// (start, data), possibly overlapping across senders.
-    pieces: Vec<(usize, Vec<f32>)>,
+    pieces: Vec<(u64, Vec<f32>)>,
 }
 
 /// Receives the survivors' ledger streams and reassembles, per epoch in
@@ -535,7 +542,8 @@ struct PendingGen {
 /// * an epoch in the requested range arrives with no generations, or a
 ///   generation's slices do not cover its full result — the
 ///   "failed rank and its ring successor both died" coverage gap;
-/// * CRC / framing / metadata mismatches.
+/// * CRC / framing / metadata mismatches, and stray bytes after a frame
+///   or after the slice inside it.
 pub fn recv_ledger_history(
     world: &CommWorld,
     cost: &CostModel,
@@ -547,63 +555,45 @@ pub fn recv_ledger_history(
 ) -> SimResult<Vec<Vec<Vec<f32>>>> {
     let mut gens: BTreeMap<(u64, u64), PendingGen> = BTreeMap::new();
     for &src in srcs {
-        let deadline = Instant::now() + patience;
-        let preamble = recv_frame(
+        let (_, payloads) = recv_frames(
             world,
+            cost,
             src,
             dst,
             dst_clock_idx,
             TAG_LEDGER_STREAM,
-            SEQ_HEADER,
-            deadline,
+            "ledger stream",
+            patience,
+            |h: &LedgerStreamHeader| h.n_frames,
         )?;
-        let header: LedgerStreamHeader = codec::decode_framed(&preamble)?;
-        for i in 0..header.n_frames {
-            let mut frame = recv_frame(
-                world,
-                src,
-                dst,
-                dst_clock_idx,
-                TAG_LEDGER_STREAM,
-                i + 1,
-                deadline,
-            )?;
-            let (index, mut payload) = codec::decode_shard(&mut frame)?;
-            if index as u64 != i {
-                return Err(SimError::Protocol(format!(
-                    "ledger stream from {src}: slice {index} arrived at slot {i}"
+        for (i, mut payload) in payloads.into_iter().enumerate() {
+            let slice = LedgerSlice::decode(&mut payload)?;
+            if !payload.is_empty() {
+                return Err(SimError::Codec(format!(
+                    "ledger stream from {src}: {} trailing bytes after slice {i}",
+                    payload.len()
                 )));
             }
-            // Verify + stage + host→device upload of the slice bytes.
-            world.clock().advance(
-                dst_clock_idx,
-                cost.shard_encode(payload.len() as u64) + cost.memcpy(payload.len() as u64),
-            );
-            let slice = LedgerSlice::decode(&mut payload)?;
             if !epochs.contains(&slice.epoch) {
                 return Err(SimError::Protocol(format!(
                     "ledger stream from {src}: epoch {} outside requested {:?}",
                     slice.epoch, epochs
                 )));
             }
+            let meta = (slice.kind, slice.members, slice.total_len);
             let entry = gens
                 .entry((slice.epoch, slice.gen))
                 .or_insert_with(|| PendingGen {
-                    kind: slice.kind,
-                    members: slice.members,
-                    total_len: slice.total_len as usize,
+                    meta,
                     pieces: Vec::new(),
                 });
-            if entry.kind != slice.kind
-                || entry.members != slice.members
-                || entry.total_len != slice.total_len as usize
-            {
+            if entry.meta != meta {
                 return Err(SimError::Protocol(format!(
                     "ledger stream from {src}: generation {} metadata disagrees across senders",
                     slice.gen
                 )));
             }
-            entry.pieces.push((slice.start as usize, slice.data));
+            entry.pieces.push((slice.start, slice.data));
         }
     }
     let mut history: Vec<Vec<Vec<f32>>> = Vec::new();
@@ -627,35 +617,39 @@ pub fn recv_ledger_history(
 /// Stitches one generation's slices into its full result, requiring
 /// gap-free coverage of `0..total_len`. Overlaps are fine (two
 /// survivors legitimately retain the same shard); gaps are the lost-
-/// coverage signature and poison the in-network path.
+/// coverage signature and poison the in-network path. The claimed
+/// length is checked against the slices before it sizes the result, so
+/// only received elements back the allocation.
 fn assemble_gen(gen: u64, pending: &PendingGen) -> SimResult<Vec<f32>> {
-    let mut out = vec![0.0f32; pending.total_len];
-    let mut pieces: Vec<&(usize, Vec<f32>)> = pending.pieces.iter().collect();
+    let (_, _, total) = pending.meta;
+    let gap = |from: u64, to: u64| {
+        SimError::Protocol(format!(
+            "in-network coverage gap in generation {gen}: elements {from}..{to} \
+             held by no surviving ledger"
+        ))
+    };
+    let mut pieces: Vec<&(u64, Vec<f32>)> = pending.pieces.iter().collect();
     pieces.sort_by_key(|(start, _)| *start);
-    let mut covered = 0usize;
-    for (start, data) in pieces {
-        if *start > covered {
+    let mut covered = 0u64;
+    for &(start, ref data) in pieces.iter().copied() {
+        if start > covered {
+            return Err(gap(covered, start));
+        }
+        let end = start + data.len() as u64;
+        if end > total {
             return Err(SimError::Protocol(format!(
-                "in-network coverage gap in generation {gen}: elements {covered}..{start} \
-                 held by no surviving ledger"
+                "ledger slice overruns generation {gen}: {start}..{end} > {total}"
             )));
         }
-        let end = start + data.len();
-        if end > pending.total_len {
-            return Err(SimError::Protocol(format!(
-                "ledger slice overruns generation {gen}: {start}..{end} > {}",
-                pending.total_len
-            )));
-        }
-        out[*start..end].copy_from_slice(data);
         covered = covered.max(end);
     }
-    if covered < pending.total_len {
-        return Err(SimError::Protocol(format!(
-            "in-network coverage gap in generation {gen}: elements {covered}..{} \
-             held by no surviving ledger",
-            pending.total_len
-        )));
+    if covered < total {
+        return Err(gap(covered, total));
+    }
+    let mut out = vec![0.0f32; total as usize];
+    for (start, data) in pieces {
+        let start = *start as usize;
+        out[start..start + data.len()].copy_from_slice(data);
     }
     Ok(out)
 }
@@ -670,8 +664,7 @@ pub enum RecoverySource {
     /// (the PR 5 path; one store read, by the owner only).
     StreamedReplica,
     /// Full store round-trip — the §3.3 baseline and the last resort,
-    /// fetched through the parallel restore plane
-    /// ([`crate::restore::load_for_rank_parallel`]).
+    /// fetched through the parallel restore plane ([`crate::restore`]).
     Store,
 }
 
@@ -705,6 +698,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use simcore::time::ClockBoard;
     use simcore::SimTime;
     use simgpu::BufferTag;
@@ -807,9 +801,84 @@ mod tests {
             let patience = Duration::from_secs(5);
             let err = recv_state(&w, &cost, RankId(0), RankId(1), 1, patience).unwrap_err();
             assert!(matches!(err, SimError::Codec(_)), "{err}");
-            // One byte short is caught as the last frame lands.
             let want = format!("received {real} of {claim} framed bytes");
             assert!(err.to_string().contains(&want), "{err} (want {want})");
+        }
+        Ok(())
+    }
+
+    /// Sends `frames`, as they are, as rank 1's ledger stream to rank 0.
+    fn send_raw_ledger(w: &CommWorld, frames: Vec<Bytes>) -> SimResult<()> {
+        let header = LedgerStreamHeader {
+            n_frames: frames.len() as u64,
+            epoch_lo: 0,
+            epoch_hi: 1,
+        };
+        let frames = frames.into_iter().map(Ok);
+        let cost = CostModel::v100();
+        send_frames(
+            w,
+            &cost,
+            RankId(1),
+            1,
+            RankId(0),
+            true,
+            TAG_LEDGER_STREAM,
+            &header,
+            frames,
+        )
+    }
+
+    /// One whole-result slice of ten elements claiming `total_len`.
+    fn slice_payload(total_len: u64) -> BytesMut {
+        let slice = LedgerSlice {
+            epoch: 0,
+            gen: 0,
+            kind: CollKind::AllReduce,
+            members: 1,
+            total_len,
+            start: 0,
+            data: vec![1.5; 10],
+        };
+        let mut payload = BytesMut::new();
+        slice.encode(&mut payload);
+        payload
+    }
+
+    fn recv_from_rank_1(w: &CommWorld) -> SimResult<Vec<Vec<Vec<f32>>>> {
+        let cost = CostModel::v100();
+        let patience = Duration::from_secs(5);
+        recv_ledger_history(w, &cost, &[RankId(1)], RankId(0), 0, patience, 0..1)
+    }
+
+    #[test]
+    fn ledger_frames_with_stray_bytes_are_refused() -> SimResult<()> {
+        let payload = slice_payload(10);
+        let (w, _) = world(2);
+        send_raw_ledger(&w, vec![codec::frame_shard(0, &payload)])?;
+        assert_eq!(recv_from_rank_1(&w)?, vec![vec![vec![1.5; 10]]]);
+        let mut after_crc = BytesMut::new();
+        after_crc.put_slice(&codec::frame_shard(0, &payload));
+        after_crc.put_u8(0);
+        let mut after_slice = payload.clone();
+        after_slice.put_u8(0);
+        for frame in [after_crc.freeze(), codec::frame_shard(0, &after_slice)] {
+            let (w, _) = world(2);
+            send_raw_ledger(&w, vec![frame])?;
+            let err = recv_from_rank_1(&w).unwrap_err();
+            assert!(matches!(err, SimError::Codec(_)), "{err}");
+            assert!(err.to_string().contains("1 trailing bytes after"), "{err}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_claimed_result_length_is_checked_before_it_sizes_the_result() -> SimResult<()> {
+        for claim in [9, 11, u64::MAX] {
+            let (w, _) = world(2);
+            send_raw_ledger(&w, vec![codec::frame_shard(0, &slice_payload(claim))])?;
+            let err = recv_from_rank_1(&w).unwrap_err();
+            assert!(matches!(err, SimError::Protocol(_)), "{claim}: {err}");
         }
         Ok(())
     }

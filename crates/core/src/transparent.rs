@@ -13,19 +13,20 @@
 //! the rank's virtual clock and recorded once in a [`RecoveryReport`] —
 //! the raw data behind Tables 5–7.
 
+use crate::checkpoint::ShardConfig;
 use crate::decide::{decide, RankStatus, RecoveryPlan};
+use crate::stream::{open_frame, stream_header};
 use cluster::SharedStore;
 use dltrain::{build_comms, JobComms};
 use proxy::{
     CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome, Watchdog,
 };
-use simcore::codec;
 use simcore::cost::StorageTier;
 use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex, MutexGuard};
 use simcore::{GpuId, RankId, SimError, SimResult, SimTime};
-use simgpu::{BufferId, Gpu, GpuHealth};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use simgpu::{Gpu, GpuHealth};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,9 +69,10 @@ struct CoordState {
     /// there is none. Every rank of the round reads the same one.
     plan: Option<SimResult<Arc<RoundPlan>>>,
     finished: usize,
-    /// `(round, stage, part)` of every cell whose §4.3 buffer files some
-    /// healthy replica has finished writing in the open round.
-    hard_written: HashSet<(u64, usize, usize)>,
+    /// `(round, stage, part)` of every cell whose §4.3 frames some
+    /// healthy replica has finished writing in the open round, with how
+    /// many frames the cell has.
+    hard_written: HashMap<(u64, usize, usize), usize>,
 }
 
 /// Per-job transparent recovery engine (shared by all rank clients).
@@ -82,7 +84,7 @@ pub struct TransparentEngine {
     arrive_timeout: Duration,
     watchdogs: Mutex<HashMap<RankId, Watchdog>>,
     reports: Mutex<Vec<RecoveryReport>>,
-    /// Store used for the §4.3 hard-error buffer files.
+    /// Store used for the §4.3 hard-error frames.
     store: Arc<SharedStore>,
     /// Replacement-GPU allocator for hard errors (returns a fresh device
     /// on a healthy node, as the scheduler would).
@@ -120,7 +122,7 @@ impl TransparentEngine {
                 arrived: BTreeMap::new(),
                 plan: None,
                 finished: 0,
-                hard_written: HashSet::new(),
+                hard_written: HashMap::new(),
             }),
             cv: Condvar::new(),
             arrive_timeout: Duration::from_secs(30),
@@ -164,15 +166,15 @@ impl TransparentEngine {
         self.reports.lock().clone()
     }
 
-    /// The directory of a round's §4.3 buffer files.
+    /// The directory of a round's §4.3 frames.
     fn hard_dir(round: u64) -> String {
         format!("hard/r{round}/")
     }
 
-    /// The §4.3 buffer-file path for a (cell, storage key) pair: identical
-    /// on every data-parallel replica of the cell.
-    fn hard_path(round: u64, stage: usize, part: usize, key: &str) -> String {
-        format!("{}s{stage}p{part}/{key}", Self::hard_dir(round))
+    /// The path of a cell's §4.3 frame `i`: identical on every
+    /// data-parallel replica of the cell.
+    fn hard_path(round: u64, stage: usize, part: usize, i: usize) -> String {
+        format!("{}s{stage}p{part}/f{i:05}", Self::hard_dir(round))
     }
 
     /// Rank-enter protocol: register status, make sure everyone else will
@@ -202,7 +204,7 @@ impl TransparentEngine {
     }
 
     /// Marks a rank done with the round; the last one resets round state
-    /// and deletes the round's §4.3 files, which every victim has read by
+    /// and deletes the round's §4.3 frames, which every victim has read by
     /// then. The others wait for the reset, so a rank cannot race ahead
     /// and trip a new round against stragglers of this one.
     fn rank_finish(&self) -> SimResult<()> {
@@ -322,27 +324,30 @@ impl TransparentEngine {
         Ok(tokens)
     }
 
-    /// The hard-error path for a *healthy* rank: write every persistent
-    /// buffer to the shared store under the cross-rank-stable key, each
-    /// file encoded straight from its device buffer, and take a CRIU
-    /// checkpoint of the worker CPU state (§4.3).
+    /// The hard-error path for a *healthy* rank: park the recovery
+    /// stream's frames of its persistent state in the shared store, each
+    /// encoded straight from the device ([`simgpu::StateView::frame`]),
+    /// and take a CRIU checkpoint of the worker CPU state (§4.3).
     fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
         client.flush_pending()?;
         let gpu = client.server().gpu();
         let cost = gpu.cost_model().clone();
-        let mut bytes = 0;
-        for b in gpu.persistent() {
-            let path = Self::hard_path(round, coord.stage, coord.part, &b.site.storage_key());
-            self.store.put(path, codec::encode_framed(&b.data))?;
-            bytes += b.logical_bytes;
+        let shard_bytes = ShardConfig::default().shard_bytes;
+        // The victim loads the buffers only: iteration and step are not read.
+        let view = gpu.state_view(0, 0)?;
+        let n = stream_header(&view, shard_bytes).n_shards as usize;
+        for i in 0..n {
+            let path = Self::hard_path(round, coord.stage, coord.part, i);
+            self.store.put(path, view.frame(i, shard_bytes))?;
         }
-        // The device → host copy the files are written from.
+        let bytes = view.logical_bytes;
+        // The device → host copy the frames are written from.
         client.charge(cost.memcpy(bytes));
         {
-            // The cell's files are all there: tell a victim waiting for them.
+            // The cell's frames are all there: tell a victim waiting for them.
             let mut st = self.state.lock();
-            st.hard_written.insert((round, coord.stage, coord.part));
+            st.hard_written.insert((round, coord.stage, coord.part), n);
             self.cv.notify_all();
         }
         client.charge(cost.checkpoint_write(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
@@ -362,11 +367,11 @@ impl TransparentEngine {
 
     /// The hard-error path for the *victim*: migrate to a replacement GPU
     /// under the CRIU-preserved worker, re-create persistent objects, and
-    /// fill them from the buffer files the replicas wrote. Each file is
-    /// read, checked and loaded in turn, so a missing, corrupt or
-    /// mis-sized file fails the round with the fresh device part-restored;
-    /// the interrupted operation then returns that error instead of
-    /// retrying on the device.
+    /// decode a replica's frames into them with one [`Gpu::load_state`],
+    /// which matches each buffer by its allocation-site storage key
+    /// (§4.3's naming scheme). Every frame is checked, and every key, tag
+    /// and length, before any buffer is written: a missing or bad frame
+    /// fails the round with the fresh device untouched.
     fn hard_victim_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
         let new_gpu = (self.gpu_allocator.lock())(client.rank());
@@ -377,44 +382,28 @@ impl TransparentEngine {
         client.migrate_to_gpu(new_gpu)?;
         client.restore_worker_cpu_state(&image)?;
         client.charge(cost.criu(2 << 30));
-        // Read every persistent buffer from a replica's files, matched by
-        // the allocation-site storage key (§4.3's naming scheme). The
-        // fresh device only names the buffers; its zeros are not copied.
-        let mut bytes = 0;
-        let local: Vec<(BufferId, String, usize)> = client
-            .server()
-            .gpu()
-            .persistent()
-            .map(|b| {
-                bytes += b.logical_bytes;
-                (b.id, b.site.storage_key(), b.data.len())
-            })
-            .collect();
-        // Replicas write these files concurrently with this rank's
-        // migration; wait (bounded) until one of them says its set is
-        // complete, then read each file once.
+        // Replicas write the frames concurrently with this rank's
+        // migration; wait (bounded) until one of them says how many the
+        // cell has, then read each once.
+        let cell = (round, coord.stage, coord.part);
+        let mut st = self.state.lock();
+        self.wait_until(&mut st, |s| s.hard_written.contains_key(&cell));
+        let written = st.hard_written.get(&cell).copied();
+        drop(st);
+        let cell_path = |i| Self::hard_path(round, coord.stage, coord.part, i);
         let no_replica =
             |path: &str| SimError::NoCheckpointAvailable(format!("no replica wrote {path}"));
-        let cell = (round, coord.stage, coord.part);
-        let dir = Self::hard_path(round, coord.stage, coord.part, "");
-        if !self.wait_until(&mut self.state.lock(), |s| s.hard_written.contains(&cell)) {
-            return Err(no_replica(&dir));
-        }
-        for (id, key, len) in local {
-            let path = Self::hard_path(round, coord.stage, coord.part, &key);
-            let framed = self.store.get(&path).map_err(|_| no_replica(&path))?;
-            let replica_data: Vec<f32> = codec::decode_framed(&framed)?;
-            if replica_data.len() != len {
-                return Err(SimError::CorruptCheckpoint(format!(
-                    "{path}: length {} vs local layout {len}",
-                    replica_data.len()
-                )));
-            }
-            client
-                .server_mut()
-                .gpu_mut()
-                .load_buffer(id, &replica_data)?;
-        }
+        let n = written.ok_or_else(|| no_replica(&cell_path(0)))?;
+        let frames = (0..n)
+            .map(|i| {
+                let path = cell_path(i);
+                let frame = self.store.get(&path).map_err(|_| no_replica(&path))?;
+                open_frame(&path, frame, i as u64)
+            })
+            .collect::<SimResult<Vec<_>>>()?;
+        let gpu = client.server_mut().gpu_mut();
+        let bytes = gpu.persistent().map(|b| b.logical_bytes).sum();
+        gpu.load_state(&frames)?;
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
         Ok(())
     }
@@ -634,16 +623,19 @@ pub fn run_transparent_job_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dltrain::model::{alloc_buf, upload};
+    use proxy::Executor;
     use simcore::cost::CostModel;
+    use simgpu::BufferTag;
 
     #[test]
     fn hard_paths_are_cell_scoped_and_round_scoped() {
-        let a = TransparentEngine::hard_path(0, 1, 2, "model.w-abc-s0-n16");
-        let b = TransparentEngine::hard_path(0, 1, 3, "model.w-abc-s0-n16");
-        let c = TransparentEngine::hard_path(1, 1, 2, "model.w-abc-s0-n16");
+        let a = TransparentEngine::hard_path(0, 1, 2, 3);
+        let b = TransparentEngine::hard_path(0, 1, 3, 3);
+        let c = TransparentEngine::hard_path(1, 1, 2, 3);
         assert_ne!(a, b, "different partitions never collide");
         assert_ne!(a, c, "different rounds never collide");
-        assert!(a.contains("s1p2"));
+        assert_eq!(a, "hard/r0/s1p2/f00003");
     }
 
     #[test]
@@ -657,11 +649,11 @@ mod tests {
             store.clone(),
             TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
         );
-        let file = |round| TransparentEngine::hard_path(round, 0, 0, "model.w-abc-s0-n16");
+        let file = |round| TransparentEngine::hard_path(round, 0, 0, 0);
         for round in 0..2 {
-            store.put(file(round), codec::encode_framed(&vec![1.0f32]))?;
+            store.put(file(round), bytes::Bytes::from_static(b"frame"))?;
         }
-        engine.state.lock().hard_written.insert((0, 0, 0));
+        engine.state.lock().hard_written.insert((0, 0, 0), 1);
         // Both ranks finish round 0.
         std::thread::scope(|s| {
             let peer = s.spawn(|| engine.rank_finish());
@@ -674,6 +666,73 @@ mod tests {
         assert_eq!(store.list("hard/"), vec![file(1)]);
         assert!(engine.state.lock().hard_written.is_empty());
         assert_eq!(engine.rounds(), 1);
+        Ok(())
+    }
+
+    /// Elements in each of a test rank's three persistent buffers: 8.4 MB
+    /// of state, three frames at the default 4 MiB.
+    const ELEMS: usize = 700_000;
+
+    /// A DP = 2 rank's client whose three persistent buffers were created
+    /// and filled, each rank's differently, before its first minibatch.
+    fn rank_client(world: &Arc<collectives::CommWorld>, rank: u32) -> SimResult<ProxyClient> {
+        let gpu = Gpu::new(GpuId(rank), CostModel::v100());
+        let mut client = ProxyClient::new(RankId(rank), rank as usize, gpu, world.clone());
+        for (k, path) in ["model.a", "model.b", "adam.m"].into_iter().enumerate() {
+            let tag = [BufferTag::Param, BufferTag::Param, BufferTag::OptimState][k];
+            let buf = alloc_buf(&mut client, path, ELEMS, 1.0, tag)?;
+            let data = (0..ELEMS).map(|i| (i * 3 + k) as f32 * (rank + 1) as f32);
+            upload(&mut client, buf, data.collect())?;
+        }
+        client.begin_minibatch(0)?;
+        Ok(client)
+    }
+
+    #[test]
+    fn a_missing_or_bad_frame_leaves_the_migrated_device_untouched() -> SimResult<()> {
+        let layout = ParallelLayout::data_parallel(2);
+        let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
+        // Every buffer's checksum, in id order.
+        let sums = |c: &ProxyClient| -> Vec<u64> {
+            c.server().gpu().checksum_all().into_values().collect()
+        };
+        // What the victim's device holds after migrating, before any load.
+        let mut twin = rank_client(&world, 0)?;
+        twin.migrate_to_gpu(Gpu::new(GpuId(100), CostModel::v100()))?;
+        let fresh = sums(&twin);
+        for case in ["intact", "corrupt the last frame", "delete the first frame"] {
+            let store = Arc::new(SharedStore::new());
+            let alloc = TransparentEngine::counter_gpu_allocator(100, CostModel::v100());
+            let engine = TransparentEngine::new(layout, world.clone(), store.clone(), alloc);
+            let mut healthy = rank_client(&world, 1)?;
+            engine.hard_healthy_side(&mut healthy, 0)?;
+            let frames = store.list("hard/");
+            assert_eq!(frames.len(), 3, "{case}");
+            match case {
+                // Frame 2 holds the end of the last buffer.
+                "corrupt the last frame" => store.corrupt(&frames[2])?,
+                "delete the first frame" => store.delete(&frames[0]),
+                _ => {}
+            }
+            let mut victim = rank_client(&world, 0)?;
+            let loaded = engine.hard_victim_side(&mut victim, 0);
+            let have = sums(&victim);
+            if case == "intact" {
+                loaded?;
+                assert_eq!(have, sums(&healthy));
+                assert_ne!(have, fresh);
+                continue;
+            }
+            let err = loaded.err();
+            assert!(
+                matches!(
+                    err,
+                    Some(SimError::Codec(_) | SimError::NoCheckpointAvailable(_))
+                ),
+                "{case}: {err:?}"
+            );
+            assert_eq!(have, fresh, "{case}: a refused frame set wrote a buffer");
+        }
         Ok(())
     }
 

@@ -335,8 +335,9 @@ fn transparent_recovers_hard_error_by_migration() {
 #[test]
 fn transparent_hard_rounds_leave_the_store_empty() {
     let _guard = serial();
-    // Two §4.3 rounds: each victim reads its own round's files, once
-    // each, and each round deletes its files when it closes.
+    // Two §4.3 rounds: each victim reads its own round's frames, once
+    // each (tiny_dp's state fits one), and each round deletes its frames
+    // when it closes.
     let cfg = dltrain::TrainConfig::tiny_dp(2);
     let iters = 8;
     let clean = baseline_losses(&cfg, iters);
@@ -348,7 +349,7 @@ fn transparent_hard_rounds_leave_the_store_empty() {
     let out = run_transparent_job(cfg, CostModel::v100(), injector, store.clone(), iters).unwrap();
     assert_eq!(out.rounds, 2);
     assert_losses_match(&out.losses, &clean);
-    assert_eq!((store.len(), store.read_count()), (0, 2 * 22));
+    assert_eq!((store.len(), store.read_count()), (0, 2));
 }
 
 #[test]
@@ -408,7 +409,7 @@ fn transparent_recovers_node_failure_via_migration_of_all_its_ranks() {
     let _guard = serial();
     // A node failure kills every GPU on the node. With 4 DP replicas and
     // ranks 0-1 sharing the failed node, both migrate and restore from
-    // the surviving replicas' buffer files.
+    // the surviving replicas' §4.3 frames.
     let cfg = dltrain::TrainConfig::tiny_dp(4);
     let iters = 8;
     let clean = baseline_losses(&cfg, iters);
@@ -463,7 +464,7 @@ fn no_replica_means_no_transparent_recovery() {
 #[test]
 fn hard_error_without_a_healthy_replica_fails_at_once() {
     let _guard = serial();
-    // Nobody is left to write the §4.3 buffer files a migrated victim
+    // Nobody is left to write the §4.3 frames a migrated victim
     // would read: at dp = 1, and at 2D-2P-2T with both replicas of cell
     // (stage 0, part 1) hard-failed. Both fail before the minibatch's
     // first collective, so they fail in the same round. The round is
