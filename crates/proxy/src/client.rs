@@ -1382,6 +1382,45 @@ mod tests {
         Ok(())
     }
 
+    /// `golden_program`, then every other logged-op kind on its
+    /// one-rank communicator: an all-gather, a reduce-scatter per
+    /// `ReduceOp`, a broadcast, a barrier, and a send to self received
+    /// back.
+    fn every_kind_program(c: &mut ProxyClient) -> SimResult<()> {
+        golden_program(c)?;
+        let token = c.comm_tokens()[0];
+        let src = alloc(c, "src", vec![1.5, -0.0, 3.0, -2.5], BufferTag::Activation)?;
+        let dst = alloc(c, "dst", vec![0.0; 4], BufferTag::Activation)?;
+        c.all_gather_into(token, src, dst)?;
+        for op in [ReduceOp::Sum, ReduceOp::Avg, ReduceOp::Max] {
+            c.reduce_scatter_into(token, dst, src, op)?;
+        }
+        c.broadcast(token, RankId(0), src)?;
+        c.barrier(token)?;
+        c.send(RankId(0), 5, 7, src, true)?;
+        c.recv_into(RankId(0), 5, 7, dst)?;
+        assert_eq!(download(c, dst)?, vec![1.5, -0.0, 3.0, -2.5]);
+        Ok(())
+    }
+
+    #[test]
+    fn every_logged_op_kind_has_a_byte_stable_image() -> SimResult<()> {
+        // Each kind's fields, in their wire order, are part of the image a
+        // replacement node restores (§4.3).
+        let mut c = client();
+        every_kind_program(&mut c)?;
+        let image = c.worker_cpu_state()?;
+        assert_eq!(
+            (
+                c.replay_log_len(),
+                image.len(),
+                simcore::codec::crc64(&image)
+            ),
+            (28, 887, 0x3edf_771e_8c1f_6029)
+        );
+        Ok(())
+    }
+
     #[test]
     fn restoring_a_bad_image_is_refused_and_changes_nothing() -> SimResult<()> {
         use simcore::codec::{concat_shards, split_shards, Encoder};
@@ -1907,6 +1946,118 @@ mod intercept_contract {
                 assert!(!f.c.skip_rest, "{} ({mode})", row.0);
                 assert!(handler.seen.lock().is_empty(), "{} ({mode})", row.0);
             }
+        }
+        Ok(())
+    }
+}
+
+/// DESIGN.md §9's table of which network op consults device health
+/// before it touches the network, as a test: under `DriverCorruption`
+/// (device calls still succeed, §4.2.1 case 2) each executor refuses
+/// exactly the ops its column marks "yes".
+#[cfg(test)]
+mod health_table {
+    use super::*;
+    use crate::executor::DirectExecutor;
+    use simcore::cost::CostModel;
+    use simcore::GpuId;
+    use simgpu::AllocSite;
+
+    const ME: RankId = RankId(0);
+    const TAG: u64 = 7;
+    const SEQ: u64 = 3;
+
+    /// `(op, DirectExecutor, ProxyClient live, ProxyClient replay)`.
+    const TABLE: [(&str, bool, bool, bool); 7] = [
+        ("all_reduce", true, true, false),
+        ("all_gather_into", true, true, false),
+        ("reduce_scatter_into", true, true, false),
+        ("broadcast", true, true, false),
+        ("barrier", false, false, false),
+        ("send", true, false, false),
+        ("recv_into", true, false, false),
+    ];
+
+    fn world() -> Arc<CommWorld> {
+        CommWorld::new(Arc::new(ClockBoard::new(1)), CostModel::v100(), 8)
+    }
+
+    fn gpu() -> Gpu {
+        Gpu::new(GpuId(0), CostModel::v100())
+    }
+
+    /// Registers a one-rank communicator and two `Param` buffers, and
+    /// posts the message `recv_into` reads, so no op can block.
+    fn setup<E: Executor>(e: &mut E, world: &CommWorld) -> SimResult<(CommToken, [BufferId; 2])> {
+        let token = e.register_comm(world.create_comm(vec![ME], vec![0]));
+        let mut bufs = [BufferId(0); 2];
+        for (i, b) in bufs.iter_mut().enumerate() {
+            *b = e
+                .call(DeviceCall::Malloc {
+                    site: AllocSite::new(format!("p{i}"), 4),
+                    elems: 4,
+                    logical_bytes: 16,
+                    tag: BufferTag::Param,
+                })?
+                .buffer()?;
+            let data = vec![1.0, 2.0, 3.0, 4.0];
+            e.call(DeviceCall::Upload { buf: *b, data })?;
+        }
+        world.send(ME, 0, ME, TAG, SEQ, vec![9.0; 4], 16, true)?;
+        Ok((token, bufs))
+    }
+
+    fn issue<E: Executor>(
+        e: &mut E,
+        op: &str,
+        t: CommToken,
+        [a, b]: [BufferId; 2],
+    ) -> SimResult<()> {
+        match op {
+            "all_reduce" => e.all_reduce(t, a, ReduceOp::Sum),
+            "all_gather_into" => e.all_gather_into(t, a, b),
+            "reduce_scatter_into" => e.reduce_scatter_into(t, a, b, ReduceOp::Max),
+            "broadcast" => e.broadcast(t, ME, a),
+            "barrier" => e.barrier(t),
+            "send" => e.send(ME, TAG, SEQ, a, true),
+            "recv_into" => e.recv_into(ME, TAG, SEQ, b),
+            other => Err(SimError::Protocol(format!("no op {other}"))),
+        }
+    }
+
+    /// What a refusal looks like, or success.
+    fn expect(refused: bool) -> SimResult<()> {
+        if refused {
+            Err(SimError::DriverCorrupted(GpuId(0)))
+        } else {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_executor_refuses_exactly_the_ops_the_health_table_marks() -> SimResult<()> {
+        for (op, direct, live, replay) in TABLE {
+            let world = world();
+            let mut e = DirectExecutor::new(ME, 0, gpu(), world.clone());
+            let (t, bufs) = setup(&mut e, &world)?;
+            e.inject(FailureKind::DriverCorruption);
+            assert_eq!(issue(&mut e, op, t, bufs), expect(direct), "{op}: direct");
+
+            let world = self::world();
+            let mut c = ProxyClient::new(ME, 0, gpu(), world.clone());
+            let (t, bufs) = setup(&mut c, &world)?;
+            c.inject(FailureKind::DriverCorruption);
+            assert_eq!(issue(&mut c, op, t, bufs), expect(live), "{op}: live");
+
+            // Logged while healthy, replayed on the corrupted device.
+            let world = self::world();
+            let mut c = ProxyClient::new(ME, 0, gpu(), world.clone());
+            let (t, bufs) = setup(&mut c, &world)?;
+            c.begin_minibatch(0)?;
+            issue(&mut c, op, t, bufs)?;
+            c.inject(FailureKind::DriverCorruption);
+            c.reset_in_place()?;
+            assert_eq!(c.replay().map(drop), expect(replay), "{op}: replay");
         }
         Ok(())
     }

@@ -34,6 +34,9 @@ cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
 cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
+# The worker image a replacement node restores, from a live trainer: every
+# logged-op kind tiny_dp(2) issues, in its wire order.
+cargo test --release --test cross_crate --quiet live_worker_image_is_pinned
 # Every row of decide's table, live, against the fault-free twin's loss
 # bits. The replica-sync test (validate, then one copy per byte) runs in
 # the `-p proxy` line above.

@@ -954,3 +954,36 @@ fn every_decide_row_recovers_bit_for_bit() {
     ];
     assert_recovers(&dp2, iters, &twin, &two_hard);
 }
+
+#[test]
+fn live_worker_image_is_pinned() {
+    let _g = serial();
+    // The image a replacement node restores (§4.3), taken from a live
+    // trainer: every logged-op kind `tiny_dp(2)` issues, in its wire
+    // order, with the ids and generations three fault-free minibatches
+    // leave behind. A change to one number is a change to the image.
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let setup = dltrain::JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
+    let (world, per_rank) = (setup.world.clone(), setup.per_rank.clone());
+    let images = dltrain::run_ranks(2, move |i| {
+        let gpu = simgpu::Gpu::new(simcore::GpuId(i as u32), CostModel::v100());
+        let client = proxy::ProxyClient::new(RankId(i as u32), i, gpu, world.clone());
+        let none = FailureInjector::none();
+        let mut tr = dltrain::RankTrainer::new(client, cfg.clone(), &per_rank[i], none)?;
+        tr.train(3)?;
+        let image = tr.exec.worker_cpu_state()?;
+        Ok((
+            tr.exec.replay_log_len(),
+            image.len(),
+            simcore::codec::crc64(&image),
+        ))
+    });
+    let images: Vec<_> = images.into_iter().map(|r| r.unwrap()).collect();
+    assert_eq!(
+        images,
+        vec![
+            (138, 5501, 0xe0f0_fa46_532a_f902),
+            (138, 5501, 0xbbde_0fac_88fb_1eb6),
+        ]
+    );
+}
