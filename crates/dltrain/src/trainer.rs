@@ -1292,6 +1292,40 @@ mod tests {
         }
     }
 
+    /// `(bound virtual handles, live device buffers)` of each rank's
+    /// proxy client once `iters` minibatches of `tiny_dp(2)` are done and
+    /// the next one has begun.
+    fn handles_after(iters: u64) -> Vec<(usize, usize)> {
+        let cfg = TrainConfig::tiny_dp(2);
+        let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
+        let world = setup.world.clone();
+        let per_rank = setup.per_rank.clone();
+        let results = run_ranks(2, move |i| {
+            let gpu = Gpu::new(GpuId(i as u32), CostModel::v100());
+            let exec = proxy::ProxyClient::new(RankId(i as u32), i, gpu, world.clone());
+            let none = FailureInjector::none();
+            let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], none)?;
+            tr.train(iters)?;
+            tr.exec.begin_minibatch(iters)?;
+            let buffers = tr.exec.server().gpu().buffer_count();
+            Ok((tr.exec.live_handles(), buffers))
+        });
+        results.into_iter().map(|r| r.unwrap()).collect()
+    }
+
+    #[test]
+    fn the_proxy_handle_table_holds_only_live_handles() {
+        // Every step creates and destroys scratch buffers and a bucket
+        // event; the boundary after it forgets their handles, so the
+        // table holds each live buffer and the two streams, whatever the
+        // step.
+        let early = handles_after(3);
+        for &(handles, buffers) in &early {
+            assert_eq!(handles, buffers + 2);
+        }
+        assert_eq!(handles_after(12), early);
+    }
+
     #[test]
     fn minibatch_time_accumulates_on_virtual_clock() {
         let cfg = TrainConfig::tiny_dp(1);

@@ -4,13 +4,20 @@
 //! [`ProxyClient`] implements [`Executor`], so the training framework runs
 //! against it unchanged. Every call is:
 //!
-//! 1. translated from virtual to physical handles ([`VirtualMap`]),
+//! 1. translated from virtual to physical handles through one table of
+//!    `(kind, physical id)` per virtual id, which refuses a handle of one
+//!    kind passed as another and forgets, at each minibatch boundary,
+//!    every object destroyed before it,
 //! 2. executed on the [`ProxyServer`],
 //! 3. logged (with input values) into the per-minibatch replay log, and
 //! 4. — on failure — routed to the installed [`RecoveryHandler`] instead
 //!    of the application. If the handler recovers, the call is retried (or
 //!    skipped, for the optimizer-step case of §4.2.2) and the application
 //!    never observes the error.
+//!
+//! A collective is the same value [`crate::DirectExecutor`] runs — the
+//! kind with its operands — logged with its communicator and generation;
+//! the live call and its replay execute that one record.
 //!
 //! The client also provides the recovery primitives the handler composes:
 //! reset-to-minibatch-start (in place, or via proxy-server restart with
@@ -24,7 +31,7 @@
 use crate::executor::{
     check_comm_health, Coll, CommPlane, CommToken, Executor, PendingOp, PersistentSnapshot,
 };
-use crate::oplog::{LoggedColl, LoggedOp, OpLog, VirtualMap};
+use crate::oplog::{destroyed_by, handle_of, LoggedColl, LoggedOp, OpLog, VirtualMap};
 use crate::server::{encode_batch, ProxyServer, BATCH_SHARD_BYTES};
 use collectives::{CollectiveObserver, CommWorld, Communicator, ReduceOp};
 use simcore::failure::FailureKind;
@@ -32,7 +39,7 @@ use simcore::time::ClockBoard;
 use simcore::{RankId, SimError, SimResult, SimTime};
 use simgpu::buffer::DeviceBuffer;
 use simgpu::{BufferId, BufferTag, CallResult, DeviceCall, Gpu, GpuHealth};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Where a rank is within its current minibatch — the coordinate that
@@ -74,13 +81,6 @@ pub trait RecoveryHandler: Send + Sync {
     ) -> SimResult<RecoveryOutcome>;
 }
 
-struct CreationEntry {
-    call: DeviceCall,
-    vid: u64,
-    created_seq: u64,
-    freed_seq: Option<u64>,
-}
-
 /// Shard payload size for the CRIU-style CPU-state image: small enough to
 /// bound staging memory while streaming a large replay log, large enough
 /// that the per-shard frame overhead stays negligible.
@@ -98,15 +98,21 @@ pub struct ProxyClient {
     plane: CommPlane,
     server: ProxyServer,
     vmap: VirtualMap,
-    creation_log: Vec<CreationEntry>,
+    /// Each persistent object's creating call and virtual id, in
+    /// creation order.
+    creation_log: Vec<(DeviceCall, u64)>,
+    /// How many `creation_log` entries precede the current minibatch:
+    /// the objects a restart re-creates.
+    creation_boundary: usize,
+    /// Virtual ids whose destroy was logged since the last minibatch
+    /// boundary; the next boundary forgets them.
+    destroyed: Vec<u64>,
     replay_log: OpLog,
     /// Translated (physical-id) deferred calls awaiting one batched round
     /// trip to the server; flushed when `batch_capacity` are staged and at
     /// every synchronization point.
     pending: Vec<DeviceCall>,
     batch_capacity: usize,
-    op_seq: u64,
-    minibatch_start_seq: u64,
     iteration: u64,
     position: MinibatchPosition,
     skip_rest: bool,
@@ -128,11 +134,11 @@ impl ProxyClient {
             server: ProxyServer::new(gpu),
             vmap: VirtualMap::new(),
             creation_log: Vec::new(),
+            creation_boundary: 0,
+            destroyed: Vec::new(),
             replay_log: OpLog::new(),
             pending: Vec::new(),
             batch_capacity: DEFAULT_BATCH_CAPACITY,
-            op_seq: 0,
-            minibatch_start_seq: 0,
             iteration: 0,
             position: MinibatchPosition::FwdBwd,
             skip_rest: false,
@@ -178,6 +184,12 @@ impl ProxyClient {
     /// Length of the current replay log.
     pub fn replay_log_len(&self) -> usize {
         self.replay_log.len()
+    }
+
+    /// Number of virtual handles bound (diagnostics): the objects alive
+    /// now, plus those destroyed since the last minibatch boundary.
+    pub fn live_handles(&self) -> usize {
+        self.vmap.len()
     }
 
     /// Alias of [`ProxyClient::replay_log_len`]: the log is replayed as
@@ -273,12 +285,7 @@ impl ProxyClient {
             cost + self.cost_model().effective_log_overhead()
         };
         self.charge(charge);
-        Ok(match res {
-            CallResult::Buffer(b) => CallResult::Buffer(self.vmap.bind_buffer(b)),
-            CallResult::Stream(s) => CallResult::Stream(self.vmap.bind_stream(s)),
-            CallResult::Event(e) => CallResult::Event(self.vmap.bind_event(e)),
-            other => other,
-        })
+        Ok(self.vmap.bind(res))
     }
 
     /// Whether a call may be deferred into the batched round trip: it
@@ -353,49 +360,21 @@ impl ProxyClient {
             _ => false,
         };
         if persistent {
-            self.creation_log.push(CreationEntry {
-                call: vcall.clone(),
-                vid,
-                created_seq: self.op_seq,
-                freed_seq: None,
-            });
-        }
-    }
-
-    fn record_destroy(&mut self, vid: u64) {
-        let seq = self.op_seq;
-        if let Some(e) = self
-            .creation_log
-            .iter_mut()
-            .find(|e| e.vid == vid && e.freed_seq.is_none())
-        {
-            e.freed_seq = Some(seq);
+            self.creation_log.push((vcall.clone(), vid));
         }
     }
 
     fn log_device(&mut self, vcall: &DeviceCall, res: &CallResult) {
-        self.op_seq += 1;
-        let result_vid = match res {
-            CallResult::Buffer(b) => Some(b.0),
-            CallResult::Stream(s) => Some(s.0),
-            CallResult::Event(e) => Some(e.0),
-            _ => None,
-        };
+        let result_vid = handle_of(res).map(|(_, vid)| vid);
         if let Some(vid) = result_vid {
             self.record_creation(vcall, vid);
         }
-        match vcall {
-            DeviceCall::Free { buf } => self.record_destroy(buf.0),
-            DeviceCall::StreamDestroy { stream } => self.record_destroy(stream.0),
-            DeviceCall::EventDestroy { event } => self.record_destroy(event.0),
-            _ => {}
-        }
+        self.destroyed.extend(destroyed_by(vcall));
         self.replay_log.push_device(vcall, result_vid);
         self.logged_calls += 1;
     }
 
     fn log_op(&mut self, op: LoggedOp) {
-        self.op_seq += 1;
         self.replay_log.push(&op);
         self.logged_calls += 1;
         self.charge(self.cost_model().effective_log_overhead());
@@ -496,16 +475,15 @@ impl ProxyClient {
         Ok(())
     }
 
-    fn intercept_collective(
-        &mut self,
-        comm: CommToken,
-        name: &'static str,
-        check_health: bool,
-        build: impl Fn(u64) -> LoggedColl,
-    ) -> SimResult<()> {
-        let pending = PendingOp::Collective { comm, op: name };
-        self.intercept_network(pending, Some(comm), check_health, |gen| {
-            LoggedOp::Collective(build(gen))
+    /// A collective through [`ProxyClient::intercept_network`]; every
+    /// kind that moves data consults device health first.
+    fn intercept_collective(&mut self, comm: CommToken, coll: Coll) -> SimResult<()> {
+        let pending = PendingOp::Collective {
+            comm,
+            op: coll.name(),
+        };
+        self.intercept_network(pending, Some(comm), coll.buffers().is_some(), |gen| {
+            LoggedOp::Collective(LoggedColl { comm, gen, coll })
         })
     }
 
@@ -544,39 +522,17 @@ impl ProxyClient {
         self.recreate_persistent_objects()
     }
 
-    /// Rebinds the virtual id handed out for an object to the freshly
-    /// created physical one; false if `res` is not an object handle.
-    fn rebind(&mut self, vid: u64, res: &CallResult) -> bool {
-        match *res {
-            CallResult::Buffer(b) => self.vmap.rebind_buffer(BufferId(vid), b),
-            CallResult::Stream(s) => self.vmap.rebind_stream(simgpu::StreamId(vid), s),
-            CallResult::Event(e) => self.vmap.rebind_event(simgpu::EventId(vid), e),
-            _ => return false,
-        }
-        true
-    }
-
     fn recreate_persistent_objects(&mut self) -> SimResult<()> {
-        // Objects alive at minibatch start: created before the boundary
-        // and not freed before it. Objects created during the current
-        // minibatch are regenerated by replay instead.
-        let boundary = self.minibatch_start_seq;
-        let entries: Vec<(DeviceCall, u64)> = self
-            .creation_log
-            .iter()
-            .filter(|e| {
-                e.created_seq < boundary && e.freed_seq.map(|f| f >= boundary).unwrap_or(true)
-            })
-            .map(|e| (e.call.clone(), e.vid))
-            .collect();
-        // Every physical object died with the old context; drop all stale
-        // bindings so a handle can never silently alias a fresh object.
-        let keep: std::collections::HashSet<u64> = entries.iter().map(|(_, vid)| *vid).collect();
-        self.vmap.retain_vids(&keep);
+        // Every physical object died with the old context; forget every
+        // binding so a handle can never silently alias a fresh object.
+        self.vmap.clear();
+        // Rebind the objects alive at minibatch start: created before the
+        // boundary, which forgot every object destroyed before it. Replay
+        // rebinds the rest as it re-executes their creation.
         let handle_cost = self.cost_model().handle_create;
-        for (call, vid) in entries {
-            let (res, _) = self.server.exec(&call)?;
-            if !self.rebind(vid, &res) {
+        for (call, vid) in &self.creation_log[..self.creation_boundary] {
+            let (res, _) = self.server.exec(call)?;
+            if !self.vmap.rebind(*vid, &res) {
                 return Err(SimError::Protocol(format!(
                     "creation replay returned {res:?}"
                 )));
@@ -640,9 +596,11 @@ impl ProxyClient {
         // operation being retried.
         let counter = self.rendezvous_gens.entry(token).or_insert(0);
         let gen = (1u64 << 62) | *counter;
-        let flat = self
-            .plane
-            .collective(token, gen, Coll::Broadcast(root), contribution, bytes)?;
+        // Not one of the application's collectives: it goes straight to
+        // the communicator, as a rendezvous does.
+        let (comm, obs) = (self.plane.comm(token)?, self.plane.observer.as_ref());
+        let contribution = is_root.then_some(contribution);
+        let flat = comm.broadcast_shared(self.plane.rank, gen, root, contribution, bytes, obs)?;
         *counter += 1;
         if is_root {
             return Ok(());
@@ -733,7 +691,7 @@ impl ProxyClient {
                 let (res, _) = self.server.exec(&pcall)?;
                 self.charge(self.cost_model().replay_dispatch);
                 if let Some(vid) = result_vid {
-                    self.rebind(*vid, &res);
+                    self.vmap.rebind(*vid, &res);
                 }
                 Ok(())
             }
@@ -750,11 +708,11 @@ impl ProxyClient {
                 buf,
                 same_node,
             } => {
-                let (data, logical) = self.fetch(self.vmap.buffer(*buf)?)?;
+                let (data, logical) = self.fetch(self.vmap.resolve(*buf)?)?;
                 self.plane.send(*dst, *tag, *seq, data, logical, *same_node)
             }
             LoggedOp::Recv { src, tag, seq, buf } => {
-                let p = self.vmap.buffer(*buf)?;
+                let p = self.vmap.resolve(*buf)?;
                 let data = self.plane.recv(*src, *tag, *seq)?;
                 self.server.gpu_mut().load_buffer(p, &data)
             }
@@ -768,39 +726,15 @@ impl ProxyClient {
 
     /// Runs a logged collective at its logged generation: translate the
     /// buffers, fetch the contribution, hand it to the plane, load the
-    /// shared result.
-    fn exec_collective(&mut self, c: &LoggedColl) -> SimResult<()> {
-        let (comm, gen, coll, src, dst) = match *c {
-            LoggedColl::AllReduce { comm, gen, buf, op } => {
-                (comm, gen, Coll::AllReduce(op), buf, buf)
-            }
-            LoggedColl::AllGather {
-                comm,
-                gen,
-                src,
-                dst,
-            } => (comm, gen, Coll::AllGather, src, dst),
-            LoggedColl::ReduceScatter {
-                comm,
-                gen,
-                src,
-                dst,
-                op,
-            } => (comm, gen, Coll::ReduceScatter(op), src, dst),
-            LoggedColl::Broadcast {
-                comm,
-                gen,
-                root,
-                buf,
-            } => (comm, gen, Coll::Broadcast(root), buf, buf),
-            LoggedColl::Barrier { comm, gen } => {
-                return self
-                    .plane
-                    .collective(comm, gen, Coll::Barrier, Vec::new(), 0)
-                    .map(drop);
-            }
+    /// shared result. A barrier moves no data.
+    fn exec_collective(&mut self, &LoggedColl { comm, gen, coll }: &LoggedColl) -> SimResult<()> {
+        let Some((src, dst)) = coll.buffers() else {
+            return self
+                .plane
+                .collective(comm, gen, coll, Vec::new(), 0)
+                .map(drop);
         };
-        let (ps, pd) = (self.vmap.buffer(src)?, self.vmap.buffer(dst)?);
+        let (ps, pd) = (self.vmap.resolve(src)?, self.vmap.resolve(dst)?);
         let (data, logical) = self.fetch(ps)?;
         let out = self.plane.collective(comm, gen, coll, data, logical)?;
         self.server.gpu_mut().load_buffer(pd, &out)
@@ -810,15 +744,8 @@ impl ProxyClient {
     /// replay, unlike physical ids).
     fn checksum_by_virtual(&self) -> BTreeMap<u64, u64> {
         let gpu = self.server.gpu();
-        let checksum = |vid: u64| {
-            let b = gpu.buffer(self.vmap.buffer(BufferId(vid)).ok()?).ok()?;
-            Some((vid, b.checksum()))
-        };
-        self.vmap
-            .buffer_vids()
-            .into_iter()
-            .filter_map(checksum)
-            .collect()
+        let checksum = |(vid, phys)| Some((vid, gpu.buffer(phys).ok()?.checksum()));
+        self.vmap.buffers().filter_map(checksum).collect()
     }
 
     /// §4.1 replay-log correctness verification. Called at the end of the
@@ -887,21 +814,11 @@ impl Executor for ProxyClient {
     }
 
     fn all_reduce(&mut self, comm: CommToken, buf: BufferId, op: ReduceOp) -> SimResult<()> {
-        self.intercept_collective(comm, "all_reduce", true, |gen| LoggedColl::AllReduce {
-            comm,
-            gen,
-            buf,
-            op,
-        })
+        self.intercept_collective(comm, Coll::AllReduce { buf, op })
     }
 
     fn all_gather_into(&mut self, comm: CommToken, src: BufferId, dst: BufferId) -> SimResult<()> {
-        self.intercept_collective(comm, "all_gather", true, |gen| LoggedColl::AllGather {
-            comm,
-            gen,
-            src,
-            dst,
-        })
+        self.intercept_collective(comm, Coll::AllGather { src, dst })
     }
 
     fn reduce_scatter_into(
@@ -911,31 +828,15 @@ impl Executor for ProxyClient {
         dst: BufferId,
         op: ReduceOp,
     ) -> SimResult<()> {
-        self.intercept_collective(comm, "reduce_scatter", true, |gen| {
-            LoggedColl::ReduceScatter {
-                comm,
-                gen,
-                src,
-                dst,
-                op,
-            }
-        })
+        self.intercept_collective(comm, Coll::ReduceScatter { src, dst, op })
     }
 
     fn broadcast(&mut self, comm: CommToken, root: RankId, buf: BufferId) -> SimResult<()> {
-        self.intercept_collective(comm, "broadcast", true, |gen| LoggedColl::Broadcast {
-            comm,
-            gen,
-            root,
-            buf,
-        })
+        self.intercept_collective(comm, Coll::Broadcast { root, buf })
     }
 
     fn barrier(&mut self, comm: CommToken) -> SimResult<()> {
-        self.intercept_collective(comm, "barrier", false, |gen| LoggedColl::Barrier {
-            comm,
-            gen,
-        })
+        self.intercept_collective(comm, Coll::Barrier)
     }
 
     fn send(
@@ -972,13 +873,16 @@ impl Executor for ProxyClient {
         self.skip_rest = false;
         self.position = MinibatchPosition::FwdBwd;
         self.server.gpu_mut().commit_frees();
-        // Purge creation-log entries whose Free committed before this
-        // boundary — resets can no longer need them.
-        let boundary = self.minibatch_start_seq;
-        self.creation_log
-            .retain(|e| e.freed_seq.map(|f| f >= boundary).unwrap_or(true));
+        // Every object destroyed before this boundary is gone for good:
+        // no reset reaches back past it, so neither its creation entry
+        // nor its binding is needed again.
+        let gone: HashSet<u64> = self.destroyed.drain(..).collect();
+        self.creation_log.retain(|(_, vid)| !gone.contains(vid));
+        self.creation_boundary = self.creation_log.len();
+        for vid in gone {
+            self.vmap.unbind(vid);
+        }
         self.replay_log.clear();
-        self.minibatch_start_seq = self.op_seq;
         self.plane.commit(iteration);
         Ok(())
     }
@@ -1212,6 +1116,16 @@ mod tests {
         c.restore_persistent_from_host(&snap, bytes)?;
         assert_eq!(download(&mut c, w)?, vec![7.0, 8.0]);
         // Stream handle also still valid.
+        c.call(DeviceCall::StreamSync { stream: s })?;
+        Ok(())
+    }
+
+    #[test]
+    fn a_restart_recreates_an_object_made_by_the_last_op_before_the_boundary() -> SimResult<()> {
+        let mut c = client();
+        let s = c.call(DeviceCall::StreamCreate)?.stream()?;
+        c.begin_minibatch(0)?;
+        c.reset_with_restart()?;
         c.call(DeviceCall::StreamSync { stream: s })?;
         Ok(())
     }

@@ -161,16 +161,51 @@ pub(crate) fn check_comm_health(gpu: &Gpu) -> SimResult<()> {
     }
 }
 
-/// One of the five collective kinds, without its buffers: what
-/// [`CommPlane::collective`] needs beyond the contribution itself.
-#[derive(Debug, Clone, Copy)]
+/// One of the five collectives with its operands: what
+/// [`CommPlane::collective`] runs, what both executors issue, and — with
+/// its communicator and generation — what the proxy's replay log records
+/// ([`crate::oplog::LoggedColl`], whose wire format covers this type).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Coll {
-    AllReduce(ReduceOp),
-    AllGather,
-    ReduceScatter(ReduceOp),
-    /// Broadcast from the given root.
-    Broadcast(RankId),
+    /// In-place all-reduce of `buf`.
+    AllReduce { buf: BufferId, op: ReduceOp },
+    /// All-gather from `src` into `dst`.
+    AllGather { src: BufferId, dst: BufferId },
+    /// Reduce-scatter from `src` into this rank's shard `dst`.
+    ReduceScatter {
+        src: BufferId,
+        dst: BufferId,
+        op: ReduceOp,
+    },
+    /// Broadcast of `buf` from `root`.
+    Broadcast { root: RankId, buf: BufferId },
+    /// Barrier.
     Barrier,
+}
+
+impl Coll {
+    /// The op name a recovery handler is shown ([`PendingOp::Collective`]).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Coll::AllReduce { .. } => "all_reduce",
+            Coll::AllGather { .. } => "all_gather",
+            Coll::ReduceScatter { .. } => "reduce_scatter",
+            Coll::Broadcast { .. } => "broadcast",
+            Coll::Barrier => "barrier",
+        }
+    }
+
+    /// The buffer this rank contributes and the one the shared result
+    /// lands in (the same buffer for an in-place kind). A barrier moves
+    /// no data, so it has none; it is also the one collective that does
+    /// not consult device health first (DESIGN.md §9).
+    pub(crate) fn buffers(&self) -> Option<(BufferId, BufferId)> {
+        match *self {
+            Coll::AllReduce { buf, .. } | Coll::Broadcast { buf, .. } => Some((buf, buf)),
+            Coll::AllGather { src, dst } | Coll::ReduceScatter { src, dst, .. } => Some((src, dst)),
+            Coll::Barrier => None,
+        }
+    }
 }
 
 /// The communication plane of one rank: everything [`DirectExecutor`]
@@ -269,9 +304,10 @@ impl CommPlane {
 
     /// Runs one collective at generation `gen` and returns the result
     /// every member shares (this rank's shard for reduce-scatter, empty
-    /// for a barrier). `data` is this rank's contribution; a broadcast
-    /// uses it on the root only and a barrier not at all. The generation
-    /// is the caller's to advance.
+    /// for a barrier). `data` is this rank's contribution, fetched by the
+    /// caller from `coll`'s source buffer; a broadcast uses it on the
+    /// root only and a barrier not at all. The generation is the caller's
+    /// to advance.
     pub(crate) fn collective(
         &self,
         token: CommToken,
@@ -283,12 +319,12 @@ impl CommPlane {
         let comm = self.comm(token)?;
         let (rank, obs) = (self.rank, self.observer.as_ref());
         match coll {
-            Coll::AllReduce(op) => comm.all_reduce_shared(rank, gen, data, op, logical, obs),
-            Coll::AllGather => comm.all_gather_shared(rank, gen, data, logical, obs),
-            Coll::ReduceScatter(op) => comm
+            Coll::AllReduce { op, .. } => comm.all_reduce_shared(rank, gen, data, op, logical, obs),
+            Coll::AllGather { .. } => comm.all_gather_shared(rank, gen, data, logical, obs),
+            Coll::ReduceScatter { op, .. } => comm
                 .reduce_scatter(rank, gen, data, op, logical, obs)
                 .map(Arc::new),
-            Coll::Broadcast(root) => {
+            Coll::Broadcast { root, .. } => {
                 let contribution = (rank == root).then_some(data);
                 comm.broadcast_shared(rank, gen, root, contribution, logical, obs)
             }
@@ -381,17 +417,17 @@ impl DirectExecutor {
         Ok((b.data.clone(), b.logical_bytes))
     }
 
-    /// A data collective: fetch `src`, run at the token's current
-    /// generation, advance it, load the result into `dst`.
-    fn collective(
-        &mut self,
-        token: CommToken,
-        coll: Coll,
-        src: BufferId,
-        dst: BufferId,
-    ) -> SimResult<()> {
-        let (data, logical) = self.fetch(src)?;
+    /// A collective at the token's current generation: fetch its source
+    /// (health first), run, advance the generation, load the result into
+    /// its destination. A barrier fetches and loads nothing.
+    fn collective(&mut self, token: CommToken, coll: Coll) -> SimResult<()> {
         let gen = self.plane.gen_of(token);
+        let Some((src, dst)) = coll.buffers() else {
+            self.plane.collective(token, gen, coll, Vec::new(), 0)?;
+            self.plane.bump_gen(token);
+            return Ok(());
+        };
+        let (data, logical) = self.fetch(src)?;
         let out = self.plane.collective(token, gen, coll, data, logical)?;
         self.plane.bump_gen(token);
         self.gpu.lock().load_buffer(dst, &out)
@@ -422,7 +458,7 @@ impl Executor for DirectExecutor {
     }
 
     fn all_reduce(&mut self, comm: CommToken, buf: BufferId, op: ReduceOp) -> SimResult<()> {
-        self.collective(comm, Coll::AllReduce(op), buf, buf)
+        self.collective(comm, Coll::AllReduce { buf, op })
     }
 
     fn all_reduce_bucket(
@@ -451,10 +487,11 @@ impl Executor for DirectExecutor {
                 fused.extend_from_slice(&b.data);
             }
         }
+        // The plane reads only the kind and `op`: the contribution is the
+        // fused bucket.
+        let coll = Coll::AllReduce { buf: bufs[0], op };
         let gen = self.plane.gen_of(comm);
-        let out = self
-            .plane
-            .collective(comm, gen, Coll::AllReduce(op), fused, logical)?;
+        let out = self.plane.collective(comm, gen, coll, fused, logical)?;
         self.plane.bump_gen(comm);
         let mut gpu = self.gpu.lock();
         let mut off = 0usize;
@@ -466,7 +503,7 @@ impl Executor for DirectExecutor {
     }
 
     fn all_gather_into(&mut self, comm: CommToken, src: BufferId, dst: BufferId) -> SimResult<()> {
-        self.collective(comm, Coll::AllGather, src, dst)
+        self.collective(comm, Coll::AllGather { src, dst })
     }
 
     fn reduce_scatter_into(
@@ -476,19 +513,15 @@ impl Executor for DirectExecutor {
         dst: BufferId,
         op: ReduceOp,
     ) -> SimResult<()> {
-        self.collective(comm, Coll::ReduceScatter(op), src, dst)
+        self.collective(comm, Coll::ReduceScatter { src, dst, op })
     }
 
     fn broadcast(&mut self, comm: CommToken, root: RankId, buf: BufferId) -> SimResult<()> {
-        self.collective(comm, Coll::Broadcast(root), buf, buf)
+        self.collective(comm, Coll::Broadcast { root, buf })
     }
 
     fn barrier(&mut self, comm: CommToken) -> SimResult<()> {
-        let gen = self.plane.gen_of(comm);
-        self.plane
-            .collective(comm, gen, Coll::Barrier, Vec::new(), 0)?;
-        self.plane.bump_gen(comm);
-        Ok(())
+        self.collective(comm, Coll::Barrier)
     }
 
     fn send(

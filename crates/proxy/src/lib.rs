@@ -21,7 +21,8 @@
 //!   framework runs against) and [`DirectExecutor`] (no interception —
 //!   the baseline and user-level-JIT path);
 //! * [`server`] — the restartable [`ProxyServer`] owning the device;
-//! * [`oplog`] — logged operations and the virtual-handle map;
+//! * [`oplog`] — the replay log, its records, and the virtual-handle
+//!   table;
 //! * [`client`] — [`ProxyClient`]: interception, logging, replay, and
 //!   replay-log correctness verification (§4.1);
 //! * [`watchdog`] — real-time hang detection over collective tickets.
@@ -34,6 +35,6 @@ pub mod watchdog;
 
 pub use client::{MinibatchPosition, ProxyClient, RecoveryHandler, RecoveryOutcome};
 pub use executor::{CommToken, DirectExecutor, Executor, PendingOp, PersistentSnapshot};
-pub use oplog::{LoggedOp, OpLog, VirtualMap};
+pub use oplog::OpLog;
 pub use server::{decode_batch, encode_batch, ProxyServer, BATCH_SHARD_BYTES};
 pub use watchdog::Watchdog;

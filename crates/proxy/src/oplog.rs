@@ -1,79 +1,37 @@
-//! Logged operations and the virtual-handle map.
+//! Logged operations and the virtual-handle table.
 //!
 //! The interception layer hands the application **virtual** buffer,
-//! stream, and event handles; the [`VirtualMap`] translates them to the
+//! stream, and event handles; the `VirtualMap` translates them to the
 //! physical handles of the current proxy-server epoch. When recovery
 //! restarts the server, physical handles change — but "we cannot change
 //! the handles already held in application variables", so recovery
 //! re-creates the objects and *rebinds* the same virtual ids (§4.2.1).
 //!
-//! A [`LoggedOp`] is one entry in the replay or creation log: the call
+//! A `LoggedOp` is one entry in the replay or creation log: the call
 //! with its (virtual) ids, its input values, and — for object-creating
 //! calls — the virtual id that was handed out, so replay can rebind it.
+//! A collective is logged as the `Coll` the executors run, plus its
+//! communicator and generation (`LoggedColl`).
 
-use crate::executor::CommToken;
+use crate::executor::{Coll, CommToken};
 use collectives::ReduceOp;
 use serde::{Deserialize, Serialize};
 use simcore::{RankId, SimError, SimResult};
-use simgpu::{BufferId, DeviceCall, EventId, StreamId};
-use std::collections::HashMap;
+use simgpu::{BufferId, CallResult, DeviceCall, EventId, StreamId};
+use std::collections::BTreeMap;
+use std::fmt::Display;
 
-/// A collective operation as recorded in the replay log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LoggedColl {
-    /// In-place all-reduce of a buffer.
-    AllReduce {
-        /// Communicator token.
-        comm: CommToken,
-        /// Operation sequence number on the communicator.
-        gen: u64,
-        /// Buffer (virtual).
-        buf: BufferId,
-        /// Reduction op.
-        op: ReduceOp,
-    },
-    /// All-gather from `src` into `dst`.
-    AllGather {
-        /// Communicator token.
-        comm: CommToken,
-        /// Operation sequence number on the communicator.
-        gen: u64,
-        /// Source shard (virtual).
-        src: BufferId,
-        /// Gathered destination (virtual).
-        dst: BufferId,
-    },
-    /// Reduce-scatter from `src` into shard `dst`.
-    ReduceScatter {
-        /// Communicator token.
-        comm: CommToken,
-        /// Operation sequence number on the communicator.
-        gen: u64,
-        /// Full-size source (virtual).
-        src: BufferId,
-        /// Shard destination (virtual).
-        dst: BufferId,
-        /// Reduction op.
-        op: ReduceOp,
-    },
-    /// Broadcast of `buf` from `root`.
-    Broadcast {
-        /// Communicator token.
-        comm: CommToken,
-        /// Operation sequence number on the communicator.
-        gen: u64,
-        /// Root rank.
-        root: RankId,
-        /// Buffer (virtual).
-        buf: BufferId,
-    },
-    /// Barrier.
-    Barrier {
-        /// Communicator token.
-        comm: CommToken,
-        /// Operation sequence number on the communicator.
-        gen: u64,
-    },
+/// A collective as recorded in the replay log: the collective and its
+/// operands, on the wire as one tag per kind, the communicator, the
+/// generation, then the operands in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct LoggedColl {
+    /// Communicator token.
+    pub(crate) comm: CommToken,
+    /// Operation sequence number on the communicator.
+    pub(crate) gen: u64,
+    /// The collective, its buffers virtual.
+    pub(crate) coll: Coll,
 }
 
 impl LoggedColl {
@@ -81,12 +39,12 @@ impl LoggedColl {
     /// are read during recovery of the restarted proxy server (§4.1), so
     /// variant or field changes must bump this alongside
     /// [`LoggedOp::SCHEMA_VERSION`].
-    pub const SCHEMA_VERSION: u16 = 1;
+    pub(crate) const SCHEMA_VERSION: u16 = 1;
 }
 
 /// One logged operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LoggedOp {
+pub(crate) enum LoggedOp {
     /// A device API call (ids are virtual). `result_vid` is the virtual id
     /// handed to the application for object-creating calls.
     Device {
@@ -125,178 +83,183 @@ pub enum LoggedOp {
 
 impl LoggedOp {
     /// Replay-log record version; see [`LoggedColl::SCHEMA_VERSION`].
-    pub const SCHEMA_VERSION: u16 = 1;
+    pub(crate) const SCHEMA_VERSION: u16 = 1;
 }
 
-/// Virtual→physical handle translation for one rank.
-#[derive(Debug, Default)]
-pub struct VirtualMap {
-    buf: HashMap<u64, BufferId>,
-    stream: HashMap<u64, StreamId>,
-    event: HashMap<u64, EventId>,
+// A replay-log record's version moves with the log's.
+const _: () = assert!(LoggedColl::SCHEMA_VERSION == LoggedOp::SCHEMA_VERSION);
+
+/// The kinds of device object the application holds a handle to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HandleKind {
+    Buffer,
+    Stream,
+    Event,
+}
+
+/// A typed device handle: the kind it resolves as, and its raw id.
+pub(crate) trait Handle: Copy + Display {
+    /// The kind a handle of this type must be bound as.
+    const KIND: HandleKind;
+    /// The handle with raw id `id`.
+    fn from_id(id: u64) -> Self;
+    /// The raw id.
+    fn id(self) -> u64;
+}
+
+macro_rules! handle {
+    ($ty:ident, $kind:ident) => {
+        impl Handle for $ty {
+            const KIND: HandleKind = HandleKind::$kind;
+            fn from_id(id: u64) -> Self {
+                $ty(id)
+            }
+            fn id(self) -> u64 {
+                self.0
+            }
+        }
+    };
+}
+handle!(BufferId, Buffer);
+handle!(StreamId, Stream);
+handle!(EventId, Event);
+
+/// The object handle a call returned, with its kind; `None` for a
+/// result that is no handle.
+pub(crate) fn handle_of(res: &CallResult) -> Option<(HandleKind, u64)> {
+    match *res {
+        CallResult::Buffer(b) => Some((HandleKind::Buffer, b.0)),
+        CallResult::Stream(s) => Some((HandleKind::Stream, s.0)),
+        CallResult::Event(e) => Some((HandleKind::Event, e.0)),
+        _ => None,
+    }
+}
+
+/// The handle a destroying call (`Free`, `StreamDestroy`,
+/// `EventDestroy`) ends.
+pub(crate) fn destroyed_by(call: &DeviceCall) -> Option<u64> {
+    match *call {
+        DeviceCall::Free { buf } => Some(buf.0),
+        DeviceCall::StreamDestroy { stream } => Some(stream.0),
+        DeviceCall::EventDestroy { event } => Some(event.0),
+        _ => None,
+    }
+}
+
+/// Virtual→physical handle translation for one rank: one table, keyed
+/// by virtual id, of `(kind, physical id)`.
+#[derive(Debug)]
+pub(crate) struct VirtualMap {
+    table: BTreeMap<u64, (HandleKind, u64)>,
     next: u64,
 }
 
 impl VirtualMap {
     /// Creates an empty map. Virtual ids start at a high base so that
     /// accidentally passing a physical id through translation fails fast.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualMap {
-            buf: HashMap::new(),
-            stream: HashMap::new(),
-            event: HashMap::new(),
+            table: BTreeMap::new(),
             next: 1 << 32,
         }
     }
 
-    fn fresh(&mut self) -> u64 {
+    /// Registers the physical handle a call returned under a fresh
+    /// virtual id, and returns the result the application sees; a result
+    /// that is no handle passes through.
+    pub(crate) fn bind(&mut self, res: CallResult) -> CallResult {
+        let Some((kind, phys)) = handle_of(&res) else {
+            return res;
+        };
         let v = self.next;
         self.next += 1;
-        v
+        self.table.insert(v, (kind, phys));
+        match kind {
+            HandleKind::Buffer => CallResult::Buffer(BufferId(v)),
+            HandleKind::Stream => CallResult::Stream(StreamId(v)),
+            HandleKind::Event => CallResult::Event(EventId(v)),
+        }
     }
 
-    /// Registers a new physical buffer, returning its virtual handle.
-    pub fn bind_buffer(&mut self, phys: BufferId) -> BufferId {
-        let v = self.fresh();
-        self.buf.insert(v, phys);
-        BufferId(v)
+    /// Rebinds an existing virtual id to the physical handle a
+    /// re-executed creation returned (after server restart, or in
+    /// replay); false if `res` is no handle.
+    pub(crate) fn rebind(&mut self, virt: u64, res: &CallResult) -> bool {
+        handle_of(res).map(|h| self.table.insert(virt, h)).is_some()
     }
 
-    /// Registers a new physical stream.
-    pub fn bind_stream(&mut self, phys: StreamId) -> StreamId {
-        let v = self.fresh();
-        self.stream.insert(v, phys);
-        StreamId(v)
+    /// Resolves a virtual handle. A virtual id that is unbound, or bound
+    /// as another kind, is an invalid handle.
+    pub(crate) fn resolve<H: Handle>(&self, virt: H) -> SimResult<H> {
+        match self.table.get(&virt.id()) {
+            Some(&(kind, phys)) if kind == H::KIND => Ok(H::from_id(phys)),
+            _ => Err(SimError::InvalidHandle(format!("virtual {virt}"))),
+        }
     }
 
-    /// Registers a new physical event.
-    pub fn bind_event(&mut self, phys: EventId) -> EventId {
-        let v = self.fresh();
-        self.event.insert(v, phys);
-        EventId(v)
+    /// Forgets a virtual handle.
+    pub(crate) fn unbind(&mut self, virt: u64) {
+        self.table.remove(&virt);
     }
 
-    /// Rebinds an existing virtual buffer to a new physical one (after
-    /// server restart + object recreation).
-    pub fn rebind_buffer(&mut self, virt: BufferId, phys: BufferId) {
-        self.buf.insert(virt.0, phys);
-    }
-
-    /// Rebinds an existing virtual stream.
-    pub fn rebind_stream(&mut self, virt: StreamId, phys: StreamId) {
-        self.stream.insert(virt.0, phys);
-    }
-
-    /// Rebinds an existing virtual event.
-    pub fn rebind_event(&mut self, virt: EventId, phys: EventId) {
-        self.event.insert(virt.0, phys);
-    }
-
-    /// Resolves a virtual buffer handle.
-    pub fn buffer(&self, virt: BufferId) -> SimResult<BufferId> {
-        self.buf
-            .get(&virt.0)
-            .copied()
-            .ok_or_else(|| SimError::InvalidHandle(format!("virtual {virt}")))
-    }
-
-    /// Resolves a virtual stream handle.
-    pub fn stream(&self, virt: StreamId) -> SimResult<StreamId> {
-        self.stream
-            .get(&virt.0)
-            .copied()
-            .ok_or_else(|| SimError::InvalidHandle(format!("virtual {virt}")))
-    }
-
-    /// Resolves a virtual event handle.
-    pub fn event(&self, virt: EventId) -> SimResult<EventId> {
-        self.event
-            .get(&virt.0)
-            .copied()
-            .ok_or_else(|| SimError::InvalidHandle(format!("virtual {virt}")))
-    }
-
-    /// Forgets a virtual buffer (after Free commits).
-    pub fn unbind_buffer(&mut self, virt: BufferId) {
-        self.buf.remove(&virt.0);
-    }
-
-    /// Translates a call with virtual ids into one with physical ids.
-    pub fn to_physical(&self, call: &DeviceCall) -> SimResult<DeviceCall> {
-        Ok(match call {
-            DeviceCall::Malloc { .. } | DeviceCall::StreamCreate | DeviceCall::EventCreate => {
-                call.clone()
+    /// Translates a call with virtual ids into one with physical ids,
+    /// each handle in field order (a launch's kernel operands before its
+    /// stream).
+    pub(crate) fn to_physical(&self, call: &DeviceCall) -> SimResult<DeviceCall> {
+        let mut call = call.clone();
+        match &mut call {
+            DeviceCall::Malloc { .. }
+            | DeviceCall::StreamCreate
+            | DeviceCall::EventCreate
+            | DeviceCall::DeviceSync => {}
+            DeviceCall::Free { buf }
+            | DeviceCall::Upload { buf, .. }
+            | DeviceCall::Download { buf } => {
+                *buf = self.resolve(*buf)?;
             }
-            DeviceCall::Free { buf } => DeviceCall::Free {
-                buf: self.buffer(*buf)?,
-            },
-            DeviceCall::Upload { buf, data } => DeviceCall::Upload {
-                buf: self.buffer(*buf)?,
-                data: data.clone(),
-            },
-            DeviceCall::Download { buf } => DeviceCall::Download {
-                buf: self.buffer(*buf)?,
-            },
-            DeviceCall::CopyD2D { src, dst } => DeviceCall::CopyD2D {
-                src: self.buffer(*src)?,
-                dst: self.buffer(*dst)?,
-            },
+            DeviceCall::CopyD2D { src, dst } => {
+                *src = self.resolve(*src)?;
+                *dst = self.resolve(*dst)?;
+            }
             DeviceCall::Launch { stream, kernel } => {
-                let mut kernel = kernel.clone();
                 for id in kernel.operands_mut() {
-                    *id = self.buffer(*id)?;
+                    *id = self.resolve(*id)?;
                 }
-                DeviceCall::Launch {
-                    stream: self.stream(*stream)?,
-                    kernel,
-                }
+                *stream = self.resolve(*stream)?;
             }
-            DeviceCall::StreamDestroy { stream } => DeviceCall::StreamDestroy {
-                stream: self.stream(*stream)?,
-            },
-            DeviceCall::EventDestroy { event } => DeviceCall::EventDestroy {
-                event: self.event(*event)?,
-            },
-            DeviceCall::EventRecord { stream, event } => DeviceCall::EventRecord {
-                stream: self.stream(*stream)?,
-                event: self.event(*event)?,
-            },
-            DeviceCall::StreamWaitEvent { stream, event } => DeviceCall::StreamWaitEvent {
-                stream: self.stream(*stream)?,
-                event: self.event(*event)?,
-            },
-            DeviceCall::EventQuery { event } => DeviceCall::EventQuery {
-                event: self.event(*event)?,
-            },
-            DeviceCall::StreamSync { stream } => DeviceCall::StreamSync {
-                stream: self.stream(*stream)?,
-            },
-            DeviceCall::DeviceSync => DeviceCall::DeviceSync,
-        })
+            DeviceCall::StreamDestroy { stream } | DeviceCall::StreamSync { stream } => {
+                *stream = self.resolve(*stream)?;
+            }
+            DeviceCall::EventDestroy { event } | DeviceCall::EventQuery { event } => {
+                *event = self.resolve(*event)?;
+            }
+            DeviceCall::EventRecord { stream, event }
+            | DeviceCall::StreamWaitEvent { stream, event } => {
+                *stream = self.resolve(*stream)?;
+                *event = self.resolve(*event)?;
+            }
+        }
+        Ok(call)
     }
 
-    /// Number of live virtual bindings (diagnostics).
-    pub fn bindings(&self) -> (usize, usize, usize) {
-        (self.buf.len(), self.stream.len(), self.event.len())
+    /// Number of live virtual bindings.
+    pub(crate) fn len(&self) -> usize {
+        self.table.len()
     }
 
-    /// Drops every binding whose virtual id is not in `keep` — called
-    /// after a proxy-server restart or GPU migration, when all physical
-    /// objects died with the context and only the re-created persistent
-    /// objects have valid bindings (replay re-binds the rest as it
-    /// re-executes their creation calls).
-    pub fn retain_vids(&mut self, keep: &std::collections::HashSet<u64>) {
-        self.buf.retain(|v, _| keep.contains(v));
-        self.stream.retain(|v, _| keep.contains(v));
-        self.event.retain(|v, _| keep.contains(v));
+    /// Forgets every binding (the physical objects died with their
+    /// context); virtual ids already handed out are never reissued.
+    pub(crate) fn clear(&mut self) {
+        self.table.clear();
     }
 
-    /// All live virtual buffer ids, sorted (used to key state checksums by
-    /// virtual identity, which is stable across replay).
-    pub fn buffer_vids(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.buf.keys().copied().collect();
-        v.sort_unstable();
-        v
+    /// Every bound buffer as `(virtual id, physical id)`, by virtual id
+    /// (which keys state checksums, being stable across replay).
+    pub(crate) fn buffers(&self) -> impl Iterator<Item = (u64, BufferId)> + '_ {
+        self.table
+            .iter()
+            .filter(|(_, (kind, _))| *kind == HandleKind::Buffer)
+            .map(|(&v, &(_, phys))| (v, BufferId(phys)))
     }
 }
 
@@ -305,10 +268,14 @@ mod tests {
     use super::*;
     use simgpu::KernelKind;
 
+    fn bind_buffer(m: &mut VirtualMap, phys: u64) -> SimResult<BufferId> {
+        m.bind(CallResult::Buffer(BufferId(phys))).buffer()
+    }
+
     #[test]
     fn bind_and_translate_buffer_calls() -> SimResult<()> {
         let mut m = VirtualMap::new();
-        let v = m.bind_buffer(BufferId(7));
+        let v = bind_buffer(&mut m, 7)?;
         assert!(v.0 >= 1 << 32, "virtual ids live in a distinct range");
         let call = DeviceCall::Download { buf: v };
         let phys = m.to_physical(&call)?;
@@ -319,18 +286,45 @@ mod tests {
     #[test]
     fn rebinding_redirects_without_changing_virtual_id() -> SimResult<()> {
         let mut m = VirtualMap::new();
-        let v = m.bind_buffer(BufferId(1));
-        m.rebind_buffer(v, BufferId(99));
-        assert_eq!(m.buffer(v)?, BufferId(99));
+        let v = bind_buffer(&mut m, 1)?;
+        assert!(m.rebind(v.0, &CallResult::Buffer(BufferId(99))));
+        assert_eq!(m.resolve(v)?, BufferId(99));
+        assert!(!m.rebind(v.0, &CallResult::None), "no handle to rebind to");
         Ok(())
     }
 
     #[test]
     fn unknown_virtual_handle_errors() {
         let m = VirtualMap::new();
-        assert!(m.buffer(BufferId(12345)).is_err());
-        assert!(m.stream(StreamId(1)).is_err());
-        assert!(m.event(EventId(1)).is_err());
+        assert!(m.resolve(BufferId(12345)).is_err());
+        assert!(m.resolve(StreamId(1)).is_err());
+        assert!(m.resolve(EventId(1)).is_err());
+    }
+
+    #[test]
+    fn a_handle_of_one_kind_is_refused_as_another() -> SimResult<()> {
+        let mut m = VirtualMap::new();
+        let b = bind_buffer(&mut m, 1)?;
+        let s = m.bind(CallResult::Stream(StreamId(1))).stream()?;
+        let e = m.bind(CallResult::Event(EventId(1))).event()?;
+        let refused = |h: &dyn Display| Some(SimError::InvalidHandle(format!("virtual {h}")));
+        for v in [s.0, e.0] {
+            assert_eq!(m.resolve(BufferId(v)).err(), refused(&BufferId(v)));
+        }
+        for v in [b.0, e.0] {
+            assert_eq!(m.resolve(StreamId(v)).err(), refused(&StreamId(v)));
+        }
+        for v in [b.0, s.0] {
+            assert_eq!(m.resolve(EventId(v)).err(), refused(&EventId(v)));
+        }
+        // Through translation too: a stream's id passed as a buffer.
+        let call = DeviceCall::Free { buf: BufferId(s.0) };
+        assert_eq!(m.to_physical(&call).err(), refused(&BufferId(s.0)));
+        assert_eq!(
+            (m.resolve(b)?, m.resolve(s)?, m.resolve(e)?),
+            (BufferId(1), StreamId(1), EventId(1))
+        );
+        Ok(())
     }
 
     /// All 15 kernel variants over `ids` (one per operand, in declaration
@@ -441,8 +435,11 @@ mod tests {
     fn kernel_translation_maps_every_buffer() -> SimResult<()> {
         let phys: [BufferId; 8] = std::array::from_fn(|i| BufferId(i as u64 + 1));
         let mut m = VirtualMap::new();
-        let virt = phys.map(|p| m.bind_buffer(p));
-        let vs = m.bind_stream(StreamId(10));
+        let mut virt = phys;
+        for v in &mut virt {
+            *v = m.bind(CallResult::Buffer(*v)).buffer()?;
+        }
+        let vs = m.bind(CallResult::Stream(StreamId(10))).stream()?;
         // Every operand translated, every other field untouched.
         for (kernel, expect) in every_kernel(virt).into_iter().zip(every_kernel(phys)) {
             let call = DeviceCall::Launch { stream: vs, kernel };
@@ -457,7 +454,7 @@ mod tests {
         // that far translates.
         for first in 0..virt.len() {
             for v in &virt[first..] {
-                m.unbind_buffer(*v);
+                m.unbind(v.0);
             }
             for kernel in every_kernel(virt) {
                 let (stream, want) = if first < kernel.buffers().len() {
@@ -470,7 +467,7 @@ mod tests {
                 assert_eq!(got.err(), want);
             }
             for (v, p) in virt.iter().zip(phys) {
-                m.rebind_buffer(*v, p);
+                m.rebind(v.0, &CallResult::Buffer(p));
             }
         }
         assert_eq!(
@@ -484,12 +481,13 @@ mod tests {
     }
 
     #[test]
-    fn unbind_removes_bindings() {
+    fn unbind_removes_bindings() -> SimResult<()> {
         let mut m = VirtualMap::new();
-        let v = m.bind_buffer(BufferId(1));
-        m.unbind_buffer(v);
-        assert!(m.buffer(v).is_err());
-        assert_eq!(m.bindings(), (0, 0, 0));
+        let v = bind_buffer(&mut m, 1)?;
+        m.unbind(v.0);
+        assert!(m.resolve(v).is_err());
+        assert_eq!(m.len(), 0);
+        Ok(())
     }
 }
 
@@ -503,62 +501,34 @@ use simcore::codec::{Decode, Encode};
 
 impl Encode for LoggedColl {
     fn encode(&self, buf: &mut bytes::BytesMut) {
-        match self {
-            LoggedColl::AllReduce {
-                comm,
-                gen,
-                buf: b,
-                op,
-            } => {
-                0u8.encode(buf);
-                comm.0.encode(buf);
-                gen.encode(buf);
+        let head = |tag: u8, buf: &mut bytes::BytesMut| {
+            tag.encode(buf);
+            self.comm.0.encode(buf);
+            self.gen.encode(buf);
+        };
+        match self.coll {
+            Coll::AllReduce { buf: b, op } => {
+                head(0, buf);
                 b.encode(buf);
-                encode_reduce_op(*op, buf);
+                encode_reduce_op(op, buf);
             }
-            LoggedColl::AllGather {
-                comm,
-                gen,
-                src,
-                dst,
-            } => {
-                1u8.encode(buf);
-                comm.0.encode(buf);
-                gen.encode(buf);
+            Coll::AllGather { src, dst } => {
+                head(1, buf);
                 src.encode(buf);
                 dst.encode(buf);
             }
-            LoggedColl::ReduceScatter {
-                comm,
-                gen,
-                src,
-                dst,
-                op,
-            } => {
-                2u8.encode(buf);
-                comm.0.encode(buf);
-                gen.encode(buf);
+            Coll::ReduceScatter { src, dst, op } => {
+                head(2, buf);
                 src.encode(buf);
                 dst.encode(buf);
-                encode_reduce_op(*op, buf);
+                encode_reduce_op(op, buf);
             }
-            LoggedColl::Broadcast {
-                comm,
-                gen,
-                root,
-                buf: b,
-            } => {
-                3u8.encode(buf);
-                comm.0.encode(buf);
-                gen.encode(buf);
+            Coll::Broadcast { root, buf: b } => {
+                head(3, buf);
                 root.0.encode(buf);
                 b.encode(buf);
             }
-            LoggedColl::Barrier { comm, gen } => {
-                4u8.encode(buf);
-                comm.0.encode(buf);
-                gen.encode(buf);
-            }
+            Coll::Barrier => head(4, buf),
         }
     }
 }
@@ -583,38 +553,32 @@ fn decode_reduce_op(buf: &mut bytes::Bytes) -> SimResult<ReduceOp> {
 
 impl Decode for LoggedColl {
     fn decode(buf: &mut bytes::Bytes) -> SimResult<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => LoggedColl::AllReduce {
-                comm: CommToken(u64::decode(buf)?),
-                gen: u64::decode(buf)?,
+        let tag = u8::decode(buf)?;
+        if tag > 4 {
+            return Err(SimError::Codec(format!("bad LoggedColl tag {tag}")));
+        }
+        let (comm, gen) = (CommToken(u64::decode(buf)?), u64::decode(buf)?);
+        let coll = match tag {
+            0 => Coll::AllReduce {
                 buf: BufferId::decode(buf)?,
                 op: decode_reduce_op(buf)?,
             },
-            1 => LoggedColl::AllGather {
-                comm: CommToken(u64::decode(buf)?),
-                gen: u64::decode(buf)?,
+            1 => Coll::AllGather {
                 src: BufferId::decode(buf)?,
                 dst: BufferId::decode(buf)?,
             },
-            2 => LoggedColl::ReduceScatter {
-                comm: CommToken(u64::decode(buf)?),
-                gen: u64::decode(buf)?,
+            2 => Coll::ReduceScatter {
                 src: BufferId::decode(buf)?,
                 dst: BufferId::decode(buf)?,
                 op: decode_reduce_op(buf)?,
             },
-            3 => LoggedColl::Broadcast {
-                comm: CommToken(u64::decode(buf)?),
-                gen: u64::decode(buf)?,
-                root: simcore::RankId(u32::decode(buf)?),
+            3 => Coll::Broadcast {
+                root: RankId(u32::decode(buf)?),
                 buf: BufferId::decode(buf)?,
             },
-            4 => LoggedColl::Barrier {
-                comm: CommToken(u64::decode(buf)?),
-                gen: u64::decode(buf)?,
-            },
-            other => return Err(SimError::Codec(format!("bad LoggedColl tag {other}"))),
-        })
+            _ => Coll::Barrier,
+        };
+        Ok(LoggedColl { comm, gen, coll })
     }
 }
 
@@ -669,14 +633,14 @@ impl Decode for LoggedOp {
             },
             1 => LoggedOp::Collective(LoggedColl::decode(buf)?),
             2 => LoggedOp::Send {
-                dst: simcore::RankId(u32::decode(buf)?),
+                dst: RankId(u32::decode(buf)?),
                 tag: u64::decode(buf)?,
                 seq: u64::decode(buf)?,
                 buf: BufferId::decode(buf)?,
                 same_node: bool::decode(buf)?,
             },
             3 => LoggedOp::Recv {
-                src: simcore::RankId(u32::decode(buf)?),
+                src: RankId(u32::decode(buf)?),
                 tag: u64::decode(buf)?,
                 seq: u64::decode(buf)?,
                 buf: BufferId::decode(buf)?,
@@ -690,7 +654,6 @@ impl Decode for LoggedOp {
 mod wire_tests {
     use super::*;
     use simcore::codec::{decode_framed, encode_framed};
-    use simcore::RankId;
     use simgpu::{AllocSite, BufferTag};
 
     #[test]
@@ -705,18 +668,22 @@ mod wire_tests {
                 },
                 result_vid: Some(1 << 32),
             },
-            LoggedOp::Collective(LoggedColl::AllReduce {
+            LoggedOp::Collective(LoggedColl {
                 comm: CommToken(2),
                 gen: 17,
-                buf: BufferId(9),
-                op: ReduceOp::Avg,
+                coll: Coll::AllReduce {
+                    buf: BufferId(9),
+                    op: ReduceOp::Avg,
+                },
             }),
-            LoggedOp::Collective(LoggedColl::ReduceScatter {
+            LoggedOp::Collective(LoggedColl {
                 comm: CommToken(3),
                 gen: 4,
-                src: BufferId(1),
-                dst: BufferId(2),
-                op: ReduceOp::Sum,
+                coll: Coll::ReduceScatter {
+                    src: BufferId(1),
+                    dst: BufferId(2),
+                    op: ReduceOp::Sum,
+                },
             }),
             LoggedOp::Send {
                 dst: RankId(3),
@@ -794,13 +761,13 @@ impl OpLog {
     }
 
     /// Appends one op, encoded into the arena.
-    pub fn push(&mut self, op: &LoggedOp) {
+    pub(crate) fn push(&mut self, op: &LoggedOp) {
         op.encode(&mut self.arena);
         self.len += 1;
     }
 
     /// Appends a device call without materializing an owned
-    /// [`LoggedOp`] (the interception hot path: no heap allocation per
+    /// `LoggedOp` (the interception hot path: no heap allocation per
     /// op beyond arena growth). Encodes exactly what
     /// `LoggedOp::Device { call, result_vid }` would.
     pub fn push_device(&mut self, call: &DeviceCall, result_vid: Option<u64>) {
@@ -811,7 +778,7 @@ impl OpLog {
     }
 
     /// Decodes every op, in log order.
-    pub fn ops(&self) -> SimResult<Vec<LoggedOp>> {
+    pub(crate) fn ops(&self) -> SimResult<Vec<LoggedOp>> {
         let mut b = bytes::Bytes::from(self.arena.to_vec());
         let mut out = Vec::with_capacity(self.len);
         for _ in 0..self.len {
@@ -829,14 +796,16 @@ impl Encode for OpLog {
 }
 
 impl Decode for OpLog {
+    /// Validates by decoding every op, then keeps the bytes they were
+    /// decoded from as the arena.
     fn decode(buf: &mut bytes::Bytes) -> SimResult<Self> {
-        let n = u64::decode(buf)? as usize;
-        let mut log = OpLog::new();
-        for _ in 0..n {
-            let op = LoggedOp::decode(buf)?;
-            log.push(&op);
+        let len = u64::decode(buf)? as usize;
+        let ops = buf.clone();
+        for _ in 0..len {
+            LoggedOp::decode(buf)?;
         }
-        Ok(log)
+        let arena = BytesMut::from(ops[..ops.len() - buf.len()].to_vec());
+        Ok(OpLog { arena, len })
     }
 }
 
