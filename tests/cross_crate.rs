@@ -889,6 +889,71 @@ fn transparent_reports_are_pinned() {
     }
 }
 
+#[test]
+fn five_replica_sync_rounds_are_pinned() {
+    let _g = serial();
+    // Five §4.2 rounds in one job that copy state from the healthy
+    // replica, classes (c) and (d) alternating and so are the victims:
+    // each round rebuilds the communicators the round before it rebuilt.
+    // The faults are two iterations apart, so no round sees two victims.
+    // Every loss keeps the fault-free twin's bits, and every victim's
+    // step times and total are pinned bit for bit.
+    use FailureKind::StickyCuda;
+    use Phase::*;
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 12;
+    let twin = loss_bits(&clean_run(&cfg, iters));
+    let faults: Vec<FailureSpec> = (0..5u64)
+        .map(|i| {
+            let phase = if i % 2 == 0 { Backward } else { OptimizerStep };
+            FailureSpec::new(2 + 2 * i, phase, RankId(1 - (i % 2) as u32), StickyCuda)
+        })
+        .collect();
+    let out = run_transparent_job(
+        cfg,
+        CostModel::v100(),
+        FailureInjector::with_specs(faults),
+        Arc::new(SharedStore::new()),
+        iters,
+    )
+    .unwrap();
+    assert_eq!(out.rounds, 5);
+    assert_eq!(loss_bits(&out.losses), twin, "recovery moved a loss");
+    let victims: Vec<(u32, u64, Vec<u64>)> = out
+        .reports
+        .iter()
+        .filter(|r| r.was_victim)
+        .map(|r| {
+            let steps = r.steps.iter().map(|&(_, t)| bits(t)).collect();
+            (r.rank.0, bits(r.total), steps)
+        })
+        .collect();
+    // Virtual seconds, by `to_bits`: the rendezvous of two communicators,
+    // the copy and the handle step, which every round's victim runs. The
+    // other steps round differently at each round's clock magnitude.
+    const RENDEZVOUS: u64 = 0x4000_0000_0000_0000;
+    const COPY: u64 = 0x3ee0_d102_cb20_0000;
+    const HANDLES: u64 = 0x3f74_7ae1_47ae_147b;
+    #[rustfmt::skip]
+    let want: [(u32, u64, &[u64]); 5] = [
+        (1, 0x4011_6e9c_ccbe_a6c2, &[0x3feb_3333_3333_3333, 0x3ff8_0bcb_e61c_ffdf,
+            RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dbd_c000]),
+        (0, 0x4011_6e7a_325f_eb47, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61c_ffe0,
+            RENDEZVOUS, COPY, HANDLES]),
+        (1, 0x4011_6e9c_ccbe_a6ec, &[0x3feb_3333_3333_3338, 0x3ff8_0bcb_e61d_0040,
+            RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dc6_0000]),
+        (0, 0x4011_6e7a_325f_eb5f, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61d_0040,
+            RENDEZVOUS, COPY, HANDLES]),
+        (1, 0x4011_6e9c_ccbe_a6bb, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61c_ff80,
+            RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dc6_0000]),
+    ];
+    let want: Vec<(u32, u64, Vec<u64>)> = want
+        .iter()
+        .map(|&(rank, total, steps)| (rank, total, steps.to_vec()))
+        .collect();
+    assert_eq!(victims, want);
+}
+
 /// Runs `cfg` for `iters` iterations with `faults` armed, and checks that
 /// each fault took one recovery round and that every loss has the bits of
 /// the fault-free twin's.
