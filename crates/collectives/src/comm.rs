@@ -35,14 +35,18 @@
 //! peers — who may have legitimately moved on — having to re-participate,
 //! while a retried incomplete collective reuses its generation and pairs
 //! with peers' retries. A re-created communicator adopts its
-//! predecessor's completed-slot cache
+//! predecessor's completed data slots
 //! ([`Communicator::adopt_completed_from`]).
 //!
 //! The cache holds the live minibatch and no more: at each minibatch
 //! start every member commits the generation it starts from
 //! ([`crate::CommWorld::commit`]), and completed slots below the minimum
 //! of the members' floors are dropped, since no member's replay can ask
-//! for them again.
+//! for them again. Recovery's own operations — a round's rendezvous and
+//! replica sync — run in the generations from [`RECOVERY_GEN_BASE`] up,
+//! which no floor reaches and no adoption carries: they live for one
+//! recovery round, which drops them when it closes
+//! ([`Communicator::release_recovery_slots`]).
 
 use crate::ledger::GradLedger;
 use crate::liveness::Liveness;
@@ -58,6 +62,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
+
+/// The first generation of the recovery spaces: a recovery round's
+/// replica sync runs at `RECOVERY_GEN_BASE | n` and its rendezvous at
+/// `(RECOVERY_GEN_BASE << 1) | n`, clear of every data generation the
+/// interrupted operation retries with.
+pub const RECOVERY_GEN_BASE: u64 = 1 << 62;
 
 /// Reduction operator for all-reduce / reduce-scatter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -256,7 +266,7 @@ impl Communicator {
     }
 
     /// Member position of `rank` in this group (its rank-order index).
-    pub fn member_pos(&self, rank: RankId) -> Option<usize> {
+    pub(crate) fn member_pos(&self, rank: RankId) -> Option<usize> {
         self.member_of.get(&rank).copied()
     }
 
@@ -446,16 +456,21 @@ impl Communicator {
         }
     }
 
-    /// Copies the predecessor communicator's completed-slot cache into
+    /// Copies the predecessor communicator's completed data slots into
     /// this (freshly created) communicator, so replayed operations can be
     /// served without re-participation after recovery. A completed slot
     /// holds only its shared result, so the copy is a refcount bump per
     /// slot. The members' floors start at zero here: nothing adopted is
     /// pruned until every member has committed on this communicator.
+    /// Slots from [`RECOVERY_GEN_BASE`] up belong to the predecessor's
+    /// recovery round and stay behind.
     pub fn adopt_completed_from(&self, old: &Communicator) {
         let old_state = old.state.lock();
         let mut st = self.state.lock();
         for (gen, slot) in old_state.slots.iter() {
+            if *gen >= RECOVERY_GEN_BASE {
+                continue;
+            }
             if let Some(result) = slot.result() {
                 let state = SlotState::Done(result.clone());
                 st.slots.insert(*gen, Slot { state, ..*slot });
@@ -479,9 +494,11 @@ impl Communicator {
     /// all members are dropped. The minimum, not this member's floor,
     /// because a peer one minibatch behind (a lagging pipeline stage, a
     /// rank rolled back by recovery) must still be served its whole
-    /// current minibatch. A slot in flight is never dropped, and neither
-    /// is one in the recovery generation spaces (`1 << 62` and up), which
-    /// no floor reaches. Called by [`crate::CommWorld::commit`].
+    /// current minibatch. A slot in flight is never dropped. No floor
+    /// reaches the recovery spaces ([`RECOVERY_GEN_BASE`] and up): the
+    /// round that used them drops them when it closes
+    /// ([`Communicator::release_recovery_slots`]). Called by
+    /// [`crate::CommWorld::commit`].
     pub(crate) fn commit(&self, rank: RankId, gen: u64) {
         let Some(pos) = self.member_pos(rank) else {
             return;
@@ -491,6 +508,19 @@ impl Communicator {
         let floor = st.floors.iter().copied().min().unwrap_or(0);
         st.slots
             .retain(|g, slot| *g >= floor || slot.result().is_none());
+    }
+
+    /// Drops the completed slots of the recovery spaces
+    /// ([`RECOVERY_GEN_BASE`] and up) and returns how many there were. A
+    /// recovery round calls it on every communicator it built once every
+    /// member has finished the round: no member asks for those
+    /// generations again. Data slots, and any slot in flight, stay.
+    pub fn release_recovery_slots(&self) -> usize {
+        let mut st = self.state.lock();
+        let before = st.slots.len();
+        st.slots
+            .retain(|g, slot| *g < RECOVERY_GEN_BASE || slot.result().is_none());
+        before - st.slots.len()
     }
 
     /// Drops cached slots with `gen < floor`, in flight or not, whatever
@@ -1580,6 +1610,45 @@ mod tests {
         );
         fresh.commit(RankId(1), 4);
         assert!(cached_gens(&fresh).is_empty());
+    }
+
+    /// A recovery round's replica-sync and rendezvous generations.
+    const SYNC: u64 = RECOVERY_GEN_BASE;
+    const RENDEZVOUS: u64 = RECOVERY_GEN_BASE << 1;
+
+    #[test]
+    fn adoption_carries_data_slots_and_no_recovery_slot() {
+        let old = make_comm(2);
+        complete(&old, 0..2);
+        complete(&old, SYNC..SYNC + 1);
+        complete(&old, RENDEZVOUS..RENDEZVOUS + 2);
+        let fresh = make_comm(2);
+        fresh.adopt_completed_from(&old);
+        assert_eq!(cached_gens(&fresh), vec![0, 1]);
+        assert_eq!(old.completed_slots(), 5, "the predecessor keeps its own");
+    }
+
+    #[test]
+    fn releasing_drops_only_completed_recovery_slots() {
+        let comm = make_comm(2);
+        complete(&comm, 0..2);
+        complete(&comm, SYNC..SYNC + 1);
+        complete(&comm, RENDEZVOUS..RENDEZVOUS + 1);
+        // Recovery generations in flight on one member: never dropped.
+        for gen in [SYNC + 1, RENDEZVOUS + 1] {
+            assert!(!comm
+                .offer_reduce(RankId(0), gen, &[1.0], ReduceOp::Sum, 4)
+                .unwrap());
+        }
+        assert_eq!(comm.release_recovery_slots(), 2);
+        assert_eq!(cached_gens(&comm), vec![0, 1, SYNC + 1, RENDEZVOUS + 1]);
+        assert_eq!(comm.release_recovery_slots(), 0, "nothing left to drop");
+        assert!(comm
+            .offer_reduce(RankId(1), SYNC + 1, &[2.0], ReduceOp::Sum, 4)
+            .unwrap());
+        assert_eq!(*comm.try_result(SYNC + 1).unwrap().unwrap(), vec![3.0]);
+        // Data slots stay served bit for bit.
+        assert_eq!(*comm.try_result(1).unwrap().unwrap(), vec![2.5, -2.5]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub(crate) mod plane;
 pub(crate) mod schedule;
 pub mod world;
 
-pub use comm::{CollKind, Communicator, ReduceOp};
+pub use comm::{CollKind, Communicator, ReduceOp, RECOVERY_GEN_BASE};
 pub use group::SplitKey;
 pub use ledger::{GradLedger, LedgerConfig};
 pub use observer::{CollectiveObserver, CollectiveTicket, NullObserver};

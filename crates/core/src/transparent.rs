@@ -203,20 +203,40 @@ impl TransparentEngine {
         }
     }
 
-    /// Marks a rank done with the round; the last one resets round state
-    /// and deletes the round's §4.3 frames, which every victim has read by
-    /// then. The others wait for the reset, so a rank cannot race ahead
-    /// and trip a new round against stragglers of this one.
+    /// Marks a rank done with the round; the last one drops the round's
+    /// recovery generations (its rendezvous and replica sync) from every
+    /// communicator the round built, resets round state and deletes the
+    /// round's §4.3 frames, which every victim has read by then. The
+    /// others wait for the reset, so a rank cannot race ahead and trip a
+    /// new round against stragglers of this one, and no rank leaves the
+    /// round while its recovery slots are still cached.
     fn rank_finish(&self) -> SimResult<()> {
         let n = self.layout.world_size();
+        let (round, last, closed) = {
+            let mut st = self.state.lock();
+            st.finished += 1;
+            let last = st.finished == n;
+            let closed = if last { st.plan.take() } else { None };
+            (st.round, last, closed)
+        };
+        // Every rank is done with the round: nobody asks for its recovery
+        // generations again. Each communicator's lock is taken alone,
+        // not under the engine's.
+        if let Some(Ok(plan)) = closed {
+            for bundle in &plan.new_comms {
+                let groups = [&bundle.dp, &bundle.tp, &bundle.pp].into_iter().flatten();
+                for comm in std::iter::once(&bundle.global)
+                    .chain(&bundle.extras)
+                    .chain(groups)
+                {
+                    comm.release_recovery_slots();
+                }
+            }
+        }
         let mut st = self.state.lock();
-        let round = st.round;
-        st.finished += 1;
-        let last = st.finished == n;
         if last {
             st.round += 1;
             st.arrived.clear();
-            st.plan = None;
             st.finished = 0;
             st.hard_written.clear();
             self.cv.notify_all();
@@ -485,11 +505,17 @@ impl TransparentEngine {
                 // It is reported at its intrinsic cost (bootstrap time ×
                 // groups); the clock also absorbs barrier waits for
                 // straggling peers, which the paper's per-rank figures
-                // exclude.
+                // exclude. Tokens bound to one instance (the world and dp
+                // groups of a DP-only job) bootstrap it once.
                 let bundle = &plan.new_comms[client.rank().index()];
                 let tokens = self.rebind_comms(client, bundle)?;
+                let mut met = Vec::with_capacity(tokens.len());
                 for token in &tokens {
-                    client.rendezvous_comm(*token)?;
+                    let id = client.comm(*token)?.id;
+                    if !met.contains(&id) {
+                        met.push(id);
+                        client.rendezvous_comm(*token)?;
+                    }
                 }
                 let comm_init = client.server().gpu().cost_model().comm_init;
                 return Ok(SimTime::from_secs(
@@ -733,6 +759,79 @@ mod tests {
             );
             assert_eq!(have, fresh, "{case}: a refused frame set wrote a buffer");
         }
+        Ok(())
+    }
+
+    #[test]
+    fn every_dp_only_round_bootstraps_each_distinct_communicator_once() -> SimResult<()> {
+        // Three DP-only rounds through the engine's quorum, plan and
+        // close, rank 1 hit by a sticky error in each. Both of a rank's
+        // tokens (world and dp) are bound to the one rebuilt dp
+        // communicator, so each rank's clock passes the later arrival at
+        // the rendezvous by one bootstrap, in every round.
+        let layout = ParallelLayout::data_parallel(2);
+        let setup = dltrain::JobSetup::build(layout, CostModel::v100(), 8);
+        let engine = TransparentEngine::new(
+            layout,
+            setup.world.clone(),
+            Arc::new(SharedStore::new()),
+            TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
+        );
+        let arrivals = Mutex::new([SimTime::ZERO; 2]);
+        let both_arrived = std::sync::Barrier::new(2);
+        let rank = |r: usize| -> SimResult<Vec<f64>> {
+            let mut client = rank_client(&setup.world, r as u32)?;
+            let bundle = &setup.per_rank[r];
+            for comm in std::iter::once(&bundle.global).chain(&bundle.dp) {
+                client.register_comm(comm.clone());
+            }
+            let mut past_later_arrival = Vec::new();
+            for _ in 0..3 {
+                if r == 1 {
+                    let gpu = client.server_mut().gpu_mut();
+                    gpu.inject(simcore::failure::FailureKind::StickyCuda);
+                }
+                let health = client.health();
+                let is_victim = health != GpuHealth::Healthy;
+                let position = client.position();
+                let status = RankStatus {
+                    health,
+                    is_victim,
+                    position,
+                };
+                let plan = engine.rank_enter(RankId(r as u32), status)?;
+                for &action in &plan.decision.ranks[r].actions {
+                    if action != Action::Rendezvous {
+                        engine.execute(&mut client, &plan, action)?;
+                        continue;
+                    }
+                    arrivals.lock()[r] = client.now();
+                    both_arrived.wait();
+                    engine.execute(&mut client, &plan, action)?;
+                    let later = arrivals
+                        .lock()
+                        .iter()
+                        .map(|t| t.as_secs())
+                        .fold(0.0, f64::max);
+                    past_later_arrival.push(client.now().as_secs() - later);
+                }
+                engine.rank_finish()?;
+            }
+            Ok(past_later_arrival)
+        };
+        let (healthy, victim) = std::thread::scope(|s| {
+            let victim = s.spawn(|| rank(1));
+            (rank(0), victim.join())
+        });
+        let victim = victim.map_err(|_| SimError::Protocol("rank 1 panicked".into()))?;
+        let bootstrap = CostModel::v100().comm_init.as_secs();
+        for (who, past) in [("healthy", healthy?), ("victim", victim?)] {
+            assert_eq!(past.len(), 3, "{who}: one rendezvous step per round");
+            for (round, t) in past.into_iter().enumerate() {
+                assert!((t - bootstrap).abs() < 1e-9, "{who}, round {round}: {t} s");
+            }
+        }
+        assert_eq!(engine.rounds(), 3);
         Ok(())
     }
 

@@ -33,7 +33,9 @@ use crate::executor::{
 };
 use crate::oplog::{destroyed_by, handle_of, LoggedColl, LoggedOp, OpLog, VirtualMap};
 use crate::server::{encode_batch, ProxyServer, BATCH_SHARD_BYTES};
-use collectives::{CollectiveObserver, CommWorld, Communicator, ReduceOp};
+use collectives::{
+    CollectiveObserver, CommId, CommWorld, Communicator, ReduceOp, RECOVERY_GEN_BASE,
+};
 use simcore::failure::FailureKind;
 use simcore::time::ClockBoard;
 use simcore::{RankId, SimError, SimResult, SimTime};
@@ -120,7 +122,9 @@ pub struct ProxyClient {
     in_recovery: bool,
     handler: Option<Arc<dyn RecoveryHandler>>,
     logged_calls: u64,
-    rendezvous_gens: HashMap<CommToken, u64>,
+    /// The next recovery generation of each bound communicator instance:
+    /// two tokens bound to one instance share one count.
+    rendezvous_gens: HashMap<CommId, u64>,
     verify_at: Option<u64>,
     verify_every: Option<u64>,
     last_verify_ok: Option<bool>,
@@ -243,6 +247,11 @@ impl ProxyClient {
     /// and the replay log).
     pub fn replace_comm(&mut self, token: CommToken, comm: Arc<Communicator>) {
         self.plane.replace(token, comm);
+        // A replaced instance is never used again: forget its count.
+        let bound: Vec<CommId> = (self.plane.tokens().into_iter())
+            .filter_map(|t| Some(self.plane.comm(t).ok()?.id))
+            .collect();
+        self.rendezvous_gens.retain(|id, _| bound.contains(id));
     }
 
     /// Rendezvous on a registered communicator (recovery's NCCL
@@ -252,8 +261,8 @@ impl ProxyClient {
         // Rendezvous generations live in their own (high-bit) space: a
         // recovery rendezvous must never occupy the generation that the
         // interrupted data operation will retry with.
-        let counter = self.rendezvous_gens.entry(token).or_insert(0);
-        let gen = (1u64 << 63) | *counter;
+        let counter = self.rendezvous_gens.entry(comm.id).or_insert(0);
+        let gen = (RECOVERY_GEN_BASE << 1) | *counter;
         comm.rendezvous(self.plane.rank, gen, self.plane.observer.as_ref())?;
         *counter += 1;
         Ok(())
@@ -593,12 +602,12 @@ impl ProxyClient {
         }
         // Recovery-time state sync uses its own generation space (like
         // rendezvous): it must not occupy the generation of the data
-        // operation being retried.
-        let counter = self.rendezvous_gens.entry(token).or_insert(0);
-        let gen = (1u64 << 62) | *counter;
-        // Not one of the application's collectives: it goes straight to
-        // the communicator, as a rendezvous does.
+        // operation being retried. Not one of the application's
+        // collectives: it goes straight to the communicator, as a
+        // rendezvous does.
         let (comm, obs) = (self.plane.comm(token)?, self.plane.observer.as_ref());
+        let counter = self.rendezvous_gens.entry(comm.id).or_insert(0);
+        let gen = RECOVERY_GEN_BASE | *counter;
         let contribution = is_root.then_some(contribution);
         let flat = comm.broadcast_shared(self.plane.rank, gen, root, contribution, bytes, obs)?;
         *counter += 1;

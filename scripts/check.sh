@@ -41,6 +41,13 @@ cargo test --release --test cross_crate --quiet live_worker_image_is_pinned
 # bits. The replica-sync test (validate, then one copy per byte) runs in
 # the `-p proxy` line above.
 cargo test --release --test cross_crate --quiet every_decide_row_recovers_bit_for_bit
+# A recovery generation lives for one round: five replica-sync rounds in
+# one job, pinned; no rebuilt communicator keeps a rendezvous or replica-sync
+# slot once its round closed; each DP-only round bootstraps each distinct
+# communicator once.
+cargo test --release --test cross_crate --quiet five_replica_sync_rounds_are_pinned
+cargo test --release --test cross_crate --quiet a_closed_round_leaves_no_recovery_slot_behind
+cargo test --release -p jitckpt --lib --quiet every_dp_only_round_bootstraps_each_distinct_communicator_once
 # The replay cache's consumers: each recovers by replaying collectives (and
 # pipeline receives) from slots carried across a communicator rebuild, so
 # they guard the minibatch commit floor on the profile the benchmark runs.

@@ -930,7 +930,9 @@ fn five_replica_sync_rounds_are_pinned() {
         .collect();
     // Virtual seconds, by `to_bits`: the rendezvous of two communicators,
     // the copy and the handle step, which every round's victim runs. The
-    // other steps round differently at each round's clock magnitude.
+    // other steps round differently at each round's clock magnitude, and
+    // each round starts where the rounds before it left the clock: one
+    // bootstrap per distinct communicator each.
     const RENDEZVOUS: u64 = 0x4000_0000_0000_0000;
     const COPY: u64 = 0x3ee0_d102_cb20_0000;
     const HANDLES: u64 = 0x3f74_7ae1_47ae_147b;
@@ -940,11 +942,11 @@ fn five_replica_sync_rounds_are_pinned() {
             RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dbd_c000]),
         (0, 0x4011_6e7a_325f_eb47, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61c_ffe0,
             RENDEZVOUS, COPY, HANDLES]),
-        (1, 0x4011_6e9c_ccbe_a6ec, &[0x3feb_3333_3333_3338, 0x3ff8_0bcb_e61d_0040,
+        (1, 0x4011_6e9c_ccbe_a6ea, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61d_003c,
             RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dc6_0000]),
         (0, 0x4011_6e7a_325f_eb5f, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61d_0040,
             RENDEZVOUS, COPY, HANDLES]),
-        (1, 0x4011_6e9c_ccbe_a6bb, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61c_ff80,
+        (1, 0x4011_6e9c_ccbe_a6eb, &[0x3feb_3333_3333_3330, 0x3ff8_0bcb_e61d_0040,
             RENDEZVOUS, COPY, HANDLES, 0x3f21_4d2f_5dc6_0000]),
     ];
     let want: Vec<(u32, u64, Vec<u64>)> = want
@@ -952,6 +954,64 @@ fn five_replica_sync_rounds_are_pinned() {
         .map(|&(rank, total, steps)| (rank, total, steps.to_vec()))
         .collect();
     assert_eq!(victims, want);
+}
+
+#[test]
+fn a_closed_round_leaves_no_recovery_slot_behind() {
+    let _g = serial();
+    // One job on tiny DP = 2 through all five §4 classes, victims
+    // alternating. A rank leaves a round only once the round has dropped
+    // its rendezvous and replica-sync slots from every communicator it
+    // built: after each step, releasing them again finds nothing on any
+    // communicator the rank's tokens are bound to.
+    use jitckpt::transparent::TransparentEngine;
+    use FailureKind::*;
+    use Phase::*;
+    let classes = [
+        (GpuHardware, Backward),
+        (StickyCuda, Backward),
+        (DriverCorruption, Backward),
+        (TransientNetwork, AllReduce),
+        (StickyCuda, OptimizerStep),
+    ];
+    let faults = (classes.iter().enumerate())
+        .map(|(i, &(kind, phase))| {
+            FailureSpec::new(1 + 2 * i as u64, phase, RankId(i as u32 % 2), kind)
+        })
+        .collect();
+    let injector = FailureInjector::with_specs(faults);
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let cost = CostModel::v100();
+    let setup = dltrain::JobSetup::build(cfg.layout, cost.clone(), cfg.ranks_per_node);
+    let (world, per_rank) = (setup.world.clone(), setup.per_rank.clone());
+    let engine = TransparentEngine::new(
+        cfg.layout,
+        world.clone(),
+        Arc::new(SharedStore::new()),
+        TransparentEngine::counter_gpu_allocator(10_000, cost.clone()),
+    );
+    let engine2 = engine.clone();
+    let held = dltrain::run_ranks(2, move |i| {
+        let gpu = simgpu::Gpu::new(simcore::GpuId(i as u32), cost.clone());
+        let mut client = proxy::ProxyClient::new(RankId(i as u32), i, gpu, world.clone());
+        engine2.attach(&mut client)?;
+        let mut tr =
+            dltrain::RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
+        let mut held = Vec::new();
+        for _ in 0..11 {
+            tr.train_step()?;
+            for token in tr.exec.comm_tokens() {
+                held.push(tr.exec.comm(token)?.release_recovery_slots());
+            }
+        }
+        Ok(held)
+    });
+    assert_eq!(engine.rounds(), 5);
+    for held in held {
+        let held = held.unwrap();
+        assert_eq!(held.len(), 22, "two tokens after each of 11 steps");
+        assert!(held.iter().all(|&n| n == 0), "{held:?}");
+    }
 }
 
 /// Runs `cfg` for `iters` iterations with `faults` armed, and checks that
