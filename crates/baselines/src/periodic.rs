@@ -88,9 +88,10 @@ pub struct PeriodicConfig {
     /// parked rank's virtual clock when a hang is detected, and the
     /// real-time deadline for hangs the collective layer cannot prove.
     pub monitor_timeout: Duration,
-    /// Sharded-write tuning (shard size, worker pool, delta mode). Delta
-    /// pays off especially here: periodic checkpoints of adjacent
-    /// generations share most of their bytes.
+    /// Sharded-write tuning of each cell's checkpoint (shard size,
+    /// worker pool, delta mode). On a live job delta mode reuses
+    /// nothing: every optimizer step rewrites every parameter and moment,
+    /// so no shard of one generation equals the last one's.
     pub shards: checkpoint::ShardConfig,
 }
 
@@ -117,7 +118,9 @@ pub struct PeriodicOutcome {
     /// paper's analysis charges as half the checkpoint interval per
     /// failure, per GPU).
     pub wasted_iterations: u64,
-    /// Total checkpoints written (all ranks).
+    /// Checkpoints written: one per cell and scheduled boundary, by the
+    /// cell's dp-0 replica (data parallelism replicates the state, so the
+    /// other replicas write nothing).
     pub checkpoints_written: u64,
     /// Per-rank virtual completion time of the final generation.
     pub finish_times: Vec<SimTime>,
@@ -146,8 +149,10 @@ fn monitor_action(
 /// schedule; on failure the monitor kills the job and every rank restarts
 /// from the newest complete checkpoint, re-executing everything since.
 /// Runs on the restart launcher, with the monitor's kill as the hang
-/// action and the scheduled write as the step hook; every rank restores
-/// from the store. A zero interval is refused before the job is submitted.
+/// action and the scheduled write as the step hook: each cell's dp-0
+/// replica writes, every replica is charged the blocking stall, and every
+/// rank restores its cell's one checkpoint from the store. A zero
+/// interval is refused before the job is submitted.
 pub fn run_periodic_job(
     cfg: TrainConfig,
     cost: CostModel,
@@ -189,24 +194,32 @@ pub fn run_periodic_job(
             if std::mem::take(&mut at_start) || !tr.iteration().is_multiple_of(every_iters) {
                 return Ok(());
             }
-            // Encoded straight from the device, written once it is released.
+            // Data parallelism replicates the state, so a cell's dp-0
+            // replica writes it for the cell, encoded straight from the
+            // device and written once it is released. A synchronous
+            // checkpoint ends in a barrier: every replica pays the stall.
             let (stage, part, dp) = (coord.stage, coord.part, coord.dp);
-            let plan = tr.with_state(|state| {
-                ShardPlan::encode(
-                    job,
-                    CkptKind::Periodic,
-                    rank,
-                    stage,
-                    part,
-                    dp,
-                    state,
-                    shards.shard_bytes,
-                )
+            let (logical_bytes, plan) = tr.with_state(|state| {
+                let plan = (dp == 0).then(|| {
+                    ShardPlan::encode(
+                        job,
+                        CkptKind::Periodic,
+                        rank,
+                        stage,
+                        part,
+                        dp,
+                        state,
+                        shards.shard_bytes,
+                    )
+                });
+                (state.logical_bytes, plan)
             })?;
-            let t = blocking_overhead(kind, plan.logical_bytes, &cost, rpn);
+            let t = blocking_overhead(kind, logical_bytes, &cost, rpn);
             tr.exec.clock().advance(i, t);
-            checkpoint::write_encoded(&*store, plan, &shards)?;
-            written.fetch_add(1, Ordering::Relaxed);
+            if let Some(plan) = plan {
+                checkpoint::write_encoded(&*store, plan, &shards)?;
+                written.fetch_add(1, Ordering::Relaxed);
+            }
             Ok(())
         };
         (
@@ -273,8 +286,9 @@ mod tests {
         )?;
         assert_eq!(out.restarts, 0);
         assert_eq!(out.wasted_iterations, 0);
-        // 2 ranks × 3 checkpoints (it 3, 6, 9).
-        assert_eq!(out.checkpoints_written, 6);
+        // One cell, written by its dp-0 replica, at iterations 3, 6 and
+        // 9: 1 × 3 (the dp-1 replica writes none).
+        assert_eq!(out.checkpoints_written, 3);
         assert!(out.losses[0].iter().all(|l| l.is_finite()));
         Ok(())
     }

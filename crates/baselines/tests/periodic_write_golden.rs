@@ -1,9 +1,9 @@
 //! Pinned bytes of the periodic checkpoints a live job writes: the
 //! path, length and CRC-64 of every store object the step hook puts
 //! while a `tiny_dp(2)` job checkpoints every 3 iterations and restarts
-//! once. Delta mode is off, so each generation writes every shard; the
-//! 1001-byte shards split keys, length prefixes and `f32`s across
-//! objects.
+//! once. The cell's dp-0 replica writes for both. Delta mode is off, so
+//! each generation writes every shard; the 1001-byte shards split keys,
+//! length prefixes and `f32`s across objects.
 
 use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
@@ -52,41 +52,6 @@ const PERIODIC_OBJECTS: &[(&str, usize, u64)] = &[
         0xf46f293b76b5c71c,
     ),
     (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/meta",
-        204,
-        0x15b04356ab245b8c,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/shard00000",
-        1001,
-        0xf90c7cacdcd60672,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/shard00001",
-        1001,
-        0xf54d913742d9dac1,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/shard00002",
-        1001,
-        0xdfd8e85940275a0e,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/shard00003",
-        1001,
-        0x5c09e370e52f904e,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/shard00004",
-        1001,
-        0xc0c6f0c16c1092e6,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000003/s0p0/dp1/shard00005",
-        994,
-        0xf46f293b76b5c71c,
-    ),
-    (
         "ckpt/job0/periodic/it0000000006/s0p0/dp0/meta",
         204,
         0x7ac9a6dc7dd37d9b,
@@ -118,41 +83,6 @@ const PERIODIC_OBJECTS: &[(&str, usize, u64)] = &[
     ),
     (
         "ckpt/job0/periodic/it0000000006/s0p0/dp0/shard00005",
-        994,
-        0x1b4e7a2f03971553,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/meta",
-        204,
-        0xf6ab483fc866f858,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/shard00000",
-        1001,
-        0xce4388cede246df3,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/shard00001",
-        1001,
-        0x58662aa51dbd9a88,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/shard00002",
-        1001,
-        0xbb8b67d3a42316f9,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/shard00003",
-        1001,
-        0xe294081c0baeecdb,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/shard00004",
-        1001,
-        0x813894d0d72f95c2,
-    ),
-    (
-        "ckpt/job0/periodic/it0000000006/s0p0/dp1/shard00005",
         994,
         0x1b4e7a2f03971553,
     ),

@@ -51,8 +51,8 @@ struct Message {
     available_at: SimTime,
 }
 
-/// A CRC-framed shard in flight on the recovery-stream path. `Bytes` makes
-/// idempotent re-delivery a refcount bump, not a payload copy.
+/// A CRC-framed shard in flight on the recovery-stream path, held until
+/// its receiver takes it ([`CommWorld::try_recv_bytes`]).
 struct ByteMessage {
     frame: Bytes,
     available_at: SimTime,
@@ -64,8 +64,7 @@ struct MailState {
     /// Each rank's commit floor, by clock slot: the minibatch iteration
     /// it last began ([`CommWorld::commit`]). Zero until it commits.
     floors: Vec<u64>,
-    /// Threads currently parked in [`CommWorld::recv`] /
-    /// [`CommWorld::recv_bytes`].
+    /// Threads currently parked in [`CommWorld::recv`].
     waiters: usize,
 }
 
@@ -312,23 +311,18 @@ impl CommWorld {
         seq: u64,
         obs: &dyn CollectiveObserver,
     ) -> SimResult<Vec<f32>> {
-        let key = (src, dst, tag, seq);
-        let (data, available_at) = self.await_mail(key, obs, |mail| {
-            let msg = mail.inbox.get(&key)?;
-            Some((msg.data.clone(), msg.available_at))
-        })?;
+        let (data, available_at) = self.await_mail((src, dst, tag, seq), obs)?;
         self.clock.raise_to(dst_clock_idx, available_at);
         Ok(data)
     }
 
-    /// The wait of [`CommWorld::recv`] and [`CommWorld::recv_bytes`]:
-    /// parks until `pick` finds the message under `key`.
-    fn await_mail<T>(
+    /// The wait of [`CommWorld::recv`]: parks until a message is under
+    /// `key`, and returns a copy of it with its availability time.
+    fn await_mail(
         &self,
         key: MailKey,
         obs: &dyn CollectiveObserver,
-        pick: impl Fn(&MailState) -> Option<T>,
-    ) -> SimResult<T> {
+    ) -> SimResult<(Vec<f32>, SimTime)> {
         let (src, dst, _, seq) = key;
         let ticket = CollectiveTicket {
             comm: CommId(u64::MAX),
@@ -345,8 +339,8 @@ impl CommWorld {
         let result = loop {
             // Delivery wins over abort, abort over a proof of the hang
             // (see the collective wait loop).
-            if let Some(found) = pick(&mail) {
-                break Ok(found);
+            if let Some(msg) = mail.inbox.get(&key) {
+                break Ok((msg.data.clone(), msg.available_at));
             }
             if self.is_aborted() {
                 break Err(SimError::CollectiveAborted);
@@ -407,31 +401,11 @@ impl CommWorld {
         Ok(())
     }
 
-    /// Blocking receive of a byte shard; idempotent (refcount copy, not
-    /// consume). Raises the receiver's clock to the frame's availability
-    /// time. Waits, and reports to `obs`, like [`CommWorld::recv`].
-    pub fn recv_bytes(
-        &self,
-        src: RankId,
-        dst: RankId,
-        dst_clock_idx: usize,
-        tag: u64,
-        seq: u64,
-        obs: &dyn CollectiveObserver,
-    ) -> SimResult<Bytes> {
-        let key = (src, dst, tag, seq);
-        let (frame, available_at) = self.await_mail(key, obs, |mail| {
-            let msg = mail.byte_inbox.get(&key)?;
-            Some((msg.frame.clone(), msg.available_at))
-        })?;
-        self.clock.raise_to(dst_clock_idx, available_at);
-        Ok(frame)
-    }
-
-    /// Non-blocking probe for a byte shard: `Ok(Some)` if available,
-    /// `Ok(None)` if not yet sent, `Err` if the world is aborted. The
-    /// recovery stream uses this to detect a dead replica without
-    /// committing to a blocking wait.
+    /// Non-blocking receive of a byte shard: `Ok(Some)` if available,
+    /// taking it out of the inbox, `Ok(None)` if not yet sent, `Err` if
+    /// the world is aborted. The recovery stream uses this to detect a
+    /// dead replica without committing to a blocking wait; a frame is
+    /// received once, so a finished stream leaves nothing behind.
     pub fn try_recv_bytes(
         &self,
         src: RankId,
@@ -440,10 +414,10 @@ impl CommWorld {
         tag: u64,
         seq: u64,
     ) -> SimResult<Option<Bytes>> {
-        let mail = self.mail.lock();
-        if let Some(msg) = mail.byte_inbox.get(&(src, dst, tag, seq)) {
+        let mut mail = self.mail.lock();
+        if let Some(msg) = mail.byte_inbox.remove(&(src, dst, tag, seq)) {
             self.clock.raise_to(dst_clock_idx, msg.available_at);
-            return Ok(Some(msg.frame.clone()));
+            return Ok(Some(msg.frame));
         }
         if self.is_aborted() {
             return Err(SimError::CollectiveAborted);

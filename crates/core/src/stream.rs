@@ -739,6 +739,22 @@ mod tests {
     }
 
     #[test]
+    fn a_received_stream_leaves_no_frame_in_the_world() -> SimResult<()> {
+        let (w, _) = world(2);
+        let cost = CostModel::v100();
+        let st = state(10_000);
+        let header = send_state(&w, &cost, RankId(0), 0, RankId(1), true, &st, 1000)?;
+        assert!(header.n_shards > 2, "expected a multi-shard stream");
+        let payloads = recv_verified(&w, &cost, RankId(0), RankId(1), 1, Duration::from_secs(5))?;
+        assert_eq!(payloads.len() as u64, header.n_shards);
+        for seq in SEQ_HEADER..=header.n_shards {
+            let left = w.try_recv_bytes(RankId(0), RankId(1), 1, TAG_STATE_STREAM, seq)?;
+            assert!(left.is_none(), "frame {seq} is still in the world");
+        }
+        Ok(())
+    }
+
+    #[test]
     fn transfer_is_pipelined_not_store_priced() -> SimResult<()> {
         let (w, clock) = world(2);
         let cost = CostModel::v100();

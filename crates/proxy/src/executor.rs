@@ -474,19 +474,24 @@ impl Executor for DirectExecutor {
         // order, reduce once, scatter the slices back. One generation per
         // bucket keeps retry idempotent at bucket granularity. (A bucket
         // of one is exactly `all_reduce`.)
-        let mut fused = Vec::new();
         let mut lens = Vec::with_capacity(bufs.len());
         let mut logical = 0u64;
-        {
+        let fused = {
             let gpu = self.gpu.lock();
             check_comm_health(&gpu)?;
             for buf in bufs {
                 let b = gpu.buffer(*buf)?;
                 lens.push(b.data.len());
                 logical += b.logical_bytes;
-                fused.extend_from_slice(&b.data);
             }
-        }
+            // Sized once: grown by doubling, the bucket would sit in a
+            // block up to twice its length.
+            let mut fused = Vec::with_capacity(lens.iter().sum());
+            for buf in bufs {
+                fused.extend_from_slice(&gpu.buffer(*buf)?.data);
+            }
+            fused
+        };
         // The plane reads only the kind and `op`: the contribution is the
         // fused bucket.
         let coll = Coll::AllReduce { buf: bufs[0], op };

@@ -33,6 +33,11 @@ cargo test --release -p jitckpt --lib --quiet a_missing_or_bad_frame_leaves_the_
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
+# The periodic baseline writes once per cell, from its dp-0 replica, at DP = 2
+# and 2D-2P-2T, with every clock where it was; a received stream leaves no
+# frame in the world's byte inbox.
+cargo test --release --test cross_crate --quiet periodic_checkpoints_are_written_once_per_cell
+cargo test --release -p jitckpt --lib --quiet a_received_stream_leaves_no_frame_in_the_world
 cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
 # The worker image a replacement node restores, from a live trainer: every
 # logged-op kind tiny_dp(2) issues, in its wire order.

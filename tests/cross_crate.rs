@@ -239,15 +239,33 @@ fn multi_generation_restore_reads_one_generation_and_falls_back_one() {
     assert_eq!(out.wasted_iterations, 1, "resumed from the generation at 8");
     assert_losses_match(&out.losses, &clean_run(&cfg, iters));
 
-    // The store the job left behind retains six generations. A restore
-    // from it reads exactly the newest: one sidecar plus its shards.
+    // The store the job left behind retains six generations, each
+    // written once for the cell, under dp0.
     let job = simcore::JobId(0);
-    let generations = store
-        .list(checkpoint::job_prefix(job, CkptKind::Periodic))
-        .iter()
-        .filter(|p| p.ends_with("/dp0/meta"))
-        .count();
-    assert_eq!(generations, 6);
+    let sidecars = store.list(checkpoint::job_prefix(job, CkptKind::Periodic));
+    let sidecars: Vec<_> = sidecars.iter().filter(|p| p.ends_with("/meta")).collect();
+    assert_eq!(sidecars.len(), 6);
+    assert!(sidecars.iter().all(|p| p.ends_with("/dp0/meta")));
+    // Give every generation a dp1 replica with the checkpoint writer, as
+    // a job whose replicas each wrote their own copy would leave it.
+    for it in (2..=iters).step_by(2) {
+        let (state, _) =
+            checkpoint::read_checkpoint(&*store, job, CkptKind::Periodic, it, 0, 0, 0).unwrap();
+        checkpoint::write_checkpoint_with(
+            &*store,
+            job,
+            CkptKind::Periodic,
+            RankId(1),
+            0,
+            0,
+            1,
+            &state,
+            &checkpoint::ShardConfig::default(),
+        )
+        .unwrap();
+    }
+    // A restore reads exactly the newest generation: one sidecar plus
+    // its shards.
     for rank in 0..2 {
         let (reads, lists) = (store.read_count(), store.list_count());
         let (state, meta, stats) = load_for_rank_parallel(
@@ -805,8 +823,120 @@ fn restart_runners_are_pinned() {
     assert_eq!(streamed, (2, events(STREAM), 8, 4), "streamed replica");
     assert_eq!(store_only, (2, events(READ), 12, 4), "store only");
     assert_eq!(truncated, (2, events(FELL_BACK), 12, 4), "dead replica");
+    // The periodic job writes its one cell at iteration 2, resumes from
+    // 2 and writes at 4 and 6, then resumes from 6 and writes at 8: four
+    // writes, all by the dp-0 replica, each one shard and a sidecar, so
+    // 8 objects.
+    // Reads: each restart reads the sidecar and the shard three times
+    // (the launcher's resolution, then each rank's restore), 12 in all;
+    // and each write with an earlier generation of the cell in the store
+    // reads that sidecar as its delta base (at 4, 6 and 8): 15. With
+    // every replica writing it was 8 writes, 16 objects and 12 + 2 × 3
+    // reads.
     let finish = vec![0x4017_9c44_3a6b_0bf2; 2];
-    assert_eq!(periodic, (2, 2, 8, finish, 18, 16), "periodic");
+    assert_eq!(periodic, (2, 2, 4, finish, 15, 8), "periodic");
+}
+
+/// Bits of the virtual finish times the periodic job below reaches,
+/// fault-free and with the hardware fault, on tiny DP = 2 and at
+/// 2D-2P-2T: the values every replica writing its own copy gave.
+const PERIODIC_FINISH_DP2: [&[u64]; 2] = [&[0x4005_a750_5622_d0d6; 2], &[0x4017_9c44_3a6b_0bf2; 2]];
+const PERIODIC_FINISH_GRID: [&[u64]; 2] = [
+    &[
+        0x4005_a6e2_3471_d895,
+        0x4005_a6e2_3471_d895,
+        0x4005_a693_b4ea_5e24,
+        0x4005_a693_b4ea_5e24,
+        0x4005_a6e2_3471_d895,
+        0x4005_a6e2_3471_d895,
+        0x4005_a693_b4ea_5e24,
+        0x4005_a693_b4ea_5e24,
+    ],
+    &[
+        0x4017_9c56_5469_a119,
+        0x4017_9c56_5469_a119,
+        0x4017_9c2f_14a5_e3e1,
+        0x4017_9c3f_df2f_cddc,
+        0x4017_9c56_5469_a119,
+        0x4017_9c56_5469_a119,
+        0x4017_9c2f_14a5_e3e1,
+        0x4017_9c3f_df2f_cddc,
+    ],
+];
+
+#[test]
+fn periodic_checkpoints_are_written_once_per_cell() {
+    let _g = serial();
+    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
+    use jitckpt::checkpoint::{self, CkptKind};
+    // Every 2 of 6 iterations, fault-free and with a hardware failure on
+    // rank 0, a dp-0 writer, one iteration past the checkpoint at 4.
+    let mut grid = dltrain::TrainConfig::tiny_dp(1);
+    grid.layout = ParallelLayout::three_d(2, 2, 2);
+    let layouts = [
+        (dltrain::TrainConfig::tiny_dp(2), PERIODIC_FINISH_DP2),
+        (grid, PERIODIC_FINISH_GRID),
+    ];
+    let iters = 6;
+    let fault = FailureSpec::new(5, Phase::Forward, RankId(0), FailureKind::GpuHardware);
+    for (cfg, pinned) in layouts {
+        let label = cfg.layout.label();
+        let cells = cfg.layout.cells();
+        let run = |faults: Vec<FailureSpec>| {
+            let store = Arc::new(SharedStore::new());
+            let out = run_periodic_job(
+                cfg.clone(),
+                CostModel::v100(),
+                FailureInjector::with_specs(faults),
+                Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+                store.clone(),
+                PeriodicConfig::every(PolicyKind::PcMem, 2),
+                iters,
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            (out, store)
+        };
+        let (twin, twin_store) = run(Vec::new());
+        let (hit, hit_store) = run(vec![fault]);
+        assert_eq!((twin.restarts, hit.restarts), (0, 1), "{label}");
+        assert_eq!(hit.wasted_iterations, 1, "{label}: resumed from 4");
+        assert_eq!(loss_bits(&hit.losses), loss_bits(&twin.losses), "{label}");
+        // One sidecar per (cell, generation), all under dp0: the twin
+        // writes at 2, 4 and 6; the faulted job at 2 and 4, then at 6
+        // after resuming from 4.
+        let job = simcore::JobId(0);
+        let mut want = Vec::new();
+        for it in [2, 4, 6] {
+            for &(stage, part) in &cells {
+                want.push(checkpoint::meta_path(
+                    job,
+                    CkptKind::Periodic,
+                    it,
+                    stage,
+                    part,
+                    0,
+                ));
+            }
+        }
+        want.sort();
+        for (out, store) in [(&twin, &twin_store), (&hit, &hit_store)] {
+            let mut sidecars: Vec<String> = store
+                .list(checkpoint::job_prefix(job, CkptKind::Periodic))
+                .into_iter()
+                .filter(|p| p.ends_with("/meta"))
+                .collect();
+            sidecars.sort();
+            assert_eq!(sidecars, want, "{label}");
+            assert_eq!(out.checkpoints_written, want.len() as u64, "{label}");
+        }
+        // Every replica is charged the stall its dp-0 replica wrote for:
+        // the clocks end where they did when every replica wrote.
+        let finish = |out: &baselines::PeriodicOutcome| -> Vec<u64> {
+            out.finish_times.iter().map(|&t| bits(t)).collect()
+        };
+        assert_eq!(finish(&twin), pinned[0], "{label}: fault-free");
+        assert_eq!(finish(&hit), pinned[1], "{label}: faulted");
+    }
 }
 
 /// The reports of one transparent run on tiny DP = 2, with a fault of
