@@ -184,6 +184,64 @@ fn gc_never_deletes_the_only_restorable_checkpoint() -> SimResult<()> {
     Ok(())
 }
 
+/// A multi-cell iteration is durable only when every cell has a sidecar
+/// there, as restore requires: with `keep_checkpoints = 1`, an iteration
+/// that lost one cell's sidecar neither displaces the last iteration
+/// complete for every cell nor gets it swept.
+#[test]
+fn gc_keeps_the_newest_iteration_complete_for_every_cell() -> SimResult<()> {
+    let store = Arc::new(SimObjectStore::new(ObjectStoreProfile::instant()));
+    let coord = Coordinator::new(store.clone(), CoordinatorConfig::default());
+    let sess = coord.admit(JobSpec {
+        ranks: 2,
+        shards: small_shards(),
+        keep_checkpoints: 1,
+        ..JobSpec::default()
+    });
+    let layout = ParallelLayout::three_d(1, 2, 1);
+    let submit = |it: u64| {
+        for stage in 0..2 {
+            let s = state(it, 200, it as f32 + stage as f32);
+            sess.submit_checkpoint(CkptKind::Jit, RankId(stage as u32), stage, 0, 0, &s)
+                .wait()?;
+        }
+        SimResult::Ok(())
+    };
+
+    submit(1)?;
+    // Iteration 2's stage-1 sidecar is acknowledged and dropped: stage 0
+    // is complete there, the job as a whole is not.
+    store.lose_next_put_matching(checkpoint::meta_path(sess.job(), CkptKind::Jit, 2, 1, 0, 0));
+    submit(2)?;
+    assert_eq!(store.lost_puts(), 1);
+    let (got, _, _) = sess.restore_for_rank(&layout, RankId(1))?;
+    assert_eq!(got.iteration, 1);
+
+    assert_eq!(
+        sess.gc(CkptKind::Jit),
+        0,
+        "iteration 1 is the only restorable one"
+    );
+    for stage in 0..2 {
+        let (got, _, _) = sess.restore_for_rank(&layout, RankId(stage))?;
+        assert_eq!(got, state(1, 200, 1.0 + stage as f32));
+    }
+
+    // Once iteration 3 is complete for both cells, 1 and the partial 2
+    // are swept.
+    submit(3)?;
+    assert!(sess.gc(CkptKind::Jit) > 0);
+    let prefix = checkpoint::job_prefix(sess.job(), CkptKind::Jit);
+    let left = sess.backend().list(&prefix);
+    assert!(
+        left.iter().all(|p| p.contains("it0000000003")),
+        "only iteration 3 survives: {left:?}"
+    );
+    let (got, _, _) = sess.restore_for_rank(&layout, RankId(1))?;
+    assert_eq!(got, state(3, 200, 4.0));
+    Ok(())
+}
+
 /// GC keeps an iteration outside the retention window while a retained
 /// sidecar still references it as a delta base, then collects it once
 /// the chain cap forces a full write.
