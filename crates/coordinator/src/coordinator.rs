@@ -13,10 +13,11 @@
 //! Retention interacts with delta chains: a retained sidecar's shards
 //! may reference bytes living in *older* iterations' directories
 //! (`base_iteration`). GC therefore keeps the newest `keep_checkpoints`
-//! durable iterations **plus** every iteration their sidecars reference;
-//! the writer-side chain cap ([`ShardConfig::max_delta_chain`]) bounds
-//! how long those references can pin history, so sustained load reaches
-//! a steady-state object count instead of growing with job age.
+//! durable iterations (a sidecar for every cell) **plus** every
+//! iteration their sidecars reference; the writer-side chain cap
+//! ([`ShardConfig::max_delta_chain`]) bounds how long those references
+//! can pin history, so sustained load reaches a steady-state object
+//! count instead of growing with job age.
 
 use crate::object_store::SimObjectStore;
 use cluster::StorageBackend;
@@ -27,7 +28,7 @@ use jitckpt::restore::{load_for_rank_parallel, RestoreConfig, RestoreStats};
 use simcore::layout::ParallelLayout;
 use simcore::sync::Mutex;
 use simcore::{JobId, RankId, SimResult};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -157,37 +158,45 @@ impl JobSession {
     }
 
     /// Retention GC: keeps the newest `keep_checkpoints` durable
-    /// iterations of `kind` (those with a sidecar) plus every older
-    /// iteration their sidecars still reference as delta bases; deletes
-    /// the rest. Returns objects deleted. An iteration with no sidecar
-    /// anywhere is still uploading or was torn by a failure: newer than
-    /// the newest retained one it is left alone, older it is swept.
+    /// iterations of `kind` plus every older iteration their sidecars
+    /// still reference as delta bases; deletes the rest. Returns objects
+    /// deleted. An iteration is durable when every cell that appears
+    /// under the job's prefix has a sidecar there, as restore requires
+    /// of the iteration it resumes from. Only iterations older than the
+    /// newest retained one are swept: a newer one is still uploading, or
+    /// was torn by a failure and goes once a newer durable one exists.
     pub fn gc(&self, kind: CkptKind) -> usize {
         let prefix = checkpoint::job_prefix(self.job, kind);
+        let paths = self.backend.list(&prefix);
         let mut iterations: BTreeSet<u64> = BTreeSet::new();
-        let mut sidecars: Vec<(u64, String)> = Vec::new();
-        for path in self.backend.list(&prefix) {
-            let Some(it) = iteration_of(&prefix, &path) else {
+        let mut cells: BTreeSet<&str> = BTreeSet::new();
+        // Iteration → the cells with a sidecar there.
+        let mut sealed: BTreeMap<u64, BTreeSet<&str>> = BTreeMap::new();
+        let mut sidecars: Vec<(u64, &str)> = Vec::new();
+        for path in &paths {
+            let Some((it, cell)) = iteration_and_cell(&prefix, path) else {
                 continue;
             };
             iterations.insert(it);
+            cells.insert(cell);
             if path.ends_with("/meta") {
+                sealed.entry(it).or_default().insert(cell);
                 sidecars.push((it, path));
             }
         }
-        let durable: BTreeSet<u64> = sidecars.iter().map(|(it, _)| *it).collect();
-        let retained: BTreeSet<u64> = durable
+        let retained: BTreeSet<u64> = sealed
             .iter()
             .rev()
+            .filter(|(_, sealed)| sealed.len() == cells.len())
+            .map(|(it, _)| *it)
             .take(self.spec.keep_checkpoints.max(1))
-            .copied()
             .collect();
         let Some(&newest) = retained.last() else {
             return 0;
         };
         let swept: Vec<u64> = iterations
             .into_iter()
-            .filter(|it| !retained.contains(it) && (durable.contains(it) || *it < newest))
+            .filter(|it| *it < newest && !retained.contains(it))
             .collect();
         if swept.is_empty() {
             return 0;
@@ -221,11 +230,12 @@ impl JobSession {
     }
 }
 
-/// Parses the iteration out of `"{prefix}it{iter:010}/..."`.
-fn iteration_of(prefix: &str, path: &str) -> Option<u64> {
-    let rest = path.strip_prefix(prefix)?;
-    let it_dir = rest.split('/').next()?;
-    it_dir.strip_prefix("it")?.parse().ok()
+/// Parses the iteration and cell out of
+/// `"{prefix}it{iter:010}/s{stage}p{part}/..."`.
+fn iteration_and_cell<'p>(prefix: &str, path: &'p str) -> Option<(u64, &'p str)> {
+    let mut dirs = path.strip_prefix(prefix)?.split('/');
+    let it = dirs.next()?.strip_prefix("it")?.parse().ok()?;
+    Some((it, dirs.next()?))
 }
 
 /// The checkpoint coordinator: one backend, one uploader pool, any

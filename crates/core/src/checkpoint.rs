@@ -16,10 +16,11 @@
 //!
 //! The paper's §5 stall model makes the checkpoint write stall `o` the
 //! dominant wasted-work term, so the payload is not one monolithic blob:
-//! a rank's `TrainState` is encoded once into a flat logical byte stream
-//! and split into fixed-size **shards** at `shard_bytes` boundaries. Each
-//! shard is its own store object (`.../shard00000`, `.../shard00001`, …)
-//! and carries its own CRC in the sidecar, which buys three things:
+//! a rank's `TrainState` is encoded once, in one pass, as a flat logical
+//! byte stream cut into fixed-size **shards** at `shard_bytes`
+//! boundaries, each in its own buffer. Each shard is its own store
+//! object (`.../shard00000`, `.../shard00001`, …) and carries its own
+//! CRC in the sidecar, which buys three things:
 //!
 //! 1. **Parallelism** — shards are checksummed and persisted by a bounded
 //!    [`std::thread::scope`] worker pool, overlapping CRC with store puts
@@ -127,7 +128,7 @@ impl ShardConfig {
 
 /// Default worker-pool width for the sharded write path.
 ///
-/// Shard workers are *not* CPU-bound: each one CRCs its slice and then
+/// Shard workers are *not* CPU-bound: each one CRCs its shard and then
 /// blocks inside the store put (stripe write-locks, allocator, the
 /// storage tier behind them), so the pool wants more threads than cores
 /// — an `available_parallelism`-capped pool leaves the store idle
@@ -343,9 +344,11 @@ fn parse_rel_path(rest: &str) -> Option<(u64, &str, usize, &str)> {
 }
 
 /// The staged write of one rank-cell checkpoint: the encoded logical
-/// stream, its zero-copy shard slices, and the resolved delta base.
-/// Both persistence paths are built on it — the blocking worker-pool
-/// path ([`write_checkpoint_with`]) and the write-behind pipeline
+/// stream as its shards, each its own allocation, and the resolved delta
+/// base. A shard the store keeps pins only its own bytes, and a shard
+/// reused from the base is freed when the plan drops. Both persistence
+/// paths are built on it — the blocking worker-pool path
+/// ([`write_checkpoint_with`]) and the write-behind pipeline
 /// ([`crate::pipeline`]) — so shard encoding, delta policy, and the
 /// chain cap live in exactly one place.
 pub struct ShardPlan {
@@ -367,12 +370,10 @@ pub struct ShardPlan {
     pub logical_bytes: u64,
     /// Shard boundary size, bytes.
     pub shard_bytes: usize,
-    /// The encoded logical stream (shards are slices of it — the
-    /// `Arc`-backed buffer is shared, never copied, all the way into
-    /// the storage backend).
-    pub stream: Bytes,
-    /// Per-shard zero-copy slices of `stream`.
-    pub slices: Vec<Bytes>,
+    /// The encoded logical stream cut at `shard_bytes` boundaries, one
+    /// `Arc`-backed buffer per shard, shared (never copied) all the way
+    /// into the storage backend.
+    shards: Vec<Bytes>,
     /// Delta base sidecar, when reuse is allowed and layout-compatible.
     pub base: Option<CheckpointMeta>,
 }
@@ -423,8 +424,9 @@ impl ShardPlan {
     }
 
     /// Encodes `state` — a host copy, or a device's state borrowed under
-    /// its lock — into the logical stream, once, and slices it at
-    /// `shard_bytes` boundaries. Touches no store and no lock: the delta
+    /// its lock — into its shards at `shard_bytes` boundaries, in one
+    /// cursor pass ([`StateView::write_shards`]), each shard into its own
+    /// exactly sized buffer. Touches no store and no lock: the delta
     /// base is resolved when the plan is written ([`write_encoded`]),
     /// after the device is released.
     #[allow(clippy::too_many_arguments)]
@@ -439,19 +441,12 @@ impl ShardPlan {
         shard_bytes: usize,
     ) -> ShardPlan {
         let shard_bytes = shard_bytes.max(1);
-        // Shards are zero-copy slices of the stream. Pre-sizing to the
-        // exact encoded length avoids growing a multi-hundred-MiB buffer
-        // through a doubling realloc chain.
-        let mut staged = BytesMut::with_capacity(state.size_hint());
-        state.encode(&mut staged);
-        let stream = staged.freeze();
-        let n = stream.len().div_ceil(shard_bytes).max(1);
-        let mut slices = Vec::with_capacity(n);
-        for i in 0..n {
-            let lo = i * shard_bytes;
-            let hi = ((i + 1) * shard_bytes).min(stream.len());
-            slices.push(stream.slice(lo..hi));
-        }
+        let n = state.size_hint().div_ceil(shard_bytes).max(1);
+        let shards = state.write_shards(shard_bytes, 0..n, |_, len, write| {
+            let mut shard = BytesMut::with_capacity(len);
+            write(&mut shard);
+            shard.freeze()
+        });
         ShardPlan {
             job,
             kind,
@@ -462,8 +457,7 @@ impl ShardPlan {
             iteration: state.iteration,
             logical_bytes: state.logical_bytes,
             shard_bytes,
-            stream,
-            slices,
+            shards,
             base: None,
         }
     }
@@ -502,17 +496,17 @@ impl ShardPlan {
 
     /// Number of shards in the plan.
     pub(crate) fn n_shards(&self) -> usize {
-        self.slices.len()
+        self.shards.len()
     }
 
     /// CRCs shard `i` and decides reuse-vs-upload: returns the shard's
     /// sidecar record plus the payload to persist (`None` when the bytes
     /// already live in the base iteration's directory). This is the
-    /// CPU-bound half of the pipeline; the returned payload is an
-    /// `Arc`-backed slice of the staged stream — handing it to an
-    /// uploader costs a refcount bump, not a copy.
+    /// CPU-bound half of the pipeline; the returned payload is the
+    /// shard's own `Arc`-backed buffer — handing it to an uploader costs
+    /// a refcount bump, not a copy, and the store keeps that shard alone.
     pub(crate) fn resolve_shard(&self, i: usize) -> (ShardMeta, Option<Bytes>) {
-        let payload = &self.slices[i];
+        let payload = &self.shards[i];
         let crc = simcore::codec::crc64(payload);
         let reused = self.base.as_ref().and_then(|b| {
             let bs = b.shards.get(i)?;
@@ -563,7 +557,7 @@ impl ShardPlan {
             iteration: self.iteration,
             rank: self.rank.0,
             payload_crc: shard_set_crc(&shards),
-            payload_len: self.stream.len() as u64,
+            payload_len: self.shards.iter().map(Bytes::len).sum::<usize>() as u64,
             logical_bytes: self.logical_bytes,
             shard_bytes: self.shard_bytes as u64,
             delta_depth: if any_reused {

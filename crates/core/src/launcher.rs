@@ -334,7 +334,7 @@ impl<A> Job<A> {
                     peer,
                     node(rank) == node(peer),
                     header,
-                    |k| tr.with_state(|state| state.frame(k, shard_bytes)),
+                    |k| tr.with_state(|state| stream::state_frame(state, k, shard_bytes)),
                     self.lib.stream_truncate,
                 )?;
             }

@@ -17,8 +17,9 @@
 //!   overlap;
 //! * the **I/O half** (shard puts, then the metadata sidecar) runs on a
 //!   pool of uploader threads fed by a byte-bounded queue. Payloads are
-//!   `Arc`-backed slices of the staged stream, so handoff is a refcount
-//!   bump, never a copy.
+//!   the staged shards themselves, each its own `Arc`-backed buffer, so
+//!   handoff is a refcount bump, never a copy, and a stored shard pins
+//!   only its own bytes.
 //!
 //! Completion ordering is preserved: the sidecar — the checkpoint's
 //! completion marker — is only put after every shard put of that

@@ -9,7 +9,7 @@
 //! that owns the chosen checkpoint touches the store, and it then
 //! streams its restored state directly rank-to-rank as the same
 //! CRC-framed codec shards the checkpoint writer produces, each encoded
-//! straight from its device into the frame ([`StateView::frame`]).
+//! straight from its device into the frame ([`state_frame`]).
 //! The receiver keeps the verified frame payloads apart and decodes them
 //! into its own device; nothing reassembles them.
 //!
@@ -133,7 +133,7 @@ pub fn send_state_truncated(
 ) -> SimResult<StreamHeader> {
     let view = StateView::from(state);
     let header = stream_header(&view, shard_bytes);
-    let frame = |i| Ok(view.frame(i, shard_bytes));
+    let frame = |i| Ok(state_frame(&view, i, shard_bytes));
     let keep = Some(keep_frames);
     send_state_frames(
         world,
@@ -159,9 +159,19 @@ pub(crate) fn stream_header(state: &StateView<'_>, shard_bytes: usize) -> Stream
     }
 }
 
+/// Frame `i` of `state` streamed at `shard_bytes` per frame: only that
+/// shard is encoded ([`StateView::write_shards`]), straight into its CRC
+/// frame ([`codec::frame_shard_with`]). Past the last, a frame is empty.
+pub(crate) fn state_frame(state: &StateView<'_>, i: usize, shard_bytes: usize) -> Bytes {
+    let mut frames = state.write_shards(shard_bytes, i..i + 1, |i, len, write| {
+        codec::frame_shard_with(i as u32, len, write)
+    });
+    frames.pop().unwrap_or_default()
+}
+
 /// [`send_state`] when `keep_frames` is `None`, else
 /// [`send_state_truncated`], with frame `i` from `frame(i)`
-/// ([`StateView::frame`]): each frame is encoded when its turn comes —
+/// ([`state_frame`]): each frame is encoded when its turn comes —
 /// from a host copy, or from a device under its lock, taken per frame —
 /// so the whole encoded state never exists on the sender.
 #[allow(clippy::too_many_arguments)]
@@ -782,7 +792,7 @@ mod tests {
         let st = state(1000);
         let view = StateView::from(&st);
         let frames: Vec<Bytes> = (0..stream_header(&view, 1000).n_shards as usize)
-            .map(|i| view.frame(i, 1000))
+            .map(|i| state_frame(&view, i, 1000))
             .collect();
         let real: u64 = frames.iter().map(|f| f.len() as u64).sum();
         for claim in [real - 1, real + 1, u64::MAX - 7, u64::MAX] {
@@ -925,7 +935,7 @@ mod tests {
         // reach the wire.
         let view = StateView::from(&st);
         let shards: Vec<Bytes> = (0..stream_header(&view, 1000).n_shards as usize)
-            .map(|i| view.frame(i, 1000))
+            .map(|i| state_frame(&view, i, 1000))
             .collect();
         assert!(shards.len() > 2, "expected a multi-shard stream");
         let header = StreamHeader {

@@ -15,7 +15,7 @@
 
 use crate::checkpoint::ShardConfig;
 use crate::decide::{decide, RankStatus, RecoveryPlan};
-use crate::stream::{open_frame, stream_header};
+use crate::stream::{open_frame, state_frame, stream_header};
 use cluster::SharedStore;
 use dltrain::{build_comms, JobComms};
 use proxy::{
@@ -346,8 +346,8 @@ impl TransparentEngine {
 
     /// The hard-error path for a *healthy* rank: park the recovery
     /// stream's frames of its persistent state in the shared store, each
-    /// encoded straight from the device ([`simgpu::StateView::frame`]),
-    /// and take a CRIU checkpoint of the worker CPU state (§4.3).
+    /// encoded straight from the device ([`state_frame`]), and take a
+    /// CRIU checkpoint of the worker CPU state (§4.3).
     fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
         client.flush_pending()?;
@@ -359,7 +359,7 @@ impl TransparentEngine {
         let n = stream_header(&view, shard_bytes).n_shards as usize;
         for i in 0..n {
             let path = Self::hard_path(round, coord.stage, coord.part, i);
-            self.store.put(path, view.frame(i, shard_bytes))?;
+            self.store.put(path, state_frame(&view, i, shard_bytes))?;
         }
         let bytes = view.logical_bytes;
         // The device → host copy the frames are written from.

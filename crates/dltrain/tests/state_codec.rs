@@ -9,7 +9,7 @@
 use bytes::{Bytes, BytesMut};
 use dltrain::TrainState;
 use proptest::prelude::*;
-use simcore::codec::{decode_shard, Decode, Encode};
+use simcore::codec::{decode_shard, frame_shard_with, Decode, Encode};
 use simcore::cost::CostModel;
 use simcore::{GpuId, SimResult};
 use simgpu::{decode_state, AllocSite, BufferTag, DeviceCall, Gpu, StateView};
@@ -214,7 +214,11 @@ proptest! {
         let n = from_device.len().div_ceil(shard);
         let mut payloads = Vec::new();
         for i in 0..=n {
-            let mut frame = view.frame(i, shard);
+            let mut frame = view
+                .write_shards(shard, i..i + 1, |i, len, write| {
+                    frame_shard_with(i as u32, len, write)
+                })
+                .remove(0);
             let (index, payload) = decode_shard(&mut frame).unwrap();
             prop_assert_eq!(index as usize, i);
             prop_assert!(frame.is_empty());
@@ -222,6 +226,19 @@ proptest! {
             payloads.extend_from_slice(&payload);
         }
         prop_assert_eq!(&payloads[..], &from_device[..]);
+        // Written in one pass, each shard into its own buffer, they are
+        // the same bytes too.
+        let shards = view.write_shards(shard, 0..n, |_, len, write| {
+            let mut out = BytesMut::with_capacity(len);
+            write(&mut out);
+            out
+        });
+        let lens: Vec<usize> = (0..n)
+            .map(|i| shard.min(from_device.len() - i * shard))
+            .collect();
+        prop_assert_eq!(shards.iter().map(|s| s.len()).collect::<Vec<_>>(), lens);
+        let joined: Vec<u8> = shards.iter().flat_map(|s| s.to_vec()).collect();
+        prop_assert_eq!(joined, from_device.to_vec());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! * **Encoder.** [`StateView`] borrows the state — a host
 //!   `TrainState`'s buffers or a device's, through [`Gpu::state_view`] —
-//!   and its [`Encode`] impl writes the layout above; [`StateView::frame`]
-//!   writes one CRC-framed shard of the same bytes straight into its
-//!   frame. Both go through one resumable cursor, so a device and its
-//!   host snapshot encode to the same bytes by construction.
+//!   and its [`Encode`] impl writes the layout above;
+//!   [`StateView::write_shards`] writes the same bytes cut into shards,
+//!   each straight into its own buffer or CRC frame. Both go through one
+//!   resumable cursor, so a device and its host snapshot encode to the
+//!   same bytes by construction.
 //! * **Decoder.** [`decode_state`] walks the stream as a list of
 //!   chunks — the verified shards of a checkpoint or the payloads of a
 //!   stream's frames, in order — without concatenating them. It reads
@@ -28,10 +29,11 @@
 use crate::buffer::{BufferId, BufferTag};
 use crate::device::Gpu;
 use bytes::{BufMut, Bytes, BytesMut};
-use simcore::codec::{self, Encode};
+use simcore::codec::Encode;
 use simcore::{SimError, SimResult};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A rank's persistent state, borrowed: what one checkpoint carries.
 #[derive(Debug, PartialEq)]
@@ -58,20 +60,40 @@ impl From<&StateView<'_>> for Vec<(String, BufferTag, Vec<f32>)> {
 }
 
 impl StateView<'_> {
-    /// Frame `i` of the encoding cut into CRC-framed shards of at most
-    /// `shard_bytes` payload bytes ([`codec::frame_shard`]'s layout):
-    /// only that shard's bytes are encoded, straight into the frame, so a
-    /// sender holds one frame at a time (and a device's lock only while
-    /// it encodes one). There are `size_hint().div_ceil(shard_bytes)`
-    /// frames, and at least one; past the last, a frame is empty.
-    pub fn frame(&self, i: usize, shard_bytes: usize) -> Bytes {
+    /// Shards `shards` of the encoding cut at `shard_bytes` payload bytes,
+    /// in one cursor pass. For shard `i` of `len` bytes, `seal(i, len,
+    /// write)` returns what it builds around them, where `write` appends
+    /// exactly those bytes to the buffer it is given: the shard's own
+    /// allocation, or a CRC frame ([`simcore::codec::frame_shard_with`]),
+    /// so a sender holds one frame at a time (and a device's lock only
+    /// while it encodes one). There are `size_hint().div_ceil(shard_bytes)`
+    /// shards, and at least one; past the last, a shard is empty.
+    pub fn write_shards<T>(
+        &self,
+        shard_bytes: usize,
+        shards: Range<usize>,
+        mut seal: impl FnMut(usize, usize, &mut dyn FnMut(&mut BytesMut)) -> T,
+    ) -> Vec<T> {
         let total = self.size_hint();
         let shard = shard_bytes.max(1);
-        let lo = i.saturating_mul(shard).min(total);
-        let len = shard.min(total - lo);
         let mut cursor = Cursor::new(self);
-        cursor.advance(None, lo);
-        codec::frame_shard_with(i as u32, len, |out| cursor.advance(Some(out), len))
+        // Bytes the cursor has moved past.
+        let mut at = 0;
+        shards
+            .map(|i| {
+                let lo = i.saturating_mul(shard).min(total);
+                let len = shard.min(total - lo);
+                cursor.advance(None, lo - at);
+                at = lo;
+                seal(i, len, &mut |out| {
+                    // Once: a second call would append the next shard's bytes.
+                    if at == lo {
+                        cursor.advance(Some(out), len);
+                        at += len;
+                    }
+                })
+            })
+            .collect()
     }
 }
 

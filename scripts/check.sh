@@ -38,6 +38,10 @@ cargo test --release --test cross_crate --quiet restart_runners_are_pinned
 # frame in the world's byte inbox.
 cargo test --release --test cross_crate --quiet periodic_checkpoints_are_written_once_per_cell
 cargo test --release -p jitckpt --lib --quiet a_received_stream_leaves_no_frame_in_the_world
+# A delta checkpoint keeps only the shards it uploaded alive in the store.
+cargo test --release --test delta_heap --quiet
+# Retention GC never deletes the newest iteration complete for every cell.
+cargo test --release -p coordinator --test coordinator --quiet gc_keeps_the_newest_iteration_complete_for_every_cell
 cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
 # The worker image a replacement node restores, from a live trainer: every
 # logged-op kind tiny_dp(2) issues, in its wire order.
