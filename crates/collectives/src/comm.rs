@@ -38,15 +38,18 @@
 //! predecessor's completed data slots
 //! ([`Communicator::adopt_completed_from`]).
 //!
-//! The cache holds the live minibatch and no more: at each minibatch
-//! start every member commits the generation it starts from
+//! The cache holds no more than some member can still ask for: each
+//! member commits a floor, the oldest generation it may still ask for
 //! ([`crate::CommWorld::commit`]), and completed slots below the minimum
-//! of the members' floors are dropped, since no member's replay can ask
-//! for them again. Recovery's own operations — a round's rendezvous and
-//! replica sync — run in the generations from [`RECOVERY_GEN_BASE`] up,
-//! which no floor reaches and no adoption carries: they live for one
-//! recovery round, which drops them when it closes
-//! ([`Communicator::release_recovery_slots`]).
+//! of the members' floors are dropped. The floor is the member's
+//! executor's: an intercepting one, whose replay re-runs the whole open
+//! minibatch, commits at each minibatch start; a direct one, which never
+//! replays, commits as it leaves each collective, so the member that
+//! leaves last frees the result. Recovery's own operations — a round's
+//! rendezvous and replica sync — run in the generations from
+//! [`RECOVERY_GEN_BASE`] up, which no floor reaches and no adoption
+//! carries: they live for one recovery round, which drops them when it
+//! closes ([`Communicator::release_recovery_slots`]).
 
 use crate::ledger::GradLedger;
 use crate::liveness::Liveness;
@@ -124,9 +127,9 @@ impl Slot {
 
 struct CommState {
     slots: HashMap<u64, Slot>,
-    /// Each member's commit floor, by member position: the first
-    /// generation of the minibatch it last began ([`Communicator::commit`]).
-    /// Zero until it commits on this communicator.
+    /// Each member's commit floor, by member position: the oldest
+    /// generation it may still ask for ([`Communicator::commit`]). Zero
+    /// until it commits on this communicator.
     floors: Vec<u64>,
     pending_fault: Option<RankId>,
     /// Member threads currently parked inside a collective wait.
@@ -488,13 +491,15 @@ impl Communicator {
             .count()
     }
 
-    /// Member `rank` has begun a minibatch whose first operation on this
-    /// communicator is generation `gen`: no replay of its will ask for a
-    /// generation below that. Completed slots below the minimum floor over
-    /// all members are dropped. The minimum, not this member's floor,
-    /// because a peer one minibatch behind (a lagging pipeline stage, a
-    /// rank rolled back by recovery) must still be served its whole
-    /// current minibatch. A slot in flight is never dropped. No floor
+    /// Member `rank` will ask for no generation below `gen` on this
+    /// communicator: its floor. An intercepting executor commits the
+    /// first generation of each minibatch it begins (its replay re-runs
+    /// the minibatch); a direct one the generation after each collective
+    /// it leaves. Completed slots below the minimum floor over all members
+    /// are dropped. The minimum, not this member's floor, because a peer
+    /// still in an older generation (a lagging pipeline stage, a rank
+    /// rolled back by recovery, a member yet to pick up a result) must
+    /// still be served it. A slot in flight is never dropped. No floor
     /// reaches the recovery spaces ([`RECOVERY_GEN_BASE`] and up): the
     /// round that used them drops them when it closes
     /// ([`Communicator::release_recovery_slots`]). Called by
@@ -751,7 +756,7 @@ impl Communicator {
         // not copy them); then charge the schedule's simulated cost as a
         // clock barrier and wake the waiters.
         let root_pos = root.and_then(|r| self.member_pos(r));
-        let result = data.take_result(kind, op, root_pos)?;
+        let result = data.take_result(kind, root_pos)?;
         slot.state = SlotState::Done(Arc::new(result));
         let cost = self
             .schedule

@@ -10,7 +10,8 @@
 //!   only until the fold front reaches them. Peak memory per in-flight
 //!   reduction is one accumulator plus the out-of-order window, which is
 //!   what lets a 2048-rank world run without holding 2048 parked 4 MiB
-//!   buffers (or 2048 OS threads — see `Communicator::offer_reduce`);
+//!   buffers (or 2048 OS threads — see `Communicator::offer_reduce`).
+//!   `Avg` multiplies by 1/n in the pass that folds the last member;
 //! * **chunked folds** — each fold is cut into fixed-size chunks reduced
 //!   in parallel on the bounded [`simcore::pool::fan_out`] pool. Chunking
 //!   regroups independent elements and never reorders one element's
@@ -40,6 +41,14 @@ pub(crate) enum Contribution<'a> {
 }
 
 impl Contribution<'_> {
+    fn as_slice(&self) -> Option<&[f32]> {
+        match self {
+            Contribution::Data(v) => Some(v),
+            Contribution::Borrowed(s) => Some(s),
+            Contribution::Empty => None,
+        }
+    }
+
     fn into_parked(self) -> Option<Vec<f32>> {
         match self {
             Contribution::Data(v) => Some(v),
@@ -129,34 +138,39 @@ impl SlotData {
                     SimError::Protocol("streaming collective without reduce op".into())
                 })?;
                 if pos == *folded {
-                    match contrib {
-                        // The member-order first buffer *becomes* the
-                        // accumulator — no zero-fill, no seed memcpy.
-                        Contribution::Data(v) if *folded == 0 => *acc = v,
-                        Contribution::Borrowed(s) if *folded == 0 => *acc = s.to_vec(),
-                        Contribution::Data(ref v) => {
-                            accumulate_into(acc, &[v.as_slice()], op, chunk_elems, workers)?
-                        }
-                        Contribution::Borrowed(s) => {
-                            accumulate_into(acc, &[s], op, chunk_elems, workers)?
-                        }
+                    let contrib = match contrib {
                         Contribution::Empty => {
                             return Err(SimError::Protocol("missing contribution".into()))
                         }
-                    }
+                        // The member-order first buffer *becomes* the
+                        // accumulator — no zero-fill, no seed memcpy.
+                        Contribution::Data(v) if *folded == 0 => {
+                            *acc = v;
+                            Contribution::Empty
+                        }
+                        Contribution::Borrowed(s) if *folded == 0 => {
+                            *acc = s.to_vec();
+                            Contribution::Empty
+                        }
+                        c => c,
+                    };
                     *folded += 1;
-                    // Drain the contiguous run of parked successors in one
-                    // chunk-parallel fold (4-wide peer streams, same
-                    // member-order association as one-at-a-time folds).
+                    // Fold it and the contiguous run of parked successors
+                    // it unblocks in one chunk-parallel pass (4-wide peer
+                    // streams, same member-order association as
+                    // one-at-a-time folds). `Avg` is scaled once, by the
+                    // pass that folds the last member, so the result does
+                    // not depend on how the folds were cut.
                     let mut run: Vec<Vec<f32>> = Vec::new();
                     while let Some(v) = parked.remove(&(*folded + run.len())) {
                         run.push(v);
                     }
-                    if !run.is_empty() {
-                        let slices: Vec<&[f32]> = run.iter().map(|v| v.as_slice()).collect();
-                        accumulate_into(acc, &slices, op, chunk_elems, workers)?;
-                        *folded += run.len();
-                    }
+                    *folded += run.len();
+                    let peers: Vec<&[f32]> = (contrib.as_slice().into_iter())
+                        .chain(run.iter().map(Vec::as_slice))
+                        .collect();
+                    let scale = (op == ReduceOp::Avg && *folded == n).then(|| 1.0 / n as f32);
+                    accumulate_into(acc, &peers, op, scale, chunk_elems, workers)?;
                 } else if pos > *folded {
                     // Out-of-order: park an owned copy until the fold
                     // front reaches this member position.
@@ -172,24 +186,18 @@ impl SlotData {
 
     /// The result of a generation every member has contributed to.
     /// `root_pos` is the broadcast root's member position. The fold's
-    /// accumulator and the root's buffer are moved out, not copied;
-    /// nothing reads a slot's contributions after completion (replay is
-    /// served the cached result).
+    /// accumulator (already averaged, for `Avg`) and the root's buffer are
+    /// moved out, not copied; nothing reads a slot's contributions after
+    /// completion (replay is served the cached result).
     pub(crate) fn take_result(
         &mut self,
         kind: CollKind,
-        op: Option<ReduceOp>,
         root_pos: Option<usize>,
     ) -> SimResult<Vec<f32>> {
         match self {
             SlotData::Streaming { acc, folded, .. } => {
                 let n = *folded;
-                let mut out = std::mem::take(acc);
-                if op == Some(ReduceOp::Avg) {
-                    // Scaled exactly once, after all n folds, so the
-                    // result does not depend on how the folds were cut.
-                    scale_in_place(&mut out, n);
-                }
+                let out = std::mem::take(acc);
                 if kind == CollKind::ReduceScatter && !out.len().is_multiple_of(n) {
                     return Err(SimError::Protocol(format!(
                         "reduce-scatter length {} not divisible by {n}",
@@ -232,7 +240,16 @@ fn fold(op: ReduceOp, a: f32, b: f32) -> f32 {
     }
 }
 
-fn accumulate_chunk(dst: &mut [f32], peers: &[&[f32]], lo: usize, op: ReduceOp) {
+/// Folds `peers` (in member order) into `dst`, the chunk of the
+/// accumulator starting at element `lo`, then multiplies by `scale`
+/// (`Avg`'s 1/n) in the pass over the last peer.
+fn accumulate_chunk(
+    dst: &mut [f32],
+    peers: &[&[f32]],
+    lo: usize,
+    op: ReduceOp,
+    scale: Option<f32>,
+) {
     let hi = lo + dst.len();
     // Fold four peers per pass: per-element accumulation order is still
     // strict member order, but four concurrent read streams expose
@@ -247,31 +264,42 @@ fn accumulate_chunk(dst: &mut [f32], peers: &[&[f32]], lo: usize, op: ReduceOp) 
         }
         rest = tail;
     }
-    for c in rest {
+    // With no peer left for it (four-wide passes took them all, or a
+    // one-member group has none), the scale takes a pass of its own.
+    let Some((last, init)) = rest.split_last() else {
+        if let Some(inv) = scale {
+            dst.iter_mut().for_each(|a| *a *= inv);
+        }
+        return;
+    };
+    for c in init {
         for (a, b) in dst.iter_mut().zip(&c[lo..hi]) {
             *a = fold(op, *a, *b);
         }
     }
-}
-
-/// Scales every element once — the `Avg` finalization. Applied exactly
-/// once per collective, after all n contributions are folded
-/// (elementwise `× 1/n` commutes with chunking, not with re-folding).
-fn scale_in_place(dst: &mut [f32], n: usize) {
-    let inv = 1.0 / n as f32;
-    for a in dst.iter_mut() {
-        *a *= inv;
+    let last = &last[lo..hi];
+    match scale {
+        Some(inv) => dst
+            .iter_mut()
+            .zip(last)
+            .for_each(|(a, b)| *a = fold(op, *a, *b) * inv),
+        None => dst
+            .iter_mut()
+            .zip(last)
+            .for_each(|(a, b)| *a = fold(op, *a, *b)),
     }
 }
 
 /// Chunk-parallel elementwise fold of `peers` (in member order) into
 /// `acc`, blocked at `chunk_elems` granularity across the bounded scope
-/// pool. Does NOT apply `Avg` scaling — callers finalize with
-/// [`scale_in_place`] once all contributions are in.
+/// pool. `scale` is `Avg`'s 1/n when these are the last members, and
+/// multiplies each element once, after its last fold (elementwise
+/// `× 1/n` commutes with chunking, not with re-folding).
 fn accumulate_into(
     acc: &mut [f32],
     peers: &[&[f32]],
     op: ReduceOp,
+    scale: Option<f32>,
     chunk_elems: usize,
     workers: usize,
 ) -> SimResult<()> {
@@ -285,7 +313,7 @@ fn accumulate_into(
             )));
         }
     }
-    if len == 0 || peers.is_empty() {
+    if len == 0 || (peers.is_empty() && scale.is_none()) {
         return Ok(());
     }
     let chunk = chunk_elems.max(1);
@@ -293,7 +321,7 @@ fn accumulate_into(
     let workers = workers.clamp(1, n_chunks);
     if workers == 1 {
         for (c, dst) in acc.chunks_mut(chunk).enumerate() {
-            accumulate_chunk(dst, peers, c * chunk, op);
+            accumulate_chunk(dst, peers, c * chunk, op, scale);
         }
     } else {
         // Disjoint per-chunk output slices behind uncontended mutexes:
@@ -301,7 +329,7 @@ fn accumulate_into(
         let parts: Vec<Mutex<&mut [f32]>> = acc.chunks_mut(chunk).map(Mutex::new).collect();
         pool::fan_out(n_chunks, workers, "ring-reduce", |c| {
             let mut dst = parts[c].lock();
-            accumulate_chunk(&mut dst, peers, c * chunk, op);
+            accumulate_chunk(&mut dst, peers, c * chunk, op, scale);
         });
     }
     Ok(())
@@ -365,10 +393,10 @@ mod tests {
                 let data = vecs(5, len);
                 let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
                 let mut got = data[0].clone();
-                accumulate_into(&mut got, &refs[1..], op, 256, 4).unwrap();
-                if op == ReduceOp::Avg {
-                    scale_in_place(&mut got, 5);
-                }
+                // Four peers: the four-wide pass folds them all, and the
+                // scale takes a pass of its own.
+                let scale = (op == ReduceOp::Avg).then_some(1.0 / 5.0);
+                accumulate_into(&mut got, &refs[1..], op, scale, 256, 4).unwrap();
                 let want = sequential_reference(&refs, op);
                 assert_eq!(bits(&got), bits(&want), "op {op:?} len {len}");
             }
@@ -385,13 +413,12 @@ mod tests {
             let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
             let want = sequential_reference(&refs, op);
             let mut acc = data[0].clone();
-            // Uneven fold runs: 1, then 3, then 1 peers.
-            accumulate_into(&mut acc, &refs[1..2], op, 256, 2).unwrap();
-            accumulate_into(&mut acc, &refs[2..5], op, 256, 2).unwrap();
-            accumulate_into(&mut acc, &refs[5..6], op, 256, 2).unwrap();
-            if op == ReduceOp::Avg {
-                scale_in_place(&mut acc, 6);
-            }
+            // Uneven fold runs: 1, then 3, then 1 peers; the last run
+            // scales.
+            let scale = (op == ReduceOp::Avg).then_some(1.0 / 6.0);
+            accumulate_into(&mut acc, &refs[1..2], op, None, 256, 2).unwrap();
+            accumulate_into(&mut acc, &refs[2..5], op, None, 256, 2).unwrap();
+            accumulate_into(&mut acc, &refs[5..6], op, scale, 256, 2).unwrap();
             assert_eq!(bits(&acc), bits(&want), "op {op:?}");
         }
     }
@@ -417,9 +444,7 @@ mod tests {
             assert!(slot.has_arrived(pos));
             assert_eq!(done, pos == 2, "complete only with the last member");
         }
-        let got = slot
-            .take_result(CollKind::AllReduce, Some(ReduceOp::Avg), None)
-            .unwrap();
+        let got = slot.take_result(CollKind::AllReduce, None).unwrap();
         assert_eq!(
             bits(&got),
             bits(&sequential_reference(&refs, ReduceOp::Avg))
@@ -427,9 +452,34 @@ mod tests {
     }
 
     #[test]
+    fn the_completing_fold_averages_at_every_group_size() {
+        // One member: no fold, the scale takes its own pass. Two and
+        // more: the pass that folds the last member scales, whichever
+        // member arrives last.
+        for n in 1..=6 {
+            let data = vecs(n, 517);
+            let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
+            let want = sequential_reference(&refs, ReduceOp::Avg);
+            for last in 0..n {
+                let mut slot = SlotData::new(CollKind::AllReduce, n);
+                let order = (0..n).filter(|p| *p != last).chain([last]);
+                for pos in order {
+                    let contrib = Contribution::Data(data[pos].clone());
+                    let done = slot
+                        .contribute(pos, contrib, Some(ReduceOp::Avg), n, 64, 2)
+                        .unwrap();
+                    assert_eq!(done, pos == last);
+                }
+                let got = slot.take_result(CollKind::AllReduce, None).unwrap();
+                assert_eq!(bits(&got), bits(&want), "n {n}, last {last}");
+            }
+        }
+    }
+
+    #[test]
     fn ragged_contributions_are_rejected() {
         let (a, b) = (vec![1.0f32; 8], vec![1.0f32; 9]);
-        let err = accumulate_into(&mut a.clone(), &[&b], ReduceOp::Sum, 4, 1).unwrap_err();
+        let err = accumulate_into(&mut a.clone(), &[&b], ReduceOp::Sum, None, 4, 1).unwrap_err();
         assert!(matches!(err, SimError::Protocol(_)));
     }
 }

@@ -229,11 +229,13 @@ impl CommWorld {
         self.aborted.store(false, Ordering::Release);
     }
 
-    /// The minibatch commit of one rank: `rank`, on clock slot
-    /// `clock_idx`, has begun minibatch `iteration`, starting each of its
-    /// communicators in `gens` at the paired generation. From here on it
-    /// replays nothing older, so the world keeps only what some rank can
-    /// still read:
+    /// The commit floor of one rank: `rank`, on clock slot `clock_idx`,
+    /// is in minibatch `iteration` and will ask for no generation below
+    /// the paired one on each of its communicators in `gens`. Where the
+    /// floor sits is the rank's executor's choice: a replaying one commits
+    /// at each minibatch start, one that never replays after every
+    /// collective. From here on the rank reads nothing older, so the world
+    /// keeps only what some rank can still read:
     ///
     /// * p2p messages whose `seq` (the sender's iteration, which is the
     ///   receiver's) is below the minimum committed iteration over all of

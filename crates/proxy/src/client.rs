@@ -9,7 +9,9 @@
 //!    kind passed as another and forgets, at each minibatch boundary,
 //!    every object destroyed before it,
 //! 2. executed on the [`ProxyServer`],
-//! 3. logged (with input values) into the per-minibatch replay log, and
+//! 3. logged (with input values) into the per-minibatch replay log —
+//!    from the first minibatch on: what runs before it is never
+//!    replayed — and
 //! 4. — on failure — routed to the installed [`RecoveryHandler`] instead
 //!    of the application. If the handler recovers, the call is retried (or
 //!    skipped, for the optimizer-step case of §4.2.2) and the application
@@ -110,6 +112,9 @@ pub struct ProxyClient {
     /// boundary; the next boundary forgets them.
     destroyed: Vec<u64>,
     replay_log: OpLog,
+    /// Whether a minibatch has begun. Before the first one nothing goes
+    /// into the replay log: that boundary clears it unread.
+    began: bool,
     /// Translated (physical-id) deferred calls awaiting one batched round
     /// trip to the server; flushed when `batch_capacity` are staged and at
     /// every synchronization point.
@@ -141,6 +146,7 @@ impl ProxyClient {
             creation_boundary: 0,
             destroyed: Vec::new(),
             replay_log: OpLog::new(),
+            began: false,
             pending: Vec::new(),
             batch_capacity: DEFAULT_BATCH_CAPACITY,
             iteration: 0,
@@ -379,12 +385,16 @@ impl ProxyClient {
             self.record_creation(vcall, vid);
         }
         self.destroyed.extend(destroyed_by(vcall));
-        self.replay_log.push_device(vcall, result_vid);
+        if self.began {
+            self.replay_log.push_device(vcall, result_vid);
+        }
         self.logged_calls += 1;
     }
 
     fn log_op(&mut self, op: LoggedOp) {
-        self.replay_log.push(&op);
+        if self.began {
+            self.replay_log.push(&op);
+        }
         self.logged_calls += 1;
         self.charge(self.cost_model().effective_log_overhead());
     }
@@ -892,6 +902,7 @@ impl Executor for ProxyClient {
             self.vmap.unbind(vid);
         }
         self.replay_log.clear();
+        self.began = true;
         self.plane.commit(iteration);
         Ok(())
     }
@@ -1002,7 +1013,9 @@ mod tests {
     fn replay_log_clears_at_minibatch_start() -> SimResult<()> {
         let mut c = client();
         alloc(&mut c, "w", vec![1.0], BufferTag::Param)?;
-        assert!(c.replay_log_len() > 0);
+        // Before the first minibatch nothing is logged for replay, but
+        // every call is counted.
+        assert_eq!((c.replay_log_len(), c.logged_calls()), (0, 2));
         c.begin_minibatch(0)?;
         assert_eq!(c.replay_log_len(), 0);
         alloc(&mut c, "act", vec![0.0], BufferTag::Activation)?;

@@ -120,10 +120,11 @@ pub trait Executor: Send {
     /// Receives `(src, tag, seq)` into `buf`.
     fn recv_into(&mut self, src: RankId, tag: u64, seq: u64, buf: BufferId) -> SimResult<()>;
 
-    /// Marks the start of minibatch `iteration`: commits deferred frees,
-    /// commits the rank's communicator generations and iteration to the
-    /// world (which drops cached results and mail no replay can read), and
-    /// (under interception) clears the replay log (§4.1).
+    /// Marks the start of minibatch `iteration`: commits the rank's
+    /// communicator generations and iteration to the world (which drops
+    /// cached results and mail no replay can read) and, under
+    /// interception, commits deferred frees and clears the replay log
+    /// (§4.1).
     fn begin_minibatch(&mut self, iteration: u64) -> SimResult<()>;
 
     /// Pre-optimizer-step hook (§4.2.2's framework callback).
@@ -291,11 +292,13 @@ impl CommPlane {
         self.gens = gens.into_iter().map(|(t, g)| (CommToken(t), g)).collect();
     }
 
-    /// The minibatch commit (§4.1's log boundary, on the network side):
-    /// this rank begins minibatch `iteration` with every token at its
-    /// current generation, so the world and each communicator may drop
-    /// what no replay of this rank can ask for again
-    /// ([`CommWorld::commit`]).
+    /// This rank's commit floor: it is in minibatch `iteration` and will
+    /// ask for no generation below each token's current one, so the world
+    /// and each communicator may drop what only that could have read
+    /// ([`CommWorld::commit`]). The proxy commits at each minibatch start
+    /// (§4.1's log boundary, on the network side), since its replay reads
+    /// the whole minibatch; the direct executor, which never replays,
+    /// after every collective.
     pub(crate) fn commit(&self, iteration: u64) {
         let gens = self.comms.iter().map(|(t, c)| (&**c, self.gen_of(*t)));
         self.world
@@ -373,6 +376,11 @@ impl CommPlane {
 /// user-level JIT solution (§3) and the periodic-checkpointing baselines
 /// operate under. Every network operation except `barrier` consults
 /// device health first.
+///
+/// Those jobs recover by restart, never by replay, so this executor keeps
+/// no replay state: it commits each collective as it leaves it (the
+/// member that leaves last frees the cached result) and each `Free` as it
+/// issues it.
 pub struct DirectExecutor {
     plane: CommPlane,
     gpu: Arc<Mutex<Gpu>>,
@@ -417,19 +425,27 @@ impl DirectExecutor {
         Ok((b.data.clone(), b.logical_bytes))
     }
 
+    /// Advances the token's generation past a collective this rank has
+    /// left, and commits it: no replay will ask for it, so the member that
+    /// commits last frees the cached result.
+    fn leave(&mut self, token: CommToken) {
+        self.plane.bump_gen(token);
+        self.plane.commit(self.iteration);
+    }
+
     /// A collective at the token's current generation: fetch its source
-    /// (health first), run, advance the generation, load the result into
-    /// its destination. A barrier fetches and loads nothing.
+    /// (health first), run, leave it, load the result into its
+    /// destination. A barrier fetches and loads nothing.
     fn collective(&mut self, token: CommToken, coll: Coll) -> SimResult<()> {
         let gen = self.plane.gen_of(token);
         let Some((src, dst)) = coll.buffers() else {
             self.plane.collective(token, gen, coll, Vec::new(), 0)?;
-            self.plane.bump_gen(token);
+            self.leave(token);
             return Ok(());
         };
         let (data, logical) = self.fetch(src)?;
         let out = self.plane.collective(token, gen, coll, data, logical)?;
-        self.plane.bump_gen(token);
+        self.leave(token);
         self.gpu.lock().load_buffer(dst, &out)
     }
 }
@@ -449,6 +465,10 @@ impl Executor for DirectExecutor {
 
     fn call(&mut self, call: DeviceCall) -> SimResult<CallResult> {
         let (res, cost) = self.gpu.lock().exec(&call)?;
+        // No reset of this executor resurrects a freed buffer.
+        if let DeviceCall::Free { .. } = call {
+            self.gpu.lock().commit_frees();
+        }
         self.plane.advance(cost);
         Ok(res)
     }
@@ -497,7 +517,7 @@ impl Executor for DirectExecutor {
         let coll = Coll::AllReduce { buf: bufs[0], op };
         let gen = self.plane.gen_of(comm);
         let out = self.plane.collective(comm, gen, coll, fused, logical)?;
-        self.plane.bump_gen(comm);
+        self.leave(comm);
         let mut gpu = self.gpu.lock();
         let mut off = 0usize;
         for (buf, len) in bufs.iter().zip(lens) {
@@ -549,7 +569,6 @@ impl Executor for DirectExecutor {
 
     fn begin_minibatch(&mut self, iteration: u64) -> SimResult<()> {
         self.iteration = iteration;
-        self.gpu.lock().commit_frees();
         self.plane.commit(iteration);
         Ok(())
     }

@@ -19,7 +19,8 @@
 //!
 //! * [`executor`] — the [`Executor`] trait (the seam the training
 //!   framework runs against) and [`DirectExecutor`] (no interception —
-//!   the baseline and user-level-JIT path);
+//!   the baseline and user-level-JIT path, which recovers by restart and
+//!   so keeps no replay state);
 //! * [`server`] — the restartable [`ProxyServer`] owning the device;
 //! * [`oplog`] — the replay log, its records, and the virtual-handle
 //!   table;

@@ -721,7 +721,9 @@ mod wire_tests {
 use bytes::{BufMut, BytesMut};
 
 /// The per-minibatch replay log: an append-only encoded-op arena plus an
-/// op count. Wire-compatible with the `Vec<LoggedOp>` encoding (`u64`
+/// op count. It holds the open minibatch only: each minibatch start
+/// clears it, and before the first one the client logs nothing into it,
+/// since that boundary would clear it unread. Wire-compatible with the `Vec<LoggedOp>` encoding (`u64`
 /// count + concatenated op encodings), so CPU-state images carry the
 /// same schema as before.
 #[derive(Debug, Clone, Default)]

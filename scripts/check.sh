@@ -40,6 +40,12 @@ cargo test --release --test cross_crate --quiet periodic_checkpoints_are_written
 cargo test --release -p jitckpt --lib --quiet a_received_stream_leaves_no_frame_in_the_world
 # A delta checkpoint keeps only the shards it uploaded alive in the store.
 cargo test --release --test delta_heap --quiet
+# A direct job keeps no replay state: between steps it holds its training
+# state, during them at most two gradient buckets beside it, and it caches
+# no collective result. (The proxy's empty log before its first minibatch
+# is `replay_log_clears_at_minibatch_start`, in the `-p proxy` line above.)
+cargo test --release --test direct_heap --quiet
+cargo test --release -p dltrain --lib --quiet cached_collective_results_do_not_grow_with_the_step_count
 # Retention GC never deletes the newest iteration complete for every cell.
 cargo test --release -p coordinator --test coordinator --quiet gc_keeps_the_newest_iteration_complete_for_every_cell
 cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
