@@ -25,9 +25,10 @@ use jitckpt::analysis::{
     self, monthly_failure_cost_dollars, optimal_frequency, wasted_fraction,
     wasted_rate_jit_transparent, wasted_rate_jit_user, wasted_rate_periodic_optimal, JobParams,
 };
-use jitckpt::transparent::{run_transparent_job_with, Action, TransparentOutcome};
-use jitckpt::user_level::{run_user_level_job, JitUserConfig};
+use jitckpt::transparent::Action;
+use jitckpt::user_level::JitUserConfig;
 use jitckpt::workloads::{by_name, Workload};
+use jitckpt::{run_job, JobOutcome, Policy};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
@@ -138,13 +139,13 @@ fn measure_minibatch(w: &Workload, gen: GpuGeneration, iters: u64) -> (f64, f64)
 
 /// [`measure_minibatch`] under an explicit cost model.
 fn minibatch_under(w: &Workload, cost: CostModel, iters: u64) -> (f64, f64) {
-    let out = run_transparent_job_with(
+    let out = run_job(
         w.train_config(7),
         cost.clone(),
         FailureInjector::none(),
         Arc::new(SharedStore::new()),
         iters,
-        0,
+        Policy::Transparent { extra_comms: 0 },
     )
     .expect("clean run");
     let total = out
@@ -307,14 +308,16 @@ fn measure_user_level(w: &Workload) -> UserLevelNumbers {
         w.gpu,
         (w.gpus() / w.gpu.gpus_per_node()).max(1) + 1,
     )));
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         cost,
         injector,
-        scheduler,
         Arc::new(SharedStore::new()),
-        JitUserConfig::default(),
         5,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .expect("user-level run");
     let ckpt = out
@@ -414,18 +417,18 @@ fn transparent_recovery_run(
     extra_comms: usize,
     kind: FailureKind,
     phase: Phase,
-) -> TransparentOutcome {
+) -> JobOutcome {
     let cost = CostModel::for_gpu(w.gpu);
     let cfg = w.train_config(23);
     let victim = RankId(0);
     let injector = FailureInjector::with_specs(vec![FailureSpec::new(2, phase, victim, kind)]);
-    run_transparent_job_with(
+    run_job(
         cfg,
         cost,
         injector,
         Arc::new(SharedStore::new()),
         5,
-        extra_comms,
+        Policy::Transparent { extra_comms },
     )
     .expect("transparent run")
 }

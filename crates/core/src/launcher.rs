@@ -1,24 +1,24 @@
-//! The restart launcher: one generation loop under the user-level JIT
-//! runner (§3) and the periodic baseline (§5, §6.3).
+//! The one job entry point, [`run_job`], and its one outcome,
+//! [`JobOutcome`], for the three designs the paper compares on wasted
+//! work (Table 1, §5); a [`Policy`] picks one.
 //!
-//! Both recover the same way — detect the hang, kill the job, reschedule
-//! around a failed GPU, restore the newest complete checkpoint of either
-//! kind, train on — and differ only in *when* the state is written: on a
-//! hang, or on a schedule. [`run_restart_job`] owns everything they share:
-//! submission, the placed communicators of each generation, one
-//! resolution per (re)start, the rank threads with their departure guards,
-//! executors and watchdogs, the restore, the training loop, loss
-//! collection, failure reports and rescheduling. A runner hands it, per
-//! rank, only its two differences:
+//! Transparent JIT (§4) never restarts ([`crate::transparent`]).
+//! User-level JIT (§3) and periodic checkpointing (§5, §6.3) restart
+//! alike — detect the hang, kill the job, reschedule around a failed GPU,
+//! restore the newest complete checkpoint of either kind, train on — and
+//! differ only in *when* the state is written. Their restart loop here
+//! owns all they share, the count of checkpoint writes included, and
+//! takes per rank only their two differences:
 //!
 //! * the **hang action**, run on the rank's watchdog thread while its
-//!   training thread is parked in the hung collective. It returns the
-//!   checkpoint it wrote, if any, with the virtual cost of the write; the
-//!   launcher records the event and acks the scheduler, and once the acks
-//!   cover every cell it kills the job (§3, step 3);
+//!   training thread is parked in the hung collective: user-level JIT's
+//!   `save_checkpoint`, or the periodic monitor's kill. It returns the
+//!   checkpoint it wrote, if any, with its virtual cost; the launcher
+//!   records the event and acks the scheduler, which kills the job once
+//!   the acks cover every cell (§3, step 3);
 //! * the **step hook**, run on the rank's thread at every minibatch
-//!   boundary a generation stands on: where it starts, then after each
-//!   successful step.
+//!   boundary a generation stands on: user-level JIT notes the iteration
+//!   there; the periodic hook writes on schedule and reports each write.
 //!
 //! Every restarted rank restores through
 //! [`stream::restore_with_fallback`]: the ledger leg has no ledger
@@ -29,63 +29,146 @@
 //! frame payloads — and succeeds only if they decode; the winner's
 //! chunks are decoded straight into the rank's device.
 
-use crate::checkpoint::{self, CellChoice};
+use crate::checkpoint::{self, CellChoice, ShardConfig};
+use crate::periodic::{self, PolicyKind, Schedule};
 use crate::restore::{read_counted, RestoreConfig};
 use crate::stream;
-use crate::user_level::{JitUserConfig, RecoveryEvent};
+use crate::transparent::{self, RecoveryReport};
+use crate::user_level::{save_checkpoint, IterationCell, JitUserConfig, RecoveryEvent};
 use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
 use collectives::CommWorld;
 use dltrain::{JobSetup, RankTrainer, TrainConfig};
 use proxy::{DirectExecutor, Executor, Watchdog};
-use simcore::cost::CostModel;
+use simcore::cost::{CostModel, StorageTier};
 use simcore::layout::GridCoord;
 use simcore::sync::{Condvar, Mutex};
 use simcore::{GpuId, JobId, RankId, SimError, SimResult, SimTime};
 use simgpu::Gpu;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Result of a job run by [`run_restart_job`].
-#[derive(Debug)]
-pub struct RestartOutcome {
-    /// Final per-rank loss trajectories, indexed `[rank][iteration]`
-    /// (`NaN` on ranks that never see the loss).
-    pub losses: Vec<Vec<f32>>,
-    /// Number of restarts (failure recoveries) performed.
-    pub restarts: u32,
-    /// Every checkpoint a hang action wrote, and every restore.
-    pub events: Vec<RecoveryEvent>,
-    /// Iterations re-executed after restarts: per restart, how far past
-    /// the checkpoint the next generation resumes from the furthest rank
-    /// had got.
-    pub wasted_iterations: u64,
-    /// Per-rank virtual time at the end of the final generation.
-    pub finish_times: Vec<SimTime>,
+/// How a job recovers from a failure.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// Transparent JIT (§4): the recovery engine, attached to every
+    /// rank's proxy client, replaces a lost GPU itself.
+    Transparent {
+        /// Framework process groups per rank (Megatron/DeepSpeed-style)
+        /// that every recovery rebuilds: the Table 7 knob.
+        extra_comms: usize,
+    },
+    /// User-level JIT (§3): on a hang each healthy rank writes its
+    /// checkpoint, and the restarted job restores any replica's.
+    UserLevel {
+        /// Submits, kills and reschedules the job.
+        scheduler: Arc<Scheduler>,
+        /// The library's watchdog, write and restore legs.
+        jit: JitUserConfig,
+    },
+    /// Periodic checkpointing: each cell's dp-0 replica writes on
+    /// schedule while every replica pays the stall; after a hang every
+    /// rank restarts from its cell's newest checkpoint. A zero interval
+    /// is refused before the job is submitted.
+    Periodic {
+        /// Submits, kills and reschedules the job.
+        scheduler: Arc<Scheduler>,
+        /// The mechanism, which prices the stall.
+        kind: PolicyKind,
+        /// Checkpoint every `every_iters` iterations.
+        every_iters: u64,
+        /// The monitoring plane's hang timeout, charged to the parked
+        /// rank's virtual clock.
+        monitor_timeout: Duration,
+        /// Sharded-write tuning of each cell's checkpoint.
+        shards: ShardConfig,
+    },
 }
 
-/// Runs `target_iters` iterations of `cfg` to completion, restarting the
-/// job from the newest complete checkpoint after every failure. `lib` is
-/// the library's watchdog, restore and stream configuration. `arm` is
-/// called on each rank's executor, before its trainer is built, for the
-/// rank's hang action and step hook.
-#[allow(clippy::too_many_arguments)]
-pub fn run_restart_job<A, H, S>(
+/// What a job run by [`run_job`] did. Every field means the same under
+/// every [`Policy`], and is 0 or empty where a policy has none of it.
+#[derive(Debug, Default)]
+pub struct JobOutcome {
+    /// Per-rank loss trajectories, indexed `[rank][iteration]` (`NaN` on
+    /// ranks that never see the loss), under every policy.
+    pub losses: Vec<Vec<f32>>,
+    /// Per-rank virtual time at the end of the run; under a restart
+    /// policy, of its final generation, whose clocks start at zero.
+    pub finish_times: Vec<SimTime>,
+    /// Restarts (failure recoveries) performed: 0 under transparent JIT.
+    pub restarts: u32,
+    /// Transparent recovery rounds performed: 0 under a restart policy.
+    pub rounds: u64,
+    /// Every checkpoint a hang action wrote (user-level JIT) and every
+    /// restore (both restart policies). Empty under transparent JIT.
+    pub events: Vec<RecoveryEvent>,
+    /// Per-rank reports of every transparent recovery round (Tables 5–7
+    /// raw data). Empty under a restart policy.
+    pub reports: Vec<RecoveryReport>,
+    /// Whole iterations re-executed after restarts: per restart, how far
+    /// past the checkpoint the next generation resumes from the furthest
+    /// rank had got (the wasted work §5 charges). 0 under transparent
+    /// JIT, which redoes at most the open minibatch.
+    pub wasted_iterations: u64,
+    /// Checkpoints written: one per rank and incident under user-level
+    /// JIT, one per cell and scheduled boundary under periodic
+    /// checkpointing, 0 under transparent JIT.
+    pub checkpoints_written: u64,
+    /// Per-rank device-API calls logged for replay under transparent JIT;
+    /// 0 on every rank of a restart job, whose executors log nothing.
+    pub logged_calls: Vec<u64>,
+}
+
+/// Runs `iters` iterations of `cfg` to completion under `policy`,
+/// recovering from every failure `injector` fires. `store` holds the
+/// job's checkpoints (restart policies) or §4.3 frames (transparent).
+pub fn run_job(
     cfg: TrainConfig,
     cost: CostModel,
     injector: Arc<FailureInjector>,
-    scheduler: Arc<Scheduler>,
     store: Arc<SharedStore>,
-    lib: JitUserConfig,
-    target_iters: u64,
-    arm: A,
-) -> SimResult<RestartOutcome>
-where
-    A: Fn(JobId, &Arc<CommWorld>, &DirectExecutor) -> (H, S) + Send + Sync + 'static,
-    H: FnOnce() -> Option<(CheckpointAck, SimTime)> + Send + 'static,
-    S: FnMut(&mut RankTrainer<DirectExecutor>) -> SimResult<()>,
-{
+    iters: u64,
+    policy: Policy,
+) -> SimResult<JobOutcome> {
+    let (scheduler, lib, schedule) = match policy {
+        Policy::Transparent { extra_comms } => {
+            return transparent::run(cfg, cost, injector, store, iters, extra_comms);
+        }
+        Policy::UserLevel { scheduler, jit } => (scheduler, jit, None),
+        Policy::Periodic {
+            scheduler,
+            kind,
+            every_iters,
+            monitor_timeout,
+            shards,
+        } => {
+            if every_iters == 0 {
+                return Err(SimError::Protocol(
+                    "Policy::Periodic every_iters must be at least 1".into(),
+                ));
+            }
+            let lib = JitUserConfig {
+                watchdog_timeout: monitor_timeout,
+                tier: StorageTier::Disk,
+                shards,
+                stream_recovery: false,
+                ..JitUserConfig::default()
+            };
+            let schedule = Schedule {
+                kind,
+                every_iters,
+                shards,
+                ranks_per_node: cfg.ranks_per_node,
+                store: store.clone(),
+                cost: cost.clone(),
+            };
+            (scheduler, lib, Some(schedule))
+        }
+    };
+    // A restart policy: generations until one completes. `schedule` is
+    // `None` under user-level JIT, which writes on a hang.
     let layout = cfg.layout;
     let n = layout.world_size();
     let (id, mut assignment) = scheduler.submit(layout)?;
@@ -97,16 +180,15 @@ where
         injector,
         scheduler,
         store,
-        target_iters,
-        arm,
-        events: Arc::default(),
+        target_iters: iters,
+        schedule,
+        record: Arc::default(),
     });
-    let mut out = RestartOutcome {
-        losses: vec![vec![f32::NAN; target_iters as usize]; n],
-        restarts: 0,
-        events: Vec::new(),
-        wasted_iterations: 0,
+    let mut out = JobOutcome {
+        losses: vec![vec![f32::NAN; iters as usize]; n],
         finish_times: vec![SimTime::ZERO; n],
+        logged_calls: vec![0; n],
+        ..JobOutcome::default()
     };
     let max_generations = job.injector.pending_count() as u32 + 2;
     // The furthest minibatch boundary a rank of the last generation reached.
@@ -168,12 +250,20 @@ where
         }
         assignment = job.scheduler.reschedule(id)?;
     }
-    out.events = job.events.lock().clone();
+    out.events = job.record.events.lock().clone();
+    out.checkpoints_written = job.record.written.load(Ordering::Relaxed);
     Ok(out)
 }
 
+/// A rank's hang action: it returns the checkpoint it wrote, if any, with
+/// the write's virtual cost.
+type HangAction = Box<dyn FnOnce() -> Option<(CheckpointAck, SimTime)> + Send>;
+
+/// A rank's step hook: it reports whether it wrote a checkpoint.
+type StepHook = Box<dyn FnMut(&mut RankTrainer<DirectExecutor>) -> SimResult<bool>>;
+
 /// What every generation of one job shares.
-struct Job<A> {
+struct Job {
     id: JobId,
     cfg: TrainConfig,
     cost: CostModel,
@@ -182,8 +272,24 @@ struct Job<A> {
     scheduler: Arc<Scheduler>,
     store: Arc<SharedStore>,
     target_iters: u64,
-    arm: A,
-    events: Arc<Mutex<Vec<RecoveryEvent>>>,
+    schedule: Option<Schedule>,
+    record: Arc<Record>,
+}
+
+/// Every generation's events and checkpoint writes.
+#[derive(Default)]
+struct Record {
+    events: Mutex<Vec<RecoveryEvent>>,
+    written: AtomicU64,
+}
+
+impl Record {
+    /// Counts one checkpoint write, by a hang action (with its event) or
+    /// a step hook.
+    fn wrote(&self, event: Option<RecoveryEvent>) {
+        self.written.fetch_add(1, Ordering::Relaxed);
+        self.events.lock().extend(event);
+    }
 }
 
 /// What the rank threads of one generation share.
@@ -199,31 +305,26 @@ struct Generation {
 /// ended it early, and the minibatch boundary it reached.
 type RankRun = (Vec<(u64, f32)>, Option<SimError>, u64);
 
-impl<A> Job<A> {
-    fn run_rank<H, S>(&self, gen: &Generation, i: usize) -> SimResult<RankRun>
-    where
-        A: Fn(JobId, &Arc<CommWorld>, &DirectExecutor) -> (H, S),
-        H: FnOnce() -> Option<(CheckpointAck, SimTime)> + Send + 'static,
-        S: FnMut(&mut RankTrainer<DirectExecutor>) -> SimResult<()>,
-    {
+impl Job {
+    fn run_rank(&self, gen: &Generation, i: usize) -> SimResult<RankRun> {
         let (rank, world) = (RankId::from(i), &gen.setup.world);
         // First, so that it drops last: peers learn that this rank is
         // gone only after its trainer, watchdog and device memory are.
         let _departure = world.departure_guard(rank);
         let gpu = Gpu::new(gen.assignment[i], self.cost.clone());
         let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
-        let (hang, mut at_boundary) = (self.arm)(self.id, world, &exec);
+        let (hang, mut step_hook) = self.hooks(world, &exec);
         let watchdog = {
             let (job, scheduler) = (self.id, self.scheduler.clone());
-            let (events, monitor) = (self.events.clone(), gen.monitor.clone());
+            let (record, monitor) = (self.record.clone(), gen.monitor.clone());
             Watchdog::spawn(self.lib.watchdog_timeout, move || {
                 if let Some((ack, write)) = hang() {
-                    events.lock().push(RecoveryEvent {
+                    record.wrote(Some(RecoveryEvent {
                         rank: ack.rank,
                         checkpoint_time: write,
                         restore_time: SimTime::ZERO,
                         iteration: ack.iteration,
-                    });
+                    }));
                     // The job is not killed here: the scheduler kills it
                     // only once every cell has a checkpoint, so that every
                     // healthy rank gets to save first.
@@ -242,6 +343,12 @@ impl<A> Job<A> {
         let start = tr.iteration();
         let mut losses = Vec::new();
         let mut failure = None;
+        let mut at_boundary = |tr: &mut RankTrainer<DirectExecutor>| -> SimResult<()> {
+            if step_hook(tr)? {
+                self.record.wrote(None);
+            }
+            Ok(())
+        };
         at_boundary(&mut tr)?;
         for it in start..self.target_iters {
             match tr.train_step() {
@@ -255,6 +362,26 @@ impl<A> Job<A> {
             at_boundary(&mut tr)?;
         }
         Ok((losses, failure, tr.iteration()))
+    }
+
+    /// The hang action and step hook of the rank of `exec`: user-level
+    /// JIT's checkpoint and iteration note, or the periodic monitor's kill
+    /// and scheduled write.
+    fn hooks(&self, world: &Arc<CommWorld>, exec: &DirectExecutor) -> (HangAction, StepHook) {
+        let Some(schedule) = &self.schedule else {
+            let cell = Arc::new(IterationCell::default());
+            let (layout, store) = (self.cfg.layout, self.store.clone());
+            let save = save_checkpoint(exec, &self.lib, self.id, layout, store, cell.clone());
+            let note = move |tr: &mut RankTrainer<DirectExecutor>| {
+                cell.note(tr.iteration(), tr.opt_t());
+                Ok(false)
+            };
+            return (Box::new(save), Box::new(note));
+        };
+        let timeout = self.lib.watchdog_timeout;
+        let kill = periodic::monitor_action(world.clone(), exec.clock_idx(), timeout);
+        let write = schedule.step_hook(self.id, exec, self.cfg.layout.coord(exec.rank()));
+        (Box::new(kill), Box::new(write))
     }
 
     /// Restores a restarted rank from its cell's choice in `plan`, paying
@@ -339,7 +466,7 @@ impl<A> Job<A> {
                 )?;
             }
         }
-        self.events.lock().push(RecoveryEvent {
+        self.record.events.lock().push(RecoveryEvent {
             rank,
             checkpoint_time: SimTime::ZERO,
             restore_time,

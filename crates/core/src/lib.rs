@@ -28,10 +28,11 @@
 //!
 //! Plus:
 //!
-//! * [`launcher`] — the restart launcher the user-level runner and the
-//!   periodic baseline share: one generation loop, one restore step;
+//! * [`launcher`] — [`run_job`], the one job entry point: a job under any
+//!   [`Policy`], one [`JobOutcome`], one restart loop;
+//! * [`periodic`] — periodic checkpointing's mechanisms and hooks;
 //! * [`checkpoint`] — the shared checkpoint format/naming/assembly
-//!   protocol (§3.2–§3.3), also used by the periodic baselines;
+//!   protocol (§3.2–§3.3), also used by periodic checkpointing;
 //! * [`pipeline`] — write-behind checkpoint persistence: bounded-queue
 //!   async uploads with per-job admission control, so shard puts overlap
 //!   shard encode/CRC instead of stalling the training thread;
@@ -49,6 +50,7 @@ pub mod analysis;
 pub mod checkpoint;
 mod decide;
 pub mod launcher;
+pub mod periodic;
 pub mod pipeline;
 pub mod restore;
 pub mod stream;
@@ -57,6 +59,8 @@ pub mod user_level;
 pub mod workloads;
 
 pub use checkpoint::{jit_get_checkpoint_path, CkptKind};
+pub use launcher::{run_job, JobOutcome, Policy};
+pub use periodic::{blocking_overhead, PolicyKind};
 pub use pipeline::{CkptTicket, JobGate, WriteBehind, WriteBehindConfig};
 pub use restore::{load_for_rank_parallel, read_checkpoint_parallel, RestoreConfig, RestoreStats};
 pub use transparent::{RecoveryReport, TransparentEngine};

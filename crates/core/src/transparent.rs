@@ -12,12 +12,15 @@
 //! rendezvous and handle recreation included. Each action is charged to
 //! the rank's virtual clock and recorded once in a [`RecoveryReport`] —
 //! the raw data behind Tables 5–7.
+//!
+//! A whole job is [`crate::launcher::run_job`]'s transparent arm, `run`.
 
 use crate::checkpoint::ShardConfig;
 use crate::decide::{decide, RankStatus, RecoveryPlan};
+use crate::launcher::JobOutcome;
 use crate::stream::{open_frame, state_frame, stream_header};
 use cluster::SharedStore;
-use dltrain::{build_comms, JobComms};
+use dltrain::{build_comms, JobComms, JobSetup, RankTrainer};
 use proxy::{
     CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome, Watchdog,
 };
@@ -107,7 +110,7 @@ impl TransparentEngine {
 
     /// [`TransparentEngine::new`] for jobs whose setup registered
     /// `extra_comms` additional framework process groups.
-    pub fn with_extra_comms(
+    pub(crate) fn with_extra_comms(
         layout: ParallelLayout,
         world: Arc<collectives::CommWorld>,
         store: Arc<SharedStore>,
@@ -565,84 +568,41 @@ impl TransparentEngine {
     }
 }
 
-/// Result of a complete transparent-JIT job run.
-#[derive(Debug)]
-pub struct TransparentOutcome {
-    /// Per-rank loss trajectories (NaN on ranks that never see the loss).
-    pub losses: Vec<Vec<f32>>,
-    /// Recovery rounds performed.
-    pub rounds: u64,
-    /// Per-rank recovery reports (Tables 5–7 raw data).
-    pub reports: Vec<RecoveryReport>,
-    /// Per-rank virtual completion time.
-    pub finish_times: Vec<SimTime>,
-    /// Per-rank logged device-API counts (steady-state overhead metric).
-    pub logged_calls: Vec<u64>,
-}
-
-/// Runs a training job under transparent JIT: every rank trains through a
-/// [`ProxyClient`] with the engine attached; injected failures are
-/// recovered without the "application" (the trainer) ever seeing an
-/// error. The launcher loop of the user-level design disappears — that is
-/// the point of §4.
-pub fn run_transparent_job(
-    cfg: dltrain::TrainConfig,
-    cost: simcore::cost::CostModel,
-    injector: Arc<cluster::FailureInjector>,
-    store: Arc<SharedStore>,
-    target_iters: u64,
-) -> SimResult<TransparentOutcome> {
-    run_transparent_job_with(cfg, cost, injector, store, target_iters, 0)
-}
-
-/// [`run_transparent_job`] with `extra_comms` additional framework
-/// process groups per rank (Megatron/DeepSpeed-style), which recovery
-/// must rebuild — the Table 7 communicator-count knob.
-pub fn run_transparent_job_with(
+/// A transparent job: every rank trains through a [`ProxyClient`] with
+/// the engine attached, so the trainer never sees a failure and nothing
+/// restarts (§4). Lost GPUs are replaced from 10 000 up.
+pub(crate) fn run(
     cfg: dltrain::TrainConfig,
     cost: simcore::cost::CostModel,
     injector: Arc<cluster::FailureInjector>,
     store: Arc<SharedStore>,
     target_iters: u64,
     extra_comms: usize,
-) -> SimResult<TransparentOutcome> {
-    use dltrain::{JobSetup, RankTrainer};
-    let layout = cfg.layout;
-    let n = layout.world_size();
+) -> SimResult<JobOutcome> {
+    let (layout, n) = (cfg.layout, cfg.layout.world_size());
     let setup = JobSetup::build_with(layout, cost.clone(), cfg.ranks_per_node, extra_comms, None);
+    let alloc = TransparentEngine::counter_gpu_allocator(10_000, cost.clone());
     let world = setup.world.clone();
-    let per_rank = setup.per_rank.clone();
-    let engine = TransparentEngine::with_extra_comms(
-        layout,
-        world.clone(),
-        store,
-        TransparentEngine::counter_gpu_allocator(10_000, cost.clone()),
-        extra_comms,
-    );
-    let engine2 = engine.clone();
-    let clock = setup.clock.clone();
+    let engine =
+        TransparentEngine::with_extra_comms(layout, world.clone(), store, alloc, extra_comms);
+    let (per_rank, attach) = (setup.per_rank.clone(), engine.clone());
     let results = dltrain::run_ranks(n, move |i| {
-        let rank = RankId(i as u32);
         let gpu = Gpu::new(GpuId(i as u32), cost.clone());
-        let mut client = ProxyClient::new(rank, i, gpu, world.clone());
-        engine2.attach(&mut client)?;
+        let mut client = ProxyClient::new(RankId(i as u32), i, gpu, world.clone());
+        attach.attach(&mut client)?;
         let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
         let losses = tr.train(target_iters)?;
         Ok::<_, SimError>((losses, tr.exec.logged_calls()))
     });
-    let mut losses = Vec::with_capacity(n);
-    let mut logged = Vec::with_capacity(n);
-    for r in results {
-        let (l, c) = r?;
-        losses.push(l);
-        logged.push(c);
-    }
-    Ok(TransparentOutcome {
+    let ranks = results.into_iter().collect::<SimResult<Vec<_>>>()?;
+    let (losses, logged_calls) = ranks.into_iter().unzip();
+    Ok(JobOutcome {
         losses,
         rounds: engine.rounds(),
         reports: engine.reports(),
-        finish_times: (0..n).map(|i| clock.now(i)).collect(),
-        logged_calls: logged,
+        finish_times: (0..n).map(|i| setup.clock.now(i)).collect(),
+        logged_calls,
+        ..JobOutcome::default()
     })
 }
 

@@ -21,16 +21,15 @@
 //!    replica of its cell (§3.3, [`crate::checkpoint::jit_get_checkpoint_path`]),
 //!    streamed from the replica that wrote it or read from the store.
 //!
-//! [`run_user_level_job`] is that loop (submit → train → fail → JIT
-//! checkpoint → quorum → reschedule → restore → continue), used by tests,
-//! examples, and the Table 4 bench: the restart launcher
-//! ([`crate::launcher`]) with the JIT hang action and step hook.
+//! This module is the library: its configuration, its hang action and
+//! the iteration register its step hook keeps. The loop around them is
+//! [`run_job`] under [`Policy::UserLevel`].
 
 use crate::checkpoint::{self, CkptKind, ShardPlan};
-use crate::launcher::run_restart_job;
+use crate::launcher::{run_job, JobOutcome, Policy};
 use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
-use dltrain::{RankTrainer, TrainConfig};
+use dltrain::TrainConfig;
 use proxy::{DirectExecutor, Executor};
 use simcore::cost::{CostModel, StorageTier};
 use simcore::layout::{GridCoord, ParallelLayout};
@@ -150,7 +149,6 @@ pub(crate) fn save_checkpoint(
         let plan = {
             let g = gpu.lock();
             let state = g.state_view(iteration, opt_t).ok()?;
-            // jitlint::allow(guard_across_call): encoding a borrowed state takes no lock (the lock witness records no edge from here); the static set is the by-name union of same-named methods in other modules
             ShardPlan::encode(
                 job,
                 CkptKind::Jit,
@@ -176,21 +174,12 @@ pub(crate) fn save_checkpoint(
     }
 }
 
-/// Result of a complete user-level job run.
-#[derive(Debug)]
-pub struct UserLevelOutcome {
-    /// Final per-rank loss trajectories, indexed `[rank][iteration]`
-    /// (`NaN` on ranks that never see the loss).
-    pub losses: Vec<Vec<f32>>,
-    /// Number of restarts (failure recoveries) performed.
-    pub restarts: u32,
-    /// Checkpoint/restore timing events.
-    pub events: Vec<RecoveryEvent>,
-}
+/// The outcome of [`run_user_level_job`]. A benchmark shim: it goes at
+/// ROADMAP item 3 step 1, when the benchmark calls [`run_job`].
+pub type UserLevelOutcome = JobOutcome;
 
-/// A user-level JIT job: runs `target_iters` iterations to completion,
-/// recovering from every injected failure by JIT checkpoint → quorum →
-/// reschedule → restore, on the restart launcher.
+/// [`run_job`] under [`Policy::UserLevel`]. A benchmark shim: it goes at
+/// ROADMAP item 3 step 1, when the benchmark calls [`run_job`].
 pub fn run_user_level_job(
     cfg: TrainConfig,
     cost: CostModel,
@@ -198,41 +187,17 @@ pub fn run_user_level_job(
     scheduler: Arc<Scheduler>,
     store: Arc<SharedStore>,
     jit: JitUserConfig,
-    target_iters: u64,
+    iters: u64,
 ) -> SimResult<UserLevelOutcome> {
-    let layout = cfg.layout;
-    let (lib, saves_to) = (jit.clone(), store.clone());
-    let arm = move |job, _: &_, exec: &DirectExecutor| {
-        let cell = Arc::new(IterationCell::default());
-        let save = save_checkpoint(exec, &lib, job, layout, saves_to.clone(), cell.clone());
-        let note = move |tr: &mut RankTrainer<DirectExecutor>| {
-            cell.note(tr.iteration(), tr.opt_t());
-            Ok(())
-        };
-        (save, note)
-    };
-    let out = run_restart_job(
-        cfg,
-        cost,
-        injector,
-        scheduler,
-        store,
-        jit,
-        target_iters,
-        arm,
-    )?;
-    Ok(UserLevelOutcome {
-        losses: out.losses,
-        restarts: out.restarts,
-        events: out.events,
-    })
+    let policy = Policy::UserLevel { scheduler, jit };
+    run_job(cfg, cost, injector, store, iters, policy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster::Cluster;
-    use dltrain::JobSetup;
+    use dltrain::{JobSetup, RankTrainer};
     use proxy::Watchdog;
     use simcore::cost::GpuGeneration;
     use simcore::failure::{FailureKind, FailureSpec, Phase};
@@ -276,14 +241,16 @@ mod tests {
             1,
         )));
         let store = Arc::new(SharedStore::new());
-        let out = run_user_level_job(
+        let out = run_job(
             cfg,
             CostModel::v100(),
             FailureInjector::none(),
-            scheduler,
             store.clone(),
-            patient(),
             5,
+            Policy::UserLevel {
+                scheduler,
+                jit: patient(),
+            },
         )?;
         assert_eq!(out.restarts, 0);
         assert!(out.events.is_empty());
@@ -296,14 +263,16 @@ mod tests {
     /// and onto the fault-free trajectory bit for bit.
     fn recovers_without_waiting(cfg: dltrain::TrainConfig, fault: FailureSpec) -> SimResult<()> {
         let run = |faults: Vec<FailureSpec>| {
-            run_user_level_job(
+            run_job(
                 cfg.clone(),
                 CostModel::v100(),
                 FailureInjector::with_specs(faults),
-                Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
                 Arc::new(SharedStore::new()),
-                patient(),
                 6,
+                Policy::UserLevel {
+                    scheduler: Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+                    jit: patient(),
+                },
             )
         };
         let started = std::time::Instant::now();
@@ -312,7 +281,7 @@ mod tests {
         assert_eq!(faulty.restarts, 1);
         let clean = run(Vec::new())?;
         assert_eq!(clean.restarts, 0);
-        let bits = |out: &UserLevelOutcome| -> Vec<Vec<u32>> {
+        let bits = |out: &JobOutcome| -> Vec<Vec<u32>> {
             let row = |r: &Vec<f32>| r.iter().map(|l| l.to_bits()).collect();
             out.losses.iter().map(row).collect()
         };
@@ -410,14 +379,14 @@ mod tests {
             RankId(0),
             FailureKind::StickyCuda,
         )]);
-        run_user_level_job(
+        let jit = JitUserConfig::default();
+        run_job(
             cfg,
             CostModel::v100(),
             injector,
-            scheduler,
             store.clone(),
-            JitUserConfig::default(),
             5,
+            Policy::UserLevel { scheduler, jit },
         )?;
         // The healthy replica (rank 1 → dp1) wrote under its own path.
         let paths = store.list("ckpt/");

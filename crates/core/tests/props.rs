@@ -9,7 +9,7 @@ use jitckpt::analysis::{
     wasted_rate_periodic, wasted_rate_periodic_optimal, JobParams,
 };
 use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
-use jitckpt::transparent::run_transparent_job;
+use jitckpt::{run_job, Policy};
 use proptest::prelude::*;
 use simcore::cost::CostModel;
 use simcore::failure::{FailureKind, FailureSpec, Phase};
@@ -169,23 +169,11 @@ proptest! {
         prop_assume!(!(kind_idx == 0 && phase_idx != 2));
         let cfg = dltrain::TrainConfig::tiny_dp(2);
         let iters = 8;
-        let clean = run_transparent_job(
-            cfg.clone(),
-            CostModel::v100(),
-            FailureInjector::none(),
-            Arc::new(SharedStore::new()),
-            iters,
-        ).unwrap().losses;
+        let clean = run_job(cfg.clone(), CostModel::v100(), FailureInjector::none(), Arc::new(SharedStore::new()), iters, Policy::Transparent { extra_comms: 0 }).unwrap().losses;
         let injector = FailureInjector::with_specs(vec![FailureSpec::new(
             iteration, phases[phase_idx], RankId(victim), kinds[kind_idx],
         )]);
-        let out = run_transparent_job(
-            cfg,
-            CostModel::v100(),
-            injector,
-            Arc::new(SharedStore::new()),
-            iters,
-        ).unwrap();
+        let out = run_job(cfg, CostModel::v100(), injector, Arc::new(SharedStore::new()), iters, Policy::Transparent { extra_comms: 0 }).unwrap();
         prop_assert_eq!(out.rounds, 1);
         for (a, b) in clean.iter().zip(&out.losses) {
             for (x, y) in a.iter().zip(b) {

@@ -4,8 +4,9 @@
 //! of Table 1.
 
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
-use jitckpt::transparent::{run_transparent_job, Action};
-use jitckpt::user_level::{run_user_level_job, JitUserConfig};
+use jitckpt::transparent::Action;
+use jitckpt::user_level::JitUserConfig;
+use jitckpt::{run_job, Policy};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
@@ -24,12 +25,13 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn baseline_losses(cfg: &dltrain::TrainConfig, iters: u64) -> Vec<Vec<f32>> {
-    run_transparent_job(
+    run_job(
         cfg.clone(),
         CostModel::v100(),
         FailureInjector::none(),
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap()
     .losses
@@ -60,14 +62,16 @@ fn user_level_recovers_sticky_error_with_exact_losses() {
     )]);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
     let store = Arc::new(SharedStore::new());
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler,
         store,
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .unwrap();
     assert_eq!(out.restarts, 1);
@@ -92,14 +96,16 @@ fn user_level_recovers_hard_gpu_error_and_excludes_the_gpu() {
     )]);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
     let store = Arc::new(SharedStore::new());
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler.clone(),
         store,
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler: scheduler.clone(),
+            jit: JitUserConfig::default(),
+        },
     )
     .unwrap();
     assert_eq!(out.restarts, 1);
@@ -127,17 +133,19 @@ fn streamed_replica_restore_is_exact_and_reads_the_store_once() {
     for streamed in [true, false] {
         let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
         let store = Arc::new(SharedStore::new());
-        let out = run_user_level_job(
+        let out = run_job(
             cfg.clone(),
             CostModel::v100(),
             FailureInjector::with_specs(specs.clone()),
-            scheduler,
             store.clone(),
-            JitUserConfig {
-                stream_recovery: streamed,
-                ..JitUserConfig::default()
-            },
             iters,
+            Policy::UserLevel {
+                scheduler,
+                jit: JitUserConfig {
+                    stream_recovery: streamed,
+                    ..JitUserConfig::default()
+                },
+            },
         )
         .unwrap();
         assert_eq!(out.restarts, 1, "streamed={streamed}");
@@ -174,18 +182,20 @@ fn replica_dying_mid_stream_falls_back_to_the_store() {
     )]);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
     let store = Arc::new(SharedStore::new());
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler,
         store,
-        JitUserConfig {
-            stream_truncate: Some(1),
-            stream_patience: std::time::Duration::from_millis(100),
-            ..JitUserConfig::default()
-        },
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig {
+                stream_truncate: Some(1),
+                stream_patience: std::time::Duration::from_millis(100),
+                ..JitUserConfig::default()
+            },
+        },
     )
     .unwrap();
     assert_eq!(out.restarts, 1);
@@ -208,12 +218,13 @@ fn transparent_recovers_transient_network_fault() {
         RankId(0),
         FailureKind::TransientNetwork,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1, "one recovery round");
@@ -237,12 +248,13 @@ fn transparent_recovers_sticky_error_via_replica_copy() {
         RankId(1),
         FailureKind::StickyCuda,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -268,12 +280,13 @@ fn transparent_recovers_driver_corruption_via_host_roundtrip() {
         RankId(0),
         FailureKind::DriverCorruption,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -292,12 +305,13 @@ fn transparent_rolls_forward_on_optimizer_step_failure() {
         RankId(0),
         FailureKind::StickyCuda,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -318,12 +332,13 @@ fn transparent_recovers_hard_error_by_migration() {
         RankId(1),
         FailureKind::GpuHardware,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -346,7 +361,15 @@ fn transparent_hard_rounds_leave_the_store_empty() {
         FailureSpec::new(2, Phase::Backward, RankId(0), FailureKind::GpuHardware),
         FailureSpec::new(5, Phase::Forward, RankId(1), FailureKind::GpuHardware),
     ]);
-    let out = run_transparent_job(cfg, CostModel::v100(), injector, store.clone(), iters).unwrap();
+    let out = run_job(
+        cfg,
+        CostModel::v100(),
+        injector,
+        store.clone(),
+        iters,
+        Policy::Transparent { extra_comms: 0 },
+    )
+    .unwrap();
     assert_eq!(out.rounds, 2);
     assert_losses_match(&out.losses, &clean);
     assert_eq!((store.len(), store.read_count()), (0, 2));
@@ -365,12 +388,13 @@ fn transparent_3d_job_recovers_with_exact_losses() {
         RankId(5),
         FailureKind::StickyCuda,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -390,12 +414,13 @@ fn transparent_recovers_simultaneous_multi_gpu_failures() {
         FailureSpec::new(3, Phase::Backward, RankId(0), FailureKind::StickyCuda),
         FailureSpec::new(3, Phase::Backward, RankId(2), FailureKind::StickyCuda),
     ]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1, "one recovery round handles both victims");
@@ -417,12 +442,13 @@ fn transparent_recovers_node_failure_via_migration_of_all_its_ranks() {
         FailureSpec::new(3, Phase::Forward, RankId(0), FailureKind::NodeFailure),
         FailureSpec::new(3, Phase::Forward, RankId(1), FailureKind::NodeFailure),
     ]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -451,12 +477,13 @@ fn no_replica_means_no_transparent_recovery() {
         RankId(0),
         FailureKind::StickyCuda,
     )]);
-    let res = run_transparent_job(
+    let res = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         5,
+        Policy::Transparent { extra_comms: 0 },
     );
     assert!(res.is_err(), "recovery without replicas must not succeed");
 }
@@ -483,12 +510,13 @@ fn hard_error_without_a_healthy_replica_fails_at_once() {
             .map(|r| FailureSpec::new(2, Phase::Forward, r, FailureKind::GpuHardware))
             .collect();
         let t0 = Instant::now();
-        let res = run_transparent_job(
+        let res = run_job(
             cfg,
             CostModel::v100(),
             FailureInjector::with_specs(specs),
             Arc::new(SharedStore::new()),
             5,
+            Policy::Transparent { extra_comms: 0 },
         );
         let took = t0.elapsed();
         assert!(
@@ -519,14 +547,16 @@ fn torn_jit_checkpoint_falls_back_to_scratch_restart() {
     // Arm the torn write: the very next store put (the JIT payload) keeps
     // only half its bytes.
     store.fail_next_write(0.5);
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler,
         store.clone(),
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .unwrap();
     assert_eq!(out.restarts, 1);
@@ -589,14 +619,16 @@ fn catastrophic_failure_falls_back_to_periodic_checkpoint() {
         FailureSpec::new(5, Phase::Backward, RankId(1), FailureKind::GpuHardware),
     ]);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler,
         store.clone(),
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .unwrap();
     assert_eq!(out.restarts, 1);

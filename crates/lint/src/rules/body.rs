@@ -88,6 +88,9 @@ pub(crate) struct Call {
     /// method on already-locked data, not a call made while holding an
     /// unrelated lock.
     pub receiver: Option<String>,
+    /// Whether the call uses method syntax (`x.name(…)`): its callee is
+    /// a function of an `impl` or `trait` block, never a free function.
+    pub method: bool,
     /// Path qualifier (`Job` in `Job::new(…)`), when the call is
     /// `Type::method(…)`. Lets the resolver restrict candidates to
     /// `impl Type` instead of unioning every same-named function.
@@ -347,6 +350,7 @@ impl Body {
             if before.ends_with("fn") {
                 continue;
             }
+            let method = before.ends_with('.');
             let receiver = before.strip_suffix('.').and_then(receiver_field);
             let qualifier = before
                 .strip_suffix("::")
@@ -360,6 +364,7 @@ impl Body {
                 line: self.line_of(start),
                 name,
                 receiver,
+                method,
                 qualifier,
                 chained_on_lock,
             });

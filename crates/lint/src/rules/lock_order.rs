@@ -160,6 +160,7 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
     struct CallFact {
         callee: String,
         receiver: Option<String>,
+        method: bool,
         qualifier: Option<String>,
         line: usize,
         /// Guards live across the call: (node, binding name).
@@ -247,6 +248,7 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
                 calls.push(CallFact {
                     callee: call.name.clone(),
                     receiver: call.receiver.clone(),
+                    method: call.method,
                     qualifier: call.qualifier.clone(),
                     line: call.line,
                     live,
@@ -266,19 +268,20 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
 
     // Name resolution: every same-named function (dyn dispatch unions
     // all impls), except `Type::method(…)` calls, which only match
-    // functions inside `impl Type`.
+    // functions inside `impl Type`, and `x.method(…)` calls, which only
+    // match functions inside an `impl` or `trait` block.
     let resolve = |call: &CallFact| -> Vec<usize> {
         by_name
             .get(&call.callee)
             .into_iter()
             .flatten()
             .copied()
-            .filter(|&j| match &call.qualifier {
-                Some(q) => {
-                    let span = &files[facts[j].file_idx].functions[facts[j].span_idx];
-                    span.impl_type.as_deref() == Some(q.as_str())
+            .filter(|&j| {
+                let span = &files[facts[j].file_idx].functions[facts[j].span_idx];
+                match &call.qualifier {
+                    Some(q) => span.impl_type.as_deref() == Some(q.as_str()),
+                    None => !call.method || span.method,
                 }
-                None => true,
             })
             .collect()
     };
@@ -595,6 +598,29 @@ mod tests {
             findings.iter().any(|f| f.rule == RULE),
             "expected interprocedural cycle, got: {findings:?}"
         );
+        assert!(
+            findings.iter().any(|f| f.rule == ACROSS_CALL),
+            "expected guard_across_call, got: {findings:?}"
+        );
+    }
+
+    #[test]
+    fn a_trait_default_body_is_a_method_call_candidate() {
+        // Method syntax resolves only to `impl` and `trait` functions; a
+        // trait's default body is one, so the guard held across
+        // `exec.all_reduce_bucket()` is ordered before the lock it takes.
+        let f1 = file(
+            "core",
+            "a",
+            "impl A {\n    fn outer(&self) {\n        let g = self.x.lock();\n        self.exec.all_reduce_bucket(g);\n    }\n}\n",
+        );
+        let f2 = file(
+            "proxy",
+            "executor",
+            "pub trait Executor {\n    fn all_reduce_bucket(&mut self, g: G) {\n        let h = self.y.lock();\n    }\n}\n",
+        );
+        let mut findings = Vec::new();
+        check(&[f1, f2], &mut findings);
         assert!(
             findings.iter().any(|f| f.rule == ACROSS_CALL),
             "expected guard_across_call, got: {findings:?}"

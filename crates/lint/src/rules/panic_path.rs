@@ -28,6 +28,7 @@ pub(crate) const RECOVERY_CRITICAL: &[(&str, &str)] = &[
     ("core", "stream"),
     ("core", "user_level"),
     ("core", "launcher"),
+    ("core", "periodic"),
     ("core", "transparent"),
     ("proxy", "*"),
     ("cluster", "store"),

@@ -73,6 +73,9 @@ pub(crate) struct Allow {
 pub(crate) struct FnSpan {
     /// Enclosing inherent/trait-impl type name, if inside an `impl` block.
     pub impl_type: Option<String>,
+    /// Whether the function sits in an `impl` or `trait` block (a trait's
+    /// default body included), so method syntax can call it.
+    pub method: bool,
     /// Function name.
     pub name: String,
     /// Line containing the `fn` keyword (start of the signature).
@@ -464,35 +467,41 @@ fn find_allows(comments: &[String], masked: &[String]) -> (Vec<Allow>, Vec<(usiz
 }
 
 /// Locates function bodies and their enclosing `impl` type, by tracking
-/// brace depth over the masked source.
+/// brace depth over the masked source. `trait` blocks are tracked too,
+/// with no type: their default bodies are methods.
 fn find_functions(masked: &[String]) -> Vec<FnSpan> {
     let mut out = Vec::new();
     let mut depth: i64 = 0;
-    // Stack of (depth_at_open, Option<impl_type>) for impl blocks.
-    let mut impl_stack: Vec<(i64, String)> = Vec::new();
-    // Pending fn awaiting its opening brace: (impl_type, name, sig_line).
-    let mut pending_fn: Option<(Option<String>, String, usize)> = None;
+    // Stack of (depth_at_open, impl type) for impl and trait blocks; a
+    // trait block has no type.
+    let mut impl_stack: Vec<(i64, Option<String>)> = Vec::new();
+    // Pending fn awaiting its opening brace: (block entry, name, sig_line).
+    type Pending = (Option<Option<String>>, String, usize);
+    let mut pending_fn: Option<Pending> = None;
     // Open fn bodies: (close_depth, index into out).
     let mut fn_stack: Vec<(i64, usize)> = Vec::new();
-    // Pending impl type awaiting `{`.
-    let mut pending_impl: Option<String> = None;
+    // Pending impl type (or trait) awaiting `{`.
+    let mut pending_impl: Option<Option<String>> = None;
 
     for (idx, line) in masked.iter().enumerate() {
         let line_no = idx + 1;
         if let Some(ty) = parse_impl_type(line) {
-            pending_impl = Some(ty);
+            pending_impl = Some(Some(ty));
+        } else if is_trait_header(line) {
+            pending_impl = Some(None);
         }
         if let Some(name) = parse_fn_name(line) {
-            let impl_ty = impl_stack.last().map(|(_, t)| t.clone());
-            pending_fn = Some((impl_ty, name, line_no));
+            let block = impl_stack.last().map(|(_, t)| t.clone());
+            pending_fn = Some((block, name, line_no));
         }
         for c in line.chars() {
             match c {
                 '{' => {
                     depth += 1;
-                    if let Some((impl_ty, name, sig_line)) = pending_fn.take() {
+                    if let Some((block, name, sig_line)) = pending_fn.take() {
                         out.push(FnSpan {
-                            impl_type: impl_ty,
+                            method: block.is_some(),
+                            impl_type: block.flatten(),
                             name,
                             sig_start: sig_line,
                             body_start: line_no,
@@ -526,6 +535,19 @@ fn find_functions(masked: &[String]) -> Vec<FnSpan> {
         }
     }
     out
+}
+
+/// Whether the line opens a trait: `[pub[(…)]] [unsafe] trait Name`.
+fn is_trait_header(masked_line: &str) -> bool {
+    let mut words = masked_line.split_whitespace();
+    let mut word = words.next().unwrap_or("");
+    if word == "pub" || word.starts_with("pub(") {
+        word = words.next().unwrap_or("");
+    }
+    if word == "unsafe" {
+        word = words.next().unwrap_or("");
+    }
+    word == "trait"
 }
 
 /// Parses `impl [<…>] [Trait for] Type …` returning the Type name.
@@ -711,19 +733,26 @@ fn free() {
 impl Drop for Guard {
     fn drop(&mut self) {}
 }
+pub(crate) trait Executor {
+    fn call(&mut self);
+    fn all_reduce_bucket(&mut self) {
+        self.call();
+    }
+}
 ";
         let f = sf(text);
         let names: Vec<_> = f
             .functions
             .iter()
-            .map(|s| (s.impl_type.clone(), s.name.clone()))
+            .map(|s| (s.impl_type.clone(), s.name.clone(), s.method))
             .collect();
         assert_eq!(
             names,
             vec![
-                (Some("Watchdog".into()), "arm".into()),
-                (None, "free".into()),
-                (Some("Guard".into()), "drop".into()),
+                (Some("Watchdog".into()), "arm".into(), true),
+                (None, "free".into(), false),
+                (Some("Guard".into()), "drop".into(), true),
+                (None, "all_reduce_bucket".into(), true),
             ]
         );
         assert_eq!(f.functions[0].body_start, 2);

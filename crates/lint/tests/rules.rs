@@ -163,6 +163,14 @@ fn guard_across_call_flags_cross_module_holds() {
 }
 
 #[test]
+fn a_method_call_never_resolves_to_a_free_function() {
+    // `client.rank()` under a guard, and a free locking `fn rank` in a
+    // test file: the free function is no candidate for a method call.
+    let findings = fixture("method_resolution");
+    assert!(findings.is_empty(), "found: {findings:#?}");
+}
+
+#[test]
 fn unused_allow_flags_stale_suppressions() {
     let findings = fixture("unused_allow");
     let lines = rule_lines(&findings, "unused_allow", "checkpoint.rs");

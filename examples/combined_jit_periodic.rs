@@ -1,20 +1,22 @@
 //! JIT + low-frequency periodic checkpointing combined (§6.3): both
 //! mechanisms share the same file format, so recovery simply takes the
-//! newest complete checkpoint of either kind.
+//! newest complete checkpoint of either kind. Both passes call
+//! `jitckpt::run_job`, under `Policy::Periodic` and `Policy::UserLevel`.
 //!
 //! ```sh
 //! cargo run --example combined_jit_periodic
 //! ```
 
-use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
-use jitckpt::checkpoint;
-use jitckpt::user_level::{run_user_level_job, JitUserConfig};
+use jitckpt::checkpoint::{self, ShardConfig};
+use jitckpt::user_level::JitUserConfig;
+use jitckpt::{run_job, Policy, PolicyKind};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
 use simcore::{JobId, RankId, SimTime};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn main() {
     let cfg = dltrain::TrainConfig::tiny_dp(2);
@@ -29,14 +31,13 @@ fn main() {
         FailureKind::StickyCuda,
     )]);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
-    let out = run_periodic_job(
+    let out = run_job(
         cfg.clone(),
         CostModel::v100(),
         injector,
-        scheduler,
         Arc::new(SharedStore::new()),
-        PeriodicConfig::every(PolicyKind::PcDisk, 4),
         iters,
+        periodic(scheduler, PolicyKind::PcDisk, 4),
     )
     .expect("periodic run");
     println!("periodic-only: failure at iter 10, checkpoints every 4 iters");
@@ -51,14 +52,17 @@ fn main() {
     // finds those checkpoints, starts from the newest, and when the
     // failure hits restores from its own JIT checkpoint, the newer kind.
     let store = Arc::new(SharedStore::new());
-    run_periodic_job(
+    run_job(
         cfg.clone(),
         CostModel::v100(),
         FailureInjector::none(),
-        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
         store.clone(),
-        PeriodicConfig::every(PolicyKind::PcDaily, 4),
         8,
+        periodic(
+            Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+            PolicyKind::PcDaily,
+            4,
+        ),
     )
     .expect("seeding run");
     println!("JIT after a PC_1/day run of 8 iterations, same failure at iter 10:");
@@ -71,14 +75,16 @@ fn main() {
         RankId(1),
         FailureKind::StickyCuda,
     )]);
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler,
         store.clone(),
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .expect("combined run");
     for e in out.events.iter().filter(|e| e.restore_time > SimTime::ZERO) {
@@ -91,6 +97,18 @@ fn main() {
         "  → restarts: {}, redone work: at most one minibatch",
         out.restarts
     );
+}
+
+/// Periodic checkpointing of `kind` every `every_iters` iterations, with
+/// the monitor's default timeout and shard layout.
+fn periodic(scheduler: Arc<Scheduler>, kind: PolicyKind, every_iters: u64) -> Policy {
+    Policy::Periodic {
+        scheduler,
+        kind,
+        every_iters,
+        monitor_timeout: Duration::from_millis(1500),
+        shards: ShardConfig::default(),
+    }
 }
 
 /// Prints the checkpoint each cell restores from at a (re)start: the

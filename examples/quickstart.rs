@@ -1,13 +1,14 @@
 //! Quickstart: train a small data-parallel job under transparent JIT
 //! checkpointing, inject a failure, and watch training finish as if
-//! nothing happened.
+//! nothing happened. The job runs through the one entry point,
+//! `jitckpt::run_job`, under `Policy::Transparent`.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
 use cluster::{FailureInjector, SharedStore};
-use jitckpt::transparent::run_transparent_job;
+use jitckpt::{run_job, Policy};
 use simcore::cost::CostModel;
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::RankId;
@@ -31,12 +32,13 @@ fn main() {
     println!("Training 4-rank DP job for {iters} iterations;");
     println!("a sticky CUDA error will hit rank 2 at iteration 5...\n");
 
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .expect("job must survive the failure");
 

@@ -1,13 +1,14 @@
 //! Transparent recovery across every error class of Table 1, on a 3D
 //! (data × pipeline × tensor) parallel job, with the Table-7-style step
-//! breakdown printed for each recovery.
+//! breakdown printed for each recovery. Each job is `jitckpt::run_job`
+//! under `Policy::Transparent`; its `JobOutcome` carries the reports.
 //!
 //! ```sh
 //! cargo run --example transparent_recovery
 //! ```
 
 use cluster::{FailureInjector, SharedStore};
-use jitckpt::transparent::run_transparent_job;
+use jitckpt::{run_job, Policy};
 use simcore::cost::CostModel;
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
@@ -48,12 +49,13 @@ fn main() {
         let injector =
             FailureInjector::with_specs(vec![FailureSpec::new(3, phase, RankId(5), kind)]);
         println!("== {label} ==");
-        let out = run_transparent_job(
+        let out = run_job(
             cfg,
             CostModel::v100(),
             injector,
             Arc::new(SharedStore::new()),
             7,
+            Policy::Transparent { extra_comms: 0 },
         )
         .expect("recovery");
         let victim = out

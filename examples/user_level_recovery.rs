@@ -1,14 +1,16 @@
 //! User-level JIT checkpointing end to end (§3 of the paper):
 //! hang detection by watchdog → checkpoint from the healthy replicas →
 //! scheduler quorum → kill + reschedule excluding the failed GPU →
-//! restore from any replica's checkpoint.
+//! restore from any replica's checkpoint. The job is `jitckpt::run_job`
+//! under `Policy::UserLevel`, with the scheduler the policy restarts on.
 //!
 //! ```sh
 //! cargo run --example user_level_recovery
 //! ```
 
 use cluster::{Cluster, FailureInjector, Scheduler, SharedStore};
-use jitckpt::user_level::{run_user_level_job, JitUserConfig};
+use jitckpt::user_level::JitUserConfig;
+use jitckpt::{run_job, Policy};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::RankId;
@@ -32,14 +34,16 @@ fn main() {
     println!("The healthy replica JIT-checkpoints; the scheduler waits for");
     println!("quorum, kills the job, and reschedules on fresh GPUs.\n");
 
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
-        scheduler.clone(),
         store.clone(),
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler: scheduler.clone(),
+            jit: JitUserConfig::default(),
+        },
     )
     .expect("user-level recovery");
 

@@ -33,6 +33,10 @@ cargo test --release -p jitckpt --lib --quiet a_missing_or_bad_frame_leaves_the_
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
+# One job under each policy of the one entry point (`run_job`), against its
+# fault-free twin: the same loss bits, and every outcome field as the
+# policy has it.
+cargo test --release --test cross_crate --quiet one_fault_under_every_policy
 # The periodic baseline writes once per cell, from its dp-0 replica, at DP = 2
 # and 2D-2P-2T, with every clock where it was; a received stream leaves no
 # frame in the world's byte inbox.
@@ -93,6 +97,9 @@ echo '==> jitlint --witness (runtime edges vs static lock graph)'
 cargo run -p lint --quiet -- --witness target/lock_witness.txt
 
 echo '==> incident benchmark smoke (stand-alone package builds against the crates; bit-identity gates)'
+# The benchmark's lock file must already hold every dependency of the path
+# crates: benchmark/run.sh builds without --locked and would rewrite it.
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml > /dev/null
 bash benchmark/run.sh --smoke > target/incident_bench.smoke.txt \
     || { grep -v METRIC target/incident_bench.smoke.txt | tail -n 20 >&2
          echo 'check.sh: benchmark/run.sh --smoke failed (see target/incident_bench.smoke.txt)' >&2; exit 1; }

@@ -7,13 +7,13 @@ use collectives::{
     CollEngine, CollKind, CommWorld, Communicator, NullObserver, ReduceOp, RingConfig, SplitKey,
 };
 use jit_checkpoint_repro::*;
-use jitckpt::transparent::run_transparent_job;
-use jitckpt::user_level::{run_user_level_job, JitUserConfig};
+use jitckpt::checkpoint::ShardConfig;
+use jitckpt::{run_job, JitUserConfig, JobOutcome, Policy, PolicyKind};
 use simcore::cost::{CostModel, GpuGeneration};
 use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
 use simcore::time::ClockBoard;
-use simcore::RankId;
+use simcore::{RankId, SimTime};
 use std::sync::{Arc, Mutex};
 
 static SEQ: Mutex<()> = Mutex::new(());
@@ -23,15 +23,28 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn clean_run(cfg: &dltrain::TrainConfig, iters: u64) -> Vec<Vec<f32>> {
-    run_transparent_job(
+    run_job(
         cfg.clone(),
         CostModel::v100(),
         FailureInjector::none(),
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap()
     .losses
+}
+
+/// Periodic checkpointing of `kind` every `every_iters` iterations, with
+/// the monitor's default timeout and shard layout.
+fn periodic(scheduler: Arc<Scheduler>, kind: PolicyKind, every_iters: u64) -> Policy {
+    Policy::Periodic {
+        scheduler,
+        kind,
+        every_iters,
+        monitor_timeout: std::time::Duration::from_millis(1500),
+        shards: ShardConfig::default(),
+    }
 }
 
 fn assert_losses_match(a: &[Vec<f32>], b: &[Vec<f32>]) {
@@ -60,12 +73,13 @@ fn multiple_sequential_failures_all_recover_transparently() {
         FailureSpec::new(6, Phase::Backward, RankId(3), FailureKind::StickyCuda),
         FailureSpec::new(10, Phase::Forward, RankId(1), FailureKind::GpuHardware),
     ]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 3, "three independent recoveries");
@@ -87,12 +101,13 @@ fn fsdp_hybrid_shard_job_recovers_transparently() {
         RankId(3),
         FailureKind::StickyCuda,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -114,12 +129,13 @@ fn pipeline_job_survives_mid_stage_failure() {
         RankId(0),
         FailureKind::StickyCuda,
     )]);
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         injector,
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1);
@@ -142,23 +158,26 @@ fn user_level_and_transparent_agree_on_final_state() {
             FailureKind::StickyCuda,
         )])
     };
-    let transparent = run_transparent_job(
+    let transparent = run_job(
         cfg.clone(),
         CostModel::v100(),
         mk_injector(),
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
-    let user = run_user_level_job(
+    let user = run_job(
         cfg,
         CostModel::v100(),
         mk_injector(),
-        scheduler,
         Arc::new(SharedStore::new()),
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .unwrap();
     assert_losses_match(&transparent.losses, &clean);
@@ -168,7 +187,6 @@ fn user_level_and_transparent_agree_on_final_state() {
 #[test]
 fn periodic_baseline_wastes_more_work_than_jit() {
     let _g = serial();
-    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
     let cfg = dltrain::TrainConfig::tiny_dp(2);
     let iters = 12;
     let mk_injector = || {
@@ -181,25 +199,25 @@ fn periodic_baseline_wastes_more_work_than_jit() {
     };
     // Periodic: checkpoint every 4 → failure at 9 redoes ≥1 iteration.
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
-    let pc = run_periodic_job(
+    let pc = run_job(
         cfg.clone(),
         CostModel::v100(),
         mk_injector(),
-        scheduler,
         Arc::new(SharedStore::new()),
-        PeriodicConfig::every(PolicyKind::PcMem, 4),
         iters,
+        periodic(scheduler, PolicyKind::PcMem, 4),
     )
     .unwrap();
     assert!(pc.wasted_iterations >= 1);
     // Transparent JIT on the same failure redoes at most the current
     // minibatch (zero whole iterations).
-    let jit = run_transparent_job(
+    let jit = run_job(
         cfg,
         CostModel::v100(),
         mk_injector(),
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(jit.rounds, 1);
@@ -208,9 +226,65 @@ fn periodic_baseline_wastes_more_work_than_jit() {
 }
 
 #[test]
+fn one_fault_under_every_policy() {
+    let _g = serial();
+    // One job, one sticky CUDA error at iteration 9 on rank 1, run under
+    // each policy against one fault-free twin: every outcome ends on the
+    // twin's loss bits, and each field reads what its policy did.
+    let cfg = dltrain::TrainConfig::tiny_dp(2);
+    let iters = 12;
+    let twin = loss_bits(&clean_run(&cfg, iters));
+    let scheduler = || Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
+    let run = |policy: Policy| {
+        let fault = FailureSpec::new(9, Phase::Backward, RankId(1), FailureKind::StickyCuda);
+        let store = Arc::new(SharedStore::new());
+        let injector = FailureInjector::with_specs(vec![fault]);
+        let out = run_job(
+            cfg.clone(),
+            CostModel::v100(),
+            injector,
+            store,
+            iters,
+            policy,
+        )
+        .unwrap();
+        assert_eq!(loss_bits(&out.losses), twin);
+        out
+    };
+    let transparent = run(Policy::Transparent { extra_comms: 0 });
+    let user = run(Policy::UserLevel {
+        scheduler: scheduler(),
+        jit: JitUserConfig::default(),
+    });
+    let periodic = run(periodic(scheduler(), PolicyKind::PcMem, 4));
+    // Transparent: one round, nothing restarted, re-executed or written.
+    let t = &transparent;
+    let counts = (
+        t.restarts,
+        t.rounds,
+        t.wasted_iterations,
+        t.checkpoints_written,
+    );
+    assert_eq!(counts, (0, 1, 0, 0));
+    // User-level: one restart, no round, and a write counted for every
+    // checkpoint event.
+    assert_eq!((user.restarts, user.rounds), (1, 0));
+    let writes = user
+        .events
+        .iter()
+        .filter(|e| e.checkpoint_time > SimTime::ZERO);
+    assert!(user.checkpoints_written > 0);
+    assert_eq!(user.checkpoints_written, writes.count() as u64);
+    // Periodic: one restart from the checkpoint at 8, redoing work, and
+    // no device call logged for replay.
+    assert_eq!(periodic.restarts, 1);
+    assert!(periodic.wasted_iterations >= 1);
+    assert!(periodic.logged_calls.iter().all(|&c| c == 0));
+}
+
+#[test]
 fn multi_generation_restore_reads_one_generation_and_falls_back_one() {
     let _g = serial();
-    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
     use jitckpt::checkpoint::{self, CkptKind};
     use jitckpt::restore::{load_for_rank_parallel, RestoreConfig};
     // A periodic job that checkpoints every 2 of 12 iterations and
@@ -220,7 +294,7 @@ fn multi_generation_restore_reads_one_generation_and_falls_back_one() {
     let layout = cfg.layout;
     let iters = 12;
     let store = Arc::new(SharedStore::new());
-    let out = run_periodic_job(
+    let out = run_job(
         cfg.clone(),
         CostModel::v100(),
         FailureInjector::with_specs(vec![FailureSpec::new(
@@ -229,10 +303,13 @@ fn multi_generation_restore_reads_one_generation_and_falls_back_one() {
             RankId(1),
             FailureKind::StickyCuda,
         )]),
-        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
         store.clone(),
-        PeriodicConfig::every(PolicyKind::PcMem, 2),
         iters,
+        periodic(
+            Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+            PolicyKind::PcMem,
+            2,
+        ),
     )
     .unwrap();
     assert_eq!(out.restarts, 1);
@@ -347,14 +424,16 @@ fn poisson_failure_trace_drives_user_level_recovery() {
         .collect();
     let clean = clean_run(&cfg, iters);
     let scheduler = Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2)));
-    let out = run_user_level_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         FailureInjector::with_specs(specs),
-        scheduler,
         Arc::new(SharedStore::new()),
-        JitUserConfig::default(),
         iters,
+        Policy::UserLevel {
+            scheduler,
+            jit: JitUserConfig::default(),
+        },
     )
     .unwrap();
     assert_eq!(out.restarts, 2);
@@ -732,14 +811,16 @@ fn bits(t: simcore::SimTime) -> u64 {
 
 fn user_level_pin(jit: JitUserConfig) -> UserPin {
     let store = Arc::new(SharedStore::new());
-    let out = run_user_level_job(
+    let out = run_job(
         dltrain::TrainConfig::tiny_dp(2),
         CostModel::v100(),
         restart_faults(),
-        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
         store.clone(),
-        jit,
         8,
+        Policy::UserLevel {
+            scheduler: Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+            jit,
+        },
     )
     .unwrap();
     assert_eq!(loss_bits(&out.losses), GOLDEN_DP2, "recovery moved a loss");
@@ -778,16 +859,18 @@ fn restart_runners_are_pinned() {
         stream_truncate: Some(1),
         ..jit
     });
-    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
     let store = Arc::new(SharedStore::new());
-    let pc = run_periodic_job(
+    let pc = run_job(
         dltrain::TrainConfig::tiny_dp(2),
         CostModel::v100(),
         restart_faults(),
-        Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
         store.clone(),
-        PeriodicConfig::every(PolicyKind::PcMem, 2),
         8,
+        periodic(
+            Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+            PolicyKind::PcMem,
+            2,
+        ),
     )
     .unwrap();
     assert_eq!(loss_bits(&pc.losses), GOLDEN_DP2, "recovery moved a loss");
@@ -867,7 +950,6 @@ const PERIODIC_FINISH_GRID: [&[u64]; 2] = [
 #[test]
 fn periodic_checkpoints_are_written_once_per_cell() {
     let _g = serial();
-    use baselines::{run_periodic_job, PeriodicConfig, PolicyKind};
     use jitckpt::checkpoint::{self, CkptKind};
     // Every 2 of 6 iterations, fault-free and with a hardware failure on
     // rank 0, a dp-0 writer, one iteration past the checkpoint at 4.
@@ -884,14 +966,17 @@ fn periodic_checkpoints_are_written_once_per_cell() {
         let cells = cfg.layout.cells();
         let run = |faults: Vec<FailureSpec>| {
             let store = Arc::new(SharedStore::new());
-            let out = run_periodic_job(
+            let out = run_job(
                 cfg.clone(),
                 CostModel::v100(),
                 FailureInjector::with_specs(faults),
-                Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
                 store.clone(),
-                PeriodicConfig::every(PolicyKind::PcMem, 2),
                 iters,
+                periodic(
+                    Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+                    PolicyKind::PcMem,
+                    2,
+                ),
             )
             .unwrap_or_else(|e| panic!("{label}: {e}"));
             (out, store)
@@ -931,9 +1016,8 @@ fn periodic_checkpoints_are_written_once_per_cell() {
         }
         // Every replica is charged the stall its dp-0 replica wrote for:
         // the clocks end where they did when every replica wrote.
-        let finish = |out: &baselines::PeriodicOutcome| -> Vec<u64> {
-            out.finish_times.iter().map(|&t| bits(t)).collect()
-        };
+        let finish =
+            |out: &JobOutcome| -> Vec<u64> { out.finish_times.iter().map(|&t| bits(t)).collect() };
         assert_eq!(finish(&twin), pinned[0], "{label}: fault-free");
         assert_eq!(finish(&hit), pinned[1], "{label}: faulted");
     }
@@ -943,12 +1027,13 @@ fn periodic_checkpoints_are_written_once_per_cell() {
 /// `kind` armed in `phase` of iteration 3 on rank 1. Recovery moves no
 /// loss.
 fn transparent_reports(kind: FailureKind, phase: Phase) -> Vec<jitckpt::RecoveryReport> {
-    let out = run_transparent_job(
+    let out = run_job(
         dltrain::TrainConfig::tiny_dp(2),
         CostModel::v100(),
         FailureInjector::with_specs(vec![FailureSpec::new(3, phase, RankId(1), kind)]),
         Arc::new(SharedStore::new()),
         8,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 1, "{kind:?} in {phase:?}");
@@ -1039,12 +1124,13 @@ fn five_replica_sync_rounds_are_pinned() {
             FailureSpec::new(2 + 2 * i, phase, RankId(1 - (i % 2) as u32), StickyCuda)
         })
         .collect();
-    let out = run_transparent_job(
+    let out = run_job(
         cfg,
         CostModel::v100(),
         FailureInjector::with_specs(faults),
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap();
     assert_eq!(out.rounds, 5);
@@ -1154,12 +1240,13 @@ fn assert_recovers(
     faults: &[FailureSpec],
 ) {
     let row = format!("{} {faults:?}", cfg.layout.label());
-    let out = run_transparent_job(
+    let out = run_job(
         cfg.clone(),
         CostModel::v100(),
         FailureInjector::with_specs(faults.to_vec()),
         Arc::new(SharedStore::new()),
         iters,
+        Policy::Transparent { extra_comms: 0 },
     )
     .unwrap_or_else(|e| panic!("{row}: {e}"));
     assert_eq!(out.rounds, faults.len() as u64, "{row}");
