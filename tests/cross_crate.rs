@@ -1298,6 +1298,26 @@ fn every_decide_row_recovers_bit_for_bit() {
 }
 
 #[test]
+fn a_round_after_some_ranks_finished_training_recovers_bit_for_bit() {
+    let _g = serial();
+    // A transient network error late in a short 2D-2P-2T job: when the
+    // round opens, the ranks of other cells may already have trained
+    // their last minibatch. Every victim, in both late phases, takes one
+    // round and keeps the fault-free twin's loss bits.
+    use Phase::*;
+    let iters = 4;
+    let mut grid = dltrain::TrainConfig::tiny_dp(1);
+    grid.layout = ParallelLayout::three_d(2, 2, 2);
+    let twin = loss_bits(&clean_run(&grid, iters));
+    for phase in [OptimizerStep, BetweenIterations] {
+        for victim in 0..8 {
+            let fault = FailureSpec::new(2, phase, RankId(victim), FailureKind::TransientNetwork);
+            assert_recovers(&grid, iters, &twin, &[fault]);
+        }
+    }
+}
+
+#[test]
 fn live_worker_image_is_pinned() {
     let _g = serial();
     // The image a replacement node restores (§4.3), taken from a live
