@@ -238,7 +238,7 @@ impl GradLedger {
 /// The ring shard convention: `len` elements over `n` members, `base =
 /// len / n` each with the remainder distributed to the first `len % n`
 /// members (the chunked ring's reduce-scatter ownership map).
-pub fn shard_range(len: usize, n: usize, s: usize) -> Range<usize> {
+pub(crate) fn shard_range(len: usize, n: usize, s: usize) -> Range<usize> {
     debug_assert!(s < n);
     let base = len / n;
     let rem = len % n;

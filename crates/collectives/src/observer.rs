@@ -10,8 +10,11 @@
 //! simulation can sometimes tell more: when the rank a wait needs has
 //! departed, or is itself parked on such a wait, the waiter reports its
 //! ticket *hung* the moment that is known, and the watchdog need not wait
-//! for the clock. Real time remains the backstop for every hang that
-//! cannot be proven.
+//! for the clock. For the user-level watchdog (`proxy::Watchdog`) real
+//! time remains the backstop for every hang that cannot be proven. The
+//! transparent engine observes with no timer at all: there every failure
+//! is an error on the victim's own call, which aborts the world, and a
+//! proven hang aborts it too.
 
 use crate::comm::CollKind;
 use crate::world::CommId;

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Communicator handle. `CommId(u64::MAX)` is the pseudo-communicator a
 /// blocking receive announces itself under (see [`CommWorld::recv`]).
@@ -52,7 +52,7 @@ struct Message {
 }
 
 /// A CRC-framed shard in flight on the recovery-stream path, held until
-/// its receiver takes it ([`CommWorld::try_recv_bytes`]).
+/// its receiver takes it ([`CommWorld::recv_bytes`]).
 struct ByteMessage {
     frame: Bytes,
     available_at: SimTime,
@@ -64,7 +64,8 @@ struct MailState {
     /// Each rank's commit floor, by clock slot: the minibatch iteration
     /// it last began ([`CommWorld::commit`]). Zero until it commits.
     floors: Vec<u64>,
-    /// Threads currently parked in [`CommWorld::recv`].
+    /// Threads currently parked in a mailbox wait ([`CommWorld::recv`],
+    /// [`CommWorld::recv_bytes`]).
     waiters: usize,
 }
 
@@ -313,19 +314,7 @@ impl CommWorld {
         seq: u64,
         obs: &dyn CollectiveObserver,
     ) -> SimResult<Vec<f32>> {
-        let (data, available_at) = self.await_mail((src, dst, tag, seq), obs)?;
-        self.clock.raise_to(dst_clock_idx, available_at);
-        Ok(data)
-    }
-
-    /// The wait of [`CommWorld::recv`]: parks until a message is under
-    /// `key`, and returns a copy of it with its availability time.
-    fn await_mail(
-        &self,
-        key: MailKey,
-        obs: &dyn CollectiveObserver,
-    ) -> SimResult<(Vec<f32>, SimTime)> {
-        let (src, dst, _, seq) = key;
+        let key = (src, dst, tag, seq);
         let ticket = CollectiveTicket {
             comm: CommId(u64::MAX),
             generation: seq,
@@ -334,39 +323,76 @@ impl CommWorld {
             entered_at: Instant::now(),
         };
         obs.collective_started(&ticket);
+        let hung = || obs.collective_hung(&ticket);
+        let got = self.await_mail(src, dst, Some(&hung), None, |mail| {
+            mail.inbox
+                .get(&key)
+                .map(|m| (m.data.clone(), m.available_at))
+        });
+        obs.collective_finished(&ticket);
+        let (data, available_at) = got?;
+        self.clock.raise_to(dst_clock_idx, available_at);
+        Ok(data)
+    }
+
+    /// The one mailbox wait: parks on the mailbox condvar until `take`
+    /// finds what `dst` waits for from `src`, with its availability time.
+    /// Delivery wins over abort, abort over a proof that `src` is gone
+    /// (departed, or stuck in a provably hung wait; see the collective
+    /// wait loop). On that proof `hung` is told once and the wait stays
+    /// parked until the abort; without `hung` it fails at once. `patience`
+    /// is the last resort. Either failure is
+    /// [`SimError::CollectiveTimeout`] naming `src`.
+    fn await_mail<T>(
+        &self,
+        src: RankId,
+        dst: RankId,
+        hung: Option<&dyn Fn()>,
+        patience: Option<Duration>,
+        mut take: impl FnMut(&mut MailState) -> Option<(T, SimTime)>,
+    ) -> SimResult<(T, SimTime)> {
+        let deadline = patience.map(|p| Instant::now() + p);
+        let timeout = Err(SimError::CollectiveTimeout { rank: src });
         let mut mail = self.mail.lock();
         // As in the collective wait: held while this receive is proven
         // hung, so that ranks waiting on the receiver are proven in turn.
         let mut stuck = None;
-        let result = loop {
-            // Delivery wins over abort, abort over a proof of the hang
-            // (see the collective wait loop).
-            if let Some(msg) = mail.inbox.get(&key) {
-                break Ok((msg.data.clone(), msg.available_at));
+        loop {
+            if let Some(got) = take(&mut mail) {
+                return Ok(got);
             }
             if self.is_aborted() {
-                break Err(SimError::CollectiveAborted);
+                return Err(SimError::CollectiveAborted);
             }
             // jitlint::allow(guard_across_call): the table's lock is a leaf, and reading it under `mail` is what orders this check against the marker's wake-up
             if stuck.is_some() || !self.liveness.any_gone(std::iter::once(src)) {
+                let now = Instant::now();
+                if deadline.is_some_and(|d| now >= d) {
+                    return timeout;
+                }
                 // Notify-driven: send, abort and a rank going all notify
                 // under `mail`.
                 mail.waiters += 1;
                 self.mail_cv.notify_all(); // Wake `wait_for_mail_waiters` observers.
-                self.mail_cv.wait(&mut mail);
+                match deadline {
+                    Some(d) => {
+                        self.mail_cv.wait_for(&mut mail, d - now);
+                    }
+                    None => self.mail_cv.wait(&mut mail),
+                }
                 mail.waiters -= 1;
                 continue;
             }
+            let Some(hung) = hung else {
+                return timeout;
+            };
             // The sender will never send: say so once with no lock held,
             // stay in the receive, and look again.
             drop(mail);
             stuck = Some(self.liveness.stuck(dst));
-            obs.collective_hung(&ticket);
+            hung();
             mail = self.mail.lock();
-        };
-        drop(mail);
-        obs.collective_finished(&ticket);
-        result
+        }
     }
 
     /// Non-blocking send of a CRC-framed byte shard (the pipelined
@@ -403,11 +429,35 @@ impl CommWorld {
         Ok(())
     }
 
-    /// Non-blocking receive of a byte shard: `Ok(Some)` if available,
-    /// taking it out of the inbox, `Ok(None)` if not yet sent, `Err` if
-    /// the world is aborted. The recovery stream uses this to detect a
-    /// dead replica without committing to a blocking wait; a frame is
-    /// received once, so a finished stream leaves nothing behind.
+    /// Blocking receive of a byte shard, taken out of the inbox: a frame
+    /// is received once, so a finished stream leaves nothing behind.
+    /// Raises the receiver's clock to the frame's availability time. The
+    /// wait ends on the frame, on an abort, on the liveness table's proof
+    /// that `src` will never send it — it departed, or is stuck in a
+    /// provably hung wait — or, last resort, after `patience` of real
+    /// time; the latter two are [`SimError::CollectiveTimeout`] naming
+    /// `src`, which the recovery stream answers with its store fallback.
+    pub fn recv_bytes(
+        &self,
+        src: RankId,
+        dst: RankId,
+        dst_clock_idx: usize,
+        tag: u64,
+        seq: u64,
+        patience: Duration,
+    ) -> SimResult<Bytes> {
+        let key = (src, dst, tag, seq);
+        let (frame, available_at) = self.await_mail(src, dst, None, Some(patience), |mail| {
+            mail.byte_inbox
+                .remove(&key)
+                .map(|m| (m.frame, m.available_at))
+        })?;
+        self.clock.raise_to(dst_clock_idx, available_at);
+        Ok(frame)
+    }
+
+    /// Non-blocking [`CommWorld::recv_bytes`]: `Ok(Some)` if the frame is
+    /// there, `Ok(None)` if not, `Err` if the world is aborted.
     pub fn try_recv_bytes(
         &self,
         src: RankId,
@@ -416,15 +466,10 @@ impl CommWorld {
         tag: u64,
         seq: u64,
     ) -> SimResult<Option<Bytes>> {
-        let mut mail = self.mail.lock();
-        if let Some(msg) = mail.byte_inbox.remove(&(src, dst, tag, seq)) {
-            self.clock.raise_to(dst_clock_idx, msg.available_at);
-            return Ok(Some(msg.frame));
+        match self.recv_bytes(src, dst, dst_clock_idx, tag, seq, Duration::ZERO) {
+            Err(SimError::CollectiveTimeout { .. }) => Ok(None),
+            got => got.map(Some),
         }
-        if self.is_aborted() {
-            return Err(SimError::CollectiveAborted);
-        }
-        Ok(None)
     }
 }
 
@@ -433,7 +478,6 @@ mod tests {
     use super::*;
     use crate::observer::NullObserver;
     use std::thread;
-    use std::time::Duration;
 
     impl CommWorld {
         /// Blocks until at least `n` threads are parked in

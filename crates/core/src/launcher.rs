@@ -479,7 +479,7 @@ impl Job {
 /// What the launcher waits on, updated by the rank threads and their
 /// watchdogs; every update wakes it.
 #[derive(Default)]
-struct Monitor {
+pub(crate) struct Monitor {
     progress: Mutex<Progress>,
     changed: Condvar,
 }
@@ -517,8 +517,9 @@ impl Drop for Exit {
 /// at least one data-parallel replica of every pipeline stage and tensor
 /// partition acknowledged) for at most 10 s, then kill the job by
 /// aborting its communicators so parked ranks release, and join everyone
-/// once every rank has exited.
-fn spawn_and_monitor<T, F>(
+/// once every rank has exited. A job whose ranks report no failure (the
+/// transparent one, which recovers in place) is only joined.
+pub(crate) fn spawn_and_monitor<T, F>(
     n: usize,
     world: Arc<CommWorld>,
     monitor: Arc<Monitor>,

@@ -40,7 +40,7 @@ use simcore::{RankId, SimError, SimResult};
 use simgpu::{decode_state, StateView};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Mailbox tag reserved for the recovery state stream (the byte inbox
 /// is disjoint from the f32 activation/gradient mailboxes, but a
@@ -237,11 +237,12 @@ fn send_frames(
 /// [`SEQ_HEADER`], then the `n_frames(&preamble)` frames it announces,
 /// each opened with [`open_frame`] and charged the verify + stage +
 /// host→device upload of its payload. Returns the preamble and the
-/// payloads, still apart; the announced count sizes nothing. Every frame
-/// must arrive within `patience` (real time) of the call: a missing frame
-/// past it is the dead-sender signature and surfaces as
-/// [`SimError::CollectiveTimeout`] naming the sender. `what` names the
-/// stream in errors.
+/// payloads, still apart; the announced count sizes nothing. Each frame
+/// is waited for on the world's mailbox ([`CommWorld::recv_bytes`]): a
+/// sender that departed, or is stuck in a provably hung wait, ends the
+/// wait at once, and `patience` (real time, per frame) is the last
+/// resort. Either surfaces as [`SimError::CollectiveTimeout`] naming the
+/// sender. `what` names the stream in errors.
 #[allow(clippy::too_many_arguments)]
 fn recv_frames<H: Decode>(
     world: &CommWorld,
@@ -254,18 +255,7 @@ fn recv_frames<H: Decode>(
     patience: Duration,
     n_frames: impl FnOnce(&H) -> u64,
 ) -> SimResult<(H, Vec<Bytes>)> {
-    let deadline = Instant::now() + patience;
-    let recv = |seq| loop {
-        if let Some(frame) = world.try_recv_bytes(src, dst, dst_clock_idx, tag, seq)? {
-            return Ok(frame);
-        }
-        if Instant::now() >= deadline {
-            return Err(SimError::CollectiveTimeout { rank: src });
-        }
-        // jitlint::allow(virtual_time): bounded 1ms poll against a real
-        // deadline — dead-replica detection has no virtual-time signal.
-        std::thread::sleep(Duration::from_millis(1));
-    };
+    let recv = |seq| world.recv_bytes(src, dst, dst_clock_idx, tag, seq, patience);
     let header: H = codec::decode_framed(&recv(SEQ_HEADER)?)?;
     let from = format!("{what} from {src}");
     let mut payloads = Vec::new();
@@ -713,6 +703,7 @@ mod tests {
     use simcore::SimTime;
     use simgpu::BufferTag;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn state(elems: usize) -> TrainState {
         let data: Vec<f32> = (0..elems).map(|i| (i as f32).sin()).collect();
@@ -971,6 +962,34 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::CollectiveTimeout { rank: RankId(0) });
+        Ok(())
+    }
+
+    #[test]
+    fn a_departed_sender_ends_the_wait_long_before_patience() -> SimResult<()> {
+        let (w, _) = world(2);
+        let cost = CostModel::v100();
+        let st = state(10_000);
+        // The sender sends the preamble and one frame, then its thread
+        // returns: the departure, not the minute of patience, ends the
+        // receiver's wait for the second frame.
+        let sender = {
+            let (w, cost, st) = (w.clone(), cost.clone(), st.clone());
+            std::thread::spawn(move || {
+                let _departure = w.departure_guard(RankId(0));
+                send_state_truncated(&w, &cost, RankId(0), 0, RankId(1), true, &st, 1000, 2)
+            })
+        };
+        let start = Instant::now();
+        let patience = Duration::from_secs(60);
+        let err = recv_state(&w, &cost, RankId(0), RankId(1), 1, patience).unwrap_err();
+        let waited = start.elapsed();
+        assert_eq!(err, SimError::CollectiveTimeout { rank: RankId(0) });
+        assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+        let header = sender
+            .join()
+            .map_err(|_| SimError::Protocol("sender panicked".into()))??;
+        assert!(header.n_shards > 2, "expected a multi-shard stream");
         Ok(())
     }
 }

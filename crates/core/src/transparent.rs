@@ -4,32 +4,35 @@
 //! every rank's interception client. When any intercepted operation
 //! fails, the failing rank enters the engine; the engine aborts the
 //! communication world so every peer parked in a hung collective surfaces
-//! too (the per-rank watchdogs do the same for hangs the engine hasn't
-//! seen yet). Once **all** ranks have arrived, the last arrival decides
-//! the round with [`crate::decide`] — minibatch replay (§4.2.1), roll
-//! forward (§4.2.2) or migration (§4.3) — and every rank runs its share of
-//! the plan: each [`Action`] in the order `decide` listed it, teardown,
-//! rendezvous and handle recreation included. Each action is charged to
-//! the rank's virtual clock and recorded once in a [`RecoveryReport`] —
-//! the raw data behind Tables 5–7.
+//! too. The engine is also every rank's collective observer: a collective
+//! the world's liveness table proves hung aborts the world the same way,
+//! with no timer and no thread. Once **all** ranks have arrived, the last
+//! arrival decides the round with [`crate::decide`] — minibatch replay
+//! (§4.2.1), roll forward (§4.2.2) or migration (§4.3) — and every rank
+//! runs its share of the plan: each [`Action`] in the order `decide`
+//! listed it, teardown, rendezvous and handle recreation included. Each
+//! action is charged to the rank's virtual clock and recorded once in a
+//! [`RecoveryReport`] — the raw data behind Tables 5–7.
 //!
-//! A whole job is [`crate::launcher::run_job`]'s transparent arm, `run`.
+//! A whole job is [`crate::launcher::run_job`]'s transparent arm, `run`,
+//! whose ranks stay in the job until all are done training. An engine
+//! wait ends on arrivals, or at once on a departure; a deadline is only
+//! the last resort.
 
 use crate::checkpoint::ShardConfig;
 use crate::decide::{decide, RankStatus, RecoveryPlan};
-use crate::launcher::JobOutcome;
+use crate::launcher::{spawn_and_monitor, JobOutcome};
 use crate::stream::{open_frame, state_frame, stream_header};
 use cluster::SharedStore;
+use collectives::{CollectiveObserver, CollectiveTicket};
 use dltrain::{build_comms, JobComms, JobSetup, RankTrainer};
-use proxy::{
-    CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome, Watchdog,
-};
+use proxy::{CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome};
 use simcore::cost::StorageTier;
 use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex, MutexGuard};
 use simcore::{GpuId, RankId, SimError, SimResult, SimTime};
 use simgpu::{Gpu, GpuHealth};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,10 +54,9 @@ pub struct RecoveryReport {
     pub total: SimTime,
 }
 
-/// Generous real-time hang threshold: on an oversubscribed host a healthy
-/// collective can easily stall for hundreds of milliseconds, and the paper
-/// excludes detection latency from its recovery measurements anyway (§6.4).
-const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(1500);
+/// How long an engine wait lasts when no fact ends it: only when a rank it
+/// needs records no departure (an `attach` caller other than `run`).
+const LAST_RESORT: Duration = Duration::from_secs(30);
 
 struct RoundPlan {
     round: u64,
@@ -71,11 +73,16 @@ struct CoordState {
     /// The round's verdict once the last rank arrived: the plan, or why
     /// there is none. Every rank of the round reads the same one.
     plan: Option<SimResult<Arc<RoundPlan>>>,
-    finished: usize,
+    /// Ranks done with the open round.
+    finished: BTreeSet<RankId>,
     /// `(round, stage, part)` of every cell whose §4.3 frames some
     /// healthy replica has finished writing in the open round, with how
     /// many frames the cell has.
     hard_written: HashMap<(u64, usize, usize), usize>,
+    /// Ranks done training.
+    trained: BTreeSet<RankId>,
+    /// Ranks whose threads have returned ([`Member`]).
+    departed: BTreeSet<RankId>,
 }
 
 /// Per-job transparent recovery engine (shared by all rank clients).
@@ -84,8 +91,6 @@ pub struct TransparentEngine {
     world: Arc<collectives::CommWorld>,
     state: Mutex<CoordState>,
     cv: Condvar,
-    arrive_timeout: Duration,
-    watchdogs: Mutex<HashMap<RankId, Watchdog>>,
     reports: Mutex<Vec<RecoveryReport>>,
     /// Store used for the §4.3 hard-error frames.
     store: Arc<SharedStore>,
@@ -124,12 +129,12 @@ impl TransparentEngine {
                 round: 0,
                 arrived: BTreeMap::new(),
                 plan: None,
-                finished: 0,
+                finished: BTreeSet::new(),
                 hard_written: HashMap::new(),
+                trained: BTreeSet::new(),
+                departed: BTreeSet::new(),
             }),
             cv: Condvar::new(),
-            arrive_timeout: Duration::from_secs(30),
-            watchdogs: Mutex::new(HashMap::new()),
             reports: Mutex::new(Vec::new()),
             store,
             gpu_allocator: Mutex::new(Box::new(gpu_allocator)),
@@ -137,25 +142,11 @@ impl TransparentEngine {
         })
     }
 
-    /// Attaches the engine to a rank's client: installs the recovery
-    /// handler and arms this rank's hang watchdog.
+    /// Attaches the engine to a rank's client, as its recovery handler
+    /// and as its collective observer.
     pub fn attach(self: &Arc<Self>, client: &mut ProxyClient) -> SimResult<()> {
         client.set_handler(self.clone());
-        self.arm_watchdog(client)
-    }
-
-    fn arm_watchdog(&self, client: &mut ProxyClient) -> SimResult<()> {
-        let world = self.world.clone();
-        let wd = Watchdog::spawn(WATCHDOG_TIMEOUT, move || {
-            // A hang means some peer failed: abort everything so all
-            // parked ranks surface into the recovery engine.
-            world.abort_all();
-        })?;
-        client.set_observer(wd.observer());
-        // The watchdog this one replaces is dropped, and its thread
-        // joined, only once the table's lock is released.
-        let replaced = self.watchdogs.lock().insert(client.rank(), wd);
-        drop(replaced);
+        client.set_observer(self.clone());
         Ok(())
     }
 
@@ -182,9 +173,10 @@ impl TransparentEngine {
 
     /// Rank-enter protocol: register status, make sure everyone else will
     /// surface, wait for the full quorum, and have the last arrival decide
-    /// the round. A round [`decide`] rejects fails on every rank at once.
+    /// the round. A round [`decide`] rejects fails on every rank at once,
+    /// and so does one a rank departed from.
     fn rank_enter(&self, rank: RankId, status: RankStatus) -> SimResult<Arc<RoundPlan>> {
-        // Ensure every peer surfaces (idempotent with watchdog aborts).
+        // Ensure every peer surfaces (idempotent with hang aborts).
         self.world.abort_all();
         let n = self.layout.world_size();
         let mut st = self.state.lock();
@@ -194,31 +186,25 @@ impl TransparentEngine {
             let statuses: Vec<RankStatus> = st.arrived.values().copied().collect();
             let verdict = decide(&self.layout, &statuses);
             st.plan = Some(verdict.map(|d| Arc::new(self.plan_round(round, d))));
-            self.cv.notify_all();
         }
-        self.wait_until(&mut st, |s| s.plan.is_some());
-        match &st.plan {
-            Some(verdict) => verdict.clone(),
-            None => Err(SimError::Protocol(format!(
-                "recovery quorum timeout: {}/{n} ranks arrived in round {round}",
-                st.arrived.len()
-            ))),
-        }
+        // Every arrival wakes the ranks done training: the round needs them.
+        self.cv.notify_all();
+        self.wait(&mut st, |s| s.plan.clone(), "no quorum")?
     }
 
-    /// Marks a rank done with the round; the last one drops the round's
+    /// Marks `rank` done with the round; the last one drops the round's
     /// recovery generations (its rendezvous and replica sync) from every
     /// communicator the round built, resets round state and deletes the
     /// round's §4.3 frames, which every victim has read by then. The
     /// others wait for the reset, so a rank cannot race ahead and trip a
     /// new round against stragglers of this one, and no rank leaves the
     /// round while its recovery slots are still cached.
-    fn rank_finish(&self) -> SimResult<()> {
+    fn rank_finish(&self, rank: RankId) -> SimResult<()> {
         let n = self.layout.world_size();
         let (round, last, closed) = {
             let mut st = self.state.lock();
-            st.finished += 1;
-            let last = st.finished == n;
+            st.finished.insert(rank);
+            let last = st.finished.len() == n;
             let closed = if last { st.plan.take() } else { None };
             (st.round, last, closed)
         };
@@ -240,16 +226,11 @@ impl TransparentEngine {
         if last {
             st.round += 1;
             st.arrived.clear();
-            st.finished = 0;
+            st.finished.clear();
             st.hard_written.clear();
             self.cv.notify_all();
         }
-        if !self.wait_until(&mut st, |s| s.round != round) {
-            return Err(SimError::Protocol(format!(
-                "recovery round {round} never closed: {}/{n} ranks finished",
-                st.finished
-            )));
-        }
+        self.wait(&mut st, |s| (s.round != round).then_some(()), "no close")?;
         drop(st);
         if last {
             self.store.delete_prefix(Self::hard_dir(round));
@@ -257,22 +238,66 @@ impl TransparentEngine {
         Ok(())
     }
 
-    /// Waits on the engine's condvar until `done` holds of the round
-    /// state; false if `arrive_timeout` passes first.
-    fn wait_until(
+    /// Waits on the engine's condvar until `ready` yields. Fails, saying
+    /// `what` never came, at once when a rank that has not finished the
+    /// open round departed (it can never end the wait), and after
+    /// [`LAST_RESORT`].
+    fn wait<T>(
         &self,
         st: &mut MutexGuard<'_, CoordState>,
-        done: impl Fn(&CoordState) -> bool,
-    ) -> bool {
-        let deadline = Instant::now() + self.arrive_timeout;
-        while !done(st) {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
+        ready: impl Fn(&CoordState) -> Option<T>,
+        what: &str,
+    ) -> SimResult<T> {
+        let deadline = Instant::now() + LAST_RESORT;
+        loop {
+            if let Some(got) = ready(st) {
+                return Ok(got);
             }
-            self.cv.wait_for(st, deadline - now);
+            let now = Instant::now();
+            let why = match st.departed.iter().find(|r| !st.finished.contains(r)) {
+                Some(gone) => format!("{gone} departed"),
+                None if now >= deadline => format!("{LAST_RESORT:?} passed"),
+                None => {
+                    self.cv.wait_for(st, deadline - now);
+                    continue;
+                }
+            };
+            let (a, f, n) = (
+                st.arrived.len(),
+                st.finished.len(),
+                self.layout.world_size(),
+            );
+            return Err(SimError::Protocol(format!(
+                "{what} in recovery round {} ({a}/{n} ranks arrived, {f} finished), and {why}",
+                st.round
+            )));
         }
-        true
+    }
+
+    /// Keeps a rank done training in the job until every rank is done or
+    /// departed, entering each round that opens meanwhile as a healthy
+    /// rank, through [`RecoveryHandler::handle`]'s `recover`.
+    fn finish_training(&self, client: &mut ProxyClient) -> SimResult<()> {
+        let n = self.layout.world_size();
+        let mut st = self.state.lock();
+        st.trained.insert(client.rank());
+        self.cv.notify_all();
+        // `true` once a round opened, `false` once every rank is done.
+        let next = |s: &CoordState| {
+            let opened = !s.arrived.is_empty();
+            (opened || s.trained.union(&s.departed).count() == n).then_some(opened)
+        };
+        while self.wait(&mut st, next, "no end of training")? {
+            drop(st);
+            let status = RankStatus {
+                health: client.health(),
+                is_victim: false,
+                position: client.position(),
+            };
+            self.recover(client, status)?;
+            st = self.state.lock();
+        }
+        Ok(())
     }
 
     /// The round's side effects: rebuild the communication layer, extra
@@ -406,22 +431,18 @@ impl TransparentEngine {
         client.restore_worker_cpu_state(&image)?;
         client.charge(cost.criu(2 << 30));
         // Replicas write the frames concurrently with this rank's
-        // migration; wait (bounded) until one of them says how many the
-        // cell has, then read each once.
+        // migration; wait until one of them says how many the cell has,
+        // then read each once.
         let cell = (round, coord.stage, coord.part);
         let mut st = self.state.lock();
-        self.wait_until(&mut st, |s| s.hard_written.contains_key(&cell));
-        let written = st.hard_written.get(&cell).copied();
+        let frames = |s: &CoordState| s.hard_written.get(&cell).copied();
+        let n = self.wait(&mut st, frames, "no §4.3 frames for a victim")?;
         drop(st);
-        let cell_path = |i| Self::hard_path(round, coord.stage, coord.part, i);
-        let no_replica =
-            |path: &str| SimError::NoCheckpointAvailable(format!("no replica wrote {path}"));
-        let n = written.ok_or_else(|| no_replica(&cell_path(0)))?;
         let frames = (0..n)
             .map(|i| {
-                let path = cell_path(i);
-                let frame = self.store.get(&path).map_err(|_| no_replica(&path))?;
-                open_frame(&path, frame, i as u64)
+                let path = Self::hard_path(round, coord.stage, coord.part, i);
+                let gone = |_| SimError::NoCheckpointAvailable(format!("no replica wrote {path}"));
+                open_frame(&path, self.store.get(&path).map_err(gone)?, i as u64)
             })
             .collect::<SimResult<Vec<_>>>()?;
         let gpu = client.server_mut().gpu_mut();
@@ -439,17 +460,31 @@ impl RecoveryHandler for TransparentEngine {
         _op: &PendingOp,
         err: &SimError,
     ) -> SimResult<RecoveryOutcome> {
-        let rank = client.rank();
         let health = client.health();
         let status = RankStatus {
             health,
             is_victim: health != GpuHealth::Healthy || matches!(err, SimError::NetworkTransient),
             position: client.position(),
         };
-        // Silence this rank's watchdog for the duration of recovery: the
-        // recovery collectives (rendezvous, replica sync, replay) run at
-        // coordination pace and must not be mistaken for hangs.
-        client.set_observer(Arc::new(collectives::NullObserver));
+        self.recover(client, status)
+    }
+}
+
+/// The engine as every rank's collective observer: a collective proven
+/// hung aborts the world, so every parked rank surfaces into the engine.
+impl CollectiveObserver for TransparentEngine {
+    fn collective_started(&self, _ticket: &CollectiveTicket) {}
+    fn collective_finished(&self, _ticket: &CollectiveTicket) {}
+    fn collective_hung(&self, _ticket: &CollectiveTicket) {
+        self.world.abort_all();
+    }
+}
+
+impl TransparentEngine {
+    /// One rank's part in a recovery round: enter it with `status`, run
+    /// this rank's share of the plan, record its report, and finish.
+    fn recover(&self, client: &mut ProxyClient, status: RankStatus) -> SimResult<RecoveryOutcome> {
+        let rank = client.rank();
         let plan = self.rank_enter(rank, status)?;
         let mine = &plan.decision.ranks[rank.index()];
         let mut steps = Vec::with_capacity(mine.actions.len());
@@ -466,14 +501,10 @@ impl RecoveryHandler for TransparentEngine {
             steps,
             total,
         });
-        // Re-arm this rank's watchdog for the next failure.
-        self.arm_watchdog(client)?;
-        self.rank_finish()?;
+        self.rank_finish(rank)?;
         Ok(mine.outcome)
     }
-}
 
-impl TransparentEngine {
     /// Runs one action of this rank's plan and returns its virtual
     /// duration: the clock's advance, except where the rendezvous and the
     /// handle step report their intrinsic cost.
@@ -568,6 +599,21 @@ impl TransparentEngine {
     }
 }
 
+/// Held by each rank thread of `run`: dropping it records the rank's
+/// departure, which ends every engine wait that still needs the rank.
+struct Member {
+    engine: Arc<TransparentEngine>,
+    rank: RankId,
+}
+
+impl Drop for Member {
+    fn drop(&mut self) {
+        let mut st = self.engine.state.lock();
+        st.departed.insert(self.rank);
+        self.engine.cv.notify_all();
+    }
+}
+
 /// A transparent job: every rank trains through a [`ProxyClient`] with
 /// the engine attached, so the trainer never sees a failure and nothing
 /// restarts (§4). Lost GPUs are replaced from 10 000 up.
@@ -586,14 +632,22 @@ pub(crate) fn run(
     let engine =
         TransparentEngine::with_extra_comms(layout, world.clone(), store, alloc, extra_comms);
     let (per_rank, attach) = (setup.per_rank.clone(), engine.clone());
-    let results = dltrain::run_ranks(n, move |i| {
+    let results = spawn_and_monitor(n, world.clone(), Arc::default(), move |i| {
+        let rank = RankId::from(i);
+        // First, so that it drops last (see `Job::run_rank`).
+        let _departure = world.departure_guard(rank);
+        let _member = Member {
+            engine: attach.clone(),
+            rank,
+        };
         let gpu = Gpu::new(GpuId(i as u32), cost.clone());
-        let mut client = ProxyClient::new(RankId(i as u32), i, gpu, world.clone());
+        let mut client = ProxyClient::new(rank, i, gpu, world.clone());
         attach.attach(&mut client)?;
         let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
         let losses = tr.train(target_iters)?;
-        Ok::<_, SimError>((losses, tr.exec.logged_calls()))
-    });
+        attach.finish_training(&mut tr.exec)?;
+        Ok((losses, tr.exec.logged_calls()))
+    })?;
     let ranks = results.into_iter().collect::<SimResult<Vec<_>>>()?;
     let (losses, logged_calls) = ranks.into_iter().unzip();
     Ok(JobOutcome {
@@ -642,8 +696,8 @@ mod tests {
         engine.state.lock().hard_written.insert((0, 0, 0), 1);
         // Both ranks finish round 0.
         std::thread::scope(|s| {
-            let peer = s.spawn(|| engine.rank_finish());
-            let mine = engine.rank_finish();
+            let peer = s.spawn(|| engine.rank_finish(RankId(1)));
+            let mine = engine.rank_finish(RankId(0));
             let peer = peer
                 .join()
                 .map_err(|_| SimError::Protocol("rank 1 panicked".into()))?;
@@ -775,7 +829,7 @@ mod tests {
                         .fold(0.0, f64::max);
                     past_later_arrival.push(client.now().as_secs() - later);
                 }
-                engine.rank_finish()?;
+                engine.rank_finish(RankId(r as u32))?;
             }
             Ok(past_later_arrival)
         };
@@ -805,23 +859,56 @@ mod tests {
     }
 
     #[test]
-    fn a_rank_left_alone_in_a_round_gets_a_protocol_error() -> SimResult<()> {
+    fn a_rank_left_alone_in_a_round_gets_a_protocol_error() {
         let layout = ParallelLayout::data_parallel(2);
         let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
-        let mut engine = TransparentEngine::new(
+        let engine = TransparentEngine::new(
             layout,
             world,
             Arc::new(SharedStore::new()),
             TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
         );
-        Arc::get_mut(&mut engine)
-            .ok_or_else(|| SimError::Protocol("engine is shared".into()))?
-            .arrive_timeout = Duration::from_millis(20);
-        // Rank 0 finishes round 0; rank 1 never does.
+        // Rank 1 departs without finishing round 0; rank 0 finishes it and
+        // learns at once that the round can never close.
+        drop(Member {
+            engine: engine.clone(),
+            rank: RankId(1),
+        });
         assert_eq!(
-            engine.rank_finish(),
+            engine.rank_finish(RankId(0)),
             Err(SimError::Protocol(
-                "recovery round 0 never closed: 1/2 ranks finished".into()
+                "no close in recovery round 0 (0/2 ranks arrived, 1 finished), and rank1 departed"
+                    .into()
+            ))
+        );
+    }
+
+    #[test]
+    fn a_collective_that_needs_a_departed_rank_fails_the_round_at_once() -> SimResult<()> {
+        // Rank 1's thread has returned. Rank 0's barrier is proven hung,
+        // the engine (its observer) aborts the world, and the round rank 0
+        // then enters has no quorum to wait for.
+        let layout = ParallelLayout::data_parallel(2);
+        let setup = dltrain::JobSetup::build(layout, CostModel::v100(), 8);
+        let engine = TransparentEngine::new(
+            layout,
+            setup.world.clone(),
+            Arc::new(SharedStore::new()),
+            TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
+        );
+        drop(setup.world.departure_guard(RankId(1)));
+        drop(Member {
+            engine: engine.clone(),
+            rank: RankId(1),
+        });
+        let mut client = rank_client(&setup.world, 0)?;
+        engine.attach(&mut client)?;
+        let token = client.register_comm(setup.per_rank[0].global.clone());
+        assert_eq!(
+            client.barrier(token),
+            Err(SimError::Protocol(
+                "no quorum in recovery round 0 (1/2 ranks arrived, 0 finished), and rank1 departed"
+                    .into()
             ))
         );
         Ok(())

@@ -57,7 +57,9 @@ pub struct JitUserConfig {
     /// rank pays the store round-trip (the §3.3 baseline).
     pub stream_recovery: bool,
     /// Real-time patience per stream frame before declaring the sending
-    /// replica dead and falling back to the store.
+    /// replica dead and falling back to the store: the last resort, since
+    /// a sender that departed, or is stuck in a provably hung wait, ends
+    /// the wait at once.
     pub stream_patience: Duration,
     /// Fault injection: when set, the streaming replica "dies" after
     /// emitting this many frames of each recovery stream (see

@@ -249,7 +249,11 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
                     callee: call.name.clone(),
                     receiver: call.receiver.clone(),
                     method: call.method,
-                    qualifier: call.qualifier.clone(),
+                    // `Self::f(…)` names the caller's own `impl` type.
+                    qualifier: match call.qualifier.as_deref() {
+                        Some("Self") => span.impl_type.clone(),
+                        _ => call.qualifier.clone(),
+                    },
                     line: call.line,
                     live,
                 });
@@ -268,8 +272,9 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
 
     // Name resolution: every same-named function (dyn dispatch unions
     // all impls), except `Type::method(…)` calls, which only match
-    // functions inside `impl Type`, and `x.method(…)` calls, which only
-    // match functions inside an `impl` or `trait` block.
+    // functions inside `impl Type` (`Self` being the caller's), and
+    // `x.method(…)` calls, which only match functions inside an `impl`
+    // or `trait` block.
     let resolve = |call: &CallFact| -> Vec<usize> {
         by_name
             .get(&call.callee)

@@ -171,6 +171,19 @@ fn a_method_call_never_resolves_to_a_free_function() {
 }
 
 #[test]
+fn a_self_qualified_call_resolves_to_the_callers_impl() {
+    // `Self::helper(self)` under a guard on `x`, the helper taking `y`,
+    // and a free function taking `y` then `x`: one cycle.
+    let findings = fixture("self_qualified");
+    let cycles: Vec<&Finding> = findings.iter().filter(|f| f.rule == "lock_order").collect();
+    assert_eq!(cycles.len(), 1, "exactly one cycle: {findings:#?}");
+    let msg = &cycles[0].message;
+    for node in ["proxy::x", "proxy::y", "Server::outer"] {
+        assert!(msg.contains(node), "cycle names `{node}`: {msg}");
+    }
+}
+
+#[test]
 fn unused_allow_flags_stale_suppressions() {
     let findings = fixture("unused_allow");
     let lines = rule_lines(&findings, "unused_allow", "checkpoint.rs");

@@ -4,8 +4,11 @@
 //! that never completes (§3.1). The watchdog is a dedicated thread that
 //! tracks outstanding blocking operations and, when one is due, fires a
 //! one-shot hang action — in user-level mode that action checkpoints GPU
-//! state and notifies the scheduler; in transparent mode it aborts the
-//! communicators so the blocked ranks surface into the recovery handler.
+//! state and notifies the scheduler; under periodic checkpointing it is
+//! the monitor's kill. Transparent mode runs no watchdog: its recovery
+//! engine observes the collectives itself and aborts the world only on a
+//! proven hang, since every failure there is an error on the victim's own
+//! call.
 //!
 //! An operation is due when its real-time deadline has passed, or sooner
 //! when the collective layer reports it hung: a real rank cannot know

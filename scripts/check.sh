@@ -60,6 +60,9 @@ cargo test --release --test cross_crate --quiet live_worker_image_is_pinned
 # bits. The replica-sync test (validate, then one copy per byte) runs in
 # the `-p proxy` line above.
 cargo test --release --test cross_crate --quiet every_decide_row_recovers_bit_for_bit
+# A round that opens after other cells' ranks finished training: they stay
+# members until every rank has, so the round still gathers its quorum.
+cargo test --release --test cross_crate --quiet a_round_after_some_ranks_finished_training_recovers_bit_for_bit
 # A recovery generation lives for one round: five replica-sync rounds in
 # one job, pinned; no rebuilt communicator keeps a rendezvous or replica-sync
 # slot once its round closed; each DP-only round bootstraps each distinct
@@ -78,8 +81,8 @@ cargo test --release --test cross_crate --quiet -- --exact \
 echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
 sh scripts/surface.sh --check
 # Same idea for real clocks: a new wall-clock wait on a fault path needs a diff to this number, not just a comment.
-[ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 2 ] \
-    || { echo 'check.sh: more than 2 jitlint::allow(virtual_time) sites outside crates/lint' >&2; exit 1; }
+[ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 1 ] \
+    || { echo 'check.sh: more than 1 jitlint::allow(virtual_time) site outside crates/lint' >&2; exit 1; }
 
 echo '==> jitlint'
 cargo run -p lint --quiet
