@@ -583,3 +583,50 @@ where
         })
         .collect())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proxy::Watchdog;
+
+    #[test]
+    fn a_rank_that_errs_outside_its_step_still_gets_the_job_killed() -> SimResult<()> {
+        // Rank 0 fails before it trains (say, in its restore) and returns
+        // its error; rank 1 walks into a barrier with it, is proven hung,
+        // and its hang action acks nothing. Nothing can ack any more, so
+        // the job must be killed and rank 1 released.
+        let cfg = dltrain::TrainConfig::tiny_dp(2);
+        let cost = CostModel::v100();
+        let setup = JobSetup::build(cfg.layout, cost.clone(), cfg.ranks_per_node);
+        let (world, global) = (setup.world.clone(), setup.per_rank[1].global.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let job_world = world.clone();
+            let results = spawn_and_monitor(2, world, Arc::default(), move |i| {
+                let rank = RankId::from(i);
+                let _departure = job_world.departure_guard(rank);
+                if i == 0 {
+                    return Err(SimError::Protocol("restore failed".into()));
+                }
+                let gpu = Gpu::new(GpuId(1), cost.clone());
+                let mut exec = DirectExecutor::new(rank, i, gpu, job_world.clone());
+                let watchdog = Watchdog::spawn(Duration::from_secs(3600), || {})?;
+                exec.set_observer(watchdog.observer());
+                let global = exec.register_comm(global.clone());
+                exec.barrier(global)
+            });
+            let _ = tx.send(results);
+        });
+        let results = rx
+            .recv_timeout(Duration::from_secs(5))
+            .map_err(|_| SimError::Protocol("the job was never killed".into()))??;
+        assert_eq!(
+            results,
+            vec![
+                Err(SimError::Protocol("restore failed".into())),
+                Err(SimError::CollectiveAborted),
+            ]
+        );
+        Ok(())
+    }
+}

@@ -920,6 +920,71 @@ fn restart_runners_are_pinned() {
     assert_eq!(periodic, (2, 2, 4, finish, 15, 8), "periodic");
 }
 
+#[test]
+fn an_ack_never_outlives_its_incident() {
+    let _g = serial();
+    // The restart golden's dead-stream job, with a hang timeout shorter
+    // than the stream patience: after the first restart the owner sits in
+    // its first collective while the other replica waits out the dead
+    // stream, a wait nothing proves hung. Detecting it anyway would write
+    // a checkpoint and ack an incident that never happened, and that ack
+    // would meet the second incident's quorum before its own writer did.
+    let jit = JitUserConfig {
+        watchdog_timeout: std::time::Duration::from_millis(100),
+        stream_patience: std::time::Duration::from_millis(300),
+        stream_truncate: Some(1),
+        ..JitUserConfig::default()
+    };
+    let out = run_job(
+        dltrain::TrainConfig::tiny_dp(2),
+        CostModel::v100(),
+        restart_faults(),
+        Arc::new(SharedStore::new()),
+        8,
+        Policy::UserLevel {
+            scheduler: Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+            jit,
+        },
+    )
+    .unwrap();
+    assert_eq!(out.restarts, 2);
+    assert_eq!(out.wasted_iterations, 0, "resumed from a stale ack");
+    assert_eq!(out.checkpoints_written, 2, "one write per incident");
+    assert_eq!(loss_bits(&out.losses), GOLDEN_DP2, "recovery moved a loss");
+}
+
+#[test]
+fn a_cell_nobody_can_checkpoint_is_killed_at_once() {
+    let _g = serial();
+    // One replica of two stages, and the stage-0 rank's GPU dies: the
+    // stage-1 rank is proven hung and writes its checkpoint, but no rank
+    // is left that could write stage 0's, so the quorum can never be met.
+    // The job is killed once nobody can ack any more, and restarts from
+    // scratch onto the fault-free trajectory.
+    let mut cfg = dltrain::TrainConfig::tiny_dp(1);
+    cfg.layout = ParallelLayout::three_d(1, 2, 1);
+    let iters = 6;
+    let twin = loss_bits(&clean_run(&cfg, iters));
+    let fault = FailureSpec::new(3, Phase::Forward, RankId(0), FailureKind::GpuHardware);
+    let started = std::time::Instant::now();
+    let out = run_job(
+        cfg,
+        CostModel::v100(),
+        FailureInjector::with_specs(vec![fault]),
+        Arc::new(SharedStore::new()),
+        iters,
+        Policy::UserLevel {
+            scheduler: Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+            jit: JitUserConfig::default(),
+        },
+    )
+    .unwrap();
+    let wall = started.elapsed();
+    assert_eq!(out.restarts, 1);
+    assert_eq!(loss_bits(&out.losses), twin);
+    assert!(wall < std::time::Duration::from_secs(2), "took {wall:?}");
+}
+
 /// Bits of the virtual finish times the periodic job below reaches,
 /// fault-free and with the hardware fault, on tiny DP = 2 and at
 /// 2D-2P-2T: the values every replica writing its own copy gave.
