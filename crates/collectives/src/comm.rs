@@ -64,7 +64,6 @@ use simcore::{RankId, SimError, SimResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 
 /// The first generation of the recovery spaces: a recovery round's
 /// replica sync runs at `RECOVERY_GEN_BASE | n` and its rendezvous at
@@ -584,15 +583,11 @@ impl Communicator {
             generation: gen,
             rank,
             kind,
-            entered_at: Instant::now(),
         };
-        // Observer callbacks run outside the state lock: the hang
-        // watchdog's observer takes its own `outstanding` lock, and
+        // Observer callbacks run outside the state lock: an observer
+        // takes locks of its own (a hang action writes a checkpoint), and
         // calling into it with `state` held would hold one lock across a
-        // module that takes another (`guard_across_call`). Registering
-        // the ticket a moment before entering the slot (and clearing it a
-        // moment after leaving) only widens the watchdog's view of the
-        // collective, which is the conservative direction.
+        // module that takes another (`guard_across_call`).
         obs.collective_started(&ticket);
         let contrib = match data {
             Some(v) => Contribution::Data(v),
@@ -666,7 +661,7 @@ impl Communicator {
                     continue;
                 }
                 // Proven hung. The rank stays in the collective — the
-                // trainer sits in the hung call while the watchdog works
+                // trainer sits in the hung call while its hang action works
                 // (§3.2) — but says so once, with no lock held: marking
                 // wakes the waiters of other communicators and the
                 // observer takes locks of its own. Then it re-checks,
@@ -719,8 +714,8 @@ impl Communicator {
         // An armed transient fault hits the victim's own next arrival at a
         // generation still in flight, whoever created its slot: the
         // victim's NCCL call fails and it never contributes, so the other
-        // members stay parked at the barrier (a hang) until the watchdog
-        // aborts the communicator.
+        // members stay parked at the barrier (a hang) until the job is
+        // torn down.
         if st.pending_fault == Some(rank) && st.slots.get(&gen).and_then(Slot::result).is_none() {
             st.pending_fault = None;
             return Err(SimError::NetworkTransient);
@@ -974,7 +969,7 @@ mod tests {
     use crate::observer::NullObserver;
     use crate::RingConfig;
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     impl Communicator {
         /// Creates a communicator over `ranks` outside any [`crate::CommWorld`]:

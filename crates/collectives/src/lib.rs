@@ -13,9 +13,9 @@
 //! This crate reproduces those semantics with real blocking: a rank that
 //! never arrives leaves every peer parked on a condition variable until the
 //! communicator is aborted (the `ncclCommAbort` equivalent) — which is
-//! exactly the hang the watchdog thread detects, by timeout in the paper
-//! and, where the simulation can prove that the missing rank is gone, at
-//! once. Completion advances every participant's virtual clock to
+//! exactly the hang the paper's watchdog thread detects by timeout, and
+//! the simulation proves at once from the fact that the missing rank is
+//! gone. Completion advances every participant's virtual clock to
 //! `max(arrival) + cost`, the cost being the communicator's schedule's.
 //!
 //! Modules:
@@ -39,11 +39,11 @@
 //!   ([`GradLedger`]): passive bounded retention of the shard slices a
 //!   rank already holds when a generation completes, and the
 //!   reconstruction of a dead member's result from survivors;
-//! * [`observer`] — the interception hook ([`CollectiveObserver`]) from
-//!   which the user-level watch-list / watchdog of §3.1 is built;
+//! * [`observer`] — the interception hook ([`CollectiveObserver`]) that
+//!   stands in for the user-level watch-list of §3.1;
 //! * `liveness` — the per-world table of ranks that will never contribute
 //!   again, from which a parked rank proves its wait hung instead of
-//!   leaving the watchdog to guess it from elapsed time.
+//!   guessing it from elapsed time.
 
 pub mod comm;
 pub mod group;

@@ -8,7 +8,7 @@
 //! *stuck* there until the job is torn down. A wait that needs a gone
 //! (departed or stuck) rank is provably hung; the waiter says so to its
 //! observer ([`crate::CollectiveObserver::collective_hung`]) and stays
-//! parked, which is what lets the watchdog act on the proof instead of on
+//! parked, which is what lets a job act on the proof instead of on
 //! elapsed real time.
 //!
 //! One table per [`CommWorld`], shared with every communicator the world

@@ -2,24 +2,23 @@
 //!
 //! The paper's user-level solution builds a *watch-list* of in-flight
 //! collectives from intercepted `cudaEventRecord` / `cudaStreamWaitEvent` /
-//! NCCL calls and has a watchdog thread poll it (§3.1). In the simulation,
+//! NCCL calls and has a watchdog thread poll it, calling a collective hung
+//! once it has been outstanding past a timeout (§3.1). In the simulation,
 //! interception attaches at the collective boundary: before a rank blocks
 //! in a collective it announces a [`CollectiveTicket`]; when the collective
-//! completes it retracts it. A ticket that stays outstanding past the
-//! watchdog timeout *is* a hang — as far as a real rank can tell. The
-//! simulation can sometimes tell more: when the rank a wait needs has
-//! departed, or is itself parked on such a wait, the waiter reports its
-//! ticket *hung* the moment that is known, and the watchdog need not wait
-//! for the clock. For the user-level watchdog (`proxy::Watchdog`) real
-//! time remains the backstop for every hang that cannot be proven. The
-//! transparent engine observes with no timer at all: there every failure
-//! is an error on the victim's own call, which aborts the world, and a
-//! proven hang aborts it too.
+//! completes it retracts it. No timer watches the tickets. A real rank has
+//! to guess a hang from elapsed time; the simulation knows it: when the
+//! rank a wait needs has departed, or is itself parked on such a wait, the
+//! waiter reports its ticket *hung* the moment that is known
+//! ([`CollectiveObserver::collective_hung`]). Every job's observer acts on
+//! that proof alone: the restart launcher's runs the rank's hang action
+//! (the user-level checkpoint, or the periodic monitor's kill) and charges
+//! the paper's timeout to the rank's virtual clock; the transparent engine
+//! aborts the world.
 
 use crate::comm::CollKind;
 use crate::world::CommId;
 use simcore::RankId;
-use std::time::Instant;
 
 /// Identity of one in-flight collective on one rank.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -32,10 +31,6 @@ pub struct CollectiveTicket {
     pub rank: RankId,
     /// Operation kind (for diagnostics).
     pub kind: CollKind,
-    /// Real-clock time the rank entered the collective: the watchdog's
-    /// real-time deadline, its backstop for hangs nobody can prove, counts
-    /// from here.
-    pub entered_at: Instant,
 }
 
 /// Observer of collective entry/exit on a rank — the interception seam.
@@ -92,7 +87,6 @@ mod tests {
             generation: 7,
             rank: RankId(0),
             kind: CollKind::Barrier,
-            entered_at: Instant::now(),
         };
         obs.collective_started(&ticket);
         obs.collective_finished(&ticket);
@@ -107,7 +101,6 @@ mod tests {
             generation: 0,
             rank: RankId(0),
             kind: CollKind::Barrier,
-            entered_at: Instant::now(),
         };
         NullObserver.collective_started(&ticket);
         NullObserver.collective_finished(&ticket);

@@ -109,7 +109,7 @@ impl CommWorld {
     /// nothing after that — and wakes every parked waiter of this world,
     /// so that a wait which needs the rank is known to be hung without
     /// waiting out a timeout. Declare it first in the rank's closure: it
-    /// must drop last, after the rank's trainer, watchdog and device.
+    /// must drop last, after the rank's trainer and device.
     pub fn departure_guard(&self, rank: RankId) -> impl Drop + Send {
         Departure {
             table: self.liveness.clone(),
@@ -320,7 +320,6 @@ impl CommWorld {
             generation: seq,
             rank: dst,
             kind: CollKind::Barrier,
-            entered_at: Instant::now(),
         };
         obs.collective_started(&ticket);
         let hung = || obs.collective_hung(&ticket);

@@ -10,15 +10,19 @@
 //! owns all they share, the count of checkpoint writes included, and
 //! takes per rank only their two differences:
 //!
-//! * the **hang action**, run on the rank's watchdog thread while its
-//!   training thread is parked in the hung collective: user-level JIT's
-//!   `save_checkpoint`, or the periodic monitor's kill. It returns the
-//!   checkpoint it wrote, if any, with its virtual cost; the launcher
-//!   records the event and acks the scheduler, which kills the job once
-//!   the acks cover every cell (§3, step 3);
+//! * the **hang action**, run by the rank's [`HangObserver`] once the
+//!   collective layer proves a wait of the rank hung, while its trainer
+//!   stays parked in the hung call: user-level JIT's `save_checkpoint`,
+//!   or the periodic monitor's kill. It returns the checkpoint it wrote,
+//!   if any, with its virtual cost; the launcher records the event and
+//!   acks the scheduler (§3, step 3);
 //! * the **step hook**, run on the rank's thread at every minibatch
 //!   boundary a generation stands on: user-level JIT notes the iteration
 //!   there; the periodic hook writes on schedule and reports each write.
+//!
+//! No wait here ends on the wall clock ([`spawn_and_monitor`]). A hang
+//! action runs only on a proof, and every proven hang ends its
+//! generation, so no ack outlives its incident.
 //!
 //! Every restarted rank restores through
 //! [`stream::restore_with_fallback`]: the ledger leg has no ledger
@@ -37,9 +41,9 @@ use crate::transparent::{self, RecoveryReport};
 use crate::user_level::{save_checkpoint, IterationCell, JitUserConfig, RecoveryEvent};
 use cluster::scheduler::CheckpointAck;
 use cluster::{FailureInjector, Scheduler, SharedStore};
-use collectives::CommWorld;
+use collectives::{CollectiveObserver, CollectiveTicket, CommWorld};
 use dltrain::{JobSetup, RankTrainer, TrainConfig};
-use proxy::{DirectExecutor, Executor, Watchdog};
+use proxy::{DirectExecutor, Executor};
 use simcore::cost::{CostModel, StorageTier};
 use simcore::layout::GridCoord;
 use simcore::sync::{Condvar, Mutex};
@@ -65,7 +69,7 @@ pub enum Policy {
     UserLevel {
         /// Submits, kills and reschedules the job.
         scheduler: Arc<Scheduler>,
-        /// The library's watchdog, write and restore legs.
+        /// The library's detection charge, write and restore legs.
         jit: JitUserConfig,
     },
     /// Periodic checkpointing: each cell's dp-0 replica writes on
@@ -79,8 +83,8 @@ pub enum Policy {
         kind: PolicyKind,
         /// Checkpoint every `every_iters` iterations.
         every_iters: u64,
-        /// The monitoring plane's hang timeout, charged to the parked
-        /// rank's virtual clock.
+        /// The monitoring plane's hang timeout: what a proven hang
+        /// charges the parked rank's virtual clock before the kill.
         monitor_timeout: Duration,
         /// Sharded-write tuning of each cell's checkpoint.
         shards: ShardConfig,
@@ -309,32 +313,29 @@ impl Job {
     fn run_rank(&self, gen: &Generation, i: usize) -> SimResult<RankRun> {
         let (rank, world) = (RankId::from(i), &gen.setup.world);
         // First, so that it drops last: peers learn that this rank is
-        // gone only after its trainer, watchdog and device memory are.
+        // gone only after its trainer and device memory are.
         let _departure = world.departure_guard(rank);
         let gpu = Gpu::new(gen.assignment[i], self.cost.clone());
         let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
         let (hang, mut step_hook) = self.hooks(world, &exec);
-        let watchdog = {
-            let (job, scheduler) = (self.id, self.scheduler.clone());
-            let (record, monitor) = (self.record.clone(), gen.monitor.clone());
-            Watchdog::spawn(self.lib.watchdog_timeout, move || {
-                if let Some((ack, write)) = hang() {
-                    record.wrote(Some(RecoveryEvent {
-                        rank: ack.rank,
-                        checkpoint_time: write,
-                        restore_time: SimTime::ZERO,
-                        iteration: ack.iteration,
-                    }));
-                    // The job is not killed here: the scheduler kills it
-                    // only once every cell has a checkpoint, so that every
-                    // healthy rank gets to save first.
-                    let _ = scheduler.ack_checkpoint(job, ack);
-                    let quorum = scheduler.checkpoint_quorum(job).ok().flatten();
-                    monitor.update(|p| p.quorum |= quorum.is_some());
-                }
-            })?
-        };
-        exec.set_observer(watchdog.observer());
+        let (job, scheduler) = (self.id, self.scheduler.clone());
+        let (record, monitor) = (self.record.clone(), gen.monitor.clone());
+        exec.set_observer(HangObserver::new(gen.monitor.clone(), move || {
+            if let Some((ack, write)) = hang() {
+                record.wrote(Some(RecoveryEvent {
+                    rank: ack.rank,
+                    checkpoint_time: write,
+                    restore_time: SimTime::ZERO,
+                    iteration: ack.iteration,
+                }));
+                // The job is not killed here: the launcher kills it only
+                // once every cell has a checkpoint, or nobody is left to
+                // write one, so that every healthy rank gets to save first.
+                let _ = scheduler.ack_checkpoint(job, ack);
+                let quorum = scheduler.checkpoint_quorum(job).ok().flatten();
+                monitor.update(|p| p.quorum |= quorum.is_some());
+            }
+        }));
         let comms = &gen.setup.per_rank[i];
         let mut tr = RankTrainer::new(exec, self.cfg.clone(), comms, self.injector.clone())?;
         if let Some(plan) = &gen.resume {
@@ -355,7 +356,6 @@ impl Job {
                 Ok(l) => losses.push((it, l.unwrap_or(f32::NAN))),
                 Err(e) => {
                     failure = Some(e);
-                    gen.monitor.update(|p| p.failed = true);
                     break;
                 }
             }
@@ -477,7 +477,7 @@ impl Job {
 }
 
 /// What the launcher waits on, updated by the rank threads and their
-/// watchdogs; every update wakes it.
+/// hang actions; every update wakes it.
 #[derive(Default)]
 pub(crate) struct Monitor {
     progress: Mutex<Progress>,
@@ -488,8 +488,9 @@ pub(crate) struct Monitor {
 struct Progress {
     /// Rank threads that have returned (or unwound).
     exited: usize,
-    /// A rank's training step failed.
-    failed: bool,
+    /// Ranks that ran their hang action. Each stays parked in its hung
+    /// collective until the job is killed, and acks nothing more.
+    hung: usize,
     /// The scheduler's checkpoint quorum is reached (§3, step 3).
     quorum: bool,
 }
@@ -499,6 +500,44 @@ impl Monitor {
         let mut p = self.progress.lock();
         f(&mut p);
         self.changed.notify_all();
+    }
+}
+
+/// A restart job's collective observer on one rank: the first wait the
+/// collective layer proves hung runs the rank's hang action, on the
+/// parked rank's own thread with no collectives lock held, while the
+/// trainer stays parked in it (§3.2); then the rank can ack no more.
+pub(crate) struct HangObserver {
+    action: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    monitor: Arc<Monitor>,
+}
+
+impl HangObserver {
+    pub(crate) fn new(monitor: Arc<Monitor>, action: impl FnOnce() + Send + 'static) -> Arc<Self> {
+        Arc::new(HangObserver {
+            action: Mutex::new(Some(Box::new(action))),
+            monitor,
+        })
+    }
+
+    /// True once the hang action has run.
+    #[cfg(test)]
+    pub(crate) fn fired(&self) -> bool {
+        self.action.lock().is_none()
+    }
+}
+
+impl CollectiveObserver for HangObserver {
+    fn collective_started(&self, _ticket: &CollectiveTicket) {}
+    fn collective_finished(&self, _ticket: &CollectiveTicket) {}
+    fn collective_hung(&self, _ticket: &CollectiveTicket) {
+        // Take the action out, *then* run it: `if let` would extend the
+        // `action` lock's temporary guard across the body.
+        let action = self.action.lock().take();
+        if let Some(action) = action {
+            action();
+            self.monitor.update(|p| p.hung += 1);
+        }
     }
 }
 
@@ -512,13 +551,15 @@ impl Drop for Exit {
     }
 }
 
-/// Spawns rank threads and plays the scheduler's monitoring role: once a
-/// rank reports a failure, wait for the checkpoint quorum (§3, step 3 —
-/// at least one data-parallel replica of every pipeline stage and tensor
-/// partition acknowledged) for at most 10 s, then kill the job by
-/// aborting its communicators so parked ranks release, and join everyone
-/// once every rank has exited. A job whose ranks report no failure (the
-/// transparent one, which recovers in place) is only joined.
+/// Spawns rank threads and plays the scheduler's monitoring role: kill
+/// the job by aborting its communicators, so parked ranks release, once
+/// the checkpoint quorum is met (§3, step 3 — at least one data-parallel
+/// replica of every pipeline stage and tensor partition acknowledged) or
+/// every rank has exited or run its hang action, so no further ack can
+/// come; then join everyone once every rank has exited. A rank that ran
+/// its hang action exits only after an abort, so counting it twice can
+/// only kill a job already killed. A job whose ranks run no hang action
+/// (the transparent one, which recovers in place) is only joined.
 pub(crate) fn spawn_and_monitor<T, F>(
     n: usize,
     world: Arc<CommWorld>,
@@ -555,24 +596,17 @@ where
             }
         }
     }
-    let mut kill_at: Option<std::time::Instant> = None;
     let mut killed = false;
     let mut p = monitor.progress.lock();
     while p.exited < n {
-        if !p.failed || killed {
-            monitor.changed.wait(&mut p);
-            continue;
-        }
-        let now = std::time::Instant::now();
-        let deadline = *kill_at.get_or_insert(now + Duration::from_secs(10));
-        if p.quorum || now >= deadline {
+        if !killed && (p.quorum || p.exited + p.hung >= n) {
             drop(p);
             world.abort_all();
             killed = true;
             p = monitor.progress.lock();
-        } else {
-            monitor.changed.wait_for(&mut p, deadline - now);
+            continue;
         }
+        monitor.changed.wait(&mut p);
     }
     drop(p);
     Ok(handles
@@ -587,7 +621,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proxy::Watchdog;
 
     #[test]
     fn a_rank_that_errs_outside_its_step_still_gets_the_job_killed() -> SimResult<()> {
@@ -599,10 +632,11 @@ mod tests {
         let cost = CostModel::v100();
         let setup = JobSetup::build(cfg.layout, cost.clone(), cfg.ranks_per_node);
         let (world, global) = (setup.world.clone(), setup.per_rank[1].global.clone());
+        let monitor = Arc::<Monitor>::default();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let job_world = world.clone();
-            let results = spawn_and_monitor(2, world, Arc::default(), move |i| {
+            let (job_world, job_monitor) = (world.clone(), monitor.clone());
+            let results = spawn_and_monitor(2, world, monitor, move |i| {
                 let rank = RankId::from(i);
                 let _departure = job_world.departure_guard(rank);
                 if i == 0 {
@@ -610,8 +644,7 @@ mod tests {
                 }
                 let gpu = Gpu::new(GpuId(1), cost.clone());
                 let mut exec = DirectExecutor::new(rank, i, gpu, job_world.clone());
-                let watchdog = Watchdog::spawn(Duration::from_secs(3600), || {})?;
-                exec.set_observer(watchdog.observer());
+                exec.set_observer(HangObserver::new(job_monitor.clone(), || {}));
                 let global = exec.register_comm(global.clone());
                 exec.barrier(global)
             });

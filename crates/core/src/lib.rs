@@ -12,9 +12,9 @@
 //!
 //! Two designs, as in the paper:
 //!
-//! * [`user_level`] (§3) — a library jobs link against: a watchdog
-//!   detects collective hangs, calls the job's `save_checkpoint` while
-//!   the training thread is parked, writes rank-dependent checkpoint
+//! * [`user_level`] (§3) — a library jobs link against: on a collective
+//!   hang it calls the job's `save_checkpoint` while the training thread
+//!   is parked, writes rank-dependent checkpoint
 //!   files with completion metadata, notifies the scheduler, and on
 //!   restart [`checkpoint::jit_get_checkpoint_path`] assembles a
 //!   consistent checkpoint from any healthy data-parallel replica.

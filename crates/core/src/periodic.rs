@@ -61,10 +61,10 @@ pub fn blocking_overhead(
 }
 
 /// The job monitoring plane's hang action: kill the job (no checkpoint —
-/// that is the difference from JIT). The rank at clock slot `clock_idx`
-/// sat in the hung collective for `timeout` first; that is charged to its
-/// virtual clock here, once, whether the monitor waited it out in real
-/// time or the collective layer proved the hang at once.
+/// that is the difference from JIT). A real monitor lets the rank at
+/// clock slot `clock_idx` sit in the hung collective for `timeout` first;
+/// that is charged to its virtual clock here, once, on the proof of the
+/// hang.
 pub(crate) fn monitor_action(
     world: Arc<CommWorld>,
     clock_idx: usize,
@@ -144,10 +144,9 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::launcher::{run_job, JobOutcome, Policy};
+    use crate::launcher::{run_job, HangObserver, JobOutcome, Policy};
     use cluster::{Cluster, FailureInjector, Scheduler};
     use dltrain::JobSetup;
-    use proxy::Watchdog;
     use simcore::cost::GpuGeneration;
     use simcore::failure::{FailureKind, FailureSpec, Phase};
     use simcore::{GpuId, RankId, SimError};
@@ -256,10 +255,10 @@ mod tests {
         let gpu = Gpu::new(GpuId(1), CostModel::v100());
         let mut exec = DirectExecutor::new(RankId(1), 1, gpu, world.clone());
         let kill = monitor_action(world.clone(), 1, TIMEOUT);
-        let monitor = Watchdog::spawn(TIMEOUT, move || {
+        let monitor = HangObserver::new(Arc::default(), move || {
             kill();
-        })?;
-        exec.set_observer(monitor.observer());
+        });
+        exec.set_observer(monitor.clone());
         let global = exec.register_comm(setup.per_rank[1].global.clone());
         // Rank 0's thread is gone; rank 1 walks into a barrier with it and
         // is released by its own monitor.

@@ -5,18 +5,20 @@
 //!
 //! 1. the interception layer watches the `cudaEventRecord` /
 //!    `cudaStreamWaitEvent` traffic around collectives (here: collective
-//!    tickets) and a **watchdog thread** detects hangs (§3.1). A real
-//!    rank has to wait a timeout out to call a collective hung; here the
+//!    tickets) and detects hangs (§3.1). A real rank has a watchdog
+//!    thread wait a timeout out to call a collective hung; here the
 //!    collective layer proves the hang the moment the failed rank's
-//!    thread has returned, the watchdog fires at once, and the timeout is
-//!    charged to the parked rank's virtual clock — the paper's detection
-//!    cost at no wall-clock cost. Real time is only the backstop;
-//! 2. on a hang, the watchdog calls `save_checkpoint` *from its own
-//!    thread* while the training thread stays parked in the hung
-//!    collective — the simulation analogue of the paper's
+//!    thread has returned (or its peer is stuck on it), and the timeout
+//!    is charged to the parked rank's virtual clock — the paper's
+//!    detection cost at no wall-clock cost. Nothing runs on a timer: a
+//!    wait nobody can prove hung is not a hang;
+//! 2. on a hang, the rank's collective observer calls `save_checkpoint`
+//!    from *inside* the hung collective, while the training thread stays
+//!    parked in it — the simulation analogue of the paper's
 //!    release-the-GIL + new-CUDA-stream dance (§3.2);
 //! 3. the checkpoint goes to a rank-dependent path with a metadata
-//!    completion marker, the scheduler is acked, and the job is torn down;
+//!    completion marker, the scheduler is acked, and the job is torn down
+//!    once the acks cover every cell or nobody is left to ack;
 //! 4. on restart, each rank restores the checkpoint of *any* data-parallel
 //!    replica of its cell (§3.3, [`crate::checkpoint::jit_get_checkpoint_path`]),
 //!    streamed from the replica that wrote it or read from the store.
@@ -38,14 +40,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of the user-level JIT library: its watchdog, checkpoint
-/// writes and restore legs. The periodic baseline runs the restart
-/// launcher under one too, with streaming off.
+/// Configuration of the user-level JIT library: its detection charge,
+/// checkpoint writes and restore legs. The periodic baseline runs the
+/// restart launcher under one too, with streaming off.
 #[derive(Debug, Clone)]
 pub struct JitUserConfig {
-    /// Watchdog hang timeout: what a detected hang costs the parked rank
-    /// in virtual time, and the real-time deadline by which a hang the
-    /// collective layer cannot prove is detected anyway.
+    /// The paper's watchdog hang timeout, in virtual time only: what a
+    /// proven hang costs the parked rank before its checkpoint is written.
+    /// No real-time deadline comes with it; a hang is detected when the
+    /// collective layer proves it.
     pub watchdog_timeout: Duration,
     /// Storage tier JIT checkpoints are written to.
     pub tier: StorageTier,
@@ -121,9 +124,9 @@ impl IterationCell {
 
 /// The user-level library's hang action for the rank of `exec` — its
 /// call into the user's `save_checkpoint`, running while the trainer
-/// thread is parked. The rank sat in the hung collective for the timeout
-/// before anybody looked: charged first, once, however the watchdog came
-/// due (§6.4 leaves it out of the recovery figures, and so does the write
+/// thread is parked. A real rank sits in the hung collective for the
+/// timeout before anybody looks: charged first, once, on the proof of
+/// the hang (§6.4 leaves it out of the recovery figures, and so does the write
 /// cost returned beside the scheduler's acknowledgement). The checkpoint
 /// is encoded straight from the device, under its lock, and written once
 /// the lock is released; a rank whose memory is unreadable writes
@@ -198,9 +201,9 @@ pub fn run_user_level_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::launcher::HangObserver;
     use cluster::Cluster;
     use dltrain::{JobSetup, RankTrainer};
-    use proxy::Watchdog;
     use simcore::cost::GpuGeneration;
     use simcore::failure::{FailureKind, FailureSpec, Phase};
     use simcore::sync::Mutex;
@@ -326,13 +329,13 @@ mod tests {
         let save = save_checkpoint(&exec, &patient(), job, cfg.layout, store, cell);
         let writes = Arc::new(Mutex::new(Vec::new()));
         let (acks, written) = (scheduler.clone(), writes.clone());
-        let watchdog = Watchdog::spawn(TIMEOUT, move || {
+        let observer = HangObserver::new(Arc::default(), move || {
             if let Some((ack, write)) = save() {
                 written.lock().push(write);
                 let _ = acks.ack_checkpoint(job, ack);
             }
-        })?;
-        exec.set_observer(watchdog.observer());
+        });
+        exec.set_observer(observer.clone());
         let tr = RankTrainer::new(exec, cfg, &setup.per_rank[1], FailureInjector::none())?;
         // Rank 0's thread is gone; rank 1 walks into a barrier with it.
         drop(setup.world.departure_guard(RankId(0)));
@@ -347,7 +350,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "no checkpoint ack");
             std::thread::yield_now();
         }
-        assert!(watchdog.fired());
+        assert!(observer.fired());
         let writes = writes.lock().clone();
         assert_eq!(writes.len(), 1);
         let write = writes[0];

@@ -631,7 +631,7 @@ impl<E: Executor> RankTrainer<E> {
     /// Launches the pending bucket's fused all-reduce (no-op when
     /// empty). The final flush runs immediately before `pre_optimizer`,
     /// so a bucketed minibatch still ends at the single observable
-    /// optimizer-step barrier the JIT watchdog keys on.
+    /// optimizer-step barrier JIT hang detection keys on.
     fn flush_bucket(&mut self, bucket: &mut GradBucket) -> SimResult<()> {
         if bucket.bufs.is_empty() {
             return Ok(());

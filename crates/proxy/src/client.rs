@@ -168,7 +168,7 @@ impl ProxyClient {
         self.handler = Some(handler);
     }
 
-    /// Installs the collective observer (the watchdog's ticket sink).
+    /// Installs the collective observer (the transparent engine).
     pub fn set_observer(&mut self, obs: Arc<dyn CollectiveObserver>) {
         self.plane.observer = obs;
     }

@@ -397,16 +397,17 @@ impl DirectExecutor {
         }
     }
 
-    /// Installs a collective observer (the user-level JIT watch-list hook).
+    /// Installs a collective observer (a restart job's hang observer).
     pub fn set_observer(&mut self, obs: Arc<dyn CollectiveObserver>) {
         self.plane.observer = obs;
     }
 
-    /// Shared handle to the device. The user-level JIT watchdog holds a
-    /// clone so it can snapshot GPU state from its own thread while the
-    /// rank thread is parked in a hung collective — the analogue of the
-    /// paper's checkpoint-on-a-new-CUDA-stream trick (§3.2). The lock is
-    /// never held across a blocking collective wait.
+    /// Shared handle to the device. The user-level JIT hang action holds
+    /// a clone so it can snapshot GPU state while the trainer is parked in
+    /// a hung collective — the analogue of the paper's
+    /// checkpoint-on-a-new-CUDA-stream trick (§3.2). The lock is never
+    /// held across a blocking collective wait, so the action can take it
+    /// from inside that wait, on the parked rank's own thread.
     pub fn shared_gpu(&self) -> Arc<Mutex<Gpu>> {
         self.gpu.clone()
     }

@@ -26,7 +26,8 @@
 //!   table;
 //! * [`client`] — [`ProxyClient`]: interception, logging, replay, and
 //!   replay-log correctness verification (§4.1);
-//! * [`watchdog`] — real-time hang detection over collective tickets.
+//! * [`watchdog`] — real-time hang detection over registered operations,
+//!   which no job runs (a job's hangs are proven by the collective layer).
 
 pub mod client;
 pub mod executor;

@@ -1,5 +1,5 @@
 //! User-level JIT checkpointing end to end (§3 of the paper):
-//! hang detection by watchdog → checkpoint from the healthy replicas →
+//! a proven hang → checkpoint from the healthy replicas →
 //! scheduler quorum → kill + reschedule excluding the failed GPU →
 //! restore from any replica's checkpoint. The job is `jitckpt::run_job`
 //! under `Policy::UserLevel`, with the scheduler the policy restarts on.

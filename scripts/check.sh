@@ -33,6 +33,12 @@ cargo test --release -p jitckpt --lib --quiet a_missing_or_bad_frame_leaves_the_
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
+# A restart job runs its hang action only on a proven hang, and is killed
+# on facts: an ack never outlives its incident, and a job is killed once
+# nobody is left who could ack, a rank that erred outside its step included.
+cargo test --release --test cross_crate --quiet an_ack_never_outlives_its_incident
+cargo test --release --test cross_crate --quiet a_cell_nobody_can_checkpoint_is_killed_at_once
+cargo test --release -p jitckpt --lib --quiet a_rank_that_errs_outside_its_step_still_gets_the_job_killed
 # One job under each policy of the one entry point (`run_job`), against its
 # fault-free twin: the same loss bits, and every outcome field as the
 # policy has it.
