@@ -125,9 +125,9 @@ impl IterationCell {
 /// The user-level library's hang action for the rank of `exec` — its
 /// call into the user's `save_checkpoint`, running while the trainer
 /// thread is parked. A real rank sits in the hung collective for the
-/// timeout before anybody looks: charged first, once, on the proof of
-/// the hang (§6.4 leaves it out of the recovery figures, and so does the write
-/// cost returned beside the scheduler's acknowledgement). The checkpoint
+/// timeout before anybody looks: charged first, once, on the proof of the
+/// hang (§6.4 leaves it out of the recovery figures, and so does the
+/// write cost returned beside the scheduler's acknowledgement). The checkpoint
 /// is encoded straight from the device, under its lock, and written once
 /// the lock is released; a rank whose memory is unreadable writes
 /// nothing, and a replica will.

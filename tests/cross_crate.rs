@@ -843,9 +843,7 @@ fn restart_runners_are_pinned() {
     // periodic baseline, through the same two faults: what every
     // restarted rank was charged, what it read, and what it trained.
     // Hangs here are proven, never waited out: the 30 s timeout is only
-    // the virtual time a proven hang charges. (It once was a real-time
-    // deadline too, and had to outlast the stream patience; see
-    // `an_ack_never_outlives_its_incident`.)
+    // the virtual time a proven hang charges.
     let jit = JitUserConfig {
         watchdog_timeout: std::time::Duration::from_secs(30),
         ..JitUserConfig::default()
