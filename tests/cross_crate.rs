@@ -953,6 +953,48 @@ fn an_ack_never_outlives_its_incident() {
 }
 
 #[test]
+fn a_cut_stream_ends_on_its_cut_not_on_patience() {
+    let _g = serial();
+    // `an_ack_never_outlives_its_incident`'s job, with a minute of stream
+    // patience: the replica that owns the checkpoint sends the preamble and
+    // cuts its stream, and the receiver learns so at once, as it would from
+    // a reset connection. The job runs on its own thread, so that a
+    // receiver waiting out its patience fails this test in seconds.
+    let jit = JitUserConfig {
+        watchdog_timeout: std::time::Duration::from_millis(100),
+        stream_patience: std::time::Duration::from_secs(60),
+        stream_truncate: Some(1),
+        ..JitUserConfig::default()
+    };
+    let started = std::time::Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let out = run_job(
+            dltrain::TrainConfig::tiny_dp(2),
+            CostModel::v100(),
+            restart_faults(),
+            Arc::new(SharedStore::new()),
+            8,
+            Policy::UserLevel {
+                scheduler: Arc::new(Scheduler::new(Cluster::new(GpuGeneration::V100_32G, 2))),
+                jit,
+            },
+        );
+        let _ = tx.send(out);
+    });
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the job waited out its stream patience")
+        .unwrap();
+    let wall = started.elapsed();
+    assert_eq!(out.restarts, 2);
+    assert_eq!(out.wasted_iterations, 0, "resumed from a stale ack");
+    assert_eq!(out.checkpoints_written, 2, "one write per incident");
+    assert_eq!(loss_bits(&out.losses), GOLDEN_DP2, "recovery moved a loss");
+    assert!(wall < std::time::Duration::from_secs(2), "took {wall:?}");
+}
+
+#[test]
 fn a_cell_nobody_can_checkpoint_is_killed_at_once() {
     let _g = serial();
     // One replica of two stages, and the stage-0 rank's GPU dies: the
