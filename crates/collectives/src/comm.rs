@@ -263,7 +263,7 @@ impl Communicator {
     }
 
     /// True if `rank` is a member of this group.
-    pub fn contains(&self, rank: RankId) -> bool {
+    pub(crate) fn contains(&self, rank: RankId) -> bool {
         self.member_of.contains_key(&rank)
     }
 
@@ -667,8 +667,7 @@ impl Communicator {
                 // observer takes locks of its own. Then it re-checks,
                 // because the world moved on while the lock was dropped.
                 drop(st);
-                stuck = Some(self.liveness.stuck(rank));
-                obs.collective_hung(ticket);
+                stuck = Some(self.liveness.hung(rank, || obs.collective_hung(ticket)));
                 st = self.state.lock();
             }
         }

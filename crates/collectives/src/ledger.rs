@@ -208,7 +208,7 @@ impl GradLedger {
     }
 
     /// Metadata of generation `gen`, if retained.
-    pub fn entry_meta(&self, gen: u64) -> Option<LedgerEntryMeta> {
+    pub(crate) fn entry_meta(&self, gen: u64) -> Option<LedgerEntryMeta> {
         self.inner
             .lock()
             .entries

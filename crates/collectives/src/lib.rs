@@ -41,9 +41,10 @@
 //!   reconstruction of a dead member's result from survivors;
 //! * [`observer`] — the interception hook ([`CollectiveObserver`]) that
 //!   stands in for the user-level watch-list of §3.1;
-//! * `liveness` — the per-world table of ranks that will never contribute
-//!   again, from which a parked rank proves its wait hung instead of
-//!   guessing it from elapsed time.
+//! * `liveness` — the per-world record of what is known of its ranks
+//!   ([`RankFacts`]: departed, stuck, acted), from which a parked rank
+//!   proves its wait hung instead of guessing it from elapsed time, and
+//!   on which a job's own waits end.
 
 pub mod comm;
 pub mod group;
@@ -57,6 +58,7 @@ pub mod world;
 pub use comm::{CollKind, Communicator, ReduceOp, RECOVERY_GEN_BASE};
 pub use group::SplitKey;
 pub use ledger::{GradLedger, LedgerConfig};
+pub use liveness::RankFacts;
 pub use observer::{CollectiveObserver, CollectiveTicket, NullObserver};
 pub use schedule::{CollEngine, RingConfig};
 pub use world::{CommId, CommWorld};

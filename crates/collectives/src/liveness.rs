@@ -1,5 +1,5 @@
-//! Which ranks of a world will never contribute again — the fact that
-//! turns "nobody has arrived for a long time" into "nobody can arrive".
+//! What a world knows of its ranks — the facts that turn "nobody has
+//! arrived for a long time" into "nobody can arrive".
 //!
 //! A real rank cannot know its peer is dead, so the paper's watchdog
 //! (§3.1) waits out a timeout. The simulation can know: a rank thread
@@ -9,29 +9,51 @@
 //! (departed or stuck) rank is provably hung; the waiter says so to its
 //! observer ([`crate::CollectiveObserver::collective_hung`]) and stays
 //! parked, which is what lets a job act on the proof instead of on
-//! elapsed real time.
+//! elapsed real time. Once the observer has returned, the rank has
+//! *acted*: a restart job's hang action has run.
 //!
 //! One table per [`CommWorld`], shared with every communicator the world
-//! creates or splits the way the clock board is. Marking a rank wakes
-//! every parked waiter of the world so each re-checks its own wait.
+//! creates or splits the way the clock board is, and read by a job's own
+//! waits ([`CommWorld::await_ranks`]). Each fact recorded wakes every
+//! waiter of the world ([`CommWorld::wake_waiters`]).
 
 use crate::world::CommWorld;
-use simcore::sync::Mutex;
+use simcore::sync::{Condvar, Mutex};
 use simcore::RankId;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
+/// What a world knows of its ranks ([`CommWorld::await_ranks`]), each fact
+/// apart.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RankFacts {
+    /// Ranks whose thread has returned ([`CommWorld::departure_guard`]).
+    /// Never cleared.
+    pub departed: BTreeSet<RankId>,
+    /// Ranks parked in a wait proven hung, until it releases them.
+    pub stuck: BTreeSet<RankId>,
+    /// Ranks whose observer has returned from a proven hang: a restart
+    /// job's hang action has finished. Never cleared.
+    pub acted: BTreeSet<RankId>,
+    /// How often the world has woken its waiters: a later snapshot has a
+    /// larger one.
+    pub epoch: u64,
+}
+
+#[derive(Default)]
 pub(crate) struct Liveness {
-    /// `gone.len()`, readable without the lock: what a park pays while
-    /// nobody is gone. It publishes no data — the set is read under its
-    /// lock, and a parked waiter is ordered after a mark by the state (or
-    /// mailbox) lock the marker takes to wake it — so `Relaxed` is enough.
+    /// `departed.len() + stuck.len()`, readable without the lock: what a
+    /// park pays while nobody is gone. It publishes no data — the sets are
+    /// read under their lock, and a parked waiter is ordered after a mark
+    /// by the state (or mailbox) lock the marker takes to wake it — so
+    /// `Relaxed` is enough. `acted` does not count: it proves nothing.
     marks: AtomicUsize,
-    /// Departed ranks (never removed) and currently stuck ones. A leaf
-    /// lock: taken under a communicator's state lock or the mailbox lock,
-    /// nothing is acquired while it is held.
-    gone: Mutex<BTreeSet<RankId>>,
+    /// A leaf lock: taken under a communicator's state lock or the mailbox
+    /// lock, nothing is acquired while it is held.
+    pub(crate) facts: Mutex<RankFacts>,
+    /// Wakes [`CommWorld::await_ranks`] on every epoch.
+    pub(crate) changed: Condvar,
     /// Whose waiters a mark wakes. Empty for the private table of a
     /// communicator built outside any world.
     world: Weak<CommWorld>,
@@ -40,9 +62,8 @@ pub(crate) struct Liveness {
 impl Liveness {
     pub(crate) fn new(world: Weak<CommWorld>) -> Self {
         Liveness {
-            marks: AtomicUsize::new(0),
-            gone: Mutex::new(BTreeSet::new()),
             world,
+            ..Liveness::default()
         }
     }
 
@@ -51,43 +72,48 @@ impl Liveness {
         if self.marks.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        let gone = self.gone.lock();
-        ranks.any(|r| gone.contains(&r))
+        let f = self.facts.lock();
+        ranks.any(|r| f.departed.contains(&r) || f.stuck.contains(&r))
     }
 
-    /// Adds `rank` to the gone set or takes it out.
-    fn set_gone(&self, rank: RankId, gone: bool) {
-        let mut set = self.gone.lock();
-        if gone {
-            set.insert(rank);
-        } else {
-            set.remove(&rank);
+    /// Records a fact with `change`, which says whether it was new.
+    fn record(&self, change: impl FnOnce(&mut RankFacts) -> bool) -> bool {
+        let mut f = self.facts.lock();
+        let new = change(&mut f);
+        let marks = f.departed.len() + f.stuck.len();
+        self.marks.store(marks, Ordering::Relaxed);
+        new
+    }
+
+    /// [`Liveness::record`], then, if the fact is new, wakes every waiter
+    /// of the world so each re-checks its wait against the table. Call
+    /// with no collectives lock held.
+    fn mark(&self, change: impl FnOnce(&mut RankFacts) -> bool) {
+        if self.record(change) {
+            if let Some(world) = self.world.upgrade() {
+                world.wake_waiters();
+            }
         }
-        self.marks.store(set.len(), Ordering::Relaxed);
     }
 
-    /// Wakes every parked waiter of the world so each re-checks its wait
-    /// against the table. Call with no collectives lock held.
-    fn wake(&self) {
-        if let Some(world) = self.world.upgrade() {
-            world.wake_waiters();
-        }
+    /// Starts a new epoch and wakes [`CommWorld::await_ranks`].
+    pub(crate) fn notify(&self) {
+        let mut f = self.facts.lock();
+        f.epoch += 1;
+        self.changed.notify_all();
     }
 
-    /// `rank`'s thread has returned: it is gone for good.
-    fn mark_departed(&self, rank: RankId) {
-        self.set_gone(rank, true);
-        self.wake();
-    }
-
-    /// Marks `rank` stuck — parked on a provably hung operation — for as
-    /// long as the returned guard lives, so that ranks waiting on it are
-    /// proven hung in turn. Call with no collectives lock held; the guard
-    /// may be dropped under one.
-    pub(crate) fn stuck(&self, rank: RankId) -> Stuck<'_> {
-        self.set_gone(rank, true);
-        self.wake();
-        Stuck { table: self, rank }
+    /// `rank`'s wait is proven hung: marks the rank stuck for as long as
+    /// the returned guard lives, so that ranks waiting on it are proven
+    /// hung in turn, has `report` tell the observer, then marks the rank
+    /// acted. Call with no collectives lock held; the guard may be dropped
+    /// under one.
+    pub(crate) fn hung(&self, rank: RankId, report: impl FnOnce()) -> Stuck<'_> {
+        self.mark(|f| f.stuck.insert(rank));
+        let stuck = Stuck { table: self, rank };
+        report();
+        self.mark(|f| f.acted.insert(rank));
+        stuck
     }
 }
 
@@ -100,7 +126,7 @@ pub(crate) struct Stuck<'a> {
 impl Drop for Stuck<'_> {
     fn drop(&mut self) {
         // Nobody needs waking: a released rank proves nothing new.
-        self.table.set_gone(self.rank, false);
+        self.table.record(|f| f.stuck.remove(&self.rank));
     }
 }
 
@@ -112,19 +138,20 @@ pub(crate) struct Departure {
 
 impl Drop for Departure {
     fn drop(&mut self) {
-        self.table.mark_departed(self.rank);
+        self.table.mark(|f| f.departed.insert(self.rank));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::observer::{CollectiveObserver, CollectiveTicket};
-    use crate::{CommId, CommWorld, Communicator, NullObserver, ReduceOp};
+    use crate::{CommId, CommWorld, Communicator, NullObserver, RankFacts, ReduceOp};
     use simcore::cost::CostModel;
     use simcore::time::ClockBoard;
     use simcore::{RankId, SimError, SimResult};
+    use std::collections::BTreeSet;
     use std::sync::mpsc::{channel, Receiver, Sender};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread::{self, JoinHandle};
     use std::time::Duration;
 
@@ -283,5 +310,72 @@ mod tests {
             .unwrap();
         h2.join().unwrap().unwrap();
         assert!(rx.try_recv().is_err(), "one report per proven wait");
+    }
+
+    /// Holds a proven hang's report until the test passes the barrier.
+    struct Held(Barrier);
+
+    impl CollectiveObserver for Held {
+        fn collective_started(&self, _: &CollectiveTicket) {}
+        fn collective_finished(&self, _: &CollectiveTicket) {}
+        fn collective_hung(&self, _: &CollectiveTicket) {
+            self.0.wait();
+        }
+    }
+
+    /// The world's facts once `done` holds, each wait ended by a wake-up.
+    fn facts_once(w: &CommWorld, done: impl Fn(&RankFacts) -> bool) -> RankFacts {
+        let mut facts = w.await_ranks(None, None);
+        while !done(&facts) {
+            let next = w.await_ranks(Some(facts.epoch), Some(WAIT));
+            assert!(
+                next.epoch > facts.epoch,
+                "no wake-up in {WAIT:?}: {facts:?}"
+            );
+            facts = next;
+        }
+        facts
+    }
+
+    #[test]
+    fn each_fact_is_recorded_apart_and_wakes_the_worlds_waiters() {
+        // Rank 0 departs. Rank 1's reduce with it is proven hung: rank 1 is
+        // stuck while its observer runs, has acted once it returned, and
+        // is stuck no more once the abort releases it. Departed and acted
+        // are never cleared.
+        let w = world(2);
+        let comm = comm_of(&w, &[0, 1]);
+        let start = w.await_ranks(None, None);
+        assert_eq!(start, RankFacts::default());
+        drop(w.departure_guard(RankId(0)));
+        let one = |r: u32| BTreeSet::from([RankId(r)]);
+        let gone = facts_once(&w, |f| !f.departed.is_empty());
+        assert_eq!(
+            (gone.departed, gone.stuck, gone.acted),
+            (one(0), [].into(), [].into())
+        );
+        let held = Arc::new(Held(Barrier::new(2)));
+        let h = {
+            let (comm, held) = (comm.clone(), held.clone());
+            thread::spawn(move || {
+                comm.all_reduce_shared(RankId(1), 0, vec![1.0], ReduceOp::Sum, 4, &*held)
+            })
+        };
+        let stuck = facts_once(&w, |f| !f.stuck.is_empty());
+        assert_eq!(
+            (stuck.stuck, stuck.acted),
+            (one(1), [].into()),
+            "acted too early"
+        );
+        held.0.wait();
+        let acted = facts_once(&w, |f| !f.acted.is_empty());
+        assert_eq!((acted.departed, acted.stuck), (one(0), one(1)));
+        comm.abort();
+        assert_eq!(h.join().unwrap().unwrap_err(), SimError::CollectiveAborted);
+        let end = w.await_ranks(None, None);
+        assert_eq!(
+            (end.departed, end.stuck, end.acted),
+            (one(0), [].into(), one(1))
+        );
     }
 }

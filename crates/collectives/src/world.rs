@@ -11,22 +11,24 @@
 //! the `ncclCommAbort`-on-everything step that releases every rank parked
 //! in a hung collective.
 //!
-//! The world also owns the table of ranks that will never contribute
-//! again (`liveness.rs`): a runner's rank thread holds a
-//! [`CommWorld::departure_guard`], and from the moment it drops, every
-//! wait that needs that rank — a collective generation it has not
-//! contributed to, a receive it has not sent for — is reported to its
-//! observer as provably hung.
+//! The world also owns the one record of its ranks (`liveness.rs`):
+//! which departed, which are stuck in a proven hang, which acted on one.
+//! A runner's rank thread holds one [`CommWorld::departure_guard`], and
+//! from the moment it drops, every wait that needs that rank — a
+//! collective generation it has not contributed to, a receive it has not
+//! sent for — is reported to its observer as provably hung, and a job's
+//! own waits ([`CommWorld::await_ranks`]: the launcher's kill, the
+//! transparent engine's rounds) wake to read it.
 
 use crate::comm::{CollKind, Communicator};
-use crate::liveness::{Departure, Liveness};
+use crate::liveness::{Departure, Liveness, RankFacts};
 use crate::observer::{CollectiveObserver, CollectiveTicket};
 use bytes::Bytes;
 use simcore::cost::CostModel;
 use simcore::sync::{Condvar, Mutex};
 use simcore::time::ClockBoard;
 use simcore::{RankId, SimError, SimResult, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,6 +63,9 @@ struct ByteMessage {
 struct MailState {
     inbox: HashMap<MailKey, Message>,
     byte_inbox: HashMap<MailKey, ByteMessage>,
+    /// Recovery streams `(src, dst, tag)` their sender cut
+    /// ([`CommWorld::close_bytes`]): a frame absent from one never comes.
+    cut: HashSet<(RankId, RankId, u64)>,
     /// Each rank's commit floor, by clock slot: the minibatch iteration
     /// it last began ([`CommWorld::commit`]). Zero until it commits.
     floors: Vec<u64>,
@@ -88,6 +93,7 @@ impl CommWorld {
         let mail = MailState {
             inbox: HashMap::new(),
             byte_inbox: HashMap::new(),
+            cut: HashSet::new(),
             floors: vec![0; clock.len()],
             waiters: 0,
         };
@@ -104,12 +110,13 @@ impl CommWorld {
         })
     }
 
-    /// A guard for the thread that runs `rank`: dropping it records that
-    /// the rank has departed — its thread has returned and contributes to
-    /// nothing after that — and wakes every parked waiter of this world,
-    /// so that a wait which needs the rank is known to be hung without
-    /// waiting out a timeout. Declare it first in the rank's closure: it
-    /// must drop last, after the rank's trainer and device.
+    /// The one guard a rank thread holds: dropping it records that `rank`
+    /// has departed — its thread has returned and contributes to nothing
+    /// after that — and wakes every waiter of this world, so that a wait
+    /// which needs the rank is known to be hung, and a job waiting for its
+    /// ranks learns that this one is gone, without waiting out a timeout.
+    /// Take it before anything else the thread owns, so that it drops
+    /// last, after the rank's trainer and device.
     pub fn departure_guard(&self, rank: RankId) -> impl Drop + Send {
         Departure {
             table: self.liveness.clone(),
@@ -117,10 +124,14 @@ impl CommWorld {
         }
     }
 
-    /// Wakes every rank parked in a collective or a receive of this world
-    /// so that it re-checks its wait against the liveness table. Call with
-    /// no collectives lock held.
-    pub(crate) fn wake_waiters(&self) {
+    /// The world's one wake-up path: wakes every rank parked in a
+    /// collective or a receive of this world, and every caller of
+    /// [`CommWorld::await_ranks`], so that each re-checks its wait. Every
+    /// fact the world records about a rank calls it; so does a job whose
+    /// waits park in `await_ranks` on each fact of its own. Call with no
+    /// collectives lock held.
+    pub fn wake_waiters(&self) {
+        self.liveness.notify();
         // Registry snapshot first, mailbox under its lock last: the
         // shape, and the reasons, of `abort_all`.
         let comms: Vec<Arc<Communicator>> = self.comms.lock().values().cloned().collect();
@@ -129,6 +140,24 @@ impl CommWorld {
         }
         let _mail = self.mail.lock();
         self.mail_cv.notify_all();
+    }
+
+    /// What this world knows of its ranks: at once when `seen` is `None`;
+    /// else once the world has woken its waiters after the snapshot whose
+    /// `epoch` is `seen`, or after `patience`, the last resort. A caller
+    /// that checks its own state after taking a snapshot, and waits with
+    /// that snapshot's epoch, misses no wake-up.
+    pub fn await_ranks(&self, seen: Option<u64>, patience: Option<Duration>) -> RankFacts {
+        let deadline = patience.map(|p| Instant::now() + p);
+        let mut facts = self.liveness.facts.lock();
+        while seen.is_some_and(|e| facts.epoch <= e) {
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => self.liveness.changed.wait(&mut facts),
+                Some(Duration::ZERO) => break,
+                Some(left) => _ = self.liveness.changed.wait_for(&mut facts, left),
+            }
+        }
+        facts.clone()
     }
 
     /// The shared clock board.
@@ -211,7 +240,7 @@ impl CommWorld {
     }
 
     /// True after [`CommWorld::abort_all`] until [`CommWorld::reset`].
-    pub fn is_aborted(&self) -> bool {
+    fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::Acquire)
     }
 
@@ -324,9 +353,8 @@ impl CommWorld {
         obs.collective_started(&ticket);
         let hung = || obs.collective_hung(&ticket);
         let got = self.await_mail(src, dst, Some(&hung), None, |mail| {
-            mail.inbox
-                .get(&key)
-                .map(|m| (m.data.clone(), m.available_at))
+            let m = mail.inbox.get(&key)?;
+            Some(Ok((m.data.clone(), m.available_at)))
         });
         obs.collective_finished(&ticket);
         let (data, available_at) = got?;
@@ -335,12 +363,12 @@ impl CommWorld {
     }
 
     /// The one mailbox wait: parks on the mailbox condvar until `take`
-    /// finds what `dst` waits for from `src`, with its availability time.
-    /// Delivery wins over abort, abort over a proof that `src` is gone
-    /// (departed, or stuck in a provably hung wait; see the collective
-    /// wait loop). On that proof `hung` is told once and the wait stays
-    /// parked until the abort; without `hung` it fails at once. `patience`
-    /// is the last resort. Either failure is
+    /// finds what `dst` waits for from `src`, with its availability time,
+    /// or the fact that it never comes. Delivery wins over abort, abort
+    /// over a proof that `src` is gone (departed, or stuck in a provably
+    /// hung wait; see the collective wait loop). On that proof `hung` is
+    /// told once and the wait stays parked until the abort; without `hung`
+    /// it fails at once. `patience` is the last resort. Either failure is
     /// [`SimError::CollectiveTimeout`] naming `src`.
     fn await_mail<T>(
         &self,
@@ -348,7 +376,7 @@ impl CommWorld {
         dst: RankId,
         hung: Option<&dyn Fn()>,
         patience: Option<Duration>,
-        mut take: impl FnMut(&mut MailState) -> Option<(T, SimTime)>,
+        mut take: impl FnMut(&mut MailState) -> Option<SimResult<(T, SimTime)>>,
     ) -> SimResult<(T, SimTime)> {
         let deadline = patience.map(|p| Instant::now() + p);
         let timeout = Err(SimError::CollectiveTimeout { rank: src });
@@ -358,7 +386,7 @@ impl CommWorld {
         let mut stuck = None;
         loop {
             if let Some(got) = take(&mut mail) {
-                return Ok(got);
+                return got;
             }
             if self.is_aborted() {
                 return Err(SimError::CollectiveAborted);
@@ -388,8 +416,7 @@ impl CommWorld {
             // The sender will never send: say so once with no lock held,
             // stay in the receive, and look again.
             drop(mail);
-            stuck = Some(self.liveness.stuck(dst));
-            hung();
+            stuck = Some(self.liveness.hung(dst, hung));
             mail = self.mail.lock();
         }
     }
@@ -428,14 +455,25 @@ impl CommWorld {
         Ok(())
     }
 
+    /// Cuts the recovery stream `(src, dst, tag)`: its sender will send no
+    /// frame it has not sent yet, as a dead peer's connection resets. A
+    /// receiver waiting for one learns so at once. The cut lasts for the
+    /// world's life; frames already sent are still delivered.
+    pub fn close_bytes(&self, src: RankId, dst: RankId, tag: u64) {
+        let mut mail = self.mail.lock();
+        mail.cut.insert((src, dst, tag));
+        self.mail_cv.notify_all();
+    }
+
     /// Blocking receive of a byte shard, taken out of the inbox: a frame
     /// is received once, so a finished stream leaves nothing behind.
     /// Raises the receiver's clock to the frame's availability time. The
-    /// wait ends on the frame, on an abort, on the liveness table's proof
-    /// that `src` will never send it — it departed, or is stuck in a
-    /// provably hung wait — or, last resort, after `patience` of real
-    /// time; the latter two are [`SimError::CollectiveTimeout`] naming
-    /// `src`, which the recovery stream answers with its store fallback.
+    /// wait ends on the frame, on an abort, on the fact that it never
+    /// comes — the stream is cut ([`CommWorld::close_bytes`]), or `src`
+    /// departed or is stuck in a provably hung wait — or, last resort,
+    /// after `patience` of real time; all but the abort are
+    /// [`SimError::CollectiveTimeout`] naming `src`, which the recovery
+    /// stream answers with its store fallback.
     pub fn recv_bytes(
         &self,
         src: RankId,
@@ -447,28 +485,16 @@ impl CommWorld {
     ) -> SimResult<Bytes> {
         let key = (src, dst, tag, seq);
         let (frame, available_at) = self.await_mail(src, dst, None, Some(patience), |mail| {
-            mail.byte_inbox
-                .remove(&key)
-                .map(|m| (m.frame, m.available_at))
+            match mail.byte_inbox.remove(&key) {
+                Some(m) => Some(Ok((m.frame, m.available_at))),
+                None => mail
+                    .cut
+                    .contains(&(src, dst, tag))
+                    .then_some(Err(SimError::CollectiveTimeout { rank: src })),
+            }
         })?;
         self.clock.raise_to(dst_clock_idx, available_at);
         Ok(frame)
-    }
-
-    /// Non-blocking [`CommWorld::recv_bytes`]: `Ok(Some)` if the frame is
-    /// there, `Ok(None)` if not, `Err` if the world is aborted.
-    pub fn try_recv_bytes(
-        &self,
-        src: RankId,
-        dst: RankId,
-        dst_clock_idx: usize,
-        tag: u64,
-        seq: u64,
-    ) -> SimResult<Option<Bytes>> {
-        match self.recv_bytes(src, dst, dst_clock_idx, tag, seq, Duration::ZERO) {
-            Err(SimError::CollectiveTimeout { .. }) => Ok(None),
-            got => got.map(Some),
-        }
     }
 }
 
@@ -681,9 +707,8 @@ mod tests {
             w.commit(RankId(1), 1, it, std::iter::empty());
         }
         assert!(w
-            .try_recv_bytes(RankId(0), RankId(1), 1, 9, 0)
-            .unwrap()
-            .is_some());
+            .recv_bytes(RankId(0), RankId(1), 1, 9, 0, Duration::ZERO)
+            .is_ok());
     }
 
     #[test]

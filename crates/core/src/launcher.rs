@@ -22,7 +22,9 @@
 //!
 //! No wait here ends on the wall clock ([`spawn_and_monitor`]). A hang
 //! action runs only on a proof, and every proven hang ends its
-//! generation, so no ack outlives its incident.
+//! generation, so no ack outlives its incident. The kill ends on the
+//! world's record of its ranks ([`collectives::RankFacts`]): the quorum,
+//! or every rank departed or done with its hang action.
 //!
 //! Every restarted rank restores through
 //! [`stream::restore_with_fallback`]: the ledger leg has no ledger
@@ -46,7 +48,7 @@ use dltrain::{JobSetup, RankTrainer, TrainConfig};
 use proxy::{DirectExecutor, Executor};
 use simcore::cost::{CostModel, StorageTier};
 use simcore::layout::GridCoord;
-use simcore::sync::{Condvar, Mutex};
+use simcore::sync::Mutex;
 use simcore::{GpuId, JobId, RankId, SimError, SimResult, SimTime};
 use simgpu::Gpu;
 use std::collections::BTreeMap;
@@ -219,12 +221,12 @@ pub fn run_job(
             setup: JobSetup::build_with(layout, job.cost.clone(), rpn, 0, Some(node_of)),
             assignment: assignment.clone(),
             resume,
-            monitor: Arc::default(),
         });
         let results = {
-            let (world, monitor) = (gen.setup.world.clone(), gen.monitor.clone());
+            let (scheduler, world) = (job.scheduler.clone(), gen.setup.world.clone());
+            let quorum = move || scheduler.checkpoint_quorum(id).is_ok_and(|q| q.is_some());
             let (job, gen) = (job.clone(), gen.clone());
-            spawn_and_monitor(n, world, monitor, move |i| job.run_rank(&gen, i))?
+            spawn_and_monitor(n, world, quorum, move |i| job.run_rank(&gen, i))?
         };
         reached = 0;
         let mut any_failure = false;
@@ -302,7 +304,6 @@ struct Generation {
     assignment: Vec<GpuId>,
     /// The checkpoint every cell restores, if there is one.
     resume: Option<BTreeMap<(usize, usize), CellChoice>>,
-    monitor: Arc<Monitor>,
 }
 
 /// One rank's generation: its `(iteration, loss)` pairs, the error that
@@ -312,15 +313,11 @@ type RankRun = (Vec<(u64, f32)>, Option<SimError>, u64);
 impl Job {
     fn run_rank(&self, gen: &Generation, i: usize) -> SimResult<RankRun> {
         let (rank, world) = (RankId::from(i), &gen.setup.world);
-        // First, so that it drops last: peers learn that this rank is
-        // gone only after its trainer and device memory are.
-        let _departure = world.departure_guard(rank);
         let gpu = Gpu::new(gen.assignment[i], self.cost.clone());
         let mut exec = DirectExecutor::new(rank, i, gpu, world.clone());
         let (hang, mut step_hook) = self.hooks(world, &exec);
-        let (job, scheduler) = (self.id, self.scheduler.clone());
-        let (record, monitor) = (self.record.clone(), gen.monitor.clone());
-        exec.set_observer(HangObserver::new(gen.monitor.clone(), move || {
+        let (job, scheduler, record) = (self.id, self.scheduler.clone(), self.record.clone());
+        exec.set_observer(HangObserver::new(move || {
             if let Some((ack, write)) = hang() {
                 record.wrote(Some(RecoveryEvent {
                     rank: ack.rank,
@@ -331,9 +328,9 @@ impl Job {
                 // The job is not killed here: the launcher kills it only
                 // once every cell has a checkpoint, or nobody is left to
                 // write one, so that every healthy rank gets to save first.
+                // The rank's `acted` mark, recorded once this returns,
+                // wakes the launcher to ask for the quorum.
                 let _ = scheduler.ack_checkpoint(job, ack);
-                let quorum = scheduler.checkpoint_quorum(job).ok().flatten();
-                monitor.update(|p| p.quorum |= quorum.is_some());
             }
         }));
         let comms = &gen.setup.per_rank[i];
@@ -476,54 +473,20 @@ impl Job {
     }
 }
 
-/// What the launcher waits on, updated by the rank threads and their
-/// hang actions; every update wakes it.
-#[derive(Default)]
-pub(crate) struct Monitor {
-    progress: Mutex<Progress>,
-    changed: Condvar,
-}
-
-#[derive(Default)]
-struct Progress {
-    /// Rank threads that have returned (or unwound).
-    exited: usize,
-    /// Ranks that ran their hang action. Each stays parked in its hung
-    /// collective until the job is killed, and acks nothing more.
-    hung: usize,
-    /// The scheduler's checkpoint quorum is reached (§3, step 3).
-    quorum: bool,
-}
-
-impl Monitor {
-    fn update(&self, f: impl FnOnce(&mut Progress)) {
-        let mut p = self.progress.lock();
-        f(&mut p);
-        self.changed.notify_all();
-    }
-}
-
 /// A restart job's collective observer on one rank: the first wait the
 /// collective layer proves hung runs the rank's hang action, on the
 /// parked rank's own thread with no collectives lock held, while the
-/// trainer stays parked in it (§3.2); then the rank can ack no more.
+/// trainer stays parked in it (§3.2). When it returns the world records
+/// that the rank acted; the rank can ack no more.
 pub(crate) struct HangObserver {
     action: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    monitor: Arc<Monitor>,
 }
 
 impl HangObserver {
-    pub(crate) fn new(monitor: Arc<Monitor>, action: impl FnOnce() + Send + 'static) -> Arc<Self> {
+    pub(crate) fn new(action: impl FnOnce() + Send + 'static) -> Arc<Self> {
         Arc::new(HangObserver {
             action: Mutex::new(Some(Box::new(action))),
-            monitor,
         })
-    }
-
-    /// True once the hang action has run.
-    #[cfg(test)]
-    pub(crate) fn fired(&self) -> bool {
-        self.action.lock().is_none()
     }
 }
 
@@ -536,34 +499,24 @@ impl CollectiveObserver for HangObserver {
         let action = self.action.lock().take();
         if let Some(action) = action {
             action();
-            self.monitor.update(|p| p.hung += 1);
         }
     }
 }
 
-/// Records a rank thread's exit when dropped, so a panicking rank is
-/// counted too.
-struct Exit(Arc<Monitor>);
-
-impl Drop for Exit {
-    fn drop(&mut self) {
-        self.0.update(|p| p.exited += 1);
-    }
-}
-
-/// Spawns rank threads and plays the scheduler's monitoring role: kill
-/// the job by aborting its communicators, so parked ranks release, once
-/// the checkpoint quorum is met (§3, step 3 — at least one data-parallel
-/// replica of every pipeline stage and tensor partition acknowledged) or
-/// every rank has exited or run its hang action, so no further ack can
-/// come; then join everyone once every rank has exited. A rank that ran
-/// its hang action exits only after an abort, so counting it twice can
-/// only kill a job already killed. A job whose ranks run no hang action
+/// Spawns rank threads, each holding its one departure guard, and plays
+/// the scheduler's monitoring role on the world's record of its ranks:
+/// kill the job by aborting its communicators, so parked ranks release,
+/// once `quorum` holds (§3, step 3 — at least one data-parallel replica
+/// of every pipeline stage and tensor partition acknowledged) or every
+/// rank has departed or acted on a proven hang, so no further ack can
+/// come; then join everyone once every rank has departed. A rank still
+/// running its hang action is stuck but has not acted, so it holds the
+/// kill back until it has acked. A job whose ranks run no hang action
 /// (the transparent one, which recovers in place) is only joined.
 pub(crate) fn spawn_and_monitor<T, F>(
     n: usize,
     world: Arc<CommWorld>,
-    monitor: Arc<Monitor>,
+    quorum: impl Fn() -> bool,
     f: F,
 ) -> SimResult<Vec<SimResult<T>>>
 where
@@ -573,13 +526,13 @@ where
     let f = Arc::new(f);
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
-        let (f, exit) = (f.clone(), Exit(monitor.clone()));
+        let (f, departure) = (f.clone(), world.departure_guard(RankId::from(i)));
         let spawned = std::thread::Builder::new()
             .name(format!("rank{i}"))
-            // `exit` drops after everything `f` owned, the rank's
-            // departure guard included.
+            // The guard drops after everything `f` owned, the rank's
+            // trainer and device included, and on a panic too.
             .spawn(move || {
-                let _exit = exit;
+                let _departure = departure;
                 f(i)
             });
         match spawned {
@@ -596,19 +549,17 @@ where
             }
         }
     }
+    // Each fact is read before `quorum` is asked, and an ack precedes its
+    // rank's `acted` mark, whose wake-up ends the next wait: none is lost.
     let mut killed = false;
-    let mut p = monitor.progress.lock();
-    while p.exited < n {
-        if !killed && (p.quorum || p.exited + p.hung >= n) {
-            drop(p);
+    let mut ranks = world.await_ranks(None, None);
+    while ranks.departed.len() < n {
+        if !killed && (ranks.departed.union(&ranks.acted).count() >= n || quorum()) {
             world.abort_all();
             killed = true;
-            p = monitor.progress.lock();
-            continue;
         }
-        monitor.changed.wait(&mut p);
+        ranks = world.await_ranks(Some(ranks.epoch), None);
     }
-    drop(p);
     Ok(handles
         .into_iter()
         .map(|h| match h.join() {
@@ -621,45 +572,116 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::Receiver;
 
-    #[test]
-    fn a_rank_that_errs_outside_its_step_still_gets_the_job_killed() -> SimResult<()> {
-        // Rank 0 fails before it trains (say, in its restore) and returns
-        // its error; rank 1 walks into a barrier with it, is proven hung,
-        // and its hang action acks nothing. Nothing can ack any more, so
-        // the job must be killed and rank 1 released.
+    impl HangObserver {
+        /// True once the hang action has run.
+        pub(crate) fn fired(&self) -> bool {
+            self.action.lock().is_none()
+        }
+    }
+
+    type Results = SimResult<Vec<SimResult<()>>>;
+
+    /// Runs a two-rank generation on its own thread: rank 0 fails before
+    /// it trains (say, in its restore) and returns its error; rank 1 walks
+    /// into a barrier with it, is proven hung, and runs `action` as its
+    /// hang action. Returns the world, rank 1's world communicator, and
+    /// where [`spawn_and_monitor`]'s results arrive.
+    fn erring_generation(
+        quorum: impl Fn() -> bool + Send + 'static,
+        action: impl Fn() + Clone + Send + Sync + 'static,
+    ) -> (
+        Arc<CommWorld>,
+        Arc<collectives::Communicator>,
+        Receiver<Results>,
+    ) {
         let cfg = dltrain::TrainConfig::tiny_dp(2);
         let cost = CostModel::v100();
         let setup = JobSetup::build(cfg.layout, cost.clone(), cfg.ranks_per_node);
         let (world, global) = (setup.world.clone(), setup.per_rank[1].global.clone());
-        let monitor = Arc::<Monitor>::default();
+        let (job_world, job_global) = (world.clone(), global.clone());
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let (job_world, job_monitor) = (world.clone(), monitor.clone());
-            let results = spawn_and_monitor(2, world, monitor, move |i| {
-                let rank = RankId::from(i);
-                let _departure = job_world.departure_guard(rank);
+            let rank_world = job_world.clone();
+            let rank = move |i: usize| {
                 if i == 0 {
                     return Err(SimError::Protocol("restore failed".into()));
                 }
                 let gpu = Gpu::new(GpuId(1), cost.clone());
-                let mut exec = DirectExecutor::new(rank, i, gpu, job_world.clone());
-                exec.set_observer(HangObserver::new(job_monitor.clone(), || {}));
-                let global = exec.register_comm(global.clone());
+                let mut exec = DirectExecutor::new(RankId::from(i), i, gpu, rank_world.clone());
+                exec.set_observer(HangObserver::new(action.clone()));
+                let global = exec.register_comm(job_global.clone());
                 exec.barrier(global)
-            });
-            let _ = tx.send(results);
+            };
+            let _ = tx.send(spawn_and_monitor(2, job_world, quorum, rank));
         });
+        (world, global, rx)
+    }
+
+    /// What the generation of [`erring_generation`] returns once killed.
+    fn killed() -> Vec<SimResult<()>> {
+        vec![
+            Err(SimError::Protocol("restore failed".into())),
+            Err(SimError::CollectiveAborted),
+        ]
+    }
+
+    #[test]
+    fn a_rank_that_errs_outside_its_step_still_gets_the_job_killed() -> SimResult<()> {
+        // Rank 1's hang action acks nothing. Nothing can ack any more, so
+        // the job must be killed and rank 1 released.
+        let (_, _, rx) = erring_generation(|| false, || {});
         let results = rx
             .recv_timeout(Duration::from_secs(5))
             .map_err(|_| SimError::Protocol("the job was never killed".into()))??;
-        assert_eq!(
-            results,
-            vec![
-                Err(SimError::Protocol("restore failed".into())),
-                Err(SimError::CollectiveAborted),
-            ]
+        assert_eq!(results, killed());
+        Ok(())
+    }
+
+    #[test]
+    fn a_rank_still_in_its_hang_action_holds_the_kill_back() -> SimResult<()> {
+        // Rank 1 is stuck from the moment its barrier is proven hung, but
+        // until its hang action returns it may still ack: the job must not
+        // be killed before, and must be killed after. The launcher asks
+        // for the quorum each time it weighs the kill and does not kill.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let (asked_tx, asked) = std::sync::mpsc::channel();
+        let quorum = move || {
+            let _ = asked_tx.send(());
+            false
+        };
+        let action = {
+            let gate = gate.clone();
+            move || {
+                gate.wait();
+            }
+        };
+        let (world, global, rx) = erring_generation(quorum, action);
+        let wait = Duration::from_secs(5);
+        let mut facts = world.await_ranks(None, None);
+        while facts.departed.is_empty() || facts.stuck.is_empty() {
+            facts = world.await_ranks(Some(facts.epoch), Some(wait));
+        }
+        assert!(facts.acted.is_empty(), "{facts:?}");
+        // Twice more, woken each time: the second weighs facts read after
+        // rank 1 was seen stuck.
+        for _ in asked.try_iter() {}
+        for _ in 0..2 {
+            world.wake_waiters();
+            let weighed = asked.recv_timeout(wait);
+            assert!(weighed.is_ok(), "killed while rank 1's hang action ran");
+        }
+        assert!(
+            !global.is_aborted() && rx.try_recv().is_err(),
+            "killed early"
         );
+        gate.wait();
+        let results = rx
+            .recv_timeout(wait)
+            .map_err(|_| SimError::Protocol("the job was never killed".into()))??;
+        assert_eq!(results, killed());
+        assert_eq!(world.await_ranks(None, None).acted.len(), 1);
         Ok(())
     }
 }

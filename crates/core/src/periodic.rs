@@ -255,7 +255,7 @@ mod tests {
         let gpu = Gpu::new(GpuId(1), CostModel::v100());
         let mut exec = DirectExecutor::new(RankId(1), 1, gpu, world.clone());
         let kill = monitor_action(world.clone(), 1, TIMEOUT);
-        let monitor = HangObserver::new(Arc::default(), move || {
+        let monitor = HangObserver::new(move || {
             kill();
         });
         exec.set_observer(monitor.clone());

@@ -173,7 +173,9 @@ pub(crate) fn state_frame(state: &StateView<'_>, i: usize, shard_bytes: usize) -
 /// [`send_state_truncated`], with frame `i` from `frame(i)`
 /// ([`state_frame`]): each frame is encoded when its turn comes —
 /// from a host copy, or from a device under its lock, taken per frame —
-/// so the whole encoded state never exists on the sender.
+/// so the whole encoded state never exists on the sender. A stream that
+/// `keep_frames` ends early is cut ([`CommWorld::close_bytes`]), so its
+/// receiver learns at once that the rest never comes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_state_frames(
     world: &CommWorld,
@@ -200,6 +202,9 @@ pub(crate) fn send_state_frames(
             &header,
             frames,
         )?;
+    }
+    if keep_frames.is_some_and(|kept| kept <= header.n_shards as usize) {
+        world.close_bytes(src, dst, TAG_STATE_STREAM);
     }
     Ok(header)
 }
@@ -239,10 +244,10 @@ fn send_frames(
 /// host→device upload of its payload. Returns the preamble and the
 /// payloads, still apart; the announced count sizes nothing. Each frame
 /// is waited for on the world's mailbox ([`CommWorld::recv_bytes`]): a
-/// sender that departed, or is stuck in a provably hung wait, ends the
-/// wait at once, and `patience` (real time, per frame) is the last
-/// resort. Either surfaces as [`SimError::CollectiveTimeout`] naming the
-/// sender. `what` names the stream in errors.
+/// cut stream, or a sender that departed or is stuck in a provably hung
+/// wait, ends the wait at once, and `patience` (real time, per frame) is
+/// the last resort. Each surfaces as [`SimError::CollectiveTimeout`]
+/// naming the sender. `what` names the stream in errors.
 #[allow(clippy::too_many_arguments)]
 fn recv_frames<H: Decode>(
     world: &CommWorld,
@@ -749,8 +754,15 @@ mod tests {
         let payloads = recv_verified(&w, &cost, RankId(0), RankId(1), 1, Duration::from_secs(5))?;
         assert_eq!(payloads.len() as u64, header.n_shards);
         for seq in SEQ_HEADER..=header.n_shards {
-            let left = w.try_recv_bytes(RankId(0), RankId(1), 1, TAG_STATE_STREAM, seq)?;
-            assert!(left.is_none(), "frame {seq} is still in the world");
+            let left = w.recv_bytes(
+                RankId(0),
+                RankId(1),
+                1,
+                TAG_STATE_STREAM,
+                seq,
+                Duration::ZERO,
+            );
+            assert!(left.is_err(), "frame {seq} is still in the world");
         }
         Ok(())
     }

@@ -16,20 +16,22 @@
 //!
 //! A whole job is [`crate::launcher::run_job`]'s transparent arm, `run`,
 //! whose ranks stay in the job until all are done training. An engine
-//! wait ends on arrivals, or at once on a departure; a deadline is only
-//! the last resort.
+//! wait parks on the world's wake-up path and ends on arrivals, or at
+//! once when the world records that a rank it needs departed. Only an
+//! `attach` caller whose rank threads hold no departure guard can meet
+//! the deadline, [`LAST_RESORT`].
 
 use crate::checkpoint::ShardConfig;
 use crate::decide::{decide, RankStatus, RecoveryPlan};
 use crate::launcher::{spawn_and_monitor, JobOutcome};
 use crate::stream::{open_frame, state_frame, stream_header};
 use cluster::SharedStore;
-use collectives::{CollectiveObserver, CollectiveTicket};
+use collectives::{CollectiveObserver, CollectiveTicket, RankFacts};
 use dltrain::{build_comms, JobComms, JobSetup, RankTrainer};
 use proxy::{CommToken, Executor, PendingOp, ProxyClient, RecoveryHandler, RecoveryOutcome};
 use simcore::cost::StorageTier;
 use simcore::layout::ParallelLayout;
-use simcore::sync::{Condvar, Mutex, MutexGuard};
+use simcore::sync::Mutex;
 use simcore::{GpuId, RankId, SimError, SimResult, SimTime};
 use simgpu::{Gpu, GpuHealth};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -55,7 +57,7 @@ pub struct RecoveryReport {
 }
 
 /// How long an engine wait lasts when no fact ends it: only when a rank it
-/// needs records no departure (an `attach` caller other than `run`).
+/// needs holds no departure guard (an `attach` caller other than `run`).
 const LAST_RESORT: Duration = Duration::from_secs(30);
 
 struct RoundPlan {
@@ -81,8 +83,6 @@ struct CoordState {
     hard_written: HashMap<(u64, usize, usize), usize>,
     /// Ranks done training.
     trained: BTreeSet<RankId>,
-    /// Ranks whose threads have returned ([`Member`]).
-    departed: BTreeSet<RankId>,
 }
 
 /// Per-job transparent recovery engine (shared by all rank clients).
@@ -90,7 +90,6 @@ pub struct TransparentEngine {
     layout: ParallelLayout,
     world: Arc<collectives::CommWorld>,
     state: Mutex<CoordState>,
-    cv: Condvar,
     reports: Mutex<Vec<RecoveryReport>>,
     /// Store used for the §4.3 hard-error frames.
     store: Arc<SharedStore>,
@@ -132,9 +131,7 @@ impl TransparentEngine {
                 finished: BTreeSet::new(),
                 hard_written: HashMap::new(),
                 trained: BTreeSet::new(),
-                departed: BTreeSet::new(),
             }),
-            cv: Condvar::new(),
             reports: Mutex::new(Vec::new()),
             store,
             gpu_allocator: Mutex::new(Box::new(gpu_allocator)),
@@ -180,16 +177,16 @@ impl TransparentEngine {
         self.world.abort_all();
         let n = self.layout.world_size();
         let mut st = self.state.lock();
-        let round = st.round;
         st.arrived.insert(rank, status);
         if st.arrived.len() == n {
             let statuses: Vec<RankStatus> = st.arrived.values().copied().collect();
             let verdict = decide(&self.layout, &statuses);
-            st.plan = Some(verdict.map(|d| Arc::new(self.plan_round(round, d))));
+            st.plan = Some(verdict.map(|d| Arc::new(self.plan_round(st.round, d))));
         }
+        drop(st);
         // Every arrival wakes the ranks done training: the round needs them.
-        self.cv.notify_all();
-        self.wait(&mut st, |s| s.plan.clone(), "no quorum")?
+        self.world.wake_waiters();
+        self.wait(|s, _| s.plan.clone(), "no quorum")?
     }
 
     /// Marks `rank` done with the round; the last one drops the round's
@@ -222,43 +219,57 @@ impl TransparentEngine {
                 }
             }
         }
-        let mut st = self.state.lock();
         if last {
-            st.round += 1;
-            st.arrived.clear();
-            st.finished.clear();
-            st.hard_written.clear();
-            self.cv.notify_all();
+            self.update(|st| {
+                st.round += 1;
+                st.arrived.clear();
+                st.finished.clear();
+                st.hard_written.clear();
+            });
         }
-        self.wait(&mut st, |s| (s.round != round).then_some(()), "no close")?;
-        drop(st);
+        self.wait(|s, _| (s.round != round).then_some(()), "no close")?;
         if last {
             self.store.delete_prefix(Self::hard_dir(round));
         }
         Ok(())
     }
 
-    /// Waits on the engine's condvar until `ready` yields. Fails, saying
+    /// Changes the engine's state with `change`, then wakes every engine
+    /// wait through the world's one wake-up path.
+    fn update<T>(&self, change: impl FnOnce(&mut CoordState) -> T) -> T {
+        let got = change(&mut self.state.lock());
+        self.world.wake_waiters();
+        got
+    }
+
+    /// Waits on the world's wake-up path until `ready` yields, given the
+    /// engine's state and the world's record of its ranks. Fails, saying
     /// `what` never came, at once when a rank that has not finished the
     /// open round departed (it can never end the wait), and after
     /// [`LAST_RESORT`].
     fn wait<T>(
         &self,
-        st: &mut MutexGuard<'_, CoordState>,
-        ready: impl Fn(&CoordState) -> Option<T>,
+        ready: impl Fn(&CoordState, &RankFacts) -> Option<T>,
         what: &str,
     ) -> SimResult<T> {
         let deadline = Instant::now() + LAST_RESORT;
+        // Read before the state it is checked with, so a wake-up after
+        // the check ends the park at once.
+        let mut ranks = self.world.await_ranks(None, None);
         loop {
-            if let Some(got) = ready(st) {
+            let st = self.state.lock();
+            if let Some(got) = ready(&st, &ranks) {
                 return Ok(got);
             }
             let now = Instant::now();
-            let why = match st.departed.iter().find(|r| !st.finished.contains(r)) {
+            let why = match ranks.departed.iter().find(|r| !st.finished.contains(r)) {
                 Some(gone) => format!("{gone} departed"),
                 None if now >= deadline => format!("{LAST_RESORT:?} passed"),
                 None => {
-                    self.cv.wait_for(st, deadline - now);
+                    drop(st);
+                    ranks = self
+                        .world
+                        .await_ranks(Some(ranks.epoch), Some(deadline - now));
                     continue;
                 }
             };
@@ -279,23 +290,19 @@ impl TransparentEngine {
     /// rank, through [`RecoveryHandler::handle`]'s `recover`.
     fn finish_training(&self, client: &mut ProxyClient) -> SimResult<()> {
         let n = self.layout.world_size();
-        let mut st = self.state.lock();
-        st.trained.insert(client.rank());
-        self.cv.notify_all();
+        self.update(|st| st.trained.insert(client.rank()));
         // `true` once a round opened, `false` once every rank is done.
-        let next = |s: &CoordState| {
+        let next = |s: &CoordState, r: &RankFacts| {
             let opened = !s.arrived.is_empty();
-            (opened || s.trained.union(&s.departed).count() == n).then_some(opened)
+            (opened || s.trained.union(&r.departed).count() == n).then_some(opened)
         };
-        while self.wait(&mut st, next, "no end of training")? {
-            drop(st);
+        while self.wait(next, "no end of training")? {
             let status = RankStatus {
                 health: client.health(),
                 is_victim: false,
                 position: client.position(),
             };
             self.recover(client, status)?;
-            st = self.state.lock();
         }
         Ok(())
     }
@@ -392,12 +399,8 @@ impl TransparentEngine {
         let bytes = view.logical_bytes;
         // The device → host copy the frames are written from.
         client.charge(cost.memcpy(bytes));
-        {
-            // The cell's frames are all there: tell a victim waiting for them.
-            let mut st = self.state.lock();
-            st.hard_written.insert((round, coord.stage, coord.part), n);
-            self.cv.notify_all();
-        }
+        // The cell's frames are all there: tell a victim waiting for them.
+        self.update(|st| st.hard_written.insert((round, coord.stage, coord.part), n));
         client.charge(cost.checkpoint_write(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
         // CRIU checkpoint + restore of the worker CPU process. The image
         // really carries the interception state (replay log, iteration,
@@ -434,10 +437,8 @@ impl TransparentEngine {
         // migration; wait until one of them says how many the cell has,
         // then read each once.
         let cell = (round, coord.stage, coord.part);
-        let mut st = self.state.lock();
-        let frames = |s: &CoordState| s.hard_written.get(&cell).copied();
-        let n = self.wait(&mut st, frames, "no §4.3 frames for a victim")?;
-        drop(st);
+        let frames = |s: &CoordState, _: &RankFacts| s.hard_written.get(&cell).copied();
+        let n = self.wait(frames, "no §4.3 frames for a victim")?;
         let frames = (0..n)
             .map(|i| {
                 let path = Self::hard_path(round, coord.stage, coord.part, i);
@@ -599,21 +600,6 @@ impl TransparentEngine {
     }
 }
 
-/// Held by each rank thread of `run`: dropping it records the rank's
-/// departure, which ends every engine wait that still needs the rank.
-struct Member {
-    engine: Arc<TransparentEngine>,
-    rank: RankId,
-}
-
-impl Drop for Member {
-    fn drop(&mut self) {
-        let mut st = self.engine.state.lock();
-        st.departed.insert(self.rank);
-        self.engine.cv.notify_all();
-    }
-}
-
 /// A transparent job: every rank trains through a [`ProxyClient`] with
 /// the engine attached, so the trainer never sees a failure and nothing
 /// restarts (§4). Lost GPUs are replaced from 10 000 up.
@@ -632,22 +618,21 @@ pub(crate) fn run(
     let engine =
         TransparentEngine::with_extra_comms(layout, world.clone(), store, alloc, extra_comms);
     let (per_rank, attach) = (setup.per_rank.clone(), engine.clone());
-    let results = spawn_and_monitor(n, world.clone(), Arc::default(), move |i| {
-        let rank = RankId::from(i);
-        // First, so that it drops last (see `Job::run_rank`).
-        let _departure = world.departure_guard(rank);
-        let _member = Member {
-            engine: attach.clone(),
-            rank,
-        };
-        let gpu = Gpu::new(GpuId(i as u32), cost.clone());
-        let mut client = ProxyClient::new(rank, i, gpu, world.clone());
-        attach.attach(&mut client)?;
-        let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
-        let losses = tr.train(target_iters)?;
-        attach.finish_training(&mut tr.exec)?;
-        Ok((losses, tr.exec.logged_calls()))
-    })?;
+    let results = spawn_and_monitor(
+        n,
+        world.clone(),
+        || false,
+        move |i| {
+            let rank = RankId::from(i);
+            let gpu = Gpu::new(GpuId(i as u32), cost.clone());
+            let mut client = ProxyClient::new(rank, i, gpu, world.clone());
+            attach.attach(&mut client)?;
+            let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
+            let losses = tr.train(target_iters)?;
+            attach.finish_training(&mut tr.exec)?;
+            Ok((losses, tr.exec.logged_calls()))
+        },
+    )?;
     let ranks = results.into_iter().collect::<SimResult<Vec<_>>>()?;
     let (losses, logged_calls) = ranks.into_iter().unzip();
     Ok(JobOutcome {
@@ -859,21 +844,59 @@ mod tests {
     }
 
     #[test]
+    fn only_a_rank_without_a_guard_leaves_an_engine_wait_to_its_last_resort() -> SimResult<()> {
+        // Rank 0 finishes round 0 and waits for rank 1 to close it. While
+        // rank 1's thread holds its departure guard, rank 0 waits; once
+        // the thread returns, rank 0 learns at once that the round can
+        // never close. A rank thread that holds no guard never departs:
+        // only rank 1 finishing the round, or `LAST_RESORT`, ends the wait.
+        let layout = ParallelLayout::data_parallel(2);
+        let wait = Duration::from_secs(5);
+        for guarded in [true, false] {
+            let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
+            let engine = TransparentEngine::new(
+                layout,
+                world.clone(),
+                Arc::new(SharedStore::new()),
+                TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
+            );
+            let guard = guarded.then(|| world.departure_guard(RankId(1)));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let finisher = engine.clone();
+            std::thread::spawn(move || tx.send(finisher.rank_finish(RankId(0))));
+            let parked = Duration::from_millis(100);
+            assert!(rx.recv_timeout(parked).is_err(), "guarded {guarded}");
+            drop(guard);
+            if guarded {
+                let got = rx.recv_timeout(wait).map_err(|_| {
+                    SimError::Protocol("a departure left the wait to its last resort".into())
+                })?;
+                let why = "no close in recovery round 0 (0/2 ranks arrived, 1 finished), \
+                           and rank1 departed";
+                assert_eq!(got, Err(SimError::Protocol(why.into())));
+                continue;
+            }
+            assert!(rx.recv_timeout(parked).is_err(), "a guardless wait ended");
+            engine.rank_finish(RankId(1))?;
+            rx.recv_timeout(wait)
+                .map_err(|_| SimError::Protocol("the round never closed".into()))??;
+        }
+        Ok(())
+    }
+
+    #[test]
     fn a_rank_left_alone_in_a_round_gets_a_protocol_error() {
         let layout = ParallelLayout::data_parallel(2);
         let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
         let engine = TransparentEngine::new(
             layout,
-            world,
+            world.clone(),
             Arc::new(SharedStore::new()),
             TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
         );
         // Rank 1 departs without finishing round 0; rank 0 finishes it and
         // learns at once that the round can never close.
-        drop(Member {
-            engine: engine.clone(),
-            rank: RankId(1),
-        });
+        drop(world.departure_guard(RankId(1)));
         assert_eq!(
             engine.rank_finish(RankId(0)),
             Err(SimError::Protocol(
@@ -897,10 +920,6 @@ mod tests {
             TransparentEngine::counter_gpu_allocator(0, CostModel::v100()),
         );
         drop(setup.world.departure_guard(RankId(1)));
-        drop(Member {
-            engine: engine.clone(),
-            rank: RankId(1),
-        });
         let mut client = rank_client(&setup.world, 0)?;
         engine.attach(&mut client)?;
         let token = client.register_comm(setup.per_rank[0].global.clone());

@@ -329,7 +329,7 @@ mod tests {
         let save = save_checkpoint(&exec, &patient(), job, cfg.layout, store, cell);
         let writes = Arc::new(Mutex::new(Vec::new()));
         let (acks, written) = (scheduler.clone(), writes.clone());
-        let observer = HangObserver::new(Arc::default(), move || {
+        let observer = HangObserver::new(move || {
             if let Some((ack, write)) = save() {
                 written.lock().push(write);
                 let _ = acks.ack_checkpoint(job, ack);

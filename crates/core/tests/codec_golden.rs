@@ -18,6 +18,7 @@ use simcore::time::ClockBoard;
 use simcore::{JobId, RankId};
 use simgpu::BufferTag;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn seeded_state() -> TrainState {
     let mut rng = DetRng::new(0x00C0_FFEE);
@@ -149,8 +150,14 @@ fn send_state_frames_are_pinned() {
     let mut got = Vec::new();
     for seq in 0..=header.n_shards {
         let frame = world
-            .try_recv_bytes(RankId(0), RankId(1), 1, TAG_STATE_STREAM, seq)
-            .unwrap()
+            .recv_bytes(
+                RankId(0),
+                RankId(1),
+                1,
+                TAG_STATE_STREAM,
+                seq,
+                Duration::ZERO,
+            )
             .unwrap();
         got.push((frame.len(), crc64(&frame)));
     }

@@ -34,11 +34,16 @@ cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned
 cargo test --release --test cross_crate --quiet restart_runners_are_pinned
 # A restart job runs its hang action only on a proven hang, and is killed
-# on facts: an ack never outlives its incident, and a job is killed once
-# nobody is left who could ack, a rank that erred outside its step included.
+# on the world's record of its ranks: an ack never outlives its incident,
+# and a job is killed once nobody is left who could ack, a rank that erred
+# outside its step included, and never while a stuck rank's hang action may
+# still ack. A cut recovery stream ends its receiver's wait on the cut, not
+# on its patience.
 cargo test --release --test cross_crate --quiet an_ack_never_outlives_its_incident
 cargo test --release --test cross_crate --quiet a_cell_nobody_can_checkpoint_is_killed_at_once
 cargo test --release -p jitckpt --lib --quiet a_rank_that_errs_outside_its_step_still_gets_the_job_killed
+cargo test --release -p jitckpt --lib --quiet a_rank_still_in_its_hang_action_holds_the_kill_back
+cargo test --release --test cross_crate --quiet a_cut_stream_ends_on_its_cut_not_on_patience
 # One job under each policy of the one entry point (`run_job`), against its
 # fault-free twin: the same loss bits, and every outcome field as the
 # policy has it.
