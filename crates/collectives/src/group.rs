@@ -7,7 +7,7 @@
 //! `ncclCommSplit` does: every parent member states a `(color, key)`
 //! pair; members with the same non-negative color form a child group,
 //! ordered by `(key, parent member position)`; a negative color
-//! ([`SplitKey::none`]) opts the member out.
+//! ([`SplitKey::NO_COLOR`]) opts the member out.
 //!
 //! What the children inherit, by member slice:
 //!
@@ -46,7 +46,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SplitKey {
     /// Child-group selector; members sharing a non-negative color land in
-    /// the same child. A negative one ([`SplitKey::none`]) joins nothing.
+    /// the same child. [`SplitKey::NO_COLOR`] joins nothing.
     pub color: i64,
     /// Rank-order key inside the child group.
     pub key: usize,
@@ -55,7 +55,7 @@ pub struct SplitKey {
 impl SplitKey {
     /// The `ncclCommSplit` NCCL_SPLIT_NOCOLOR equivalent: this member
     /// joins no child group.
-    pub(crate) const NO_COLOR: i64 = -1;
+    pub const NO_COLOR: i64 = -1;
 
     /// Joins child `color` at sort key `key`.
     pub fn new(color: i64, key: usize) -> Self {

@@ -661,7 +661,9 @@ mod tests {
         let wait = Duration::from_secs(5);
         let mut facts = world.await_ranks(None, None);
         while facts.departed.is_empty() || facts.stuck.is_empty() {
-            facts = world.await_ranks(Some(facts.epoch), Some(wait));
+            let next = world.await_ranks(Some(facts.epoch), Some(wait));
+            assert!(next.epoch > facts.epoch, "rank 1 never stuck: {facts:?}");
+            facts = next;
         }
         assert!(facts.acted.is_empty(), "{facts:?}");
         // Twice more, woken each time: the second weighs facts read after

@@ -618,21 +618,18 @@ pub(crate) fn run(
     let engine =
         TransparentEngine::with_extra_comms(layout, world.clone(), store, alloc, extra_comms);
     let (per_rank, attach) = (setup.per_rank.clone(), engine.clone());
-    let results = spawn_and_monitor(
-        n,
-        world.clone(),
-        || false,
-        move |i| {
-            let rank = RankId::from(i);
-            let gpu = Gpu::new(GpuId(i as u32), cost.clone());
-            let mut client = ProxyClient::new(rank, i, gpu, world.clone());
-            attach.attach(&mut client)?;
-            let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
-            let losses = tr.train(target_iters)?;
-            attach.finish_training(&mut tr.exec)?;
-            Ok((losses, tr.exec.logged_calls()))
-        },
-    )?;
+    let rank = move |i| {
+        let rank = RankId::from(i);
+        let gpu = Gpu::new(GpuId(i as u32), cost.clone());
+        let mut client = ProxyClient::new(rank, i, gpu, world.clone());
+        attach.attach(&mut client)?;
+        let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
+        let losses = tr.train(target_iters)?;
+        attach.finish_training(&mut tr.exec)?;
+        Ok((losses, tr.exec.logged_calls()))
+    };
+    // Nobody acks a checkpoint: the job is only joined.
+    let results = spawn_and_monitor(n, setup.world.clone(), || false, rank)?;
     let ranks = results.into_iter().collect::<SimResult<Vec<_>>>()?;
     let (losses, logged_calls) = ranks.into_iter().unzip();
     Ok(JobOutcome {
