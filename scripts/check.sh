@@ -61,6 +61,10 @@ cargo test --release --test delta_heap --quiet
 # is `replay_log_clears_at_minibatch_start`, in the `-p proxy` line above.)
 cargo test --release --test direct_heap --quiet
 cargo test --release -p dltrain --lib --quiet cached_collective_results_do_not_grow_with_the_step_count
+# A transparent round that copies state from a replica (classes (c) and (d))
+# holds at most one persistent buffer beside a healthy step, and the
+# minibatch after a (d) round holds no result of the one before it.
+cargo test --release --test transparent_heap --quiet
 # Retention GC never deletes the newest iteration complete for every cell.
 cargo test --release -p coordinator --test coordinator --quiet gc_keeps_the_newest_iteration_complete_for_every_cell
 cargo test --release --test cross_crate --quiet transparent_reports_are_pinned
