@@ -35,7 +35,7 @@
 //! peers — who may have legitimately moved on — having to re-participate,
 //! while a retried incomplete collective reuses its generation and pairs
 //! with peers' retries. A re-created communicator adopts its
-//! predecessor's completed data slots
+//! predecessor's completed data slots, and its members' floors
 //! ([`Communicator::adopt_completed_from`]).
 //!
 //! The cache holds no more than some member can still ask for: each
@@ -48,8 +48,9 @@
 //! leaves last frees the result. Recovery's own operations — a round's
 //! rendezvous and replica sync — run in the generations from
 //! [`RECOVERY_GEN_BASE`] up, which no floor reaches and no adoption
-//! carries: they live for one recovery round, which drops them when it
-//! closes ([`Communicator::release_recovery_slots`]).
+//! carries: nobody replays them, so each is dropped by the last member
+//! to pick its result up. A replica sync cut into parts
+//! ([`Communicator::broadcast_part`]) therefore holds one part at a time.
 
 use crate::ledger::GradLedger;
 use crate::liveness::Liveness;
@@ -103,8 +104,14 @@ struct Slot {
     kind: CollKind,
     op: Option<ReduceOp>,
     root: Option<RankId>,
-    logical_bytes: u64,
+    /// What the completion charges; `None` for a part of a transfer
+    /// charged as a whole before it ([`Communicator::broadcast_part`]).
+    logical_bytes: Option<u64>,
     state: SlotState,
+    /// Members yet to pick up a completed recovery generation's result,
+    /// by member position: the last one drops the slot. Empty for a data
+    /// generation, which stays cached for replay.
+    owed: Vec<bool>,
 }
 
 /// A generation's contributions while it is in flight; once it completes,
@@ -462,20 +469,33 @@ impl Communicator {
     /// this (freshly created) communicator, so replayed operations can be
     /// served without re-participation after recovery. A completed slot
     /// holds only its shared result, so the copy is a refcount bump per
-    /// slot. The members' floors start at zero here: nothing adopted is
-    /// pruned until every member has committed on this communicator.
-    /// Slots from [`RECOVERY_GEN_BASE`] up belong to the predecessor's
-    /// recovery round and stay behind.
+    /// slot. Each member's floor starts at its floor on the predecessor
+    /// (zero for a member it did not have): what a member could no longer
+    /// ask for there it cannot ask for here, so an adopted slot is dropped
+    /// as soon as the member that lagged there commits past it, even if
+    /// its peers, already a minibatch ahead, commit here only a minibatch
+    /// later. Slots from [`RECOVERY_GEN_BASE`] up belong to the
+    /// predecessor's recovery round and stay behind.
     pub fn adopt_completed_from(&self, old: &Communicator) {
         let old_state = old.state.lock();
         let mut st = self.state.lock();
+        for (pos, rank) in self.ranks.iter().enumerate() {
+            st.floors[pos] = old.member_pos(*rank).map_or(0, |p| old_state.floors[p]);
+        }
         for (gen, slot) in old_state.slots.iter() {
             if *gen >= RECOVERY_GEN_BASE {
                 continue;
             }
             if let Some(result) = slot.result() {
-                let state = SlotState::Done(result.clone());
-                st.slots.insert(*gen, Slot { state, ..*slot });
+                let adopted = Slot {
+                    kind: slot.kind,
+                    op: slot.op,
+                    root: slot.root,
+                    logical_bytes: slot.logical_bytes,
+                    state: SlotState::Done(result.clone()),
+                    owed: Vec::new(),
+                };
+                st.slots.insert(*gen, adopted);
             }
         }
     }
@@ -499,10 +519,9 @@ impl Communicator {
     /// still in an older generation (a lagging pipeline stage, a rank
     /// rolled back by recovery, a member yet to pick up a result) must
     /// still be served it. A slot in flight is never dropped. No floor
-    /// reaches the recovery spaces ([`RECOVERY_GEN_BASE`] and up): the
-    /// round that used them drops them when it closes
-    /// ([`Communicator::release_recovery_slots`]). Called by
-    /// [`crate::CommWorld::commit`].
+    /// reaches the recovery spaces ([`RECOVERY_GEN_BASE`] and up): each
+    /// of those generations is dropped by the last member to pick its
+    /// result up. Called by [`crate::CommWorld::commit`].
     pub(crate) fn commit(&self, rank: RankId, gen: u64) {
         let Some(pos) = self.member_pos(rank) else {
             return;
@@ -515,10 +534,12 @@ impl Communicator {
     }
 
     /// Drops the completed slots of the recovery spaces
-    /// ([`RECOVERY_GEN_BASE`] and up) and returns how many there were. A
-    /// recovery round calls it on every communicator it built once every
-    /// member has finished the round: no member asks for those
-    /// generations again. Data slots, and any slot in flight, stay.
+    /// ([`RECOVERY_GEN_BASE`] and up) and returns how many there were.
+    /// A recovery generation run through the blocking protocol is dropped
+    /// by the last member to pick its result up, so after a round this
+    /// finds none; it is left for results completed through
+    /// [`Communicator::offer_reduce`], which nobody picks up. Data slots,
+    /// and any slot in flight, stay.
     pub fn release_recovery_slots(&self) -> usize {
         let mut st = self.state.lock();
         let before = st.slots.len();
@@ -550,7 +571,7 @@ impl Communicator {
         op: Option<ReduceOp>,
         root: Option<RankId>,
         data: Option<Vec<f32>>,
-        logical_bytes: u64,
+        logical_bytes: Option<u64>,
         obs: &dyn CollectiveObserver,
     ) -> SimResult<Arc<Vec<f32>>> {
         let pos = self.member_pos(rank).ok_or_else(|| {
@@ -610,7 +631,7 @@ impl Communicator {
         op: Option<ReduceOp>,
         root: Option<RankId>,
         contrib: Contribution<'_>,
-        logical_bytes: u64,
+        logical_bytes: Option<u64>,
         obs: &dyn CollectiveObserver,
         ticket: &CollectiveTicket,
     ) -> SimResult<Arc<Vec<f32>>> {
@@ -671,14 +692,26 @@ impl Communicator {
                 st = self.state.lock();
             }
         }
-        // Pick up the result. The slot stays cached for replay until every
-        // member has committed past it, and this member has not: it is
-        // still in the generation.
-        st.slots
-            .get(&gen)
-            .and_then(Slot::result)
-            .cloned()
-            .ok_or_else(|| SimError::Protocol(format!("slot {gen} vanished on {}", self.id)))
+        self.pick_up(&mut st, pos, gen)
+    }
+
+    /// Member `pos` picks up the result of the completed generation `gen`.
+    /// A data slot stays cached for replay until every member has
+    /// committed past it, and this member has not: it is still in the
+    /// generation. A recovery generation is never replayed: the last
+    /// member to pick it up drops it, so it holds its result no longer
+    /// than its slowest reader.
+    fn pick_up(&self, st: &mut CommState, pos: usize, gen: u64) -> SimResult<Arc<Vec<f32>>> {
+        let vanished = || SimError::Protocol(format!("slot {gen} vanished on {}", self.id));
+        let slot = st.slots.get_mut(&gen).ok_or_else(vanished)?;
+        let result = slot.result().cloned().ok_or_else(vanished)?;
+        if let Some(owed) = slot.owed.get_mut(pos) {
+            *owed = false;
+            if !slot.owed.contains(&true) {
+                st.slots.remove(&gen);
+            }
+        }
+        Ok(result)
     }
 
     /// True when a generation in flight with contributions `data` can
@@ -707,7 +740,7 @@ impl Communicator {
         op: Option<ReduceOp>,
         root: Option<RankId>,
         contrib: Contribution<'_>,
-        logical_bytes: u64,
+        logical_bytes: Option<u64>,
     ) -> SimResult<bool> {
         let n = self.ranks.len();
         // An armed transient fault hits the victim's own next arrival at a
@@ -724,8 +757,9 @@ impl Communicator {
             kind,
             op,
             root,
-            logical_bytes: 0,
+            logical_bytes: None,
             state: SlotState::InFlight(SlotData::new(kind, n)),
+            owed: Vec::new(),
         });
         if slot.kind != kind || slot.op != op || slot.root != root {
             return Err(SimError::Protocol(format!(
@@ -748,14 +782,20 @@ impl Communicator {
         // contributions with the in-flight state (nothing reads them after
         // completion, and a rebuilt communicator adopting the slot must
         // not copy them); then charge the schedule's simulated cost as a
-        // clock barrier and wake the waiters.
+        // clock barrier, unless the transfer was charged as a whole
+        // already, and wake the waiters.
         let root_pos = root.and_then(|r| self.member_pos(r));
         let result = data.take_result(kind, root_pos)?;
         slot.state = SlotState::Done(Arc::new(result));
-        let cost = self
-            .schedule
-            .coll_cost(kind, slot.logical_bytes, || self.live_children());
-        self.clock.barrier_sync(&self.clock_idx, cost);
+        if gen >= RECOVERY_GEN_BASE {
+            slot.owed = vec![true; n];
+        }
+        if let Some(bytes) = slot.logical_bytes {
+            let cost = self
+                .schedule
+                .coll_cost(kind, bytes, || self.live_children());
+            self.clock.barrier_sync(&self.clock_idx, cost);
+        }
         self.cv.notify_all();
         Ok(true)
     }
@@ -816,7 +856,7 @@ impl Communicator {
             Some(op),
             None,
             Contribution::Borrowed(data),
-            logical_bytes,
+            Some(logical_bytes),
         )?;
         drop(st);
         if complete {
@@ -864,7 +904,7 @@ impl Communicator {
             Some(op),
             None,
             Some(data),
-            logical_bytes,
+            Some(logical_bytes),
             obs,
         )
     }
@@ -885,7 +925,7 @@ impl Communicator {
             None,
             None,
             Some(data),
-            logical_bytes,
+            Some(logical_bytes),
             obs,
         )
     }
@@ -909,7 +949,7 @@ impl Communicator {
             Some(op),
             None,
             Some(data),
-            logical_bytes,
+            Some(logical_bytes),
             obs,
         )?;
         let n = self.ranks.len();
@@ -936,14 +976,31 @@ impl Communicator {
             None,
             Some(root),
             data,
-            logical_bytes,
+            Some(logical_bytes),
             obs,
         )
     }
 
+    /// One part of a transfer from `root` cut into broadcasts, after a
+    /// [`Communicator::broadcast_shared`] that charged the whole of it:
+    /// the same matched protocol, but no clock barrier and no charge, so
+    /// the parts leave every member's clock where that broadcast left it.
+    /// Non-root ranks pass `None`.
+    pub fn broadcast_part(
+        &self,
+        rank: RankId,
+        gen: u64,
+        root: RankId,
+        data: Option<Vec<f32>>,
+        obs: &dyn CollectiveObserver,
+    ) -> SimResult<Arc<Vec<f32>>> {
+        let kind = CollKind::Broadcast;
+        self.run(rank, gen, kind, None, Some(root), data, None, obs)
+    }
+
     /// Barrier across the group.
     pub fn barrier(&self, rank: RankId, gen: u64, obs: &dyn CollectiveObserver) -> SimResult<()> {
-        self.run(rank, gen, CollKind::Barrier, None, None, None, 0, obs)?;
+        self.run(rank, gen, CollKind::Barrier, None, None, None, Some(0), obs)?;
         Ok(())
     }
 
@@ -957,7 +1014,16 @@ impl Communicator {
         gen: u64,
         obs: &dyn CollectiveObserver,
     ) -> SimResult<()> {
-        self.run(rank, gen, CollKind::Rendezvous, None, None, None, 0, obs)?;
+        self.run(
+            rank,
+            gen,
+            CollKind::Rendezvous,
+            None,
+            None,
+            None,
+            Some(0),
+            obs,
+        )?;
         Ok(())
     }
 }
@@ -1273,7 +1339,7 @@ mod tests {
                     None,
                     Some(RankId(1)),
                     Contribution::Data(vec![7.0]),
-                    4,
+                    Some(4),
                 )
                 .unwrap();
             assert!(done);
@@ -1651,6 +1717,122 @@ mod tests {
     }
 
     #[test]
+    fn an_adopter_prunes_as_soon_as_the_member_that_lagged_commits() {
+        // Member 0 began the minibatch after generations 2..4 on the
+        // predecessor; member 1, still in that one, holds them cached.
+        let old = make_comm(2);
+        complete(&old, 0..6);
+        old.commit(RankId(0), 4);
+        old.commit(RankId(1), 2);
+        assert_eq!(cached_gens(&old), vec![2, 3, 4, 5]);
+        let fresh = make_comm(2);
+        fresh.adopt_completed_from(&old);
+        assert_eq!(cached_gens(&fresh), vec![2, 3, 4, 5]);
+        // Member 1 catches up; member 0 commits here only a minibatch
+        // later, but its floor came along.
+        fresh.commit(RankId(1), 4);
+        assert_eq!(cached_gens(&fresh), vec![4, 5]);
+    }
+
+    #[test]
+    fn a_recovery_slot_is_dropped_by_its_last_reader() {
+        let comm = make_comm(2);
+        let c = comm.clone();
+        for r in spawn_ranks(2, move |i| {
+            let (rank, data) = (RankId(i as u32), (i == 0).then(|| vec![5.0]));
+            c.broadcast_shared(rank, 0, RankId(0), data.clone(), 4, &NullObserver)?;
+            c.broadcast_shared(rank, SYNC, RankId(0), data, 4, &NullObserver)
+        }) {
+            assert_eq!(*r.unwrap(), vec![5.0]);
+        }
+        assert_eq!(
+            cached_gens(&comm),
+            vec![0],
+            "the data slot stays for replay"
+        );
+        // Both members arrive at a recovery generation; only member 0
+        // has picked its result up.
+        let mut st = comm.state.lock();
+        for pos in 0..2 {
+            let data = match pos {
+                0 => Contribution::Data(vec![6.0]),
+                _ => Contribution::Empty,
+            };
+            let (rank, kind, root) = (RankId(pos as u32), CollKind::Broadcast, Some(RankId(0)));
+            comm.arrive(
+                &mut st,
+                pos,
+                rank,
+                SYNC + 1,
+                kind,
+                None,
+                root,
+                data,
+                Some(4),
+            )
+            .unwrap();
+        }
+        for _ in 0..2 {
+            assert_eq!(*comm.pick_up(&mut st, 0, SYNC + 1).unwrap(), vec![6.0]);
+            assert!(st.slots.contains_key(&(SYNC + 1)), "still owed to member 1");
+        }
+        assert_eq!(*comm.pick_up(&mut st, 1, SYNC + 1).unwrap(), vec![6.0]);
+        assert!(!st.slots.contains_key(&(SYNC + 1)));
+    }
+
+    #[test]
+    fn a_parted_broadcast_moves_the_clocks_as_one_broadcast_of_the_whole() {
+        let parts: [Vec<f32>; 3] = [vec![1.0, -0.0], vec![f32::NAN; 3], vec![2.5]];
+        let whole: Vec<f32> = parts.concat();
+        let bytes = 4 * whole.len() as u64 * 1000;
+        // Clocks apart before the transfer; member 1 is the root.
+        let run = |parted: bool| {
+            let clock = Arc::new(ClockBoard::new(2));
+            clock.raise_to(0, simcore::SimTime::from_secs(1.0));
+            clock.raise_to(1, simcore::SimTime::from_secs(3.0));
+            let comm = Communicator::new(
+                CommId(0),
+                vec![RankId(0), RankId(1)],
+                vec![0, 1],
+                8,
+                clock.clone(),
+                CostModel::v100(),
+            );
+            let (c, parts, all) = (comm.clone(), parts.clone(), whole.clone());
+            let got = spawn_ranks(2, move |i| {
+                let (rank, root, is_root) = (RankId(i as u32), RankId(1), i == 1);
+                if !parted {
+                    let data = is_root.then(|| all.clone());
+                    return c.broadcast_shared(rank, SYNC, root, data, bytes, &NullObserver);
+                }
+                let head = is_root.then(|| vec![parts.len() as f32]);
+                c.broadcast_shared(rank, SYNC, root, head, bytes, &NullObserver)?;
+                let mut got = Vec::new();
+                for (k, part) in parts.iter().enumerate() {
+                    let data = is_root.then(|| part.clone());
+                    let gen = SYNC + 1 + k as u64;
+                    got.extend_from_slice(&c.broadcast_part(
+                        rank,
+                        gen,
+                        root,
+                        data,
+                        &NullObserver,
+                    )?);
+                }
+                Ok(Arc::new(got))
+            });
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let got: Vec<Vec<u32>> = got.into_iter().map(|r| bits(&r.unwrap())).collect();
+            assert_eq!(got, vec![bits(&whole); 2], "parted {parted}");
+            assert!(cached_gens(&comm).is_empty(), "parted {parted}");
+            [0, 1].map(|i| clock.now(i).as_secs().to_bits())
+        };
+        let (one, parted) = (run(false), run(true));
+        assert!(f64::from_bits(one[0]) > 3.0);
+        assert_eq!(one, parted);
+    }
+
+    #[test]
     fn a_completed_all_gather_holds_only_its_result() {
         // The gather's inputs are dead once it completes: the slot keeps
         // the result alone, and a rebuilt communicator adopting it shares
@@ -1661,7 +1843,7 @@ mod tests {
             for pos in 0..2 {
                 let data = Contribution::Data(vec![pos as f32; 3]);
                 let (rank, kind) = (RankId(pos as u32), CollKind::AllGather);
-                comm.arrive(&mut st, pos, rank, 0, kind, None, None, data, 12)
+                comm.arrive(&mut st, pos, rank, 0, kind, None, None, data, Some(12))
                     .unwrap();
             }
             let slot = &st.slots[&0];

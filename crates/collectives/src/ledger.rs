@@ -129,11 +129,6 @@ impl GradLedger {
         })
     }
 
-    /// The retention configuration in effect.
-    pub fn config(&self) -> LedgerConfig {
-        self.cfg
-    }
-
     /// Advances the iteration epoch (trainer minibatch boundary) and
     /// evicts generations that fell out of the epoch window.
     pub fn begin_epoch(&self, epoch: u64) {

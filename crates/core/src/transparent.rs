@@ -189,39 +189,24 @@ impl TransparentEngine {
         self.wait(|s, _| s.plan.clone(), "no quorum")?
     }
 
-    /// Marks `rank` done with the round; the last one drops the round's
-    /// recovery generations (its rendezvous and replica sync) from every
-    /// communicator the round built, resets round state and deletes the
-    /// round's §4.3 frames, which every victim has read by then. The
-    /// others wait for the reset, so a rank cannot race ahead and trip a
-    /// new round against stragglers of this one, and no rank leaves the
-    /// round while its recovery slots are still cached.
+    /// Marks `rank` done with the round; the last one resets round state
+    /// and deletes the round's §4.3 frames, which every victim has read
+    /// by then. The others wait for the reset, so a rank cannot race ahead
+    /// and trip a new round against stragglers of this one. The round's
+    /// recovery generations (its rendezvous and replica sync) need no
+    /// dropping here: the last member to pick each one up dropped it, so
+    /// none is cached once every rank is done with the round.
     fn rank_finish(&self, rank: RankId) -> SimResult<()> {
         let n = self.layout.world_size();
-        let (round, last, closed) = {
+        let (round, last) = {
             let mut st = self.state.lock();
             st.finished.insert(rank);
-            let last = st.finished.len() == n;
-            let closed = if last { st.plan.take() } else { None };
-            (st.round, last, closed)
+            (st.round, st.finished.len() == n)
         };
-        // Every rank is done with the round: nobody asks for its recovery
-        // generations again. Each communicator's lock is taken alone,
-        // not under the engine's.
-        if let Some(Ok(plan)) = closed {
-            for bundle in &plan.new_comms {
-                let groups = [&bundle.dp, &bundle.tp, &bundle.pp].into_iter().flatten();
-                for comm in std::iter::once(&bundle.global)
-                    .chain(&bundle.extras)
-                    .chain(groups)
-                {
-                    comm.release_recovery_slots();
-                }
-            }
-        }
         if last {
             self.update(|st| {
                 st.round += 1;
+                st.plan = None;
                 st.arrived.clear();
                 st.finished.clear();
                 st.hard_written.clear();
@@ -528,6 +513,10 @@ impl TransparentEngine {
                 }
             }
             Action::HostRoundTrip => {
+                // The restart frees everything but the persistent state
+                // anyway: free it first, so the host snapshot does not sit
+                // beside the minibatch's gradients.
+                client.reset_in_place()?;
                 let (snap, bytes) = client.snapshot_persistent_to_host()?;
                 client.reset_with_restart()?;
                 client.restore_persistent_from_host(&snap, bytes)?;

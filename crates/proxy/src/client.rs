@@ -586,10 +586,21 @@ impl ProxyClient {
     /// communicator (§4.2.1 case 3 / §4.2.2): every member calls this; the
     /// root supplies its state, everyone else overwrites theirs. Relies on
     /// the cross-rank-stable buffer ordering guaranteed by allocation-site
-    /// naming. Each byte is copied once per side: the root's buffers go
-    /// straight into the broadcast payload, and a receiver checks that its
-    /// layout covers the shared result exactly before it loads each
-    /// buffer's slice in place. Not logged.
+    /// naming. Not logged.
+    ///
+    /// The state moves one buffer at a time, in recovery generations of
+    /// the communicator, so no member ever holds a second copy of the
+    /// whole state. The first generation is the root's layout, each
+    /// buffer's length, and is charged as one broadcast of the whole
+    /// state; a receiver checks that its own layout matches before a byte
+    /// is written. Then each of the root's buffers is copied once into its
+    /// own generation ([`Communicator::broadcast_part`], uncharged) and
+    /// once out of it into each receiver's buffer. The last member to pick
+    /// a part up drops its slot, so besides the state the sync holds only
+    /// the part a receiver is loading and the next one the root sends. A
+    /// receiver whose layout does not match still takes every part,
+    /// writing nothing, so the root and the other receivers finish the
+    /// sync, and then reports the mismatch.
     pub fn sync_persistent_from_replica(
         &mut self,
         token: CommToken,
@@ -601,46 +612,48 @@ impl ProxyClient {
         let bufs: Vec<&DeviceBuffer> = self.server.gpu().persistent().collect();
         let bytes = bufs.iter().map(|b| b.logical_bytes).sum();
         let layout: Vec<(BufferId, usize)> = bufs.iter().map(|b| (b.id, b.data.len())).collect();
-        let elems: usize = layout.iter().map(|&(_, len)| len).sum();
         let is_root = self.plane.rank == root;
-        let mut contribution = Vec::new();
-        if is_root {
-            contribution.reserve_exact(elems);
-            for b in bufs {
-                contribution.extend_from_slice(&b.data);
-            }
-        }
+        let lens = match is_root {
+            true => Some(encode_lens(&layout)?),
+            false => None,
+        };
         // Recovery-time state sync uses its own generation space (like
         // rendezvous): it must not occupy the generation of the data
         // operation being retried. Not one of the application's
         // collectives: it goes straight to the communicator, as a
         // rendezvous does.
-        let (comm, obs) = (self.plane.comm(token)?, self.plane.observer.as_ref());
-        let counter = self.rendezvous_gens.entry(comm.id).or_insert(0);
-        let gen = RECOVERY_GEN_BASE | *counter;
-        let contribution = is_root.then_some(contribution);
-        let flat = comm.broadcast_shared(self.plane.rank, gen, root, contribution, bytes, obs)?;
-        *counter += 1;
-        if is_root {
-            return Ok(());
+        let (comm, rank, obs) = (
+            self.plane.comm(token)?,
+            self.plane.rank,
+            self.plane.observer.as_ref(),
+        );
+        let first = *self.rendezvous_gens.entry(comm.id).or_insert(0);
+        let gen = |k: usize| RECOVERY_GEN_BASE | (first + k as u64);
+        let theirs = comm.broadcast_shared(rank, gen(0), root, lens, bytes, obs)?;
+        let theirs: Vec<usize> = theirs.iter().map(|w| w.to_bits() as usize).collect();
+        let refused = match is_root {
+            true => None,
+            false => layout_mismatch(&layout, &theirs),
+        };
+        // The buffer each part is read from (the root) or written to (a
+        // receiver whose layout matches); none for a receiver that refused.
+        let ids: Vec<Option<BufferId>> = match refused {
+            None => layout.iter().map(|&(id, _)| Some(id)).collect(),
+            Some(_) => vec![None; theirs.len()],
+        };
+        for (k, id) in ids.into_iter().enumerate() {
+            let part = match (is_root, id) {
+                (true, Some(id)) => Some(self.server.gpu().buffer(id)?.data.clone()),
+                _ => None,
+            };
+            let got = comm.broadcast_part(rank, gen(k + 1), root, part, obs)?;
+            if let (false, Some(id)) = (is_root, id) {
+                self.server.gpu_mut().load_buffer(id, &got)?;
+            }
         }
-        if elems > flat.len() {
-            return Err(SimError::Protocol(
-                "replica state shorter than local layout".into(),
-            ));
-        }
-        if elems < flat.len() {
-            return Err(SimError::Protocol(
-                "replica state longer than local layout".into(),
-            ));
-        }
-        let gpu = self.server.gpu_mut();
-        let mut offset = 0;
-        for (id, len) in layout {
-            gpu.load_buffer(id, &flat[offset..offset + len])?;
-            offset += len;
-        }
-        Ok(())
+        self.rendezvous_gens
+            .insert(comm.id, first + 1 + theirs.len() as u64);
+        refused.map_or(Ok(()), |why| Err(SimError::Protocol(why.into())))
     }
 
     /// Serializes the worker's CRIU-relevant CPU state: iteration,
@@ -794,6 +807,37 @@ impl ProxyClient {
             }
         }
         false
+    }
+}
+
+/// A replica's layout as its sync broadcasts it: each persistent buffer's
+/// length, as the bits of one `f32` word.
+fn encode_lens(layout: &[(BufferId, usize)]) -> SimResult<Vec<f32>> {
+    let word = |&(id, len): &(BufferId, usize)| {
+        let len = u32::try_from(len)
+            .map_err(|_| SimError::Protocol(format!("{id} is too long to sync")))?;
+        Ok(f32::from_bits(len))
+    };
+    layout.iter().map(word).collect()
+}
+
+/// Why a receiver with `layout` refuses a replica whose buffers have the
+/// lengths `theirs`, if it does.
+fn layout_mismatch(layout: &[(BufferId, usize)], theirs: &[usize]) -> Option<&'static str> {
+    let mine: usize = layout.iter().map(|&(_, len)| len).sum();
+    let total: usize = theirs.iter().sum();
+    if mine > total {
+        Some("replica state shorter than local layout")
+    } else if mine < total {
+        Some("replica state longer than local layout")
+    } else if !layout
+        .iter()
+        .map(|&(_, len)| len)
+        .eq(theirs.iter().copied())
+    {
+        Some("replica buffers cut differently from local layout")
+    } else {
+        None
     }
 }
 
@@ -1482,6 +1526,100 @@ mod tests {
             .map(|&n| bits(&(0..n).map(special).collect::<Vec<f32>>()))
             .collect();
         assert_eq!(got, want);
+        Ok(())
+    }
+
+    /// Each persistent buffer's bits, in buffer order.
+    fn state_bits(c: &ProxyClient) -> SimResult<Vec<Vec<u32>>> {
+        let view = c.server().gpu().state_view(0, 0)?;
+        let bits = |d: &[f32]| d.iter().map(|f| f.to_bits()).collect();
+        Ok(view.buffers.iter().map(|(_, _, d)| bits(d)).collect())
+    }
+
+    #[test]
+    fn a_three_member_sync_copies_every_bit_to_both_receivers() -> SimResult<()> {
+        let lens = [3, 7, 2];
+        let world = CommWorld::new(Arc::new(ClockBoard::new(3)), CostModel::v100(), 8);
+        let comm = world.create_comm((0..3).map(RankId).collect(), vec![0, 1, 2]);
+        let root = replica(0, &world, &lens, special)?;
+        let want = state_bits(&root)?;
+        let handles: Vec<_> = [root, replica(1, &world, &lens, |_| 1.5)?]
+            .into_iter()
+            .chain([replica(2, &world, &lens, |i| -(i as f32))?])
+            .map(|mut c| {
+                let comm = comm.clone();
+                std::thread::spawn(move || {
+                    let token = c.register_comm(comm);
+                    c.sync_persistent_from_replica(token, RankId(0)).map(|()| c)
+                })
+            })
+            .collect();
+        for h in handles {
+            let c = h
+                .join()
+                .map_err(|_| SimError::Protocol("a rank panicked".into()))??;
+            assert_eq!(state_bits(&c)?, want, "{}", c.rank());
+        }
+        assert_eq!(comm.completed_slots(), 0, "every part was dropped");
+        Ok(())
+    }
+
+    /// The transparent engine's answer to a proven hang: abort the world.
+    struct AbortOnHang(Arc<CommWorld>);
+
+    impl CollectiveObserver for AbortOnHang {
+        fn collective_started(&self, _: &collectives::CollectiveTicket) {}
+        fn collective_finished(&self, _: &collectives::CollectiveTicket) {}
+        fn collective_hung(&self, _: &collectives::CollectiveTicket) {
+            self.0.abort_all();
+        }
+    }
+
+    #[test]
+    fn a_root_departing_mid_sync_ends_every_receivers_wait_at_once() -> SimResult<()> {
+        let lens = [3, 7, 2];
+        let world = CommWorld::new(Arc::new(ClockBoard::new(3)), CostModel::v100(), 8);
+        let comm = world.create_comm((0..3).map(RankId).collect(), vec![0, 1, 2]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for rank in 1..3 {
+            let mut c = replica(rank, &world, &lens, |_| 1.5)?;
+            c.set_observer(Arc::new(AbortOnHang(world.clone())));
+            let (comm, tx) = (comm.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let token = c.register_comm(comm);
+                tx.send(c.sync_persistent_from_replica(token, RankId(0)))
+            });
+        }
+        // The root sends its layout and its first buffer, then its thread
+        // returns.
+        let root = replica(0, &world, &lens, special)?;
+        let (w, c) = (world.clone(), comm.clone());
+        std::thread::spawn(move || -> SimResult<()> {
+            let _guard = w.departure_guard(RankId(0));
+            let layout: Vec<(BufferId, usize)> = (root.server().gpu().persistent())
+                .map(|b| (b.id, b.data.len()))
+                .collect();
+            let (r0, obs) = (RankId(0), &collectives::NullObserver);
+            c.broadcast_shared(
+                r0,
+                RECOVERY_GEN_BASE,
+                r0,
+                Some(encode_lens(&layout)?),
+                48,
+                obs,
+            )?;
+            let part = root.server().gpu().buffer(layout[0].0)?.data.clone();
+            c.broadcast_part(r0, RECOVERY_GEN_BASE | 1, r0, Some(part), obs)?;
+            Ok(())
+        })
+        .join()
+        .map_err(|_| SimError::Protocol("the root panicked".into()))??;
+        for _ in 1..3 {
+            let got = rx
+                .recv_timeout(std::time::Duration::from_millis(500))
+                .map_err(|_| SimError::Protocol("a receiver still waits".into()))?;
+            assert_eq!(got, Err(SimError::CollectiveAborted));
+        }
         Ok(())
     }
 }
