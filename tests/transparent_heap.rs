@@ -7,7 +7,9 @@
 //! beyond what a fault-free step holds. After a class (d) round the healthy
 //! rank is already a minibatch ahead; the rebuilt communicator carries its
 //! commit floor over, so the victim's next minibatch holds no result of the
-//! one before it.
+//! one before it. The library's own runner, `run_job` under
+//! `Policy::Transparent`, is held to the same bound: each rank thread owns
+//! its first communicators, so they go once a round replaces them.
 //!
 //! A counting global allocator tracks the bytes held in blocks of 64 KiB
 //! or more, and their peak, so this is the only test in its binary: a
@@ -17,6 +19,7 @@ use cluster::{FailureInjector, SharedStore};
 use collectives::CommWorld;
 use dltrain::{JobComms, JobSetup, ModelConfig, OptimizerKind, RankTrainer, TrainConfig};
 use jitckpt::transparent::TransparentEngine;
+use jitckpt::{run_job, Policy};
 use proxy::ProxyClient;
 use simcore::cost::CostModel;
 use simcore::failure::{FailureKind, FailureSpec, Phase};
@@ -235,6 +238,34 @@ fn job(fault: Option<(FailureKind, Phase)>) -> SimResult<Peaks> {
     })
 }
 
+/// Runs [`config`]'s job through `run_job` under transparent JIT with
+/// `fault` (or none) on the victim at [`FAULT_AT`], to the end of the
+/// minibatch after it, and returns its peak over what was held before.
+fn run_job_peak(fault: Option<(FailureKind, Phase)>) -> SimResult<usize> {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let specs =
+        fault.map(|(kind, phase)| FailureSpec::new(FAULT_AT, phase, RankId(VICTIM as u32), kind));
+    let injector = FailureInjector::with_specs(specs.into_iter().collect());
+    let policy = Policy::Transparent { extra_comms: 0 };
+    let store = Arc::new(SharedStore::new());
+    let out = run_job(
+        config(),
+        CostModel::v100(),
+        injector,
+        store,
+        FAULT_AT + 2,
+        policy,
+    )?;
+    if out.rounds != u64::from(fault.is_some()) {
+        return Err(SimError::Protocol(format!(
+            "{} rounds for {fault:?}",
+            out.rounds
+        )));
+    }
+    Ok(PEAK.load(Ordering::Relaxed).saturating_sub(base))
+}
+
 #[test]
 fn a_replica_sync_round_holds_one_buffer_beside_a_healthy_step() -> SimResult<()> {
     let twin = job(None)?;
@@ -257,6 +288,15 @@ fn a_replica_sync_round_holds_one_buffer_beside_a_healthy_step() -> SimResult<()
             "the minibatch after a class (d) round peaks at {} bytes, more than a healthy \
              step's {step}",
             d.after
+        ));
+    }
+    let run_twin = run_job_peak(None)?;
+    let run_d = run_job_peak(Some((FailureKind::StickyCuda, Phase::OptimizerStep)))?;
+    if run_d > run_twin + twin.buffer {
+        over.push(format!(
+            "run_job with a class (d) round peaks at {run_d} bytes, more than its fault-free \
+             twin's {run_twin} and one {}-byte persistent buffer",
+            twin.buffer
         ));
     }
     assert!(over.is_empty(), "{over:#?}");
