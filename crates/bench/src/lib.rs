@@ -17,7 +17,6 @@
 
 pub mod coll;
 pub mod montecarlo;
-pub mod recovery;
 
 use baselines::{blocking_overhead, PolicyKind};
 use cluster::{FailureInjector, SharedStore};
@@ -101,8 +100,7 @@ pub const SECTIONS: &[Section] = &[
     ("montecarlo", montecarlo::validation_table),
     ("hier", coll::hier_ladder),
     ("bucketing", coll::bucket_overlap),
-    ("in-network", recovery::in_network_demo),
-    ("policies", recovery::policy_head_to_head),
+    ("policies", montecarlo::policy_head_to_head),
 ];
 
 /// A sub-heading row spanning a table of `columns` columns.

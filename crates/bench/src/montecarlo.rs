@@ -5,7 +5,8 @@
 //! event by event, and compares the measured wasted fraction against the
 //! closed forms (eq. 1, 5–8). Agreement within sampling noise is evidence
 //! that the paper's model — not merely our implementation of it — is
-//! internally consistent.
+//! internally consistent. The `policies` section sets the paper's three
+//! schemes side by side at 8 / 64 / 256 GPUs.
 
 use crate::Table;
 use jitckpt::analysis::{
@@ -16,12 +17,12 @@ use simcore::rng::DetRng;
 
 /// Paper-flavoured job parameters (BERT-L-PT, Table 4: o = 7.1 s,
 /// r = 11.2 s, m = 0.4 s, f = 2/day per 992 GPUs) at `n` GPUs.
-pub(crate) fn bert_l_pt_params(n: usize) -> JobParams {
+fn bert_l_pt_params(n: usize) -> JobParams {
     JobParams::new(7.1, 2.0 / 992.0, 11.2, n, 0.4)
 }
 
 /// Horizon of the table sections: 90 days of useful training, in seconds.
-pub(crate) const NINETY_DAYS: f64 = 90.0 * 86_400.0;
+const NINETY_DAYS: f64 = 90.0 * 86_400.0;
 
 /// Checkpointing policy simulated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,13 +39,6 @@ pub enum Policy {
     JitUser,
     /// Transparent JIT: per failure, half a minibatch only.
     JitTransparent,
-    /// In-network gradient replication: per failure, the ledger-slice
-    /// stream + optimizer replay tail (`reconstruct` seconds) + half a
-    /// minibatch — no checkpoint write and no store round-trip.
-    InNetwork {
-        /// Reconstruction tail per failure (seconds).
-        reconstruct: f64,
-    },
 }
 
 /// Outcome of one simulated run.
@@ -141,9 +135,6 @@ pub fn simulate(p: &JobParams, policy: Policy, horizon_useful: f64, seed: u64) -
             Policy::JitTransparent => {
                 wasted += p.minibatch / 2.0;
             }
-            Policy::InNetwork { reconstruct } => {
-                wasted += reconstruct + p.minibatch / 2.0;
-            }
         }
     }
     McOutcome {
@@ -195,9 +186,6 @@ pub fn predicted_fraction(p: &JobParams, policy: Policy) -> f64 {
         Policy::PeriodicOptimal => wasted_rate_periodic_optimal(p),
         Policy::JitUser => wasted_rate_jit_user(p, 0.0),
         Policy::JitTransparent => wasted_rate_jit_transparent(p, 0.0),
-        Policy::InNetwork { reconstruct } => {
-            jitckpt::analysis::wasted_rate_in_network(p, 0.0, reconstruct)
-        }
     };
     wasted_fraction(w)
 }
@@ -234,6 +222,42 @@ pub fn validation_table() -> Table {
             "Simulated".into(),
             "Predicted".into(),
             "Rel. diff".into(),
+        ],
+        rows,
+    }
+}
+
+/// The paper's three recovery schemes head to head: §5 closed form vs
+/// Monte-Carlo wasted fraction (6 replications of 90 days) at 8 / 64 /
+/// 256 GPUs.
+pub fn policy_head_to_head() -> Table {
+    let schemes = [
+        ("periodic-optimal", Policy::PeriodicOptimal),
+        ("jit-user", Policy::JitUser),
+        ("jit-transparent", Policy::JitTransparent),
+    ];
+    let mut rows = Vec::new();
+    for world in [8usize, 64, 256] {
+        let p = bert_l_pt_params(world);
+        for (name, policy) in schemes {
+            let (mean, sd) = replicate(&p, policy, NINETY_DAYS, 6);
+            rows.push(vec![
+                world.to_string(),
+                name.to_string(),
+                format!("{:.6}", predicted_fraction(&p, policy)),
+                format!("{mean:.6}"),
+                format!("{sd:.6}"),
+            ]);
+        }
+    }
+    Table {
+        title: "Recovery schemes head to head: wasted fraction, closed form vs Monte-Carlo (BERT-L-PT params, 90 days)".into(),
+        header: vec![
+            "GPUs".into(),
+            "Scheme".into(),
+            "Predicted".into(),
+            "Simulated".into(),
+            "sd".into(),
         ],
         rows,
     }
@@ -281,38 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_matches_closed_form_in_network() {
-        // Satellite check: the in-network closed form (w = N·f·(t_rec +
-        // m/2), zero steady term in both sim and model here) agrees with
-        // the Monte-Carlo measurement within 20% relative tolerance plus
-        // 3σ sampling noise — the same bar the other §5 policies meet.
-        let p = params(1024);
-        let horizon = 90.0 * 86_400.0;
-        let policy = Policy::InNetwork { reconstruct: 1.8 };
-        let (mean, sd) = replicate(&p, policy, horizon, 8);
-        let predicted = predicted_fraction(&p, policy);
-        assert!(
-            (mean - predicted).abs() < predicted * 0.2 + 3.0 * sd,
-            "MC {mean} vs model {predicted} (sd {sd})"
-        );
-    }
-
-    #[test]
-    fn simulated_in_network_sits_between_transparent_and_jit_user() {
-        let p = params(4096);
-        let horizon = 60.0 * 86_400.0;
-        let (user, _) = replicate(&p, Policy::JitUser, horizon, 4);
-        let (transparent, _) = replicate(&p, Policy::JitTransparent, horizon, 4);
-        let (in_net, _) = replicate(&p, Policy::InNetwork { reconstruct: 1.8 }, horizon, 4);
-        assert!(in_net < user, "in-network {in_net} vs user {user}");
-        assert!(
-            in_net >= transparent,
-            "reconstruction tail cannot beat transparent's free recovery: \
-             {in_net} vs {transparent}"
-        );
-    }
-
-    #[test]
     fn simulated_jit_beats_simulated_periodic_at_scale() {
         let p = params(4096);
         let horizon = 60.0 * 86_400.0;
@@ -348,7 +340,6 @@ mod tests {
             Policy::PeriodicOptimal,
             Policy::JitUser,
             Policy::JitTransparent,
-            Policy::InNetwork { reconstruct: 1.8 },
         ] {
             // Sequential reference, same seeds and reduction order.
             let reps = 7u64;

@@ -332,7 +332,7 @@ impl Communicator {
     /// `Arc` bump plus shard-range metadata — no extra sends, no copy).
     /// Re-attaching a member replaces its previous ledger. The
     /// attachment survives [`Communicator::set_engine`] /
-    /// [`Communicator::set_topology`] rebuilds.
+    /// [`Communicator::set_topology`] rebuilds. No job attaches one.
     pub fn attach_ledger(&self, rank: RankId, ledger: Arc<GradLedger>) -> SimResult<()> {
         let pos = self.member_pos(rank).ok_or_else(|| {
             SimError::Protocol(format!(

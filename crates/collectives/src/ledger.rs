@@ -17,15 +17,16 @@
 //! still available from survivors: shard *s* from its owner *s*, or from
 //! predecessor *s−1* (successor retention). The one unrecoverable shape
 //! is *r* and its ring successor dying together — then shard *r+1* has
-//! lost both holders, [`reconstruct_result`] reports the gap, and the
-//! caller falls back to the PR 5 streamed-replica path (then the store).
+//! lost both holders and [`reconstruct_result`] reports the gap. No job
+//! attaches a ledger; the tap and [`reconstruct_result`] stay for the
+//! incident benchmark's ledger probe.
 //!
 //! Memory is bounded two ways, mirroring a real implementation that
 //! stores only its two shard slices: the accounting charges
 //! own-shard + successor-shard bytes per generation against
 //! [`LedgerConfig::cap_bytes`] (FIFO eviction beyond it), and
-//! [`GradLedger::begin_epoch`] — called by the trainer at every
-//! minibatch boundary — evicts generations older than
+//! [`GradLedger::begin_epoch`], which its owner calls at every minibatch
+//! boundary, evicts generations older than
 //! [`LedgerConfig::epoch_window`] iterations. (In-process the `Arc`
 //! shares one result vector across all member ledgers, so the simulated
 //! footprint is even smaller than the accounted one.)
@@ -129,7 +130,7 @@ impl GradLedger {
         })
     }
 
-    /// Advances the iteration epoch (trainer minibatch boundary) and
+    /// Advances the iteration epoch (its owner's minibatch boundary) and
     /// evicts generations that fell out of the epoch window.
     pub fn begin_epoch(&self, epoch: u64) {
         let mut inner = self.inner.lock();
@@ -260,8 +261,7 @@ pub fn retained_ranges(len: usize, n: usize, pos: usize) -> Vec<Range<usize>> {
 /// ledgers (`ledgers[p]` is member `p`'s ledger, `None` = dead). Shard
 /// *s* comes from its owner or, when the owner died, from predecessor
 /// *s−1*'s successor retention. Returns `None` on any coverage gap —
-/// the "failed rank and its ring successor both died" shape — which is
-/// the caller's signal to fall back to replica streaming.
+/// the "failed rank and its ring successor both died" shape.
 pub fn reconstruct_result(gen: u64, ledgers: &[Option<Arc<GradLedger>>]) -> Option<Vec<f32>> {
     let n = ledgers.len();
     let meta = ledgers.iter().flatten().find_map(|l| l.entry_meta(gen))?;

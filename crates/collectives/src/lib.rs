@@ -36,9 +36,9 @@
 //!   communicator (color/key remapping, parent→child abort and fault
 //!   propagation);
 //! * [`ledger`] — the Checkmate-style in-network gradient tap
-//!   ([`GradLedger`]): passive bounded retention of the shard slices a
-//!   rank already holds when a generation completes, and the
-//!   reconstruction of a dead member's result from survivors;
+//!   ([`GradLedger`]), which no job attaches: passive bounded retention
+//!   of the shard slices a rank holds when a generation completes, and
+//!   the reconstruction of a dead member's result from survivors;
 //! * [`observer`] — the interception hook ([`CollectiveObserver`]) that
 //!   stands in for the user-level watch-list of §3.1;
 //! * `liveness` — the per-world record of what is known of its ranks

@@ -415,6 +415,38 @@ proptest! {
     }
 
     #[test]
+    fn an_attached_ledger_changes_no_result_bit(
+        // The tap records a generation's result after it completes, never
+        // a step of its schedule: with a ledger on every member, each
+        // member's output of every collective kind is the untapped run's,
+        // bit for bit, under both schedules and any placement, while the
+        // byte cap evicts as the suite goes.
+        (rows, node_of) in (2usize..6).prop_flat_map(|n| (
+            (1usize..97).prop_flat_map(move |len| proptest::collection::vec(
+                proptest::collection::vec(-100.0f32..100.0, len),
+                n,
+            )),
+            proptest::collection::vec(0usize..3, n),
+        )),
+        chunk_bytes in 1usize..600,
+        cap_bytes in 16usize..2048,
+        op in prop::sample::select(vec![ReduceOp::Sum, ReduceOp::Avg, ReduceOp::Max]),
+    ) {
+        let fold = RingConfig { chunk_bytes, workers: 2 };
+        let rows = Arc::new(rows);
+        let ledger_cfg = LedgerConfig { cap_bytes, epoch_window: 2 };
+        for engine in [CollEngine::Ring(fold), CollEngine::Hier(fold)] {
+            let plain = run_suite_topo(rows.clone(), op, engine, Some(node_of.clone()));
+            let (tapped, _) =
+                run_suite_ledgers(rows.clone(), op, engine, Some(node_of.clone()), ledger_cfg);
+            prop_assert_eq!(
+                to_bits(&tapped), to_bits(&plain),
+                "the tap must be invisible to the results ({:?})", engine
+            );
+        }
+    }
+
+    #[test]
     fn ledger_memory_never_exceeds_its_cap(
         n in 2usize..5,
         lens in proptest::collection::vec(1usize..64, 1..8),

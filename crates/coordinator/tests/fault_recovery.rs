@@ -1,27 +1,24 @@
 //! Recovery bit-identity over the simulated object store.
 //!
-//! Re-runs the `restore_with_fallback` chain — in-network ledger
-//! replay, streamed replica, store round-trip — with the checkpoint
-//! store swapped for [`SimObjectStore`] running with latency, slow
-//! reads, and injected faults (a torn shard decoy and a silently lost
-//! sidecar decoy newer than the good checkpoint). Every leg must
-//! return state bit-identical to the failed rank's truth: backend
-//! behavior may change *when* recovery completes, never *what* it
-//! recovers.
+//! Re-runs the `restore_with_fallback` chain — streamed replica, then
+//! store round-trip — with the checkpoint store swapped for
+//! [`SimObjectStore`] running with latency, slow reads, and injected
+//! faults (a torn shard decoy and a silently lost sidecar decoy newer
+//! than the good checkpoint). Every leg must return state bit-identical
+//! to the failed rank's truth: backend behavior may change *when*
+//! recovery completes, never *what* it recovers.
 
 use cluster::{FailureInjector, StorageBackend};
-use collectives::{CommWorld, GradLedger, LedgerConfig};
+use collectives::CommWorld;
 use coordinator::{ObjectStoreProfile, SimObjectStore};
 use dltrain::trainer::DEFAULT_BUCKET_BYTES;
 use dltrain::{JobSetup, RankTrainer, TrainConfig, TrainState};
 use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
-use jitckpt::stream::{
-    self, recv_ledger_history, restore_with_fallback, send_ledger_slices, RecoverySource,
-};
+use jitckpt::stream::{self, restore_with_fallback, RecoverySource};
 use proxy::DirectExecutor;
 use simcore::cost::CostModel;
 use simcore::time::ClockBoard;
-use simcore::{GpuId, JobId, RankId, SimResult};
+use simcore::{GpuId, JobId, RankId, SimError, SimResult};
 use simgpu::Gpu;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -41,7 +38,7 @@ fn state_bits(s: &TrainState) -> Vec<(String, Vec<u32>)> {
         .collect()
 }
 
-fn train_with_ledgers(cfg: &TrainConfig, iters: u64) -> Vec<(TrainState, Arc<GradLedger>)> {
+fn train(cfg: &TrainConfig, iters: u64) -> Vec<TrainState> {
     let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
     let world = setup.world.clone();
     let per_rank = setup.per_rank.clone();
@@ -52,35 +49,14 @@ fn train_with_ledgers(cfg: &TrainConfig, iters: u64) -> Vec<(TrainState, Arc<Gra
         let exec = DirectExecutor::new(RankId(i as u32), i, gpu, world.clone());
         let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], FailureInjector::none())?;
         tr.set_bucket_bytes(DEFAULT_BUCKET_BYTES);
-        let dp = per_rank[i].dp.as_ref().expect("dp group").clone();
-        let ledger = tr.attach_grad_ledger(&dp, LedgerConfig::unbounded())?;
         tr.train(iters)?;
-        Ok((tr.state_snapshot()?, ledger))
+        tr.state_snapshot()
     });
     results.into_iter().map(|r| r.unwrap()).collect()
 }
 
 fn recovery_world(n: usize) -> Arc<CommWorld> {
     CommWorld::new(Arc::new(ClockBoard::new(n)), CostModel::v100(), 8)
-}
-
-fn replay_replacement(
-    cfg: &TrainConfig,
-    failed: usize,
-    history: &[Vec<Vec<f32>>],
-) -> SimResult<TrainState> {
-    let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
-    let gpu = Gpu::new(GpuId(failed as u32), CostModel::v100());
-    let exec = DirectExecutor::new(RankId(failed as u32), failed, gpu, setup.world.clone());
-    let mut tr = RankTrainer::new(
-        exec,
-        cfg.clone(),
-        &setup.per_rank[failed],
-        FailureInjector::none(),
-    )?;
-    tr.set_bucket_bytes(DEFAULT_BUCKET_BYTES);
-    tr.replay_reduced_history(history)?;
-    tr.state_snapshot()
 }
 
 /// An object store with realistic (but test-fast) latency, slow reads,
@@ -96,19 +72,20 @@ fn faulty_object_store() -> SimObjectStore {
     })
 }
 
-/// All three fallback legs recover bit-identical state when the store
-/// behind the chain is the simulated object store with faults armed:
-/// two decoy checkpoints newer than the good one (one with a torn
-/// shard, one whose sidecar was silently lost) must be rejected or
-/// invisible, never returned.
+/// The chain's first leg, the gradient-ledger one, has no producer and
+/// fails as the restart launcher's does. Both legs behind it recover
+/// bit-identical state when the store behind the chain is the simulated
+/// object store with faults armed: two decoy checkpoints newer than the
+/// good one (one with a torn shard, one whose sidecar was silently lost)
+/// must be rejected or invisible, never returned.
 #[test]
 fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
     let _guard = serial();
     let cfg = TrainConfig::tiny_dp(4);
     let iters = 4u64;
-    let ran = train_with_ledgers(&cfg, iters);
+    let ran = train(&cfg, iters);
     let failed = 0usize;
-    let truth = ran[failed].0.clone();
+    let truth = ran[failed].clone();
     let cost = CostModel::v100();
     let shard_cfg = ShardConfig {
         shard_bytes: 1024,
@@ -126,13 +103,13 @@ fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
         0,
         0,
         2,
-        &ran[2].0,
+        &ran[2],
         &shard_cfg,
     )?;
 
     // Decoy 1 (newer): one shard torn mid-write — sidecar completes but
     // CRC validation must reject the iteration.
-    let mut torn = ran[2].0.clone();
+    let mut torn = ran[2].clone();
     torn.iteration = iters + 1;
     store.tear_next_put_matching(
         checkpoint::checkpoint_prefix(JobId(0), CkptKind::Jit, iters + 1, 0, 0, 2),
@@ -153,7 +130,7 @@ fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
     // Decoy 2 (newest): the completion sidecar itself is silently lost
     // — acknowledged, never stored — so the checkpoint must be
     // invisible to assembly.
-    let mut lost = ran[2].0.clone();
+    let mut lost = ran[2].clone();
     lost.iteration = iters + 2;
     store.lose_next_put_matching(checkpoint::meta_path(
         JobId(0),
@@ -176,64 +153,11 @@ fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
     )?;
     assert_eq!(store.lost_puts(), 1, "the sidecar loss must have fired");
 
-    let survivors = [1usize, 2, 3];
-    let srcs: Vec<RankId> = survivors.iter().map(|&s| RankId(s as u32)).collect();
+    let no_ledger = || Err(SimError::Protocol("no ledger attached".into()));
 
-    // Leg 1: in-network ledger replay; the object store is not read.
+    // Streamed replica: no object-store reads.
     {
         let rw = recovery_world(4);
-        for &s in &survivors {
-            send_ledger_slices(
-                &rw,
-                &cost,
-                RankId(s as u32),
-                s,
-                RankId(failed as u32),
-                true,
-                &ran[s].1,
-                0..iters,
-            )?;
-        }
-        let reads_before = store.read_count();
-        let (state, source) = restore_with_fallback(
-            || {
-                let history = recv_ledger_history(
-                    &rw,
-                    &cost,
-                    &srcs,
-                    RankId(failed as u32),
-                    failed,
-                    Duration::from_secs(5),
-                    0..iters,
-                )?;
-                replay_replacement(&cfg, failed, &history)
-            },
-            || panic!("in-network path must not fall through to the stream"),
-            || panic!("in-network path must not fall through to the store"),
-        )?;
-        assert_eq!(source, RecoverySource::InNetwork);
-        assert_eq!(state_bits(&state), state_bits(&truth));
-        assert_eq!(store.read_count(), reads_before);
-    }
-
-    // Leg 2: ledger coverage lost (only ranks 2,3 survive) ⇒ streamed
-    // replica; still no object-store reads.
-    {
-        let rw = recovery_world(4);
-        let pair = [2usize, 3];
-        let pair_srcs: Vec<RankId> = pair.iter().map(|&s| RankId(s as u32)).collect();
-        for &s in &pair {
-            send_ledger_slices(
-                &rw,
-                &cost,
-                RankId(s as u32),
-                s,
-                RankId(failed as u32),
-                true,
-                &ran[s].1,
-                0..iters,
-            )?;
-        }
         stream::send_state(
             &rw,
             &cost,
@@ -241,23 +165,12 @@ fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
             2,
             RankId(failed as u32),
             true,
-            &ran[2].0,
+            &ran[2],
             4096,
         )?;
         let reads_before = store.read_count();
         let (state, source) = restore_with_fallback(
-            || {
-                let history = recv_ledger_history(
-                    &rw,
-                    &cost,
-                    &pair_srcs,
-                    RankId(failed as u32),
-                    failed,
-                    Duration::from_secs(5),
-                    0..iters,
-                )?;
-                replay_replacement(&cfg, failed, &history)
-            },
+            no_ledger,
             || {
                 stream::recv_state(
                     &rw,
@@ -275,25 +188,11 @@ fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
         assert_eq!(store.read_count(), reads_before);
     }
 
-    // Leg 3: stream truncated too ⇒ object-store round-trip. Assembly
-    // must skip both decoys (torn shard, lost sidecar) and land on the
-    // good iteration, bit-identically, despite latency and slow reads.
+    // Stream truncated ⇒ object-store round-trip. Assembly must skip
+    // both decoys (torn shard, lost sidecar) and land on the good
+    // iteration, bit-identically, despite latency and slow reads.
     {
         let rw = recovery_world(4);
-        let pair = [2usize, 3];
-        let pair_srcs: Vec<RankId> = pair.iter().map(|&s| RankId(s as u32)).collect();
-        for &s in &pair {
-            send_ledger_slices(
-                &rw,
-                &cost,
-                RankId(s as u32),
-                s,
-                RankId(failed as u32),
-                true,
-                &ran[s].1,
-                0..iters,
-            )?;
-        }
         stream::send_state_truncated(
             &rw,
             &cost,
@@ -301,23 +200,12 @@ fn all_three_legs_bit_identical_over_faulty_object_store() -> SimResult<()> {
             2,
             RankId(failed as u32),
             true,
-            &ran[2].0,
+            &ran[2],
             4096,
             1,
         )?;
         let (state, source) = restore_with_fallback(
-            || {
-                let history = recv_ledger_history(
-                    &rw,
-                    &cost,
-                    &pair_srcs,
-                    RankId(failed as u32),
-                    failed,
-                    Duration::from_secs(5),
-                    0..iters,
-                )?;
-                replay_replacement(&cfg, failed, &history)
-            },
+            no_ledger,
             || {
                 stream::recv_state(
                     &rw,

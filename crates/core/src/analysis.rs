@@ -94,19 +94,6 @@ pub fn wasted_rate_jit_transparent(p: &JobParams, steady_overhead: f64) -> f64 {
     steady_overhead + nf * p.minibatch / 2.0
 }
 
-/// Extension of the §5 model to **in-network gradient replication**
-/// (Checkmate-style, PAPERS.md): the failed rank's state is rebuilt from
-/// shard slices already resident on ring peers, so a failure costs no
-/// checkpoint write, no store read, and no fixed re-initialization tax
-/// beyond the reconstruction tail itself:
-/// `w = o_tap + N·f·(t_rec + m/2)`, where `o_tap` is the steady-state
-/// tap overhead (an `Arc` bump per generation — measured ≈ 0) and
-/// `t_rec` the slice-stream + optimizer-replay time per failure.
-pub fn wasted_rate_in_network(p: &JobParams, steady_overhead: f64, reconstruct: f64) -> f64 {
-    let nf = p.n_gpus as f64 * p.failure_rate;
-    steady_overhead + nf * (reconstruct + p.minibatch / 2.0)
-}
-
 /// §5.1 dollar-cost estimate: monthly cost of wasted GPU time due to
 /// failures, given the per-failure wasted time per GPU.
 ///
@@ -245,28 +232,6 @@ mod tests {
         let p8192 = JobParams { n_gpus: 8192, ..p };
         let w8192 = wasted_fraction(wasted_rate_jit_transparent(&p8192, 0.0069));
         assert!((w8192 - w4) / w4 < 0.1, "flat: {w4} → {w8192}");
-    }
-
-    #[test]
-    fn in_network_interpolates_between_transparent_and_jit_user() {
-        // With the same steady overhead, in-network at t_rec = 0 equals
-        // transparent JIT (both lose only the half-minibatch), and it
-        // stays below user-level JIT as long as the reconstruction tail
-        // undercuts the checkpoint-write + fixed-restart tax.
-        let p = bert_l();
-        for n in [64usize, 1024, 8192] {
-            let p = JobParams { n_gpus: n, ..p };
-            let zero_tail = wasted_rate_in_network(&p, 0.0069, 0.0);
-            let transparent = wasted_rate_jit_transparent(&p, 0.0069);
-            assert!((zero_tail - transparent).abs() < 1e-15);
-            let with_tail = wasted_rate_in_network(&p, 0.0069, 1.5);
-            let user = wasted_rate_jit_user(&p, 0.0069);
-            assert!(with_tail > zero_tail);
-            assert!(
-                with_tail < user,
-                "N={n}: in-network {with_tail} vs user {user}"
-            );
-        }
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! or every rank departed or done with its hang action.
 //!
 //! Every restarted rank restores through
-//! [`stream::restore_with_fallback`]: the ledger leg has no ledger
-//! attached, the streamed-replica leg serves a replica that does not own
-//! its cell's chosen checkpoint (when `stream_recovery` is on), and the
-//! store leg serves everyone else and every fallback. A leg yields the
+//! [`stream::restore_with_fallback`]: its first leg, the gradient-ledger
+//! one, has no producer and fails at once; the streamed-replica leg
+//! serves a replica that does not own its cell's chosen checkpoint (when
+//! `stream_recovery` is on), and the store leg serves everyone else and
+//! every fallback. A leg yields the
 //! state as verified chunks — the checkpoint's shards or the stream's
 //! frame payloads — and succeeds only if they decode; the winner's
 //! chunks are decoded straight into the rank's device.

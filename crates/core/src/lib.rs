@@ -38,7 +38,8 @@
 //!   shard encode/CRC instead of stalling the training thread;
 //! * [`stream`] — pipelined replica-to-replica recovery state transfer
 //!   (CRC-framed codec shards rank-to-rank, replacing the per-rank
-//!   store round-trip on restore);
+//!   store round-trip on restore) and the recovery chain that falls back
+//!   from it to the store;
 //! * [`restore`] — the parallel restore plane: bounded shard fetch pool
 //!   with in-order fan-in verify/decode, delta-chain prefetch, and
 //!   multi-source striping across placed storage nodes;

@@ -601,31 +601,43 @@ pub(crate) fn run(
     extra_comms: usize,
 ) -> SimResult<JobOutcome> {
     let (layout, n) = (cfg.layout, cfg.layout.world_size());
-    let setup = JobSetup::build_with(layout, cost.clone(), cfg.ranks_per_node, extra_comms, None);
+    let JobSetup {
+        world,
+        clock,
+        per_rank,
+        ..
+    } = JobSetup::build_with(layout, cost.clone(), cfg.ranks_per_node, extra_comms, None);
     let alloc = TransparentEngine::counter_gpu_allocator(10_000, cost.clone());
-    let world = setup.world.clone();
     let engine =
         TransparentEngine::with_extra_comms(layout, world.clone(), store, alloc, extra_comms);
-    let (per_rank, attach) = (setup.per_rank.clone(), engine.clone());
-    let rank = move |i| {
+    // Each rank thread takes its own first communicators and drops them
+    // once its client holds them: a round replaces them, and what they
+    // cached goes with them.
+    let per_rank: Vec<Mutex<Option<JobComms>>> =
+        per_rank.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let (rank_world, attach) = (world.clone(), engine.clone());
+    let rank = move |i: usize| {
         let rank = RankId::from(i);
+        let comms = per_rank[i].lock().take();
+        let comms = comms.ok_or_else(|| SimError::Protocol(format!("{rank} spawned twice")))?;
         let gpu = Gpu::new(GpuId(i as u32), cost.clone());
-        let mut client = ProxyClient::new(rank, i, gpu, world.clone());
+        let mut client = ProxyClient::new(rank, i, gpu, rank_world.clone());
         attach.attach(&mut client)?;
-        let mut tr = RankTrainer::new(client, cfg.clone(), &per_rank[i], injector.clone())?;
+        let mut tr = RankTrainer::new(client, cfg.clone(), &comms, injector.clone())?;
+        drop(comms);
         let losses = tr.train(target_iters)?;
         attach.finish_training(&mut tr.exec)?;
         Ok((losses, tr.exec.logged_calls()))
     };
     // Nobody acks a checkpoint: the job is only joined.
-    let results = spawn_and_monitor(n, setup.world.clone(), || false, rank)?;
+    let results = spawn_and_monitor(n, world, || false, rank)?;
     let ranks = results.into_iter().collect::<SimResult<Vec<_>>>()?;
     let (losses, logged_calls) = ranks.into_iter().unzip();
     Ok(JobOutcome {
         losses,
         rounds: engine.rounds(),
         reports: engine.reports(),
-        finish_times: (0..n).map(|i| setup.clock.now(i)).collect(),
+        finish_times: (0..n).map(|i| clock.now(i)).collect(),
         logged_calls,
         ..JobOutcome::default()
     })

@@ -66,8 +66,9 @@ pub struct JitUserConfig {
     pub stream_patience: Duration,
     /// Fault injection: when set, the streaming replica "dies" after
     /// emitting this many frames of each recovery stream (see
-    /// [`crate::stream::send_state_truncated`]) — receivers must time out
-    /// and fall back to the store. `None` = healthy sender.
+    /// [`crate::stream::send_state_truncated`]) and cuts the stream, so
+    /// each receiver's wait ends on the cut at once and it falls back to
+    /// the store. `None` = healthy sender.
     pub stream_truncate: Option<usize>,
 }
 

@@ -21,7 +21,7 @@ use crate::optim::{OptimizerKind, RankOptimizer};
 use crate::setup::JobComms;
 use bytes::{Buf, Bytes};
 use cluster::FailureInjector;
-use collectives::{Communicator, GradLedger, LedgerConfig, ReduceOp};
+use collectives::ReduceOp;
 use proxy::{CommToken, Executor};
 use simcore::codec::{Decode, Encode};
 use simcore::failure::{FailureKind, Phase};
@@ -139,11 +139,6 @@ pub struct RankTrainer<E: Executor> {
     /// never see the loss).
     pub losses: Vec<f32>,
     injector: Arc<FailureInjector>,
-    /// In-network gradient ledger attached to the data-parallel group
-    /// ([`RankTrainer::attach_grad_ledger`]); the trainer only advances
-    /// its epoch at minibatch boundaries — recording happens passively
-    /// in the collective data plane.
-    ledger: Option<Arc<GradLedger>>,
 }
 
 impl<E: Executor> RankTrainer<E> {
@@ -281,7 +276,6 @@ impl<E: Executor> RankTrainer<E> {
             iteration: 0,
             losses: Vec::new(),
             injector,
-            ledger: None,
         })
     }
 
@@ -421,175 +415,6 @@ impl<E: Executor> RankTrainer<E> {
         self.bucket_bytes = bytes;
     }
 
-    /// Attaches an in-network gradient ledger for this rank to `comm`
-    /// (normally the data-parallel group): completed reduce generations
-    /// are recorded passively by the data plane, and this trainer
-    /// advances the ledger's epoch at every minibatch boundary.
-    pub fn attach_grad_ledger(
-        &mut self,
-        comm: &Arc<Communicator>,
-        cfg: LedgerConfig,
-    ) -> SimResult<Arc<GradLedger>> {
-        let ledger = GradLedger::new(cfg);
-        ledger.begin_epoch(self.iteration);
-        comm.attach_ledger(self.exec.rank(), ledger.clone())?;
-        self.ledger = Some(ledger.clone());
-        Ok(ledger)
-    }
-
-    /// Per-parameter payload lengths in registration order (forward
-    /// block order, then the head; FSDP shards when hybrid sharding is
-    /// on) — the shapes the optimizer steps over.
-    fn param_elems(&self) -> Vec<usize> {
-        if !self.fsdp_params.is_empty() {
-            let g = self.cfg.layout.tp;
-            return self.fsdp_params.iter().map(|p| p.full_elems / g).collect();
-        }
-        let mut out = Vec::new();
-        for blk in &self.blocks {
-            out.extend_from_slice(&[
-                blk.d * blk.h_local,
-                blk.h_local,
-                blk.h_local * blk.d,
-                blk.d,
-                blk.d,
-            ]);
-        }
-        if let Some(h) = &self.head {
-            out.push(h.d * h.classes);
-        }
-        out
-    }
-
-    /// The data-parallel reduction schedule of one minibatch: for each
-    /// fused collective (ledger generation), the registration-order
-    /// parameter indices it carries, in fused concatenation order. This
-    /// is a pure function of the configuration — the deterministic map
-    /// that lets a replacement rank scatter ledgered reduced vectors
-    /// back onto parameters during replay. Empty without a dp group.
-    pub fn reduction_plan(&self) -> Vec<Vec<usize>> {
-        if self.tokens.dp.is_none() {
-            return Vec::new();
-        }
-        let shapes = self.param_elems();
-        let n = shapes.len();
-        let fsdp_mode = !self.fsdp_params.is_empty();
-        // Issue order mirrors `train_step`: backward through blocks in
-        // reverse with the five grads of each block together, then the
-        // head; FSDP issues every shard grad in one call, in
-        // registration order.
-        let groups: Vec<Vec<usize>> = if fsdp_mode {
-            vec![(0..n).collect()]
-        } else {
-            let nb = self.blocks.len();
-            let mut gs: Vec<Vec<usize>> = (0..nb)
-                .rev()
-                .map(|b| (5 * b..5 * b + 5).collect())
-                .collect();
-            if self.head.is_some() {
-                gs.push(vec![n - 1]);
-            }
-            gs
-        };
-        if self.bucket_bytes == 0 {
-            // Eager path: one generation per buffer, in issue order.
-            return groups.into_iter().flatten().map(|i| vec![i]).collect();
-        }
-        let ps = self.cfg.model.phantom_scale;
-        let mut plan: Vec<Vec<usize>> = Vec::new();
-        let mut cur: Vec<usize> = Vec::new();
-        let mut bytes = 0u64;
-        for g in groups {
-            let elems: usize = g.iter().map(|&i| shapes[i]).sum();
-            cur.extend(g);
-            bytes += ((elems * 4) as f64 * ps).ceil() as u64;
-            if bytes >= self.bucket_bytes {
-                plan.push(std::mem::take(&mut cur));
-                bytes = 0;
-            }
-        }
-        if !cur.is_empty() {
-            plan.push(cur);
-        }
-        plan
-    }
-
-    /// Optimizer-only replay of one minibatch from ledgered reduced
-    /// gradients: `fused[k]` must be the full reduced vector of the
-    /// k-th collective in [`RankTrainer::reduction_plan`] order. The
-    /// uploaded values are exactly what the all-reduce delivered on the
-    /// healthy ranks, so stepping the (deterministic) optimizer on them
-    /// reproduces the dead rank's post-iteration state bit-for-bit —
-    /// with no forward, no backward, and no collectives.
-    fn replay_reduced_step(&mut self, fused: &[Vec<f32>]) -> SimResult<()> {
-        let plan = self.reduction_plan();
-        if fused.len() != plan.len() {
-            return Err(SimError::Protocol(format!(
-                "replay expected {} fused gradient vectors, got {}",
-                plan.len(),
-                fused.len()
-            )));
-        }
-        let shapes = self.param_elems();
-        let ps = self.cfg.model.phantom_scale;
-        let it = self.iteration;
-        self.exec.begin_minibatch(it)?;
-        let mut grad_bufs: Vec<Option<BufferId>> = vec![None; shapes.len()];
-        let mut scratch: Vec<BufferId> = Vec::new();
-        for (vec, group) in fused.iter().zip(&plan) {
-            let mut off = 0usize;
-            for &pi in group {
-                let elems = shapes[pi];
-                let end = off + elems;
-                if end > vec.len() {
-                    return Err(SimError::Protocol(format!(
-                        "replayed fused vector too short: {} < {end}",
-                        vec.len()
-                    )));
-                }
-                let buf = alloc_buf(
-                    &mut self.exec,
-                    &format!("replay.grad{pi}"),
-                    elems,
-                    ps,
-                    BufferTag::Gradient,
-                )?;
-                scratch.push(buf);
-                upload(&mut self.exec, buf, vec[off..end].to_vec())?;
-                grad_bufs[pi] = Some(buf);
-                off = end;
-            }
-            if off != vec.len() {
-                return Err(SimError::Protocol(format!(
-                    "replayed fused vector carries {} elements, plan expects {off}",
-                    vec.len()
-                )));
-            }
-        }
-        let grad_list: Vec<BufferId> = grad_bufs
-            .into_iter()
-            .map(|b| b.ok_or_else(|| SimError::Protocol("replay plan missed a parameter".into())))
-            .collect::<SimResult<_>>()?;
-        self.exec.pre_optimizer()?;
-        self.opt.step(&mut self.exec, self.compute, &grad_list)?;
-        self.exec.post_optimizer()?;
-        for b in scratch {
-            self.exec.call(DeviceCall::Free { buf: b })?;
-        }
-        self.iteration += 1;
-        self.losses.push(f32::NAN);
-        Ok(())
-    }
-
-    /// Replays a whole ledgered history: `epochs[i]` holds iteration
-    /// `start + i`'s fused reduced vectors in generation order.
-    pub fn replay_reduced_history(&mut self, epochs: &[Vec<Vec<f32>>]) -> SimResult<()> {
-        for fused in epochs {
-            self.replay_reduced_step(fused)?;
-        }
-        Ok(())
-    }
-
     /// Data-parallel gradient all-reduce for one bucket (averaging), with
     /// the Figure-3 event pattern — the eager per-buffer reference path
     /// used when bucketing is disabled.
@@ -653,12 +478,6 @@ impl<E: Executor> RankTrainer<E> {
         let d = self.cfg.model.input_dim;
         let ps = self.cfg.model.phantom_scale;
         self.exec.begin_minibatch(it)?;
-        if let Some(ledger) = &self.ledger {
-            // Epoch boundary of the in-network tap: evict generations
-            // that fell out of the retention window before this
-            // minibatch's reductions are recorded.
-            ledger.begin_epoch(it);
-        }
         self.poll_inject(Phase::Forward)?;
         let mut scratch: Vec<BufferId> = Vec::new();
         let fsdp_mode = !self.fsdp_params.is_empty();
@@ -1416,136 +1235,5 @@ mod fsdp_tests {
         let head: f32 = losses[0][..5].iter().sum::<f32>() / 5.0;
         let tail: f32 = losses[0][20..].iter().sum::<f32>() / 5.0;
         assert!(tail < head, "head {head} tail {tail}");
-    }
-
-    /// Bitwise view of a state's buffers (f32 `PartialEq` would accept
-    /// `-0.0 == 0.0`; reconstruction must be exact).
-    fn state_bits(s: &TrainState) -> Vec<(String, Vec<u32>)> {
-        s.buffers
-            .iter()
-            .map(|(k, _, d)| (k.clone(), d.iter().map(|f| f.to_bits()).collect()))
-            .collect()
-    }
-
-    /// Trains `n` ranks with ledgers attached to the dp group, returning
-    /// each rank's final state and its ledger.
-    fn run_with_ledgers(
-        cfg: &TrainConfig,
-        iters: u64,
-        bucket: u64,
-        ledger_cfg: LedgerConfig,
-    ) -> Vec<(TrainState, Arc<GradLedger>, usize)> {
-        let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
-        let world = setup.world.clone();
-        let per_rank = setup.per_rank.clone();
-        let cfg = cfg.clone();
-        let n = cfg.layout.world_size();
-        let results = run_ranks(n, move |i| {
-            let gpu = Gpu::new(GpuId(i as u32), CostModel::v100());
-            let exec = DirectExecutor::new(RankId(i as u32), i, gpu, world.clone());
-            let mut tr =
-                RankTrainer::new(exec, cfg.clone(), &per_rank[i], FailureInjector::none())?;
-            tr.set_bucket_bytes(bucket);
-            let dp = per_rank[i].dp.as_ref().expect("dp group").clone();
-            let ledger = tr.attach_grad_ledger(&dp, ledger_cfg)?;
-            tr.train(iters)?;
-            let plan_len = tr.reduction_plan().len();
-            Ok((tr.state_snapshot()?, ledger, plan_len))
-        });
-        results.into_iter().map(|r| r.unwrap()).collect()
-    }
-
-    #[test]
-    fn ledger_replay_reconstructs_failed_rank_state_bitwise() {
-        // Eager, small-bucket (multiple fused generations per epoch),
-        // and default-bucket (single generation) reduction schedules.
-        for bucket in [0u64, 1 << 10, DEFAULT_BUCKET_BYTES] {
-            let cfg = TrainConfig::tiny_dp(4);
-            let iters = 4u64;
-            let ran = run_with_ledgers(&cfg, iters, bucket, LedgerConfig::unbounded());
-            let failed = 0usize;
-            let truth = ran[failed].0.clone();
-            let plan_len = ran[failed].2;
-            let mut ledgers: Vec<Option<Arc<GradLedger>>> =
-                ran.iter().map(|(_, l, _)| Some(l.clone())).collect();
-            ledgers[failed] = None;
-            // Reassemble the failed rank's reduced-gradient history from
-            // the survivors' retained shard slices.
-            let manifest = ran[1].1.manifest();
-            let mut history: Vec<Vec<Vec<f32>>> = vec![Vec::new(); iters as usize];
-            for m in &manifest {
-                history[m.epoch as usize].push(
-                    collectives::ledger::reconstruct_result(m.gen, &ledgers)
-                        .expect("single failure is always covered"),
-                );
-            }
-            for epoch in &history {
-                assert_eq!(epoch.len(), plan_len, "one generation per planned fuse");
-            }
-            // Replacement process: deterministic re-init plus
-            // optimizer-only replay — no store, no replica stream.
-            let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
-            let gpu = Gpu::new(GpuId(failed as u32), CostModel::v100());
-            let exec = DirectExecutor::new(RankId(failed as u32), failed, gpu, setup.world.clone());
-            let mut tr = RankTrainer::new(
-                exec,
-                cfg.clone(),
-                &setup.per_rank[failed],
-                FailureInjector::none(),
-            )
-            .unwrap();
-            tr.set_bucket_bytes(bucket);
-            tr.replay_reduced_history(&history).unwrap();
-            let got = tr.state_snapshot().unwrap();
-            assert_eq!(got.iteration, truth.iteration, "bucket {bucket}");
-            assert_eq!(got.opt_t, truth.opt_t, "bucket {bucket}");
-            assert_eq!(
-                state_bits(&got),
-                state_bits(&truth),
-                "replayed state must be bit-identical (bucket {bucket})"
-            );
-        }
-    }
-
-    #[test]
-    fn attached_ledger_does_not_perturb_training() {
-        let cfg = TrainConfig::tiny_dp(2);
-        let tapped = run_with_ledgers(&cfg, 6, DEFAULT_BUCKET_BYTES, LedgerConfig::default());
-        let setup = JobSetup::build(cfg.layout, CostModel::v100(), cfg.ranks_per_node);
-        let world = setup.world.clone();
-        let per_rank = setup.per_rank.clone();
-        let cfg2 = cfg.clone();
-        let plain = run_ranks(2, move |i| {
-            let gpu = Gpu::new(GpuId(i as u32), CostModel::v100());
-            let exec = DirectExecutor::new(RankId(i as u32), i, gpu, world.clone());
-            let mut tr =
-                RankTrainer::new(exec, cfg2.clone(), &per_rank[i], FailureInjector::none())?;
-            tr.train(6)?;
-            tr.state_snapshot()
-        });
-        for (i, p) in plain.into_iter().enumerate() {
-            assert_eq!(
-                state_bits(&p.unwrap()),
-                state_bits(&tapped[i].0),
-                "tap must be invisible to the training computation"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_ledger_keeps_only_the_epoch_window() {
-        let cfg = TrainConfig::tiny_dp(2);
-        let ledger_cfg = LedgerConfig {
-            cap_bytes: usize::MAX,
-            epoch_window: 2,
-        };
-        let ran = run_with_ledgers(&cfg, 6, DEFAULT_BUCKET_BYTES, ledger_cfg);
-        for (_, ledger, plan_len) in &ran {
-            let epochs: Vec<u64> = ledger.manifest().iter().map(|m| m.epoch).collect();
-            // `begin_epoch(5)` ran before iteration 5's reductions, so
-            // epochs {4, 5} remain.
-            assert!(epochs.iter().all(|&e| e >= 4), "epochs kept: {epochs:?}");
-            assert_eq!(epochs.len(), 2 * plan_len);
-        }
     }
 }

@@ -25,10 +25,10 @@ cargo test --release -p jitckpt --test codec_golden --quiet
 cargo test --release -p dltrain --test state_codec --quiet
 cargo test --release -p jitckpt --test jit_write_golden --test restore_props --quiet
 cargo test --release -p baselines --test periodic_write_golden --quiet
-# The recovery streams' shared frame loop: the in-network ledger leg, the
-# sender and receiver clocks of one state and one ledger transfer, and the
-# §4.3 frames a migrated victim refuses whole when one is missing or bad.
-cargo test --release -p jitckpt --test in_network --test stream_clock_golden --quiet
+# The recovery stream's frame loop: the sender and receiver clocks of one
+# state transfer, and the §4.3 frames a migrated victim refuses whole when
+# one is missing or bad.
+cargo test --release -p jitckpt --test stream_clock_golden --quiet
 cargo test --release -p jitckpt --lib --quiet a_missing_or_bad_frame_leaves_the_migrated_device_untouched
 cargo test --release --test cross_crate --quiet golden_loss_fingerprint
 cargo test --release --test cross_crate --quiet collective_schedules_and_results_are_pinned

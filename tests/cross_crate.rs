@@ -922,12 +922,13 @@ fn restart_runners_are_pinned() {
 #[test]
 fn an_ack_never_outlives_its_incident() {
     let _g = serial();
-    // The restart golden's dead-stream job, with a hang timeout shorter
+    // The restart golden's cut-stream job, with a hang timeout shorter
     // than the stream patience: after the first restart the owner sits in
-    // its first collective while the other replica waits out the dead
-    // stream, a wait nothing proves hung. Detecting it anyway would write
-    // a checkpoint and ack an incident that never happened, and that ack
-    // would meet the second incident's quorum before its own writer did.
+    // its first collective while the other replica's wait ends on the cut
+    // stream and it restores from the store, a wait nothing proves hung.
+    // Detecting it anyway would write a checkpoint and ack an incident
+    // that never happened, and that ack would meet the second incident's
+    // quorum before its own writer did.
     let jit = JitUserConfig {
         watchdog_timeout: std::time::Duration::from_millis(100),
         stream_patience: std::time::Duration::from_millis(300),
