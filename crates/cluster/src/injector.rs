@@ -14,7 +14,7 @@ use simcore::RankId;
 use std::sync::Arc;
 
 /// Shared, consumable schedule of scripted failures.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FailureInjector {
     pending: Mutex<Vec<FailureSpec>>,
     fired: Mutex<Vec<FailureSpec>>,
@@ -23,7 +23,7 @@ pub struct FailureInjector {
 impl FailureInjector {
     /// Creates an empty injector (no failures ever fire).
     pub fn none() -> Arc<Self> {
-        Arc::new(FailureInjector::default())
+        FailureInjector::with_specs(Vec::new())
     }
 
     /// Creates an injector with a scripted schedule.

@@ -194,7 +194,7 @@ struct WriteFault {
 }
 
 /// In-memory shared object store with fault injection.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SharedStore {
     stripes: [RwLock<BTreeMap<String, Bytes>>; STRIPES],
     /// When set, the next `put` matching the fault's path prefix stores
@@ -208,6 +208,17 @@ pub struct SharedStore {
     /// Number of `list` calls served (full keyspace walks). The delta
     /// writer's meta cache exists to shrink this; the bench reports it.
     lists: std::sync::atomic::AtomicU64,
+}
+
+impl Default for SharedStore {
+    fn default() -> Self {
+        SharedStore {
+            stripes: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
+            truncate_next: Mutex::new(None),
+            reads: std::sync::atomic::AtomicU64::new(0),
+            lists: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
 }
 
 impl SharedStore {

@@ -326,7 +326,9 @@ fn accumulate_into(
     } else {
         // Disjoint per-chunk output slices behind uncontended mutexes:
         // each index is handed out exactly once, so locks never block.
-        let parts: Vec<Mutex<&mut [f32]>> = acc.chunks_mut(chunk).map(Mutex::new).collect();
+        let mut parts: Vec<Mutex<&mut [f32]>> = Vec::with_capacity(n_chunks);
+        acc.chunks_mut(chunk)
+            .for_each(|part| parts.push(Mutex::new(part)));
         pool::fan_out(n_chunks, workers, "ring-reduce", |c| {
             let mut dst = parts[c].lock();
             accumulate_chunk(&mut dst, peers, c * chunk, op, scale);

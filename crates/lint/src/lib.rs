@@ -8,12 +8,19 @@
 //!
 //! * [`rules::panic_path`] — no reachable panics in recovery-critical
 //!   modules;
-//! * [`rules::lock_order`] — the workspace-wide lock acquisition graph
-//!   is cycle-free;
+//! * [`rules::lock_order`] — the workspace-wide lock acquisition graph,
+//!   within a function and one call hop, is cycle-free;
 //! * [`rules::virtual_time`] — no wall-clock sleeps outside the sim
 //!   clock;
 //! * [`rules::schema`] — persisted types declare a schema version;
-//! * [`rules::lib_print`] — no `println!`-family macro in library code.
+//! * [`rules::lib_print`] — no `println!`-family macro in library code;
+//! * the condvar rules of [`rules::concurrency`] — waits loop, notifies
+//!   hold the lock, nothing blocks under an unrelated lock.
+//!
+//! [`witness`] checks what the tests ran: with `simcore`'s `lock_witness`
+//! feature each lock's class is the line that built it, and
+//! `jitlint --witness` fails on a cycle among the classes the tests
+//! acquired.
 //!
 //! The analyzer is deliberately std-only (no syn/proc-macro2): it scans
 //! comment/string-masked source with brace-depth tracking, which is

@@ -5,14 +5,15 @@
 //! cargo run -p lint -- --format json       # machine-readable output
 //! cargo run -p lint -- --fix-allow         # insert TODO allow directives
 //! cargo run -p lint -- --root <path>       # analyze another workspace root
-//! cargo run -p lint -- --witness <trace>   # diff a runtime lock trace
-//!                                          # against the static graph
+//! cargo run -p lint -- --witness <trace>   # check the lock classes a
+//!                                          # test run acquired
 //! ```
 //!
-//! `--witness` replaces the normal rule run: it resolves the records a
-//! `lock_witness`-instrumented test run wrote to `JIT_LOCK_WITNESS`
-//! against the static acquisition graph and fails on edges the analyzer
-//! did not predict (see `lint::witness`).
+//! `--witness` replaces the normal rule run: it reads the records a
+//! `lock_witness`-instrumented test run wrote to `JIT_LOCK_WITNESS` and
+//! fails on a cycle among their lock classes, on unannotated same-class
+//! nesting and on a class built outside the workspace (see
+//! `lint::witness`). A trace with no `edge` record exits 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,7 +109,13 @@ fn run_witness(opts: &Options, trace_path: &PathBuf) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = lint::witness::check_witness(&files, &trace);
+    let report = match lint::witness::check_witness(&files, &trace) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("jitlint: {}: {e}", trace_path.display());
+            return ExitCode::from(2);
+        }
+    };
     match opts.format {
         Format::Text => print!("{}", lint::witness::render_text(&report)),
         Format::Json => print!("{}", lint::report::render_json(&report.findings)),

@@ -1,5 +1,5 @@
-//! `lock_order` + `guard_across_call` — interprocedural lock-acquisition
-//! analysis.
+//! `lock_order` + `guard_across_call` — the lock-acquisition order the
+//! source shows.
 //!
 //! The watchdog (§3.1) fires while trainer threads are parked at the
 //! all-reduce barrier holding their own locks; the checkpoint writer then
@@ -14,15 +14,16 @@
 //! every strongly-connected component with ≥ 2 locks, with one witness
 //! edge per graph edge.
 //!
-//! Since PR 6 the graph is **interprocedural**: each function's
-//! transitive lock set is propagated caller→callee to a fixpoint (callees
+//! Calls are followed one hop: a guard held across a call orders the
+//! guard's lock before every lock the callee acquires itself (callees
 //! resolved by name, unioning every same-named body so dyn-trait dispatch
-//! is covered), and a guard held across a call contributes an edge from
-//! the guard's lock to everything the callee may acquire. The companion
-//! rule `guard_across_call` flags the risky shape directly: a guard held
-//! across a call into a *different module* that takes locks of its own —
-//! narrow the guard (clone what you need, drop, then call) or suppress
-//! with a reason.
+//! is covered). Longer call chains, closures and locks reached through
+//! values are what the runtime lock witness orders: `jitlint --witness`
+//! checks the graph of lock classes the tests acquired (see
+//! `crate::witness`). The companion rule `guard_across_call` flags the
+//! risky shape directly: a guard held across a call into a *different
+//! module* that takes locks of its own — narrow the guard (clone what you
+//! need, drop, then call) or suppress with a reason.
 //!
 //! Conservative by construction: a guard dropped before the next
 //! acquisition still orders the pair within one function — split the
@@ -43,10 +44,10 @@ pub(crate) const ACROSS_CALL: &str = "guard_across_call";
 /// Method names too common to attribute by bare name: `map.len()` is not
 /// `Store::len()`, `mail.inbox.get(..)` is not `SharedStore::get()`, and
 /// `Arc::new` is not any workspace constructor. Resolving these by name
-/// unions every same-named function's lock set into every call site,
-/// flooding the graph with phantom edges (and phantom cycles). They are
-/// skipped entirely; the runtime lock witness (`--witness`) is the
-/// backstop that catches a real edge this blindness would hide.
+/// would add the locks of every same-named function at every call site,
+/// flooding the graph with phantom edges (and phantom cycles), so they
+/// are not resolved. What such a call really locks is ordered by the
+/// lock witness (`--witness`), which needs no name.
 const UBIQUITOUS_METHODS: &[&str] = &[
     "new",
     "default",
@@ -120,43 +121,21 @@ pub(crate) struct EdgeWitness {
     pub file: PathBuf,
     /// Function containing both acquisitions.
     pub function: String,
-    /// Line of the later acquisition (for interprocedural edges, the
-    /// call site that reaches the later lock).
+    /// Line of the later acquisition (for a call, the call site that
+    /// reaches the later lock).
     pub to_line: usize,
 }
 
-/// A lock acquisition site, for resolving runtime witness records back
-/// to static nodes.
-#[derive(Debug, Clone)]
-pub(crate) struct Site {
-    /// Graph node (`crate::field`).
-    pub node: String,
-    /// Whether the site is library code (not `#[cfg(test)]`, not an
-    /// integration test or example). The witness gap check only fails on
-    /// edges whose both endpoints are library sites.
-    pub lib: bool,
-}
-
-/// The workspace lock-acquisition graph plus the site index the
-/// `--witness` mode resolves runtime records against.
-#[derive(Debug, Default)]
-pub(crate) struct Graph {
-    /// before→after edges with one witness each.
-    pub edges: BTreeMap<(String, String), EdgeWitness>,
-    /// `(rel_path, line)` → acquisition site, for every resolvable
-    /// `.lock()`/`.read()`/`.write()` in the workspace (test code
-    /// included — runtime records from tests must still resolve).
-    pub sites: BTreeMap<(PathBuf, usize), Site>,
-}
-
-/// Builds the interprocedural acquisition graph and, along the way,
-/// reports `guard_across_call` findings (pass `None` to skip them, e.g.
-/// in `--witness` mode where the caller only needs the graph).
-pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Finding>>) -> Graph {
+/// Builds the acquisition graph and, along the way, reports
+/// `guard_across_call` findings.
+fn build_graph(
+    files: &[SourceFile],
+    findings: &mut Vec<Finding>,
+) -> BTreeMap<(String, String), EdgeWitness> {
     let condvars = condvar_names(files);
-    let mut graph = Graph::default();
+    let mut edges: BTreeMap<(String, String), EdgeWitness> = BTreeMap::new();
 
-    // Per-function facts for the fixpoint.
+    /// A call made while guards are live.
     struct CallFact {
         callee: String,
         receiver: Option<String>,
@@ -181,25 +160,16 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
         for (span_idx, span) in file.functions.iter().enumerate() {
             let body = Body::build(file, span, &condvars);
 
-            // Ordered lintable acquisitions → intra-function edges, the
-            // pre-PR-6 behavior, kept verbatim: a guard dropped before
-            // the next acquisition still orders the pair.
+            // Ordered lintable acquisitions → intra-function edges: a
+            // guard dropped before the next acquisition still orders the
+            // pair.
             let mut seq: Vec<(String, usize)> = Vec::new();
             for acq in &body.acquisitions {
                 let Some(field) = &acq.field else { continue };
-                let node = format!("{}::{field}", file.crate_dir);
-                let lib = file.kind == FileKind::Lib && !file.is_test_line(acq.line);
-                graph
-                    .sites
-                    .entry((file.rel_path.clone(), acq.line))
-                    .or_insert(Site {
-                        node: node.clone(),
-                        lib,
-                    });
                 if file.is_test_line(acq.line) || file.allowed(RULE, acq.line).is_some() {
                     continue;
                 }
-                seq.push((node, acq.line));
+                seq.push((format!("{}::{field}", file.crate_dir), acq.line));
             }
             for i in 0..seq.len() {
                 for j in (i + 1)..seq.len() {
@@ -207,7 +177,7 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
                         continue;
                     }
                     let key = (seq[i].0.clone(), seq[j].0.clone());
-                    graph.edges.entry(key).or_insert_with(|| EdgeWitness {
+                    edges.entry(key).or_insert_with(|| EdgeWitness {
                         from: seq[i].0.clone(),
                         to: seq[j].0.clone(),
                         file: file.rel_path.clone(),
@@ -226,7 +196,7 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
                     // A method chained on the acquisition itself operates
                     // on the locked data; its type is invisible here, so
                     // name resolution would union unrelated functions.
-                    // The runtime witness covers whatever it really does.
+                    // The runtime witness orders whatever it really takes.
                     || call.chained_on_lock
                 {
                     continue;
@@ -241,10 +211,9 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
                             .map(|f| (format!("{}::{f}", file.crate_dir), g.name.clone()))
                     })
                     .collect();
-                // Calls with no guard held still matter: the fixpoint
-                // propagates the callee's lock set through them (a
-                // guardless hop in the middle of a call chain must not
-                // break edge visibility for a guard-holding caller).
+                if live.is_empty() {
+                    continue;
+                }
                 calls.push(CallFact {
                     callee: call.name.clone(),
                     receiver: call.receiver.clone(),
@@ -291,32 +260,7 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
             .collect()
     };
 
-    // Fixpoint: L(f) = direct(f) ∪ ⋃ L(callee) over name-resolved callees.
-    let mut lock_sets: Vec<BTreeSet<String>> = facts.iter().map(|f| f.direct.clone()).collect();
-    loop {
-        let mut changed = false;
-        for i in 0..facts.len() {
-            let mut add: BTreeSet<String> = BTreeSet::new();
-            for call in &facts[i].calls {
-                for j in resolve(call) {
-                    for node in &lock_sets[j] {
-                        if !lock_sets[i].contains(node) {
-                            add.insert(node.clone());
-                        }
-                    }
-                }
-            }
-            if !add.is_empty() {
-                lock_sets[i].extend(add);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Interprocedural edges + guard_across_call findings.
+    // One-hop edges + guard_across_call findings.
     let mut flagged: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
     for f in &facts {
         let file = &files[f.file_idx];
@@ -324,17 +268,14 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
         for call in &f.calls {
             let (callee, receiver, call_line, live) =
                 (&call.callee, &call.receiver, &call.line, &call.live);
-            if live.is_empty() {
-                continue;
-            }
             let mut reaches: BTreeSet<String> = BTreeSet::new();
             let mut cross_module = false;
             for j in resolve(call) {
                 let tf = &files[facts[j].file_idx];
-                if lock_sets[j].is_empty() {
+                if facts[j].direct.is_empty() {
                     continue;
                 }
-                reaches.extend(lock_sets[j].iter().cloned());
+                reaches.extend(facts[j].direct.iter().cloned());
                 if tf.crate_dir != file.crate_dir || tf.module != file.module {
                     cross_module = true;
                 }
@@ -348,7 +289,7 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
                         continue;
                     }
                     let key = (guard_node.clone(), node.clone());
-                    graph.edges.entry(key).or_insert_with(|| EdgeWitness {
+                    edges.entry(key).or_insert_with(|| EdgeWitness {
                         from: guard_node.clone(),
                         to: node.clone(),
                         file: file.rel_path.clone(),
@@ -359,53 +300,51 @@ pub(crate) fn build_graph(files: &[SourceFile], mut findings: Option<&mut Vec<Fi
             }
             // The finding itself: only for library code, only for calls
             // that leave the module, one per call line.
-            if let Some(findings) = findings.as_deref_mut() {
-                if file.kind != FileKind::Lib || !cross_module {
-                    continue;
-                }
-                // A method on the guard itself (`g.health()`) operates on
-                // already-locked data; only guards *other* than the
-                // receiver count as held across the call.
-                let held: Vec<&(String, Option<String>)> = live
-                    .iter()
-                    .filter(|(_, name)| !(name.is_some() && name.as_deref() == receiver.as_deref()))
-                    .collect();
-                let held_elsewhere = held.iter().any(|(g, _)| reaches.iter().any(|n| n != g));
-                if !held_elsewhere {
-                    continue;
-                }
-                if file.allowed(ACROSS_CALL, *call_line).is_some() {
-                    continue;
-                }
-                if !flagged.insert((file.rel_path.clone(), *call_line)) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: ACROSS_CALL.into(),
-                    file: file.rel_path.clone(),
-                    line: *call_line,
-                    message: format!(
-                        "guard on `{}` held across call to `{callee}` which \
-                         may acquire {{{}}} — long holds across locking \
-                         modules invite deadlock; narrow the guard (copy \
-                         what you need, drop, then call)",
-                        held.iter()
-                            .map(|(g, _)| g.as_str())
-                            .collect::<Vec<_>>()
-                            .join("`, `"),
-                        reaches
-                            .iter()
-                            .filter(|n| !held.iter().any(|(g, _)| &g == n))
-                            .map(|n| format!("`{n}`"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                });
+            if file.kind != FileKind::Lib || !cross_module {
+                continue;
             }
+            // A method on the guard itself (`g.health()`) operates on
+            // already-locked data; only guards *other* than the
+            // receiver count as held across the call.
+            let held: Vec<&(String, Option<String>)> = live
+                .iter()
+                .filter(|(_, name)| !(name.is_some() && name.as_deref() == receiver.as_deref()))
+                .collect();
+            let held_elsewhere = held.iter().any(|(g, _)| reaches.iter().any(|n| n != g));
+            if !held_elsewhere {
+                continue;
+            }
+            if file.allowed(ACROSS_CALL, *call_line).is_some() {
+                continue;
+            }
+            if !flagged.insert((file.rel_path.clone(), *call_line)) {
+                continue;
+            }
+            findings.push(Finding {
+                rule: ACROSS_CALL.into(),
+                file: file.rel_path.clone(),
+                line: *call_line,
+                message: format!(
+                    "guard on `{}` held across call to `{callee}` which \
+                     may acquire {{{}}} — long holds across locking \
+                     modules invite deadlock; narrow the guard (copy \
+                     what you need, drop, then call)",
+                    held.iter()
+                        .map(|(g, _)| g.as_str())
+                        .collect::<Vec<_>>()
+                        .join("`, `"),
+                    reaches
+                        .iter()
+                        .filter(|n| !held.iter().any(|(g, _)| &g == n))
+                        .map(|n| format!("`{n}`"))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ),
+            });
         }
     }
 
-    graph
+    edges
 }
 
 fn qualified(impl_type: Option<&str>, name: &str) -> String {
@@ -418,9 +357,9 @@ fn qualified(impl_type: Option<&str>, name: &str) -> String {
 /// Builds the acquisition graph over all files and reports cycles plus
 /// `guard_across_call` findings.
 pub(crate) fn check(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let graph = build_graph(files, Some(findings));
+    let edges = build_graph(files, findings);
 
-    for cycle in find_cycles(&graph.edges) {
+    for cycle in find_cycles(&edges) {
         let parts: Vec<String> = cycle
             .iter()
             .map(|w| {
@@ -452,9 +391,10 @@ pub(crate) fn check(files: &[SourceFile], findings: &mut Vec<Finding>) {
     }
 }
 
-/// Computes SCCs (iterative Tarjan) and returns one representative
-/// cycle of witnesses per SCC with ≥ 2 nodes.
-fn find_cycles(edges: &BTreeMap<(String, String), EdgeWitness>) -> Vec<Vec<EdgeWitness>> {
+/// Computes SCCs (iterative Tarjan) over the `(from, to)` keys of
+/// `edges` and returns one representative cycle of edge witnesses per SCC
+/// with ≥ 2 nodes.
+pub(crate) fn find_cycles<W: Clone>(edges: &BTreeMap<(String, String), W>) -> Vec<Vec<W>> {
     let mut nodes: BTreeSet<&String> = BTreeSet::new();
     for (a, b) in edges.keys() {
         nodes.insert(a);
@@ -645,21 +585,5 @@ mod tests {
             findings.iter().all(|f| f.rule != ACROSS_CALL),
             "same-module helpers are the normal split pattern: {findings:?}"
         );
-    }
-
-    #[test]
-    fn sites_index_covers_acquisitions() {
-        let f1 = file(
-            "core",
-            "a",
-            "fn f(&self) {\n    let g = self.x.lock();\n}\n",
-        );
-        let graph = build_graph(std::slice::from_ref(&f1), None);
-        let site = graph
-            .sites
-            .get(&(PathBuf::from("crates/core/src/a.rs"), 2))
-            .expect("site indexed");
-        assert_eq!(site.node, "core::x");
-        assert!(site.lib);
     }
 }

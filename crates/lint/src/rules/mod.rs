@@ -6,7 +6,7 @@
 //! | rule | invariant | paper |
 //! |---|---|---|
 //! | `panic_path` | the recovery path never panics | §3.1 watchdog, §4 proxy |
-//! | `lock_order` | workspace lock acquisition is cycle-free (interprocedural) | §3.1 hang detection |
+//! | `lock_order` | workspace lock acquisition is cycle-free (within a function, and one call hop) | §3.1 hang detection |
 //! | `guard_across_call` | no guard held across calls into other locking modules | §3.1 hang detection |
 //! | `virtual_time` | simulation code never blocks on wall-clock sleeps | §6 methodology |
 //! | `checkpoint_schema` | persisted state declares a schema version | §3.2 metadata, §4.1 replay logs |
@@ -16,7 +16,9 @@
 //! | `lib_print` | library code reports through records, never stdout/stderr | §6 measurements |
 //!
 //! Plus two meta checks: `allow_syntax` (malformed suppressions) and
-//! `unused_allow` (suppressions whose rule no longer fires).
+//! `unused_allow` (suppressions whose rule no longer fires). The lock
+//! order of what the tests ran is checked apart from these, on a lock
+//! witness trace (`crate::witness`).
 
 pub mod body;
 pub mod concurrency;

@@ -6,19 +6,25 @@
 //! identical types. With the feature, the primitives are wrapped with
 //! `#[track_caller]` instrumentation that records, to the file named by
 //! the `JIT_LOCK_WITNESS` environment variable, what the test run
-//! *actually did*:
+//! *actually did*.
 //!
-//! * `edge <file:line> <file:line>` — a lock acquired while another was
-//!   held by the same thread (an observed lock-order edge);
-//! * `wait <file:line>` — a condvar wait site that parked;
-//! * `notify <file:line> held|unheld` — a condvar notify and whether any
-//!   mutex was held at that moment (the PR-5 lost-wakeup tell).
+//! Each lock belongs to a **class**: the `file:line` that built it
+//! (`new`, or `Default::default`). Every instance built on one line —
+//! the stripes of a store, the `state` of every communicator — is one
+//! class, as in Linux's lockdep. The records, one per line:
 //!
-//! `jitlint --witness <file>` then diffs this against the static
-//! acquisition graph: a runtime edge the analyzer didn't predict is an
-//! analyzer blind spot (hard failure); a static edge never exercised is
-//! a test-coverage gap (reported, not fatal). Records are deduplicated
-//! per process, so the file stays small no matter how hot the locks are.
+//! * `edge <held class> <class> <held site> <site>` — a lock of `class`
+//!   acquired at `site` while this thread held a lock of `held class`,
+//!   acquired at `held site` (an observed lock-order edge; a condvar
+//!   wait's re-acquisition counts as an acquisition);
+//! * `notify <site> held|unheld` — a condvar notify and whether any
+//!   mutex was held at that moment (the lost-wakeup tell).
+//!
+//! `jitlint --witness <file>` fails on a cycle in the union of every
+//! test process's class edges, on a class nested in itself without an
+//! allow at the inner acquisition, and on a class built outside the
+//! workspace. Records are deduplicated per process, so the file stays
+//! small no matter how hot the locks are.
 
 #[cfg(not(feature = "lock_witness"))]
 pub use parking_lot::{
@@ -42,15 +48,24 @@ mod witness {
 
     use super::WaitTimeoutResult;
 
-    type Site = &'static Location<'static>;
+    type Loc = &'static Location<'static>;
 
-    thread_local! {
-        /// Stack of `(acquisition site, is_mutex)` this thread holds.
-        static HELD: RefCell<Vec<(Site, bool)>> = const { RefCell::new(Vec::new()) };
+    /// One acquisition: the lock's class (the line that built it), the
+    /// site that acquired it, and whether it is a mutex.
+    #[derive(Clone, Copy, PartialEq)]
+    struct Held {
+        class: Loc,
+        site: Loc,
+        mutex: bool,
     }
 
-    fn same_site(a: Site, b: Site) -> bool {
-        a.file() == b.file() && a.line() == b.line()
+    thread_local! {
+        /// The acquisitions this thread holds, oldest first.
+        static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn at(loc: Loc) -> String {
+        format!("{}:{}", loc.file(), loc.line())
     }
 
     /// Appends one record line, once per distinct line per process.
@@ -76,51 +91,99 @@ mod witness {
         }
     }
 
-    /// Records edges from every currently-held site, then pushes.
-    fn on_acquire(loc: Site, mutex: bool) {
+    /// Records an edge from every acquisition this thread holds to `acq`,
+    /// then pushes it.
+    fn on_acquire(acq: Held) -> Held {
         HELD.with(|h| {
             let mut h = h.borrow_mut();
-            for (held, _) in h.iter() {
-                if !same_site(held, loc) {
-                    record(&format!(
-                        "edge {}:{} {}:{}",
-                        held.file(),
-                        held.line(),
-                        loc.file(),
-                        loc.line()
-                    ));
-                }
+            for held in h.iter() {
+                let (c0, c1) = (at(held.class), at(acq.class));
+                record(&format!(
+                    "edge {c0} {c1} {} {}",
+                    at(held.site),
+                    at(acq.site)
+                ));
             }
-            h.push((loc, mutex));
+            h.push(acq);
         });
+        acq
     }
 
-    /// Pops the most recent entry for `loc` (guards may drop out of
+    /// An acquisition of a lock of `class` by the caller's caller.
+    #[track_caller]
+    fn acquired(class: Loc, mutex: bool) -> Held {
+        let site = Location::caller();
+        on_acquire(Held { class, site, mutex })
+    }
+
+    /// Pops the most recent entry for `acq` (guards may drop out of
     /// acquisition order).
-    fn on_release(loc: Site) {
+    fn on_release(acq: Held) {
         HELD.with(|h| {
             let mut h = h.borrow_mut();
-            if let Some(pos) = h.iter().rposition(|(l, _)| same_site(l, loc)) {
+            if let Some(pos) = h.iter().rposition(|held| *held == acq) {
                 h.remove(pos);
             }
         });
     }
 
+    /// A guard over `parking_lot`'s guard that releases its witness entry
+    /// on drop.
+    macro_rules! guard {
+        ($(#[$doc:meta] $name:ident)*) => {$(
+            #[$doc]
+            pub struct $name<'a, T: ?Sized> {
+                acq: Held,
+                inner: parking_lot::$name<'a, T>,
+            }
+
+            impl<T: ?Sized> Drop for $name<'_, T> {
+                fn drop(&mut self) {
+                    on_release(self.acq);
+                }
+            }
+
+            impl<T: ?Sized> Deref for $name<'_, T> {
+                type Target = T;
+                fn deref(&self) -> &T {
+                    &self.inner
+                }
+            }
+        )*};
+    }
+    guard! {
+        /// Instrumented mutex guard.
+        MutexGuard
+        /// Instrumented shared guard.
+        RwLockReadGuard
+        /// Instrumented exclusive guard.
+        RwLockWriteGuard
+    }
+
+    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.inner
+        }
+    }
+
+    impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.inner
+        }
+    }
+
     /// A `parking_lot::Mutex` that reports acquisitions to the witness.
     pub struct Mutex<T: ?Sized> {
+        pub(super) class: Loc,
         inner: parking_lot::Mutex<T>,
     }
 
-    /// Instrumented mutex guard; releases its witness entry on drop.
-    pub struct MutexGuard<'a, T: ?Sized> {
-        loc: Site,
-        inner: parking_lot::MutexGuard<'a, T>,
-    }
-
     impl<T> Mutex<T> {
-        /// Creates the mutex.
+        /// Creates the mutex; the caller's line is its class.
+        #[track_caller]
         pub const fn new(value: T) -> Self {
             Mutex {
+                class: Location::caller(),
                 inner: parking_lot::Mutex::new(value),
             }
         }
@@ -136,19 +199,17 @@ mod witness {
         /// this thread already holds.
         #[track_caller]
         pub fn lock(&self) -> MutexGuard<'_, T> {
-            let loc = Location::caller();
             let inner = self.inner.lock();
-            on_acquire(loc, true);
-            MutexGuard { loc, inner }
+            let acq = acquired(self.class, true);
+            MutexGuard { acq, inner }
         }
 
         /// Tries to acquire without blocking.
         #[track_caller]
         pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            let loc = Location::caller();
             let inner = self.inner.try_lock()?;
-            on_acquire(loc, true);
-            Some(MutexGuard { loc, inner })
+            let acq = acquired(self.class, true);
+            Some(MutexGuard { acq, inner })
         }
 
         /// Mutable access without locking (requires `&mut self`).
@@ -158,6 +219,7 @@ mod witness {
     }
 
     impl<T: Default> Default for Mutex<T> {
+        #[track_caller]
         fn default() -> Self {
             Mutex::new(T::default())
         }
@@ -169,46 +231,18 @@ mod witness {
         }
     }
 
-    impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-        fn drop(&mut self) {
-            on_release(self.loc);
-        }
-    }
-
-    impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
     /// A `parking_lot::RwLock` that reports acquisitions to the witness.
     pub struct RwLock<T: ?Sized> {
+        class: Loc,
         inner: parking_lot::RwLock<T>,
     }
 
-    /// Instrumented shared guard.
-    pub struct RwLockReadGuard<'a, T: ?Sized> {
-        loc: Site,
-        inner: parking_lot::RwLockReadGuard<'a, T>,
-    }
-
-    /// Instrumented exclusive guard.
-    pub struct RwLockWriteGuard<'a, T: ?Sized> {
-        loc: Site,
-        inner: parking_lot::RwLockWriteGuard<'a, T>,
-    }
-
     impl<T> RwLock<T> {
-        /// Creates the lock.
+        /// Creates the lock; the caller's line is its class.
+        #[track_caller]
         pub const fn new(value: T) -> Self {
             RwLock {
+                class: Location::caller(),
                 inner: parking_lot::RwLock::new(value),
             }
         }
@@ -223,19 +257,17 @@ mod witness {
         /// Acquires shared access.
         #[track_caller]
         pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            let loc = Location::caller();
             let inner = self.inner.read();
-            on_acquire(loc, false);
-            RwLockReadGuard { loc, inner }
+            let acq = acquired(self.class, false);
+            RwLockReadGuard { acq, inner }
         }
 
         /// Acquires exclusive access.
         #[track_caller]
         pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            let loc = Location::caller();
             let inner = self.inner.write();
-            on_acquire(loc, false);
-            RwLockWriteGuard { loc, inner }
+            let acq = acquired(self.class, false);
+            RwLockWriteGuard { acq, inner }
         }
 
         /// Mutable access without locking (requires `&mut self`).
@@ -245,6 +277,7 @@ mod witness {
     }
 
     impl<T: Default> Default for RwLock<T> {
+        #[track_caller]
         fn default() -> Self {
             RwLock::new(T::default())
         }
@@ -256,39 +289,7 @@ mod witness {
         }
     }
 
-    impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-        fn drop(&mut self) {
-            on_release(self.loc);
-        }
-    }
-
-    impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            on_release(self.loc);
-        }
-    }
-
-    impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    /// A `parking_lot::Condvar` that reports wait/notify pairings.
+    /// A `parking_lot::Condvar` that reports notifies.
     pub struct Condvar {
         inner: parking_lot::Condvar,
     }
@@ -304,27 +305,21 @@ mod witness {
         /// Parks until notified. The guard's witness entry is suspended
         /// for the park (the wait releases its lock) and re-registered —
         /// with fresh order edges — on re-acquisition.
-        #[track_caller]
         pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            let loc = Location::caller();
-            record(&format!("wait {}:{}", loc.file(), loc.line()));
-            on_release(guard.loc);
+            on_release(guard.acq);
             self.inner.wait(&mut guard.inner);
-            on_acquire(guard.loc, true);
+            on_acquire(guard.acq);
         }
 
         /// Parks until notified or `timeout` elapses.
-        #[track_caller]
         pub fn wait_for<T>(
             &self,
             guard: &mut MutexGuard<'_, T>,
             timeout: Duration,
         ) -> WaitTimeoutResult {
-            let loc = Location::caller();
-            record(&format!("wait {}:{}", loc.file(), loc.line()));
-            on_release(guard.loc);
+            on_release(guard.acq);
             let result = self.inner.wait_for(&mut guard.inner, timeout);
-            on_acquire(guard.loc, true);
+            on_acquire(guard.acq);
             result
         }
 
@@ -355,14 +350,10 @@ mod witness {
         }
     }
 
-    fn note_notify(loc: Site) {
-        let held = HELD.with(|h| h.borrow().iter().any(|(_, mutex)| *mutex));
-        record(&format!(
-            "notify {}:{} {}",
-            loc.file(),
-            loc.line(),
-            if held { "held" } else { "unheld" }
-        ));
+    fn note_notify(site: Loc) {
+        let held = HELD.with(|h| h.borrow().iter().any(|held| held.mutex));
+        let state = if held { "held" } else { "unheld" };
+        record(&format!("notify {} {state}", at(site)));
     }
 }
 
@@ -382,6 +373,17 @@ mod tests {
         drop(gb);
         let ga = a.lock();
         assert_eq!(*ga, 1);
+    }
+
+    #[test]
+    fn locks_built_on_two_lines_get_two_classes() {
+        let a = Mutex::new(1);
+        let b = Mutex::new(2);
+        let twins: Vec<Mutex<u8>> = (0..2).map(|_| Mutex::new(0)).collect();
+        assert_ne!(a.class, b.class);
+        assert_eq!(a.class.line() + 1, b.class.line());
+        assert_eq!(a.class.file(), file!());
+        assert_eq!(twins[0].class, twins[1].class);
     }
 
     #[test]

@@ -106,12 +106,12 @@ echo '==> jitlint --format json (machine-readable findings)'
 cargo run -p lint --quiet -- --format json > target/jitlint.json
 echo "    wrote target/jitlint.json"
 
-echo '==> lock-witness test run (instrumented sync primitives)'
+echo '==> lock-witness test run (instrumented sync primitives record lock-class edges)'
 rm -f target/lock_witness.txt
 JIT_LOCK_WITNESS="$PWD/target/lock_witness.txt" \
     cargo test --workspace --features simcore/lock_witness --quiet
 
-echo '==> jitlint --witness (runtime edges vs static lock graph)'
+echo '==> jitlint --witness (no cycle among the lock classes the tests ran)'
 cargo run -p lint --quiet -- --witness target/lock_witness.txt
 
 echo '==> incident benchmark smoke (stand-alone package builds against the crates; bit-identity gates)'
