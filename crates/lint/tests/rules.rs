@@ -53,6 +53,30 @@ fn lock_order_is_silent_on_consistent_order() {
 }
 
 #[test]
+fn a_guard_dropped_before_the_next_acquisition_orders_nothing() {
+    // `cluster` as a statement temporary, then `jobs`; elsewhere `jobs`
+    // held while `cluster` is taken. The first pair never nests.
+    let findings = fixture("lock_order_unnested");
+    assert!(findings.is_empty(), "no cycle expected: {findings:#?}");
+}
+
+#[test]
+fn a_pair_nested_both_ways_is_a_cycle() {
+    let findings = fixture("lock_order_nested");
+    let cycles: Vec<&Finding> = findings.iter().filter(|f| f.rule == "lock_order").collect();
+    assert_eq!(cycles.len(), 1, "exactly one cycle: {findings:#?}");
+    let msg = &cycles[0].message;
+    for node in [
+        "cluster::cluster",
+        "cluster::jobs",
+        "Scheduler::submit",
+        "Scheduler::reschedule",
+    ] {
+        assert!(msg.contains(node), "cycle names `{node}`: {msg}");
+    }
+}
+
+#[test]
 fn virtual_time_catches_sleeps_outside_sim_clock() {
     let findings = fixture("virtual_time");
     let lines = rule_lines(&findings, "virtual_time", "transparent.rs");
