@@ -298,8 +298,6 @@ impl Communicator {
             schedule,
             self.liveness.clone(),
         );
-        // children before ledgers: leaf locks, never nested, but
-        // `lock_order` orders every pair one function takes, nested or not.
         let kids: Vec<Weak<Communicator>> = self.children.lock().clone();
         *fresh.children.lock() = kids;
         let taps: Vec<(usize, Arc<GradLedger>)> = self.ledgers.lock().clone();

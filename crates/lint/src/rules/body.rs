@@ -34,6 +34,8 @@ pub(crate) struct Block {
 /// A lock acquisition site (`.lock()` / `.read()` / `.write()`).
 #[derive(Debug, Clone)]
 pub(crate) struct Acquisition {
+    /// Offset of the acquisition pattern.
+    pub offset: usize,
     /// 1-indexed source line.
     pub line: usize,
     /// Receiver field, when the receiver is a nameable field.
@@ -209,6 +211,7 @@ impl Body {
             let field = receiver_field(&self.text[..at]);
             let line = self.line_of(at);
             self.acquisitions.push(Acquisition {
+                offset: at,
                 line,
                 field: field.clone(),
             });
@@ -438,10 +441,14 @@ fn let_binding_before(text: &str, acq_offset: usize) -> Option<String> {
         return None;
     }
     // Require `=` between the binding and the acquisition (excludes
-    // `let x = if …` arms rebinding something else — close enough).
-    rest[name.len()..]
-        .trim_start()
-        .starts_with(['=', ':'])
+    // `let x = if …` arms rebinding something else — close enough). A
+    // dereferenced guard (`let n = *x.lock();`) binds a copy, not the
+    // guard.
+    let after_name = rest[name.len()..].trim_start();
+    let init = after_name
+        .split_once('=')
+        .map(|(_, init)| init.trim_start());
+    (after_name.starts_with(['=', ':']) && !init.is_some_and(|i| i.starts_with('*')))
         .then_some(name)
 }
 
@@ -621,6 +628,14 @@ mod tests {
         let (_, b) = model("fn f(&self) {\n    self.state.lock().push(1);\n    touch();\n}\n");
         let push = b.calls.iter().find(|c| c.name == "push").unwrap();
         assert!(!b.live_guards_at(push.offset).is_empty());
+        let call = b.calls.iter().find(|c| c.name == "touch").unwrap();
+        assert!(b.live_guards_at(call.offset).is_empty());
+    }
+
+    #[test]
+    fn a_dereferenced_guard_is_a_temporary() {
+        let (_, b) = model("fn f(&self) {\n    let n = *self.state.lock();\n    touch();\n}\n");
+        assert_eq!(b.guards[0].name, None);
         let call = b.calls.iter().find(|c| c.name == "touch").unwrap();
         assert!(b.live_guards_at(call.offset).is_empty());
     }

@@ -25,10 +25,10 @@
 //! module* that takes locks of its own — narrow the guard (clone what you
 //! need, drop, then call) or suppress with a reason.
 //!
-//! Conservative by construction: a guard dropped before the next
-//! acquisition still orders the pair within one function — split the
-//! function if the order is intentional, or suppress the specific
-//! acquisition with `// jitlint::allow(lock_order): <reason>`.
+//! Within one function a pair is ordered only when it nests: a guard
+//! still live where the later lock is taken. A statement temporary or a
+//! guard dropped before the next acquisition orders nothing. Suppress a
+//! specific acquisition with `// jitlint::allow(lock_order): <reason>`.
 
 use super::body::{condvar_names, Body};
 use crate::report::Finding;
@@ -160,31 +160,47 @@ fn build_graph(
         for (span_idx, span) in file.functions.iter().enumerate() {
             let body = Body::build(file, span, &condvars);
 
-            // Ordered lintable acquisitions → intra-function edges: a
-            // guard dropped before the next acquisition still orders the
-            // pair.
-            let mut seq: Vec<(String, usize)> = Vec::new();
+            // Guards live at `offset` whose lock is lintable: (node, binding).
+            let live_at = |offset: usize| -> Vec<(String, Option<String>)> {
+                body.live_guards_at(offset)
+                    .iter()
+                    .filter(|g| {
+                        g.line > 0
+                            && !file.is_test_line(g.line)
+                            && file.allowed(RULE, g.line).is_none()
+                    })
+                    .filter_map(|g| {
+                        g.field
+                            .as_ref()
+                            .map(|f| (format!("{}::{f}", file.crate_dir), g.name.clone()))
+                    })
+                    .collect()
+            };
+
+            // Lintable acquisitions → intra-function edges, each from a
+            // guard still live where the later lock is taken.
+            let mut direct: BTreeSet<String> = BTreeSet::new();
             for acq in &body.acquisitions {
                 let Some(field) = &acq.field else { continue };
                 if file.is_test_line(acq.line) || file.allowed(RULE, acq.line).is_some() {
                     continue;
                 }
-                seq.push((format!("{}::{field}", file.crate_dir), acq.line));
-            }
-            for i in 0..seq.len() {
-                for j in (i + 1)..seq.len() {
-                    if seq[i].0 == seq[j].0 {
+                let node = format!("{}::{field}", file.crate_dir);
+                for (held, _) in live_at(acq.offset) {
+                    if held == node {
                         continue;
                     }
-                    let key = (seq[i].0.clone(), seq[j].0.clone());
-                    edges.entry(key).or_insert_with(|| EdgeWitness {
-                        from: seq[i].0.clone(),
-                        to: seq[j].0.clone(),
-                        file: file.rel_path.clone(),
-                        function: qualified(span.impl_type.as_deref(), &span.name),
-                        to_line: seq[j].1,
-                    });
+                    edges
+                        .entry((held.clone(), node.clone()))
+                        .or_insert_with(|| EdgeWitness {
+                            from: held,
+                            to: node.clone(),
+                            file: file.rel_path.clone(),
+                            function: qualified(span.impl_type.as_deref(), &span.name),
+                            to_line: acq.line,
+                        });
                 }
+                direct.insert(node);
             }
 
             // Call sites with the guards live across them.
@@ -201,16 +217,7 @@ fn build_graph(
                 {
                     continue;
                 }
-                let live: Vec<(String, Option<String>)> = body
-                    .live_guards_at(call.offset)
-                    .iter()
-                    .filter(|g| g.line > 0 && file.allowed(RULE, g.line).is_none())
-                    .filter_map(|g| {
-                        g.field
-                            .as_ref()
-                            .map(|f| (format!("{}::{f}", file.crate_dir), g.name.clone()))
-                    })
-                    .collect();
+                let live = live_at(call.offset);
                 if live.is_empty() {
                     continue;
                 }
@@ -232,7 +239,7 @@ fn build_graph(
             facts.push(FnFacts {
                 file_idx,
                 span_idx,
-                direct: seq.into_iter().map(|(n, _)| n).collect(),
+                direct,
                 calls,
             });
             by_name.entry(span.name.clone()).or_default().push(idx);
