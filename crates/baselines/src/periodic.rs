@@ -67,7 +67,8 @@ pub fn run_periodic_job(
 /// CheckFreq-style frequency auto-tuning: converts the analytically
 /// optimal checkpoint frequency (eq. 3) into a whole number of iterations
 /// given the measured minibatch time — the paper's baseline tunes its
-/// frequency at run time from profiled values.
+/// frequency at run time from profiled values. Public for ROADMAP item
+/// 8, which runs the periodic baseline at this c* interval.
 pub fn tuned_interval_iters(
     kind: PolicyKind,
     state_bytes: u64,

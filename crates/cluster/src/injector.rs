@@ -126,7 +126,8 @@ mod tests {
 /// iteration schedule, given the minibatch duration: each trace event
 /// lands in the iteration running at its timestamp, at a phase drawn from
 /// the event's fault class (transient network faults manifest at the
-/// all-reduce; everything else at a uniformly chosen phase).
+/// all-reduce; everything else at a uniformly chosen phase). Public for
+/// ROADMAP item 8's Poisson-trace fault schedules.
 pub fn specs_from_trace(
     trace: &[simcore::failure::TraceEvent],
     minibatch_secs: f64,

@@ -548,7 +548,8 @@ impl Communicator {
 
     /// Drops cached slots with `gen < floor`, in flight or not, whatever
     /// the members' floors say (the benchmark's probes prune by hand;
-    /// training prunes through [`Communicator::commit`]).
+    /// training prunes through `Communicator::commit`). Named only by
+    /// the benchmark; it goes at ROADMAP item 3 step 1.
     pub fn prune_below(&self, floor: u64) {
         let mut st = self.state.lock();
         st.slots.retain(|g, _| *g >= floor);

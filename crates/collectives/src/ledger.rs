@@ -73,7 +73,8 @@ impl LedgerConfig {
 }
 
 /// Metadata of one retained generation (`data` stays private so reads go
-/// through the range-checked [`GradLedger::retained_slice`]).
+/// through the range-checked `GradLedger::retained_slice`). Public
+/// because [`GradLedger::manifest`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerEntryMeta {
     /// Iteration epoch the generation was recorded in.
@@ -218,7 +219,7 @@ impl GradLedger {
     /// (own or ring-successor shard). Reads outside that coverage return
     /// `None`: the simulation never lets reconstruction peek at bytes a
     /// real rank would not hold.
-    pub fn retained_slice(&self, gen: u64, range: Range<usize>) -> Option<Vec<f32>> {
+    pub(crate) fn retained_slice(&self, gen: u64, range: Range<usize>) -> Option<Vec<f32>> {
         let inner = self.inner.lock();
         let entry = inner.entries.iter().find(|e| e.meta.gen == gen)?;
         let covered = retained_ranges(entry.meta.len, entry.meta.members, entry.meta.pos)
@@ -261,7 +262,8 @@ pub fn retained_ranges(len: usize, n: usize, pos: usize) -> Vec<Range<usize>> {
 /// ledgers (`ledgers[p]` is member `p`'s ledger, `None` = dead). Shard
 /// *s* comes from its owner or, when the owner died, from predecessor
 /// *s−1*'s successor retention. Returns `None` on any coverage gap —
-/// the "failed rank and its ring successor both died" shape.
+/// the "failed rank and its ring successor both died" shape. Named only
+/// by the benchmark; it goes at ROADMAP item 3 step 1.
 pub fn reconstruct_result(gen: u64, ledgers: &[Option<Arc<GradLedger>>]) -> Option<Vec<f32>> {
     let n = ledgers.len();
     let meta = ledgers.iter().flatten().find_map(|l| l.entry_meta(gen))?;

@@ -258,7 +258,8 @@ impl Coordinator {
         }
     }
 
-    /// Convenience: a coordinator over a simulated object store.
+    /// Convenience: a coordinator over a simulated object store. Named
+    /// only by the benchmark; it goes at ROADMAP item 3 step 1.
     pub fn over_object_store(store: SimObjectStore, cfg: CoordinatorConfig) -> Coordinator {
         Coordinator::new(Arc::new(store), cfg)
     }

@@ -112,7 +112,8 @@ pub fn monthly_failure_cost_dollars(
         * dollars_per_gpu_hour
 }
 
-/// One point of the §6.5 scaling analysis.
+/// One point of the §6.5 scaling analysis. Public because
+/// [`scaling_curve`] returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingPoint {
     /// GPU count.

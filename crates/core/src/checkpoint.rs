@@ -114,8 +114,8 @@ impl Default for ShardConfig {
 
 impl ShardConfig {
     /// This configuration with the worker pool auto-sized for `state`:
-    /// [`auto_shard_workers`] of the shard count `state` will split into
-    /// at this `shard_bytes`, as [`write_encoded`] sizes the pool of a
+    /// `auto_shard_workers` of the shard count `state` will split into
+    /// at this `shard_bytes`, as `write_encoded` sizes the pool of a
     /// device's JIT or periodic checkpoint.
     pub fn auto_sized_for(&self, state: &TrainState) -> ShardConfig {
         let shards = state.encoded_len().div_ceil(self.shard_bytes.max(1));
@@ -138,7 +138,7 @@ impl ShardConfig {
 /// noise) out to 16: over-subscription past `2 × cores` buys nothing
 /// but scheduling churn. Hence `2 × cores`, floored at the plateau's
 /// start (4) and capped at 16.
-pub fn default_shard_workers() -> usize {
+pub(crate) fn default_shard_workers() -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -148,11 +148,12 @@ pub fn default_shard_workers() -> usize {
 /// Auto-sized pool width for a checkpoint that splits into `n_shards`
 /// shards: the host default, but never more workers than shards (extra
 /// threads would exit without claiming any work).
-pub fn auto_shard_workers(n_shards: usize) -> usize {
+pub(crate) fn auto_shard_workers(n_shards: usize) -> usize {
     default_shard_workers().min(n_shards.max(1))
 }
 
-/// Per-shard record in the metadata sidecar.
+/// Per-shard record in the metadata sidecar. Public because
+/// [`CheckpointMeta::shards`] holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardMeta {
     /// Position of this shard in the logical stream.
@@ -427,7 +428,7 @@ impl ShardPlan {
     /// its lock — into its shards at `shard_bytes` boundaries, in one
     /// cursor pass ([`StateView::write_shards`]), each shard into its own
     /// exactly sized buffer. Touches no store and no lock: the delta
-    /// base is resolved when the plan is written ([`write_encoded`]),
+    /// base is resolved when the plan is written (`write_encoded`),
     /// after the device is released.
     #[allow(clippy::too_many_arguments)]
     pub fn encode(
@@ -600,7 +601,7 @@ pub fn write_checkpoint_with<S: StorageBackend + ?Sized>(
 /// [`write_checkpoint_with`] does, on a pool auto-sized for its shard
 /// count. The JIT hang action and the periodic step hook both write this
 /// way, so no host copy of the state is made.
-pub fn write_encoded<S: StorageBackend + ?Sized>(
+pub(crate) fn write_encoded<S: StorageBackend + ?Sized>(
     store: &S,
     mut plan: ShardPlan,
     cfg: &ShardConfig,
@@ -892,7 +893,8 @@ pub(crate) fn finish_restore(
     Ok((shards, meta))
 }
 
-/// A resolved checkpoint choice for one cell.
+/// A resolved checkpoint choice for one cell. Public because
+/// [`assemble`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellChoice {
     /// Iteration chosen.
@@ -1024,6 +1026,7 @@ pub fn assemble<S: StorageBackend + ?Sized>(
 /// rank should load — a complete checkpoint from any data-parallel
 /// replica of its own cell, at an iteration consistent across the whole
 /// job. Shard objects and the sidecar live under the returned prefix.
+/// Public as the paper's user-level restore API (§3.3).
 pub fn jit_get_checkpoint_path<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,

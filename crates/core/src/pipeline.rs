@@ -226,7 +226,8 @@ struct Queue {
     budget_bytes: usize,
 }
 
-/// Counters exposed for benches and tests.
+/// Counters exposed for benches and tests. Public because
+/// [`WriteBehind::stats`] returns them.
 #[derive(Debug, Default)]
 pub struct WriteBehindStats {
     /// Shard puts completed (success or failure).

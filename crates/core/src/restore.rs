@@ -11,7 +11,7 @@
 //! * **Concurrent fetch** — dedicated fetcher threads claim shard
 //!   indices from an atomic cursor and issue `get`s in parallel. The
 //!   pool is auto-sized like the write side
-//!   ([`checkpoint::default_shard_workers`]) and additionally capped by
+//!   (`checkpoint::default_shard_workers`) and additionally capped by
 //!   the backend's [`StorageBackend::read_parallelism`] hint, so a
 //!   transfer-slot-limited [`SimObjectStore`] is never oversubscribed
 //!   (extra fetchers would just park on the slot condvar). A hint of 1

@@ -49,7 +49,7 @@ pub const TAG_STATE_STREAM: u64 = 0x53_54_41_54; // "STAT"
 const SEQ_HEADER: u64 = 0;
 
 /// Stream preamble: what the receiver should expect before the first
-/// shard arrives.
+/// shard arrives. Public because [`send_state`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamHeader {
     /// Iteration of the streamed state (cross-checked after decode).

@@ -371,7 +371,7 @@ impl TransparentEngine {
     fn hard_healthy_side(&self, client: &mut ProxyClient, round: u64) -> SimResult<()> {
         let coord = self.layout.coord(client.rank());
         client.flush_pending()?;
-        let gpu = client.server().gpu();
+        let gpu = client.gpu();
         let cost = gpu.cost_model().clone();
         let shard_bytes = ShardConfig::default().shard_bytes;
         // The victim loads the buffers only: iteration and step are not read.
@@ -431,7 +431,7 @@ impl TransparentEngine {
                 open_frame(&path, self.store.get(&path).map_err(gone)?, i as u64)
             })
             .collect::<SimResult<Vec<_>>>()?;
-        let gpu = client.server_mut().gpu_mut();
+        let gpu = client.gpu_mut();
         let bytes = gpu.persistent().map(|b| b.logical_bytes).sum();
         gpu.load_state(&frames)?;
         client.charge(cost.checkpoint_read(bytes, StorageTier::Disk, cost.gpu.gpus_per_node()));
@@ -503,7 +503,7 @@ impl TransparentEngine {
         let t0 = client.now();
         match action {
             Action::Teardown => {
-                let teardown = client.server().gpu().cost_model().comm_teardown;
+                let teardown = client.gpu().cost_model().comm_teardown;
                 client.charge(teardown);
             }
             Action::ResetInPlace { charged } => {
@@ -541,7 +541,7 @@ impl TransparentEngine {
                         client.rendezvous_comm(*token)?;
                     }
                 }
-                let comm_init = client.server().gpu().cost_model().comm_init;
+                let comm_init = client.gpu().cost_model().comm_init;
                 return Ok(SimTime::from_secs(
                     comm_init.as_secs() * tokens.len() as f64,
                 ));
@@ -716,9 +716,7 @@ mod tests {
         let layout = ParallelLayout::data_parallel(2);
         let world = dltrain::JobSetup::build(layout, CostModel::v100(), 8).world;
         // Every buffer's checksum, in id order.
-        let sums = |c: &ProxyClient| -> Vec<u64> {
-            c.server().gpu().checksum_all().into_values().collect()
-        };
+        let sums = |c: &ProxyClient| -> Vec<u64> { c.gpu().checksum_all().into_values().collect() };
         // What the victim's device holds after migrating, before any load.
         let mut twin = rank_client(&world, 0)?;
         twin.migrate_to_gpu(Gpu::new(GpuId(100), CostModel::v100()))?;
@@ -785,7 +783,7 @@ mod tests {
             let mut past_later_arrival = Vec::new();
             for _ in 0..3 {
                 if r == 1 {
-                    let gpu = client.server_mut().gpu_mut();
+                    let gpu = client.gpu_mut();
                     gpu.inject(simcore::failure::FailureKind::StickyCuda);
                 }
                 let health = client.health();

@@ -86,6 +86,7 @@ impl Default for JitUserConfig {
 }
 
 /// Timing record of one JIT checkpoint or restore event (Table 4 data).
+/// Public because [`JobOutcome::events`](crate::JobOutcome::events) holds it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryEvent {
     /// Rank involved.

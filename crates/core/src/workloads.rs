@@ -36,7 +36,7 @@ impl Framework {
     /// group; Megatron-DeepSpeed builds data-, tensor-, pipeline-,
     /// embedding- and grad-norm groups (~8 per rank); 3D configurations
     /// roughly double that.
-    pub fn comm_groups(self, layout: ParallelLayout) -> usize {
+    pub(crate) fn comm_groups(self, layout: ParallelLayout) -> usize {
         let base = match self {
             Framework::HuggingFace | Framework::PyTorch => 1,
             Framework::Megatron => 4,
@@ -72,7 +72,7 @@ pub struct Workload {
 
 impl Workload {
     /// Total checkpointable state of the whole model, in bytes.
-    pub fn total_state_bytes(&self) -> u64 {
+    pub(crate) fn total_state_bytes(&self) -> u64 {
         (self.params_b * 1e9 * self.bytes_per_param) as u64
     }
 

@@ -32,7 +32,7 @@ pub mod setup;
 pub mod trainer;
 
 pub use data::DataLoader;
-pub use model::{Block, Head, ModelConfig};
-pub use optim::{OptimizerKind, RankOptimizer};
+pub use model::ModelConfig;
+pub use optim::OptimizerKind;
 pub use setup::{build_comms, JobComms, JobSetup};
 pub use trainer::{run_ranks, RankTokens, RankTrainer, TrainConfig, TrainState};

@@ -52,7 +52,8 @@ impl ModelConfig {
         }
     }
 
-    /// Actual parameter count of the whole (unsharded) model.
+    /// Actual parameter count of the whole (unsharded) model. Named only
+    /// by the benchmark; it goes at ROADMAP item 3 step 1.
     pub fn param_count(&self) -> usize {
         self.blocks * (self.input_dim * self.hidden + self.hidden + self.hidden * self.input_dim)
             + self.input_dim * self.classes
@@ -102,7 +103,7 @@ pub fn launch<E: Executor>(exec: &mut E, stream: StreamId, kernel: KernelKind) -
 
 /// One tensor-parallel pre-LN MLP block's parameters on one rank.
 #[derive(Debug, Clone)]
-pub struct Block {
+pub(crate) struct Block {
     /// Column shard of `A`: `[d × h_local]`.
     pub a: BufferId,
     /// Shard of `A`'s bias: `[h_local]`.
@@ -123,7 +124,7 @@ pub struct Block {
 
 /// Activations a block's forward pass produces (needed by backward).
 #[derive(Debug, Clone)]
-pub struct BlockActs {
+pub(crate) struct BlockActs {
     /// LayerNorm output.
     pub ln: BufferId,
     /// Saved LayerNorm row means.
@@ -143,7 +144,7 @@ impl Block {
     /// Allocates and initializes one block's shard for tensor-parallel
     /// partition `part` of `tp`.
     #[allow(clippy::too_many_arguments)]
-    pub fn init<E: Executor>(
+    pub(crate) fn init<E: Executor>(
         exec: &mut E,
         cfg: &ModelConfig,
         index: usize,
@@ -244,21 +245,10 @@ impl Block {
         })
     }
 
-    /// Parameter buffers (for checkpointing / optimizer wiring).
-    pub fn params(&self) -> Vec<(BufferId, usize)> {
-        vec![
-            (self.a, self.d * self.h_local),
-            (self.bias_a, self.h_local),
-            (self.b, self.h_local * self.d),
-            (self.gamma, self.d),
-            (self.beta, self.d),
-        ]
-    }
-
     /// Forward pass of the pre-LN MLP sublayer: computes the *partial*
     /// output (pre all-reduce). The caller all-reduces `y` across the
     /// tensor-parallel group and then adds the residual `x`.
-    pub fn forward<E: Executor>(
+    pub(crate) fn forward<E: Executor>(
         &self,
         exec: &mut E,
         stream: StreamId,
@@ -388,7 +378,7 @@ impl Block {
     /// the LayerNorm output. The caller all-reduces it across the
     /// tensor-parallel group, then calls [`Block::backward_ln`].
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_mlp<E: Executor>(
+    pub(crate) fn backward_mlp<E: Executor>(
         &self,
         exec: &mut E,
         stream: StreamId,
@@ -514,7 +504,7 @@ impl Block {
     /// the residual branch's gradient `dy` — returns the full input
     /// gradient `dx = dy + LN'(dln)`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_ln<E: Executor>(
+    pub(crate) fn backward_ln<E: Executor>(
         &self,
         exec: &mut E,
         stream: StreamId,
@@ -570,7 +560,7 @@ impl Block {
 /// Gradient buffers for one block (allocated fresh each minibatch so
 /// replay regenerates them).
 #[derive(Debug, Clone)]
-pub struct BlockGrads {
+pub(crate) struct BlockGrads {
     /// Gradient of `A` shard.
     pub da: BufferId,
     /// Gradient of `A`'s bias shard.
@@ -585,7 +575,7 @@ pub struct BlockGrads {
 
 impl BlockGrads {
     /// Allocates gradient buffers for `block`.
-    pub fn alloc<E: Executor>(
+    pub(crate) fn alloc<E: Executor>(
         exec: &mut E,
         block: &Block,
         phantom_scale: f64,
@@ -637,7 +627,7 @@ impl BlockGrads {
     }
 
     /// The gradient buffers in parameter order.
-    pub fn list(&self) -> [BufferId; 5] {
+    pub(crate) fn list(&self) -> [BufferId; 5] {
         [self.da, self.dbias_a, self.db, self.dgamma, self.dbeta]
     }
 }
@@ -645,7 +635,7 @@ impl BlockGrads {
 /// Classifier head (replicated across the tensor-parallel group; its
 /// gradients are identical on every part, so no sync is needed).
 #[derive(Debug, Clone)]
-pub struct Head {
+pub(crate) struct Head {
     /// Weights `[d × classes]`.
     pub w: BufferId,
     /// Width `d`.
@@ -656,7 +646,7 @@ pub struct Head {
 
 impl Head {
     /// Allocates and initializes the head.
-    pub fn init<E: Executor>(exec: &mut E, cfg: &ModelConfig, seed: u64) -> SimResult<Head> {
+    pub(crate) fn init<E: Executor>(exec: &mut E, cfg: &ModelConfig, seed: u64) -> SimResult<Head> {
         let w = alloc_buf(
             exec,
             "model.head.w",
@@ -679,7 +669,7 @@ impl Head {
 
     /// Forward + loss. Returns `(loss_buf, probs, logits)`.
     #[allow(clippy::too_many_arguments)]
-    pub fn forward_loss<E: Executor>(
+    pub(crate) fn forward_loss<E: Executor>(
         &self,
         exec: &mut E,
         stream: StreamId,
@@ -739,7 +729,7 @@ impl Head {
     /// Backward: returns `(dw, dx)` where `dx` is the gradient flowing
     /// into the last block.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward<E: Executor>(
+    pub(crate) fn backward<E: Executor>(
         &self,
         exec: &mut E,
         stream: StreamId,

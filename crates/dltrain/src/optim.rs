@@ -79,7 +79,7 @@ struct ParamState {
 
 /// Per-rank optimizer: one state entry per local parameter shard.
 #[derive(Debug, Clone)]
-pub struct RankOptimizer {
+pub(crate) struct RankOptimizer {
     kind: OptimizerKind,
     states: Vec<ParamState>,
     /// 1-based Adam timestep (part of checkpointed CPU state).
@@ -88,7 +88,7 @@ pub struct RankOptimizer {
 
 impl RankOptimizer {
     /// Allocates optimizer state for `params` (`(buffer, elems, name)`).
-    pub fn init<E: Executor>(
+    pub(crate) fn init<E: Executor>(
         exec: &mut E,
         kind: OptimizerKind,
         params: &[(BufferId, usize, String)],
@@ -122,14 +122,9 @@ impl RankOptimizer {
         Ok(RankOptimizer { kind, states, t: 0 })
     }
 
-    /// Number of parameters managed.
-    pub fn param_count(&self) -> usize {
-        self.states.len()
-    }
-
     /// Applies one optimizer step. `grads[i]` must be the gradient of the
     /// i-th registered parameter.
-    pub fn step<E: Executor>(
+    pub(crate) fn step<E: Executor>(
         &mut self,
         exec: &mut E,
         stream: StreamId,

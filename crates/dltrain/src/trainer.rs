@@ -86,7 +86,8 @@ struct GradBucket {
     bytes: u64,
 }
 
-/// Registered communicator tokens for one rank.
+/// Registered communicator tokens for one rank. Public because
+/// [`RankTrainer::tokens`] returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct RankTokens {
     /// World group.
@@ -1125,7 +1126,7 @@ mod tests {
             let mut tr = RankTrainer::new(exec, cfg.clone(), &per_rank[i], none)?;
             tr.train(iters)?;
             tr.exec.begin_minibatch(iters)?;
-            let buffers = tr.exec.server().gpu().buffer_count();
+            let buffers = tr.exec.gpu().buffer_count();
             Ok((tr.exec.live_handles(), buffers))
         });
         results.into_iter().map(|r| r.unwrap()).collect()

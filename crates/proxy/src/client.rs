@@ -8,7 +8,7 @@
 //!    `(kind, physical id)` per virtual id, which refuses a handle of one
 //!    kind passed as another and forgets, at each minibatch boundary,
 //!    every object destroyed before it,
-//! 2. executed on the [`ProxyServer`],
+//! 2. executed on the proxy server that owns the device,
 //! 3. logged (with input values) into the per-minibatch replay log —
 //!    from the first minibatch on: what runs before it is never
 //!    replayed — and
@@ -95,7 +95,7 @@ const CPU_STATE_SHARD_BYTES: usize = 256 * 1024;
 /// overhead knees at 64 (926 ns at 1, 449 ns at 64) with diminishing
 /// returns beyond — a larger batch only adds staging memory, so 64 is the
 /// default.
-pub const DEFAULT_BATCH_CAPACITY: usize = 64;
+const DEFAULT_BATCH_CAPACITY: usize = 64;
 
 /// The per-rank interception client (Figure 2's "device proxy client").
 pub struct ProxyClient {
@@ -175,13 +175,15 @@ impl ProxyClient {
 
     /// Configures replay-log verification: first at iteration `first`,
     /// then every `every` iterations (§4.1: once at the 5th minibatch and
-    /// then every N). Pass `None, None` to disable.
+    /// then every N). Pass `None, None` to disable. Named only by the
+    /// benchmark; it goes at ROADMAP item 3 step 1.
     pub fn set_verify_schedule(&mut self, first: Option<u64>, every: Option<u64>) {
         self.verify_at = first;
         self.verify_every = every;
     }
 
     /// Result of the most recent replay-log verification, if any ran.
+    /// Named only by the benchmark; it goes at ROADMAP item 3 step 1.
     pub fn last_verify(&self) -> Option<bool> {
         self.last_verify_ok
     }
@@ -203,8 +205,9 @@ impl ProxyClient {
     }
 
     /// Alias of [`ProxyClient::replay_log_len`]: the log is replayed as
-    /// logged, nothing is compacted away. Kept only because the frozen
-    /// `benchmark/` package calls it (its `compacted_kept_ratio` reads 1).
+    /// logged, nothing is compacted away. Named only by the benchmark
+    /// (its `compacted_kept_ratio` reads 1); it goes at ROADMAP item 3
+    /// step 1.
     pub fn compacted_log_len(&self) -> usize {
         self.replay_log_len()
     }
@@ -228,14 +231,15 @@ impl ProxyClient {
         &self.plane.world
     }
 
-    /// The server, read-only.
-    pub fn server(&self) -> &ProxyServer {
-        &self.server
+    /// The device behind the proxy server, read-only.
+    pub fn gpu(&self) -> &Gpu {
+        self.server.gpu()
     }
 
-    /// The server, mutable (fault injection in tests).
-    pub fn server_mut(&mut self) -> &mut ProxyServer {
-        &mut self.server
+    /// The device behind the proxy server, mutable (recovery resets,
+    /// fault injection).
+    pub fn gpu_mut(&mut self) -> &mut Gpu {
+        self.server.gpu_mut()
     }
 
     /// Registered communicator tokens, sorted.
@@ -1114,7 +1118,7 @@ mod tests {
         let b = alloc(&mut c, "act", data.clone(), BufferTag::Activation)?;
         assert_eq!(bits(&download(&mut c, b)?), bits(&data));
         c.reset_in_place()?;
-        assert_eq!(c.server().gpu().buffer_count(), 0, "the reset dropped it");
+        assert_eq!(c.gpu().buffer_count(), 0, "the reset dropped it");
         c.replay()?;
         assert_eq!(bits(&download(&mut c, b)?), bits(&data));
         Ok(())
@@ -1487,7 +1491,7 @@ mod tests {
         let comm = world.create_comm(vec![RankId(0), RankId(1)], vec![0, 1]);
         let c0 = replica(0, &world, root, special)?;
         let c1 = replica(1, &world, receiver, |_| 1.5)?;
-        let before = c1.server().gpu().checksum_all();
+        let before = c1.gpu().checksum_all();
         let sync = |mut c: ProxyClient| {
             let comm = comm.clone();
             std::thread::spawn(move || {
@@ -1514,12 +1518,12 @@ mod tests {
         ] {
             let (before, c1, res) = sync_into(&root, &receiver)?;
             assert_eq!(res, Err(SimError::Protocol(err.into())), "{receiver:?}");
-            assert_eq!(c1.server().gpu().checksum_all(), before, "{receiver:?}");
+            assert_eq!(c1.gpu().checksum_all(), before, "{receiver:?}");
         }
         let (_, c1, res) = sync_into(&root, &root)?;
         res?;
         let bits = |data: &[f32]| data.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-        let view = c1.server().gpu().state_view(0, 0)?;
+        let view = c1.gpu().state_view(0, 0)?;
         let got: Vec<Vec<u32>> = view.buffers.iter().map(|(_, _, data)| bits(data)).collect();
         let want: Vec<Vec<u32>> = root
             .iter()
@@ -1531,7 +1535,7 @@ mod tests {
 
     /// Each persistent buffer's bits, in buffer order.
     fn state_bits(c: &ProxyClient) -> SimResult<Vec<Vec<u32>>> {
-        let view = c.server().gpu().state_view(0, 0)?;
+        let view = c.gpu().state_view(0, 0)?;
         let bits = |d: &[f32]| d.iter().map(|f| f.to_bits()).collect();
         Ok(view.buffers.iter().map(|(_, _, d)| bits(d)).collect())
     }
@@ -1596,7 +1600,7 @@ mod tests {
         let (w, c) = (world.clone(), comm.clone());
         std::thread::spawn(move || -> SimResult<()> {
             let _guard = w.departure_guard(RankId(0));
-            let layout: Vec<(BufferId, usize)> = (root.server().gpu().persistent())
+            let layout: Vec<(BufferId, usize)> = (root.gpu().persistent())
                 .map(|b| (b.id, b.data.len()))
                 .collect();
             let (r0, obs) = (RankId(0), &collectives::NullObserver);
@@ -1608,7 +1612,7 @@ mod tests {
                 48,
                 obs,
             )?;
-            let part = root.server().gpu().buffer(layout[0].0)?.data.clone();
+            let part = root.gpu().buffer(layout[0].0)?.data.clone();
             c.broadcast_part(r0, RECOVERY_GEN_BASE | 1, r0, Some(part), obs)?;
             Ok(())
         })
@@ -1677,14 +1681,12 @@ mod verification_tests {
         // it. (Like any host access to device memory, the poke requires
         // the submission queue to be drained first.)
         c.flush_pending()?;
-        let phys_ids = c.server().gpu().checksum_all();
+        let phys_ids = c.gpu().checksum_all();
         let phys_act = *phys_ids
             .keys()
             .last()
             .ok_or_else(|| SimError::Protocol("no physical ids".into()))?;
-        c.server_mut()
-            .gpu_mut()
-            .load_buffer(phys_act, &[9.0, 9.0, 9.0, 9.0])?;
+        c.gpu_mut().load_buffer(phys_act, &[9.0, 9.0, 9.0, 9.0])?;
         c.call(DeviceCall::Launch {
             stream: s,
             kernel: KernelKind::Axpy {

@@ -46,7 +46,8 @@ pub enum PendingOp {
 
 /// A snapshot of persistent (param/optimizer) state — storage key, tag,
 /// and contents per buffer — plus the logical byte size used for cost
-/// accounting. The payload of a JIT checkpoint.
+/// accounting. The payload of a JIT checkpoint. Public because it names
+/// the return type of [`ProxyClient::snapshot_persistent_to_host`](crate::ProxyClient::snapshot_persistent_to_host).
 pub type PersistentSnapshot = (Vec<(String, BufferTag, Vec<f32>)>, u64);
 
 /// Device + communication interface the training framework runs against.

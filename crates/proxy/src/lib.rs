@@ -21,7 +21,9 @@
 //!   framework runs against) and [`DirectExecutor`] (no interception —
 //!   the baseline and user-level-JIT path, which recovers by restart and
 //!   so keeps no replay state);
-//! * [`server`] — the restartable [`ProxyServer`] owning the device;
+//! * [`server`] — the restartable device server behind [`ProxyClient`],
+//!   reached through [`ProxyClient::gpu`], and its batched wire format
+//!   ([`encode_batch`], [`decode_batch`]);
 //! * [`oplog`] — the replay log, its records, and the virtual-handle
 //!   table;
 //! * [`client`] — [`ProxyClient`]: interception, logging, replay, and
@@ -36,7 +38,7 @@ pub mod server;
 pub mod watchdog;
 
 pub use client::{MinibatchPosition, ProxyClient, RecoveryHandler, RecoveryOutcome};
-pub use executor::{CommToken, DirectExecutor, Executor, PendingOp, PersistentSnapshot};
+pub use executor::{CommToken, DirectExecutor, Executor, PendingOp};
 pub use oplog::OpLog;
-pub use server::{decode_batch, encode_batch, ProxyServer, BATCH_SHARD_BYTES};
+pub use server::{decode_batch, encode_batch, BATCH_SHARD_BYTES};
 pub use watchdog::Watchdog;

@@ -8,9 +8,10 @@
 //! 2–3), and keeps the worker CPU image CRIU-friendly (§4.3).
 //!
 //! In the simulation the "process" is a restartable state machine around
-//! the device: [`ProxyServer::restart`] tears down the context (dropping
-//! every buffer, stream, and event — exactly what a context teardown does)
-//! and bumps the epoch so stale physical handles are detectable.
+//! the device: `ProxyServer::restart` tears down the context (dropping
+//! every buffer, stream, and event — exactly what a context teardown does).
+//! The server is the proxy's own: a worker reaches its device through
+//! [`ProxyClient::gpu`](crate::ProxyClient::gpu).
 
 use bytes::Bytes;
 use simcore::codec::{concat_shards, split_shards, Decode, Encoder};
@@ -57,20 +58,19 @@ pub fn decode_batch(frame: &Bytes) -> SimResult<Vec<DeviceCall>> {
 
 /// The device proxy server: owns the GPU context for one rank.
 #[derive(Debug)]
-pub struct ProxyServer {
+pub(crate) struct ProxyServer {
     gpu: Gpu,
-    epoch: u32,
 }
 
 impl ProxyServer {
     /// Starts a server over a freshly attached device.
-    pub fn new(gpu: Gpu) -> Self {
-        ProxyServer { gpu, epoch: 0 }
+    pub(crate) fn new(gpu: Gpu) -> Self {
+        ProxyServer { gpu }
     }
 
     /// Executes one device call, returning the result and its virtual
     /// duration.
-    pub fn exec(&mut self, call: &DeviceCall) -> SimResult<(CallResult, SimTime)> {
+    pub(crate) fn exec(&mut self, call: &DeviceCall) -> SimResult<(CallResult, SimTime)> {
         self.gpu.exec(call)
     }
 
@@ -83,7 +83,7 @@ impl ProxyServer {
     /// call yielding a result is a protocol error. Execution stops at
     /// the first failing call; the client discards the rest of the batch
     /// and lets recovery's log replay regenerate their effects.
-    pub fn exec_batch(&mut self, frame: &Bytes) -> SimResult<(usize, SimTime)> {
+    pub(crate) fn exec_batch(&mut self, frame: &Bytes) -> SimResult<(usize, SimTime)> {
         let calls = decode_batch(frame)?;
         let mut total = SimTime::ZERO;
         for call in &calls {
@@ -102,32 +102,25 @@ impl ProxyServer {
     /// sticky errors and driver corruption) and invalidates every physical
     /// handle. Fails if the GPU hardware itself is dead. Returns the
     /// restart cost.
-    pub fn restart(&mut self) -> SimResult<SimTime> {
+    pub(crate) fn restart(&mut self) -> SimResult<SimTime> {
         self.gpu.reset_context()?;
-        self.epoch += 1;
         Ok(self.gpu.cost_model().proxy_restart)
     }
 
     /// Replaces the attached device (hard-error migration to a new GPU):
     /// the worker keeps its proxy client; the server comes back over a
     /// replacement device on the new node.
-    pub fn attach_new_gpu(&mut self, gpu: Gpu) {
+    pub(crate) fn attach_new_gpu(&mut self, gpu: Gpu) {
         self.gpu = gpu;
-        self.epoch += 1;
-    }
-
-    /// Restart epoch (increments on every restart / re-attach).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// The device, read-only.
-    pub fn gpu(&self) -> &Gpu {
+    pub(crate) fn gpu(&self) -> &Gpu {
         &self.gpu
     }
 
     /// The device, mutable (recovery resets, fault injection).
-    pub fn gpu_mut(&mut self) -> &mut Gpu {
+    pub(crate) fn gpu_mut(&mut self) -> &mut Gpu {
         &mut self.gpu
     }
 }
@@ -145,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_clears_sticky_state_and_bumps_epoch() -> SimResult<()> {
+    fn restart_clears_sticky_state() -> SimResult<()> {
         let mut s = server();
         s.exec(&DeviceCall::Malloc {
             site: AllocSite::new("w", 4),
@@ -157,7 +150,6 @@ mod tests {
         assert!(s.exec(&DeviceCall::DeviceSync).is_err());
         let t = s.restart()?;
         assert!(t.as_secs() > 0.0);
-        assert_eq!(s.epoch(), 1);
         assert_eq!(s.gpu().health(), GpuHealth::Healthy);
         assert_eq!(s.gpu().buffer_count(), 0, "context teardown drops buffers");
         assert!(s.exec(&DeviceCall::DeviceSync).is_ok());
@@ -171,7 +163,6 @@ mod tests {
         assert!(s.restart().is_err());
         // Migration to a new device does.
         s.attach_new_gpu(Gpu::new(GpuId(9), CostModel::v100()));
-        assert_eq!(s.epoch(), 1);
         assert!(s.exec(&DeviceCall::DeviceSync).is_ok());
     }
 }

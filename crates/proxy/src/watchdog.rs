@@ -74,7 +74,8 @@ impl Watchdog {
     }
 
     /// Registers a blocking operation (e.g. a p2p recv); returns a token
-    /// to pass to [`Watchdog::end_op`].
+    /// to pass to [`Watchdog::end_op`]. Named only by the benchmark; it
+    /// goes at ROADMAP item 3 step 1.
     pub fn begin_op(&self) -> u64 {
         let mut watch = self.inner.watch.lock();
         let id = watch.next_op;
@@ -83,7 +84,8 @@ impl Watchdog {
         id
     }
 
-    /// Retires a blocking operation.
+    /// Retires a blocking operation. Public with [`Watchdog::begin_op`],
+    /// whose token it takes; both go at ROADMAP item 3 step 1.
     pub fn end_op(&self, id: u64) {
         self.inner.watch.lock().due.remove(&id);
     }

@@ -43,7 +43,7 @@ impl GpuGeneration {
 
     /// Effective training throughput in FLOP/s (mixed precision, realistic
     /// utilization, not peak datasheet numbers).
-    pub fn flops_per_sec(self) -> f64 {
+    pub(crate) fn flops_per_sec(self) -> f64 {
         match self {
             GpuGeneration::V100_32G => 60e12,
             GpuGeneration::A100_80G => 180e12,
@@ -151,7 +151,7 @@ impl CostModel {
     }
 
     /// Calibrated model for an A100 80 GB testbed (4 GPUs/node).
-    pub fn a100() -> Self {
+    pub(crate) fn a100() -> Self {
         CostModel {
             gpu: GpuGeneration::A100_80G,
             kernel_launch: SimTime::from_micros(5.0),
@@ -306,7 +306,7 @@ impl CostModel {
     }
 
     /// Storage-tier write bandwidth per node.
-    pub fn tier_bw(&self, tier: StorageTier) -> f64 {
+    pub(crate) fn tier_bw(&self, tier: StorageTier) -> f64 {
         match tier {
             StorageTier::Disk => self.disk_bw,
             StorageTier::HostMemory => self.tmpfs_bw,
@@ -340,6 +340,7 @@ impl CostModel {
 
     /// Snapshot-only cost (GPU→host copy while GPU stays paused); used by
     /// CheckFreq-style pipelined checkpointing for the stalled portion.
+    /// Named only by the benchmark; it goes at ROADMAP item 3 step 1.
     pub fn snapshot_to_host(&self, bytes: u64) -> SimTime {
         SimTime::from_secs(bytes as f64 / self.pcie_bw)
     }

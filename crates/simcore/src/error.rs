@@ -96,19 +96,6 @@ impl SimError {
     pub fn is_hard(&self) -> bool {
         matches!(self, SimError::GpuHardware(_))
     }
-
-    /// Returns true when the error is recoverable by resetting GPU/driver
-    /// state without replacing hardware (§4.2 of the paper).
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            SimError::CudaSticky(_)
-                | SimError::DriverCorrupted(_)
-                | SimError::NetworkTransient
-                | SimError::CollectiveAborted
-                | SimError::CollectiveTimeout { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -118,10 +105,6 @@ mod tests {
     #[test]
     fn hardness_classification() {
         assert!(SimError::GpuHardware(GpuId(0)).is_hard());
-        assert!(!SimError::GpuHardware(GpuId(0)).is_recoverable());
-        assert!(SimError::CudaSticky(GpuId(1)).is_recoverable());
-        assert!(SimError::NetworkTransient.is_recoverable());
-        assert!(!SimError::Storage("x".into()).is_recoverable());
     }
 
     #[test]

@@ -88,20 +88,6 @@ impl ParallelLayout {
             .collect()
     }
 
-    /// Tensor-parallel group containing `rank` (same dp replica & stage).
-    pub fn tp_group_of(&self, rank: RankId) -> Vec<RankId> {
-        let c = self.coord(rank);
-        (0..self.tp)
-            .map(|part| {
-                self.rank_at(GridCoord {
-                    dp: c.dp,
-                    stage: c.stage,
-                    part,
-                })
-            })
-            .collect()
-    }
-
     /// All (stage, partition) cells — the quorum domain for §3.3.
     pub fn cells(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.pp * self.tp);
@@ -155,7 +141,6 @@ mod tests {
             l.dp_group_of(RankId(2)),
             vec![RankId(0), RankId(1), RankId(2), RankId(3)]
         );
-        assert_eq!(l.tp_group_of(RankId(2)), vec![RankId(2)]);
     }
 
     #[test]
@@ -169,14 +154,5 @@ mod tests {
     #[test]
     fn label_format_matches_paper() {
         assert_eq!(ParallelLayout::three_d(2, 4, 2).label(), "2D-4P-2T");
-    }
-
-    #[test]
-    fn tp_ranks_are_contiguous() {
-        // Megatron convention: tensor-parallel ranks are adjacent (they
-        // share NVLink).
-        let l = ParallelLayout::three_d(2, 2, 2);
-        let g = l.tp_group_of(RankId(0));
-        assert_eq!(g, vec![RankId(0), RankId(1)]);
     }
 }

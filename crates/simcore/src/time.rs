@@ -164,7 +164,7 @@ impl ClockBoard {
     }
 
     /// Returns the maximum clock across a set of ranks.
-    pub fn max_of(&self, ranks: &[usize]) -> SimTime {
+    pub(crate) fn max_of(&self, ranks: &[usize]) -> SimTime {
         ranks
             .iter()
             .map(|&i| self.now(i))

@@ -114,15 +114,6 @@ impl DeviceCall {
         )
     }
 
-    /// True for calls that mutate device *memory contents* (must be part
-    /// of the replay log for state reconstruction).
-    pub fn mutates_memory(&self) -> bool {
-        matches!(
-            self,
-            DeviceCall::Upload { .. } | DeviceCall::CopyD2D { .. } | DeviceCall::Launch { .. }
-        )
-    }
-
     /// Short name for diagnostics and recovery reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -367,12 +358,6 @@ mod tests {
         assert!(DeviceCall::StreamCreate.creates_object());
         assert!(DeviceCall::EventCreate.creates_object());
         assert!(!DeviceCall::DeviceSync.creates_object());
-        assert!(DeviceCall::Upload {
-            buf: BufferId(0),
-            data: vec![]
-        }
-        .mutates_memory());
-        assert!(!DeviceCall::Download { buf: BufferId(0) }.mutates_memory());
     }
 
     #[test]

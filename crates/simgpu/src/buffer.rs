@@ -112,7 +112,7 @@ impl Decode for BufferTag {
 /// per-site sequence count, and the buffer size (§4.3). We carry the label
 /// explicitly (`path` = the allocating module path, e.g.
 /// `"model.layer3.linear.weight"`), and the device allocator appends the
-/// per-site sequence number. [`AllocSite::storage_key`] produces the
+/// per-site sequence number. `AllocSite::storage_key` produces the
 /// cross-rank-stable checkpoint object name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AllocSite {
@@ -139,7 +139,7 @@ impl AllocSite {
     /// The cross-rank-stable storage key for this buffer's checkpoint
     /// object: identical on every data-parallel replica because it depends
     /// only on the allocation path, sequence, and size.
-    pub fn storage_key(&self) -> String {
+    pub(crate) fn storage_key(&self) -> String {
         // A stable FNV-1a hash keeps keys short, mirroring the paper's
         // "hash of call stack" while remaining debuggable via the path.
         let mut h: u64 = 0xcbf29ce484222325;
