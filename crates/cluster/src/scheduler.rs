@@ -150,9 +150,8 @@ impl Scheduler {
     /// that failed. Clears acks and bumps the restart generation. Returns
     /// the new assignment.
     pub fn reschedule(&self, job: JobId) -> SimResult<Vec<GpuId>> {
-        // Lock order: `cluster` strictly before `jobs`, matching `submit`
-        // and `report_gpu_failure` — a reversed order here could deadlock
-        // against a concurrent submit during recovery.
+        // Lock order: `cluster` before `jobs`, the order any other code
+        // that nests the two must keep.
         let cluster = self.cluster.lock();
         let mut jobs = self.jobs.lock();
         let j = jobs

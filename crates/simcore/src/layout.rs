@@ -155,4 +155,21 @@ mod tests {
     fn label_format_matches_paper() {
         assert_eq!(ParallelLayout::three_d(2, 4, 2).label(), "2D-4P-2T");
     }
+
+    #[test]
+    fn tp_ranks_are_contiguous() {
+        // Megatron convention: tensor-parallel ranks are adjacent (they
+        // share NVLink).
+        let l = ParallelLayout::three_d(2, 2, 2);
+        let g: Vec<RankId> = (0..l.tp)
+            .map(|part| {
+                l.rank_at(GridCoord {
+                    dp: 0,
+                    stage: 0,
+                    part,
+                })
+            })
+            .collect();
+        assert_eq!(g, vec![RankId(0), RankId(1)]);
+    }
 }

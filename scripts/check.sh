@@ -93,7 +93,7 @@ cargo test --release --test cross_crate --quiet -- --exact \
     fsdp_hybrid_shard_job_recovers_transparently \
     pipeline_job_survives_mid_stage_failure
 
-echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor the workspace its count of allowed wall-clock sleeps)'
+echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor its count of pub items no other file names, nor the workspace its count of allowed wall-clock sleeps)'
 sh scripts/surface.sh --check
 # Same idea for real clocks: a new wall-clock wait on a fault path needs a diff to this number, not just a comment.
 [ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 1 ] \
