@@ -26,14 +26,20 @@ fn seeded_f32s(seed: u64, n: usize) -> Vec<f32> {
 }
 
 /// `(len, crc64)` of prefixes of one seeded stream: empty, below one
-/// 8-byte fold, around the 16-byte fold, around three 4 KiB lanes, a
-/// 64 KiB proxy frame, and one odd length past a MiB.
+/// 8-byte fold, around the 16-byte fold, around 512 bytes (the shortest
+/// input a 256-byte block fold takes) and one fold step past it, around
+/// three 4 KiB lanes, a 64 KiB proxy frame, and one odd length past a MiB.
 const CRC64_OF_PREFIX: &[(usize, u64)] = &[
     (0, 0x0000000000000000),
     (1, 0xf4f3e018f031d689),
     (7, 0xe29cb1c63421c7a0),
     (16, 0x7b384874fd8da580),
     (17, 0x8c4270d6597dc2a1),
+    (511, 0x1d71cdfa29a96b47),
+    (512, 0x879f4b84a80cb915),
+    (513, 0x7dc7975a3727e978),
+    (769, 0x547ff900a155ce4b),
+    (783, 0x410a0f0e99008dcd),
     (12_287, 0x1f2f90a33e7b8817),
     (12_288, 0x64aac0a3f8c9599b),
     (12_289, 0x16508d7fcf81b518),
