@@ -826,10 +826,12 @@ impl Decode for TrainState {
 }
 
 impl TrainState {
-    /// Checksum over the full state (metadata integrity field).
+    /// CRC-64 of the state's encoding, for telling two states apart: the
+    /// payload CRC [`encode_framed`](simcore::codec::encode_framed) writes
+    /// as its frame's trailer, read back rather than computed twice.
     pub fn checksum(&self) -> u64 {
         let framed = simcore::codec::encode_framed(self);
-        simcore::codec::crc64(&framed)
+        framed.slice(framed.len() - 8..).get_u64_le()
     }
 
     /// Exact number of bytes `encode` will produce, so writers can size

@@ -375,14 +375,25 @@ fn x_pow_8n(mut n: usize) -> u64 {
     r
 }
 
-/// Independent chains the multi-lane kernel interleaves.
+/// Independent chains the three-lane table kernel interleaves.
 const LANES: usize = 3;
 
-/// Shortest lane, in bytes. Below three of them one chain is faster: the
-/// combine costs a few GF(2) multiplications, each as much as a few
-/// hundred bytes of input (about 90 ns on a Sapphire Rapids core, where
-/// the measured crossover is between 1 and 1.5 KiB).
+/// Shortest lane of the three-lane table kernel, in bytes. Below three of
+/// them one chain is faster: the combine costs a few GF(2)
+/// multiplications, each as much as a few hundred bytes of input (about
+/// 90 ns on a Sapphire Rapids core, where the measured crossover is
+/// between 1 and 1.5 KiB). Where the folding kernel runs, it takes every
+/// input of [`FOLD_MIN`] bytes or more, so this bound only splits the
+/// table kernel's inputs.
 const MIN_LANE: usize = 512;
+
+/// Shortest input the carry-less folding kernel takes: two of its
+/// 256-byte blocks, so that every run folds at least once, which is where
+/// `tests/golden.rs` pins its edges. The kernel would win on one block
+/// too (about 32 against 160 ns for a 256-byte chain on a Sapphire Rapids
+/// core), but inputs that short are headers and sidecars, not the state
+/// bytes every recovery leg moves.
+const FOLD_MIN: usize = 512;
 
 /// Folds the big-endian word `x` through `t[base..base + 8]`: byte `j`
 /// from the bottom is advanced `base + j` further zero bytes.
@@ -438,16 +449,14 @@ fn chain(mut crc: u64, data: &[u8]) -> u64 {
 /// trailer on checkpoint payloads and for GPU-buffer checksums during
 /// replay-log verification (§4.1).
 ///
-/// Table-driven slice-by-16 over three interleaved lanes: the input's
-/// three leading thirds (whole 16-byte blocks) run as independent chains
-/// in one loop, so one chain's table loads overlap another's XOR tree,
-/// and the three registers are then combined by multiplying with
-/// `x^(8·lane)` mod P (zlib's `crc32_combine`). The tail of fewer than 48
-/// bytes, and any input shorter than three [`MIN_LANE`]s, runs one chain.
-/// Bit-identical to [`crc64_bitwise`] (the reference implementation) for
-/// every input. Every checkpoint write, store read and stream frame makes
-/// a full pass of this function over the state, so it sits squarely on
-/// the §5 critical path.
+/// On an x86-64 CPU with AVX-512 and VPCLMULQDQ, every input of
+/// [`FOLD_MIN`] bytes or more runs the carry-less folding kernel (see
+/// `clmul`), which folds 256-byte blocks at memory speed. Every other CPU
+/// and every shorter input runs the three-lane table kernel,
+/// [`crc64_lanes`]. Both are bit-identical to [`crc64_bitwise`] (the
+/// reference implementation) for every input. Every checkpoint write,
+/// store read and stream frame makes a full pass of this function over
+/// the state, so it sits squarely on the §5 critical path.
 pub fn crc64(data: &[u8]) -> u64 {
     !crc64_update(!0, data)
 }
@@ -456,6 +465,20 @@ pub fn crc64(data: &[u8]) -> u64 {
 /// starts from `!0` and inverts the result; a caller that feeds its input
 /// in pieces carries the register from one piece to the next.
 fn crc64_update(crc: u64, data: &[u8]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::update(crc, data) {
+        return crc;
+    }
+    crc64_lanes(crc, data)
+}
+
+/// The table kernel: slice-by-16 over three interleaved lanes. The
+/// input's three leading thirds (whole 16-byte blocks) run as independent
+/// chains in one loop, so one chain's table loads overlap another's XOR
+/// tree, and the three registers are then combined by multiplying with
+/// `x^(8·lane)` mod P (zlib's `crc32_combine`). The tail of fewer than 48
+/// bytes, and any input shorter than three [`MIN_LANE`]s, runs one chain.
+fn crc64_lanes(crc: u64, data: &[u8]) -> u64 {
     let lane = data.len() / (LANES * 16) * 16;
     if lane < MIN_LANE {
         return chain(crc, data);
@@ -475,8 +498,136 @@ fn crc64_update(crc: u64, data: &[u8]) -> u64 {
     chain(crc, &data[LANES * lane..])
 }
 
+/// The folding kernel: CRC-64 by carry-less multiplication, after Intel's
+/// "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ".
+///
+/// The input is read as 128-bit lanes, each byte-reversed so that its
+/// first byte holds the highest coefficients, as the MSB-first register
+/// reads it. A lane `H·x^64 + L` moved `D` bits further on is congruent,
+/// mod P, to `H·(x^(D+64) mod P) + L·(x^D mod P)`: two 64 × 64-bit
+/// carry-less products whose sum fits in the 128-bit lane. Four 512-bit
+/// accumulators hold one 256-byte block (16 lanes) and fold into the next
+/// block with `D` = 2048; at the end the 16 lanes fold into one with
+/// `D` = 128, and that lane's CRC from a zero register (one table chain
+/// over 16 bytes) is the register after the folded blocks, so no Barrett
+/// reduction is needed. The tail of fewer than 256 bytes runs on the
+/// table chain.
+///
+/// The one item of the crates that allows `unsafe` code, for the loads
+/// and the one call into the feature-gated fold. A CRC's value is fixed
+/// by its polynomial, not by an order of operations, and the codec's
+/// tests hold this kernel to [`crc64_bitwise`] and to pinned values bit
+/// for bit.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use super::{chain, gf2_mulmod, FOLD_MIN, X8_POW2};
+    use std::arch::x86_64::*;
+
+    /// Bytes per fold step: four 64-byte accumulators.
+    const BLOCK: usize = 256;
+
+    /// `[x^(D+64) mod P, x^D mod P]`, the factors of a lane's high and low
+    /// halves, for `D` = 8·`2^k` bits (`X8_POW2[3]` is `x^64 mod P`).
+    const fn factors(k: usize) -> [u64; 2] {
+        [gf2_mulmod(X8_POW2[k], X8_POW2[3]), X8_POW2[k]]
+    }
+
+    /// Moves a lane one 256-byte block (2048 bits) on.
+    const BY_BLOCK: [u64; 2] = factors(8);
+
+    /// Moves a lane one lane (128 bits) on.
+    const BY_LANE: [u64; 2] = factors(4);
+
+    /// Runs the register `crc` over `data` with the folding kernel, or
+    /// returns `None` where it does not apply: an input shorter than
+    /// [`FOLD_MIN`], or a CPU without the features the kernel needs.
+    pub(super) fn update(crc: u64, data: &[u8]) -> Option<u64> {
+        if data.len() < FOLD_MIN
+            || !(is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("vpclmulqdq")
+                && is_x86_feature_detected!("pclmulqdq"))
+        {
+            return None;
+        }
+        let (blocks, tail) = data.as_chunks::<BLOCK>();
+        let (first, rest) = blocks.split_first()?;
+        // SAFETY: every feature `fold` is compiled for was detected above.
+        let crc = unsafe { fold(crc, first, rest) };
+        Some(chain(crc, tail))
+    }
+
+    /// The 128-bit lane `[lo, hi]` as a vector of four such lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(hi: u64, lo: u64) -> __m512i {
+        _mm512_broadcast_i32x4(_mm_set_epi64x(hi as i64, lo as i64))
+    }
+
+    /// Loads the `i`th 64 bytes of `block`, each 16-byte lane reversed.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn load(block: &[u8; BLOCK], i: usize, reverse: __m512i) -> __m512i {
+        let bytes = &block.as_chunks::<64>().0[i];
+        // SAFETY: `bytes` is 64 readable bytes; the load is unaligned.
+        let raw = unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) };
+        _mm512_shuffle_epi8(raw, reverse)
+    }
+
+    /// `acc` moved on by `by`, plus `next`.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold_into(acc: __m512i, by: __m512i, next: __m512i) -> __m512i {
+        let hi = _mm512_clmulepi64_epi128::<0x11>(acc, by);
+        let lo = _mm512_clmulepi64_epi128::<0x00>(acc, by);
+        _mm512_ternarylogic_epi64::<0x96>(hi, lo, next)
+    }
+
+    /// `r` moved one lane on, plus `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_lane(r: __m128i, next: __m128i) -> __m128i {
+        let by = _mm_set_epi64x(BY_LANE[0] as i64, BY_LANE[1] as i64);
+        let hi = _mm_clmulepi64_si128::<0x11>(r, by);
+        let lo = _mm_clmulepi64_si128::<0x00>(r, by);
+        _mm_xor_si128(_mm_xor_si128(hi, lo), next)
+    }
+
+    /// Runs the register `crc` over `first`, then each of `rest`.
+    #[target_feature(enable = "avx512f,avx512bw,vpclmulqdq,pclmulqdq")]
+    fn fold(crc: u64, first: &[u8; BLOCK], rest: &[[u8; BLOCK]]) -> u64 {
+        let reverse = splat(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+        let by = splat(BY_BLOCK[0], BY_BLOCK[1]);
+        // The register meets the high half of the first lane.
+        let seed = _mm512_set_epi64(0, 0, 0, 0, 0, 0, crc as i64, 0);
+        let mut acc = [0, 1, 2, 3].map(|i| load(first, i, reverse));
+        acc[0] = _mm512_xor_si512(acc[0], seed);
+        for block in rest {
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = fold_into(*a, by, load(block, i, reverse));
+            }
+        }
+        let lanes = acc.map(|a| {
+            [
+                _mm512_extracti32x4_epi32::<0>(a),
+                _mm512_extracti32x4_epi32::<1>(a),
+                _mm512_extracti32x4_epi32::<2>(a),
+                _mm512_extracti32x4_epi32::<3>(a),
+            ]
+        });
+        let r = lanes
+            .iter()
+            .flatten()
+            .fold(_mm_setzero_si128(), |r, &next| fold_lane(r, next));
+        let hi = _mm_extract_epi64::<1>(r) as u64;
+        let lo = _mm_cvtsi128_si64(r) as u64;
+        chain(0, &((hi as u128) << 64 | lo as u128).to_be_bytes())
+    }
+}
+
 /// Reference bit-at-a-time CRC-64: the seed implementation, kept as the
-/// ground truth the table-driven [`crc64`] is tested against.
+/// ground truth both kernels of [`crc64`] are tested against.
 pub fn crc64_bitwise(data: &[u8]) -> u64 {
     let mut crc: u64 = !0;
     for &b in data {
@@ -492,8 +643,10 @@ pub fn crc64_bitwise(data: &[u8]) -> u64 {
     !crc
 }
 
-/// Elements per block of [`f32_checksum`]: 64 KiB of bytes, long enough
-/// that the three-lane kernel's combine is a few percent of a block.
+/// Elements per block of [`f32_checksum`]: 64 KiB of bytes, a whole
+/// number of the folding kernel's 256-byte steps, and long enough that
+/// either kernel's reduction (the fold's lane folds, the three-lane
+/// combine) is a few percent of a block.
 const CHECKSUM_BLOCK: usize = 16 * 1024;
 
 /// Checksum for a float buffer: stable across runs because it hashes the
@@ -930,9 +1083,11 @@ mod tests {
     #[test]
     fn crc64_table_matches_bitwise_reference() {
         // Every length to 4 KiB covers the 8- and 16-byte folds, the
-        // one-chain / three-lane threshold and every residue of the
-        // 48-byte lane split; lengths around 64 KiB cover a long combine,
-        // and odd offsets an unaligned start.
+        // one-chain / three-lane threshold, every residue of the 48-byte
+        // lane split, the folding kernel's minimum and every tail of its
+        // 256-byte blocks; lengths around 64 KiB cover a long combine and
+        // a long fold, and odd offsets an unaligned start. Where `crc64`
+        // takes the folding kernel, the table kernel runs each length too.
         let mut x: u64 = 0x1234_5678_9abc_def0;
         let data: Vec<u8> = (0..65_700)
             .map(|_| {
@@ -944,7 +1099,12 @@ mod tests {
             let d = &data[offset..];
             let want = bitwise_of_every_prefix(&d[..65_600]);
             for len in (0..=4096).chain(65_500..=65_600) {
-                assert_eq!(crc64(&d[..len]), want[len], "offset {offset} len {len}");
+                for (kernel, got) in [
+                    ("crc64", crc64(&d[..len])),
+                    ("table", !crc64_lanes(!0, &d[..len])),
+                ] {
+                    assert_eq!(got, want[len], "{kernel}: offset {offset} len {len}");
+                }
             }
         }
     }

@@ -93,11 +93,16 @@ cargo test --release --test cross_crate --quiet -- --exact \
     fsdp_hybrid_shard_job_recovers_transparently \
     pipeline_job_survives_mid_stage_failure
 
-echo '==> public-surface and real-clock ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor its count of pub items no other file names, nor the workspace its count of allowed wall-clock sleeps)'
+echo '==> public-surface, real-clock and unsafe ratchets (no crate may exceed its pub-item count in SURFACE.txt, nor its count of pub items no other file names, nor the workspace its count of allowed wall-clock sleeps, nor crates/*/src its 1 allow(unsafe_code))'
 sh scripts/surface.sh --check
 # Same idea for real clocks: a new wall-clock wait on a fault path needs a diff to this number, not just a comment.
 [ "$(grep -r 'jitlint::allow(virtual_time)' crates --include='*.rs' | grep -vc '^crates/lint/')" -le 1 ] \
     || { echo 'check.sh: more than 1 jitlint::allow(virtual_time) site outside crates/lint' >&2; exit 1; }
+# And for unsafe: the one item that allows it is the CRC-64 folding kernel
+# (simcore::codec::clmul); another needs this number edited.
+[ "$(grep -r 'allow(unsafe_code)' crates/*/src --include='*.rs' | wc -l)" -le 1 ] \
+    || { echo 'check.sh: more than 1 allow(unsafe_code) in crates/*/src:' >&2
+         grep -rn 'allow(unsafe_code)' crates/*/src --include='*.rs' >&2; exit 1; }
 
 echo '==> jitlint'
 cargo run -p lint --quiet
